@@ -56,6 +56,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -64,139 +65,7 @@ import (
 )
 
 func main() {
-	var (
-		suite      = flag.String("suite", "", "scenario to run (see -list)")
-		scenFile   = flag.String("scenario", "", "scenario file (scenarios/*.toml) to load and register beside the built-ins; becomes the default -suite")
-		trials     = flag.Int("trials", 0, "trials to run (0: the scenario's default)")
-		parallel   = flag.Int("parallel", 0, "worker pool size (0: GOMAXPROCS)")
-		seed       = flag.Int64("seed", 1998, "suite seed; per-trial seeds derive from it")
-		backend    = flag.String("backend", "", "forwarding data plane for suites that model one (shared-tree, bier, map-encap; empty: suite default)")
-		out        = flag.String("out", "", "write the result JSON to this file (default: stdout)")
-		traceOut   = flag.String("trace-out", "", "record causal spans per trial and write Chrome trace-event JSON to this file")
-		metricsOut = flag.String("metrics-out", "", "write counter and histogram totals to this file in Prometheus text exposition format")
-		compare    = flag.String("compare", "", "baseline result file to gate the run against")
-		tolerance  = flag.Float64("tolerance", 0.10, "relative regression tolerance for -compare")
-		list       = flag.Bool("list", false, "list the registered scenarios and exit")
-		validate   = flag.String("validate", "", "validate a result file against the schema and exit")
-		diff       = flag.Bool("diff", false, "compare two result files (args) modulo env/timing and exit")
-	)
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: benchsuite [flags]\n\n"+
-			"Exit status: 0 success; 1 regression (-compare) or mismatch (-diff);\n"+
-			"2 usage or runtime error; 3 unreadable or invalid result file.\n\nFlags:\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-
-	// Load the scenario file first: it registers beside the built-ins,
-	// so -list shows it and -suite can name it. An unparseable file is a
-	// usage error (exit 2) carrying the parse error's file:line position.
-	if *scenFile != "" {
-		loaded, err := mascbgmp.LoadBenchScenarioFile(*scenFile)
-		if err != nil {
-			fail(exitUsage, err.Error())
-		}
-		if *suite == "" {
-			*suite = loaded.Name
-		}
-	}
-
-	switch {
-	case *list:
-		for _, s := range mascbgmp.BenchScenarios() {
-			fmt.Printf("%-16s trials=%d  %s\n", s.Name, s.DefaultTrials, s.Description)
-			for _, m := range s.Metrics {
-				fmt.Printf("    %-20s %-10s better=%-6s %s\n", m.Name, m.Unit, m.Better, m.Help)
-			}
-		}
-		return
-
-	case *validate != "":
-		if _, err := bench.ReadFile(*validate); err != nil {
-			fail(exitSchema, err.Error())
-		}
-		fmt.Printf("%s: valid (%s)\n", *validate, bench.SchemaID)
-		return
-
-	case *diff:
-		if flag.NArg() != 2 {
-			fail(exitUsage, "-diff needs exactly two result files")
-		}
-		a, err := bench.ReadFile(flag.Arg(0))
-		if err != nil {
-			fail(exitSchema, err.Error())
-		}
-		b, err := bench.ReadFile(flag.Arg(1))
-		if err != nil {
-			fail(exitSchema, err.Error())
-		}
-		if d := bench.DeterministicDiff(a, b); d != "" {
-			fail(exitOutcome, "results differ: "+d)
-		}
-		fmt.Println("results match (modulo env/timing)")
-		return
-	}
-
-	if *suite == "" {
-		fmt.Fprintln(os.Stderr, "benchsuite: -suite or -scenario required (or -list/-validate/-diff)")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *backend != "" && !mascbgmp.ValidDataPlane(*backend) {
-		fail(exitUsage, fmt.Sprintf("unknown -backend %q (valid: %s)",
-			*backend, strings.Join(mascbgmp.DataPlaneNames(), ", ")))
-	}
-
-	res, err := mascbgmp.RunBenchScenario(*suite, mascbgmp.BenchOptions{
-		Trials: *trials, Parallel: *parallel, Seed: *seed, Backend: *backend,
-		Trace: *traceOut != "",
-	})
-	if err != nil {
-		fail(exitUsage, err.Error())
-	}
-
-	if *metricsOut != "" {
-		if err := os.WriteFile(*metricsOut, []byte(res.PrometheusText()), 0o644); err != nil {
-			fail(exitUsage, err.Error())
-		}
-	}
-	if *traceOut != "" {
-		if err := os.WriteFile(*traceOut, mascbgmp.ChromeTrace(res.Spans), 0o644); err != nil {
-			fail(exitUsage, err.Error())
-		}
-	}
-
-	if *out != "" {
-		if err := bench.WriteFile(*out, res); err != nil {
-			fail(exitUsage, err.Error())
-		}
-		fmt.Fprintf(os.Stderr, "benchsuite: wrote %s\n", *out)
-	} else {
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fail(exitUsage, err.Error())
-		}
-		fmt.Println(string(data))
-	}
-
-	if *compare != "" {
-		base, err := bench.ReadFile(*compare)
-		if err != nil {
-			fail(exitSchema, err.Error())
-		}
-		regs, err := bench.Compare(base, res, *tolerance)
-		if err != nil {
-			fail(exitSchema, err.Error())
-		}
-		if len(regs) > 0 {
-			for _, r := range regs {
-				fmt.Fprintf(os.Stderr, "benchsuite: REGRESSION %s\n", r)
-			}
-			os.Exit(exitOutcome)
-		}
-		fmt.Fprintf(os.Stderr, "benchsuite: no regressions vs %s (tolerance %.0f%%)\n",
-			*compare, *tolerance*100)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // Exit codes, documented in the command doc and -h output.
@@ -206,7 +75,152 @@ const (
 	exitSchema  = 3 // result file unreadable or schema-invalid
 )
 
-func fail(code int, msg string) {
-	fmt.Fprintln(os.Stderr, "benchsuite: "+msg)
-	os.Exit(code)
+// run is main without the process: it parses args, writes to the given
+// streams, and returns the exit code, so the tests can pin exit codes and
+// output without a built binary.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchsuite", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		suite      = fs.String("suite", "", "scenario to run (see -list)")
+		scenFile   = fs.String("scenario", "", "scenario file (scenarios/*.toml) to load and register beside the built-ins; becomes the default -suite")
+		trials     = fs.Int("trials", 0, "trials to run (0: the scenario's default)")
+		parallel   = fs.Int("parallel", 0, "worker pool size (0: GOMAXPROCS)")
+		seed       = fs.Int64("seed", 1998, "suite seed; per-trial seeds derive from it")
+		backend    = fs.String("backend", "", "forwarding data plane for suites that model one (shared-tree, bier, map-encap; empty: suite default)")
+		out        = fs.String("out", "", "write the result JSON to this file (default: stdout)")
+		traceOut   = fs.String("trace-out", "", "record causal spans per trial and write Chrome trace-event JSON to this file")
+		metricsOut = fs.String("metrics-out", "", "write counter and histogram totals to this file in Prometheus text exposition format")
+		compare    = fs.String("compare", "", "baseline result file to gate the run against")
+		tolerance  = fs.Float64("tolerance", 0.10, "relative regression tolerance for -compare")
+		list       = fs.Bool("list", false, "list the registered scenarios and exit")
+		validate   = fs.String("validate", "", "validate a result file against the schema and exit")
+		diff       = fs.Bool("diff", false, "compare two result files (args) modulo env/timing and exit")
+	)
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: benchsuite [flags]\n\n"+
+			"Exit status: 0 success; 1 regression (-compare) or mismatch (-diff);\n"+
+			"2 usage or runtime error; 3 unreadable or invalid result file.\n\nFlags:\n")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		return exitUsage
+	}
+	fail := func(code int, msg string) int {
+		fmt.Fprintln(stderr, "benchsuite: "+msg)
+		return code
+	}
+
+	// Load the scenario file first: it registers beside the built-ins
+	// for the length of this call, so -list shows it and -suite can name
+	// it. An unparseable file is a usage error (exit 2) carrying the
+	// parse error's file:line position.
+	if *scenFile != "" {
+		loaded, err := mascbgmp.LoadBenchScenarioFile(*scenFile)
+		if err != nil {
+			return fail(exitUsage, err.Error())
+		}
+		defer bench.Unregister(loaded.Name)
+		if *suite == "" {
+			*suite = loaded.Name
+		}
+	}
+
+	switch {
+	case *list:
+		for _, s := range mascbgmp.BenchScenarios() {
+			fmt.Fprintf(stdout, "%-16s trials=%d  %s\n", s.Name, s.DefaultTrials, s.Description)
+			for _, m := range s.Metrics {
+				fmt.Fprintf(stdout, "    %-20s %-10s better=%-6s %s\n", m.Name, m.Unit, m.Better, m.Help)
+			}
+		}
+		return 0
+
+	case *validate != "":
+		if _, err := bench.ReadFile(*validate); err != nil {
+			return fail(exitSchema, err.Error())
+		}
+		fmt.Fprintf(stdout, "%s: valid (%s)\n", *validate, bench.SchemaID)
+		return 0
+
+	case *diff:
+		if fs.NArg() != 2 {
+			return fail(exitUsage, "-diff needs exactly two result files")
+		}
+		a, err := bench.ReadFile(fs.Arg(0))
+		if err != nil {
+			return fail(exitSchema, err.Error())
+		}
+		b, err := bench.ReadFile(fs.Arg(1))
+		if err != nil {
+			return fail(exitSchema, err.Error())
+		}
+		if d := bench.DeterministicDiff(a, b); d != "" {
+			return fail(exitOutcome, "results differ: "+d)
+		}
+		fmt.Fprintln(stdout, "results match (modulo env/timing)")
+		return 0
+	}
+
+	if *suite == "" {
+		fmt.Fprintln(stderr, "benchsuite: -suite or -scenario required (or -list/-validate/-diff)")
+		fs.Usage()
+		return exitUsage
+	}
+	if *backend != "" && !mascbgmp.ValidDataPlane(*backend) {
+		return fail(exitUsage, fmt.Sprintf("unknown -backend %q (valid: %s)",
+			*backend, strings.Join(mascbgmp.DataPlaneNames(), ", ")))
+	}
+
+	res, err := mascbgmp.RunBenchScenario(*suite, mascbgmp.BenchOptions{
+		Trials: *trials, Parallel: *parallel, Seed: *seed, Backend: *backend,
+		Trace: *traceOut != "",
+	})
+	if err != nil {
+		return fail(exitUsage, err.Error())
+	}
+
+	if *metricsOut != "" {
+		if err := os.WriteFile(*metricsOut, []byte(res.PrometheusText()), 0o644); err != nil {
+			return fail(exitUsage, err.Error())
+		}
+	}
+	if *traceOut != "" {
+		if err := os.WriteFile(*traceOut, mascbgmp.ChromeTrace(res.Spans), 0o644); err != nil {
+			return fail(exitUsage, err.Error())
+		}
+	}
+
+	if *out != "" {
+		if err := bench.WriteFile(*out, res); err != nil {
+			return fail(exitUsage, err.Error())
+		}
+		fmt.Fprintf(stderr, "benchsuite: wrote %s\n", *out)
+	} else {
+		data, err := json.MarshalIndent(res, "", "  ")
+		if err != nil {
+			return fail(exitUsage, err.Error())
+		}
+		fmt.Fprintln(stdout, string(data))
+	}
+
+	if *compare != "" {
+		base, err := bench.ReadFile(*compare)
+		if err != nil {
+			return fail(exitSchema, err.Error())
+		}
+		regs, err := bench.Compare(base, res, *tolerance)
+		if err != nil {
+			return fail(exitSchema, err.Error())
+		}
+		if len(regs) > 0 {
+			for _, r := range regs {
+				fmt.Fprintf(stderr, "benchsuite: REGRESSION %s\n", r)
+			}
+			return exitOutcome
+		}
+		fmt.Fprintf(stderr, "benchsuite: no regressions vs %s (tolerance %.0f%%)\n",
+			*compare, *tolerance*100)
+	}
+	return 0
 }

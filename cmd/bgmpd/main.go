@@ -57,7 +57,6 @@ func run(wait time.Duration, branches, verbose, metrics, trace bool) error {
 		Seed:           1998,
 		MASCWait:       wait,
 		SourceBranches: branches,
-		TCP:            true, // real loopback TCP between all routers
 		Observer:       ob,
 	})
 	if err != nil {

@@ -156,6 +156,24 @@ func TestCompareFlagsRegressions(t *testing.T) {
 		t.Fatalf("delta = %v, want ~0.5", regs[0].Delta)
 	}
 
+	// A gated metric that vanished from the run is an error, not a
+	// silent pass; a vanished Info metric is nobody's business.
+	for _, tc := range []struct {
+		drop    string
+		wantErr bool
+	}{{"cost", true}, {"draw", false}} {
+		short := cur
+		short.Metrics = nil
+		for _, m := range base.Metrics {
+			if m.Name != tc.drop {
+				short.Metrics = append(short.Metrics, m)
+			}
+		}
+		if _, err := Compare(base, short, 0.10); (err != nil) != tc.wantErr {
+			t.Fatalf("run without %q: err = %v, want error %t", tc.drop, err, tc.wantErr)
+		}
+	}
+
 	// Suite mismatch is an error, not a silent pass.
 	other := cur
 	other.Suite = "different"

@@ -254,27 +254,31 @@ func (r Regression) String() string {
 	return fmt.Sprintf("%s: %.4g -> %.4g (%+.1f%%)", r.Metric, r.Baseline, r.Current, r.Delta*100)
 }
 
-// Compare gates current against baseline: every directional metric
-// (Better == Lower or Higher) present in both must not move the wrong
-// way by more than tolerance (relative, e.g. 0.10 = 10%). Info metrics
-// are ignored. Returns the regressions found.
+// Compare gates current against baseline: every directional metric of the
+// baseline (Better == Lower or Higher) must be present in current — a
+// gated metric that disappeared is an error, not a pass — and must not
+// move the wrong way by more than tolerance (relative, e.g. 0.10 = 10%).
+// Info metrics are ignored. Returns the regressions found.
 func Compare(baseline, current SuiteResult, tolerance float64) ([]Regression, error) {
 	if baseline.Suite != current.Suite {
 		return nil, fmt.Errorf("bench: comparing suite %q against baseline %q",
 			current.Suite, baseline.Suite)
 	}
-	base := make(map[string]MetricSummary, len(baseline.Metrics))
-	for _, m := range baseline.Metrics {
-		base[m.Name] = m
+	cur := make(map[string]MetricSummary, len(current.Metrics))
+	for _, m := range current.Metrics {
+		cur[m.Name] = m
 	}
 	var regs []Regression
-	for _, m := range current.Metrics {
-		b, ok := base[m.Name]
-		if !ok || m.Better == Info {
+	for _, b := range baseline.Metrics {
+		if b.Better == Info {
 			continue
 		}
+		m, ok := cur[b.Name]
+		if !ok {
+			return nil, fmt.Errorf("bench: gated metric %q is in the baseline but missing from the run", b.Name)
+		}
 		var bad bool
-		switch m.Better {
+		switch b.Better {
 		case Lower:
 			bad = m.Mean > b.Mean*(1+tolerance)+1e-12
 		case Higher:

@@ -99,6 +99,15 @@ func Register(s Scenario) {
 	registry[s.Name] = s
 }
 
+// Unregister removes a file-loaded scenario, so a caller that outlives
+// one CLI invocation (cmd/benchsuite's run under test) leaves the
+// registry as it found it. Unknown names are a no-op.
+func Unregister(name string) {
+	regMu.Lock()
+	defer regMu.Unlock()
+	delete(registry, name)
+}
+
 // Scenarios returns all registered scenarios sorted by name.
 func Scenarios() []Scenario {
 	regMu.Lock()

@@ -11,50 +11,33 @@ import (
 // Scenario with the generic workload metric set, runnable by name
 // exactly like a built-in suite (benchsuite -scenario <file>).
 
-// workloadMetrics is the metric set every scenario-file suite (and each
-// sub-run of the workloads suite) reports. prefix namespaces the names
-// when several workloads share one suite ("" for a standalone suite).
-func workloadMetrics(prefix string) []MetricDef {
+// workloadMetrics is the metric set every scenario-file suite reports
+// (the workloads suite prefixes the names with each sub-run's).
+func workloadMetrics() []MetricDef {
 	return []MetricDef{
-		{Name: prefix + "fanin", Unit: "ratio", Better: Higher,
+		{Name: "fanin", Unit: "ratio", Better: Higher,
 			Help: "joins absorbed per join that grafted all the way to the root (§5.2 aggregation)"},
-		{Name: prefix + "occ_max", Unit: "fraction", Better: Info,
+		{Name: "occ_max", Unit: "fraction", Better: Info,
 			Help: "peak allocator occupancy (demand/capacity) over the run"},
-		{Name: prefix + "occ_trough", Unit: "fraction", Better: Info,
+		{Name: "occ_trough", Unit: "fraction", Better: Info,
 			Help: "minimum occupancy after first reaching the 75% target (0 until reached)"},
-		{Name: prefix + "expansions", Unit: "events", Better: Info,
+		{Name: "expansions", Unit: "events", Better: Info,
 			Help: "MASC prefix doublings driven by the workload"},
-		{Name: prefix + "claims", Unit: "events", Better: Info,
+		{Name: "claims", Unit: "events", Better: Info,
 			Help: "new prefix claims beyond doubling (extra + replacement)"},
-		{Name: prefix + "collapses", Unit: "events", Better: Info,
+		{Name: "collapses", Unit: "events", Better: Info,
 			Help: "drained prefixes released back to the ledger"},
-		{Name: prefix + "grib_final", Unit: "routes", Better: Lower,
+		{Name: "grib_final", Unit: "routes", Better: Lower,
 			Help: "live claimed prefixes across roots at the end"},
-		{Name: prefix + "forwarding_entries", Unit: "entries", Better: Lower,
+		{Name: "forwarding_entries", Unit: "entries", Better: Lower,
 			Help: "total (group, domain) forwarding state at the end"},
-		{Name: prefix + "mean_tree_size", Unit: "domains", Better: Info,
+		{Name: "mean_tree_size", Unit: "domains", Better: Info,
 			Help: "mean on-tree domains per group at the end"},
-		{Name: prefix + "joins", Unit: "ops", Better: Info,
+		{Name: "joins", Unit: "ops", Better: Info,
 			Help: "join operations applied"},
-		{Name: prefix + "delivered", Unit: "packets", Better: Higher,
+		{Name: "delivered", Unit: "packets", Better: Higher,
 			Help: "member deliveries in the forwarding phase"},
 	}
-}
-
-// workloadValues flattens a WorkloadResult into the metric map, under
-// the same prefix workloadMetrics declared.
-func workloadValues(prefix string, res experiments.WorkloadResult, vals map[string]float64) {
-	vals[prefix+"fanin"] = res.FanIn
-	vals[prefix+"occ_max"] = res.OccMax
-	vals[prefix+"occ_trough"] = res.OccTrough
-	vals[prefix+"expansions"] = float64(res.Expansions)
-	vals[prefix+"claims"] = float64(res.Claims)
-	vals[prefix+"collapses"] = float64(res.Collapses)
-	vals[prefix+"grib_final"] = float64(res.GRIBFinal)
-	vals[prefix+"forwarding_entries"] = float64(res.ForwardingEntries)
-	vals[prefix+"mean_tree_size"] = res.MeanTreeSize
-	vals[prefix+"joins"] = float64(res.Joins)
-	vals[prefix+"delivered"] = float64(res.Delivered)
 }
 
 // FileScenario wraps a parsed spec as a runnable Scenario (without
@@ -68,7 +51,7 @@ func FileScenario(spec scenario.Spec) Scenario {
 		Name:          spec.Name,
 		Description:   desc,
 		DefaultTrials: spec.Trials,
-		Metrics:       workloadMetrics(""),
+		Metrics:       workloadMetrics(),
 		Trial: func(ctx TrialContext) (TrialOutput, error) {
 			res, err := experiments.RunWorkload(experiments.WorkloadConfig{
 				Spec:      spec,
@@ -79,10 +62,20 @@ func FileScenario(spec scenario.Spec) Scenario {
 			if err != nil {
 				return TrialOutput{}, err
 			}
-			vals := map[string]float64{}
-			workloadValues("", res, vals)
 			return TrialOutput{
-				Values: vals,
+				Values: map[string]float64{
+					"fanin":              res.FanIn,
+					"occ_max":            res.OccMax,
+					"occ_trough":         res.OccTrough,
+					"expansions":         float64(res.Expansions),
+					"claims":             float64(res.Claims),
+					"collapses":          float64(res.Collapses),
+					"grib_final":         float64(res.GRIBFinal),
+					"forwarding_entries": float64(res.ForwardingEntries),
+					"mean_tree_size":     res.MeanTreeSize,
+					"joins":              float64(res.Joins),
+					"delivered":          float64(res.Delivered),
+				},
 				Rates: map[string]float64{
 					"membership_ops": float64(res.Joins + res.Leaves),
 					"packets":        float64(res.Packets),

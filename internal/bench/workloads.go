@@ -3,8 +3,8 @@ package bench
 import (
 	"fmt"
 
-	"mascbgmp/internal/experiments"
 	"mascbgmp/internal/scenario"
+	"mascbgmp/scenarios"
 )
 
 // The workloads suite: every exemplar scenario file (flash-crowd,
@@ -16,10 +16,19 @@ import (
 // proof that the §4.3.3 machinery responds to workload shape alone.
 
 func init() {
-	builtins := scenario.Builtins()
+	var subs []Scenario
 	var metrics []MetricDef
-	for _, b := range builtins {
-		metrics = append(metrics, workloadMetrics(b.Name+"_")...)
+	for _, name := range scenarios.Names() {
+		spec, err := scenario.Parse("scenarios/"+name+".toml", scenarios.TOML(name))
+		if err != nil {
+			// The files are compiled in and covered by tests.
+			panic("bench: " + err.Error())
+		}
+		subs = append(subs, FileScenario(spec))
+		for _, m := range workloadMetrics() {
+			m.Name = name + "_" + m.Name
+			metrics = append(metrics, m)
+		}
 	}
 	Register(Scenario{
 		Name: "workloads",
@@ -28,36 +37,30 @@ func init() {
 		DefaultTrials: 3,
 		Metrics:       metrics,
 		Trial: func(ctx TrialContext) (TrialOutput, error) {
-			vals := map[string]float64{}
-			var ops, packets float64
-			for k, b := range builtins {
-				spec := scenario.MustParseBuiltin(b)
-				res, err := experiments.RunWorkload(experiments.WorkloadConfig{
-					Spec: spec,
-					// Offset the sub-run seeds so the workloads draw
-					// independent streams from one trial seed.
-					Seed:      ctx.Seed + int64(k)*7919,
-					DataPlane: ctx.Backend,
-					Obs:       ctx.Obs,
-				})
+			out := TrialOutput{Values: map[string]float64{}, Rates: map[string]float64{}}
+			for k, sub := range subs {
+				// Offset the sub-run seeds so the workloads draw
+				// independent streams from one trial seed.
+				subCtx := ctx
+				subCtx.Seed = ctx.Seed + int64(k)*7919
+				res, err := sub.Trial(subCtx)
 				if err != nil {
-					return TrialOutput{}, fmt.Errorf("workload %s: %w", b.Name, err)
+					return TrialOutput{}, fmt.Errorf("workload %s: %w", sub.Name, err)
 				}
-				if b.Name == scenario.KindDiurnal {
-					if res.Expansions < 1 || res.Collapses < 1 {
-						return TrialOutput{}, fmt.Errorf(
-							"diurnal wave drove %d expansions and %d collapses; want >= 1 of each",
-							res.Expansions, res.Collapses)
-					}
+				if sub.Name == scenario.KindDiurnal &&
+					(res.Values["expansions"] < 1 || res.Values["collapses"] < 1) {
+					return TrialOutput{}, fmt.Errorf(
+						"diurnal wave drove %v expansions and %v collapses; want >= 1 of each",
+						res.Values["expansions"], res.Values["collapses"])
 				}
-				workloadValues(b.Name+"_", res, vals)
-				ops += float64(res.Joins + res.Leaves)
-				packets += float64(res.Packets)
+				for name, v := range res.Values {
+					out.Values[sub.Name+"_"+name] = v
+				}
+				for name, v := range res.Rates {
+					out.Rates[name] += v
+				}
 			}
-			return TrialOutput{
-				Values: vals,
-				Rates:  map[string]float64{"membership_ops": ops, "packets": packets},
-			}, nil
+			return out, nil
 		},
 	})
 }

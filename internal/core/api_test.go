@@ -20,10 +20,8 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"zero value", Config{}, ""},
 		{"synchronous", Config{Synchronous: true}, ""},
-		{"tcp async", Config{TCP: true}, ""},
 		{"negative masc wait", Config{MASCWait: -time.Hour}, "MASCWait"},
 		{"negative claim lifetime", Config{ClaimLifetime: -time.Second}, "ClaimLifetime"},
-		{"tcp with synchronous", Config{TCP: true, Synchronous: true}, "TCP"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -405,7 +405,7 @@ func TestFig3bEncapsulationAndSourceBranch(t *testing.T) {
 }
 
 func TestAsyncNetworkConverges(t *testing.T) {
-	// The same scenario over real framed pipes with background receive
+	// The same scenario over loopback TCP with background receive
 	// loops: slower, nondeterministic ordering, same outcome.
 	clk := simclock.NewSim(time.Date(1998, 9, 1, 0, 0, 0, 0, time.UTC))
 	n, err := NewNetwork(Config{Clock: clk, Seed: 42, Synchronous: false})

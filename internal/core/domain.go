@@ -134,7 +134,7 @@ func (n *Network) AddDomain(cfg DomainConfig) (*Domain, error) {
 	// border routers of a domain peer with each other").
 	for i := 0; i < len(d.routers); i++ {
 		for j := i + 1; j < len(d.routers); j++ {
-			if err := d.routers[i].connect(d.routers[j], n.cfg.Synchronous, n.cfg.TCP); err != nil {
+			if err := d.routers[i].connect(d.routers[j]); err != nil {
 				return nil, err
 			}
 		}

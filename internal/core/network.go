@@ -45,14 +45,10 @@ type Config struct {
 	// and the covering routes age out.
 	AutoRenewClaims bool
 	// Synchronous delivers inter-router messages by direct call (with an
-	// encode/decode round trip) instead of background transport
-	// goroutines, making tests deterministic. The bgmpd daemon and the
-	// async integration test use real pipes.
+	// encode/decode round trip), making runs deterministic. Unset, every
+	// peering is a real loopback TCP connection with background transport
+	// goroutines — the deployment shape of cmd/bgmpd.
 	Synchronous bool
-	// TCP, when set (and Synchronous is not), carries every peering over
-	// a real loopback TCP connection instead of an in-memory pipe — the
-	// deployment shape of cmd/bgmpd.
-	TCP bool
 	// Observer receives protocol events and feeds the metrics registry:
 	// MASC claims and collisions, BGP route churn, BGMP joins/prunes and
 	// repairs, data-plane hops and deliveries, transport traffic. Nil
@@ -106,9 +102,6 @@ func (c Config) Validate() error {
 	}
 	if c.ClaimLifetime < 0 {
 		return &ConfigError{Field: "ClaimLifetime", Reason: "must not be negative"}
-	}
-	if c.TCP && c.Synchronous {
-		return &ConfigError{Field: "TCP", Reason: "TCP peerings need background transport; unset Synchronous"}
 	}
 	if c.HoldTime < 0 {
 		return &ConfigError{Field: "HoldTime", Reason: "must not be negative"}
@@ -234,7 +227,7 @@ func (n *Network) Domains() []*Domain {
 }
 
 // Link connects two border routers of different domains with an external
-// BGP+BGMP peering (TCP in spirit; net.Pipe or direct calls here).
+// BGP+BGMP peering (loopback TCP, or direct calls in synchronous networks).
 func (n *Network) Link(a, b wire.RouterID) error {
 	n.mu.Lock()
 	ra, rb := n.routers[a], n.routers[b]
@@ -245,7 +238,7 @@ func (n *Network) Link(a, b wire.RouterID) error {
 	if ra.domain == rb.domain {
 		return fmt.Errorf("core: %d and %d are in the same domain; internal meshes are automatic", a, b)
 	}
-	if err := ra.connect(rb, n.cfg.Synchronous, n.cfg.TCP); err != nil {
+	if err := ra.connect(rb); err != nil {
 		return err
 	}
 	n.mu.Lock()

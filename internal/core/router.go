@@ -43,7 +43,7 @@ type sender interface {
 }
 
 // directSender delivers by function call after an encode/decode round trip
-// (same bytes as the pipe path, no goroutines).
+// (same bytes as the TCP path, no goroutines).
 type directSender struct {
 	from wire.RouterID
 	to   *Router
@@ -253,11 +253,11 @@ func (r *Router) dispatch(from wire.RouterID, msg wire.Message) {
 	}
 }
 
-// connect wires r and other with a bidirectional peering: loopback TCP or
-// in-memory framed pipes with background receive loops, or direct dispatch
-// in synchronous networks. Both speakers register the neighbor and run the
+// connect wires r and other with a bidirectional peering: loopback TCP
+// with background receive loops, or direct dispatch in synchronous
+// networks. Both speakers register the neighbor and run the
 // initial route exchange.
-func (r *Router) connect(other *Router, synchronous, tcp bool) error {
+func (r *Router) connect(other *Router) error {
 	internal := r.domain == other.domain
 	// faulty wraps a sender in the network's fault plane, when one is
 	// configured. Internal-mesh links pass through it too: per-link fault
@@ -270,11 +270,11 @@ func (r *Router) connect(other *Router, synchronous, tcp bool) error {
 		return s
 	}
 
-	if synchronous {
+	if r.domain.net.cfg.Synchronous {
 		r.addPeer(other.ID, faulty(directSender{from: r.ID, to: other}, r.ID, other.ID), internal)
 		other.addPeer(r.ID, faulty(directSender{from: other.ID, to: r}, other.ID, r.ID), internal)
 	} else {
-		ca, cb, err := dialPair(tcp)
+		ca, cb, err := dialPair()
 		if err != nil {
 			return err
 		}
@@ -320,13 +320,8 @@ func (r *Router) connect(other *Router, synchronous, tcp bool) error {
 	return nil
 }
 
-// dialPair returns two connected MsgConns: loopback TCP or an in-memory
-// pipe.
-func dialPair(tcp bool) (*transport.MsgConn, *transport.MsgConn, error) {
-	if !tcp {
-		a, b := transport.Pipe()
-		return a, b, nil
-	}
+// dialPair returns the two ends of a fresh loopback TCP connection.
+func dialPair() (*transport.MsgConn, *transport.MsgConn, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, nil, err

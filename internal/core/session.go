@@ -222,7 +222,7 @@ func (s *session) retry() {
 	p := s.n.cfg.Faults
 	blocked := p != nil && (p.Partitioned(s.a.ID, s.b.ID) || p.Crashed(s.a.ID) || p.Crashed(s.b.ID))
 	if !blocked {
-		if err := s.a.connect(s.b, s.n.cfg.Synchronous, s.n.cfg.TCP); err != nil {
+		if err := s.a.connect(s.b); err != nil {
 			blocked = true
 		}
 	}

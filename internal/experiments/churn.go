@@ -1,16 +1,13 @@
 package experiments
 
 import (
-	"math/rand"
 	"time"
 
 	"mascbgmp/internal/addr"
-	"mascbgmp/internal/dataplane"
 	"mascbgmp/internal/masc"
 	"mascbgmp/internal/obs"
 	"mascbgmp/internal/scenario"
 	"mascbgmp/internal/topology"
-	"mascbgmp/internal/wire"
 )
 
 // Scale-churn workload: thousands of multicast groups joining and leaving
@@ -20,23 +17,8 @@ import (
 // architecture was designed to bound — join/prune message hops on the
 // bidirectional shared tree (§5.2), per-domain forwarding state, and the
 // G-RIB footprint of the MASC block allocations the groups are drawn from
-// (§4.3).
-//
-// The model:
-//
-//   - RootDomains provider domains (the best-connected domains, as real
-//     exchanges would be) run MASC block allocators over the global 224/4
-//     ledger; every group's address comes from its root domain's blocks,
-//     so the G-RIB size is the number of live claimed prefixes.
-//   - Each group maintains a bidirectional shared tree as the refcounted
-//     union of member→root shortest paths. A join walks toward the root
-//     until it hits the tree (§5.2); a leave prunes the now-unused tail.
-//   - After the churn phase, a steady-state forwarding phase sends packets
-//     from random (often non-member) domains: each packet climbs to its
-//     attach point and floods the tree's branches, crossing size-1 links.
-//
-// Everything is driven by the seeded rng; a given config yields identical
-// results and byte-identical obs snapshots on every run.
+// (§4.3). It is the model of model.go with every group's address leased
+// up front from an rng-drawn root and one burst of uniform toggles.
 
 // ChurnConfig parameterizes RunChurn.
 type ChurnConfig struct {
@@ -90,413 +72,71 @@ func DefaultChurnConfig() ChurnConfig {
 // (joins/sec, forwarded hops/sec) are derived from these counts and the
 // measured wall time by the benchmark harness, not recorded here.
 type ChurnResult struct {
-	// Joins and Leaves count membership operations performed.
-	Joins, Leaves int
-	// JoinHops and PruneHops count the inter-domain hops join and prune
-	// messages traveled (graft/prune tail lengths).
-	JoinHops, PruneHops uint64
+	TreeStats
 	// GRIBSize is the number of live claimed prefixes across all root
-	// domains at the end — the group-route table the architecture keeps
-	// small through aggregation.
+	// domains at the end.
 	GRIBSize int
-	// ForwardingEntries is the total per-domain forwarding state:
-	// Σ over groups of on-tree domain count.
-	ForwardingEntries int
-	// MeanTreeSize is ForwardingEntries / Groups.
-	MeanTreeSize float64
-	// MembersFinal is the total membership at the end of the churn phase.
-	MembersFinal int
-	// Packets, ForwardHops, and Delivered describe the steady-state
-	// forwarding phase: packets sent, inter-domain link crossings, and
-	// member deliveries.
-	Packets     int
-	ForwardHops uint64
-	Delivered   uint64
-	// HeaderBytes and Encaps are the per-packet overhead the selected
-	// data plane spent in the forwarding phase: extra header bytes on
-	// inter-domain hops (tunnel outer headers, BIER bitstrings) and
-	// tunnels originated. Always zero for the shared-tree model, which
-	// forwards natively along tree state.
-	HeaderBytes uint64
-	Encaps      uint64
-}
-
-// churnGroup is one group's membership and refcounted shared tree.
-type churnGroup struct {
-	root    int // index into the roots slice
-	addr    addr.Addr
-	members []topology.DomainID
-	mpos    map[topology.DomainID]int // member → index in members
-	refs    map[topology.DomainID]int // on-tree refcounts (path-to-root counts)
-	size    int                       // domains with refs > 0
-}
-
-// churnRoot is one provider domain running a MASC block allocator.
-type churnRoot struct {
-	id     topology.DomainID
-	dist   []int               // BFS hop distances from id
-	parent []topology.DomainID // BFS parents toward id
-	alloc  *masc.BlockAllocator
-	// next/end walk individual addresses out of the current block.
-	next, end addr.Addr
-}
-
-// churnState is the workload after the churn phase: the topology, the
-// root allocators, and every group's membership and refcounted tree.
-// buildChurn produces it; RunChurn (one forwarding model) and RunDataPlane
-// (all models side by side) both consume it, so the two entry points share
-// setup and draw from the same rng stream in the same order.
-type churnState struct {
-	cfg    ChurnConfig
-	rng    *rand.Rand
-	g      *topology.Graph
-	roots  []*churnRoot
-	groups []*churnGroup
-	// res has the membership, state-size, and G-RIB fields filled; the
-	// forwarding-phase fields are still zero.
-	res ChurnResult
+	ForwardStats
 }
 
 // buildChurn runs the setup and churn phases: topology, root allocators,
 // group creation, the join/leave event stream, and the steady-state
-// accounting. Deterministic for a given config, and independent of
+// accounting. RunChurn (one forwarding model) and RunDataPlane (all
+// models side by side) both continue from it, so the two entry points
+// draw from the same rng stream in the same order. Independent of
 // cfg.DataPlane — the backends share the control plane by construction.
-func buildChurn(cfg ChurnConfig) *churnState {
-	st := &churnState{cfg: cfg}
-	st.rng = rand.New(rand.NewSource(cfg.Seed))
-	st.g = topology.ASGraph(cfg.Domains, cfg.ExtraPeering, cfg.Seed)
+func buildChurn(cfg ChurnConfig) *model {
+	g := topology.ASGraph(cfg.Domains, cfg.ExtraPeering, cfg.Seed)
+	st := newModel(g, cfg.Seed, cfg.RootDomains, masc.DefaultStrategy(), cfg.Obs)
 	now := time.Date(1998, 9, 1, 0, 0, 0, 0, time.UTC)
 	life := 365 * 24 * time.Hour
-	rng, g := st.rng, st.g
 
-	// Root domains: the RootDomains highest-degree domains (ties broken by
-	// ID), modeling the well-connected providers that host group roots.
-	roots := pickRoots(g, cfg.RootDomains)
-	global := masc.NewLedger(addr.MulticastSpace)
-	rootState := make([]*churnRoot, len(roots))
-	for i, id := range roots {
-		dist, parent := g.BFS(id)
-		ba := masc.NewBlockAllocator(masc.DefaultStrategy(), global,
-			rand.New(rand.NewSource(cfg.Seed+int64(i)+1)))
-		ba.SetObserver(cfg.Obs, wire.DomainID(int(id)+1))
-		rootState[i] = &churnRoot{id: id, dist: dist, parent: parent, alloc: ba}
-	}
-
-	// Create the groups, leasing each an address from its root's blocks.
-	groups := make([]*churnGroup, cfg.Groups)
-	for i := range groups {
-		ri := rng.Intn(len(rootState))
-		rs := rootState[ri]
-		if rs.next >= rs.end {
+	// Create the groups, leasing each an address from its root's blocks;
+	// next/end walk individual addresses out of each root's current block.
+	type cursor struct{ next, end addr.Addr }
+	blocks := make([]cursor, len(st.roots))
+	for i := 0; i < cfg.Groups; i++ {
+		ri := st.rng.Intn(len(st.roots))
+		rs, c := st.roots[ri], &blocks[ri]
+		if c.next >= c.end {
 			blk, ok := rs.alloc.Request(cfg.BlockSize, life, now)
 			if !ok {
 				// 224/4 cannot run out at these scales; skip defensively.
+				st.groups = append(st.groups, nil)
 				continue
 			}
-			rs.next = blk.Prefix.Base
-			rs.end = blk.Prefix.Base + addr.Addr(blk.Size)
+			c.next = blk.Prefix.Base
+			c.end = blk.Prefix.Base + addr.Addr(blk.Size)
 		}
-		gr := &churnGroup{
-			root: ri,
-			addr: rs.next,
-			mpos: map[topology.DomainID]int{},
-			refs: map[topology.DomainID]int{rs.id: 1},
-			size: 1,
-		}
-		rs.next++
-		groups[i] = gr
-		if cfg.Obs != nil {
-			cfg.Obs.Emit(obs.Event{Kind: obs.MAASLease,
-				Domain: wire.DomainID(int(rs.id) + 1), Group: gr.addr})
-		}
+		st.addGroup(rs, c.next)
+		c.next++
+		st.emitLease(st.groups[i])
 	}
-
-	st.roots = rootState
-	st.groups = groups
 
 	// Churn phase: the uniform membership generator toggles random
 	// (group, domain) pairs, so each group's membership does a random
 	// walk and the trees grow and shrink continuously. scenario.Uniform
-	// reproduces this workload's historical rng stream exactly, so the
-	// checked-in scale/dataplane baselines survive the refactor; richer
-	// demand shapes run through the same generator interface via
-	// RunWorkload.
+	// reproduces this workload's historical rng stream exactly, which is
+	// what keeps the checked-in scale/dataplane baselines valid.
 	if cfg.Groups > 0 && cfg.Events > 0 {
 		gen := &scenario.Uniform{PerStep: cfg.Events}
-		gen.Start(scenario.Env{Graph: g, Groups: cfg.Groups}, rng)
-		gen.Emit(0, (*churnView)(st), rng, st.applyOp)
+		gen.Start(scenario.Env{Graph: g, Groups: cfg.Groups}, st.rng)
+		gen.Emit(0, st, st.rng, st.apply)
 	}
-
-	// Steady state: forwarding footprint and tree state.
-	for _, gr := range groups {
-		if gr == nil {
-			continue
-		}
-		st.res.ForwardingEntries += gr.size
-		st.res.MembersFinal += len(gr.members)
-	}
-	if cfg.Groups > 0 {
-		st.res.MeanTreeSize = float64(st.res.ForwardingEntries) / float64(cfg.Groups)
-	}
-	for _, rs := range rootState {
-		st.res.GRIBSize += len(rs.alloc.Holdings())
-	}
+	st.settle()
 	return st
 }
 
-// churnView adapts churnState to scenario.View for the generator.
-// A nil group slot (defensive allocation-failure path) is inactive.
-type churnView churnState
-
-func (v *churnView) Domains() int      { return v.cfg.Domains }
-func (v *churnView) Active(g int) bool { return v.groups[g] != nil }
-func (v *churnView) IsMember(g int, d topology.DomainID) bool {
-	_, ok := v.groups[g].mpos[d]
-	return ok
-}
-func (v *churnView) MemberCount(g int) int             { return len(v.groups[g].members) }
-func (v *churnView) Member(g, i int) topology.DomainID { return v.groups[g].members[i] }
-
-// applyOp performs one generated membership op with the churn
-// accounting (hop counts and obs events).
-func (st *churnState) applyOp(op scenario.Op) {
-	gr := st.groups[op.Group]
-	rs := st.roots[gr.root]
-	if op.Join {
-		st.res.Joins++
-		st.res.JoinHops += churnJoin(gr, rs, op.Domain)
-		if st.cfg.Obs != nil {
-			st.cfg.Obs.Emit(obs.Event{Kind: obs.BGMPJoin, Group: gr.addr})
-		}
-		return
-	}
-	st.res.Leaves++
-	st.res.PruneHops += churnLeave(gr, rs, op.Domain)
-	if st.cfg.Obs != nil {
-		st.cfg.Obs.Emit(obs.Event{Kind: obs.BGMPPrune, Group: gr.addr})
-	}
+// churnResult is the churn outcome once the forwarding phase has run.
+func (st *model) churnResult() ChurnResult {
+	return ChurnResult{TreeStats: st.TreeStats, GRIBSize: st.gribSize(), ForwardStats: st.ForwardStats}
 }
 
 // RunChurn runs the churn workload. Deterministic for a given config.
+// Every group is sent to, members or not: a packet to an empty group
+// still climbs to the root.
 func RunChurn(cfg ChurnConfig) ChurnResult {
 	st := buildChurn(cfg)
-	model := forwardModel(cfg.DataPlane)
-
-	// Forwarding phase: packets from random senders. Under the default
-	// shared-tree model each packet climbs to its attach point (§5.2:
-	// "forward the data packets towards the root domain") and floods the
-	// bidirectional tree, reaching every member; the stateless models
-	// tunnel to the root and fan out from there (see the cost functions).
-	for _, gr := range st.groups {
-		if gr == nil {
-			continue
-		}
-		rs := st.roots[gr.root]
-		for s := 0; s < cfg.SendsPerGroup; s++ {
-			src := topology.DomainID(st.rng.Intn(cfg.Domains))
-			pc := model(gr, rs, src)
-			st.res.Packets++
-			st.res.ForwardHops += pc.Hops
-			st.res.HeaderBytes += pc.HeaderBytes
-			st.res.Encaps += pc.Encaps
-			st.res.Delivered += pc.Delivered
-			emitPacket(cfg.Obs, gr.addr, pc)
-		}
-	}
-	return st.res
-}
-
-// packetCost is what one steady-state packet costs under one backend's
-// forwarding model.
-type packetCost struct {
-	// Hops counts inter-domain link crossings (climb plus fan-out).
-	Hops uint64
-	// HeaderBytes is the extra header spend across those crossings.
-	HeaderBytes uint64
-	// Encaps counts tunnels originated for the packet.
-	Encaps uint64
-	// Delivered counts member deliveries — identical for every backend,
-	// which is the delivery-equivalence the tests pin down.
-	Delivered uint64
-}
-
-// forwardModel maps a backend name to its per-packet cost function.
-// Unknown names (including "") fall back to the shared-tree default, the
-// same rule core applies to Config.DataPlane after validation.
-func forwardModel(name string) func(*churnGroup, *churnRoot, topology.DomainID) packetCost {
-	switch name {
-	case dataplane.BIERName:
-		return bierCost
-	case dataplane.MapEncapName:
-		return mapEncapCost
-	default:
-		return sharedTreeCost
-	}
-}
-
-// sharedTreeCost: the packet climbs toward the root until it hits the
-// tree, then floods the bidirectional tree's size-1 links natively — no
-// extra headers, per-group state at every on-tree domain.
-func sharedTreeCost(gr *churnGroup, rs *churnRoot, src topology.DomainID) packetCost {
-	climb := uint64(0)
-	for cur := src; gr.refs[cur] == 0; cur = rs.parent[cur] {
-		climb++
-	}
-	return packetCost{
-		Hops:      climb + uint64(gr.size-1),
-		Delivered: uint64(len(gr.members)),
-	}
-}
-
-// bierCost: the packet is tunneled all the way to the root domain (the
-// overlay membership lives only there), which stamps a bitstring over the
-// member domains and fans out along unicast shortest paths. The copies
-// traverse exactly the union of root→member paths — the same size-1 links
-// as the shared tree — but every fan-out hop carries the bitstring and
-// transit domains keep zero per-group state.
-func bierCost(gr *churnGroup, rs *churnRoot, src topology.DomainID) packetCost {
-	pc := packetCost{Delivered: uint64(len(gr.members))}
-	climb := uint64(rs.dist[src])
-	pc.Hops = climb
-	if climb > 0 {
-		pc.Encaps = 1
-		pc.HeaderBytes = climb * dataplane.EncapHeaderBytes
-	}
-	if fan := uint64(gr.size - 1); fan > 0 {
-		words := int(maxMember(gr))/64 + 1
-		pc.Hops += fan
-		pc.HeaderBytes += fan * uint64(dataplane.BIERHeaderBytes(words))
-	}
-	return pc
-}
-
-// mapEncapCost: the packet is tunneled to the root domain, which
-// originates one unicast tunnel per member domain. No fan-out sharing:
-// hops that BIER and the shared tree traverse once are paid once per
-// member whose path crosses them, and every hop carries the outer header.
-func mapEncapCost(gr *churnGroup, rs *churnRoot, src topology.DomainID) packetCost {
-	pc := packetCost{Delivered: uint64(len(gr.members))}
-	climb := uint64(rs.dist[src])
-	pc.Hops = climb
-	if climb > 0 {
-		pc.Encaps = 1
-		pc.HeaderBytes = climb * dataplane.EncapHeaderBytes
-	}
-	for _, m := range gr.members {
-		d := uint64(rs.dist[m])
-		if d == 0 {
-			// The member is the root domain itself: native delivery.
-			continue
-		}
-		pc.Hops += d
-		pc.HeaderBytes += d * dataplane.EncapHeaderBytes
-		pc.Encaps++
-	}
-	return pc
-}
-
-// maxMember returns the highest member domain ID, sizing the BIER
-// bitstring. Only called with at least one member (fan-out > 0).
-func maxMember(gr *churnGroup) topology.DomainID {
-	max := gr.members[0]
-	for _, m := range gr.members[1:] {
-		if m > max {
-			max = m
-		}
-	}
-	return max
-}
-
-// emitPacket reports one forwarding-phase packet to the observer using
-// the same event kinds (and, for the default model, the same sequence)
-// the data plane itself emits.
-func emitPacket(ob *obs.Observer, g addr.Addr, pc packetCost) {
-	if ob == nil {
-		return
-	}
-	if pc.Hops > 0 {
-		ob.Emit(obs.Event{Kind: obs.DataForwarded, Group: g, Count: pc.Hops})
-	}
-	if pc.Encaps > 0 {
-		ob.Emit(obs.Event{Kind: obs.DataEncap, Group: g, Count: pc.Encaps})
-	}
-	if pc.Delivered > 0 {
-		ob.Emit(obs.Event{Kind: obs.DataDelivered, Group: g, Count: pc.Delivered})
-	}
-	// Per-packet forwarding work (inter-domain crossings) feeds the
-	// fan-out distribution benchsuite serializes for the churn suites.
-	ob.Histogram(obs.HistForwardWork, 0, 0).Observe(pc.Hops)
-}
-
-// churnJoin adds member m, refcounting its path toward the root, and
-// returns the number of domains newly grafted onto the tree (the hops the
-// join message traveled before reaching an on-tree domain).
-func churnJoin(gr *churnGroup, rs *churnRoot, m topology.DomainID) uint64 {
-	gr.mpos[m] = len(gr.members)
-	gr.members = append(gr.members, m)
-	grafted := uint64(0)
-	for cur := m; ; cur = rs.parent[cur] {
-		gr.refs[cur]++
-		if gr.refs[cur] == 1 {
-			gr.size++
-			grafted++
-		}
-		if cur == rs.id {
-			break
-		}
-	}
-	return grafted
-}
-
-// churnLeave removes member m, dropping refcounts along its path, and
-// returns the number of domains pruned off the tree.
-func churnLeave(gr *churnGroup, rs *churnRoot, m topology.DomainID) uint64 {
-	pos := gr.mpos[m]
-	last := len(gr.members) - 1
-	gr.members[pos] = gr.members[last]
-	gr.mpos[gr.members[pos]] = pos
-	gr.members = gr.members[:last]
-	delete(gr.mpos, m)
-	pruned := uint64(0)
-	for cur := m; ; cur = rs.parent[cur] {
-		gr.refs[cur]--
-		if gr.refs[cur] == 0 {
-			gr.size--
-			pruned++
-			delete(gr.refs, cur)
-		}
-		if cur == rs.id {
-			break
-		}
-	}
-	return pruned
-}
-
-// pickRoots returns the n highest-degree domains, ties broken by lower ID
-// (deterministic regardless of map iteration or seed).
-func pickRoots(g *topology.Graph, n int) []topology.DomainID {
-	if n > g.NumDomains() {
-		n = g.NumDomains()
-	}
-	ids := make([]topology.DomainID, g.NumDomains())
-	for i := range ids {
-		ids[i] = topology.DomainID(i)
-	}
-	// Selection by repeated max keeps this O(V·n); n is small (≤ 64-ish).
-	out := make([]topology.DomainID, 0, n)
-	taken := make([]bool, g.NumDomains())
-	for len(out) < n {
-		best, bestDeg := topology.NoDomain, -1
-		for _, id := range ids {
-			if taken[id] {
-				continue
-			}
-			if d := g.Degree(id); d > bestDeg {
-				best, bestDeg = id, d
-			}
-		}
-		taken[best] = true
-		out = append(out, best)
-	}
-	return out
+	st.forwardAll(cfg.SendsPerGroup, 0, cfg.DataPlane)
+	return st.churnResult()
 }

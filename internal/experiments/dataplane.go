@@ -98,97 +98,55 @@ func RunDataPlane(cfg ChurnConfig) DataPlaneResult {
 		if name == dataplane.SharedTreeName {
 			// Every on-tree domain holds an entry; the root domain's is
 			// the one entry per live group that is not transit state.
-			costs[i].GroupEntries = st.res.ForwardingEntries
-			costs[i].TransitEntries = st.res.ForwardingEntries - liveGroups
+			costs[i].GroupEntries = st.ForwardingEntries
+			costs[i].TransitEntries = st.ForwardingEntries - liveGroups
 		} else {
-			costs[i].OverlayEntries = st.res.MembersFinal
+			costs[i].OverlayEntries = st.MembersFinal
 		}
 	}
 
-	models := make([]func(*churnGroup, *churnRoot, topology.DomainID) packetCost, len(names))
-	for i, name := range names {
-		models[i] = forwardModel(name)
-	}
+	st.forward(cfg.SendsPerGroup, 0, func(gr *modelGroup, src topology.DomainID) {
+		// Shortest-path distances from this sender, the stretch
+		// denominators shared by every backend.
+		sd, _ := st.g.BFS(src)
 
-	for _, gr := range st.groups {
-		if gr == nil {
-			continue
-		}
-		rs := st.roots[gr.root]
-		for s := 0; s < cfg.SendsPerGroup; s++ {
-			src := topology.DomainID(st.rng.Intn(cfg.Domains))
-			st.res.Packets++
-
-			// Shortest-path distances from this sender, the stretch
-			// denominators shared by every backend.
-			sd, _ := st.g.BFS(src)
-
-			// The shared tree's entry point: the first on-tree domain on
-			// the sender's path toward the root.
-			climb, attach := 0, src
-			for gr.refs[attach] == 0 {
-				attach = rs.parent[attach]
-				climb++
+		for i, name := range names {
+			shared := name == dataplane.SharedTreeName
+			pc := forwardModel(name)(gr, src)
+			costs[i].ForwardHops += pc.Hops
+			costs[i].HeaderBytes += pc.HeaderBytes
+			costs[i].Encaps += pc.Encaps
+			costs[i].Delivered += pc.Delivered
+			if shared {
+				st.account(gr, pc)
 			}
 
-			for i, name := range names {
-				pc := models[i](gr, rs, src)
-				costs[i].ForwardHops += pc.Hops
-				costs[i].HeaderBytes += pc.HeaderBytes
-				costs[i].Encaps += pc.Encaps
-				costs[i].Delivered += pc.Delivered
-				if name == dataplane.SharedTreeName {
-					st.res.ForwardHops += pc.Hops
-					st.res.Delivered += pc.Delivered
-					emitPacket(cfg.Obs, gr.addr, pc)
+			// Per-delivery stretch: path length under this backend
+			// over the direct shortest path.
+			for _, m := range gr.members {
+				if sd[m] <= 0 {
+					continue
 				}
-
-				// Per-delivery stretch: path length under this backend
-				// over the direct shortest path.
-				shared := name == dataplane.SharedTreeName
-				for _, m := range gr.members {
-					if sd[m] <= 0 {
-						continue
-					}
-					var plen int
-					if shared {
-						plen = climb + treeDist(rs, attach, m)
-					} else {
-						// Through the root: climb to it, then out along
-						// its shortest-path tree.
-						plen = rs.dist[src] + rs.dist[m]
-					}
-					ratio := float64(plen) / float64(sd[m])
-					stretchSum[i] += ratio
-					stretchN[i]++
-					if ratio > costs[i].MaxStretch {
-						costs[i].MaxStretch = ratio
-					}
+				// The stateless planes go through the root: climb to
+				// it, then out along its shortest-path tree.
+				plen := gr.root.paths.Dist(src) + gr.root.paths.Dist(m)
+				if shared {
+					plen = gr.tree.BidirLen(src, m)
+				}
+				ratio := float64(plen) / float64(sd[m])
+				stretchSum[i] += ratio
+				stretchN[i]++
+				if ratio > costs[i].MaxStretch {
+					costs[i].MaxStretch = ratio
 				}
 			}
 		}
-	}
+	})
 
 	for i := range costs {
 		if stretchN[i] > 0 {
 			costs[i].MeanStretch = stretchSum[i] / float64(stretchN[i])
 		}
 	}
-	return DataPlaneResult{Churn: st.res, Backends: costs}
-}
-
-// treeDist is the hop distance between two domains of the root's BFS
-// tree, via their lowest common ancestor.
-func treeDist(rs *churnRoot, a, b topology.DomainID) int {
-	x, y := a, b
-	for rs.dist[x] > rs.dist[y] {
-		x = rs.parent[x]
-	}
-	for rs.dist[y] > rs.dist[x] {
-		y = rs.parent[y]
-	}
-	for x != y {
-		x, y = rs.parent[x], rs.parent[y]
-	}
-	return rs.dist[a] + rs.dist[b] - 2*rs.dist[x]
+	return DataPlaneResult{Churn: st.churnResult(), Backends: costs}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
 	"time"
 
@@ -11,15 +10,13 @@ import (
 	"mascbgmp/internal/obs"
 	"mascbgmp/internal/scenario"
 	"mascbgmp/internal/topology"
-	"mascbgmp/internal/wire"
 )
 
 // The scenario engine: runs a declarative scenario.Spec — topology,
-// group population, and a pluggable membership generator — against the
-// same machinery the scale-churn workload uses (refcounted shared
-// trees, per-root MASC block allocators, the dataplane cost models).
-// Where churn fixes the membership model to uniform toggles, the engine
-// steps simulated time, so demand-shaped workloads (diurnal waves,
+// group population, and a pluggable membership generator — on the model
+// of model.go. Where churn fixes the membership model to one burst of
+// uniform toggles over pre-leased groups, the engine steps simulated time
+// and leases on demand, so demand-shaped workloads (diurnal waves,
 // flash crowds) can drive the allocator's §4.3.3 expand/collapse rules
 // through lease expiry and sample occupancy as it moves.
 //
@@ -42,10 +39,7 @@ type WorkloadConfig struct {
 
 // WorkloadResult is the engine's deterministic outcome.
 type WorkloadResult struct {
-	// Joins and Leaves count applied membership operations; JoinHops
-	// and PruneHops the graft/prune message distances.
-	Joins, Leaves       int
-	JoinHops, PruneHops uint64
+	TreeStats
 	// RootJoins counts joins whose graft walked all the way to the root
 	// domain — joins no existing tree branch absorbed. FanIn is
 	// Joins / max(1, RootJoins): how many joins the shared tree soaked
@@ -67,75 +61,9 @@ type WorkloadResult struct {
 	// GRIBPeak and GRIBFinal count live claimed prefixes across roots
 	// (peak over steps, final value).
 	GRIBPeak, GRIBFinal int
-	// ForwardingEntries, MeanTreeSize, MembersPeak, and MembersFinal
-	// describe tree state: total on-tree domain count at the end, its
-	// per-group mean, and total membership (peak over steps, final).
-	ForwardingEntries         int
-	MeanTreeSize              float64
-	MembersPeak, MembersFinal int
-	// Packets, ForwardHops, HeaderBytes, Encaps, and Delivered describe
-	// the steady-state forwarding phase, as in ChurnResult.
-	Packets             int
-	ForwardHops         uint64
-	HeaderBytes, Encaps uint64
-	Delivered           uint64
-}
-
-// workloadState is the engine's live state; it implements scenario.View
-// so generators can consult membership while emitting.
-type workloadState struct {
-	cfg    WorkloadConfig
-	g      *topology.Graph
-	rng    *rand.Rand
-	roots  []*churnRoot
-	groups []*churnGroup
-	// leaseExp tracks each group's address-lease expiry; the zero time
-	// means no live lease.
-	leaseExp []time.Time
-	res      WorkloadResult
-}
-
-func (st *workloadState) Domains() int      { return st.g.NumDomains() }
-func (st *workloadState) Active(g int) bool { return g >= 0 && g < len(st.groups) }
-func (st *workloadState) IsMember(g int, d topology.DomainID) bool {
-	_, ok := st.groups[g].mpos[d]
-	return ok
-}
-func (st *workloadState) MemberCount(g int) int             { return len(st.groups[g].members) }
-func (st *workloadState) Member(g, i int) topology.DomainID { return st.groups[g].members[i] }
-
-// apply performs one membership op. Ops from unreachable domains (file
-// topologies may be disconnected) are declined: the view's member count
-// does not change, which the generators' retry budgets tolerate.
-func (st *workloadState) apply(op scenario.Op) {
-	gr := st.groups[op.Group]
-	rs := st.roots[gr.root]
-	if rs.dist[op.Domain] < 0 {
-		return
-	}
-	if op.Join {
-		if _, isMember := gr.mpos[op.Domain]; isMember {
-			return
-		}
-		grafted := churnJoin(gr, rs, op.Domain)
-		st.res.Joins++
-		st.res.JoinHops += grafted
-		if grafted == uint64(rs.dist[op.Domain]) {
-			st.res.RootJoins++
-		}
-		if st.cfg.Obs != nil {
-			st.cfg.Obs.Emit(obs.Event{Kind: obs.BGMPJoin, Group: gr.addr})
-		}
-		return
-	}
-	if _, isMember := gr.mpos[op.Domain]; !isMember {
-		return
-	}
-	st.res.Leaves++
-	st.res.PruneHops += churnLeave(gr, rs, op.Domain)
-	if st.cfg.Obs != nil {
-		st.cfg.Obs.Emit(obs.Event{Kind: obs.BGMPPrune, Group: gr.addr})
-	}
+	// MembersPeak is the peak total membership over steps.
+	MembersPeak int
+	ForwardStats
 }
 
 // buildTopology realizes the spec's topology section. seed only drives
@@ -177,40 +105,22 @@ func RunWorkload(cfg WorkloadConfig) (WorkloadResult, error) {
 	if err != nil {
 		return WorkloadResult{}, err
 	}
-
-	st := &workloadState{cfg: cfg, g: g, rng: rand.New(rand.NewSource(cfg.Seed))}
-	start := time.Date(1998, 9, 1, 0, 0, 0, 0, time.UTC)
-
-	// Root domains and their MASC allocators, seeded as in buildChurn.
 	strat := masc.DefaultStrategy()
 	strat.ClaimLifetime = w.ClaimLifetime
-	global := masc.NewLedger(addr.MulticastSpace)
-	roots := pickRoots(g, w.RootDomains)
-	st.roots = make([]*churnRoot, len(roots))
-	for i, id := range roots {
-		dist, parent := g.BFS(id)
-		ba := masc.NewBlockAllocator(strat, global,
-			rand.New(rand.NewSource(cfg.Seed+int64(i)+1)))
-		ba.SetObserver(cfg.Obs, wire.DomainID(int(id)+1))
-		st.roots[i] = &churnRoot{id: id, dist: dist, parent: parent, alloc: ba}
-	}
+	st := newModel(g, cfg.Seed, w.RootDomains, strat, cfg.Obs)
+	var res WorkloadResult
+	start := time.Date(1998, 9, 1, 0, 0, 0, 0, time.UTC)
 
 	// Group slots: round-robin root assignment, fixed addresses out of
 	// 224/4. Unlike churn, no address is leased up front — the lease
 	// scan below allocates on demand, so allocator occupancy follows
 	// the membership wave instead of the (static) group count.
-	st.groups = make([]*churnGroup, w.Groups)
-	st.leaseExp = make([]time.Time, w.Groups)
-	for i := range st.groups {
-		ri := i % len(st.roots)
-		st.groups[i] = &churnGroup{
-			root: ri,
-			addr: addr.MulticastSpace.Base + addr.Addr(i),
-			mpos: map[topology.DomainID]int{},
-			refs: map[topology.DomainID]int{st.roots[ri].id: 1},
-			size: 1,
-		}
+	for i := 0; i < w.Groups; i++ {
+		st.addGroup(st.roots[i%len(st.roots)], addr.MulticastSpace.Base+addr.Addr(i))
 	}
+	// leaseExp tracks each group's address-lease expiry; the zero time
+	// means no live lease.
+	leaseExp := make([]time.Time, w.Groups)
 
 	// The lease a live group holds: LeaseLifetime == 0 means one lease
 	// for the whole run (plus a day so it cannot lapse on the last step).
@@ -234,101 +144,56 @@ func RunWorkload(cfg WorkloadConfig) (WorkloadResult, error) {
 			if len(gr.members) == 0 {
 				continue
 			}
-			if st.leaseExp[i].After(now) {
+			if leaseExp[i].After(now) {
 				continue
 			}
-			_, ok := st.roots[gr.root].alloc.Request(
-				uint64(w.AddressesPerGroup), leaseLife, now)
+			_, ok := gr.root.alloc.Request(uint64(w.AddressesPerGroup), leaseLife, now)
 			if !ok {
-				st.res.LeaseFailures++
+				res.LeaseFailures++
 				continue
 			}
-			st.leaseExp[i] = now.Add(leaseLife)
-			if cfg.Obs != nil {
-				cfg.Obs.Emit(obs.Event{Kind: obs.MAASLease,
-					Domain: wire.DomainID(int(st.roots[gr.root].id) + 1), Group: gr.addr})
-			}
+			leaseExp[i] = now.Add(leaseLife)
+			st.emitLease(gr)
 		}
-		if members > st.res.MembersPeak {
-			st.res.MembersPeak = members
-		}
+		res.MembersPeak = max(res.MembersPeak, members)
 
 		// Advance the allocators and sample occupancy and G-RIB size.
 		var demand, capacity uint64
-		grib := 0
 		for _, rs := range st.roots {
 			rs.alloc.Tick(now)
 			demand += rs.alloc.Demand()
 			capacity += rs.alloc.Capacity()
-			grib += len(rs.alloc.Holdings())
 		}
 		occ := 0.0
 		if capacity > 0 {
 			occ = float64(demand) / float64(capacity)
 		}
-		if occ > st.res.OccMax {
-			st.res.OccMax = occ
-		}
+		res.OccMax = max(res.OccMax, occ)
 		if !crossedTarget && occ >= strat.TargetOccupancy {
 			crossedTarget = true
-			st.res.OccTrough = occ
+			res.OccTrough = occ
 		}
-		if crossedTarget && occ < st.res.OccTrough {
-			st.res.OccTrough = occ
+		if crossedTarget {
+			res.OccTrough = min(res.OccTrough, occ)
 		}
-		if grib > st.res.GRIBPeak {
-			st.res.GRIBPeak = grib
-		}
+		res.GRIBPeak = max(res.GRIBPeak, st.gribSize())
 	}
 
 	// Final state and allocator event totals.
-	for _, gr := range st.groups {
-		st.res.ForwardingEntries += gr.size
-		st.res.MembersFinal += len(gr.members)
-	}
-	if w.Groups > 0 {
-		st.res.MeanTreeSize = float64(st.res.ForwardingEntries) / float64(w.Groups)
-	}
+	st.settle()
+	res.GRIBFinal = st.gribSize()
 	for _, rs := range st.roots {
-		st.res.GRIBFinal += len(rs.alloc.Holdings())
 		stats := rs.alloc.Stats
-		st.res.Expansions += stats.Doublings
-		st.res.Claims += stats.ExtraClaims + stats.Replacements
-		st.res.Collapses += stats.Releases
+		res.Expansions += stats.Doublings
+		res.Claims += stats.ExtraClaims + stats.Replacements
+		res.Collapses += stats.Releases
 	}
-	st.res.FanIn = float64(st.res.Joins) / float64(max(1, st.res.RootJoins))
+	res.RootJoins = st.rootJoins
+	res.FanIn = float64(st.Joins) / float64(max(1, st.rootJoins))
 
-	// Steady-state forwarding phase over the surviving membership, with
-	// the same cost models the churn workload uses.
-	model := forwardModel(cfg.DataPlane)
-	for _, gr := range st.groups {
-		if len(gr.members) == 0 {
-			continue
-		}
-		rs := st.roots[gr.root]
-		for s := 0; s < w.SendsPerGroup; s++ {
-			src := reachableDomain(st.rng, g.NumDomains(), rs)
-			pc := model(gr, rs, src)
-			st.res.Packets++
-			st.res.ForwardHops += pc.Hops
-			st.res.HeaderBytes += pc.HeaderBytes
-			st.res.Encaps += pc.Encaps
-			st.res.Delivered += pc.Delivered
-			emitPacket(cfg.Obs, gr.addr, pc)
-		}
-	}
-	return st.res, nil
-}
-
-// reachableDomain draws a uniform sender that can reach the root (file
-// topologies may have unreachable components; cost models walk BFS
-// parents and need a connected source). The retry is rng-consuming and
-// therefore deterministic.
-func reachableDomain(rng *rand.Rand, n int, rs *churnRoot) topology.DomainID {
-	for {
-		d := topology.DomainID(rng.Intn(n))
-		if rs.dist[d] >= 0 {
-			return d
-		}
-	}
+	// Steady-state forwarding phase over the groups that still have
+	// members, with the same cost models the churn workload uses.
+	st.forwardAll(w.SendsPerGroup, 1, cfg.DataPlane)
+	res.TreeStats, res.ForwardStats = st.TreeStats, st.ForwardStats
+	return res, nil
 }

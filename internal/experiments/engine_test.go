@@ -7,22 +7,22 @@ import (
 
 	"mascbgmp/internal/scenario"
 	"mascbgmp/internal/topology"
+	"mascbgmp/scenarios"
 )
 
+// builtinSpec parses one of the checked-in scenarios/*.toml files.
 func builtinSpec(t *testing.T, name string) scenario.Spec {
 	t.Helper()
-	for _, b := range scenario.Builtins() {
-		if b.Name == name {
-			return scenario.MustParseBuiltin(b)
-		}
+	spec, err := scenario.Parse("scenarios/"+name+".toml", scenarios.TOML(name))
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("no builtin scenario %q", name)
-	return scenario.Spec{}
+	return spec
 }
 
 func TestRunWorkloadDeterministic(t *testing.T) {
-	for _, b := range scenario.Builtins() {
-		spec := scenario.MustParseBuiltin(b)
+	for _, name := range scenarios.Names() {
+		spec := builtinSpec(t, name)
 		// Shrink for test speed; determinism does not depend on scale.
 		spec.Topology.Domains, spec.Topology.Peering = 128, 16
 		w := &spec.Workload
@@ -35,7 +35,7 @@ func TestRunWorkloadDeterministic(t *testing.T) {
 			w.Ramp, w.Hold = 6*w.Step, 6*w.Step
 			w.PeakMembers = 60
 		}
-		t.Run(b.Name, func(t *testing.T) {
+		t.Run(name, func(t *testing.T) {
 			a, err := RunWorkload(WorkloadConfig{Spec: spec, Seed: 11})
 			if err != nil {
 				t.Fatalf("RunWorkload: %v", err)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mascbgmp/internal/topology"
+	"mascbgmp/scenarios"
 )
 
 // memView is the reference View: every group active, ops applied
@@ -90,9 +91,8 @@ func testGraph(t *testing.T) *topology.Graph {
 // through RunSuite).
 func TestGeneratorDeterminism(t *testing.T) {
 	g := testGraph(t)
-	for _, b := range Builtins() {
-		spec := MustParseBuiltin(b)
-		w := spec.Workload
+	for _, name := range scenarios.Names() {
+		w := exemplar(t, name).Workload
 		// Shrink the exemplars so the sweep stays fast; shape knobs and
 		// rng discipline are what matter here.
 		w.Duration = 30 * w.Step
@@ -105,7 +105,7 @@ func TestGeneratorDeterminism(t *testing.T) {
 			w.Ramp, w.Hold = 8*w.Step, 8*w.Step
 			w.PeakMembers = 40
 		}
-		t.Run(b.Name, func(t *testing.T) {
+		t.Run(name, func(t *testing.T) {
 			a := run(t, w, g, 42)
 			if b := run(t, w, g, 42); a != b {
 				t.Fatal("same seed produced different op streams")

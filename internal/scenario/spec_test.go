@@ -6,13 +6,22 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mascbgmp/scenarios"
 )
 
-func TestParseFullSpec(t *testing.T) {
-	spec, err := Parse("s.toml", []byte(BuiltinDiurnalTOML))
+// exemplar parses one of the checked-in scenarios/*.toml files.
+func exemplar(t *testing.T, name string) Spec {
+	t.Helper()
+	spec, err := Parse("scenarios/"+name+".toml", scenarios.TOML(name))
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
+	return spec
+}
+
+func TestParseFullSpec(t *testing.T) {
+	spec := exemplar(t, "diurnal")
 	if spec.Name != "diurnal" || spec.Trials != 3 {
 		t.Errorf("meta = %q/%d", spec.Name, spec.Trials)
 	}
@@ -139,39 +148,24 @@ func TestParseFileResolvesTopologyPath(t *testing.T) {
 	}
 }
 
-// TestBuiltinsParse guards the compiled-in exemplars, and
-// TestBuiltinsMatchCheckedInFiles pins scenarios/*.toml to the same
-// bytes so docs, files, and the workloads suite cannot drift apart.
+// TestBuiltinsParse guards the checked-in exemplars the workloads suite
+// compiles in.
 func TestBuiltinsParse(t *testing.T) {
 	seen := map[string]bool{}
-	for _, b := range Builtins() {
-		spec := MustParseBuiltin(b)
-		if spec.Name != b.Name {
-			t.Errorf("builtin %q parses to name %q", b.Name, spec.Name)
+	for _, name := range scenarios.Names() {
+		spec := exemplar(t, name)
+		if spec.Name != name {
+			t.Errorf("scenarios/%s.toml parses to name %q", name, spec.Name)
 		}
 		if spec.Description == "" {
-			t.Errorf("builtin %q has no description", b.Name)
+			t.Errorf("exemplar %q has no description", name)
 		}
 		if seen[spec.Name] {
-			t.Errorf("duplicate builtin name %q", spec.Name)
+			t.Errorf("duplicate exemplar name %q", spec.Name)
 		}
 		seen[spec.Name] = true
 		if _, err := Compile(spec.Workload); err != nil {
-			t.Errorf("builtin %q does not compile: %v", b.Name, err)
-		}
-	}
-}
-
-func TestBuiltinsMatchCheckedInFiles(t *testing.T) {
-	for _, b := range Builtins() {
-		path := filepath.Join("..", "..", "scenarios", b.Name+".toml")
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Errorf("builtin %q: %v", b.Name, err)
-			continue
-		}
-		if string(data) != b.TOML {
-			t.Errorf("%s differs from the Builtin%sTOML constant; keep them byte-identical", path, b.Name)
+			t.Errorf("exemplar %q does not compile: %v", name, err)
 		}
 	}
 }

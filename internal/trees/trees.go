@@ -20,57 +20,105 @@ import (
 	"mascbgmp/internal/topology"
 )
 
+// RootPaths is the shortest-path tree toward one root domain: the route a
+// BGMP group join follows from any domain (the G-RIB next hop toward the
+// root). It is immutable once built, so every group rooted in the same
+// domain shares one.
+type RootPaths struct {
+	root   topology.DomainID
+	dist   []int
+	parent []topology.DomainID
+}
+
+// NewRootPaths runs the one BFS from root that all its groups' trees use.
+func NewRootPaths(g *topology.Graph, root topology.DomainID) *RootPaths {
+	dist, parent := g.BFS(root)
+	return &RootPaths{root: root, dist: dist, parent: parent}
+}
+
+// Dist returns d's hop distance to the root, -1 when unreachable.
+func (p *RootPaths) Dist(d topology.DomainID) int { return p.dist[d] }
+
 // SharedTree is a group's shared tree over the inter-domain graph: the
-// union of every member's shortest path toward the root domain (the path
-// BGMP group joins take, following the G-RIB).
+// union of every member's shortest path toward the root domain (§5.2).
+//
+// refs holds exactly the on-tree domains. A domain's count is the number
+// of Joins it has outstanding as a member plus the number of its on-tree
+// children — what keeps a BGMP router's (*,G) entry alive. The root
+// carries one permanent reference, so it is on the tree from the start
+// and is never pruned. A map rather than a per-domain slice: a churn run
+// holds thousands of live trees over thousands of domains, each touching
+// a few dozen, so a tree costs memory in proportion to its size.
 type SharedTree struct {
-	g          *topology.Graph
-	root       topology.DomainID
-	distRoot   []int
-	parentRoot []topology.DomainID
-	onTree     []bool
-	size       int
+	paths *RootPaths
+	refs  map[topology.DomainID]int
+}
+
+// NewTree returns a memberless tree: the root domain alone.
+func (p *RootPaths) NewTree() *SharedTree {
+	return &SharedTree{paths: p, refs: map[topology.DomainID]int{p.root: 1}}
 }
 
 // NewShared builds the shared tree for the given root and member domains.
 // Members unreachable from the root are ignored.
 func NewShared(g *topology.Graph, root topology.DomainID, members []topology.DomainID) *SharedTree {
-	dist, parent := g.BFS(root)
-	t := &SharedTree{
-		g:          g,
-		root:       root,
-		distRoot:   dist,
-		parentRoot: parent,
-		onTree:     make([]bool, g.NumDomains()),
-	}
-	t.mark(root)
+	t := NewRootPaths(g, root).NewTree()
 	for _, m := range members {
-		if dist[m] < 0 {
-			continue
-		}
-		for cur := m; cur != root && !t.onTree[cur]; cur = parent[cur] {
-			t.mark(cur)
-		}
+		t.Join(m)
 	}
 	return t
 }
 
-func (t *SharedTree) mark(d topology.DomainID) {
-	if !t.onTree[d] {
-		t.onTree[d] = true
-		t.size++
+// Join adds member domain m. The join travels toward the root until it
+// reaches a domain already on the tree; grafted is the number of domains
+// it put on the tree, which is also the number of hops it traveled. A
+// member that cannot reach the root is not added and grafted is -1.
+func (t *SharedTree) Join(m topology.DomainID) (grafted int) {
+	if t.paths.dist[m] < 0 {
+		return -1
 	}
+	cur := m
+	t.refs[cur]++
+	// A count of 1 means cur was off the tree until now, so the join
+	// carries on to its parent. The root's permanent reference stops the
+	// climb there at the latest.
+	for t.refs[cur] == 1 {
+		grafted++
+		cur = t.paths.parent[cur]
+		t.refs[cur]++
+	}
+	return grafted
+}
+
+// Leave undoes one Join(m) and prunes the branch no remaining member
+// needs; pruned is the number of domains taken off the tree. A Leave with
+// no Join to undo — m off the tree (its Join returned -1, or never
+// happened), or the root holding only its permanent reference — changes
+// nothing and returns 0.
+func (t *SharedTree) Leave(m topology.DomainID) (pruned int) {
+	if n := t.refs[m]; n <= 0 || (m == t.paths.root && n == 1) {
+		return 0
+	}
+	cur := m
+	t.refs[cur]--
+	for t.refs[cur] == 0 {
+		delete(t.refs, cur)
+		pruned++
+		cur = t.paths.parent[cur]
+		t.refs[cur]--
+	}
+	return pruned
 }
 
 // Root returns the tree's root domain.
-func (t *SharedTree) Root() topology.DomainID { return t.root }
+func (t *SharedTree) Root() topology.DomainID { return t.paths.root }
 
 // OnTree reports whether domain d lies on the shared tree.
-func (t *SharedTree) OnTree(d topology.DomainID) bool { return t.onTree[d] }
+func (t *SharedTree) OnTree(d topology.DomainID) bool { return t.refs[d] > 0 }
 
 // Size returns the number of domains on the tree — the forwarding-state
 // footprint of the group.
-func (t *SharedTree) Size() int { return t.size }
+func (t *SharedTree) Size() int { return len(t.refs) }
 
 // Attach returns the first on-tree domain on src's shortest path toward
 // the root (src itself when on the tree) and the number of hops to it —
@@ -78,39 +126,36 @@ func (t *SharedTree) Size() int { return t.size }
 // simply forwards the data packets towards the root domain", §5.2). hops
 // is -1 when the root is unreachable from src.
 func (t *SharedTree) Attach(src topology.DomainID) (at topology.DomainID, hops int) {
-	if t.distRoot[src] < 0 {
+	if t.paths.dist[src] < 0 {
 		return topology.NoDomain, -1
 	}
-	h := 0
 	cur := src
-	for !t.onTree[cur] {
-		cur = t.parentRoot[cur]
-		h++
+	for !t.OnTree(cur) {
+		cur = t.paths.parent[cur]
+		hops++
 	}
-	return cur, h
+	return cur, hops
 }
 
 // treeDist returns the hop count between two on-tree domains along tree
 // branches (through their lowest common ancestor toward the root).
 func (t *SharedTree) treeDist(a, b topology.DomainID) int {
-	da, db := t.distRoot[a], t.distRoot[b]
-	if da < 0 || db < 0 {
-		return -1
-	}
+	dist, parent := t.paths.dist, t.paths.parent
+	da, db := dist[a], dist[b]
 	hops := 0
 	for da > db {
-		a = t.parentRoot[a]
+		a = parent[a]
 		da--
 		hops++
 	}
 	for db > da {
-		b = t.parentRoot[b]
+		b = parent[b]
 		db--
 		hops++
 	}
 	for a != b {
-		a = t.parentRoot[a]
-		b = t.parentRoot[b]
+		a = parent[a]
+		b = parent[b]
 		hops += 2
 	}
 	return hops
@@ -120,7 +165,7 @@ func (t *SharedTree) treeDist(a, b topology.DomainID) int {
 // domain src to a member domain m: hops to the sender's attach point, then
 // along tree branches to m. It returns -1 when unreachable.
 func (t *SharedTree) BidirLen(src, m topology.DomainID) int {
-	if !t.onTree[m] {
+	if !t.OnTree(m) {
 		return -1
 	}
 	at, h := t.Attach(src)
@@ -134,10 +179,10 @@ func (t *SharedTree) BidirLen(src, m topology.DomainID) int {
 // model): shortest path from the sender up to the root, then down the tree
 // to m. distSrc must be the BFS distances from src.
 func (t *SharedTree) UniLen(distSrc []int, m topology.DomainID) int {
-	if !t.onTree[m] || distSrc[t.root] < 0 || t.distRoot[m] < 0 {
+	if !t.OnTree(m) || distSrc[t.paths.root] < 0 {
 		return -1
 	}
-	return distSrc[t.root] + t.distRoot[m]
+	return distSrc[t.paths.root] + t.paths.dist[m]
 }
 
 // HybridLen returns the path length with a §5.3 source-specific branch
@@ -146,7 +191,7 @@ func (t *SharedTree) UniLen(distSrc []int, m topology.DomainID) int {
 // src→tree→branch→m) or reaches the source domain (data flows directly).
 // distSrc/parentSrc must come from g.BFS(src).
 func (t *SharedTree) HybridLen(src topology.DomainID, distSrc []int, parentSrc []topology.DomainID, m topology.DomainID) int {
-	if !t.onTree[m] || distSrc[m] < 0 {
+	if !t.OnTree(m) || distSrc[m] < 0 {
 		return -1
 	}
 	// Walk from m toward src (parentSrc points one hop closer to src).
@@ -159,7 +204,7 @@ func (t *SharedTree) HybridLen(src topology.DomainID, distSrc []int, parentSrc [
 			// Branch reached the source domain: direct shortest path.
 			return distSrc[m]
 		}
-		if t.onTree[cur] {
+		if t.OnTree(cur) {
 			// Branch attaches to the tree at cur.
 			return t.BidirLen(src, cur) + branchHops
 		}

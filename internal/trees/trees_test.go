@@ -38,6 +38,91 @@ func TestSharedTreeMarksJoinPaths(t *testing.T) {
 	}
 }
 
+func TestJoinLeaveGraftAndPrune(t *testing.T) {
+	// Y graph off a stem: 0 - 1 - 2 - 3
+	//                              `- 4
+	g := line(4)
+	g.AddLink(2, g.AddDomains(1))
+	tr := NewRootPaths(g, 0).NewTree()
+	if tr.Size() != 1 || !tr.OnTree(0) {
+		t.Fatal("a memberless tree is the root alone")
+	}
+	if got := tr.Join(3); got != 3 {
+		t.Fatalf("first Join(3) grafted %d, want 3 (3, 2, 1)", got)
+	}
+	if got := tr.Join(4); got != 1 {
+		t.Fatalf("Join(4) grafted %d, want 1 (stops at on-tree 2)", got)
+	}
+	if got := tr.Join(2); got != 0 {
+		t.Fatalf("Join(2) grafted %d, want 0 (already on tree)", got)
+	}
+	if got := tr.Leave(3); got != 1 {
+		t.Fatalf("Leave(3) pruned %d, want 1 (2 still serves 4 and itself)", got)
+	}
+	if got := tr.Leave(4); got != 1 {
+		t.Fatalf("Leave(4) pruned %d, want 1 (2 is still a member)", got)
+	}
+	if got := tr.Leave(2); got != 2 {
+		t.Fatalf("Leave(2) pruned %d, want 2 (2 and 1; the root stays)", got)
+	}
+	if tr.Size() != 1 || !tr.OnTree(0) {
+		t.Fatalf("tree did not drain to the root: size %d", tr.Size())
+	}
+
+	// A Leave with no Join behind it — an off-tree domain, the bare
+	// root — must leave the tree as it was.
+	if a, b := tr.Leave(3), tr.Leave(0); a != 0 || b != 0 || tr.Size() != 1 || !tr.OnTree(0) {
+		t.Fatalf("stray Leave(3), Leave(0) pruned %d, %d; size %d", a, b, tr.Size())
+	}
+
+	island := g.AddDomains(1)
+	isl := NewRootPaths(g, 0).NewTree()
+	if got := isl.Join(island); got != -1 {
+		t.Fatalf("Join from an unreachable domain = %d, want -1", got)
+	}
+	if got := isl.Leave(island); got != 0 || isl.Size() != 1 {
+		t.Fatalf("Leave after a refused Join pruned %d, size %d", got, isl.Size())
+	}
+}
+
+// Property: after any join/leave history the tree is the one NewShared
+// builds from the surviving members, and grafts minus prunes is its size
+// beyond the root.
+func TestJoinLeaveMatchesStaticTree(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	g := topology.ASGraph(300, 40, 9)
+	paths := NewRootPaths(g, 17)
+	tr := paths.NewTree()
+	joined := map[topology.DomainID]bool{}
+	grafted, pruned := 0, 0
+	for i := 0; i < 2000; i++ {
+		d := topology.DomainID(r.Intn(300))
+		if joined[d] {
+			pruned += tr.Leave(d)
+			delete(joined, d)
+		} else {
+			grafted += tr.Join(d)
+			joined[d] = true
+		}
+	}
+	var members []topology.DomainID
+	for d := topology.DomainID(0); d < 300; d++ {
+		if joined[d] {
+			members = append(members, d)
+		}
+	}
+	want := NewShared(g, 17, members)
+	if tr.Size() != want.Size() || grafted-pruned != tr.Size()-1 {
+		t.Fatalf("size %d (grafted %d - pruned %d), static tree %d",
+			tr.Size(), grafted, pruned, want.Size())
+	}
+	for d := topology.DomainID(0); d < 300; d++ {
+		if tr.OnTree(d) != want.OnTree(d) {
+			t.Fatalf("domain %d: incremental on-tree %t, static %t", d, tr.OnTree(d), want.OnTree(d))
+		}
+	}
+}
+
 func TestAttach(t *testing.T) {
 	g := line(6)
 	tr := NewShared(g, 0, []topology.DomainID{2})

@@ -21,10 +21,13 @@
 //
 // This package is the public facade: it re-exports the network-assembly
 // API (build domains, link border routers, run the protocols in process —
-// over real framed connections or deterministic synchronous dispatch), the
-// address types, and the experiment harnesses that regenerate the paper's
-// evaluation figures. The implementation lives in internal/ packages, one
-// per subsystem; see DESIGN.md for the system inventory.
+// over loopback TCP or deterministic synchronous dispatch), the address
+// types, and the experiment harnesses that regenerate the paper's
+// evaluation figures. It exports what cmd/, examples/ and the root tests
+// use and no more; the methods of the re-exported types reach the rest
+// (Network.Domain, Router.DataPlane, Observer.Snapshot, ...). The
+// implementation lives in internal/ packages, one per subsystem; see
+// DESIGN.md for the system inventory.
 //
 // # Quick start
 //
@@ -48,8 +51,6 @@ import (
 	"mascbgmp/internal/core"
 	"mascbgmp/internal/dataplane"
 	"mascbgmp/internal/experiments"
-	"mascbgmp/internal/faultinject"
-	"mascbgmp/internal/liveness"
 	"mascbgmp/internal/masc"
 	"mascbgmp/internal/migp"
 	"mascbgmp/internal/migp/cbt"
@@ -58,10 +59,8 @@ import (
 	"mascbgmp/internal/migp/pimdm"
 	"mascbgmp/internal/migp/pimsm"
 	"mascbgmp/internal/obs"
-	"mascbgmp/internal/scenario"
 	"mascbgmp/internal/simclock"
 	"mascbgmp/internal/topology"
-	"mascbgmp/internal/transport"
 	"mascbgmp/internal/wire"
 )
 
@@ -71,153 +70,61 @@ type (
 	Network = core.Network
 	// Config parameterizes a Network.
 	Config = core.Config
-	// Domain is one autonomous system.
-	Domain = core.Domain
 	// DomainConfig describes a domain to add.
 	DomainConfig = core.DomainConfig
-	// Router is a border router (BGP-lite speaker + BGMP component).
-	Router = core.Router
-	// Delivery records one packet reaching one interior member.
-	Delivery = core.Delivery
 	// ConfigError reports an invalid Config field combination from
 	// Config.Validate / NewNetwork.
 	ConfigError = core.ConfigError
 )
 
+// NewNetwork returns an empty network, or a *ConfigError when cfg fails
+// Config.Validate.
+func NewNetwork(cfg Config) (*Network, error) { return core.NewNetwork(cfg) }
+
+// ErrNotLinked is wrapped by Network.Unlink when no such peering exists.
+var ErrNotLinked = core.ErrNotLinked
+
 // Observability types. Pass a NewObserver() as Config.Observer (or wire it
 // into the experiment configs) to count protocol events — MASC claims and
 // collisions, BGP route churn, BGMP joins/prunes and repairs, data-plane
-// hops and deliveries — and to subscribe to the live event stream.
+// hops and deliveries — and to subscribe to the live event stream. Attach
+// a NewTracer (Observer.SetTracer) to record protocol causality as span
+// trees (DESIGN.md §13); everything derives from the deterministic seed
+// stream and the sim clock: same seed, same spans.
 type (
 	// Observer fans protocol events out to subscribers and the metrics
 	// registry. The zero of everything: a nil *Observer disables
 	// observation at no cost.
 	Observer = obs.Observer
-	// Metrics is a registry of named, scope-keyed atomic counters.
-	Metrics = obs.Metrics
-	// MetricsSnapshot is a point-in-time copy of a Metrics registry with
-	// deterministic rendering and diffing.
-	MetricsSnapshot = obs.Snapshot
 	// Event is one observed protocol event.
 	Event = obs.Event
-	// EventKind enumerates observable protocol events.
-	EventKind = obs.Kind
-)
-
-// Trace-plane types (DESIGN.md §13). Attach a NewTracer to an Observer
-// (Observer.SetTracer) to record protocol causality — a member join's
-// hop-by-hop propagation, a fault's detect→failover→reroute chain — as
-// span trees; contexts travel inside the wire frames, so causality
-// crosses router and domain boundaries. Everything is derived from the
-// deterministic seed stream and the sim clock: same seed, same spans.
-type (
 	// Tracer allocates span IDs from a seeded deterministic stream and
 	// records finished spans. A nil *Tracer disables tracing at no cost.
 	Tracer = obs.Tracer
-	// Span is one in-progress traced operation.
-	Span = obs.Span
 	// SpanRecord is one finished span as recorded by a Tracer.
 	SpanRecord = obs.SpanRecord
-	// TraceContext is the compact causal context carried in wire frames.
-	TraceContext = wire.TraceContext
-	// Histogram is a fixed-bucket latency/work histogram with
-	// deterministic snapshot/merge (Observer.Histogram).
-	Histogram = obs.Histogram
-	// HistogramSnapshot is a Histogram's mergeable point-in-time copy.
-	HistogramSnapshot = obs.HistSnapshot
-	// FlightRecorder keeps a bounded ring of each router's recent events
-	// for post-mortem dumps (Observer.SetFlightRecorder).
-	FlightRecorder = obs.FlightRecorder
-)
-
-// NewTracer returns a Tracer whose span IDs derive from seed.
-func NewTracer(seed int64) *Tracer { return obs.NewTracer(seed) }
-
-// NewFlightRecorder returns a FlightRecorder keeping the last perScope
-// events per (domain, router) scope.
-func NewFlightRecorder(perScope int) *FlightRecorder { return obs.NewFlightRecorder(perScope) }
-
-// ChromeTrace renders spans as Chrome trace-event JSON (load in
-// chrome://tracing or Perfetto).
-func ChromeTrace(recs []SpanRecord) []byte { return obs.ChromeTrace(recs) }
-
-// RenderSpanTree renders spans as an indented deterministic text forest,
-// one tree per root span.
-func RenderSpanTree(recs []SpanRecord) string { return obs.RenderTree(recs) }
-
-// Event kinds, re-exported for subscribers filtering the stream.
-const (
-	EventMASCClaim      = obs.MASCClaim
-	EventMASCCollision  = obs.MASCCollision
-	EventMASCWon        = obs.MASCWon
-	EventMASCExpired    = obs.MASCExpired
-	EventMASCRenewed    = obs.MASCRenewed
-	EventMASCReleased   = obs.MASCReleased
-	EventBGPAnnounce    = obs.BGPAnnounce
-	EventBGPWithdraw    = obs.BGPWithdraw
-	EventBGPBestChange  = obs.BGPBestChange
-	EventBGMPJoin       = obs.BGMPJoin
-	EventBGMPPrune      = obs.BGMPPrune
-	EventBGMPRepair     = obs.BGMPRepair
-	EventDataForwarded  = obs.DataForwarded
-	EventDataEncap      = obs.DataEncap
-	EventDataDelivered  = obs.DataDelivered
-	EventTransportSent  = obs.TransportSent
-	EventTransportRecv  = obs.TransportRecv
-	EventMAASLease      = obs.MAASLease
-	EventFaultDrop      = obs.FaultDrop
-	EventFaultDup       = obs.FaultDup
-	EventFaultReorder   = obs.FaultReorder
-	EventFaultDelay     = obs.FaultDelay
-	EventFaultPartition = obs.FaultPartition
-	EventFaultHeal      = obs.FaultHeal
-	EventFaultCrash     = obs.FaultCrash
-	EventFaultRestart   = obs.FaultRestart
-	EventSessionDown    = obs.SessionDown
-	EventSessionRetry   = obs.SessionRetry
-	EventSessionUp      = obs.SessionUp
-	EventMASCRestored   = obs.MASCRestored
-	EventLivenessDetect = obs.LivenessDetect
-	EventLivenessDemand = obs.LivenessDemand
-	EventLivenessResume = obs.LivenessResume
-	EventBGMPFailover   = obs.BGMPFailover
-)
-
-// Span and histogram names, re-exported for querying trace records and
-// histogram snapshots (obs owns the canonical constants; masclint rejects
-// string-literal emission sites).
-const (
-	SpanMemberJoin     = obs.SpanMemberJoin
-	SpanMemberLeave    = obs.SpanMemberLeave
-	SpanJoinHop        = obs.SpanJoinHop
-	SpanPruneHop       = obs.SpanPruneHop
-	SpanRepair         = obs.SpanRepair
-	SpanPeerDown       = obs.SpanPeerDown
-	SpanBGPUpdate      = obs.SpanBGPUpdate
-	SpanBGPWithdraw    = obs.SpanBGPWithdraw
-	SpanSessionDown    = obs.SpanSessionDown
-	SpanLivenessDetect = obs.SpanLivenessDetect
-	SpanClaim          = obs.SpanClaim
-
-	HistJoinGraft     = obs.HistJoinGraft
-	HistClaimConverge = obs.HistClaimConverge
-	HistDetect        = obs.HistDetect
-	HistReroute       = obs.HistReroute
-	HistReconverge    = obs.HistReconverge
-	HistForwardWork   = obs.HistForwardWork
 )
 
 // NewObserver returns an Observer backed by a fresh Metrics registry.
 func NewObserver() *Observer { return obs.NewObserver() }
 
-// Network lifecycle errors.
-var (
-	// ErrNotLinked is wrapped by Network.Unlink when no such peering
-	// exists.
-	ErrNotLinked = core.ErrNotLinked
-	// ErrQuiesceTimeout is wrapped by Network.Quiesce when in-flight
-	// messages fail to drain in time.
-	ErrQuiesceTimeout = transport.ErrQuiesceTimeout
+// NewTracer returns a Tracer whose span IDs derive from seed.
+func NewTracer(seed int64) *Tracer { return obs.NewTracer(seed) }
+
+// ChromeTrace renders spans as Chrome trace-event JSON (load in
+// chrome://tracing or Perfetto).
+func ChromeTrace(recs []SpanRecord) []byte { return obs.ChromeTrace(recs) }
+
+// EventMASCClaim is the kind of a MASC claim announcement, for subscribers
+// filtering the stream; the other kinds are Event.Kind.String() names.
+const EventMASCClaim = obs.MASCClaim
+
+// The histogram names chaossim reports (obs owns the canonical constants;
+// masclint rejects string-literal emission sites).
+const (
+	HistDetect     = obs.HistDetect
+	HistReroute    = obs.HistReroute
+	HistReconverge = obs.HistReconverge
 )
 
 // Identifier and address types.
@@ -232,13 +139,17 @@ type (
 	Prefix = addr.Prefix
 )
 
-// Interior-protocol plumbing.
-type (
-	// MIGP is the interior-protocol delivery model interface.
-	MIGP = migp.Protocol
-	// InteriorNode indexes a router in a domain's interior topology.
-	InteriorNode = migp.Node
-)
+// MulticastSpace is the IPv4 multicast address space 224.0.0.0/4.
+var MulticastSpace = addr.MulticastSpace
+
+// ParseAddr parses a dotted-quad IPv4 address.
+func ParseAddr(s string) (Addr, error) { return addr.ParseAddr(s) }
+
+// ParsePrefix parses CIDR notation such as "224.0.1.0/24".
+func ParsePrefix(s string) (Prefix, error) { return addr.ParsePrefix(s) }
+
+// MustParsePrefix is ParsePrefix that panics on error.
+func MustParsePrefix(s string) Prefix { return addr.MustParsePrefix(s) }
 
 // Routing-policy plumbing (§4.2: multicast policies through selective
 // propagation of group routes).
@@ -246,18 +157,12 @@ type (
 	// ExportFilter decides whether a route may be advertised to a
 	// neighbor.
 	ExportFilter = bgp.ExportFilter
-	// Neighbor describes a configured BGP peer as seen by a filter.
-	Neighbor = bgp.Neighbor
 	// Table selects a logical routing table (unicast, M-RIB, G-RIB).
 	Table = wire.Table
 )
 
-// Routing table selectors.
-const (
-	TableUnicast = wire.TableUnicast
-	TableMRIB    = wire.TableMRIB
-	TableGRIB    = wire.TableGRIB
-)
+// TableGRIB selects the group-route table.
+const TableGRIB = wire.TableGRIB
 
 // CustomerExportFilter implements the canonical provider-customer policy:
 // toward providers and peers, advertise only routes originated by the
@@ -271,9 +176,6 @@ func TableExportFilter(table Table, f ExportFilter) ExportFilter {
 	return bgp.TableExportFilter(table, f)
 }
 
-// DenyPrefixFilter blocks routes covered by any of the given prefixes.
-func DenyPrefixFilter(deny ...Prefix) ExportFilter { return bgp.DenyPrefixFilter(deny...) }
-
 // Strategy holds the MASC claim-algorithm tunables (§4.3.3): target
 // occupancy, prefix-count target, claim lifetime.
 type Strategy = masc.Strategy
@@ -282,220 +184,15 @@ type Strategy = masc.Strategy
 // at most two active prefixes, 30-day claims).
 func DefaultStrategy() Strategy { return masc.DefaultStrategy() }
 
-// Clock is the time source abstraction (real or simulated).
-type Clock = simclock.Clock
-
 // SimClock is a deterministic simulated clock.
 type SimClock = simclock.Sim
-
-// Experiment harness types (regenerate the paper's figures).
-type (
-	// Fig2Config parameterizes the §4.3.3 allocation simulation.
-	Fig2Config = experiments.Fig2Config
-	// Fig2Result is its outcome.
-	Fig2Result = experiments.Fig2Result
-	// Fig2Sample is one time-series point of Figure 2.
-	Fig2Sample = experiments.Fig2Sample
-	// Fig4Config parameterizes the §5.4 tree-quality comparison.
-	Fig4Config = experiments.Fig4Config
-	// Fig4Point is one x-axis point of Figure 4.
-	Fig4Point = experiments.Fig4Point
-	// ChurnConfig parameterizes the scale-churn workload: join/leave
-	// churn over thousands of groups on the paper-scale AS graph.
-	ChurnConfig = experiments.ChurnConfig
-	// ChurnResult is its outcome.
-	ChurnResult = experiments.ChurnResult
-)
-
-// Pluggable data-plane backends (DESIGN.md §11). Config.DataPlane selects
-// the forwarding plane every border router runs: the default BGMP shared
-// trees, BIER-style bitstring forwarding, or map-and-encap tunneling to
-// the MASC-derived root domain. All three share the control plane (BGP-lite
-// RIBs, MASC allocation, MIGP interiors) and deliver to identical receiver
-// sets; they trade per-router state against path stretch and per-packet
-// header overhead.
-type (
-	// DataPlaneBackend is the forwarding plane of one border router
-	// (Router.DataPlane()).
-	DataPlaneBackend = dataplane.Backend
-	// DataPlaneStats are a backend's per-router comparison counters.
-	DataPlaneStats = dataplane.Stats
-	// DataPlaneResult is the outcome of RunDataPlane: the churn workload
-	// plus one cost row per backend.
-	DataPlaneResult = experiments.DataPlaneResult
-	// DataPlaneBackendCost is one backend's row in a DataPlaneResult.
-	DataPlaneBackendCost = experiments.BackendCost
-)
-
-// Data-plane backend names — the valid Config.DataPlane values and the
-// cmds' -backend arguments.
-const (
-	DataPlaneSharedTree = dataplane.SharedTreeName
-	DataPlaneBIER       = dataplane.BIERName
-	DataPlaneMapEncap   = dataplane.MapEncapName
-)
-
-// DataPlaneNames returns the valid backend names in presentation order.
-func DataPlaneNames() []string { return dataplane.Names() }
-
-// ValidDataPlane reports whether name identifies a data-plane backend.
-func ValidDataPlane(name string) bool { return dataplane.ValidName(name) }
-
-// RunDataPlane costs the three forwarding backends side by side on the
-// churn workload — state, path stretch, per-packet header overhead — from
-// the same membership and the same senders (the dataplane-compare suite).
-// Deterministic for a given config; cfg.DataPlane is ignored.
-func RunDataPlane(cfg ChurnConfig) DataPlaneResult { return experiments.RunDataPlane(cfg) }
-
-// Declarative scenario layer (internal/scenario + the experiments
-// engine): TOML-subset scenario files parse to a ScenarioSpec, compile
-// to a pluggable membership generator, and run through the same shared
-// trees and MASC allocators the churn workload uses. See DESIGN.md §14.
-type (
-	// ScenarioSpec is one parsed, validated scenario file.
-	ScenarioSpec = scenario.Spec
-	// ScenarioParseError is a scenario-file error with its source
-	// position ("file:line: message").
-	ScenarioParseError = scenario.ParseError
-	// WorkloadConfig parameterizes RunWorkload.
-	WorkloadConfig = experiments.WorkloadConfig
-	// WorkloadResult is the engine's deterministic outcome: membership
-	// and tree metrics plus the §4.3.3 allocator excursion counters.
-	WorkloadResult = experiments.WorkloadResult
-)
-
-// ParseScenario parses scenario-file bytes; file labels error positions.
-func ParseScenario(file string, data []byte) (ScenarioSpec, error) {
-	return scenario.Parse(file, data)
-}
-
-// ParseScenarioFile reads and parses a scenario file, resolving a
-// file-kind topology path relative to the scenario file's directory.
-func ParseScenarioFile(path string) (ScenarioSpec, error) { return scenario.ParseFile(path) }
-
-// RunWorkload executes one scenario trial. Deterministic for a given
-// (spec, seed).
-func RunWorkload(cfg WorkloadConfig) (WorkloadResult, error) { return experiments.RunWorkload(cfg) }
-
-// LoadBenchScenarioFile parses a scenario file and registers it beside
-// the built-in benchmark suites (benchsuite -scenario).
-func LoadBenchScenarioFile(path string) (BenchScenario, error) {
-	return bench.LoadScenarioFile(path)
-}
-
-// Benchmark suite layer (cmd/benchsuite): named scenarios run through the
-// parallel deterministic trial runner and reported as machine-readable
-// results. The Metrics and Counters sections of a BenchResult are pure
-// functions of (suite, trials, seed) — identical at any parallelism —
-// while Env and Timing carry the host- and wall-clock-dependent figures.
-type (
-	// BenchScenario is a named, registered benchmark workload.
-	BenchScenario = bench.Scenario
-	// BenchMetricDef declares one metric a scenario reports per trial.
-	BenchMetricDef = bench.MetricDef
-	// BenchOptions parameterize a suite run (trials, parallelism, seed).
-	BenchOptions = bench.Options
-	// BenchResult is the machine-readable outcome of one suite run —
-	// the contents of a BENCH_<suite>.json file.
-	BenchResult = bench.SuiteResult
-	// BenchRegression is one metric that moved the wrong way past the
-	// -compare tolerance.
-	BenchRegression = bench.Regression
-)
-
-// BenchScenarios lists the registered benchmark suites sorted by name.
-func BenchScenarios() []BenchScenario { return bench.Scenarios() }
-
-// RunBenchScenario runs a registered suite by name.
-func RunBenchScenario(name string, opts BenchOptions) (BenchResult, error) {
-	return bench.RunSuite(name, opts)
-}
-
-// Fault injection and recovery (chaos engineering for the protocols). A
-// FaultPlane set as Config.Faults intercepts every peering message;
-// Config.HoldTime enables session supervision with keepalives, hold-timer
-// failure detection, and exponential-backoff reconnect.
-type (
-	// FaultPlane is a seeded, deterministic fault injector for the
-	// message layer: per-link drop/duplicate/reorder/delay, partitions
-	// with scheduled heal, and peer crash/restart.
-	FaultPlane = faultinject.Plane
-	// FaultPlaneConfig parameterizes NewFaultPlane.
-	FaultPlaneConfig = faultinject.Config
-	// LinkFaults is one link's fault probabilities.
-	LinkFaults = faultinject.LinkFaults
-	// FaultClass labels a message for class-scoped faults.
-	FaultClass = faultinject.Class
-	// FaultClassMask selects the classes a LinkFaults entry applies to.
-	FaultClassMask = faultinject.ClassMask
-	// FaultStats counts what the plane did to the traffic.
-	FaultStats = faultinject.Stats
-	// ChaosConfig parameterizes the failure-recovery sweep (cmd/chaossim).
-	ChaosConfig = core.ChaosConfig
-	// ChaosPoint is one loss rate's recovery measurements.
-	ChaosPoint = core.ChaosPoint
-	// LivenessParams tunes the BFD-style fast failure detector enabled
-	// via Config.Liveness: probe-interval floor, miss multiplier, and
-	// demand-mode quiesce. Hold timers remain the fallback.
-	LivenessParams = liveness.Params
-)
-
-// Fault message classes and masks.
-const (
-	FaultControl   = faultinject.Control
-	FaultData      = faultinject.Data
-	FaultKeepalive = faultinject.Keepalive
-	FaultLiveness  = faultinject.Liveness
-
-	FaultMaskControl   = faultinject.MaskControl
-	FaultMaskData      = faultinject.MaskData
-	FaultMaskKeepalive = faultinject.MaskKeepalive
-	FaultMaskLiveness  = faultinject.MaskLiveness
-	FaultMaskAll       = faultinject.MaskAll
-)
-
-// NewFaultPlane returns a fault plane, or an error when the config lacks
-// its explicit *rand.Rand.
-func NewFaultPlane(cfg FaultPlaneConfig) (*FaultPlane, error) { return faultinject.New(cfg) }
-
-// DefaultChaosConfig returns the failure-recovery sweep recorded in
-// EXPERIMENTS.md.
-func DefaultChaosConfig() ChaosConfig { return core.DefaultChaosConfig() }
-
-// RunChaos runs the failure-recovery sweep: delivery ratio under loss,
-// time-to-reroute after a crash, time-to-reconverge after the restart.
-// Deterministic for a given config.
-func RunChaos(cfg ChaosConfig) ([]ChaosPoint, error) { return core.RunChaos(cfg) }
-
-// Topology types for custom inter-domain graphs.
-type (
-	// Graph is an inter-domain topology.
-	Graph = topology.Graph
-	// GraphDomainID indexes a node in a Graph.
-	GraphDomainID = topology.DomainID
-)
-
-// NewNetwork returns an empty network, or a *ConfigError when cfg fails
-// Config.Validate.
-func NewNetwork(cfg Config) (*Network, error) { return core.NewNetwork(cfg) }
 
 // NewSimClock returns a simulated clock starting at the given instant.
 func NewSimClock(start time.Time) *SimClock { return simclock.NewSim(start) }
 
-// MulticastSpace is the IPv4 multicast address space 224.0.0.0/4.
-var MulticastSpace = addr.MulticastSpace
-
-// ParseAddr parses a dotted-quad IPv4 address.
-func ParseAddr(s string) (Addr, error) { return addr.ParseAddr(s) }
-
-// ParsePrefix parses CIDR notation such as "224.0.1.0/24".
-func ParsePrefix(s string) (Prefix, error) { return addr.ParsePrefix(s) }
-
-// MustParsePrefix is ParsePrefix that panics on error.
-func MustParsePrefix(s string) Prefix { return addr.MustParsePrefix(s) }
-
-// Interior protocol constructors — the architecture is MIGP-independent;
-// each domain picks one (§3).
+// MIGP is the interior-protocol delivery model interface. The
+// architecture is MIGP-independent and each domain picks one (§3).
+type MIGP = migp.Protocol
 
 // NewDVMRP returns a DVMRP interior protocol (flood-and-prune, strict RPF).
 func NewDVMRP() MIGP { return dvmrp.New() }
@@ -514,7 +211,45 @@ func NewCBT() MIGP { return cbt.New() }
 // NewMOSPF returns a Multicast OSPF interior protocol.
 func NewMOSPF() MIGP { return mospf.New() }
 
-// Experiment entry points.
+// Pluggable data-plane backends (DESIGN.md §11). Config.DataPlane selects
+// the forwarding plane every border router runs: the default BGMP shared
+// trees, BIER-style bitstring forwarding, or map-and-encap tunneling to
+// the MASC-derived root domain. All three share the control plane (BGP-lite
+// RIBs, MASC allocation, MIGP interiors) and deliver to identical receiver
+// sets; they trade per-router state against path stretch and per-packet
+// header overhead.
+
+// DataPlaneSharedTree names the default backend.
+const DataPlaneSharedTree = dataplane.SharedTreeName
+
+// DataPlaneNames returns the valid backend names — the Config.DataPlane
+// values and the cmds' -backend arguments — in presentation order.
+func DataPlaneNames() []string { return dataplane.Names() }
+
+// ValidDataPlane reports whether name identifies a data-plane backend.
+func ValidDataPlane(name string) bool { return dataplane.ValidName(name) }
+
+// Experiment harness types (regenerate the paper's figures).
+type (
+	// Fig2Config parameterizes the §4.3.3 allocation simulation.
+	Fig2Config = experiments.Fig2Config
+	// Fig2Result is its outcome.
+	Fig2Result = experiments.Fig2Result
+	// Fig2Sample is one time-series point of Figure 2.
+	Fig2Sample = experiments.Fig2Sample
+	// Fig4Config parameterizes the §5.4 tree-quality comparison.
+	Fig4Config = experiments.Fig4Config
+	// Fig4Point is one x-axis point of Figure 4.
+	Fig4Point = experiments.Fig4Point
+	// ChurnConfig parameterizes the scale-churn workload: join/leave
+	// churn over thousands of groups on the paper-scale AS graph.
+	ChurnConfig = experiments.ChurnConfig
+	// DataPlaneResult is the outcome of RunDataPlane: the churn workload
+	// plus one cost row per backend.
+	DataPlaneResult = experiments.DataPlaneResult
+	// Graph is an inter-domain topology.
+	Graph = topology.Graph
+)
 
 // DefaultFig2Config returns the paper's §4.3.3 simulation parameters
 // (50 top-level domains × 50 children, 800 days).
@@ -535,12 +270,62 @@ func RunFig4(cfg Fig4Config) []Fig4Point { return experiments.RunFig4(cfg) }
 // the 3326-domain AS graph, 2500 groups, 40000 join/leave events.
 func DefaultChurnConfig() ChurnConfig { return experiments.DefaultChurnConfig() }
 
-// RunChurn runs the churn workload and its steady-state forwarding
-// phase. Deterministic for a given config.
-func RunChurn(cfg ChurnConfig) ChurnResult { return experiments.RunChurn(cfg) }
+// RunDataPlane costs the three forwarding backends side by side on the
+// churn workload — state, path stretch, per-packet header overhead — from
+// the same membership and the same senders (the dataplane-compare suite).
+// Deterministic for a given config; cfg.DataPlane is ignored.
+func RunDataPlane(cfg ChurnConfig) DataPlaneResult { return experiments.RunDataPlane(cfg) }
 
 // ASGraph synthesizes an AS-like inter-domain topology (the stand-in for
 // the paper's BGP-dump topology; see DESIGN.md §2).
 func ASGraph(n, extraPeering int, seed int64) *Graph {
 	return topology.ASGraph(n, extraPeering, seed)
 }
+
+// Benchmark suite layer (cmd/benchsuite): named scenarios run through the
+// parallel deterministic trial runner and reported as machine-readable
+// results. The Metrics and Counters sections of a BenchResult are pure
+// functions of (suite, trials, seed) — identical at any parallelism —
+// while Env and Timing carry the host- and wall-clock-dependent figures.
+type (
+	// BenchScenario is a named, registered benchmark workload.
+	BenchScenario = bench.Scenario
+	// BenchOptions parameterize a suite run (trials, parallelism, seed).
+	BenchOptions = bench.Options
+	// BenchResult is the machine-readable outcome of one suite run —
+	// the contents of a BENCH_<suite>.json file.
+	BenchResult = bench.SuiteResult
+)
+
+// BenchScenarios lists the registered benchmark suites sorted by name.
+func BenchScenarios() []BenchScenario { return bench.Scenarios() }
+
+// RunBenchScenario runs a registered suite by name.
+func RunBenchScenario(name string, opts BenchOptions) (BenchResult, error) {
+	return bench.RunSuite(name, opts)
+}
+
+// LoadBenchScenarioFile parses a scenario file (scenarios/*.toml) and
+// registers it beside the built-in benchmark suites (benchsuite -scenario).
+func LoadBenchScenarioFile(path string) (BenchScenario, error) {
+	return bench.LoadScenarioFile(path)
+}
+
+// Failure-recovery sweep (cmd/chaossim): a fault plane on every peering,
+// session supervision with keepalives and hold timers, optionally the
+// BFD-style liveness detector.
+type (
+	// ChaosConfig parameterizes the sweep.
+	ChaosConfig = core.ChaosConfig
+	// ChaosPoint is one loss rate's recovery measurements.
+	ChaosPoint = core.ChaosPoint
+)
+
+// DefaultChaosConfig returns the failure-recovery sweep recorded in
+// EXPERIMENTS.md.
+func DefaultChaosConfig() ChaosConfig { return core.DefaultChaosConfig() }
+
+// RunChaos runs the failure-recovery sweep: delivery ratio under loss,
+// time-to-reroute after a crash, time-to-reconverge after the restart.
+// Deterministic for a given config.
+func RunChaos(cfg ChaosConfig) ([]ChaosPoint, error) { return core.RunChaos(cfg) }

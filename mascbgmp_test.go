@@ -156,10 +156,10 @@ func TestFacadeObservability(t *testing.T) {
 	if err := net.Unlink(12, 21); !errors.Is(err, mascbgmp.ErrNotLinked) {
 		t.Errorf("Unlink(unlinked) = %v, want ErrNotLinked", err)
 	}
-	_, err = mascbgmp.NewNetwork(mascbgmp.Config{TCP: true, Synchronous: true})
+	_, err = mascbgmp.NewNetwork(mascbgmp.Config{MASCWait: -time.Hour})
 	var ce *mascbgmp.ConfigError
-	if !errors.As(err, &ce) || ce.Field != "TCP" {
-		t.Errorf("NewNetwork(TCP+Synchronous) = %v, want *ConfigError{Field: TCP}", err)
+	if !errors.As(err, &ce) || ce.Field != "MASCWait" {
+		t.Errorf("NewNetwork(negative MASCWait) = %v, want *ConfigError{Field: MASCWait}", err)
 	}
 }
 
