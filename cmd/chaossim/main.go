@@ -52,6 +52,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -61,30 +62,41 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main without the process: it parses args, writes the CSV to stdout
+// and everything else to stderr, and returns the exit code (1 run failure,
+// 2 usage or unwritable output file), so the tests can drive it in-process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("chaossim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		seed       = flag.Int64("seed", 1998, "random seed")
-		loss       = flag.String("loss", "", "comma-separated loss rates in [0,1) (default: the recorded 0,0.05,0.1,0.2 sweep)")
-		hold       = flag.Duration("hold", 30*time.Second, "session hold time (keepalives every third)")
-		backoff    = flag.Duration("backoff", 15*time.Second, "initial reconnect backoff (doubles per failure)")
-		crash      = flag.Duration("crash", 5*time.Minute, "how long the crashed border router stays down")
-		groups     = flag.Int("groups", 3, "multicast groups rooted in the source domain")
-		packets    = flag.Int("packets", 50, "probe packets per group during the lossy phase")
-		parallel   = flag.Int("parallel", 1, "worker pool size for the loss-rate points (0: GOMAXPROCS); measurements are identical at any value")
-		backend    = flag.String("backend", mascbgmp.DataPlaneSharedTree, "forwarding data plane (shared-tree, bier, map-encap)")
-		liveness   = flag.Bool("liveness", false, "arm the BFD-style fast-liveness detector beside the hold timers")
-		lvFloor    = flag.Duration("liveness-floor", 0, "liveness probe-interval floor (0: the 100ms default)")
-		lvMult     = flag.Int("liveness-mult", 0, "missed intervals before liveness declares a session dead (0: the ×3 default)")
-		metrics    = flag.Bool("metrics", false, "dump protocol event counters to stderr at exit")
-		trace      = flag.Bool("trace", false, "print every protocol event to stderr as it happens")
-		traceOut   = flag.String("trace-out", "", "record causal span trees and write Chrome trace-event JSON to this file")
-		metricsOut = flag.String("metrics-out", "", "write counters and latency histograms to this file in Prometheus text exposition format")
+		seed       = fs.Int64("seed", 1998, "random seed")
+		loss       = fs.String("loss", "", "comma-separated loss rates in [0,1) (default: the recorded 0,0.05,0.1,0.2 sweep)")
+		hold       = fs.Duration("hold", 30*time.Second, "session hold time (keepalives every third)")
+		backoff    = fs.Duration("backoff", 15*time.Second, "initial reconnect backoff (doubles per failure)")
+		crash      = fs.Duration("crash", 5*time.Minute, "how long the crashed border router stays down")
+		groups     = fs.Int("groups", 3, "multicast groups rooted in the source domain")
+		packets    = fs.Int("packets", 50, "probe packets per group during the lossy phase")
+		parallel   = fs.Int("parallel", 1, "worker pool size for the loss-rate points (0: GOMAXPROCS); measurements are identical at any value")
+		backend    = fs.String("backend", mascbgmp.DataPlaneSharedTree, "forwarding data plane (shared-tree, bier, map-encap)")
+		liveness   = fs.Bool("liveness", false, "arm the BFD-style fast-liveness detector beside the hold timers")
+		lvFloor    = fs.Duration("liveness-floor", 0, "liveness probe-interval floor (0: the 100ms default)")
+		lvMult     = fs.Int("liveness-mult", 0, "missed intervals before liveness declares a session dead (0: the ×3 default)")
+		metrics    = fs.Bool("metrics", false, "dump protocol event counters to stderr at exit")
+		trace      = fs.Bool("trace", false, "print every protocol event to stderr as it happens")
+		traceOut   = fs.String("trace-out", "", "record causal span trees and write Chrome trace-event JSON to this file")
+		metricsOut = fs.String("metrics-out", "", "write counters and latency histograms to this file in Prometheus text exposition format")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if !mascbgmp.ValidDataPlane(*backend) {
-		fmt.Fprintf(os.Stderr, "chaossim: unknown -backend %q (valid: %s)\n",
+		fmt.Fprintf(stderr, "chaossim: unknown -backend %q (valid: %s)\n",
 			*backend, strings.Join(mascbgmp.DataPlaneNames(), ", "))
-		os.Exit(2)
+		return 2
 	}
 
 	cfg := mascbgmp.DefaultChaosConfig()
@@ -104,8 +116,8 @@ func main() {
 		for _, f := range strings.Split(*loss, ",") {
 			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
 			if err != nil || v < 0 || v >= 1 {
-				fmt.Fprintf(os.Stderr, "chaossim: bad -loss entry %q\n", f)
-				os.Exit(2)
+				fmt.Fprintf(stderr, "chaossim: bad -loss entry %q\n", f)
+				return 2
 			}
 			cfg.LossRates = append(cfg.LossRates, v)
 		}
@@ -117,18 +129,18 @@ func main() {
 	cfg.Obs = ob
 	cfg.Trace = *traceOut != ""
 	if *trace {
-		ob.Subscribe(func(e mascbgmp.Event) { fmt.Fprintln(os.Stderr, e) })
+		ob.Subscribe(func(e mascbgmp.Event) { fmt.Fprintln(stderr, e) })
 	}
 
 	pts, err := mascbgmp.RunChaos(cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "chaossim: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "chaossim: %v\n", err)
+		return 1
 	}
 
-	fmt.Println("loss,delivery_ratio,detect_s,reroute_s,reconverge_s,session_downs,session_ups,recovered")
+	fmt.Fprintln(stdout, "loss,delivery_ratio,detect_s,reroute_s,reconverge_s,session_downs,session_ups,recovered")
 	for _, p := range pts {
-		fmt.Printf("%.2f,%.3f,%.2f,%.2f,%.2f,%d,%d,%t\n",
+		fmt.Fprintf(stdout, "%.2f,%.3f,%.2f,%.2f,%.2f,%d,%d,%t\n",
 			p.Loss, p.DeliveryRatio, p.Detect.Seconds(), p.Reroute.Seconds(), p.Reconverge.Seconds(),
 			p.SessionDowns, p.SessionUps, p.Recovered)
 	}
@@ -137,14 +149,14 @@ func main() {
 	if *liveness {
 		detector = "liveness"
 	}
-	fmt.Fprintf(os.Stderr, "\n# recovery vs loss rate (hold %v, backoff %v, crash %v, detector %s)\n",
+	fmt.Fprintf(stderr, "\n# recovery vs loss rate (hold %v, backoff %v, crash %v, detector %s)\n",
 		*hold, *backoff, *crash, detector)
 	for _, p := range pts {
 		state := "recovered"
 		if !p.Recovered {
 			state = "DEGRADED"
 		}
-		fmt.Fprintf(os.Stderr, "loss %4.0f%%: delivery %5.1f%%, detect %5.2fs, reroute %5.2fs after crash, reconverge %5.2fs after restart, %s\n",
+		fmt.Fprintf(stderr, "loss %4.0f%%: delivery %5.1f%%, detect %5.2fs, reroute %5.2fs after crash, reconverge %5.2fs after restart, %s\n",
 			p.Loss*100, p.DeliveryRatio*100, p.Detect.Seconds(), p.Reroute.Seconds(), p.Reconverge.Seconds(), state)
 	}
 
@@ -153,23 +165,23 @@ func main() {
 	// detect/reroute/reconverge durations, so the percentiles here match
 	// the histograms benchsuite serializes into BENCH_chaos.json.
 	hists := ob.Snapshot().HistTotals()
-	fmt.Fprintf(os.Stderr, "\n# recovery latency distributions (histogram p50/p95/p99 over %d points)\n", len(pts))
+	fmt.Fprintf(stderr, "\n# recovery latency distributions (histogram p50/p95/p99 over %d points)\n", len(pts))
 	for _, name := range []string{mascbgmp.HistDetect, mascbgmp.HistReroute, mascbgmp.HistReconverge} {
 		h := hists[name]
 		if h.Count == 0 {
 			continue
 		}
-		fmt.Fprintf(os.Stderr, "%-14s n=%d p50=%.2fs p95=%.2fs p99=%.2fs\n", name, h.Count,
+		fmt.Fprintf(stderr, "%-14s n=%d p50=%.2fs p95=%.2fs p99=%.2fs\n", name, h.Count,
 			float64(h.Quantile(0.50))/1e9, float64(h.Quantile(0.95))/1e9, float64(h.Quantile(0.99))/1e9)
 	}
 
 	if *metrics {
-		fmt.Fprintf(os.Stderr, "\n# protocol event counters\n%s", ob.Snapshot().Totals())
+		fmt.Fprintf(stderr, "\n# protocol event counters\n%s", ob.Snapshot().Totals())
 	}
 	if *metricsOut != "" {
 		if err := os.WriteFile(*metricsOut, []byte(ob.Snapshot().Prometheus()), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "chaossim: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "chaossim: %v\n", err)
+			return 2
 		}
 	}
 	if *traceOut != "" {
@@ -178,8 +190,9 @@ func main() {
 			recs = append(recs, p.Spans...)
 		}
 		if err := os.WriteFile(*traceOut, mascbgmp.ChromeTrace(recs), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "chaossim: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "chaossim: %v\n", err)
+			return 2
 		}
 	}
+	return 0
 }

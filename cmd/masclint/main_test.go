@@ -68,6 +68,21 @@ func TestJSONOutput(t *testing.T) {
 	}
 }
 
+// TestJSONByteIdenticalAcrossRuns: findings are stably sorted by position
+// and the memoized cross-package state (call graph, guard table) must not
+// leak map order into the output. A clean tree prints "[]" whatever the
+// order, so the runs are over the fixtures whose analyzers use that state
+// and report several findings, every analyzer enabled.
+func TestJSONByteIdenticalAcrossRuns(t *testing.T) {
+	for _, name := range []string{"hotalloc", "guarded", "maporder", "wireexhaustive"} {
+		_, first, _ := runCLI(t, "-C", fixture(t, name), "-json")
+		_, second, _ := runCLI(t, "-C", fixture(t, name), "-json")
+		if first != second || strings.TrimSpace(first) == "[]" {
+			t.Errorf("%s: two runs differ or found nothing:\n%s\n%s", name, first, second)
+		}
+	}
+}
+
 func TestJSONCleanIsEmptyArray(t *testing.T) {
 	code, out, _ := runCLI(t, "-C", fixture(t, "clean"), "-json")
 	if code != 0 {

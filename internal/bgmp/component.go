@@ -77,6 +77,8 @@ type Config struct {
 // use.
 type Component struct {
 	cfg Config
+	// eg is the next-hop rule and the hand-offs out of this router.
+	eg Egress
 
 	mu     sync.Mutex
 	groups map[addr.Addr]*entry // guarded by mu
@@ -107,27 +109,29 @@ type Component struct {
 	// guarded by mu
 	evbuf []obs.Event
 	// cur is the causal trace context of the operation currently mutating
-	// state under mu. drainLocked stamps it onto every buffered out message
+	// state under mu. finishLocked stamps it onto every buffered out message
 	// and clears it, so propagated joins/prunes carry their cause
 	// hop-by-hop. guarded by mu
 	cur wire.TraceContext
 }
 
+// outItem is one hand-off generated under the lock. A nil msg is an interior
+// membership change instead of a message: a root-domain entry's parent is
+// the domain interior, so it attaches by joining (or, with leave, leaving)
+// group as an interior member.
 type outItem struct {
 	target Target
 	msg    wire.Message
+	group  addr.Addr
+	leave  bool
 }
 
 // New returns a Component.
 func New(cfg Config) *Component {
-	return &Component{
-		cfg:        cfg,
-		groups:     map[addr.Addr]*entry{},
-		srcs:       map[sgKey]*entry{},
-		encapFrom:  map[sgKey]wire.RouterID{},
-		importedSG: map[sgKey]bool{},
-		orphans:    map[addr.Addr]*entry{},
-	}
+	c := &Component{cfg: cfg, eg: Egress{Router: cfg.Router, Domain: cfg.Domain,
+		Internal: cfg.Internal, SendPeer: cfg.SendPeer, MIGP: cfg.MIGP, Obs: cfg.Obs}}
+	c.Reset() // a new speaker starts as a restarted one does: empty
+	return c
 }
 
 // Router returns the component's router ID.
@@ -138,23 +142,20 @@ func (c *Component) Router() wire.RouterID { return c.cfg.Router }
 func (c *Component) GroupEntry(g addr.Addr) (parent Target, children []Target, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.groups[g]
-	if !ok {
-		return Target{}, nil, false
-	}
-	for t := range e.children {
-		children = append(children, t)
-	}
-	sortTargets(children)
-	return e.parent, children, true
+	return c.groups[g].listing()
 }
 
 // SourceEntry exposes the (S,G) target list.
 func (c *Component) SourceEntry(s, g addr.Addr) (parent Target, children []Target, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.srcs[sgKey{s, g}]
-	if !ok {
+	return c.srcs[sgKey{s, g}].listing()
+}
+
+// listing returns the entry's parent and its children in sortTargets order;
+// ok is false for a nil entry.
+func (e *entry) listing() (parent Target, children []Target, ok bool) {
+	if e == nil {
 		return Target{}, nil, false
 	}
 	for t := range e.children {
@@ -230,9 +231,7 @@ func (c *Component) LocalJoin(g addr.Addr) {
 	c.mu.Lock()
 	c.cur = sp.Context()
 	c.joinLocked(g, MIGPTarget)
-	out, evs := c.drainLocked()
-	c.mu.Unlock()
-	c.flush(out, evs)
+	c.finishLocked()
 	sp.End()
 }
 
@@ -243,96 +242,65 @@ func (c *Component) LocalLeave(g addr.Addr) {
 	c.mu.Lock()
 	c.cur = sp.Context()
 	c.pruneLocked(g, MIGPTarget)
-	out, evs := c.drainLocked()
-	c.mu.Unlock()
-	c.flush(out, evs)
+	c.finishLocked()
 	sp.End()
-}
-
-// beginHop parents a per-hop span under the inbound message's trace
-// context: join hops and prune hops get spans; other messages don't. The
-// returned span is a no-op when the message is untraced or tracing is off.
-func (c *Component) beginHop(from wire.RouterID, msg wire.Message) obs.Span {
-	tr := c.cfg.Obs.Tracer()
-	if tr == nil {
-		return obs.Span{}
-	}
-	ctx := wire.ContextOf(msg)
-	ev := obs.Event{Domain: c.cfg.Domain, Router: c.cfg.Router, Peer: from}
-	switch m := msg.(type) {
-	case *wire.GroupJoin:
-		ev.Group = m.Group
-		return tr.BeginChild(ctx, obs.SpanJoinHop, ev)
-	case *wire.GroupPrune:
-		ev.Group = m.Group
-		return tr.BeginChild(ctx, obs.SpanPruneHop, ev)
-	case *wire.SourceJoin:
-		ev.Group = m.Group
-		return tr.BeginChild(ctx, obs.SpanJoinHop, ev)
-	case *wire.SourcePrune:
-		ev.Group = m.Group
-		return tr.BeginChild(ctx, obs.SpanPruneHop, ev)
-	}
-	return obs.Span{}
 }
 
 // HandlePeer processes a BGMP message from an external peer.
 func (c *Component) HandlePeer(from wire.RouterID, msg wire.Message) {
-	sp := c.beginHop(from, msg)
-	defer sp.End()
-	c.mu.Lock()
-	c.cur = sp.Context()
-	switch m := msg.(type) {
-	case *wire.GroupJoin:
-		c.joinLocked(m.Group, PeerTarget(from))
-	case *wire.GroupPrune:
-		c.pruneLocked(m.Group, PeerTarget(from))
-	case *wire.SourceJoin:
-		c.sourceJoinLocked(m.Source, m.Group, PeerTarget(from))
-	case *wire.SourcePrune:
-		c.sourcePruneLocked(m.Source, m.Group, PeerTarget(from))
-	case *wire.Data:
-		out, evs := c.drainLocked()
-		c.mu.Unlock()
-		c.flush(out, evs)
-		c.Deliver(PeerTarget(from), m)
-		return
-	}
-	out, evs := c.drainLocked()
-	c.mu.Unlock()
-	c.flush(out, evs)
+	c.handle(PeerTarget(from), msg)
 }
 
 // HandleFromBorder processes a message relayed through the MIGP from
 // another border router of the same domain (the "internal BGMP peer" path
-// of §5.2).
+// of §5.2). Paper: A3, receiving the join from its MIGP component, adds the
+// MIGP component as child target; the relaying border is kept in the target
+// so its later prune removes only its own interest.
 func (c *Component) HandleFromBorder(from wire.RouterID, msg wire.Message) {
-	sp := c.beginHop(from, msg)
+	c.handle(MIGPToward(from), msg)
+}
+
+// handle applies one message that arrived from src: data enters the data
+// plane; a join or prune runs under a per-hop span parented on the message's
+// trace context (a no-op span when untraced), with src as the child target.
+func (c *Component) handle(src Target, msg wire.Message) {
+	var g, s addr.Addr
+	var source, prune bool
+	switch m := msg.(type) {
+	case *wire.Data:
+		c.Deliver(src, m)
+		return
+	case *wire.GroupJoin:
+		g = m.Group
+	case *wire.GroupPrune:
+		g, prune = m.Group, true
+	case *wire.SourceJoin:
+		g, s, source = m.Group, m.Source, true
+	case *wire.SourcePrune:
+		g, s, source, prune = m.Group, m.Source, true, true
+	default:
+		return
+	}
+	name := obs.SpanJoinHop
+	if prune {
+		name = obs.SpanPruneHop
+	}
+	sp := c.cfg.Obs.Tracer().BeginChild(wire.ContextOf(msg), name,
+		obs.Event{Domain: c.cfg.Domain, Router: c.cfg.Router, Peer: src.Router, Group: g})
 	defer sp.End()
 	c.mu.Lock()
 	c.cur = sp.Context()
-	switch m := msg.(type) {
-	case *wire.GroupJoin:
-		// Paper: A3, receiving the join from its MIGP component, adds the
-		// MIGP component as child target. The relaying border is kept in
-		// the target so its later prune removes only its own interest.
-		c.joinLocked(m.Group, MIGPToward(from))
-	case *wire.GroupPrune:
-		c.pruneLocked(m.Group, MIGPToward(from))
-	case *wire.SourceJoin:
-		c.sourceJoinLocked(m.Source, m.Group, MIGPToward(from))
-	case *wire.SourcePrune:
-		c.sourcePruneLocked(m.Source, m.Group, MIGPToward(from))
-	case *wire.Data:
-		out, evs := c.drainLocked()
-		c.mu.Unlock()
-		c.flush(out, evs)
-		c.Deliver(MIGPToward(from), m)
-		return
+	switch {
+	case source && prune:
+		c.sourcePruneLocked(s, g, src)
+	case source:
+		c.sourceJoinLocked(s, g, src)
+	case prune:
+		c.pruneLocked(g, src)
+	default:
+		c.joinLocked(g, src)
 	}
-	out, evs := c.drainLocked()
-	c.mu.Unlock()
-	c.flush(out, evs)
+	c.finishLocked()
 }
 
 // joinLocked adds `child` to the (*,G) entry, creating it (and propagating
@@ -354,7 +322,7 @@ func (c *Component) joinLocked(g addr.Addr, child Target) {
 	// origin-to-graft latency is observable.
 	grafted := ok
 	if !ok {
-		parent, root, ok2 := c.parentForGroup(g)
+		parent, root, ok2 := c.resolve(c.cfg.LookupGroup, g)
 		if !ok2 {
 			// No G-RIB route: park the interest as an orphan so the join
 			// propagates the moment a covering route (re)appears.
@@ -367,20 +335,10 @@ func (c *Component) joinLocked(g addr.Addr, child Target) {
 			return
 		}
 		e = newEntry(parent, root)
-		e.backup, e.hasBackup = c.backupForGroup(g)
+		c.armBackupLocked(e, g)
 		c.groups[g] = e
-		switch {
-		case root:
-			// Root domain: no BGP next hop; become an interior member.
-			c.out = append(c.out, outItem{target: Target{MIGP: true, Router: 0}, msg: migpJoin{group: g}})
-			grafted = true
-		case parent.MIGP:
-			// Next hop toward the root is another border router of this
-			// domain: relay the join through the MIGP.
-			c.out = append(c.out, outItem{target: parent, msg: &wire.GroupJoin{Group: g}})
-		default:
-			c.out = append(c.out, outItem{target: parent, msg: &wire.GroupJoin{Group: g}})
-		}
+		c.attachLocked(g, parent, root)
+		grafted = root
 	}
 	e.addChild(child)
 	if grafted {
@@ -438,51 +396,52 @@ func (c *Component) pruneLocked(g addr.Addr, child Target) {
 			delete(c.importedSG, k)
 		}
 	}
-	switch {
-	case e.root:
-		c.out = append(c.out, outItem{target: MIGPTarget, msg: migpLeave{group: g}})
-	default:
-		c.out = append(c.out, outItem{target: e.parent, msg: &wire.GroupPrune{Group: g}})
+	c.detachLocked(g, e.parent, e.root)
+}
+
+// attachLocked queues the upstream half of a (*,G) entry coming up: in the
+// root domain there is no BGP next hop and the router becomes an interior
+// member; elsewhere a GroupJoin goes to the parent (relayed through the MIGP
+// when that is a sibling border).
+func (c *Component) attachLocked(g addr.Addr, parent Target, root bool) {
+	if root {
+		c.out = append(c.out, outItem{group: g})
+	} else {
+		c.out = append(c.out, outItem{target: parent, msg: &wire.GroupJoin{Group: g}})
 	}
 }
 
-// parentForGroup resolves the parent target for group g from the G-RIB.
-func (c *Component) parentForGroup(g addr.Addr) (Target, bool, bool) {
-	ent, ok := c.cfg.LookupGroup(g)
+// detachLocked undoes attachLocked for an entry going away or re-parenting.
+func (c *Component) detachLocked(g addr.Addr, parent Target, root bool) {
+	if root {
+		c.out = append(c.out, outItem{group: g, leave: true})
+	} else {
+		c.out = append(c.out, outItem{target: parent, msg: &wire.GroupPrune{Group: g}})
+	}
+}
+
+// resolve looks a up in one RIB view and maps the entry through the
+// egress's next-hop rule. The (*,G) parent (LookupGroup), its precomputed
+// backup (LookupGroupBackup), the (S,G) parent (LookupSource) and the
+// off-tree data path all answer through here, so a backup is sound by
+// construction: it is resolved by the rule that resolved the primary. ok is
+// false when the view is disabled or holds no covering route.
+func (c *Component) resolve(lookup func(addr.Addr) (bgp.Entry, bool), a addr.Addr) (next Target, here, ok bool) {
+	if lookup == nil {
+		return Target{}, false, false
+	}
+	ent, ok := lookup(a)
 	if !ok {
 		return Target{}, false, false
 	}
-	if wire.DomainID(ent.Route.Origin) == c.cfg.Domain {
-		return MIGPTarget, true, true
-	}
-	if ent.Local || ent.NextHop == c.cfg.Router {
-		return MIGPTarget, true, true
-	}
-	if c.cfg.Internal != nil && c.cfg.Internal(ent.NextHop) {
-		return MIGPToward(ent.NextHop), false, true
-	}
-	return PeerTarget(ent.NextHop), false, true
+	next, here = c.eg.Resolve(ent)
+	return next, here, true
 }
 
-// backupForGroup resolves the precomputed fallback parent for g: the
-// runner-up G-RIB candidate, mapped through the same target rules as
-// parentForGroup. ok is false when backups are disabled or no second
-// candidate exists.
-func (c *Component) backupForGroup(g addr.Addr) (Target, bool) {
-	if c.cfg.LookupGroupBackup == nil {
-		return Target{}, false
-	}
-	ent, ok := c.cfg.LookupGroupBackup(g)
-	if !ok {
-		return Target{}, false
-	}
-	if wire.DomainID(ent.Route.Origin) == c.cfg.Domain || ent.Local || ent.NextHop == c.cfg.Router {
-		return MIGPTarget, true
-	}
-	if c.cfg.Internal != nil && c.cfg.Internal(ent.NextHop) {
-		return MIGPToward(ent.NextHop), true
-	}
-	return PeerTarget(ent.NextHop), true
+// armBackupLocked (re)computes e's fallback parent: the runner-up G-RIB
+// candidate for g. Caller holds c.mu.
+func (c *Component) armBackupLocked(e *entry, g addr.Addr) {
+	e.backup, _, e.hasBackup = c.resolve(c.cfg.LookupGroupBackup, g)
 }
 
 // BackupParent exposes g's precomputed fallback parent; ok is false when
@@ -497,33 +456,6 @@ func (c *Component) BackupParent(g addr.Addr) (Target, bool) {
 	return e.backup, true
 }
 
-// parentForSource resolves the next hop toward a source for (S,G) branches.
-func (c *Component) parentForSource(s addr.Addr) (Target, bool /*sourceIsLocal*/, bool) {
-	ent, ok := c.cfg.LookupSource(s)
-	if !ok {
-		return Target{}, false, false
-	}
-	if wire.DomainID(ent.Route.Origin) == c.cfg.Domain || ent.Local {
-		return MIGPTarget, true, true
-	}
-	if c.cfg.Internal != nil && c.cfg.Internal(ent.NextHop) {
-		return MIGPToward(ent.NextHop), false, true
-	}
-	return PeerTarget(ent.NextHop), false, true
-}
-
-// migpJoin/migpLeave are internal out-queue markers for MIGP group
-// membership changes (they never hit the wire).
-type migpJoin struct{ group addr.Addr }
-type migpLeave struct{ group addr.Addr }
-
-func (migpJoin) Type() wire.MsgType             { return wire.TypeInvalid }
-func (migpJoin) AppendPayload(b []byte) []byte  { return b }
-func (migpJoin) DecodePayload([]byte) error     { return nil }
-func (migpLeave) Type() wire.MsgType            { return wire.TypeInvalid }
-func (migpLeave) AppendPayload(b []byte) []byte { return b }
-func (migpLeave) DecodePayload([]byte) error    { return nil }
-
 // event queues an observability event for post-unlock emission, filling in
 // the router's scope. Caller holds c.mu.
 func (c *Component) eventLocked(e obs.Event) {
@@ -534,34 +466,32 @@ func (c *Component) eventLocked(e obs.Event) {
 	c.evbuf = append(c.evbuf, e)
 }
 
-func (c *Component) drainLocked() ([]outItem, []obs.Event) {
+// finishLocked ends an operation that mutated state under c.mu: it takes
+// what the operation queued, stamping the messages with the operation's
+// trace context, releases the lock the caller holds, and only then emits the
+// events and hands the messages over — observers and the MIGP may call back
+// into the router.
+func (c *Component) finishLocked() {
 	out, evs := c.out, c.evbuf
 	c.out, c.evbuf = nil, nil
 	if !c.cur.Zero() {
 		for _, it := range out {
-			wire.Stamp(it.msg, c.cur)
+			wire.Stamp(it.msg, c.cur) // a nil msg (interior membership) carries none
 		}
 		c.cur = wire.TraceContext{}
 	}
-	return out, evs
-}
-
-func (c *Component) flush(items []outItem, evs []obs.Event) {
+	c.mu.Unlock()
 	for _, e := range evs {
 		c.cfg.Obs.Emit(e)
 	}
-	for _, it := range items {
-		switch m := it.msg.(type) {
-		case migpJoin:
-			c.cfg.MIGP.JoinGroup(m.group)
-		case migpLeave:
-			c.cfg.MIGP.LeaveGroup(m.group)
+	for _, it := range out {
+		switch {
+		case it.msg != nil:
+			c.eg.Send(it.target, it.msg)
+		case it.leave:
+			c.cfg.MIGP.LeaveGroup(it.group)
 		default:
-			if it.target.MIGP {
-				c.cfg.MIGP.RelayToBorder(it.target.Router, it.msg)
-			} else {
-				c.cfg.SendPeer(it.target.Router, it.msg)
-			}
+			c.cfg.MIGP.JoinGroup(it.group)
 		}
 	}
 }

@@ -15,9 +15,7 @@ import (
 func (c *Component) RequestSourceBranch(s, g addr.Addr) {
 	c.mu.Lock()
 	c.sourceJoinLocked(s, g, MIGPTarget)
-	out, evs := c.drainLocked()
-	c.mu.Unlock()
-	c.flush(out, evs)
+	c.finishLocked()
 }
 
 // sourceJoinLocked adds `child` to the (S,G) entry, creating it when
@@ -39,7 +37,7 @@ func (c *Component) sourceJoinLocked(s, g addr.Addr, child Target) {
 		c.srcs[k] = e
 		return
 	}
-	parent, sourceLocal, ok := c.parentForSource(s)
+	parent, sourceLocal, ok := c.resolve(c.cfg.LookupSource, s)
 	if !ok {
 		return
 	}
@@ -160,7 +158,7 @@ func (c *Component) handleData(from Target, d *wire.Data) {
 	c.cfg.Obs.Histogram(obs.HistForwardWork, c.cfg.Domain, c.cfg.Router).Observe(uint64(len(targets)))
 
 	if hadEncap {
-		c.cfg.MIGP.RelayToBorder(encapFrom, &wire.SourcePrune{Group: d.Group, Source: d.Source})
+		c.eg.Send(MIGPToward(encapFrom), &wire.SourcePrune{Group: d.Group, Source: d.Source})
 	}
 
 	if e == nil {
@@ -170,81 +168,45 @@ func (c *Component) handleData(from Target, d *wire.Data) {
 	for _, t := range targets {
 		c.forwardTo(t, d)
 	}
-
 }
 
 // forwardOffTree implements the no-state rule: keep the packet moving
 // toward the root domain until it hits the shared tree.
 func (c *Component) forwardOffTree(from Target, d *wire.Data) {
-	ent, ok := c.cfg.LookupGroup(d.Group)
+	next, _, ok := c.resolve(c.cfg.LookupGroup, d.Group)
 	if !ok {
 		return // no root domain known: drop
 	}
-	inRootDomain := wire.DomainID(ent.Route.Origin) == c.cfg.Domain || ent.Local || ent.NextHop == c.cfg.Router
-	nextInternal := !inRootDomain && c.cfg.Internal != nil && c.cfg.Internal(ent.NextHop)
-	if from.key() == MIGPTarget {
-		// Interior-origin data (or data transiting the domain). Only the
-		// best exit router pushes it onward; others drop, so the domain
-		// emits a single copy.
-		if inRootDomain || nextInternal {
-			return
-		}
-		c.forwardTo(PeerTarget(ent.NextHop), d)
+	if from.key() == MIGPTarget && next.MIGP {
+		// Interior-origin data (or data transiting the domain) at a router
+		// that is not its best exit — this is the root domain, or the route
+		// leaves through a sibling border. Only the best exit pushes it
+		// onward, so the domain emits a single copy.
 		return
 	}
-	// Data from an external peer at a stateless router.
-	switch {
-	case inRootDomain:
-		// Let the interior deliver to any local members; on-tree border
-		// routers of the root domain pick it up and forward along the
-		// tree.
-		c.forwardTo(MIGPTarget, d)
-	case nextInternal:
-		// Transit through the domain toward the best exit (the paper's
-		// A1→A3 example: the packet crosses domain A via the MIGP).
-		c.forwardTo(MIGPTarget, d)
-	default:
-		c.forwardTo(PeerTarget(ent.NextHop), d)
-	}
+	// To the next peer; or, for a peer's packet whose way on is interior,
+	// into the domain: in the root domain the interior delivers to local
+	// members and the on-tree borders pick it up, in a transit domain it
+	// crosses to the best exit (the paper's A1→A3 example).
+	c.forwardTo(next, d)
 }
 
-// forwardTo sends a copy of d to one target, decrementing the TTL on
-// inter-domain hops and handling interior RPF failures by encapsulating to
-// the expected entry router (§5.3).
+// forwardTo sends a copy of d to one target: across the peering, or into
+// the interior — where an RPF refusal means unicast-encapsulating to the
+// border router the interior expects this source to enter at (§5.3).
 func (c *Component) forwardTo(t Target, d *wire.Data) {
-	if t.MIGP {
-		cp := *d
-		if c.cfg.MIGP.Inject(&cp) {
-			return
-		}
-		// Interior RPF failure: unicast-encapsulate to the border router
-		// the interior expects packets from this source to enter at.
-		exp := c.cfg.MIGP.ExpectedEntry(d.Source)
-		if exp == c.cfg.Router || exp == 0 {
-			return
-		}
+	if !t.MIGP {
+		c.eg.ToPeer(t.Router, d)
+		return
+	}
+	if exp := c.eg.Inject(d); exp != 0 {
+		// Marked before the relay leaves: the reflux of the encapsulated
+		// flow can reach handleData during that call.
 		c.mu.Lock()
 		c.importedSG[sgKey{d.Source, d.Group}] = true
 		c.mu.Unlock()
-		enc := *d
-		enc.Encap = true
-		if c.cfg.Obs != nil {
-			c.cfg.Obs.Emit(obs.Event{Kind: obs.DataEncap, Domain: c.cfg.Domain,
-				Router: c.cfg.Router, Peer: exp, Group: d.Group, Source: d.Source})
-		}
-		c.cfg.MIGP.RelayToBorder(exp, &enc)
-		return
+		c.eg.Encap(exp, d)
 	}
-	if d.TTL <= 1 {
-		return
-	}
-	cp := *d
-	cp.TTL--
-	if c.cfg.Obs != nil {
-		c.cfg.Obs.Emit(obs.Event{Kind: obs.DataForwarded, Domain: c.cfg.Domain,
-			Router: c.cfg.Router, Peer: t.Router, Group: d.Group, Source: d.Source})
-	}
-	c.cfg.SendPeer(t.Router, &cp)
 }
 
 // handleEncap processes an encapsulated packet relayed from another border
@@ -252,9 +214,7 @@ func (c *Component) forwardTo(t Target, d *wire.Data) {
 // interior RPF passes), and optionally start a source-specific branch so
 // future packets arrive natively.
 func (c *Component) handleEncap(from wire.RouterID, d *wire.Data) {
-	cp := *d
-	cp.Encap = false
-	c.cfg.MIGP.Inject(&cp)
+	c.eg.Inject(d)
 	if !c.cfg.BuildSourceBranches {
 		return
 	}

@@ -87,7 +87,7 @@ func (c *Component) RouteChanged(prefix addr.Prefix, ctx wire.TraceContext) {
 			continue
 		}
 		e := c.groups[g]
-		parent, root, ok := c.parentForGroup(g)
+		parent, root, ok := c.resolve(c.cfg.LookupGroup, g)
 		if !ok {
 			// No route at all anymore: tear the forwarding entry down but
 			// remember the children, so a returning route re-attaches the
@@ -103,7 +103,7 @@ func (c *Component) RouteChanged(prefix addr.Prefix, ctx wire.TraceContext) {
 		if parent.key() == e.parent.key() && root == e.root {
 			// Path unchanged; the runner-up candidate set may still have
 			// rotated, so refresh the precomputed backup incrementally.
-			e.backup, e.hasBackup = c.backupForGroup(g)
+			c.armBackupLocked(e, g)
 			continue
 		}
 		changes = append(changes, change{
@@ -112,7 +112,7 @@ func (c *Component) RouteChanged(prefix addr.Prefix, ctx wire.TraceContext) {
 		})
 		e.setParent(parent)
 		e.root = root
-		e.backup, e.hasBackup = c.backupForGroup(g)
+		c.armBackupLocked(e, g)
 		// Dependent shared-clone (S,G) state inherited the old parent;
 		// rebuild it lazily (drop it — prunes re-establish if needed).
 		c.dropSharedClonesLocked(g)
@@ -122,7 +122,7 @@ func (c *Component) RouteChanged(prefix addr.Prefix, ctx wire.TraceContext) {
 		if !prefix.Contains(g) {
 			continue
 		}
-		parent, root, ok := c.parentForGroup(g)
+		parent, root, ok := c.resolve(c.cfg.LookupGroup, g)
 		if !ok {
 			continue
 		}
@@ -130,35 +130,20 @@ func (c *Component) RouteChanged(prefix addr.Prefix, ctx wire.TraceContext) {
 		delete(c.orphans, g)
 		e.setParent(parent)
 		e.root = root
-		e.backup, e.hasBackup = c.backupForGroup(g)
+		c.armBackupLocked(e, g)
 		c.groups[g] = e
 		changes = append(changes, change{g: g, newParent: parent, newRoot: root, rejoined: true})
 	}
 	for _, ch := range changes {
 		c.eventLocked(obs.Event{Kind: obs.BGMPRepair, Group: ch.g, Prefix: prefix})
 		if !ch.rejoined {
-			// Prune away from the old parent.
-			switch {
-			case ch.oldRoot:
-				c.out = append(c.out, outItem{target: MIGPTarget, msg: migpLeave{group: ch.g}})
-			default:
-				c.out = append(c.out, outItem{target: ch.oldParent, msg: &wire.GroupPrune{Group: ch.g}})
-			}
+			c.detachLocked(ch.g, ch.oldParent, ch.oldRoot)
 		}
-		if ch.torn {
-			continue
-		}
-		// Join through the new one.
-		switch {
-		case ch.newRoot:
-			c.out = append(c.out, outItem{target: MIGPTarget, msg: migpJoin{group: ch.g}})
-		default:
-			c.out = append(c.out, outItem{target: ch.newParent, msg: &wire.GroupJoin{Group: ch.g}})
+		if !ch.torn {
+			c.attachLocked(ch.g, ch.newParent, ch.newRoot)
 		}
 	}
-	out, evs := c.drainLocked()
-	c.mu.Unlock()
-	c.flush(out, evs)
+	c.finishLocked()
 }
 
 // PeerDown removes every child target pointing at a failed external peer
@@ -184,11 +169,7 @@ func (c *Component) PeerDown(peer wire.RouterID, ctx wire.TraceContext) {
 		delete(c.groups, g)
 		c.eventLocked(obs.Event{Kind: obs.BGMPRepair, Group: g})
 		c.dropSharedClonesLocked(g)
-		if e.root {
-			c.out = append(c.out, outItem{target: MIGPTarget, msg: migpLeave{group: g}})
-		} else {
-			c.out = append(c.out, outItem{target: e.parent, msg: &wire.GroupPrune{Group: g}})
-		}
+		c.detachLocked(g, e.parent, e.root)
 	}
 	// Precomputed 1:1 protection: surviving entries whose parent died
 	// switch to their backup target immediately, without re-querying the
@@ -209,14 +190,10 @@ func (c *Component) PeerDown(peer wire.RouterID, ctx wire.TraceContext) {
 		e.setParent(bk)
 		c.dropSharedClonesLocked(g)
 		c.eventLocked(obs.Event{Kind: obs.BGMPFailover, Group: g, Peer: peer})
-		if bk.MIGP && bk.Router == 0 {
-			// The runner-up route makes this domain the best exit: the
-			// entry becomes root and the interior supplies the tree.
-			e.root = true
-			c.out = append(c.out, outItem{target: MIGPTarget, msg: migpJoin{group: g}})
-		} else {
-			c.out = append(c.out, outItem{target: bk, msg: &wire.GroupJoin{Group: g}})
-		}
+		// A runner-up route that ends at this domain makes the entry root:
+		// the interior supplies the tree.
+		e.root = bk == MIGPTarget
+		c.attachLocked(g, bk, e.root)
 	}
 	for _, k := range sortedSGKeys(c.srcs) {
 		if se := c.srcs[k]; se.children[t] {
@@ -234,7 +211,5 @@ func (c *Component) PeerDown(peer wire.RouterID, ctx wire.TraceContext) {
 			delete(c.orphans, g)
 		}
 	}
-	out, evs := c.drainLocked()
-	c.mu.Unlock()
-	c.flush(out, evs)
+	c.finishLocked()
 }

@@ -257,21 +257,27 @@ func (s *Speaker) HandleUpdate(from wire.RouterID, u *wire.Update) {
 func (s *Speaker) Lookup(table wire.Table, a addr.Addr) (Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r := s.tables[table]
-	var best *selected
+	best, ok := s.longestMatchLocked(s.tables[table], a)
+	if !ok {
+		return Entry{}, false
+	}
+	return s.entryOf(best), true
+}
+
+// longestMatchLocked returns the selected route of the most specific
+// unexpired prefix of r covering a: the one scan behind Lookup and
+// LookupBackup, so a backup is always the runner-up of the very prefix the
+// primary matched. Caller holds s.mu.
+func (s *Speaker) longestMatchLocked(r *rib, a addr.Addr) (best selected, ok bool) {
 	for p, sel := range r.best {
 		if !p.Contains(a) || s.expired(sel.route) {
 			continue
 		}
-		if best == nil || p.Len > best.route.Prefix.Len {
-			sel := sel
-			best = &sel
+		if !ok || p.Len > best.route.Prefix.Len {
+			best, ok = sel, true
 		}
 	}
-	if best == nil {
-		return Entry{}, false
-	}
-	return s.entryOf(*best), true
+	return best, ok
 }
 
 // LookupBackup longest-prefix-matches like Lookup, then returns the
@@ -284,46 +290,12 @@ func (s *Speaker) LookupBackup(table wire.Table, a addr.Addr) (Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r := s.tables[table]
-	var cur *selected
-	var bestPrefix addr.Prefix
-	for p, sel := range r.best {
-		if !p.Contains(a) || s.expired(sel.route) {
-			continue
-		}
-		if cur == nil || p.Len > bestPrefix.Len {
-			sel := sel
-			cur, bestPrefix = &sel, p
-		}
-	}
-	if cur == nil {
+	cur, ok := s.longestMatchLocked(r, a)
+	if !ok {
 		return Entry{}, false
 	}
-	var second selected
-	found := false
-	consider := func(cand selected) {
-		if !found || cand.better(second) {
-			second = cand
-			found = true
-		}
-	}
-	if rt, ok := r.local[bestPrefix]; ok && !cur.local && !s.expired(rt) {
-		consider(selected{route: rt, local: true})
-	}
-	peers := r.adjIn[bestPrefix]
-	ids := make([]wire.RouterID, 0, len(peers))
-	for id := range peers {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if !cur.local && id == cur.from {
-			continue
-		}
-		if rt := peers[id]; !s.expired(rt) {
-			consider(selected{route: rt, from: id})
-		}
-	}
-	if !found {
+	second, ok := s.decide(r, cur.route.Prefix, &cur)
+	if !ok {
 		return Entry{}, false
 	}
 	return s.entryOf(second), true
@@ -494,7 +466,7 @@ func (s *Speaker) reselectLocked(changed []tablePrefix, ctx wire.TraceContext) (
 		seen[tp] = true
 		r := s.tables[tp.table]
 		oldSel, hadOld := r.best[tp.prefix]
-		newSel, hasNew := s.decide(r, tp.prefix)
+		newSel, hasNew := s.decide(r, tp.prefix, nil)
 		if hadOld && hasNew && oldSel.equal(newSel) {
 			continue
 		}
@@ -537,9 +509,10 @@ func (s *Speaker) reselectLocked(changed []tablePrefix, ctx wire.TraceContext) (
 
 // decide runs the decision process for one prefix: a local origination
 // wins; otherwise the shortest AS path, tie-broken by lowest advertising
-// router ID. Expired candidates are skipped.
-func (s *Speaker) decide(r *rib, p addr.Prefix) (selected, bool) {
-	if rt, ok := r.local[p]; ok && !s.expired(rt) {
+// router ID. Expired candidates are skipped, and so is the source of skip
+// when non-nil — passing the current best yields the runner-up.
+func (s *Speaker) decide(r *rib, p addr.Prefix, skip *selected) (selected, bool) {
+	if rt, ok := r.local[p]; ok && !s.expired(rt) && !(skip != nil && skip.local) {
 		return selected{route: rt, local: true}, true
 	}
 	var best selected
@@ -552,7 +525,7 @@ func (s *Speaker) decide(r *rib, p addr.Prefix) (selected, bool) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
 		rt := peers[id]
-		if s.expired(rt) {
+		if s.expired(rt) || (skip != nil && !skip.local && id == skip.from) {
 			continue
 		}
 		cand := selected{route: rt, from: id}

@@ -49,17 +49,10 @@ type ChaosConfig struct {
 	// the fast detector measures pure detection latency, not loss
 	// robustness.
 	Liveness bool
-	// LivenessFloor / LivenessMultiplier / LivenessDemandAfter tune the
-	// detector; zero values take the liveness package defaults (100ms
-	// floor, ×3 multiplier) and a DemandAfter of 10 stable rounds, so the
-	// quiesced demand path is what the crash actually exercises.
-	LivenessFloor       time.Duration
-	LivenessMultiplier  int
-	LivenessDemandAfter int
-	// ProbeStep overrides the reroute/reconverge probing granularity;
-	// zero uses the recorded 5s default, or 250ms when Liveness is on so
-	// sub-second recovery resolves.
-	ProbeStep time.Duration
+	// LivenessFloor / LivenessMultiplier tune the detector; zero values
+	// take the liveness package defaults (100ms floor, ×3 multiplier).
+	LivenessFloor      time.Duration
+	LivenessMultiplier int
 	// CrashFor is how long the crashed border router stays down.
 	CrashFor time.Duration
 	// Groups is the number of multicast groups rooted in the source
@@ -137,8 +130,17 @@ type ChaosPoint struct {
 	Spans []obs.SpanRecord `json:"-"`
 }
 
-// chaosStep is the probing granularity for the reroute/reconverge clocks.
-const chaosStep = 5 * time.Second
+// The probing granularity of the reroute/reconverge clocks: the recorded 5s
+// under hold timers, 250ms with the liveness detector so sub-second
+// recovery resolves.
+const (
+	chaosStep         = 5 * time.Second
+	chaosLivenessStep = 250 * time.Millisecond
+)
+
+// chaosDemandAfter is the stable rounds before the liveness detector
+// quiesces, low enough that the demand path is what the crash exercises.
+const chaosDemandAfter = 10
 
 // RunChaos runs the failure-recovery sweep and returns one point per loss
 // rate. Deterministic for a given config. The points are independent
@@ -229,10 +231,7 @@ func buildChaosNet(cfg ChaosConfig, pointSeed int64, ob *obs.Observer) (*chaosNe
 		lv = &liveness.Params{
 			Floor:       cfg.LivenessFloor,
 			Multiplier:  cfg.LivenessMultiplier,
-			DemandAfter: cfg.LivenessDemandAfter,
-		}
-		if lv.DemandAfter == 0 {
-			lv.DemandAfter = 10
+			DemandAfter: chaosDemandAfter,
 		}
 	}
 	n, err := NewNetwork(Config{
@@ -365,12 +364,9 @@ func runChaosPoint(cfg ChaosConfig, pointSeed int64, loss float64, ob *obs.Obser
 	// transit (detection + repair). Probes themselves are lossy, so a
 	// step may fail on drops alone — the clock keeps stepping until one
 	// full round gets through.
-	step := cfg.ProbeStep
-	if step <= 0 {
-		step = chaosStep
-		if cfg.Liveness {
-			step = 250 * time.Millisecond
-		}
+	step := chaosStep
+	if cfg.Liveness {
+		step = chaosLivenessStep
 	}
 	crashAt := cn.clk.Now()
 	detected := false

@@ -140,13 +140,10 @@ func (n *Network) AddDomain(cfg DomainConfig) (*Domain, error) {
 		}
 	}
 
-	strat := masc.DefaultStrategy()
-	strat.ClaimLifetime = n.cfg.ClaimLifetime
 	d.masc = masc.NewNode(masc.NodeConfig{
 		Domain:     cfg.ID,
 		Clock:      n.cfg.Clock,
 		Rand:       rand.New(rand.NewSource(seedBase + 1)),
-		Strategy:   strat,
 		WaitPeriod: n.cfg.MASCWait,
 		TopLevel:   cfg.TopLevel,
 		AutoRenew:  n.cfg.AutoRenewClaims,

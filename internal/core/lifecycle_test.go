@@ -266,7 +266,12 @@ func TestSendBeforeAnyJoinReachesNobody(t *testing.T) {
 	lease, _ := n.Domain(2).NewGroup(24 * time.Hour)
 	n.Domain(5).Send(lease.Addr, n.Domain(5).HostAddr(1), "early", 0)
 	total := 0
+	var last wire.DomainID
 	for _, d := range n.Domains() {
+		if d.ID <= last {
+			t.Fatalf("Domains() not in ascending ID order: %d after %d", d.ID, last)
+		}
+		last = d.ID
 		total += len(d.Received())
 	}
 	if total != 0 {

@@ -11,6 +11,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -215,7 +216,7 @@ func (n *Network) domainAddr(id wire.DomainID) (addr.Addr, bool) {
 	return d.hostPrefix.Base, true
 }
 
-// Domains returns all domains in insertion-independent map order.
+// Domains returns all domains in ascending ID order.
 func (n *Network) Domains() []*Domain {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -223,6 +224,7 @@ func (n *Network) Domains() []*Domain {
 	for _, d := range n.domains {
 		out = append(out, d)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 

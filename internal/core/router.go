@@ -117,25 +117,26 @@ func newRouter(n *Network, d *Domain, id wire.RouterID, at migp.Node, export bgp
 		},
 	})
 	migpAdapter := d.fabric.AttachBorder(id, at)
+	// The RIB views the BGMP component and the stateless backends share.
+	lookupGroup := func(g addr.Addr) (bgp.Entry, bool) {
+		return r.bgp.Lookup(wire.TableGRIB, g)
+	}
+	lookupSource := func(s addr.Addr) (bgp.Entry, bool) {
+		if e, ok := r.bgp.Lookup(wire.TableMRIB, s); ok {
+			return e, true
+		}
+		return r.bgp.Lookup(wire.TableUnicast, s)
+	}
 	r.bgmp = bgmp.New(bgmp.Config{
-		Router: id,
-		Domain: d.ID,
-		LookupGroup: func(g addr.Addr) (bgp.Entry, bool) {
-			return r.bgp.Lookup(wire.TableGRIB, g)
-		},
+		Router:      id,
+		Domain:      d.ID,
+		LookupGroup: lookupGroup,
 		LookupGroupBackup: func(g addr.Addr) (bgp.Entry, bool) {
 			return r.bgp.LookupBackup(wire.TableGRIB, g)
 		},
-		LookupSource: func(s addr.Addr) (bgp.Entry, bool) {
-			if e, ok := r.bgp.Lookup(wire.TableMRIB, s); ok {
-				return e, true
-			}
-			return r.bgp.Lookup(wire.TableUnicast, s)
-		},
-		Internal: r.isInternal,
-		SendPeer: func(to wire.RouterID, msg wire.Message) {
-			r.sendTo(to, msg)
-		},
+		LookupSource:        lookupSource,
+		Internal:            r.isInternal,
+		SendPeer:            r.sendTo,
 		MIGP:                migpAdapter,
 		BuildSourceBranches: n.cfg.SourceBranches,
 		Obs:                 n.cfg.Observer,
@@ -145,29 +146,19 @@ func newRouter(n *Network, d *Domain, id wire.RouterID, at migp.Node, export bgp
 		r.backend = dataplane.NewSharedTree(r.bgmp)
 	default:
 		dcfg := dataplane.Config{
-			Router: id,
-			Domain: d.ID,
-			LookupGroup: func(g addr.Addr) (bgp.Entry, bool) {
-				return r.bgp.Lookup(wire.TableGRIB, g)
-			},
+			Router:      id,
+			Domain:      d.ID,
+			LookupGroup: lookupGroup,
 			LookupUnicast: func(a addr.Addr) (bgp.Entry, bool) {
 				return r.bgp.Lookup(wire.TableUnicast, a)
 			},
-			Internal: r.isInternal,
-			SendPeer: func(to wire.RouterID, msg wire.Message) {
-				r.sendTo(to, msg)
-			},
+			Internal:   r.isInternal,
+			SendPeer:   r.sendTo,
 			MIGP:       migpAdapter,
 			DomainAddr: n.domainAddr,
 			SourceDomain: func(s addr.Addr) (wire.DomainID, bool) {
-				e, ok := r.bgp.Lookup(wire.TableMRIB, s)
-				if !ok {
-					e, ok = r.bgp.Lookup(wire.TableUnicast, s)
-				}
-				if !ok {
-					return 0, false
-				}
-				return e.Route.Origin, true
+				e, ok := lookupSource(s)
+				return e.Route.Origin, ok
 			},
 			Store: d.dpStore,
 			Obs:   n.cfg.Observer,

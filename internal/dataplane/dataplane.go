@@ -23,6 +23,7 @@
 package dataplane
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -45,9 +46,7 @@ const (
 func Names() []string { return []string{SharedTreeName, BIERName, MapEncapName} }
 
 // ValidName reports whether name identifies a backend.
-func ValidName(name string) bool {
-	return name == SharedTreeName || name == BIERName || name == MapEncapName
-}
+func ValidName(name string) bool { return slices.Contains(Names(), name) }
 
 // Per-packet header cost model, used by the Stats counters and the
 // model-level comparison in internal/experiments.

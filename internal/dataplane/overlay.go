@@ -6,8 +6,6 @@ import (
 
 	"mascbgmp/internal/addr"
 	"mascbgmp/internal/bgmp"
-	"mascbgmp/internal/bgp"
-	"mascbgmp/internal/obs"
 	"mascbgmp/internal/wire"
 )
 
@@ -20,7 +18,10 @@ import (
 // bitstring and lets transit routers split it per next hop; map-and-encap
 // originates one tunnel per member domain.
 type overlay struct {
-	cfg  Config
+	cfg Config
+	// eg is bgmp's next-hop rule and border egress: where a RIB entry
+	// points and how a message leaves this router are not re-derived here.
+	eg   bgmp.Egress
 	mode string // BIERName or MapEncapName
 
 	mu sync.Mutex
@@ -32,13 +33,15 @@ type overlay struct {
 }
 
 // NewBIER returns the BIER-style bitstring backend.
-func NewBIER(cfg Config) Backend {
-	return &overlay{cfg: cfg, mode: BIERName, pending: map[addr.Addr]int{}}
-}
+func NewBIER(cfg Config) Backend { return newOverlay(cfg, BIERName) }
 
 // NewMapEncap returns the map-and-encap backend.
-func NewMapEncap(cfg Config) Backend {
-	return &overlay{cfg: cfg, mode: MapEncapName, pending: map[addr.Addr]int{}}
+func NewMapEncap(cfg Config) Backend { return newOverlay(cfg, MapEncapName) }
+
+func newOverlay(cfg Config, mode string) *overlay {
+	return &overlay{cfg: cfg, mode: mode, pending: map[addr.Addr]int{},
+		eg: bgmp.Egress{Router: cfg.Router, Domain: cfg.Domain, Internal: cfg.Internal,
+			SendPeer: cfg.SendPeer, MIGP: cfg.MIGP, Obs: cfg.Obs}}
 }
 
 func (o *overlay) Name() string { return o.mode }
@@ -67,16 +70,14 @@ func (o *overlay) Stats() Stats {
 	return st
 }
 
-// rootFor resolves g's G-RIB entry and reports whether this router sits in
-// the group's root domain, using the same rule as bgmp.parentForGroup so
-// exactly one border of the source domain exports each packet.
-func (o *overlay) rootFor(g addr.Addr) (bgp.Entry, bool /*inRoot*/, bool /*ok*/) {
-	ent, ok := o.cfg.LookupGroup(g)
-	if !ok {
-		return bgp.Entry{}, false, false
-	}
-	inRoot := wire.DomainID(ent.Route.Origin) == o.cfg.Domain || ent.Local || ent.NextHop == o.cfg.Router
-	return ent, inRoot, true
+// count adds delta to the comparison counters.
+func (o *overlay) count(delta Stats) {
+	o.mu.Lock()
+	o.stats.PeerSends += delta.PeerSends
+	o.stats.Relays += delta.Relays
+	o.stats.Encaps += delta.Encaps
+	o.stats.HeaderBytes += delta.HeaderBytes
+	o.mu.Unlock()
 }
 
 // ---------------------------------------------------------- control plane
@@ -84,7 +85,7 @@ func (o *overlay) rootFor(g addr.Addr) (bgp.Entry, bool /*inRoot*/, bool /*ok*/)
 // LocalJoin reports the domain's membership toward the group's root. With
 // no route yet, the join is parked and flushed by RouteChanged.
 func (o *overlay) LocalJoin(g addr.Addr) {
-	if !o.report(g, false) {
+	if !o.report(g, o.cfg.Domain, false, nil) {
 		o.mu.Lock()
 		o.pending[g]++
 		o.mu.Unlock()
@@ -103,56 +104,39 @@ func (o *overlay) LocalLeave(g addr.Addr) {
 		return
 	}
 	o.mu.Unlock()
-	o.report(g, true)
+	o.report(g, o.cfg.Domain, true, nil)
 }
 
-// report sends (or locally records) one membership assertion/retraction,
-// returning false when no G-RIB route exists yet.
-func (o *overlay) report(g addr.Addr, leave bool) bool {
-	ent, inRoot, ok := o.rootFor(g)
+// report applies one membership assertion/retraction of domain dom at this
+// router: recorded in the Store when this is a root-domain border, else sent
+// one hop toward the root, statelessly. m is the report as received, nil for
+// one originating here (built only if it has to travel). It returns false
+// when no G-RIB route exists yet.
+func (o *overlay) report(g addr.Addr, dom wire.DomainID, leave bool, m *wire.MemberReport) bool {
+	ent, ok := o.cfg.LookupGroup(g)
 	if !ok {
 		return false
 	}
-	if inRoot {
-		if leave {
-			o.cfg.Store.Remove(g, o.cfg.Domain)
-		} else {
-			o.cfg.Store.Add(g, o.cfg.Domain)
+	next, inRoot := o.eg.Resolve(ent)
+	switch {
+	case !inRoot:
+		if m == nil {
+			m = &wire.MemberReport{Group: g, Domain: dom, Leave: leave}
 		}
-		return true
-	}
-	m := &wire.MemberReport{Group: g, Domain: o.cfg.Domain, Leave: leave}
-	if o.cfg.Internal(ent.NextHop) {
-		o.cfg.MIGP.RelayToBorder(ent.NextHop, m)
-	} else {
-		o.cfg.SendPeer(ent.NextHop, m)
+		o.eg.Send(next, m)
+	case leave:
+		o.cfg.Store.Remove(g, dom)
+	default:
+		o.cfg.Store.Add(g, dom)
 	}
 	return true
 }
 
-// HandleControl relays a MemberReport toward the root — statelessly — or
-// records it when this router is a root-domain border.
+// HandleControl relays a MemberReport toward the root or records it; with no
+// route toward the root it is dropped, the member will re-report.
 func (o *overlay) HandleControl(src bgmp.Target, msg wire.Message) {
-	m, ok := msg.(*wire.MemberReport)
-	if !ok {
-		return
-	}
-	ent, inRoot, ok := o.rootFor(m.Group)
-	if !ok {
-		return // no route toward the root: drop, the member will re-report
-	}
-	if inRoot {
-		if m.Leave {
-			o.cfg.Store.Remove(m.Group, m.Domain)
-		} else {
-			o.cfg.Store.Add(m.Group, m.Domain)
-		}
-		return
-	}
-	if o.cfg.Internal(ent.NextHop) {
-		o.cfg.MIGP.RelayToBorder(ent.NextHop, msg)
-	} else {
-		o.cfg.SendPeer(ent.NextHop, msg)
+	if m, ok := msg.(*wire.MemberReport); ok {
+		o.report(m.Group, m.Domain, m.Leave, m)
 	}
 }
 
@@ -175,7 +159,7 @@ func (o *overlay) RouteChanged(p addr.Prefix, ctx wire.TraceContext) {
 	o.mu.Unlock()
 	for i, g := range flush {
 		for n := 0; n < counts[i]; n++ {
-			if !o.report(g, false) {
+			if !o.report(g, o.cfg.Domain, false, nil) {
 				return // still no route; keep the rest parked too
 			}
 			o.mu.Lock()
@@ -205,9 +189,7 @@ func (o *overlay) Deliver(src bgmp.Target, d *wire.Data) {
 	case d.Encap && src.MIGP && src.Router != 0:
 		// Interior-RPF handoff from a sibling border: we are the expected
 		// entry, inject natively.
-		cp := *d
-		cp.Encap = false
-		o.cfg.MIGP.Inject(&cp)
+		o.eg.Inject(d)
 	default:
 		o.deliverPlain(src, d)
 	}
@@ -216,16 +198,17 @@ func (o *overlay) Deliver(src bgmp.Target, d *wire.Data) {
 // deliverPlain handles a packet with no backend header yet: a fresh
 // interior-origin packet, or (defensively) a native packet from a peer.
 func (o *overlay) deliverPlain(src bgmp.Target, d *wire.Data) {
-	ent, inRoot, ok := o.rootFor(d.Group)
+	ent, ok := o.cfg.LookupGroup(d.Group)
 	if !ok {
 		return // no root known: drop
 	}
+	next, inRoot := o.eg.Resolve(ent)
 	interiorOrigin := src.MIGP && src.Router == 0
 	if inRoot {
 		// Only one border of the root domain may run root replication per
 		// packet. For interior-origin packets every border sees a copy;
 		// the canonical one is the border holding the originated route.
-		if interiorOrigin && !(ent.Local || ent.NextHop == o.cfg.Router) {
+		if interiorOrigin && !ent.Local {
 			return
 		}
 		// Interior members (and the source's own domain) already saw the
@@ -233,32 +216,24 @@ func (o *overlay) deliverPlain(src bgmp.Target, d *wire.Data) {
 		o.rootReplicate(d, !interiorOrigin)
 		return
 	}
-	if interiorOrigin {
+	if interiorOrigin && next.MIGP {
 		// Only the best exit exports the packet; when the route points at
 		// a sibling border the packet is not ours to forward.
-		if o.cfg.Internal(ent.NextHop) {
-			return
-		}
-		ta, ok := o.cfg.DomainAddr(wire.DomainID(ent.Route.Origin))
-		if !ok {
-			return
-		}
-		cp := *d
-		cp.TunnelTo = ta
-		o.mu.Lock()
-		o.stats.Encaps++
-		o.mu.Unlock()
-		o.deliverTunnel(&cp)
 		return
 	}
-	// A native packet reached a transit domain (possible transiently when
-	// backends are mixed or routes flap): tunnel it toward the root.
+	// Tunnel toward the root: the source domain's one export, or a native
+	// packet that reached a transit domain (possible transiently when
+	// backends are mixed or routes flap), which is not an encapsulation
+	// this domain originated.
 	ta, ok := o.cfg.DomainAddr(wire.DomainID(ent.Route.Origin))
 	if !ok {
 		return
 	}
 	cp := *d
 	cp.TunnelTo = ta
+	if interiorOrigin {
+		o.count(Stats{Encaps: 1})
+	}
 	o.deliverTunnel(&cp)
 }
 
@@ -273,39 +248,33 @@ func (o *overlay) deliverTunnel(d *wire.Data) {
 	if !ok {
 		return
 	}
-	if wire.DomainID(ue.Route.Origin) == o.cfg.Domain || ue.Local {
-		cp := *d
-		cp.TunnelTo = 0
-		if d.Encap {
-			// The root's egress copy reached the member domain.
-			o.injectLocal(&cp)
-			return
-		}
-		ent, inRoot, okG := o.rootFor(d.Group)
-		if !okG {
-			return
-		}
-		if inRoot {
-			o.rootReplicate(&cp, true)
-			return
-		}
-		// Aggregation ancestor: continue toward the specific route's origin.
-		ta, okA := o.cfg.DomainAddr(ent.Route.Origin)
-		if !okA || ta == d.TunnelTo {
-			return // no more specific route: drop
-		}
-		cp.TunnelTo = ta
-		o.deliverTunnel(&cp)
+	next, here := o.eg.Resolve(ue)
+	if !here {
+		o.hop(next, d, EncapHeaderBytes)
 		return
 	}
-	if o.cfg.Internal(ue.NextHop) {
-		o.mu.Lock()
-		o.stats.Relays++
-		o.mu.Unlock()
-		o.cfg.MIGP.RelayToBorder(ue.NextHop, d)
+	cp := *d
+	cp.TunnelTo = 0
+	if d.Encap {
+		// The root's egress copy reached the member domain.
+		o.injectLocal(&cp)
 		return
 	}
-	o.sendPeer(ue.NextHop, d, EncapHeaderBytes)
+	ent, ok := o.cfg.LookupGroup(d.Group)
+	if !ok {
+		return
+	}
+	if _, inRoot := o.eg.Resolve(ent); inRoot {
+		o.rootReplicate(&cp, true)
+		return
+	}
+	// Aggregation ancestor: continue toward the specific route's origin.
+	ta, ok := o.cfg.DomainAddr(ent.Route.Origin)
+	if !ok || ta == d.TunnelTo {
+		return // no more specific route: drop
+	}
+	cp.TunnelTo = ta
+	o.deliverTunnel(&cp)
 }
 
 // rootReplicate is the root domain's fan-out: compute the egress member
@@ -337,9 +306,7 @@ func (o *overlay) rootReplicate(d *wire.Data, injectLocally bool) {
 		cp := *d
 		cp.TunnelTo = 0
 		cp.Bits = makeBits(egress)
-		o.mu.Lock()
-		o.stats.Encaps++
-		o.mu.Unlock()
+		o.count(Stats{Encaps: 1})
 		o.forwardBits(&cp)
 		return
 	}
@@ -352,9 +319,7 @@ func (o *overlay) rootReplicate(d *wire.Data, injectLocally bool) {
 		cp.TunnelTo = ta
 		cp.Bits = nil
 		cp.Encap = true // egress copy: decapsulate where the tunnel lands
-		o.mu.Lock()
-		o.stats.Encaps++
-		o.mu.Unlock()
+		o.count(Stats{Encaps: 1})
 		o.deliverTunnel(&cp)
 	}
 }
@@ -380,8 +345,8 @@ func (o *overlay) deliverBits(d *wire.Data) {
 // forwarding rule, using nothing but the unicast RIB.
 func (o *overlay) forwardBits(d *wire.Data) {
 	type bucket struct {
-		internal bool
-		bits     []uint64
+		to   bgmp.Target
+		bits []uint64
 	}
 	// Sized for the common fan-out: the distinct next hops of one packet
 	// are bounded by the router's peer count, typically a handful.
@@ -398,7 +363,7 @@ func (o *overlay) forwardBits(d *wire.Data) {
 		}
 		bk := buckets[ue.NextHop]
 		if bk == nil {
-			bk = &bucket{internal: o.cfg.Internal(ue.NextHop), bits: make([]uint64, len(d.Bits))}
+			bk = &bucket{to: o.eg.Toward(ue.NextHop), bits: make([]uint64, len(d.Bits))}
 			buckets[ue.NextHop] = bk
 			order = append(order, ue.NextHop)
 		}
@@ -408,14 +373,7 @@ func (o *overlay) forwardBits(d *wire.Data) {
 		bk := buckets[nh]
 		cp := *d
 		cp.Bits = trimBits(bk.bits)
-		if bk.internal {
-			o.mu.Lock()
-			o.stats.Relays++
-			o.mu.Unlock()
-			o.cfg.MIGP.RelayToBorder(nh, &cp)
-			continue
-		}
-		o.sendPeer(nh, &cp, BIERHeaderBytes(len(cp.Bits)))
+		o.hop(bk.to, &cp, BIERHeaderBytes(len(cp.Bits)))
 	}
 }
 
@@ -423,44 +381,22 @@ func (o *overlay) forwardBits(d *wire.Data) {
 // falling back to the §5.3 border-to-border encapsulation when interior
 // RPF rejects this entry point.
 func (o *overlay) injectLocal(d *wire.Data) {
-	cp := *d
-	cp.Bits, cp.TunnelTo, cp.Encap = nil, 0, false
-	if o.cfg.MIGP.Inject(&cp) {
-		return
+	if exp := o.eg.Inject(d); exp != 0 {
+		o.count(Stats{Encaps: 1})
+		o.eg.Encap(exp, d)
 	}
-	exp := o.cfg.MIGP.ExpectedEntry(d.Source)
-	if exp == 0 || exp == o.cfg.Router {
-		return
-	}
-	enc := cp
-	enc.Encap = true
-	o.mu.Lock()
-	o.stats.Encaps++
-	o.mu.Unlock()
-	if o.cfg.Obs != nil {
-		o.cfg.Obs.Emit(obs.Event{Kind: obs.DataEncap, Domain: o.cfg.Domain,
-			Router: o.cfg.Router, Peer: exp, Group: d.Group, Source: d.Source})
-	}
-	o.cfg.MIGP.RelayToBorder(exp, &enc)
 }
 
-// sendPeer emits one copy to an external peer, decrementing the TTL and
-// accounting the header cost of this hop.
-func (o *overlay) sendPeer(to wire.RouterID, d *wire.Data, headerBytes int) {
-	if d.TTL <= 1 {
-		return
+// hop moves one copy of d a unicast hop toward t: relayed as is through the
+// interior to a sibling border, or across the peering, which spends a TTL
+// and headerBytes of this backend's header.
+func (o *overlay) hop(t bgmp.Target, d *wire.Data, headerBytes int) {
+	if t.MIGP {
+		o.count(Stats{Relays: 1})
+		o.eg.Send(t, d)
+	} else if o.eg.ToPeer(t.Router, d) {
+		o.count(Stats{PeerSends: 1, HeaderBytes: uint64(headerBytes)})
 	}
-	cp := *d
-	cp.TTL--
-	o.mu.Lock()
-	o.stats.PeerSends++
-	o.stats.HeaderBytes += uint64(headerBytes)
-	o.mu.Unlock()
-	if o.cfg.Obs != nil {
-		o.cfg.Obs.Emit(obs.Event{Kind: obs.DataForwarded, Domain: o.cfg.Domain,
-			Router: o.cfg.Router, Peer: to, Group: d.Group, Source: d.Source})
-	}
-	o.cfg.SendPeer(to, &cp)
 }
 
 var (

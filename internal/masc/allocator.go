@@ -22,13 +22,6 @@ type Strategy struct {
 	// ClaimLifetime is the lifetime requested for new claims; the Fig 2
 	// simulation uses 30 days.
 	ClaimLifetime time.Duration
-	// RelaxedDoubling drops the post-double ≥TargetOccupancy test.
-	// Provider domains sizing space for their children use it: a parent
-	// that has filled 75 % of its single prefix could never pass the
-	// strict test (doubling halves utilization), so strict doubling
-	// would fragment parents into many small prefixes and defeat
-	// aggregation.
-	RelaxedDoubling bool
 }
 
 // DefaultStrategy returns the paper's parameters.
@@ -309,8 +302,7 @@ func (a *BlockAllocator) tryDouble(demand, n uint64) *Holding {
 			return nil
 		}
 		newSize := a.Capacity() + smallest.Prefix.Size()
-		if !a.strat.RelaxedDoubling &&
-			float64(demand) < a.strat.TargetOccupancy*float64(newSize) {
+		if float64(demand) < a.strat.TargetOccupancy*float64(newSize) {
 			return nil
 		}
 		d, ok := a.ledger.Double(smallest.Prefix)

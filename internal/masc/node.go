@@ -20,8 +20,6 @@ type NodeConfig struct {
 	Clock simclock.Clock
 	// Rand drives claim selection; must not be nil.
 	Rand *rand.Rand
-	// Strategy tunes claim sizing; zero value replaced by DefaultStrategy.
-	Strategy Strategy
 	// WaitPeriod is how long a claim listens for collisions before it is
 	// won — 48 hours in the paper, shortened in tests via the sim clock.
 	WaitPeriod time.Duration
@@ -116,9 +114,6 @@ type pendingClaim struct {
 // NewNode returns a Node. For top-level domains the claimable space is
 // 224/4; otherwise it is empty until the parent's RangeAdvert arrives.
 func NewNode(cfg NodeConfig) *Node {
-	if cfg.Strategy == (Strategy{}) {
-		cfg.Strategy = DefaultStrategy()
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = simclock.Real{}
 	}

@@ -45,10 +45,12 @@ func (sp *SpaceProvider) emit(kind obs.Kind, p addr.Prefix) {
 }
 
 // NewSpaceProvider returns a provider claiming from up. Children claim from
-// the provider's ChildLedger. Providers use relaxed doubling regardless of
-// strat.RelaxedDoubling (see Strategy).
+// the provider's ChildLedger. A provider doubles without BlockAllocator's
+// post-double ≥TargetOccupancy test: a parent that has filled 75 % of its
+// single prefix could never pass it (doubling halves utilization), so the
+// strict test would fragment parents into many small prefixes and defeat
+// aggregation.
 func NewSpaceProvider(strat Strategy, up *Ledger, rng *rand.Rand) *SpaceProvider {
-	strat.RelaxedDoubling = true
 	return &SpaceProvider{strat: strat, up: up, down: NewLedger(), rng: rng}
 }
 
