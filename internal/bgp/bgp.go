@@ -75,6 +75,9 @@ type Config struct {
 
 // Entry is a selected best route as exposed to lookups.
 type Entry struct {
+	// Route is the stored route, not a copy: Route.ASPath is read-only.
+	// (Stored routes are replaced whole, never written into; Table's
+	// snapshot copies.)
 	Route wire.Route
 	// NextHop is the peer to forward toward the route's origin; for
 	// locally originated routes it is the speaker's own router ID.
@@ -254,6 +257,8 @@ func (s *Speaker) HandleUpdate(from wire.RouterID, u *wire.Update) {
 
 // Lookup performs a longest-prefix-match in a table. ok is false when no
 // covering unexpired route exists.
+//
+//lint:hotpath
 func (s *Speaker) Lookup(table wire.Table, a addr.Addr) (Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -265,19 +270,22 @@ func (s *Speaker) Lookup(table wire.Table, a addr.Addr) (Entry, bool) {
 }
 
 // longestMatchLocked returns the selected route of the most specific
-// unexpired prefix of r covering a: the one scan behind Lookup and
+// unexpired prefix of r covering a: the one match behind Lookup and
 // LookupBackup, so a backup is always the runner-up of the very prefix the
-// primary matched. Caller holds s.mu.
-func (s *Speaker) longestMatchLocked(r *rib, a addr.Addr) (best selected, ok bool) {
-	for p, sel := range r.best {
-		if !p.Contains(a) || s.expired(sel.route) {
-			continue
+// primary matched. An expired more-specific falls through to the route
+// that covers it. Caller holds s.mu.
+func (s *Speaker) longestMatchLocked(r *rib, a addr.Addr) (selected, bool) {
+	for l := 32; l >= 0; {
+		sel, ok := r.covering(a, l)
+		if !ok {
+			break
 		}
-		if !ok || p.Len > best.route.Prefix.Len {
-			best, ok = sel, true
+		if !s.expired(sel.route) {
+			return sel, true
 		}
+		l = sel.route.Prefix.Len - 1
 	}
-	return best, ok
+	return selected{}, false
 }
 
 // LookupBackup longest-prefix-matches like Lookup, then returns the
@@ -286,6 +294,8 @@ func (s *Speaker) longestMatchLocked(r *rib, a addr.Addr) (best selected, ok boo
 // to precompute a backup parent target per (*,G) so a peer failure can
 // switch the tree over without waiting for the withdrawal to propagate.
 // ok is false when the best route has no independent alternative.
+//
+//lint:hotpath
 func (s *Speaker) LookupBackup(table wire.Table, a addr.Addr) (Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -324,6 +334,7 @@ func (s *Speaker) Table(table wire.Table) []Entry {
 		if s.expired(sel.route) {
 			continue
 		}
+		sel.route = sel.route.Clone()
 		out = append(out, s.entryOf(sel))
 	}
 	return out
@@ -365,7 +376,7 @@ func (s *Speaker) expired(rt wire.Route) bool {
 }
 
 func (s *Speaker) entryOf(sel selected) Entry {
-	e := Entry{Route: sel.route.Clone(), NextHop: sel.from, Local: sel.local}
+	e := Entry{Route: sel.route, NextHop: sel.from, Local: sel.local}
 	if sel.local {
 		e.NextHop = s.cfg.Router
 	}
@@ -470,10 +481,15 @@ func (s *Speaker) reselectLocked(changed []tablePrefix, ctx wire.TraceContext) (
 		if hadOld && hasNew && oldSel.equal(newSel) {
 			continue
 		}
-		if hasNew {
+		switch {
+		case hasNew:
 			r.best[tp.prefix] = newSel
-		} else {
+			if !hadOld {
+				r.lens[tp.prefix.Len]++
+			}
+		case hadOld:
 			delete(r.best, tp.prefix)
+			r.lens[tp.prefix.Len]--
 		}
 		notes = append(notes, note{tp.table, tp.prefix, !hasNew, ctx})
 		// Advertise or withdraw to each neighbor.
@@ -510,21 +526,16 @@ func (s *Speaker) reselectLocked(changed []tablePrefix, ctx wire.TraceContext) (
 // decide runs the decision process for one prefix: a local origination
 // wins; otherwise the shortest AS path, tie-broken by lowest advertising
 // router ID. Expired candidates are skipped, and so is the source of skip
-// when non-nil — passing the current best yields the runner-up.
+// when non-nil — passing the current best yields the runner-up. The minimum
+// is taken in one pass in map order: better is a total order whose last key,
+// from, is the map key, so the result does not depend on iteration order.
 func (s *Speaker) decide(r *rib, p addr.Prefix, skip *selected) (selected, bool) {
 	if rt, ok := r.local[p]; ok && !s.expired(rt) && !(skip != nil && skip.local) {
 		return selected{route: rt, local: true}, true
 	}
 	var best selected
 	found := false
-	peers := r.adjIn[p]
-	ids := make([]wire.RouterID, 0, len(peers))
-	for id := range peers {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		rt := peers[id]
+	for id, rt := range r.adjIn[p] {
 		if s.expired(rt) || (skip != nil && !skip.local && id == skip.from) {
 			continue
 		}
@@ -577,17 +588,21 @@ func (s *Speaker) exportable(n Neighbor, table wire.Table, sel selected) (wire.R
 // more-specific route externally (§4.3.2: "the border routers of the
 // parent domain need not propagate their children's group routes").
 func (s *Speaker) coveredByOwnOriginationLocked(table wire.Table, sel selected) bool {
-	r := s.tables[table]
+	r, q := s.tables[table], sel.route.Prefix
 	for p, rt := range r.local {
-		if p.Len < sel.route.Prefix.Len && p.ContainsPrefix(sel.route.Prefix) && !s.expired(rt) {
+		if p.Len < q.Len && p.ContainsPrefix(q) && !s.expired(rt) {
 			return true
 		}
 	}
-	for p, b := range r.best {
-		if wire.DomainID(b.route.Origin) == s.cfg.Domain &&
-			p.Len < sel.route.Prefix.Len && p.ContainsPrefix(sel.route.Prefix) && !s.expired(b.route) {
+	for l := q.Len - 1; l >= 0; {
+		b, ok := r.covering(q.Base, l)
+		if !ok {
+			break
+		}
+		if wire.DomainID(b.route.Origin) == s.cfg.Domain && !s.expired(b.route) {
 			return true
 		}
+		l = b.route.Prefix.Len - 1
 	}
 	return false
 }

@@ -13,22 +13,28 @@ import (
 func loadedSpeaker(n int) *Speaker {
 	s := New(Config{Router: 1, Domain: 1, AggregateCovered: true})
 	s.AddNeighbor(Neighbor{Router: 2, Domain: 2})
+	loadRoutes(s, wire.TableGRIB, 224, n)
+	return s
+}
+
+// loadRoutes teaches s n /24 routes under first.0.0.0/8 from peer 2.
+func loadRoutes(s *Speaker, table wire.Table, first byte, n int) {
 	routes := make([]wire.Route, 0, n)
 	for i := 0; i < n; i++ {
 		routes = append(routes, wire.Route{
-			Prefix: addr.Prefix{Base: addr.MakeAddr(224, byte(i/256), byte(i%256), 0), Len: 24}.Canonical(),
+			Prefix: addr.Prefix{Base: addr.MakeAddr(first, byte(i/256), byte(i%256), 0), Len: 24}.Canonical(),
 			ASPath: []wire.DomainID{2, 3},
 			Origin: 3,
 		})
 	}
-	s.HandleUpdate(2, &wire.Update{Table: wire.TableGRIB, Routes: routes})
-	return s
+	s.HandleUpdate(2, &wire.Update{Table: table, Routes: routes})
 }
 
 func BenchmarkGRIBLookup175(b *testing.B) {
 	s := loadedSpeaker(175) // the paper's steady-state G-RIB size
 	a := addr.MakeAddr(224, 0, 87, 9)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ok := s.Lookup(wire.TableGRIB, a); !ok {
 			b.Fatal("lookup missed")
@@ -40,6 +46,7 @@ func BenchmarkGRIBLookup5000(b *testing.B) {
 	s := loadedSpeaker(5000)
 	a := addr.MakeAddr(224, 7, 87, 9)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ok := s.Lookup(wire.TableGRIB, a); !ok {
 			b.Fatal("lookup missed")
@@ -47,8 +54,33 @@ func BenchmarkGRIBLookup5000(b *testing.B) {
 	}
 }
 
+// BenchmarkMRIBLookupMissThenUnicast is core's lookupSource for a source
+// whose domain has no incongruent multicast topology: the M-RIB holds
+// routes, none covers it, and the unicast table answers.
+func BenchmarkMRIBLookupMissThenUnicast(b *testing.B) {
+	s := loadedSpeaker(0)
+	loadRoutes(s, wire.TableMRIB, 11, 200)
+	loadRoutes(s, wire.TableUnicast, 10, 200)
+	a := addr.MakeAddr(10, 0, 87, 9)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := s.Lookup(wire.TableMRIB, a); ok {
+			b.Fatal("M-RIB lookup hit")
+		}
+		if _, ok := s.Lookup(wire.TableUnicast, a); !ok {
+			b.Fatal("unicast lookup missed")
+		}
+	}
+}
+
+// BenchmarkHandleUpdateChurn announces and withdraws one route under a
+// loaded table. Peer 3 is there so the route is exported: with the source
+// as the only neighbour, exportable stops at "never echo" and the §4.3.2
+// covering test is never timed.
 func BenchmarkHandleUpdateChurn(b *testing.B) {
 	s := loadedSpeaker(500)
+	s.AddNeighbor(Neighbor{Router: 3, Domain: 5})
 	up := &wire.Update{Table: wire.TableGRIB, Routes: []wire.Route{{
 		Prefix: addr.MustParsePrefix("239.1.0.0/16"),
 		ASPath: []wire.DomainID{2, 4},

@@ -15,6 +15,9 @@ type rib struct {
 	adjIn  map[addr.Prefix]map[wire.RouterID]wire.Route
 	best   map[addr.Prefix]selected
 	adjOut map[wire.RouterID]map[addr.Prefix]bool
+	// lens[l] counts the prefixes of length l in best: the read index.
+	// reselectLocked, the only writer of best, keeps it.
+	lens [33]uint32
 }
 
 func newRIB() *rib {
@@ -79,6 +82,22 @@ func (r *rib) adjOutAdd(id wire.RouterID, p addr.Prefix) {
 func (r *rib) adjOutHas(id wire.RouterID, p addr.Prefix) bool { return r.adjOut[id][p] }
 
 func (r *rib) adjOutRemove(id wire.RouterID, p addr.Prefix) { delete(r.adjOut[id], p) }
+
+// covering returns the selected route of the longest prefix of best, no
+// longer than maxLen, that contains a — expired or not: the caller judges
+// it and resumes below its length. It probes the populated lengths only
+// (one to three per table for MASC ranges and M-RIB prefixes).
+func (r *rib) covering(a addr.Addr, maxLen int) (selected, bool) {
+	for l := maxLen; l >= 0; l-- {
+		if r.lens[l] == 0 {
+			continue
+		}
+		if sel, ok := r.best[addr.Prefix{Base: a, Len: l}.Canonical()]; ok {
+			return sel, true
+		}
+	}
+	return selected{}, false
+}
 
 // sortedPrefixes returns the best-route prefixes in deterministic order.
 func (r *rib) sortedPrefixes() []addr.Prefix {

@@ -217,25 +217,23 @@ func (d *Domain) onRangeLost(p addr.Prefix) {
 // the router whose table lookup resolves locally or to an external peer.
 // Group addresses consult the G-RIB; unicast sources the M-RIB then the
 // unicast table.
+//
+//lint:hotpath
 func (d *Domain) bestExit(a addr.Addr) wire.RouterID {
-	tables := []wire.Table{wire.TableUnicast}
 	if a.IsMulticast() {
-		tables = []wire.Table{wire.TableGRIB}
-	} else {
-		tables = []wire.Table{wire.TableMRIB, wire.TableUnicast}
+		return d.exitVia(wire.TableGRIB, a)
 	}
-	d.mu.Lock()
-	routers := append([]*Router(nil), d.routers...)
-	d.mu.Unlock()
-	for _, table := range tables {
-		for _, r := range routers {
-			e, ok := r.bgp.Lookup(table, a)
-			if !ok {
-				continue
-			}
-			if e.Local || !r.isInternal(e.NextHop) {
-				return r.ID
-			}
+	if id := d.exitVia(wire.TableMRIB, a); id != 0 {
+		return id
+	}
+	return d.exitVia(wire.TableUnicast, a)
+}
+
+// exitVia is bestExit in one table; 0 when no border router has an exit.
+func (d *Domain) exitVia(table wire.Table, a addr.Addr) wire.RouterID {
+	for _, r := range d.routers {
+		if e, ok := r.bgp.Lookup(table, a); ok && (e.Local || !r.isInternal(e.NextHop)) {
+			return r.ID
 		}
 	}
 	return 0
