@@ -1,6 +1,8 @@
 package bgmp
 
 import (
+	"slices"
+
 	"mascbgmp/internal/addr"
 	"mascbgmp/internal/obs"
 	"mascbgmp/internal/wire"
@@ -145,17 +147,25 @@ func (c *Component) handleData(from Target, d *wire.Data) {
 			delete(c.encapFrom, k)
 		}
 	}
+	// The bidirectional rule: every target of the entry except the one the
+	// packet came from. targets is the entry's cached list, replaced and
+	// never edited on a join or prune, so it is read here without a copy.
 	var targets []Target
+	fk, fanOut := from.key(), 0
 	if e != nil && !(isSG && e.sharedClone && len(e.children) == 0) {
 		// An empty shared-clone (S,G) entry is a negative cache: S's
 		// packets stop here (every downstream pruned; the upstream was
 		// pruned too).
-		targets = e.forwardTargets(from)
+		targets = e.targets()
+		fanOut = len(targets)
+		if slices.Contains(targets, fk) {
+			fanOut--
+		}
 	}
 	c.mu.Unlock()
 
 	// Per-packet forwarding work: how many copies this router fans out.
-	c.cfg.Obs.Histogram(obs.HistForwardWork, c.cfg.Domain, c.cfg.Router).Observe(uint64(len(targets)))
+	c.cfg.Obs.Histogram(obs.HistForwardWork, c.cfg.Domain, c.cfg.Router).Observe(uint64(fanOut))
 
 	if hadEncap {
 		c.eg.Send(MIGPToward(encapFrom), &wire.SourcePrune{Group: d.Group, Source: d.Source})
@@ -166,7 +176,9 @@ func (c *Component) handleData(from Target, d *wire.Data) {
 		return
 	}
 	for _, t := range targets {
-		c.forwardTo(t, d)
+		if t != fk {
+			c.forwardTo(t, d)
+		}
 	}
 }
 

@@ -147,19 +147,6 @@ func (e *entry) targets() []Target {
 	return out
 }
 
-// forwardTargets returns every target except `from` (bidirectional rule).
-func (e *entry) forwardTargets(from Target) []Target {
-	fk := from.key()
-	ts := e.targets()
-	out := make([]Target, 0, len(ts))
-	for _, t := range ts {
-		if t != fk {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // clone copies the entry into (S,G) shared-tree state (used when source-
 // specific state is instantiated from the (*,G) entry, per §5.3).
 func (e *entry) clone() *entry {

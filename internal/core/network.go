@@ -144,6 +144,11 @@ type Network struct {
 	routers  map[wire.RouterID]*Router // guarded by mu
 	links    []link                    // guarded by mu
 	sessions []*session                // guarded by mu
+
+	frameMu sync.Mutex
+	// frame is the encode buffer every function-call hop reuses.
+	// guarded by frameMu
+	frame []byte
 }
 
 type link struct {
@@ -333,11 +338,21 @@ func (n *Network) mascDeliver(from, to wire.DomainID, msg wire.Message) {
 	if target == nil {
 		return
 	}
-	decoded, err := wire.Decode(wire.Encode(msg))
+	decoded, err := n.roundTrip(msg)
 	if err != nil {
 		return
 	}
 	target.masc.HandleMessage(from, decoded)
+}
+
+// roundTrip returns msg as its receiver decodes it off the wire. wire.Decode
+// copies everything out of the frame, so the one buffer is free again before
+// the receiver runs and sends in turn.
+func (n *Network) roundTrip(msg wire.Message) (wire.Message, error) {
+	n.frameMu.Lock()
+	defer n.frameMu.Unlock()
+	n.frame = wire.AppendFrame(n.frame[:0], msg)
+	return wire.Decode(n.frame)
 }
 
 // Quiesce blocks until every in-flight asynchronous message — including

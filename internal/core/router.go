@@ -50,7 +50,7 @@ type directSender struct {
 }
 
 func (d directSender) Send(msg wire.Message) error {
-	decoded, err := wire.Decode(wire.Encode(msg))
+	decoded, err := d.to.domain.net.roundTrip(msg)
 	if err != nil {
 		return err
 	}

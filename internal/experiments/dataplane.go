@@ -105,10 +105,20 @@ func RunDataPlane(cfg ChurnConfig) DataPlaneResult {
 		}
 	}
 
+	// Shortest-path distances from a sender, the stretch denominators
+	// shared by every backend: one search per source domain for the trial.
+	// Nearly every domain sends, so the rows are kept narrow.
+	fromSrc := make([][]int32, st.g.NumDomains())
 	st.forward(cfg.SendsPerGroup, 0, func(gr *modelGroup, src topology.DomainID) {
-		// Shortest-path distances from this sender, the stretch
-		// denominators shared by every backend.
-		sd, _ := st.g.BFS(src)
+		sd := fromSrc[src]
+		if sd == nil {
+			dist, _ := st.g.BFS(src)
+			sd = make([]int32, len(dist))
+			for i, d := range dist {
+				sd[i] = int32(d)
+			}
+			fromSrc[src] = sd
+		}
 
 		for i, name := range names {
 			shared := name == dataplane.SharedTreeName

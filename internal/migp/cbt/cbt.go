@@ -10,31 +10,17 @@
 package cbt
 
 import (
-	"sync"
-
 	"mascbgmp/internal/addr"
 	"mascbgmp/internal/migp"
 	"mascbgmp/internal/topology"
 )
 
-// Protocol is a CBT instance for one domain. Safe for concurrent use.
-type Protocol struct {
-	mu sync.Mutex
-	// trees caches the BFS tree rooted at each group's core.
-	// guarded by mu
-	trees map[addr.Addr]*coreTree
-}
-
-type coreTree struct {
-	core   migp.Node
-	dist   []int
-	parent []migp.Node
-}
+// Protocol is a CBT instance for one domain. It keeps no state of its own:
+// the core-rooted tree is a row of the fabric's migp.Paths.
+type Protocol struct{}
 
 // New returns a CBT instance.
-func New() *Protocol {
-	return &Protocol{trees: map[addr.Addr]*coreTree{}}
-}
+func New() *Protocol { return &Protocol{} }
 
 // Name implements migp.Protocol.
 func (*Protocol) Name() string { return "CBT" }
@@ -52,28 +38,11 @@ func (p *Protocol) Core(g *topology.Graph, group addr.Addr) migp.Node {
 // bidirectional tree path between entry and member — through their lowest
 // common ancestor on the core-rooted tree, not necessarily through the
 // core itself.
-func (p *Protocol) Deliver(g *topology.Graph, entry migp.Node, source, group addr.Addr, members []migp.Node) map[migp.Node]int {
-	t := p.tree(g, group)
-	out := make(map[migp.Node]int, len(members))
-	for _, m := range members {
-		if h := migp.TreePath(t.dist, t.parent, entry, m); h >= 0 {
-			out[m] = h
-		}
+func (p *Protocol) Deliver(paths *migp.Paths, entry migp.Node, source, group addr.Addr, members []migp.Node, hops []int) {
+	dist, parent := paths.From(migp.HashGroup(group, paths.Nodes()))
+	for i, m := range members {
+		hops[i] = migp.TreePath(dist, parent, entry, m)
 	}
-	return out
-}
-
-func (p *Protocol) tree(g *topology.Graph, group addr.Addr) *coreTree {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if t, ok := p.trees[group]; ok {
-		return t
-	}
-	core := migp.HashGroup(group, g.NumDomains())
-	dist, parent := g.BFS(core)
-	t := &coreTree{core: core, dist: dist, parent: parent}
-	p.trees[group] = t
-	return t
 }
 
 var _ migp.Protocol = (*Protocol)(nil)

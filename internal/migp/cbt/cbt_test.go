@@ -21,6 +21,14 @@ func star(leaves int) *topology.Graph {
 	return g
 }
 
+// hopsTo runs one Deliver over a fresh paths provider and returns the hop
+// count per member, in the order given (which must be ascending).
+func hopsTo(p *Protocol, g *topology.Graph, entry migp.Node, s, group addr.Addr, members ...migp.Node) []int {
+	hops := make([]int, len(members))
+	p.Deliver(migp.NewPaths(g), entry, s, group, members, hops)
+	return hops
+}
+
 func TestCoreStablePerGroup(t *testing.T) {
 	g := star(6)
 	p := New()
@@ -34,10 +42,11 @@ func TestBidirectionalNoCoreDetour(t *testing.T) {
 	// where the core landed — the bidirectional property.
 	g := star(6)
 	p := New()
-	got := p.Deliver(g, 1, src, grp, []migp.Node{2, 3})
-	for m, h := range got {
+	members := []migp.Node{2, 3}
+	for i, h := range hopsTo(p, g, 1, src, grp, members...) {
+		m := members[i]
 		want := 2
-		if int(p.Core(g, grp)) == 1 || migp.Node(m) == p.Core(g, grp) {
+		if int(p.Core(g, grp)) == 1 || m == p.Core(g, grp) {
 			// entry or member at the hub side can shorten it
 			if h > 2 {
 				t.Fatalf("hops[%v] = %d", m, h)
@@ -53,9 +62,11 @@ func TestBidirectionalNoCoreDetour(t *testing.T) {
 func TestTreeCachedAcrossPackets(t *testing.T) {
 	g := star(6)
 	p := New()
-	a := p.Deliver(g, 1, src, grp, []migp.Node{3})
-	b := p.Deliver(g, 1, src, grp, []migp.Node{3})
-	if a[3] != b[3] {
+	paths := migp.NewPaths(g)
+	var a, b [1]int
+	p.Deliver(paths, 1, src, grp, []migp.Node{3}, a[:])
+	p.Deliver(paths, 1, src, grp, []migp.Node{3}, b[:])
+	if a != b {
 		t.Fatal("tree must be stable across packets")
 	}
 }
@@ -79,13 +90,14 @@ func TestNonStrictRPF(t *testing.T) {
 }
 
 func BenchmarkDeliverCached(b *testing.B) {
-	g := topology.ASGraph(100, 20, 1)
+	paths := migp.NewPaths(topology.ASGraph(100, 20, 1))
 	p := New()
 	members := []migp.Node{3, 17, 42, 77, 99}
-	p.Deliver(g, 0, src, grp, members) // warm the tree cache
+	hops := make([]int, len(members))
+	p.Deliver(paths, 0, src, grp, members, hops) // warm the core's row
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Deliver(g, 0, src, grp, members)
+		p.Deliver(paths, 0, src, grp, members, hops)
 	}
 }

@@ -14,7 +14,6 @@ import (
 
 	"mascbgmp/internal/addr"
 	"mascbgmp/internal/migp"
-	"mascbgmp/internal/topology"
 )
 
 // Protocol is a DVMRP instance for one domain. Safe for concurrent use.
@@ -49,23 +48,15 @@ func (*Protocol) StrictRPF() bool { return true }
 // floods the entire domain (every node pays the shortest-path cost from the
 // entry); subsequent packets reach members only, along the same
 // reverse-shortest-path branches.
-func (p *Protocol) Deliver(g *topology.Graph, entry migp.Node, source, group addr.Addr, members []migp.Node) map[migp.Node]int {
-	dist, _ := g.BFS(entry)
+func (p *Protocol) Deliver(paths *migp.Paths, entry migp.Node, source, group addr.Addr, members []migp.Node, hops []int) {
 	k := key{source, group}
 	p.mu.Lock()
-	first := !p.pruned[k]
-	if first {
+	if !p.pruned[k] {
 		p.pruned[k] = true
 		p.floods++
 	}
 	p.mu.Unlock()
-	out := make(map[migp.Node]int, len(members))
-	for _, m := range members {
-		if dist[m] >= 0 {
-			out[m] = dist[m]
-		}
-	}
-	return out
+	migp.ShortestHops(paths, entry, members, hops)
 }
 
 // Graft clears prune state for a (source, group), as a DVMRP Graft after a

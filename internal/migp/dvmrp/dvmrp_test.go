@@ -1,6 +1,7 @@
 package dvmrp
 
 import (
+	"slices"
 	"testing"
 
 	"mascbgmp/internal/addr"
@@ -21,15 +22,20 @@ func line(n int) *topology.Graph {
 	return g
 }
 
+// hopsTo runs one Deliver over a fresh paths provider and returns the hop
+// count per member, in the order given (which must be ascending).
+func hopsTo(p *Protocol, g *topology.Graph, entry migp.Node, s, group addr.Addr, members ...migp.Node) []int {
+	hops := make([]int, len(members))
+	p.Deliver(migp.NewPaths(g), entry, s, group, members, hops)
+	return hops
+}
+
 func TestReverseShortestPathDelivery(t *testing.T) {
 	g := line(6)
 	p := New()
-	got := p.Deliver(g, 0, src, grp, []migp.Node{1, 3, 5})
-	want := map[migp.Node]int{1: 1, 3: 3, 5: 5}
-	for m, h := range want {
-		if got[m] != h {
-			t.Errorf("hops[%v] = %d, want %d", m, got[m], h)
-		}
+	got := hopsTo(p, g, 0, src, grp, 1, 3, 5)
+	if want := []int{1, 3, 5}; !slices.Equal(got, want) {
+		t.Errorf("hops = %v, want %v", got, want)
 	}
 }
 
@@ -37,11 +43,11 @@ func TestUnreachableMemberOmitted(t *testing.T) {
 	g := topology.New(3)
 	g.AddLink(0, 1) // node 2 isolated
 	p := New()
-	got := p.Deliver(g, 0, src, grp, []migp.Node{1, 2})
-	if _, ok := got[2]; ok {
+	got := hopsTo(p, g, 0, src, grp, 1, 2)
+	if got[1] >= 0 {
 		t.Fatal("unreachable member delivered")
 	}
-	if got[1] != 1 {
+	if got[0] != 1 {
 		t.Fatal("reachable member missed")
 	}
 }
@@ -49,10 +55,10 @@ func TestUnreachableMemberOmitted(t *testing.T) {
 func TestFloodAccountingPerSourceGroup(t *testing.T) {
 	g := line(4)
 	p := New()
-	p.Deliver(g, 0, src, grp, nil)
-	p.Deliver(g, 0, src, grp, nil)
+	hopsTo(p, g, 0, src, grp)
+	hopsTo(p, g, 0, src, grp)
 	other := addr.MakeAddr(224, 2, 2, 2)
-	p.Deliver(g, 0, src, other, nil)
+	hopsTo(p, g, 0, src, other)
 	if p.Floods() != 2 {
 		t.Fatalf("floods = %d, want 2 (one per (S,G))", p.Floods())
 	}
@@ -73,11 +79,12 @@ func TestStrictRPFContract(t *testing.T) {
 }
 
 func BenchmarkDeliver(b *testing.B) {
-	g := topology.ASGraph(100, 20, 1)
+	paths := migp.NewPaths(topology.ASGraph(100, 20, 1))
 	p := New()
 	members := []migp.Node{3, 17, 42, 77, 99}
+	hops := make([]int, len(members))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p.Deliver(g, 0, src, grp, members)
+		p.Deliver(paths, 0, src, grp, members, hops)
 	}
 }

@@ -1,8 +1,9 @@
 package migp
 
 import (
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"mascbgmp/internal/addr"
 	"mascbgmp/internal/bgmp"
@@ -34,6 +35,11 @@ type FabricConfig struct {
 	// address (a G-RIB lookup for groups, M-RIB/unicast for sources);
 	// zero when unknown. Interior joins are reported to the group's best
 	// exit router — the Domain Wide Report role in DVMRP (§5).
+	//
+	// Contract: the result is zero or a router attached to this fabric.
+	// Inject relies on it: with a single border attached the §5.3 RPF
+	// check could only compare that border with itself, so the lookup is
+	// not made at all.
 	BestExit func(a addr.Addr) wire.RouterID
 	// OnHostDeliver, if set, observes every member delivery (for tests
 	// and example programs).
@@ -64,25 +70,47 @@ type Border interface {
 
 // Fabric is one domain's interior: the glue between its border routers'
 // forwarding planes and the interior protocol. Safe for concurrent use.
+//
+// What a packet needs — the group's member nodes in ascending order, the
+// borders in router order, interior distances — is kept current where it
+// changes (HostJoin/HostLeave, AttachBorder/SetComponent, never), so
+// deliver only reads it.
 type Fabric struct {
 	cfg FabricConfig
+	// strict is cfg.Protocol.StrictRPF(), a constant of the protocol.
+	strict bool
+	// multiBorder reports more than one attached border: only then can a
+	// packet enter at the wrong one (see FabricConfig.BestExit).
+	multiBorder atomic.Bool
 
 	mu sync.Mutex
-	// borders maps border router IDs to their interior attachment node.
-	// guarded by mu
-	borders map[wire.RouterID]Node
+	// borders lists the attached border routers in ascending order, the
+	// order they are handed a packet in. guarded by mu
+	borders []wire.RouterID
 	// comps holds the forwarding plane of each border router.
 	// guarded by mu
 	comps map[wire.RouterID]Border
-	// members tracks interior host membership per group, by node.
+	// members tracks interior host membership per group.
 	// guarded by mu
-	members map[addr.Addr]map[Node]int
+	members map[addr.Addr]memberSet
 	// borderJoined tracks which border routers joined a group via BGMP.
 	// guarded by mu
 	borderJoined map[addr.Addr]map[wire.RouterID]bool
+	// paths serves the interior protocol's distance rows. guarded by mu
+	paths *Paths
+	// hops is the per-packet scratch Protocol.Deliver fills. guarded by mu
+	hops []int
 
 	// stats accumulates data-plane counters. guarded by mu
 	stats DeliveryStats
+}
+
+// memberSet is one group's interior membership: the member nodes ascending
+// and, beside them, the number of hosts joined at each. nodes is replaced,
+// never edited, when the set changes — deliver reads it after unlocking.
+type memberSet struct {
+	nodes  []Node
+	counts []int
 }
 
 // Stats returns a snapshot of the fabric's data-plane counters.
@@ -93,14 +121,15 @@ func (f *Fabric) Stats() DeliveryStats {
 }
 
 // NewFabric returns an empty fabric; attach border routers with
-// AttachBorder.
+// AttachBorder. cfg.Graph must not change afterwards.
 func NewFabric(cfg FabricConfig) *Fabric {
 	return &Fabric{
 		cfg:          cfg,
-		borders:      map[wire.RouterID]Node{},
+		strict:       cfg.Protocol.StrictRPF(),
 		comps:        map[wire.RouterID]Border{},
-		members:      map[addr.Addr]map[Node]int{},
+		members:      map[addr.Addr]memberSet{},
 		borderJoined: map[addr.Addr]map[wire.RouterID]bool{},
+		paths:        NewPaths(cfg.Graph),
 	}
 }
 
@@ -110,8 +139,11 @@ func NewFabric(cfg FabricConfig) *Fabric {
 func (f *Fabric) AttachBorder(r wire.RouterID, at Node) bgmp.MIGP {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.borders[r] = at
-	return &borderAdapter{fabric: f, router: r}
+	if i, found := slices.BinarySearch(f.borders, r); !found {
+		f.borders = slices.Insert(f.borders, i, r)
+		f.multiBorder.Store(len(f.borders) > 1)
+	}
+	return &borderAdapter{fabric: f, router: r, at: at}
 }
 
 // SetComponent binds the forwarding plane of a previously attached border.
@@ -126,15 +158,18 @@ func (f *Fabric) SetComponent(r wire.RouterID, c Border) {
 // DVMRP Domain Wide Report / PIM join toward the exit would (§5).
 func (f *Fabric) HostJoin(g addr.Addr, at Node) {
 	f.mu.Lock()
-	m := f.members[g]
-	if m == nil {
-		m = map[Node]int{}
-		f.members[g] = m
+	ms := f.members[g]
+	i, found := slices.BinarySearch(ms.nodes, at)
+	if found {
+		ms.counts[i]++
+	} else {
+		nodes := make([]Node, 0, len(ms.nodes)+1)
+		ms.nodes = append(append(append(nodes, ms.nodes[:i]...), at), ms.nodes[i:]...)
+		ms.counts = slices.Insert(ms.counts, i, 1)
+		f.members[g] = ms
 	}
-	m[at]++
-	first := len(m) == 1 && m[at] == 1
 	var exit Border
-	if first && f.cfg.BestExit != nil {
+	if first := !found && len(ms.nodes) == 1; first && f.cfg.BestExit != nil {
 		if r := f.cfg.BestExit(g); r != 0 {
 			exit = f.comps[r]
 		}
@@ -149,16 +184,19 @@ func (f *Fabric) HostJoin(g addr.Addr, at Node) {
 // LocalLeave at the best exit router.
 func (f *Fabric) HostLeave(g addr.Addr, at Node) {
 	f.mu.Lock()
-	m := f.members[g]
-	if m == nil {
+	ms := f.members[g]
+	i, found := slices.BinarySearch(ms.nodes, at)
+	if !found {
 		f.mu.Unlock()
 		return
 	}
-	m[at]--
-	if m[at] <= 0 {
-		delete(m, at)
+	if ms.counts[i]--; ms.counts[i] == 0 {
+		nodes := make([]Node, 0, len(ms.nodes)-1)
+		ms.nodes = append(append(nodes, ms.nodes[:i]...), ms.nodes[i+1:]...)
+		ms.counts = slices.Delete(ms.counts, i, i+1)
+		f.members[g] = ms
 	}
-	empty := len(m) == 0
+	empty := len(ms.nodes) == 0
 	if empty {
 		delete(f.members, g)
 	}
@@ -183,69 +221,66 @@ func (f *Fabric) SendFromHost(at Node, d *wire.Data) {
 	f.deliver(at, 0, d)
 }
 
-// MemberNodes returns the interior nodes with members of g.
+// MemberNodes returns the interior nodes with members of g, ascending.
 func (f *Fabric) MemberNodes(g addr.Addr) []Node {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return sortedNodeSet(f.members[g])
-}
-
-// sortedNodeSet flattens a node set into an ascending slice; delivery and
-// callback order must not depend on map iteration.
-func sortedNodeSet(set map[Node]int) []Node {
-	out := make([]Node, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Clone(f.members[g].nodes)
 }
 
 // deliver distributes a packet within the domain from an entry node.
 // fromBorder is nonzero when the packet entered through that border router.
 func (f *Fabric) deliver(entry Node, fromBorder wire.RouterID, d *wire.Data) {
 	f.mu.Lock()
-	memberNodes := sortedNodeSet(f.members[d.Group])
-	hops := f.cfg.Protocol.Deliver(f.cfg.Graph, entry, d.Source, d.Group, memberNodes)
+	members := f.members[d.Group].nodes
+	if cap(f.hops) < len(members) {
+		f.hops = make([]int, len(members))
+	}
+	hops := f.hops[:len(members)]
+	f.cfg.Protocol.Deliver(f.paths, entry, d.Source, d.Group, members, hops)
 	f.stats.Injected++
+	reached := 0
 	for _, h := range hops {
-		f.stats.HostDeliveries++
-		f.stats.InteriorHops += h
+		if h >= 0 {
+			reached++
+			f.stats.InteriorHops += h
+		}
+	}
+	f.stats.HostDeliveries += reached
+	delivered := members
+	if reached < len(members) {
+		// A partitioned interior: only the reachable members are told.
+		delivered = make([]Node, 0, reached)
+		for i, m := range members {
+			if hops[i] >= 0 {
+				delivered = append(delivered, m)
+			}
+		}
 	}
 	// Border routers that joined the group (or that must see interior-
 	// origin traffic to forward it off-domain) receive the packet too.
-	handoffs := make([]Border, 0, len(f.comps))
-	routers := make([]wire.RouterID, 0, len(f.comps))
-	for r := range f.comps {
-		routers = append(routers, r)
-	}
-	sort.Slice(routers, func(i, j int) bool { return routers[i] < routers[j] })
-	for _, r := range routers {
-		comp := f.comps[r]
-		if r == fromBorder || comp == nil {
+	// Interior-origin packets (fromBorder == 0) reach every border —
+	// DVMRP floods them; stateless borders drop or forward toward the
+	// root per BGMP's rules. Border-entered packets reach the borders
+	// with interest: explicit joins or (*,G)/shared-tree state ("Since
+	// the border routers A2, A3, and A4 are on the shared tree for the
+	// group, they each forward the data packets they receive", §5.2) —
+	// the others are pruned.
+	var few [4]Border // on the stack: a domain rarely has more borders
+	handoffs := few[:0]
+	joined := f.borderJoined[d.Group]
+	for _, r := range f.borders {
+		if r == fromBorder {
 			continue
 		}
-		// Interior-origin packets (fromBorder == 0) reach every border —
-		// DVMRP floods them; stateless borders drop or forward toward
-		// the root per BGMP's rules. Border-entered packets reach the
-		// borders with interest: explicit joins or (*,G)/shared-tree
-		// state ("Since the border routers A2, A3, and A4 are on the
-		// shared tree for the group, they each forward the data packets
-		// they receive", §5.2) — the others are pruned.
-		joined := f.borderJoined[d.Group][r] || comp.HasForwardingState(d.Group)
-		if joined || fromBorder == 0 {
+		comp := f.comps[r]
+		if comp != nil && (fromBorder == 0 || joined[r] || comp.HasForwardingState(d.Group)) {
 			handoffs = append(handoffs, comp)
 		}
 	}
-	onDeliver := f.cfg.OnHostDeliver
 	f.mu.Unlock()
 
-	if onDeliver != nil {
-		delivered := make([]Node, 0, len(hops))
-		for n := range hops {
-			delivered = append(delivered, n)
-		}
-		sort.Slice(delivered, func(i, j int) bool { return delivered[i] < delivered[j] })
+	if onDeliver := f.cfg.OnHostDeliver; onDeliver != nil {
 		for _, n := range delivered {
 			onDeliver(n, d)
 		}
@@ -259,6 +294,7 @@ func (f *Fabric) deliver(entry Node, fromBorder wire.RouterID, d *wire.Data) {
 type borderAdapter struct {
 	fabric *Fabric
 	router wire.RouterID
+	at     Node
 }
 
 // JoinGroup implements bgmp.MIGP.
@@ -298,17 +334,12 @@ func (b *borderAdapter) RelayToBorder(to wire.RouterID, msg wire.Message) {
 }
 
 // Inject implements bgmp.MIGP: deliver a packet entering at this border,
-// enforcing the protocol's RPF discipline.
+// enforcing the protocol's RPF discipline. The M-RIB lookup behind it is
+// made only when the fabric has a second border the packet could have been
+// expected at.
 func (b *borderAdapter) Inject(d *wire.Data) bool {
 	f := b.fabric
-	f.mu.Lock()
-	entry, ok := f.borders[b.router]
-	strict := f.cfg.Protocol.StrictRPF()
-	f.mu.Unlock()
-	if !ok {
-		return false
-	}
-	if strict {
+	if f.strict && f.multiBorder.Load() {
 		if exp := b.ExpectedEntry(d.Source); exp != 0 && exp != b.router {
 			f.mu.Lock()
 			f.stats.RPFDrops++
@@ -316,7 +347,7 @@ func (b *borderAdapter) Inject(d *wire.Data) bool {
 			return false
 		}
 	}
-	f.deliver(entry, b.router, d)
+	f.deliver(b.at, b.router, d)
 	return true
 }
 

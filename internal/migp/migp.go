@@ -29,13 +29,59 @@ type Protocol interface {
 	// StrictRPF reports whether a packet that enters the domain at a
 	// border router other than the reverse-path one toward its source is
 	// dropped by interior routers — the property that forces BGMP's
-	// encapsulation and source-specific branches (§5.3).
+	// encapsulation and source-specific branches (§5.3). It is a constant
+	// of the implementation; the fabric reads it once.
 	StrictRPF() bool
-	// Deliver computes the interior hop count from the entry node to
-	// each member node for one packet, updating any protocol state
-	// (prunes, tree joins). Members unreachable in the interior graph
-	// are omitted.
-	Deliver(g *topology.Graph, entry Node, source addr.Addr, group addr.Addr, members []Node) map[Node]int
+	// Deliver sets hops[i] to the interior hop count from the entry node
+	// to members[i] for one packet, -1 when the member is unreachable in
+	// the interior graph, updating any protocol state (prunes, tree
+	// joins). members is ascending and read-only; hops has the same
+	// length. All interior distances come from paths — a protocol never
+	// searches the graph itself.
+	Deliver(paths *Paths, entry Node, source addr.Addr, group addr.Addr, members []Node, hops []int)
+}
+
+// Paths is the one provider of interior shortest-path rows: the BFS
+// distances and parents from a node, computed on first use and kept for the
+// life of the graph, which must not change once a Paths is built over it.
+// A Paths is not safe for concurrent use; a Fabric guards its own with
+// Fabric.mu and hands it to Protocol.Deliver inside that critical section.
+type Paths struct {
+	g    *topology.Graph
+	rows []pathRow // indexed by root node; zero until first asked for
+}
+
+type pathRow struct {
+	dist   []int
+	parent []Node
+}
+
+// NewPaths returns an empty provider over g.
+func NewPaths(g *topology.Graph) *Paths {
+	return &Paths{g: g, rows: make([]pathRow, g.NumDomains())}
+}
+
+// Nodes returns the number of interior nodes.
+func (p *Paths) Nodes() int { return len(p.rows) }
+
+// From returns the hop distances and BFS parents from root, as
+// topology.Graph.BFS defines them. The rows are shared: read-only.
+func (p *Paths) From(root Node) (dist []int, parent []Node) {
+	r := &p.rows[root]
+	if r.dist == nil {
+		r.dist, r.parent = p.g.BFS(root)
+	}
+	return r.dist, r.parent
+}
+
+// ShortestHops fills hops with the shortest-path distance from entry to
+// each member: the delivery cost of the protocols that forward along
+// source-rooted shortest-path trees (DVMRP, PIM-DM, MOSPF).
+func ShortestHops(paths *Paths, entry Node, members []Node, hops []int) {
+	dist, _ := paths.From(entry)
+	for i, m := range members {
+		hops[i] = dist[m]
+	}
 }
 
 // HashGroup maps a group to an interior node, the standard "hash the group

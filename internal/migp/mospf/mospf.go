@@ -9,12 +9,11 @@
 package mospf
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"mascbgmp/internal/addr"
 	"mascbgmp/internal/migp"
-	"mascbgmp/internal/topology"
 )
 
 // Protocol is an MOSPF instance for one domain. Safe for concurrent use.
@@ -23,12 +22,12 @@ type Protocol struct {
 	// memberLSAs counts membership-change floods: one per distinct
 	// member set observed per group. guarded by mu
 	memberLSAs int
-	lastSet    map[addr.Addr]string // guarded by mu
+	lastSet    map[addr.Addr][]migp.Node // guarded by mu
 }
 
 // New returns an MOSPF instance.
 func New() *Protocol {
-	return &Protocol{lastSet: map[addr.Addr]string{}}
+	return &Protocol{lastSet: map[addr.Addr][]migp.Node{}}
 }
 
 // Name implements migp.Protocol.
@@ -39,16 +38,9 @@ func (*Protocol) Name() string { return "MOSPF" }
 func (*Protocol) StrictRPF() bool { return true }
 
 // Deliver implements migp.Protocol: exact shortest paths from the entry.
-func (p *Protocol) Deliver(g *topology.Graph, entry migp.Node, source, group addr.Addr, members []migp.Node) map[migp.Node]int {
+func (p *Protocol) Deliver(paths *migp.Paths, entry migp.Node, source, group addr.Addr, members []migp.Node, hops []int) {
 	p.noteMembership(group, members)
-	dist, _ := g.BFS(entry)
-	out := make(map[migp.Node]int, len(members))
-	for _, m := range members {
-		if dist[m] >= 0 {
-			out[m] = dist[m]
-		}
-	}
-	return out
+	migp.ShortestHops(paths, entry, members, hops)
 }
 
 // MembershipFloods returns how many domain-wide membership LSA floods have
@@ -59,17 +51,13 @@ func (p *Protocol) MembershipFloods() int {
 	return p.memberLSAs
 }
 
+// noteMembership counts a flood when the (ascending) member list differs
+// from the one last seen for the group; an unchanged list costs a compare.
 func (p *Protocol) noteMembership(group addr.Addr, members []migp.Node) {
-	sorted := append([]migp.Node(nil), members...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	sig := make([]byte, 0, len(sorted)*4)
-	for _, n := range sorted {
-		sig = append(sig, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.lastSet[group] != string(sig) {
-		p.lastSet[group] = string(sig)
+	if last := p.lastSet[group]; !slices.Equal(last, members) {
+		p.lastSet[group] = append(last[:0], members...)
 		p.memberLSAs++
 	}
 }

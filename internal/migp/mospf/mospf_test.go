@@ -21,11 +21,19 @@ func line(n int) *topology.Graph {
 	return g
 }
 
+// hopsTo runs one Deliver over a fresh paths provider and returns the hop
+// count per member, in the order given (which must be ascending).
+func hopsTo(p *Protocol, g *topology.Graph, entry migp.Node, s, group addr.Addr, members ...migp.Node) []int {
+	hops := make([]int, len(members))
+	p.Deliver(migp.NewPaths(g), entry, s, group, members, hops)
+	return hops
+}
+
 func TestExactShortestPaths(t *testing.T) {
 	g := line(6)
 	p := New()
-	got := p.Deliver(g, 2, src, grp, []migp.Node{0, 5})
-	if got[0] != 2 || got[5] != 3 {
+	got := hopsTo(p, g, 2, src, grp, 0, 5)
+	if got[0] != 2 || got[1] != 3 {
 		t.Fatalf("hops = %v", got)
 	}
 }
@@ -33,17 +41,17 @@ func TestExactShortestPaths(t *testing.T) {
 func TestMembershipLSAPerChange(t *testing.T) {
 	g := line(6)
 	p := New()
-	p.Deliver(g, 0, src, grp, []migp.Node{5})
-	p.Deliver(g, 0, src, grp, []migp.Node{5})
+	hopsTo(p, g, 0, src, grp, 5)
+	hopsTo(p, g, 0, src, grp, 5)
 	if p.MembershipFloods() != 1 {
 		t.Fatalf("LSAs = %d, want 1", p.MembershipFloods())
 	}
-	p.Deliver(g, 0, src, grp, []migp.Node{5, 3})
-	p.Deliver(g, 0, src, grp, []migp.Node{3, 5}) // same set, reordered
+	hopsTo(p, g, 0, src, grp, 3, 5)
+	hopsTo(p, g, 0, src, grp, 3, 5) // same set, a fresh slice
 	if p.MembershipFloods() != 2 {
 		t.Fatalf("LSAs = %d, want 2", p.MembershipFloods())
 	}
-	p.Deliver(g, 0, src, grp, []migp.Node{3})
+	hopsTo(p, g, 0, src, grp, 3)
 	if p.MembershipFloods() != 3 {
 		t.Fatalf("LSAs = %d, want 3 (shrink is a change)", p.MembershipFloods())
 	}
@@ -52,8 +60,8 @@ func TestMembershipLSAPerChange(t *testing.T) {
 func TestPerGroupLSATracking(t *testing.T) {
 	g := line(6)
 	p := New()
-	p.Deliver(g, 0, src, grp, []migp.Node{5})
-	p.Deliver(g, 0, src, addr.MakeAddr(224, 2, 2, 2), []migp.Node{5})
+	hopsTo(p, g, 0, src, grp, 5)
+	hopsTo(p, g, 0, src, addr.MakeAddr(224, 2, 2, 2), 5)
 	if p.MembershipFloods() != 2 {
 		t.Fatalf("LSAs = %d, want one per group", p.MembershipFloods())
 	}

@@ -13,7 +13,6 @@ import (
 
 	"mascbgmp/internal/addr"
 	"mascbgmp/internal/migp"
-	"mascbgmp/internal/topology"
 )
 
 // Protocol is a PIM-DM instance for one domain. Safe for concurrent use.
@@ -45,7 +44,7 @@ func (*Protocol) Name() string { return "PIM-DM" }
 func (*Protocol) StrictRPF() bool { return true }
 
 // Deliver implements migp.Protocol.
-func (p *Protocol) Deliver(g *topology.Graph, entry migp.Node, source, group addr.Addr, members []migp.Node) map[migp.Node]int {
+func (p *Protocol) Deliver(paths *migp.Paths, entry migp.Node, source, group addr.Addr, members []migp.Node, hops []int) {
 	k := key{source, group}
 	p.mu.Lock()
 	n, flooded := p.state[k]
@@ -56,15 +55,7 @@ func (p *Protocol) Deliver(g *topology.Graph, entry migp.Node, source, group add
 		p.state[k] = n + 1
 	}
 	p.mu.Unlock()
-
-	dist, _ := g.BFS(entry)
-	out := make(map[migp.Node]int, len(members))
-	for _, m := range members {
-		if dist[m] >= 0 {
-			out[m] = dist[m]
-		}
-	}
-	return out
+	migp.ShortestHops(paths, entry, members, hops)
 }
 
 // Floods returns the number of domain-wide floods so far.

@@ -21,12 +21,20 @@ func line(n int) *topology.Graph {
 	return g
 }
 
+// hopsTo runs one Deliver over a fresh paths provider and returns the hop
+// count per member, in the order given (which must be ascending).
+func hopsTo(p *Protocol, g *topology.Graph, entry migp.Node, s, group addr.Addr, members ...migp.Node) []int {
+	hops := make([]int, len(members))
+	p.Deliver(migp.NewPaths(g), entry, s, group, members, hops)
+	return hops
+}
+
 func TestFloodThenPruneCycle(t *testing.T) {
 	g := line(4)
 	p := New(3)
 	// flood, 3 suppressed, flood, 3 suppressed → 2 floods in 8 packets
 	for i := 0; i < 8; i++ {
-		p.Deliver(g, 0, src, grp, []migp.Node{3})
+		hopsTo(p, g, 0, src, grp, 3)
 	}
 	if p.Floods() != 2 {
 		t.Fatalf("floods = %d, want 2", p.Floods())
@@ -37,7 +45,7 @@ func TestZeroPruneLifeNeverRefloods(t *testing.T) {
 	g := line(4)
 	p := New(0)
 	for i := 0; i < 50; i++ {
-		p.Deliver(g, 0, src, grp, []migp.Node{3})
+		hopsTo(p, g, 0, src, grp, 3)
 	}
 	if p.Floods() != 1 {
 		t.Fatalf("floods = %d, want 1", p.Floods())
@@ -47,8 +55,8 @@ func TestZeroPruneLifeNeverRefloods(t *testing.T) {
 func TestDeliveryHopsAreShortestPath(t *testing.T) {
 	g := line(5)
 	p := New(2)
-	got := p.Deliver(g, 1, src, grp, []migp.Node{4, 0})
-	if got[4] != 3 || got[0] != 1 {
+	got := hopsTo(p, g, 1, src, grp, 0, 4)
+	if got[0] != 1 || got[1] != 3 {
 		t.Fatalf("hops = %v", got)
 	}
 }
@@ -56,8 +64,8 @@ func TestDeliveryHopsAreShortestPath(t *testing.T) {
 func TestPerSourcePruneState(t *testing.T) {
 	g := line(4)
 	p := New(0)
-	p.Deliver(g, 0, src, grp, nil)
-	p.Deliver(g, 0, addr.MakeAddr(10, 0, 0, 2), grp, nil)
+	hopsTo(p, g, 0, src, grp)
+	hopsTo(p, g, 0, addr.MakeAddr(10, 0, 0, 2), grp)
 	if p.Floods() != 2 {
 		t.Fatalf("floods = %d, want one per source", p.Floods())
 	}

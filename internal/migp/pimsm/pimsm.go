@@ -55,10 +55,10 @@ func (p *Protocol) RP(g *topology.Graph, group addr.Addr) migp.Node {
 
 // Deliver implements migp.Protocol: entry→RP→member on the shared tree, or
 // entry→member after the receiver's SPT switchover.
-func (p *Protocol) Deliver(g *topology.Graph, entry migp.Node, source, group addr.Addr, members []migp.Node) map[migp.Node]int {
-	rp := p.RP(g, group)
-	distEntry, _ := g.BFS(entry)
-	distRP, _ := g.BFS(rp)
+func (p *Protocol) Deliver(paths *migp.Paths, entry migp.Node, source, group addr.Addr, members []migp.Node, hops []int) {
+	rp := migp.HashGroup(group, paths.Nodes())
+	distEntry, _ := paths.From(entry)
+	distRP, _ := paths.From(rp)
 
 	k := key{source, group}
 	p.mu.Lock()
@@ -66,18 +66,17 @@ func (p *Protocol) Deliver(g *topology.Graph, entry migp.Node, source, group add
 	onSPT := p.SPTThreshold > 0 && p.seen[k] > p.SPTThreshold
 	p.mu.Unlock()
 
-	out := make(map[migp.Node]int, len(members))
-	for _, m := range members {
+	for i, m := range members {
 		if distRP[m] < 0 || distEntry[rp] < 0 {
+			hops[i] = -1
 			continue
 		}
-		hops := distEntry[rp] + distRP[m]
-		if onSPT && distEntry[m] >= 0 && distEntry[m] < hops {
-			hops = distEntry[m]
+		h := distEntry[rp] + distRP[m]
+		if onSPT && distEntry[m] >= 0 && distEntry[m] < h {
+			h = distEntry[m]
 		}
-		out[m] = hops
+		hops[i] = h
 	}
-	return out
 }
 
 var _ migp.Protocol = (*Protocol)(nil)

@@ -21,6 +21,14 @@ func line(n int) *topology.Graph {
 	return g
 }
 
+// hopsTo runs one Deliver over a fresh paths provider and returns the hop
+// count per member, in the order given (which must be ascending).
+func hopsTo(p *Protocol, g *topology.Graph, entry migp.Node, s, group addr.Addr, members ...migp.Node) []int {
+	hops := make([]int, len(members))
+	p.Deliver(migp.NewPaths(g), entry, s, group, members, hops)
+	return hops
+}
+
 func TestRPDeterministicPerGroup(t *testing.T) {
 	g := line(8)
 	p := New(0)
@@ -38,13 +46,13 @@ func TestPathAlwaysViaRPWithoutSwitchover(t *testing.T) {
 	g := line(8)
 	p := New(0)
 	rp := int(p.RP(g, grp))
-	got := p.Deliver(g, 0, src, grp, []migp.Node{7})
+	got := hopsTo(p, g, 0, src, grp, 7)
 	want := rp + (7 - rp) // entry 0 → RP → member 7 on a line
 	if rp > 7 {
 		want = rp + (rp - 7)
 	}
-	if got[7] != want {
-		t.Fatalf("hops = %d, want %d (via RP %d)", got[7], want, rp)
+	if got[0] != want {
+		t.Fatalf("hops = %d, want %d (via RP %d)", got[0], want, rp)
 	}
 }
 
@@ -52,11 +60,11 @@ func TestSwitchoverNeverWorsens(t *testing.T) {
 	g := topology.ASGraph(60, 10, 3)
 	p := New(1)
 	members := []migp.Node{11, 23, 45}
-	first := p.Deliver(g, 2, src, grp, members)
-	second := p.Deliver(g, 2, src, grp, members)
-	for m := range first {
-		if second[m] > first[m] {
-			t.Fatalf("switchover worsened member %v: %d → %d", m, first[m], second[m])
+	first := hopsTo(p, g, 2, src, grp, members...)
+	second := hopsTo(p, g, 2, src, grp, members...)
+	for i, m := range members {
+		if second[i] > first[i] {
+			t.Fatalf("switchover worsened member %v: %d → %d", m, first[i], second[i])
 		}
 	}
 }
@@ -64,18 +72,18 @@ func TestSwitchoverNeverWorsens(t *testing.T) {
 func TestSwitchoverIsPerSource(t *testing.T) {
 	g := line(8)
 	p := New(1)
-	p.Deliver(g, 0, src, grp, []migp.Node{7})
-	p.Deliver(g, 0, src, grp, []migp.Node{7}) // src now on SPT
+	hopsTo(p, g, 0, src, grp, 7)
+	hopsTo(p, g, 0, src, grp, 7) // src now on SPT
 	// A different source is still on the RP tree for its first packet.
 	other := addr.MakeAddr(10, 0, 0, 2)
 	rp := int(p.RP(g, grp))
-	got := p.Deliver(g, 0, other, grp, []migp.Node{7})
+	got := hopsTo(p, g, 0, other, grp, 7)
 	wantRP := rp + (7 - rp)
 	if rp > 7 {
 		wantRP = rp + (rp - 7)
 	}
-	if got[7] != wantRP && rp != 0 {
-		t.Fatalf("new source skipped the RP tree: %d vs %d", got[7], wantRP)
+	if got[0] != wantRP && rp != 0 {
+		t.Fatalf("new source skipped the RP tree: %d vs %d", got[0], wantRP)
 	}
 }
 
@@ -86,11 +94,12 @@ func TestNonStrictRPF(t *testing.T) {
 }
 
 func BenchmarkDeliverRPTree(b *testing.B) {
-	g := topology.ASGraph(100, 20, 1)
+	paths := migp.NewPaths(topology.ASGraph(100, 20, 1))
 	p := New(0)
 	members := []migp.Node{3, 17, 42, 77, 99}
+	hops := make([]int, len(members))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p.Deliver(g, 0, src, grp, members)
+		p.Deliver(paths, 0, src, grp, members, hops)
 	}
 }

@@ -27,6 +27,14 @@ func line5() *topology.Graph {
 	return g
 }
 
+// hopsTo runs one Deliver over a fresh paths provider and returns the hop
+// count per member, in the order given (which must be ascending).
+func hopsTo(p migp.Protocol, g *topology.Graph, entry migp.Node, s, group addr.Addr, members ...migp.Node) []int {
+	hops := make([]int, len(members))
+	p.Deliver(migp.NewPaths(g), entry, s, group, members, hops)
+	return hops
+}
+
 func allProtocols() map[string]migp.Protocol {
 	return map[string]migp.Protocol{
 		"dvmrp": dvmrp.New(),
@@ -41,13 +49,9 @@ func TestAllProtocolsDeliverToAllMembers(t *testing.T) {
 	g := line5()
 	members := []migp.Node{0, 2, 4}
 	for name, p := range allProtocols() {
-		got := p.Deliver(g, 1, src, grp, members)
-		if len(got) != len(members) {
-			t.Errorf("%s: delivered to %v, want all of %v", name, got, members)
-		}
-		for m, h := range got {
+		for i, h := range hopsTo(p, g, 1, src, grp, members...) {
 			if h < 0 {
-				t.Errorf("%s: negative hops to %v", name, m)
+				t.Errorf("%s: member %v not reached", name, members[i])
 			}
 		}
 	}
@@ -57,9 +61,9 @@ func TestShortestPathProtocolsUseExactDistances(t *testing.T) {
 	g := line5()
 	for _, name := range []string{"dvmrp", "pimdm", "mospf"} {
 		p := allProtocols()[name]
-		got := p.Deliver(g, 0, src, grp, []migp.Node{4, 1})
-		if got[4] != 4 || got[1] != 1 {
-			t.Errorf("%s: hops = %v, want map[1:1 4:4]", name, got)
+		got := hopsTo(p, g, 0, src, grp, 1, 4)
+		if got[0] != 1 || got[1] != 4 {
+			t.Errorf("%s: hops = %v, want [1 4]", name, got)
 		}
 	}
 }
@@ -85,19 +89,19 @@ func TestProtocolNames(t *testing.T) {
 func TestDVMRPFloodsOncePerSourceGroup(t *testing.T) {
 	g := line5()
 	p := dvmrp.New()
-	p.Deliver(g, 0, src, grp, []migp.Node{4})
-	p.Deliver(g, 0, src, grp, []migp.Node{4})
+	hopsTo(p, g, 0, src, grp, 4)
+	hopsTo(p, g, 0, src, grp, 4)
 	if p.Floods() != 1 {
 		t.Fatalf("floods = %d, want 1", p.Floods())
 	}
 	// A different source floods again.
-	p.Deliver(g, 0, addr.MakeAddr(10, 0, 0, 2), grp, []migp.Node{4})
+	hopsTo(p, g, 0, addr.MakeAddr(10, 0, 0, 2), grp, 4)
 	if p.Floods() != 2 {
 		t.Fatalf("floods = %d, want 2", p.Floods())
 	}
 	// A graft clears prune state: next packet floods.
 	p.Graft(src, grp)
-	p.Deliver(g, 0, src, grp, []migp.Node{4})
+	hopsTo(p, g, 0, src, grp, 4)
 	if p.Floods() != 3 {
 		t.Fatalf("floods after graft = %d, want 3", p.Floods())
 	}
@@ -107,7 +111,7 @@ func TestPIMDMPruneExpiry(t *testing.T) {
 	g := line5()
 	p := pimdm.New(2) // prunes live for 2 packets
 	for i := 0; i < 6; i++ {
-		p.Deliver(g, 0, src, grp, []migp.Node{4})
+		hopsTo(p, g, 0, src, grp, 4)
 	}
 	// Packets: flood, pruned, pruned(expires), flood, pruned, pruned.
 	if p.Floods() != 2 {
@@ -119,27 +123,27 @@ func TestPIMSMTrianglePathViaRP(t *testing.T) {
 	g := line5()
 	p := pimsm.New(0)
 	rp := p.RP(g, grp)
-	got := p.Deliver(g, 0, src, grp, []migp.Node{4})
+	got := hopsTo(p, g, 0, src, grp, 4)
 	distEntryToRP := int(rp) // on a line from node 0, dist = node index
 	want := distEntryToRP + (4 - int(rp))
 	if rp > 4 {
 		t.Fatalf("rp = %v out of range", rp)
 	}
-	if got[4] != want {
-		t.Fatalf("hops via RP %v = %d, want %d", rp, got[4], want)
+	if got[0] != want {
+		t.Fatalf("hops via RP %v = %d, want %d", rp, got[0], want)
 	}
 }
 
 func TestPIMSMSPTSwitchover(t *testing.T) {
 	g := line5()
 	p := pimsm.New(1) // switch after 1 packet
-	first := p.Deliver(g, 0, src, grp, []migp.Node{4})
-	second := p.Deliver(g, 0, src, grp, []migp.Node{4})
-	if second[4] > first[4] {
-		t.Fatalf("SPT switchover made the path longer: %d → %d", first[4], second[4])
+	first := hopsTo(p, g, 0, src, grp, 4)
+	second := hopsTo(p, g, 0, src, grp, 4)
+	if second[0] > first[0] {
+		t.Fatalf("SPT switchover made the path longer: %d → %d", first[0], second[0])
 	}
-	if second[4] != 4 { // shortest path on the line
-		t.Fatalf("post-switch hops = %d, want 4", second[4])
+	if second[0] != 4 { // shortest path on the line
+		t.Fatalf("post-switch hops = %d, want 4", second[0])
 	}
 }
 
@@ -154,38 +158,38 @@ func TestCBTBidirectionalShortcut(t *testing.T) {
 	}
 	p := cbt.New()
 	core := p.Core(g, grp)
-	got := p.Deliver(g, 1, src, grp, []migp.Node{2})
+	got := hopsTo(p, g, 1, src, grp, 2)
 	wantMax := 2 // leaf→hub→leaf
 	if core == 1 || core == 2 {
 		wantMax = 2
 	}
-	if got[2] > wantMax {
-		t.Fatalf("CBT path = %d (core %v), want <= %d (bidirectional shortcut)", got[2], core, wantMax)
+	if got[0] > wantMax {
+		t.Fatalf("CBT path = %d (core %v), want <= %d (bidirectional shortcut)", got[0], core, wantMax)
 	}
 	// Compare with PIM-SM from the same entry: unidirectional must be
 	// >= bidirectional.
-	sm := pimsm.New(0).Deliver(g, 1, src, grp, []migp.Node{2})
-	if sm[2] < got[2] {
-		t.Fatalf("unidirectional (%d) beat bidirectional (%d)", sm[2], got[2])
+	sm := hopsTo(pimsm.New(0), g, 1, src, grp, 2)
+	if sm[0] < got[0] {
+		t.Fatalf("unidirectional (%d) beat bidirectional (%d)", sm[0], got[0])
 	}
 }
 
 func TestMOSPFMembershipFloods(t *testing.T) {
 	g := line5()
 	p := mospf.New()
-	p.Deliver(g, 0, src, grp, []migp.Node{4})
-	p.Deliver(g, 0, src, grp, []migp.Node{4})
+	hopsTo(p, g, 0, src, grp, 4)
+	hopsTo(p, g, 0, src, grp, 4)
 	if p.MembershipFloods() != 1 {
 		t.Fatalf("floods = %d, want 1 (unchanged membership)", p.MembershipFloods())
 	}
-	p.Deliver(g, 0, src, grp, []migp.Node{4, 2})
+	hopsTo(p, g, 0, src, grp, 2, 4)
 	if p.MembershipFloods() != 2 {
 		t.Fatalf("floods = %d, want 2 (membership changed)", p.MembershipFloods())
 	}
-	// Order must not matter.
-	p.Deliver(g, 0, src, grp, []migp.Node{2, 4})
+	// The same set in a fresh slice is no change.
+	hopsTo(p, g, 0, src, grp, 2, 4)
 	if p.MembershipFloods() != 2 {
-		t.Fatalf("floods = %d, want 2 (same membership, different order)", p.MembershipFloods())
+		t.Fatalf("floods = %d, want 2 (same membership)", p.MembershipFloods())
 	}
 }
 

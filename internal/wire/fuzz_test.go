@@ -6,8 +6,9 @@ import (
 )
 
 // FuzzDecodeNext feeds arbitrary bytes to the frame decoder: it must never
-// panic, and any frame it accepts must re-encode to the identical bytes
-// (round-trip stability). The seed corpus covers every message type.
+// panic, any frame it accepts must re-encode to the identical bytes
+// (round-trip stability), and the message must not alias the input. The
+// seed corpus covers every message type.
 func FuzzDecodeNext(f *testing.F) {
 	for _, msg := range allMessages() {
 		f.Add(Encode(msg))
@@ -15,6 +16,7 @@ func FuzzDecodeNext(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x4D, 0x42, 1, 0x10})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		data = bytes.Clone(data) // the engine's bytes must not be written to
 		msg, rest, err := DecodeNext(data)
 		if err != nil {
 			return
@@ -24,5 +26,6 @@ func FuzzDecodeNext(f *testing.F) {
 		if !bytes.Equal(re, consumed) {
 			t.Fatalf("round trip mismatch:\n in  %x\n out %x", consumed, re)
 		}
+		requireNoAlias(t, msg, consumed)
 	})
 }

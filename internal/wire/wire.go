@@ -154,6 +154,8 @@ func AppendFrame(b []byte, msg Message) []byte {
 }
 
 // Decode parses one frame from b, which must contain exactly one frame.
+// Decode copies: the message holds no reference into b, so the caller may
+// reuse the frame buffer as soon as Decode returns.
 func Decode(b []byte) (Message, error) {
 	msg, rest, err := DecodeNext(b)
 	if err != nil {

@@ -70,6 +70,35 @@ func TestRoundTripAllMessages(t *testing.T) {
 	}
 }
 
+// requireNoAlias checks the precondition for reusing a frame buffer: msg,
+// decoded from frame, holds no reference into it. The frame is scribbled
+// over and msg must still re-encode to the original bytes.
+func requireNoAlias(t *testing.T, msg Message, frame []byte) {
+	t.Helper()
+	want := bytes.Clone(frame)
+	for i := range frame {
+		frame[i] ^= 0xff
+	}
+	if got := Encode(msg); !bytes.Equal(got, want) {
+		t.Fatalf("%v aliases its input: after overwriting the frame it re-encodes to\n %x\nwant %x",
+			msg.Type(), got, want)
+	}
+}
+
+func TestDecodeNeverAliasesInput(t *testing.T) {
+	msgs := allMessages()
+	traced := &Data{Group: addr.MakeAddr(224, 0, 128, 1), TTL: 8, Payload: []byte("traced")}
+	Stamp(traced, TraceContext{Trace: 1, Span: 2, Start: 3})
+	for _, msg := range append(msgs, traced) {
+		frame := Encode(msg)
+		got, err := Decode(frame)
+		if err != nil {
+			t.Fatalf("%v: decode: %v", msg.Type(), err)
+		}
+		requireNoAlias(t, got, frame)
+	}
+}
+
 func TestEmptyCollectionsRoundTrip(t *testing.T) {
 	for _, msg := range []Message{
 		&Update{Table: TableMRIB},
