@@ -17,8 +17,9 @@
 package bgp
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"mascbgmp/internal/addr"
@@ -36,8 +37,8 @@ type Neighbor struct {
 	Internal bool
 }
 
-// ExportFilter decides whether a route may be advertised to a neighbor.
-// Filters implement the paper's multicast routing policies: "a provider
+// ExportFilter decides whether a route may be advertised to a neighbor;
+// rt.ASPath is the stored slice, read-only. Filters implement the paper's multicast routing policies: "a provider
 // domain could restrict the use of its resources by advertising only the
 // group routes pertaining to its claimed address ranges and ... those
 // received from its customer domains" (§4.2).
@@ -53,7 +54,9 @@ type Config struct {
 	// Clock drives route-lifetime expiry; defaults to the real clock.
 	Clock simclock.Clock
 	// Send transmits an update to a configured neighbor. It is called
-	// without internal locks held and must not block indefinitely.
+	// without internal locks held and must not block indefinitely. The
+	// update's AS paths are shared with the RIB and with the updates to
+	// other neighbors: read-only.
 	Send func(to wire.RouterID, u *wire.Update)
 	// Export filters external advertisements; nil means ExportAll.
 	Export ExportFilter
@@ -92,8 +95,11 @@ type Speaker struct {
 	cfg Config
 
 	mu        sync.Mutex
-	neighbors map[wire.RouterID]Neighbor // guarded by mu
-	tables    map[wire.Table]*rib        // guarded by mu
+	neighbors []Neighbor                     // guarded by mu; ascending router ID
+	tables    [wire.NumTables]*rib           // guarded by mu; indexed by wire.Table
+	pass      uint64                         // guarded by mu; the current reselection pass
+	pend      [][wire.NumTables]*wire.Update // guarded by mu; updates a pass has built, by neighbor index
+	npend     int                            // guarded by mu; non-nil cells of pend
 }
 
 // New returns a configured Speaker.
@@ -104,15 +110,11 @@ func New(cfg Config) *Speaker {
 	if cfg.Export == nil {
 		cfg.Export = ExportAll
 	}
-	tables := map[wire.Table]*rib{}
-	for _, t := range []wire.Table{wire.TableUnicast, wire.TableMRIB, wire.TableGRIB} {
+	var tables [wire.NumTables]*rib
+	for t := range tables {
 		tables[t] = newRIB()
 	}
-	return &Speaker{
-		cfg:       cfg,
-		neighbors: map[wire.RouterID]Neighbor{},
-		tables:    tables,
-	}
+	return &Speaker{cfg: cfg, tables: tables}
 }
 
 // Router returns the speaker's router ID.
@@ -121,11 +123,23 @@ func (s *Speaker) Router() wire.RouterID { return s.cfg.Router }
 // Domain returns the speaker's domain.
 func (s *Speaker) Domain() wire.DomainID { return s.cfg.Domain }
 
+// neighborIndexLocked returns id's position in s.neighbors, or where it
+// would be inserted. Caller holds s.mu.
+func (s *Speaker) neighborIndexLocked(id wire.RouterID) (int, bool) {
+	return slices.BinarySearchFunc(s.neighbors, id, func(n Neighbor, id wire.RouterID) int {
+		return cmp.Compare(n.Router, id)
+	})
+}
+
 // AddNeighbor registers a peer. Call Sync afterwards — once the remote side
 // has also registered this speaker — to run the initial route exchange.
 func (s *Speaker) AddNeighbor(n Neighbor) {
 	s.mu.Lock()
-	s.neighbors[n.Router] = n
+	if i, ok := s.neighborIndexLocked(n.Router); ok {
+		s.neighbors[i] = n
+	} else {
+		s.neighbors = slices.Insert(s.neighbors, i, n)
+	}
 	s.mu.Unlock()
 }
 
@@ -133,20 +147,22 @@ func (s *Speaker) AddNeighbor(n Neighbor) {
 // initial route exchange after session establishment.
 func (s *Speaker) Sync(to wire.RouterID) {
 	s.mu.Lock()
-	n, ok := s.neighbors[to]
+	i, ok := s.neighborIndexLocked(to)
 	if !ok {
 		s.mu.Unlock()
 		return
 	}
+	n := s.neighbors[i]
 	var out []outUpdate
-	for _, table := range []wire.Table{wire.TableUnicast, wire.TableMRIB, wire.TableGRIB} {
-		r := s.tables[table]
-		var routes []wire.Route
-		for _, p := range r.sortedPrefixes() {
-			b := r.best[p]
-			if rt, ok := s.exportable(n, table, b); ok {
+	for t, r := range s.tables {
+		table := wire.Table(t)
+		recs := r.sortedSelected()
+		routes := make([]wire.Route, 0, len(recs))
+		for _, rec := range recs {
+			ad := s.advertLocked(table, rec.sel)
+			if rt, ok := s.exportLocked(n, &ad); ok {
 				routes = append(routes, rt)
-				r.adjOutAdd(n.Router, p)
+				rec.advertise(n.Router)
 			}
 		}
 		if len(routes) > 0 {
@@ -165,16 +181,22 @@ func (s *Speaker) RemoveNeighbor(id wire.RouterID, ctx wire.TraceContext) {
 		obs.Event{Domain: s.cfg.Domain, Router: s.cfg.Router, Peer: id})
 	defer sp.End()
 	s.mu.Lock()
-	delete(s.neighbors, id)
-	var changed []tablePrefix
-	for table, r := range s.tables {
-		for _, p := range r.withdrawPeer(id) {
-			changed = append(changed, tablePrefix{table, p})
-		}
-		delete(r.adjOut, id)
+	if i, ok := s.neighborIndexLocked(id); ok {
+		s.neighbors = slices.Delete(s.neighbors, i, i+1)
 	}
-	sortTablePrefixes(changed)
-	out, notes := s.reselectLocked(changed, sp.Context())
+	var notes []note
+	for t, r := range s.tables {
+		var changed []*record
+		for _, rec := range r.recs {
+			rec.unadvertise(id)
+			if rec.removeIn(id) {
+				changed = append(changed, rec)
+			}
+		}
+		sortRecords(changed)
+		notes = s.reselectLocked(wire.Table(t), changed, sp.Context(), notes)
+	}
+	out := s.flushLocked()
 	s.mu.Unlock()
 	s.deliver(out)
 	s.notify(notes)
@@ -184,12 +206,7 @@ func (s *Speaker) RemoveNeighbor(id wire.RouterID, ctx wire.TraceContext) {
 func (s *Speaker) Neighbors() []Neighbor {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Neighbor, 0, len(s.neighbors))
-	for _, n := range s.neighbors {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Router < out[j].Router })
-	return out
+	return append(make([]Neighbor, 0, len(s.neighbors)), s.neighbors...)
 }
 
 // Originate injects a locally sourced route (for the G-RIB: a MASC-won
@@ -197,9 +214,10 @@ func (s *Speaker) Neighbors() []Neighbor {
 func (s *Speaker) Originate(table wire.Table, rt wire.Route) {
 	rt.Prefix = rt.Prefix.Canonical()
 	s.mu.Lock()
-	r := s.tables[table]
-	r.local[rt.Prefix] = rt
-	out, notes := s.reselectLocked([]tablePrefix{{table, rt.Prefix}}, wire.TraceContext{})
+	rec := s.tables[table].recordFor(rt.Prefix)
+	rec.local = &rt
+	notes := s.reselectLocked(table, []*record{rec}, wire.TraceContext{}, nil)
+	out := s.flushLocked()
 	s.mu.Unlock()
 	s.deliver(out)
 	s.notify(notes)
@@ -207,35 +225,36 @@ func (s *Speaker) Originate(table wire.Table, rt wire.Route) {
 
 // WithdrawLocal removes a locally originated route.
 func (s *Speaker) WithdrawLocal(table wire.Table, p addr.Prefix) {
-	p = p.Canonical()
 	s.mu.Lock()
-	r := s.tables[table]
-	delete(r.local, p)
-	out, notes := s.reselectLocked([]tablePrefix{{table, p}}, wire.TraceContext{})
+	// A prefix never heard of still gets its record, for the length of the
+	// pass: the reselection reports it lost, as it always has.
+	rec := s.tables[table].recordFor(p.Canonical())
+	rec.local = nil
+	notes := s.reselectLocked(table, []*record{rec}, wire.TraceContext{}, nil)
+	out := s.flushLocked()
 	s.mu.Unlock()
 	s.deliver(out)
 	s.notify(notes)
 }
 
-// HandleUpdate processes an update received from peer `from`. Unknown peers
-// and looped routes are ignored. A traced update (stamped by the sender's
-// reselection) gets a per-hop child span, and any updates this reselection
-// propagates carry that span onward.
+// HandleUpdate processes an update received from peer `from`. Unknown
+// peers, unknown tables and looped routes are ignored. A traced update
+// (stamped by the sender's reselection) gets a per-hop child span, and any
+// updates this reselection propagates carry that span onward.
 func (s *Speaker) HandleUpdate(from wire.RouterID, u *wire.Update) {
 	sp := s.cfg.Obs.Tracer().BeginChild(wire.ContextOf(u), obs.SpanBGPUpdate,
 		obs.Event{Domain: s.cfg.Domain, Router: s.cfg.Router, Peer: from, Table: u.Table})
 	defer sp.End()
 	s.mu.Lock()
-	if _, ok := s.neighbors[from]; !ok {
+	if _, ok := s.neighborIndexLocked(from); !ok || int(u.Table) >= wire.NumTables {
 		s.mu.Unlock()
 		return
 	}
 	r := s.tables[u.Table]
-	var changed []tablePrefix
+	changed := make([]*record, 0, len(u.Withdrawn)+len(u.Routes))
 	for _, p := range u.Withdrawn {
-		p = p.Canonical()
-		if r.adjInRemove(from, p) {
-			changed = append(changed, tablePrefix{u.Table, p})
+		if rec := r.recs[p.Canonical()]; rec != nil && rec.removeIn(from) {
+			changed = append(changed, rec)
 		}
 	}
 	for _, rt := range u.Routes {
@@ -246,10 +265,12 @@ func (s *Speaker) HandleUpdate(from wire.RouterID, u *wire.Update) {
 		if s.expired(rt) {
 			continue
 		}
-		r.adjInAdd(from, rt)
-		changed = append(changed, tablePrefix{u.Table, rt.Prefix})
+		rec := r.recordFor(rt.Prefix)
+		rec.setIn(from, rt.Clone())
+		changed = append(changed, rec)
 	}
-	out, notes := s.reselectLocked(changed, sp.Context())
+	notes := s.reselectLocked(u.Table, changed, sp.Context(), nil)
+	out := s.flushLocked()
 	s.mu.Unlock()
 	s.deliver(out)
 	s.notify(notes)
@@ -304,7 +325,7 @@ func (s *Speaker) LookupBackup(table wire.Table, a addr.Addr) (Entry, bool) {
 	if !ok {
 		return Entry{}, false
 	}
-	second, ok := s.decide(r, cur.route.Prefix, &cur)
+	second, ok := s.decide(r.recs[cur.route.Prefix], &cur)
 	if !ok {
 		return Entry{}, false
 	}
@@ -327,10 +348,10 @@ func (s *Speaker) LookupPrefix(table wire.Table, p addr.Prefix) (Entry, bool) {
 func (s *Speaker) Table(table wire.Table) []Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r := s.tables[table]
-	out := make([]Entry, 0, len(r.best))
-	for _, p := range r.sortedPrefixes() {
-		sel := r.best[p]
+	recs := s.tables[table].sortedSelected()
+	out := make([]Entry, 0, len(recs))
+	for _, rec := range recs {
+		sel := rec.sel
 		if s.expired(sel.route) {
 			continue
 		}
@@ -344,31 +365,43 @@ func (s *Speaker) Table(table wire.Table) []Entry {
 // peers. Call it periodically (MASC lifetimes are long, so hourly is fine).
 func (s *Speaker) Sweep() {
 	s.mu.Lock()
-	var changed []tablePrefix
-	for table, r := range s.tables {
-		for p, rt := range r.local {
-			if s.expired(rt) {
-				delete(r.local, p)
-				changed = append(changed, tablePrefix{table, p})
+	var notes []note
+	for t, r := range s.tables {
+		var changed []*record
+		for _, rec := range r.recs {
+			if s.dropExpiredLocked(rec) {
+				changed = append(changed, rec)
 			}
 		}
-		for p, peers := range r.adjIn {
-			for id, rt := range peers {
-				if s.expired(rt) {
-					delete(peers, id)
-					changed = append(changed, tablePrefix{table, p})
-				}
-			}
-			if len(peers) == 0 {
-				delete(r.adjIn, p)
-			}
-		}
+		sortRecords(changed)
+		notes = s.reselectLocked(wire.Table(t), changed, wire.TraceContext{}, notes)
 	}
-	sortTablePrefixes(changed)
-	out, notes := s.reselectLocked(changed, wire.TraceContext{})
+	out := s.flushLocked()
 	s.mu.Unlock()
 	s.deliver(out)
 	s.notify(notes)
+}
+
+// dropExpiredLocked removes rec's expired origination and learned routes
+// and reports whether it removed any. Caller holds s.mu.
+func (s *Speaker) dropExpiredLocked(rec *record) bool {
+	dropped := false
+	if rec.local != nil && s.expired(*rec.local) {
+		rec.local = nil
+		dropped = true
+	}
+	kept := rec.in[:0]
+	for _, pr := range rec.in {
+		if !s.expired(pr.route) {
+			kept = append(kept, pr)
+		}
+	}
+	if len(kept) != len(rec.in) {
+		clear(rec.in[len(kept):])
+		rec.in = kept
+		dropped = true
+	}
+	return dropped
 }
 
 func (s *Speaker) expired(rt wire.Route) bool {
@@ -381,23 +414,6 @@ func (s *Speaker) entryOf(sel selected) Entry {
 		e.NextHop = s.cfg.Router
 	}
 	return e
-}
-
-// tablePrefix names one possibly-changed table entry.
-type tablePrefix struct {
-	table  wire.Table
-	prefix addr.Prefix
-}
-
-// sortTablePrefixes orders re-selection work by (table, prefix) so that
-// update and notification order never depends on map iteration.
-func sortTablePrefixes(ps []tablePrefix) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].table != ps[j].table {
-			return ps[i].table < ps[j].table
-		}
-		return addr.Compare(ps[i].prefix, ps[j].prefix) < 0
-	})
 }
 
 type outUpdate struct {
@@ -447,134 +463,215 @@ func (s *Speaker) notify(notes []note) {
 	}
 }
 
-// reselectLocked re-runs the decision process for the given prefixes and
-// computes the updates to emit, stamping them (and the best-change notes)
-// with ctx so downstream speakers and tree repair inherit the cause.
-// Caller holds s.mu.
-func (s *Speaker) reselectLocked(changed []tablePrefix, ctx wire.TraceContext) ([]outUpdate, []note) {
-	seen := map[tablePrefix]bool{}
-	// Pending per-peer updates, keyed by peer then table.
-	pend := map[wire.RouterID]map[wire.Table]*wire.Update{}
-	var notes []note
-	add := func(to wire.RouterID, table wire.Table, f func(u *wire.Update)) {
-		m := pend[to]
-		if m == nil {
-			m = map[wire.Table]*wire.Update{}
-			pend[to] = m
-		}
-		u := m[table]
-		if u == nil {
-			u = &wire.Update{Table: table}
-			wire.Stamp(u, ctx)
-			m[table] = u
-		}
-		f(u)
+// reselectLocked re-runs the decision process for the given records of one
+// table, in order, and queues the resulting advertisements and withdrawals
+// in s.pend for flushLocked to collect; a pass over several tables calls it
+// once per table, ascending. Updates and the best-change notes, appended to
+// notes, are stamped with ctx so downstream speakers and tree repair
+// inherit the cause. A record left with nothing in it is dropped from the
+// table. Caller holds s.mu.
+func (s *Speaker) reselectLocked(table wire.Table, changed []*record, ctx wire.TraceContext, notes []note) []note {
+	if len(s.pend) != len(s.neighbors) {
+		s.pend = make([][wire.NumTables]*wire.Update, len(s.neighbors))
 	}
-	for _, tp := range changed {
-		if seen[tp] {
+	s.pass++
+	r := s.tables[table]
+	for i, rec := range changed {
+		if rec.pass == s.pass {
 			continue
 		}
-		seen[tp] = true
-		r := s.tables[tp.table]
-		oldSel, hadOld := r.best[tp.prefix]
-		newSel, hasNew := s.decide(r, tp.prefix, nil)
-		if hadOld && hasNew && oldSel.equal(newSel) {
+		rec.pass = s.pass
+		left := len(changed) - i // what this pass can still add to any one list
+		newSel, hasNew := s.decide(rec, nil)
+		hadOld := rec.hasSel
+		if hadOld && hasNew && rec.sel.equal(newSel) {
 			continue
 		}
 		switch {
 		case hasNew:
-			r.best[tp.prefix] = newSel
+			r.best[rec.prefix] = newSel
 			if !hadOld {
-				r.lens[tp.prefix.Len]++
+				r.lens[rec.prefix.Len]++
 			}
 		case hadOld:
-			delete(r.best, tp.prefix)
-			r.lens[tp.prefix.Len]--
+			delete(r.best, rec.prefix)
+			r.lens[rec.prefix.Len]--
 		}
-		notes = append(notes, note{tp.table, tp.prefix, !hasNew, ctx})
+		rec.sel, rec.hasSel = newSel, hasNew
+		if notes == nil {
+			notes = make([]note, 0, left)
+		}
+		notes = append(notes, note{table, rec.prefix, !hasNew, ctx})
 		// Advertise or withdraw to each neighbor.
-		for id, n := range s.neighbors {
+		var ad advert
+		if hasNew {
+			ad = s.advertLocked(table, newSel)
+		}
+		for k, n := range s.neighbors {
 			if hasNew {
-				if rt, ok := s.exportable(n, tp.table, newSel); ok {
-					r.adjOutAdd(id, tp.prefix)
-					add(id, tp.table, func(u *wire.Update) { u.Routes = append(u.Routes, rt) })
+				if rt, ok := s.exportLocked(n, &ad); ok {
+					rec.advertise(n.Router)
+					u := s.pendingLocked(k, table, ctx)
+					if u.Routes == nil {
+						u.Routes = make([]wire.Route, 0, left)
+					}
+					u.Routes = append(u.Routes, rt)
 					continue
 				}
 			}
-			if r.adjOutHas(id, tp.prefix) {
-				r.adjOutRemove(id, tp.prefix)
-				add(id, tp.table, func(u *wire.Update) { u.Withdrawn = append(u.Withdrawn, tp.prefix) })
+			if rec.unadvertise(n.Router) {
+				u := s.pendingLocked(k, table, ctx)
+				if u.Withdrawn == nil {
+					u.Withdrawn = make([]addr.Prefix, 0, left)
+				}
+				u.Withdrawn = append(u.Withdrawn, rec.prefix)
+			}
+		}
+		if rec.empty() {
+			delete(r.recs, rec.prefix)
+		}
+	}
+	return notes
+}
+
+// pendingLocked returns the update this pass is building for the k-th
+// neighbor and table, starting it when there is none. Caller holds s.mu.
+func (s *Speaker) pendingLocked(k int, table wire.Table, ctx wire.TraceContext) *wire.Update {
+	u := s.pend[k][table]
+	if u == nil {
+		u = &wire.Update{Table: table}
+		wire.Stamp(u, ctx)
+		s.pend[k][table] = u
+		s.npend++
+	}
+	return u
+}
+
+// flushLocked collects the updates queued since the last flush, ordered by
+// neighbor router ID and then table, and leaves s.pend empty for the next
+// pass. Caller holds s.mu.
+func (s *Speaker) flushLocked() []outUpdate {
+	if s.npend == 0 {
+		return nil
+	}
+	out := make([]outUpdate, 0, s.npend)
+	for k := range s.pend {
+		for t, u := range s.pend[k] {
+			if u != nil {
+				out = append(out, outUpdate{to: s.neighbors[k].Router, u: u})
+				s.pend[k][t] = nil
 			}
 		}
 	}
-	var out []outUpdate
-	ids := make([]wire.RouterID, 0, len(pend))
-	for id := range pend {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		for _, table := range []wire.Table{wire.TableUnicast, wire.TableMRIB, wire.TableGRIB} {
-			if u, ok := pend[id][table]; ok {
-				out = append(out, outUpdate{to: id, u: u})
-			}
-		}
-	}
-	return out, notes
+	s.npend = 0
+	return out
 }
 
 // decide runs the decision process for one prefix: a local origination
 // wins; otherwise the shortest AS path, tie-broken by lowest advertising
 // router ID. Expired candidates are skipped, and so is the source of skip
 // when non-nil — passing the current best yields the runner-up. The minimum
-// is taken in one pass in map order: better is a total order whose last key,
-// from, is the map key, so the result does not depend on iteration order.
-func (s *Speaker) decide(r *rib, p addr.Prefix, skip *selected) (selected, bool) {
-	if rt, ok := r.local[p]; ok && !s.expired(rt) && !(skip != nil && skip.local) {
-		return selected{route: rt, local: true}, true
+// is taken in one pass in slice order: better is a total order whose last
+// key, from, is unique per entry, so the result does not depend on the
+// order of rec.in. A nil record has no candidates.
+func (s *Speaker) decide(rec *record, skip *selected) (selected, bool) {
+	if rec == nil {
+		return selected{}, false
 	}
-	var best selected
-	found := false
-	for id, rt := range r.adjIn[p] {
-		if s.expired(rt) || (skip != nil && !skip.local && id == skip.from) {
+	if rec.local != nil && !s.expired(*rec.local) && !(skip != nil && skip.local) {
+		return selected{route: *rec.local, local: true}, true
+	}
+	best := -1
+	for i := range rec.in {
+		pr := &rec.in[i]
+		if s.expired(pr.route) || (skip != nil && !skip.local && pr.from == skip.from) {
 			continue
 		}
-		cand := selected{route: rt, from: id}
-		if !found || cand.better(best) {
-			best = cand
-			found = true
+		if best < 0 || pr.better(&rec.in[best]) {
+			best = i
 		}
 	}
-	return best, found
+	if best < 0 {
+		return selected{}, false
+	}
+	return selected{route: rec.in[best].route, from: rec.in[best].from}, true
 }
 
-// exportable applies the advertisement rules for neighbor n and returns the
-// route as it should appear on the wire.
-func (s *Speaker) exportable(n Neighbor, table wire.Table, sel selected) (wire.Route, bool) {
-	if s.expired(sel.route) {
+// better is the route preference order among learned routes: the shorter
+// AS path, then the lower advertising router ID.
+func (a *peerRoute) better(b *peerRoute) bool {
+	if len(a.route.ASPath) != len(b.route.ASPath) {
+		return len(a.route.ASPath) < len(b.route.ASPath)
+	}
+	return a.from < b.from
+}
+
+// advert is one selected route on its way out: the parts of the export
+// decision that do not depend on the neighbor, worked out at most once
+// however many neighbors are asked.
+type advert struct {
+	table wire.Table
+	sel   selected
+	// dead: expired, goes to no one.
+	dead bool
+	// fromInternal: learned over the internal mesh, stays off it.
+	fromInternal bool
+	// covered is the §4.3.2 test, valid once coveredKnown.
+	covered, coveredKnown bool
+	// path is sel's AS path with the own domain prepended, built for the
+	// first external neighbor that takes the route and shared by the rest.
+	path []wire.DomainID
+}
+
+// advertLocked starts the export decision for sel. Caller holds s.mu.
+func (s *Speaker) advertLocked(table wire.Table, sel selected) advert {
+	ad := advert{table: table, sel: sel, dead: s.expired(sel.route)}
+	if !sel.local {
+		if i, ok := s.neighborIndexLocked(sel.from); ok {
+			ad.fromInternal = s.neighbors[i].Internal
+		}
+	}
+	return ad
+}
+
+// exportLocked applies the advertisement rules for neighbor n and returns
+// the route as it should appear on the wire. The route shares its AS path
+// with the RIB (internal neighbors) or with the other external neighbors'
+// copies: stored paths are never written into. Caller holds s.mu.
+func (s *Speaker) exportLocked(n Neighbor, ad *advert) (wire.Route, bool) {
+	if ad.dead {
 		return wire.Route{}, false
 	}
 	// Never echo a route to the peer it was learned from.
-	if !sel.local && sel.from == n.Router {
+	if !ad.sel.local && ad.sel.from == n.Router {
 		return wire.Route{}, false
 	}
 	if n.Internal {
 		// iBGP split horizon over the full mesh: only locally originated
 		// and externally learned routes go to internal peers.
-		if !sel.local && s.isInternalLocked(sel.from) {
+		if ad.fromInternal {
 			return wire.Route{}, false
 		}
-		return sel.route.Clone(), true
+		return ad.sel.route, true
 	}
 	// External export.
-	if s.cfg.AggregateCovered && s.coveredByOwnOriginationLocked(table, sel) {
+	if s.cfg.AggregateCovered {
+		if !ad.coveredKnown {
+			ad.covered, ad.coveredKnown = s.coveredByOwnOriginationLocked(ad.table, ad.sel), true
+		}
+		if ad.covered {
+			return wire.Route{}, false
+		}
+	}
+	rt := ad.sel.route
+	if !s.cfg.Export(n, ad.table, rt) {
 		return wire.Route{}, false
 	}
-	rt := sel.route.Clone()
-	if !s.cfg.Export(n, table, rt) {
-		return wire.Route{}, false
+	if ad.path == nil {
+		ad.path = make([]wire.DomainID, 0, 1+len(rt.ASPath))
+		ad.path = append(append(ad.path, s.cfg.Domain), rt.ASPath...)
 	}
-	rt.ASPath = append([]wire.DomainID{s.cfg.Domain}, rt.ASPath...)
+	rt.ASPath = ad.path
 	if rt.HasLoop(n.Domain) {
 		return wire.Route{}, false // would be rejected anyway
 	}
@@ -586,30 +683,22 @@ func (s *Speaker) exportable(n Neighbor, table wire.Table, sel selected) (wire.R
 // routers and learned over the internal mesh) strictly covers sel's prefix
 // — in which case the paper's aggregation rule says not to advertise the
 // more-specific route externally (§4.3.2: "the border routers of the
-// parent domain need not propagate their children's group routes").
+// parent domain need not propagate their children's group routes"). An
+// unexpired local origination is always its prefix's selected route, so
+// the selected routes are all there is to walk.
 func (s *Speaker) coveredByOwnOriginationLocked(table wire.Table, sel selected) bool {
 	r, q := s.tables[table], sel.route.Prefix
-	for p, rt := range r.local {
-		if p.Len < q.Len && p.ContainsPrefix(q) && !s.expired(rt) {
-			return true
-		}
-	}
 	for l := q.Len - 1; l >= 0; {
 		b, ok := r.covering(q.Base, l)
 		if !ok {
 			break
 		}
-		if wire.DomainID(b.route.Origin) == s.cfg.Domain && !s.expired(b.route) {
+		if (b.local || wire.DomainID(b.route.Origin) == s.cfg.Domain) && !s.expired(b.route) {
 			return true
 		}
 		l = b.route.Prefix.Len - 1
 	}
 	return false
-}
-
-func (s *Speaker) isInternalLocked(id wire.RouterID) bool {
-	n, ok := s.neighbors[id]
-	return ok && n.Internal
 }
 
 // selected is a best-route record.
@@ -633,17 +722,6 @@ func (a selected) equal(b selected) bool {
 		}
 	}
 	return true
-}
-
-// better implements the route preference order.
-func (a selected) better(b selected) bool {
-	if a.local != b.local {
-		return a.local
-	}
-	if len(a.route.ASPath) != len(b.route.ASPath) {
-		return len(a.route.ASPath) < len(b.route.ASPath)
-	}
-	return a.from < b.from
 }
 
 // String aids debugging.

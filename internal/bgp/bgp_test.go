@@ -454,6 +454,33 @@ func TestUpdateFromUnknownPeerIgnored(t *testing.T) {
 	}
 }
 
+// One well-formed frame from a configured neighbour used to crash the
+// speaker: an Update for a table that does not exist reached a nil rib.
+// The decoder refuses it now, and HandleUpdate ignores it for callers that
+// hand it an Update directly.
+func TestUpdateForUnknownTableIgnored(t *testing.T) {
+	sent := 0
+	s := New(Config{Router: 1, Domain: 1, Send: func(wire.RouterID, *wire.Update) { sent++ }})
+	s.AddNeighbor(Neighbor{Router: 2, Domain: 2})
+	s.AddNeighbor(Neighbor{Router: 3, Domain: 3})
+	rt := wire.Route{Prefix: addr.MustParsePrefix("10.0.0.0/8"), ASPath: []wire.DomainID{2}, Origin: 2}
+	for _, table := range []wire.Table{wire.Table(wire.NumTables), 9, 255} {
+		u := &wire.Update{Table: table, Routes: []wire.Route{rt}, Withdrawn: []addr.Prefix{rt.Prefix}}
+		if _, err := wire.Decode(wire.Encode(u)); err == nil {
+			t.Errorf("table %d: the frame decodes; a neighbour can send it", table)
+		}
+		s.HandleUpdate(2, u)
+	}
+	for table := wire.Table(0); int(table) < wire.NumTables; table++ {
+		if n := len(s.Table(table)); n != 0 {
+			t.Errorf("table %v holds %d routes after updates for unknown tables", table, n)
+		}
+	}
+	if sent != 0 {
+		t.Errorf("%d updates sent on behalf of unknown tables", sent)
+	}
+}
+
 func TestLoopedRouteRejected(t *testing.T) {
 	s := New(Config{Router: 1, Domain: 7})
 	s.AddNeighbor(Neighbor{Router: 2, Domain: 8})

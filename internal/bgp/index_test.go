@@ -28,8 +28,8 @@ func scanLongestMatch(s *Speaker, r *rib, a addr.Addr) (best selected, ok bool) 
 // scanCovered is the §4.3.2 covering test as it was before the length
 // index. Kept as the oracle.
 func scanCovered(s *Speaker, r *rib, sel selected) bool {
-	for p, rt := range r.local {
-		if p.Len < sel.route.Prefix.Len && p.ContainsPrefix(sel.route.Prefix) && !s.expired(rt) {
+	for p, rec := range r.recs {
+		if rec.local != nil && p.Len < sel.route.Prefix.Len && p.ContainsPrefix(sel.route.Prefix) && !s.expired(*rec.local) {
 			return true
 		}
 	}
@@ -42,13 +42,40 @@ func scanCovered(s *Speaker, r *rib, sel selected) bool {
 	return false
 }
 
-// checkIndex compares every reader of the length index with its oracle on
-// one table: the counts with a recount of best, Lookup and LookupBackup on
-// the probe addresses, the covering test on every selected route.
+// checkMirror requires best to hold exactly the records' selected routes,
+// by value, and recs to hold no record with nothing in it. Caller holds s.mu.
+func checkMirror(t *testing.T, table wire.Table, r *rib) {
+	t.Helper()
+	selected := 0
+	for p, rec := range r.recs {
+		if rec.prefix != p || rec.empty() {
+			t.Fatalf("table %d: record %v filed under %v, empty = %v", table, rec.prefix, p, rec.empty())
+		}
+		if !rec.hasSel {
+			if sel, ok := r.best[p]; ok {
+				t.Fatalf("table %d: best[%v] = %+v, the record selects nothing", table, p, sel)
+			}
+			continue
+		}
+		selected++
+		if sel, ok := r.best[p]; !ok || !reflect.DeepEqual(sel, rec.sel) {
+			t.Fatalf("table %d: best[%v] = %+v (present %v), the record selects %+v", table, p, sel, ok, rec.sel)
+		}
+	}
+	if selected != len(r.best) {
+		t.Fatalf("table %d: best holds %d routes, the records select %d", table, len(r.best), selected)
+	}
+}
+
+// checkIndex compares every reader of the read index with its oracle on
+// one table: the mirror with the records, the counts with a recount of
+// best, Lookup and LookupBackup on the probe addresses, the covering test
+// on every selected route.
 func checkIndex(t *testing.T, s *Speaker, table wire.Table, probes []addr.Addr) {
 	t.Helper()
 	s.mu.Lock()
 	r := s.tables[table]
+	checkMirror(t, table, r)
 	var recount [33]uint32
 	for p := range r.best {
 		recount[p.Len]++
@@ -64,7 +91,7 @@ func checkIndex(t *testing.T, s *Speaker, table wire.Table, probes []addr.Addr) 
 	for i, a := range probes {
 		if cur, ok := scanLongestMatch(s, r, a); ok {
 			want[i][0] = answer{s.entryOf(cur), true}
-			if second, ok := s.decide(r, cur.route.Prefix, &cur); ok {
+			if second, ok := s.decide(r.recs[cur.route.Prefix], &cur); ok {
 				want[i][1] = answer{s.entryOf(second), true}
 			}
 		}
@@ -87,9 +114,10 @@ func checkIndex(t *testing.T, s *Speaker, table wire.Table, probes []addr.Addr) 
 	}
 }
 
-// TestLengthIndexMatchesScan drives every writer of rib.best with random
+// TestLengthIndexMatchesScan drives every writer of the records with random
 // nested prefixes of mixed lengths and lifetimes and checks, after every
-// step, that the indexed readers answer as the scans did.
+// step, that best mirrors the records' selections and that the indexed
+// readers answer as the scans did.
 func TestLengthIndexMatchesScan(t *testing.T) {
 	start := time.Unix(1_000_000, 0)
 	lens := []int{0, 1, 4, 8, 12, 16, 17, 24, 31, 32}

@@ -7,6 +7,7 @@ import (
 	"mascbgmp/internal/addr"
 	"mascbgmp/internal/dataplane"
 	"mascbgmp/internal/migp/dvmrp"
+	"mascbgmp/internal/obs"
 	"mascbgmp/internal/simclock"
 	"mascbgmp/internal/wire"
 )
@@ -96,5 +97,114 @@ func TestSendAllocBudget(t *testing.T) {
 					b.backend, transit, members, got, b.perHop, hops, b.perDelivery, members, b.constant, budget)
 			}
 		}
+	}
+}
+
+// ringNet builds n single-router domains on a synchronous network, linked
+// in a ring with a chord from every chord-th router to the one a third of
+// the way round, domain 1 holding a MASC range: every router ends up with
+// 2n+1 routes (a unicast and an M-RIB prefix per domain, one group range)
+// and at least two ways to reach each. ob may be nil.
+func ringNet(t testing.TB, n, chord int, ob *obs.Observer) *Network {
+	t.Helper()
+	clk := simclock.NewSim(time.Date(1998, 9, 1, 0, 0, 0, 0, time.UTC))
+	net, err := NewNetwork(Config{Clock: clk, Seed: 7, Synchronous: true, Observer: ob})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var root *Domain
+	for i := 1; i <= n; i++ {
+		d, err := net.AddDomain(DomainConfig{
+			ID: wire.DomainID(i), Routers: []wire.RouterID{wire.RouterID(i)}, Protocol: dvmrp.New(),
+			TopLevel:   i == 1,
+			HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, byte(i), 0, 0), Len: 16},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 {
+			root = d
+		}
+	}
+	link := func(a, b int) {
+		if err := net.Link(wire.RouterID(a+1), wire.RouterID(b+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		link(i, (i+1)%n)
+	}
+	for i := 0; i < n; i += chord {
+		link(i, (i+n/3)%n)
+	}
+	if !root.MASC().RequestSpace(256, 30*24*time.Hour) {
+		t.Fatal("root's claim selection failed")
+	}
+	clk.RunFor(49 * time.Hour)
+	if len(root.MASC().Holdings()) == 0 {
+		t.Fatal("root won no range")
+	}
+	return net
+}
+
+// flap takes the ring link between routers a and a+1 down and up again.
+func flap(t testing.TB, net *Network, a int) {
+	if err := net.Unlink(wire.RouterID(a), wire.RouterID(a+1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Link(wire.RouterID(a), wire.RouterID(a+1)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFlapAllocBudget pins what a link going down and coming back may
+// allocate across the whole stack, as
+//
+//	perItem × route items + constant
+//
+// where a route item is one route announced or withdrawn to one neighbour,
+// counted off the observer of an identical world. An item that is a route
+// costs its decoded AS path and the receiver's own copy of it; one that
+// changes the receiver's best adds at most a record for a prefix not met
+// before and one domain-prepended path shared by every neighbour it goes
+// on to. The rest is per message, not per item — the update and its lists
+// on both sides of the wire, the receiver's batch, notes and output — and
+// its share falls as updates carry more routes: 5.5 per item in all here.
+// With a prefix's state in five maps and a Clone plus a prepending append
+// per route per neighbour the same flap cost 11.3 per item; one more
+// allocation per item fails.
+func TestFlapAllocBudget(t *testing.T) {
+	const n, chord, link = 12, 4, 3
+	ob := obs.NewObserver()
+	counted := ringNet(t, n, chord, ob)
+	flap(t, counted, link) // the first flap settles map sizes; the second is counted
+	before := ob.Snapshot()
+	flap(t, counted, link)
+	d := ob.Snapshot().Diff(before)
+	items := int(d.Total(obs.BGPAnnounce.String()) + d.Total(obs.BGPWithdraw.String()))
+	if items < 5*n {
+		t.Fatalf("a flap moved %d route items on a %d-router ring; the budget would be vacuous", items, n)
+	}
+
+	net := ringNet(t, n, chord, nil)
+	flap(t, net, link)
+	got := int(testing.AllocsPerRun(5, func() { flap(t, net, link) }))
+	const perItem, constant = 5, 150
+	if budget := perItem*items + constant; got > budget {
+		t.Errorf("%d allocations per flap of %d route items, budget %d×%d + %d = %d",
+			got, items, perItem, items, constant, budget)
+	}
+}
+
+// BenchmarkLinkFlap times one link of a 48-router ring with chords going
+// down and coming back: two session teardowns, the withdrawals and path
+// hunting they set off, two full-table Syncs and the reconvergence.
+func BenchmarkLinkFlap(b *testing.B) {
+	net := ringNet(b, 48, 6, nil)
+	flap(b, net, 5)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		flap(b, net, 5+i%7)
 	}
 }

@@ -155,6 +155,10 @@ const (
 	TableGRIB
 )
 
+// NumTables is the number of defined tables: a Table at or past it names
+// none, and the decoder rejects it.
+const NumTables = int(TableGRIB) + 1
+
 // String implements fmt.Stringer.
 func (t Table) String() string {
 	switch t {
@@ -233,27 +237,45 @@ func (m *Update) AppendPayload(b []byte) []byte {
 	return b
 }
 
-// DecodePayload implements Message.
+// Encoded sizes the Update decoder checks announced counts against: a
+// prefix, an AS-path hop, and a route with an empty path.
+const (
+	prefixSize   = 5
+	hopSize      = 4
+	minRouteSize = prefixSize + 2 + 4 + 8
+)
+
+// DecodePayload implements Message. Every list is allocated once, at its
+// announced length, after that length has been checked against the bytes
+// left: a forged count cannot allocate more than the frame could hold.
 func (m *Update) DecodePayload(b []byte) error {
 	r := reader{b: b}
 	m.Table = Table(r.u8())
-	nw := int(r.u16())
-	m.Withdrawn = nil
-	for i := 0; i < nw && r.err == nil; i++ {
-		m.Withdrawn = append(m.Withdrawn, r.prefix())
+	if r.err == nil && int(m.Table) >= NumTables {
+		return fmt.Errorf("wire: unknown table %d", uint8(m.Table))
 	}
-	nr := int(r.u16())
-	m.Routes = nil
-	for i := 0; i < nr && r.err == nil; i++ {
-		var rt Route
-		rt.Prefix = r.prefix()
-		np := int(r.u16())
-		for j := 0; j < np && r.err == nil; j++ {
-			rt.ASPath = append(rt.ASPath, DomainID(r.u32()))
+	m.Withdrawn = nil
+	if nw := r.count(prefixSize); nw > 0 {
+		m.Withdrawn = make([]addr.Prefix, nw)
+		for i := range m.Withdrawn {
+			m.Withdrawn[i] = r.prefix()
 		}
-		rt.Origin = DomainID(r.u32())
-		rt.ExpireUnix = r.u64()
-		m.Routes = append(m.Routes, rt)
+	}
+	m.Routes = nil
+	if nr := r.count(minRouteSize); nr > 0 {
+		m.Routes = make([]Route, nr)
+		for i := 0; i < nr && r.err == nil; i++ {
+			rt := &m.Routes[i]
+			rt.Prefix = r.prefix()
+			if np := r.count(hopSize); np > 0 {
+				rt.ASPath = make([]DomainID, np)
+				for j := range rt.ASPath {
+					rt.ASPath[j] = DomainID(r.u32())
+				}
+			}
+			rt.Origin = DomainID(r.u32())
+			rt.ExpireUnix = r.u64()
+		}
 	}
 	return r.done()
 }

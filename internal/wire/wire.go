@@ -276,6 +276,18 @@ func (r *reader) u16() uint16 {
 	return v
 }
 
+// count reads a u16 element count and fails the decode when that many
+// elements of at least size bytes each cannot fit in what is left, so the
+// caller may allocate the count it gets.
+func (r *reader) count(size int) int {
+	n := int(r.u16())
+	if n*size > len(r.b) {
+		r.fail()
+		return 0
+	}
+	return n
+}
+
 func (r *reader) u32() uint32 {
 	if r.err != nil || len(r.b) < 4 {
 		r.fail()

@@ -99,6 +99,69 @@ func TestDecodeNeverAliasesInput(t *testing.T) {
 	}
 }
 
+// An Update for a table that does not exist is a decode error, like an
+// invalid prefix: no receiver ever sees it.
+func TestUpdateUnknownTableRejected(t *testing.T) {
+	for _, table := range []Table{Table(NumTables), 9, 255} {
+		frame := Encode(&Update{Table: table, Routes: []Route{{Prefix: addr.MustParsePrefix("10.0.0.0/8")}}})
+		if msg, err := Decode(frame); err == nil {
+			t.Errorf("table %d: decoded to %#v, want an error", table, msg)
+		}
+	}
+	for table := Table(0); int(table) < NumTables; table++ {
+		if _, err := Decode(Encode(&Update{Table: table})); err != nil {
+			t.Errorf("table %v: %v", table, err)
+		}
+	}
+}
+
+// The Update decoder allocates each list once at its announced length, so
+// a count the frame cannot back must fail before anything is allocated
+// for it — and an honest frame costs one allocation per list.
+func TestUpdateDecodeAllocatesAnnouncedSizesOnly(t *testing.T) {
+	forged := [][]byte{
+		{byte(TableGRIB), 0xff, 0xff},                       // 65535 withdrawals, none present
+		{byte(TableGRIB), 0, 0, 0xff, 0xff, 10, 0, 0, 0, 8}, // 65535 routes in 5 bytes
+		{byte(TableGRIB), 0, 0, 0, 1, 10, 0, 0, 0, 8, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, // 65535 hops
+	}
+	for i, payload := range forged {
+		var m Update
+		allocs := testing.AllocsPerRun(10, func() {
+			if err := m.DecodePayload(payload); err != ErrTruncated {
+				t.Fatalf("forged payload %d: err = %v, want ErrTruncated", i, err)
+			}
+		})
+		// The one-route case allocates its single Route before the forged
+		// path count is read; nothing may be sized by a forged count.
+		if allocs > 1 {
+			t.Errorf("forged payload %d: %v allocations, want at most 1", i, allocs)
+		}
+		if cap(m.Withdrawn) > 0 || cap(m.Routes) > 1 {
+			t.Errorf("forged payload %d: allocated %d withdrawals, %d routes", i, cap(m.Withdrawn), cap(m.Routes))
+		}
+	}
+
+	honest := &Update{Table: TableGRIB, Withdrawn: []addr.Prefix{addr.MustParsePrefix("224.0.1.0/24")}}
+	for i := 0; i < 8; i++ {
+		honest.Routes = append(honest.Routes, Route{
+			Prefix: addr.Prefix{Base: addr.MakeAddr(224, 1, byte(i), 0), Len: 24},
+			ASPath: []DomainID{1, 2, 3, 4, 5}, Origin: 5,
+		})
+	}
+	payload := honest.AppendPayload(nil)
+	var m Update
+	if got, want := testing.AllocsPerRun(10, func() {
+		if err := m.DecodePayload(payload); err != nil {
+			t.Fatal(err)
+		}
+	}), float64(2+len(honest.Routes)); got != want {
+		t.Errorf("honest update: %v allocations, want %v (the two lists and one path per route)", got, want)
+	}
+	if !reflect.DeepEqual(&m, honest) {
+		t.Errorf("honest update decoded to %#v", m)
+	}
+}
+
 func TestEmptyCollectionsRoundTrip(t *testing.T) {
 	for _, msg := range []Message{
 		&Update{Table: TableMRIB},

@@ -17,3 +17,6 @@ go test ./...
 go test -race ./...
 go test -race ./internal/lint
 go test -run Determinism -count=2 ./...
+# benchmark/ is its own module importing internal/ directly: ./... above
+# never compiles it, so a change that may not edit it can still break it.
+(cd benchmark && go vet . && go test .)
