@@ -2,10 +2,8 @@
 // over the module: determinism (no wall-clock or global rand), layering
 // (the documented internal import DAG), maporder (protocol map ranges
 // must not leak iteration order), obsdiscipline (obs bus names come from
-// constants), hotalloc (no avoidable allocation on forwarding hot paths),
-// guarded (mutex-guarded fields accessed only under their lock),
-// wireexhaustive (every wire message kind decodes and round-trips), and
-// stalewaiver (lint waivers that suppress nothing must go).
+// constants) and guarded (mutex-guarded fields accessed only under their
+// lock).
 //
 // Usage:
 //

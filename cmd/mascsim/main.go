@@ -12,20 +12,14 @@
 //	mascsim [-top 50] [-children 50] [-days 800] [-seed 1998]
 //	        [-fig 2a|2b|csv] [-summary] [-metrics] [-trace]
 //	        [-trace-out spans.json] [-metrics-out metrics.prom]
-//	        [-trials 1] [-parallel 1]
 //
 // -trace-out records every claim round as a span timestamped from the
-// simulation's event clock and writes Chrome trace-event JSON
-// (single-run mode only — replicated trials share one observer, so span
-// order would depend on scheduling). -metrics-out writes the final
-// counter state in Prometheus text exposition format. Both files are
-// byte-identical for the same seed.
+// simulation's event clock and writes Chrome trace-event JSON.
+// -metrics-out writes the final counter state in Prometheus text
+// exposition format. Both files are byte-identical for the same seed.
 //
-// With -trials N > 1 the simulation is replicated N times across a worker
-// pool, each replica with a seed derived from (-seed, trial index); the
-// CSV series is skipped and a per-trial summary table plus the
-// mean/min/max aggregate is printed instead. The per-trial results are
-// identical at any -parallel value.
+// This is one run of one seed. Replicated trials across a worker pool are
+// `benchsuite -suite fig2-alloc -trials N -parallel M`.
 package main
 
 import (
@@ -34,7 +28,6 @@ import (
 	"os"
 
 	"mascbgmp"
-	"mascbgmp/internal/harness"
 )
 
 func main() {
@@ -48,19 +41,10 @@ func main() {
 		hetero     = flag.Bool("hetero", false, "heterogeneous topology: variable children per provider and block sizes")
 		metrics    = flag.Bool("metrics", false, "dump protocol event counters to stderr at exit")
 		trace      = flag.Bool("trace", false, "print every protocol event to stderr as it happens")
-		traceOut   = flag.String("trace-out", "", "record allocator claim spans and write Chrome trace-event JSON to this file (single-run mode only)")
+		traceOut   = flag.String("trace-out", "", "record allocator claim spans and write Chrome trace-event JSON to this file")
 		metricsOut = flag.String("metrics-out", "", "write counters and histograms to this file in Prometheus text exposition format")
-		trials     = flag.Int("trials", 1, "replicate the simulation N times with derived seeds (1: single legacy run)")
-		parallel   = flag.Int("parallel", 1, "worker pool size for -trials replication (0: GOMAXPROCS)")
 	)
 	flag.Parse()
-
-	if *traceOut != "" && *trials > 1 {
-		// Replicated trials share one observer across workers, so span IDs
-		// would allocate in scheduling order and break byte determinism.
-		fmt.Fprintln(os.Stderr, "mascsim: -trace-out requires single-run mode (-trials 1)")
-		os.Exit(2)
-	}
 
 	cfg := mascbgmp.DefaultFig2Config()
 	cfg.TopLevel = *top
@@ -81,15 +65,6 @@ func main() {
 			tr = mascbgmp.NewTracer(*seed)
 			ob.SetTracer(tr)
 		}
-	}
-
-	if *trials > 1 {
-		runReplicated(cfg, *trials, *parallel, *days)
-		if *metrics {
-			fmt.Fprintf(os.Stderr, "\n# protocol event counters (all trials)\n%s", ob.Snapshot().Totals())
-		}
-		writeObsFiles(ob, tr, *metricsOut, *traceOut)
-		return
 	}
 
 	res := mascbgmp.RunFig2(cfg)
@@ -176,54 +151,4 @@ func steadyState(samples []mascbgmp.Fig2Sample, days int) (util, grib float64, g
 		grib /= float64(n)
 	}
 	return util, grib, gribMax, cut
-}
-
-// runReplicated runs the simulation trials times across a worker pool,
-// each replica seeded from (cfg.Seed, trial index), and prints per-trial
-// steady-state rows plus the aggregate. Per-trial results are identical
-// at any parallelism.
-func runReplicated(cfg mascbgmp.Fig2Config, trials, parallel, days int) {
-	type row struct {
-		seed              int64
-		util, grib        float64
-		gribMax, live     int
-		satisfied, failed int
-	}
-	results, err := harness.Run(harness.Config{
-		Trials:   trials,
-		Parallel: parallel,
-		Seed:     cfg.Seed,
-		Run: func(t harness.Trial) (any, error) {
-			c := cfg
-			c.Seed = t.Seed
-			res := mascbgmp.RunFig2(c)
-			u, g, gm, _ := steadyState(res.Samples, days)
-			return row{seed: t.Seed, util: u, grib: g, gribMax: gm,
-				live: res.LiveBlocks, satisfied: res.Satisfied, failed: res.Failed}, nil
-		},
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mascsim: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("trial,seed,utilization_pct,grib_mean,grib_max,live_blocks,satisfied,failed")
-	var uSum, uMin, uMax, gSum float64
-	var liveSum int
-	for i, r := range results {
-		rw := r.Value.(row)
-		fmt.Printf("%d,%d,%.2f,%.1f,%d,%d,%d,%d\n",
-			i, rw.seed, rw.util*100, rw.grib, rw.gribMax, rw.live, rw.satisfied, rw.failed)
-		if i == 0 || rw.util < uMin {
-			uMin = rw.util
-		}
-		if i == 0 || rw.util > uMax {
-			uMax = rw.util
-		}
-		uSum += rw.util
-		gSum += rw.grib
-		liveSum += rw.live
-	}
-	n := float64(len(results))
-	fmt.Fprintf(os.Stderr, "\n# %d trials: utilization mean %.1f%% (min %.1f%%, max %.1f%%), G-RIB mean %.1f, live blocks mean %.0f\n",
-		len(results), uSum/n*100, uMin*100, uMax*100, gSum/n, float64(liveSum)/n)
 }

@@ -278,8 +278,6 @@ func (s *Speaker) HandleUpdate(from wire.RouterID, u *wire.Update) {
 
 // Lookup performs a longest-prefix-match in a table. ok is false when no
 // covering unexpired route exists.
-//
-//lint:hotpath
 func (s *Speaker) Lookup(table wire.Table, a addr.Addr) (Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -315,8 +313,6 @@ func (s *Speaker) longestMatchLocked(r *rib, a addr.Addr) (selected, bool) {
 // to precompute a backup parent target per (*,G) so a peer failure can
 // switch the tree over without waiting for the withdrawal to propagate.
 // ok is false when the best route has no independent alternative.
-//
-//lint:hotpath
 func (s *Speaker) LookupBackup(table wire.Table, a addr.Addr) (Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -100,6 +100,45 @@ func TestSendAllocBudget(t *testing.T) {
 	}
 }
 
+// TestJoinAllocBudget pins what one host Join and the Leave that undoes it
+// may allocate when the joining domain is the chain's far end, as
+//
+//	perHop × peering hops to the root + constant
+//
+// On the shared tree a hop costs 9: the join builds a (*,G) entry and its
+// child map at the next router, records the child, and both the GroupJoin
+// and the GroupPrune cost an output list, the message and its decoded
+// copy. The overlays keep no transit state, so a hop is the two decoded
+// MemberReports. All three rows are the measured floor: one more
+// allocation anywhere between the host and the root fails.
+func TestJoinAllocBudget(t *testing.T) {
+	budgets := []struct {
+		backend          string
+		perHop, constant int
+	}{
+		{dataplane.SharedTreeName, 9, 2},
+		{dataplane.BIERName, 2, 4},
+		{dataplane.MapEncapName, 2, 4},
+	}
+	for _, b := range budgets {
+		for _, transit := range []int{1, 4} {
+			far, g := chainNet(t, b.backend, transit, 1)
+			got := int(testing.AllocsPerRun(50, func() { far.Join(g, 0); far.Leave(g, 0) }))
+			far.Join(g, 0)
+			member := far.net.Domain(wire.DomainID(transit + 3))
+			member.Send(g, member.HostAddr(0), "x", 0)
+			if len(far.Received()) == 0 {
+				t.Fatalf("%s: a join from the far end receives nothing; the budget would be vacuous", b.backend)
+			}
+			hops := transit + 1
+			if budget := b.perHop*hops + b.constant; got > budget {
+				t.Errorf("%s, %d hops to the root: %d allocations per join+leave, budget %d×%d + %d = %d",
+					b.backend, hops, got, b.perHop, hops, b.constant, budget)
+			}
+		}
+	}
+}
+
 // ringNet builds n single-router domains on a synchronous network, linked
 // in a ring with a chord from every chord-th router to the one a third of
 // the way round, domain 1 holding a MASC range: every router ends up with

@@ -177,7 +177,7 @@ func RunChaos(cfg ChaosConfig) ([]ChaosPoint, error) {
 			// The flight recorder retains each router's recent events; a
 			// failed point dumps them with the error.
 			fr := obs.NewFlightRecorder(64)
-			pointObs.SetFlightRecorder(fr)
+			pointObs.Subscribe(fr.Record)
 			pt, err := runChaosPoint(cfg, int64(t.Index), loss, pointObs)
 			if err != nil {
 				return nil, fmt.Errorf("chaos: loss %.2f: %w\nflight recorder:\n%s", loss, err, fr.Dump())

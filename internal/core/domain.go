@@ -217,8 +217,6 @@ func (d *Domain) onRangeLost(p addr.Prefix) {
 // the router whose table lookup resolves locally or to an external peer.
 // Group addresses consult the G-RIB; unicast sources the M-RIB then the
 // unicast table.
-//
-//lint:hotpath
 func (d *Domain) bestExit(a addr.Addr) wire.RouterID {
 	if a.IsMulticast() {
 		return d.exitVia(wire.TableGRIB, a)

@@ -20,11 +20,9 @@ func TestGolden(t *testing.T) {
 	}{
 		{"determinism", []string{"determinism"}},
 		{"guarded", []string{"guarded"}},
-		{"hotalloc", []string{"hotalloc", "stalewaiver"}},
 		{"layering", []string{"layering"}},
 		{"maporder", []string{"maporder"}},
 		{"obsdiscipline", []string{"obsdiscipline"}},
-		{"wireexhaustive", []string{"wireexhaustive"}},
 		{"clean", nil},
 	}
 	for _, fx := range fixtures {

@@ -14,9 +14,16 @@
 //   - maporder: no `range` over a map in a protocol package whose body
 //     lets iteration order escape (appending to an outer slice, emitting
 //     an obs event, writing to a message/encoder) unless the result is
-//     sorted afterwards or the site carries a `//lint:sorted` justification;
+//     sorted afterwards;
 //   - obsdiscipline: counter names passed to the obs bus must come from
-//     package-level constants, never inline string literals.
+//     package-level constants, never inline string literals;
+//   - guarded: a field annotated `// guarded by <mu>` is touched only in
+//     functions that lock that mutex or are named *Locked.
+//
+// Each is something a run cannot see: a randomised map order, a typo'd
+// counter name or a field read without its lock does not fail a test.
+// Quantities a test can measure (allocations per packet, the wire type
+// registry) are held by tests, not here.
 //
 // The analyzers run over every non-test file of the module; cmd/masclint
 // is the CLI and lint_test.go keeps `go test ./...` self-enforcing.
@@ -63,12 +70,9 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer(),
 		GuardedAnalyzer(),
-		HotAllocAnalyzer(),
 		LayeringAnalyzer(),
 		MapOrderAnalyzer(),
 		ObsDisciplineAnalyzer(),
-		StaleWaiverAnalyzer(),
-		WireExhaustiveAnalyzer(),
 	}
 }
 

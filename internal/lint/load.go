@@ -30,8 +30,8 @@ type Module struct {
 
 	byPath map[string]*Package
 
-	// memo caches cross-package analysis state (call graphs, guarded-field
-	// tables) so analyzers that need a whole-module view compute it once.
+	// memo caches cross-package analysis state (the guarded-field table)
+	// so an analyzer that needs a whole-module view computes it once.
 	memoMu sync.Mutex
 	memo   map[string]any
 }
@@ -129,15 +129,6 @@ func Load(dir string) (*Module, error) {
 		m.Pkgs = append(m.Pkgs, p)
 	}
 	return m, nil
-}
-
-// PackageByRel returns the package at the module-relative directory, or
-// nil when absent.
-func (m *Module) PackageByRel(rel string) *Package {
-	if rel == "" {
-		return m.byPath[m.Path]
-	}
-	return m.byPath[m.Path+"/"+rel]
 }
 
 // Position renders pos as a module-relative "file:line:col" string.
@@ -381,8 +372,6 @@ func (m *Module) check(p *Package, std types.ImporterFrom) error {
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
 	}
 	var errs []error
 	conf := types.Config{

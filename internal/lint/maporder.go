@@ -23,91 +23,43 @@ func protocolPackage(rel string) bool {
 // slice declared outside the loop, emitting an obs event, or writing to a
 // message/encoder. A site is clean when the appended slice is sorted later
 // in the same function (sort./slices.Sort*, or a module-local sort*/Sort*
-// helper), or when it carries a `//lint:sorted <why>` comment.
+// helper). There is no waiver: a finding is fixed by sorting.
 func MapOrderAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "maporder",
-		Doc:  "flag protocol map ranges whose iteration order escapes unsorted (append/emit/write) without a //lint:sorted justification",
+		Doc:  "flag protocol map ranges whose iteration order escapes unsorted (append/emit/write)",
 		Run:  runMapOrder,
 	}
 }
 
 func runMapOrder(m *Module, p *Package) []Finding {
-	return mapOrderState(m).findings[p.Path]
-}
-
-// moState is the memoized whole-module maporder result: per-package
-// findings plus, for stale-waiver detection, the //lint:sorted lines that
-// actually suppressed something (module-relative file -> comment line).
-type moState struct {
-	findings    map[string][]Finding
-	usedWaivers map[string]map[int]bool
-}
-
-func mapOrderState(m *Module) *moState {
-	return m.memoize("maporder", func() any { return buildMapOrderState(m) }).(*moState)
-}
-
-func buildMapOrderState(m *Module) *moState {
-	st := &moState{findings: map[string][]Finding{}, usedWaivers: map[string]map[int]bool{}}
-	for _, p := range m.Pkgs {
-		if !protocolPackage(p.Rel) {
-			continue
-		}
-		var out []Finding
-		seen := map[string]bool{}
-		for _, f := range p.Files {
-			sorted := sortedComments(m, f)
-			w := &mapOrderWalker{m: m, p: p, sorted: sorted, used: map[int]bool{}}
-			w.walk(f, nil)
-			// Nested map ranges can attribute one escape to both loops;
-			// report each site once.
-			for _, fd := range w.findings {
-				key := fd.Pos + "\x00" + fd.Message
-				if !seen[key] {
-					seen[key] = true
-					out = append(out, fd)
-				}
-			}
-			if len(w.used) > 0 {
-				rel := m.relFile(f.Pos())
-				u := st.usedWaivers[rel]
-				if u == nil {
-					u = map[int]bool{}
-					st.usedWaivers[rel] = u
-				}
-				for line := range w.used {
-					u[line] = true
-				}
-			}
-		}
-		st.findings[p.Path] = out
+	if !protocolPackage(p.Rel) {
+		return nil
 	}
-	return st
-}
-
-// sortedComments maps line numbers to the justification text of
-// `//lint:sorted` comments in the file.
-func sortedComments(m *Module, f *ast.File) map[int]string {
-	out := map[int]string{}
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-			if rest, ok := strings.CutPrefix(text, "lint:sorted"); ok {
-				out[m.Fset.Position(c.Pos()).Line] = strings.TrimSpace(rest)
-			}
+	w := &mapOrderWalker{m: m, p: p}
+	for _, f := range p.Files {
+		w.walk(f, nil)
+	}
+	// Nested map ranges can attribute one escape to both loops; report
+	// each site once.
+	var out []Finding
+	seen := map[string]bool{}
+	for _, fd := range w.findings {
+		key := fd.Pos + "\x00" + fd.Message
+		if !seen[key] {
+			seen[key] = true
+			out = append(out, fd)
 		}
 	}
 	return out
 }
 
-// mapOrderWalker walks one file keeping track of the innermost enclosing
-// function body, so append targets can be checked for a later sort call.
+// mapOrderWalker walks a package's files keeping track of the innermost
+// enclosing function body, so append targets can be checked for a later
+// sort call.
 type mapOrderWalker struct {
 	m        *Module
 	p        *Package
-	sorted   map[int]string
-	used     map[int]bool // //lint:sorted lines that suppressed a finding
 	findings []Finding
 }
 
@@ -151,49 +103,16 @@ func (w *mapOrderWalker) checkRange(rs *ast.RangeStmt, funcBody *ast.BlockStmt) 
 	if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
 		return
 	}
-	// Scan the body first so a waiver can be credited with the findings it
-	// suppresses (stalewaiver flags the ones that suppress nothing).
-	saved := w.findings
-	w.findings = nil
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
 		w.checkAppend(rs, funcBody, call)
-		w.checkEventEmit(rs, call)
-		w.checkEncoderWrite(rs, call)
+		w.checkEventEmit(call)
+		w.checkEncoderWrite(call)
 		return true
 	})
-	body := w.findings
-	w.findings = saved
-
-	line := w.m.Fset.Position(rs.Pos()).Line
-	if why, wline, ok := w.justification(line); ok {
-		if len(body) > 0 {
-			w.used[wline] = true
-		}
-		if why == "" {
-			w.findings = append(w.findings, Finding{
-				Analyzer: "maporder",
-				Pos:      w.m.Position(rs.Pos()),
-				Package:  w.p.Path,
-				Message:  "//lint:sorted needs a one-line justification for why iteration order cannot escape",
-			})
-		}
-		return
-	}
-	w.findings = append(w.findings, body...)
-}
-
-// justification returns the //lint:sorted text attached to the range (on
-// its own line or the line above) and the line the waiver sits on.
-func (w *mapOrderWalker) justification(line int) (string, int, bool) {
-	if why, ok := w.sorted[line]; ok {
-		return why, line, true
-	}
-	why, ok := w.sorted[line-1]
-	return why, line - 1, ok
 }
 
 // checkAppend flags `x = append(x, ...)` inside a map-range body when x is
@@ -224,14 +143,14 @@ func (w *mapOrderWalker) checkAppend(rs *ast.RangeStmt, funcBody *ast.BlockStmt,
 		Analyzer: "maporder",
 		Pos:      w.m.Position(call.Pos()),
 		Package:  w.p.Path,
-		Message:  fmt.Sprintf("append to %q inside a map range leaks iteration order; sort the result or iterate sorted keys (or add //lint:sorted <why>)", types.ExprString(call.Args[0])),
+		Message:  fmt.Sprintf("append to %q inside a map range leaks iteration order; sort the result or iterate sorted keys", types.ExprString(call.Args[0])),
 	})
 }
 
 // checkEventEmit flags obs-event emission inside a map-range body: any
 // call carrying an obs.Event or obs.Kind argument, or an Observer.Emit
 // call, publishes in iteration order.
-func (w *mapOrderWalker) checkEventEmit(rs *ast.RangeStmt, call *ast.CallExpr) {
+func (w *mapOrderWalker) checkEventEmit(call *ast.CallExpr) {
 	emits := false
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Emit" {
 		if fn, ok := w.p.Info.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil &&
@@ -251,14 +170,14 @@ func (w *mapOrderWalker) checkEventEmit(rs *ast.RangeStmt, call *ast.CallExpr) {
 		Analyzer: "maporder",
 		Pos:      w.m.Position(call.Pos()),
 		Package:  w.p.Path,
-		Message:  "obs event emitted inside a map range publishes in iteration order; iterate sorted keys (or add //lint:sorted <why>)",
+		Message:  "obs event emitted inside a map range publishes in iteration order; iterate sorted keys",
 	})
 }
 
 // checkEncoderWrite flags writes to messages, encoders, or writers inside
 // a map-range body (Write*/Fprint*/binary.Write), which serialize in
 // iteration order.
-func (w *mapOrderWalker) checkEncoderWrite(rs *ast.RangeStmt, call *ast.CallExpr) {
+func (w *mapOrderWalker) checkEncoderWrite(call *ast.CallExpr) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return
@@ -289,7 +208,7 @@ func (w *mapOrderWalker) checkEncoderWrite(rs *ast.RangeStmt, call *ast.CallExpr
 		Analyzer: "maporder",
 		Pos:      w.m.Position(call.Pos()),
 		Package:  w.p.Path,
-		Message:  fmt.Sprintf("%s inside a map range serializes in iteration order; iterate sorted keys (or add //lint:sorted <why>)", name),
+		Message:  fmt.Sprintf("%s inside a map range serializes in iteration order; iterate sorted keys", name),
 	})
 }
 

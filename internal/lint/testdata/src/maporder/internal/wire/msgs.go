@@ -43,21 +43,3 @@ func Buckets(m map[string][]int) int {
 	}
 	return total
 }
-
-// Justified carries a reviewed justification and is suppressed.
-func Justified(m map[string]int, ob *obs.Observer) {
-	//lint:sorted events are counted, not ordered, by every consumer
-	for range m {
-		ob.Emit(obs.Event{})
-	}
-}
-
-// Bare has an annotation with no justification, which is itself a finding.
-func Bare(m map[string]int) []string {
-	var keys []string
-	//lint:sorted
-	for k := range m {
-		keys = append(keys, k)
-	}
-	return keys
-}

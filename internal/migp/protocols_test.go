@@ -86,6 +86,22 @@ func TestProtocolNames(t *testing.T) {
 	}
 }
 
+// TestSteadyStateDeliverAllocatesNothing: the second and later packet of a
+// (source, group) with members unchanged costs no allocation on any of the
+// five protocols — the first builds the per-flow state and the Paths rows,
+// the rest read them.
+func TestSteadyStateDeliverAllocatesNothing(t *testing.T) {
+	paths := migp.NewPaths(line5())
+	members := []migp.Node{0, 2, 4}
+	hops := make([]int, len(members))
+	for name, p := range allProtocols() {
+		p.Deliver(paths, 1, src, grp, members, hops)
+		if n := testing.AllocsPerRun(100, func() { p.Deliver(paths, 1, src, grp, members, hops) }); n != 0 {
+			t.Errorf("%s: steady-state Deliver allocates %v per packet, want 0", name, n)
+		}
+	}
+}
+
 func TestDVMRPFloodsOncePerSourceGroup(t *testing.T) {
 	g := line5()
 	p := dvmrp.New()

@@ -131,7 +131,6 @@ var kindNames = [kindCount]string{
 // String returns the event kind's counter name, e.g. "masc.claim".
 func (k Kind) String() string {
 	if k == KindInvalid || k >= kindCount || kindNames[k] == "" {
-		//lint:alloc invalid-kind fallback only; every registered kind returns its interned name below
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
 	return kindNames[k]

@@ -13,8 +13,8 @@ import (
 // was each router doing just before it died" record the paper's failure
 // analysis (§5.2 peering teardown) calls for.
 //
-// A nil *FlightRecorder ignores records, so it can be attached (or not)
-// without guarding call sites.
+// It is fed by subscription — ob.Subscribe(fr.Record) — and a nil
+// *FlightRecorder ignores records.
 type FlightRecorder struct {
 	mu    sync.Mutex
 	cap   int                        // guarded by mu

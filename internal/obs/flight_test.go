@@ -49,7 +49,7 @@ func TestFlightRecorderDumpOrdersScopes(t *testing.T) {
 func TestObserverEmitFeedsFlightRecorder(t *testing.T) {
 	ob := NewObserver()
 	fr := NewFlightRecorder(8)
-	ob.SetFlightRecorder(fr)
+	ob.Subscribe(fr.Record)
 	ob.Emit(Event{Kind: BGMPJoin, Domain: 3, Router: 31})
 	if dump := fr.Dump(); !strings.Contains(dump, "domain=3 router=31") {
 		t.Fatalf("recorder missed emitted event:\n%s", dump)

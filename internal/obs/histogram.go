@@ -131,7 +131,6 @@ func (m *Metrics) Histogram(name string, domain wire.DomainID, router wire.Route
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.hists == nil {
-		//lint:alloc one-time lazy init per Metrics, not per event
 		m.hists = map[CounterKey]*Histogram{}
 	}
 	h := m.hists[k]

@@ -17,10 +17,8 @@ import (
 type Observer struct {
 	metrics *Metrics
 
-	// tracer and flight are optional attachments, loaded lock-free on the
-	// emit path; unattached (nil) they cost one atomic load.
+	// tracer is an optional attachment, loaded lock-free by Tracer().
 	tracer atomic.Pointer[Tracer]
-	flight atomic.Pointer[FlightRecorder]
 
 	mu      sync.Mutex
 	subs    map[int]func(Event) // guarded by mu
@@ -56,7 +54,6 @@ func (o *Observer) Emit(e Event) {
 		return
 	}
 	o.metrics.Counter(e.Kind.String(), e.Domain, e.Router).Add(e.N())
-	o.flight.Load().Record(e)
 	if o.nsubs.Load() == 0 {
 		return
 	}
@@ -108,22 +105,6 @@ func (o *Observer) Tracer() *Tracer {
 		return nil
 	}
 	return o.tracer.Load()
-}
-
-// SetFlightRecorder attaches f; every subsequent Emit also records into
-// it. Safe on nil.
-func (o *Observer) SetFlightRecorder(f *FlightRecorder) {
-	if o != nil {
-		o.flight.Store(f)
-	}
-}
-
-// FlightRecorder returns the attached recorder, nil when none.
-func (o *Observer) FlightRecorder() *FlightRecorder {
-	if o == nil {
-		return nil
-	}
-	return o.flight.Load()
 }
 
 // Histogram is shorthand for Metrics().Histogram — the handle protocol

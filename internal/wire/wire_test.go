@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -366,6 +367,35 @@ func TestMsgTypeStrings(t *testing.T) {
 	}
 	if Table(99).String() == "" {
 		t.Error("unknown table should format")
+	}
+}
+
+// TestRegistryExhaustive holds the three places a message type is
+// registered — the decoder switch, MsgType.String and allMessages — to one
+// another over every type byte, so a new message cannot decode without a
+// name, carry a name without decoding, re-encode under another type, or be
+// skipped by the round-trip, no-alias and fuzz-seed tests.
+func TestRegistryExhaustive(t *testing.T) {
+	sampled := map[MsgType]bool{}
+	for _, m := range allMessages() {
+		sampled[m.Type()] = true
+	}
+	for i := 0; i < 256; i++ {
+		typ := MsgType(i)
+		named := typ.String() != fmt.Sprintf("MsgType(0x%02x)", i)
+		m := newMessage(typ)
+		if (m != nil) != named {
+			t.Errorf("0x%02x: decodable=%v but named=%v (%s)", i, m != nil, named, typ)
+		}
+		if m == nil {
+			continue
+		}
+		if m.Type() != typ {
+			t.Errorf("newMessage(%s) is a %T whose Type() is %s", typ, m, m.Type())
+		}
+		if !sampled[typ] {
+			t.Errorf("allMessages has no %s sample", typ)
+		}
 	}
 }
 

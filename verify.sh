@@ -15,7 +15,6 @@ go vet ./...
 go run ./cmd/masclint ./...
 go test ./...
 go test -race ./...
-go test -race ./internal/lint
 go test -run Determinism -count=2 ./...
 # benchmark/ is its own module importing internal/ directly: ./... above
 # never compiles it, so a change that may not edit it can still break it.
