@@ -1,17 +1,13 @@
 package mascbgmp_test
 
-// Benchmark harness for the paper's evaluation artifacts.
-// BenchmarkScenario drives the registered benchsuite scenarios, so
-// `go test -bench Scenario` and `go run ./cmd/benchsuite` report the same
-// scenario names and metrics; cmd/mascsim and cmd/treesim produce the
-// full-scale series. The Ablation* benchmarks vary the design choices
-// DESIGN.md §5 calls out.
+// The Ablation* benchmarks vary the design choices DESIGN.md §5 calls
+// out; cmd/mascsim and cmd/treesim produce the full-scale series,
+// cmd/benchsuite the suites, benchmark/ the real-stack numbers.
 //
 // Run with: go test -bench=. -benchmem
 
 import (
 	"testing"
-	"time"
 
 	"mascbgmp"
 )
@@ -24,55 +20,6 @@ func fig2Bench() mascbgmp.Fig2Config {
 	cfg.ChildrenPer = 8
 	cfg.Days = 120
 	return cfg
-}
-
-// steadyState averages utilization and G-RIB size after the startup
-// transient.
-func steadyState(res mascbgmp.Fig2Result) (util, gribAvg float64, gribMax int) {
-	var n int
-	for _, s := range res.Samples {
-		if s.Day > 60 {
-			util += s.Utilization
-			gribAvg += s.GRIBAvg
-			if s.GRIBMax > gribMax {
-				gribMax = s.GRIBMax
-			}
-			n++
-		}
-	}
-	if n > 0 {
-		util /= float64(n)
-		gribAvg /= float64(n)
-	}
-	return util, gribAvg, gribMax
-}
-
-// BenchmarkScenario runs every registered benchsuite scenario (one trial
-// per iteration) under its registry name, so `go test -bench Scenario`
-// reports the same scenario names and metrics as cmd/benchsuite. The
-// expensive fig2-alloc suite is excluded from -short runs.
-func BenchmarkScenario(b *testing.B) {
-	for _, s := range mascbgmp.BenchScenarios() {
-		s := s
-		b.Run(s.Name, func(b *testing.B) {
-			if testing.Short() && s.Name == "fig2-alloc" {
-				b.Skip("fig2-alloc takes ~3s per trial")
-			}
-			b.ReportAllocs()
-			var res mascbgmp.BenchResult
-			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = mascbgmp.RunBenchScenario(s.Name,
-					mascbgmp.BenchOptions{Trials: 1, Parallel: 1, Seed: 1998})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			for _, m := range res.Metrics {
-				b.ReportMetric(m.Mean, m.Name)
-			}
-		})
-	}
 }
 
 func fig4Bench() mascbgmp.Fig4Config {
@@ -120,7 +67,7 @@ func BenchmarkAblationPrefixLimit(b *testing.B) {
 			var util, grib float64
 			for i := 0; i < b.N; i++ {
 				res := mascbgmp.RunFig2(cfg)
-				util, grib, _ = steadyState(res)
+				util, grib, _ = res.SteadyState(60)
 			}
 			b.ReportMetric(util*100, "%util")
 			b.ReportMetric(grib, "routes-avg")
@@ -141,61 +88,11 @@ func BenchmarkAblationOccupancyTarget(b *testing.B) {
 			var util, grib float64
 			for i := 0; i < b.N; i++ {
 				res := mascbgmp.RunFig2(cfg)
-				util, grib, _ = steadyState(res)
+				util, grib, _ = res.SteadyState(60)
 			}
 			b.ReportMetric(util*100, "%util")
 			b.ReportMetric(grib, "routes-avg")
 		})
-	}
-}
-
-// BenchmarkEndToEndDelivery measures one multicast send across three
-// domains through the full protocol stack (synchronous dispatch).
-func BenchmarkEndToEndDelivery(b *testing.B) {
-	clk := mascbgmp.NewSimClock(time.Date(1998, 9, 1, 0, 0, 0, 0, time.UTC))
-	net, err := mascbgmp.NewNetwork(mascbgmp.Config{Clock: clk, Seed: 7, Synchronous: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	mustDomain := func(dc mascbgmp.DomainConfig) {
-		if _, err := net.AddDomain(dc); err != nil {
-			b.Fatal(err)
-		}
-	}
-	mustDomain(mascbgmp.DomainConfig{ID: 1, Routers: []mascbgmp.RouterID{11, 12},
-		Protocol: mascbgmp.NewDVMRP(), TopLevel: true,
-		HostPrefix: mascbgmp.MustParsePrefix("10.1.0.0/16")})
-	mustDomain(mascbgmp.DomainConfig{ID: 2, Routers: []mascbgmp.RouterID{21},
-		Protocol: mascbgmp.NewDVMRP(), HostPrefix: mascbgmp.MustParsePrefix("10.2.0.0/16")})
-	mustDomain(mascbgmp.DomainConfig{ID: 3, Routers: []mascbgmp.RouterID{31},
-		Protocol: mascbgmp.NewDVMRP(), HostPrefix: mascbgmp.MustParsePrefix("10.3.0.0/16")})
-	if err := net.Link(21, 11); err != nil {
-		b.Fatal(err)
-	}
-	if err := net.Link(31, 12); err != nil {
-		b.Fatal(err)
-	}
-	net.MASCPeerParentChild(1, 2)
-	net.MASCPeerParentChild(1, 3)
-	net.Domain(1).MASC().RequestSpace(1<<16, 1000*time.Hour)
-	clk.RunFor(49 * time.Hour)
-	net.Domain(2).MASC().RequestSpace(256, 900*time.Hour)
-	clk.RunFor(49 * time.Hour)
-	lease, err := net.Domain(2).NewGroup(800 * time.Hour)
-	if err != nil {
-		b.Fatal(err)
-	}
-	net.Domain(3).Join(lease.Addr, 0)
-	src := net.Domain(1).HostAddr(1)
-
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		net.Domain(1).Send(lease.Addr, src, "bench", 0)
-	}
-	b.StopTimer()
-	if len(net.Domain(3).Received()) != b.N {
-		b.Fatalf("deliveries = %d, want %d", len(net.Domain(3).Received()), b.N)
 	}
 }
 

@@ -1,5 +1,5 @@
-// Command benchsuite runs the registered benchmark scenarios through the
-// parallel deterministic trial runner and writes machine-readable results
+// Command benchsuite runs the benchmark suites through the parallel
+// deterministic trial runner and writes machine-readable results
 // (schema mascbgmp-bench/v1) suitable for checking in as BENCH_<suite>.json
 // baselines. The Metrics and Counters sections of a result are pure
 // functions of (suite, trials, seed) — byte-identical at any -parallel —
@@ -18,9 +18,10 @@
 //	benchsuite -diff a.json b.json
 //
 // -scenario loads a declarative scenario file (see DESIGN.md §14 and the
-// scenarios/ directory) and registers it beside the built-in suites: it
-// becomes the default -suite, and -list includes it. An unparseable file
-// exits with status 2 and the parse error's file:line position.
+// scenarios/ directory) as one more suite beside the built-ins for this
+// invocation: it becomes the default -suite, and -list includes it. An
+// unparseable file, or one named like a built-in, exits with status 2 and
+// the file:line position.
 //
 // -trace-out attaches a deterministic tracer to every trial's observer
 // and writes the recorded causal spans (trial order) as Chrome
@@ -58,6 +59,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"mascbgmp"
@@ -82,9 +84,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchsuite", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		suite      = fs.String("suite", "", "scenario to run (see -list)")
-		scenFile   = fs.String("scenario", "", "scenario file (scenarios/*.toml) to load and register beside the built-ins; becomes the default -suite")
-		trials     = fs.Int("trials", 0, "trials to run (0: the scenario's default)")
+		suite      = fs.String("suite", "", "suite to run (see -list)")
+		scenFile   = fs.String("scenario", "", "scenario file (scenarios/*.toml) to load as a suite beside the built-ins; becomes the default -suite")
+		trials     = fs.Int("trials", 0, "trials to run (0: the suite's default)")
 		parallel   = fs.Int("parallel", 0, "worker pool size (0: GOMAXPROCS)")
 		seed       = fs.Int64("seed", 1998, "suite seed; per-trial seeds derive from it")
 		backend    = fs.String("backend", "", "forwarding data plane for suites that model one (shared-tree, bier, map-encap; empty: suite default)")
@@ -93,7 +95,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		metricsOut = fs.String("metrics-out", "", "write counter and histogram totals to this file in Prometheus text exposition format")
 		compare    = fs.String("compare", "", "baseline result file to gate the run against")
 		tolerance  = fs.Float64("tolerance", 0.10, "relative regression tolerance for -compare")
-		list       = fs.Bool("list", false, "list the registered scenarios and exit")
+		list       = fs.Bool("list", false, "list the suites and exit")
 		validate   = fs.String("validate", "", "validate a result file against the schema and exit")
 		diff       = fs.Bool("diff", false, "compare two result files (args) modulo env/timing and exit")
 	)
@@ -111,16 +113,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return code
 	}
 
-	// Load the scenario file first: it registers beside the built-ins
-	// for the length of this call, so -list shows it and -suite can name
-	// it. An unparseable file is a usage error (exit 2) carrying the
-	// parse error's file:line position.
+	// Load the scenario file first: it joins this invocation's suite list,
+	// so -list shows it and -suite can name it. An unparseable file is a
+	// usage error (exit 2) carrying the parse error's file:line position.
+	suites := bench.Suites()
 	if *scenFile != "" {
-		loaded, err := mascbgmp.LoadBenchScenarioFile(*scenFile)
+		loaded, err := bench.LoadScenarioFile(*scenFile)
 		if err != nil {
 			return fail(exitUsage, err.Error())
 		}
-		defer bench.Unregister(loaded.Name)
+		suites = append(suites, loaded)
 		if *suite == "" {
 			*suite = loaded.Name
 		}
@@ -128,7 +130,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	switch {
 	case *list:
-		for _, s := range mascbgmp.BenchScenarios() {
+		for _, s := range suites {
 			fmt.Fprintf(stdout, "%-16s trials=%d  %s\n", s.Name, s.DefaultTrials, s.Description)
 			for _, m := range s.Metrics {
 				fmt.Fprintf(stdout, "    %-20s %-10s better=%-6s %s\n", m.Name, m.Unit, m.Better, m.Help)
@@ -172,7 +174,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			*backend, strings.Join(mascbgmp.DataPlaneNames(), ", ")))
 	}
 
-	res, err := mascbgmp.RunBenchScenario(*suite, mascbgmp.BenchOptions{
+	i := slices.IndexFunc(suites, func(s bench.Suite) bool { return s.Name == *suite })
+	if i < 0 {
+		return fail(exitUsage, fmt.Sprintf("unknown suite %q (try -list)", *suite))
+	}
+	res, err := bench.RunSuite(suites[i], bench.Options{
 		Trials: *trials, Parallel: *parallel, Seed: *seed, Backend: *backend,
 		Trace: *traceOut != "",
 	})

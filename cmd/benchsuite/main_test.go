@@ -60,6 +60,27 @@ func TestParallelismIndependent(t *testing.T) {
 	}
 }
 
+// TestScenarioFileJoinsTheList: -scenario adds the file's suite to this
+// invocation's -list (after the built-ins) and to nothing else — the next
+// invocation lists the built-ins alone, and an unknown -suite is exit 2.
+func TestScenarioFileJoinsTheList(t *testing.T) {
+	diurnal := filepath.Join("..", "..", "scenarios", "diurnal.toml")
+	code, with, errb := runCLI(t, "-scenario", diurnal, "-list")
+	if code != 0 {
+		t.Fatalf("-scenario -list: exit %d\n%s", code, errb)
+	}
+	_, without, _ := runCLI(t, "-list")
+	if !strings.HasPrefix(with, without) || !strings.HasPrefix(with[len(without):], "diurnal ") {
+		t.Fatalf("-list with the file is not the built-in list plus diurnal:\n%s", with[len(without):])
+	}
+	if strings.Contains(without, "\ndiurnal ") {
+		t.Fatal("a loaded scenario outlived its invocation")
+	}
+	if code, _, errb := runCLI(t, "-suite", "diurnal"); code != exitUsage || !strings.Contains(errb, "unknown suite") {
+		t.Fatalf("-suite diurnal without the file: exit %d, stderr %q", code, errb)
+	}
+}
+
 // TestBadScenarioFileExitsTwo: an unparseable scenario is a usage error
 // (exit 2, not the outcome/schema codes 1 and 3) and the message points
 // at the offending file:line, so a CI failure names the bad key.

@@ -14,7 +14,7 @@
 // Usage:
 //
 //	chaossim [-seed 1998] [-loss 0,0.05,0.1,0.2] [-hold 30s] [-backoff 15s]
-//	         [-crash 5m] [-groups 3] [-packets 50] [-parallel 1]
+//	         [-crash 5m] [-groups 3] [-packets 50]
 //	         [-backend shared-tree|bier|map-encap] [-liveness]
 //	         [-liveness-floor 100ms] [-liveness-mult 3] [-metrics] [-trace]
 //	         [-trace-out spans.json] [-metrics-out metrics.prom]
@@ -36,10 +36,6 @@
 // is the only latency left, so time-to-reroute drops by an order of
 // magnitude; the recovery probes step at 250ms instead of 5s so that
 // resolves.
-//
-// -parallel fans the loss-rate points across a worker pool; each point is
-// an independent seeded trial, so the measurements (and the -metrics
-// counter totals) are identical at any value.
 //
 // -backend selects the forwarding data plane the routers run under fault
 // injection: the default BGMP shared trees repair tree state through the
@@ -79,7 +75,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		crash      = fs.Duration("crash", 5*time.Minute, "how long the crashed border router stays down")
 		groups     = fs.Int("groups", 3, "multicast groups rooted in the source domain")
 		packets    = fs.Int("packets", 50, "probe packets per group during the lossy phase")
-		parallel   = fs.Int("parallel", 1, "worker pool size for the loss-rate points (0: GOMAXPROCS); measurements are identical at any value")
 		backend    = fs.String("backend", mascbgmp.DataPlaneSharedTree, "forwarding data plane (shared-tree, bier, map-encap)")
 		liveness   = fs.Bool("liveness", false, "arm the BFD-style fast-liveness detector beside the hold timers")
 		lvFloor    = fs.Duration("liveness-floor", 0, "liveness probe-interval floor (0: the 100ms default)")
@@ -107,7 +102,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.CrashFor = *crash
 	cfg.Groups = *groups
 	cfg.Packets = *packets
-	cfg.Parallel = *parallel
 	cfg.Liveness = *liveness
 	cfg.LivenessFloor = *lvFloor
 	cfg.LivenessMultiplier = *lvMult

@@ -78,3 +78,11 @@ func TestUnknownBackendExitsTwo(t *testing.T) {
 		t.Fatalf("exit %d, stderr %q; want 2 and the valid names", code, errb.String())
 	}
 }
+
+// The sweep is a plain loop: there is no inner pool to size.
+func TestParallelFlagIsGone(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-parallel", "2"}, &out, &errb); code != 2 || !strings.Contains(errb.String(), "not defined") {
+		t.Fatalf("exit %d, stderr %q; want 2 as an unknown flag", code, errb.String())
+	}
+}

@@ -20,31 +20,61 @@
 //
 // This is one run of one seed. Replicated trials across a worker pool are
 // `benchsuite -suite fig2-alloc -trials N -parallel M`.
+//
+// Bad flag values (-top, -children or -days below 1, an unknown -fig) exit
+// with status 2.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"mascbgmp"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main without the process: it parses args, writes the series to
+// stdout and everything else to stderr, and returns the exit code (2 usage
+// or unwritable output file), so the tests can drive it in-process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mascsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		top        = flag.Int("top", 50, "number of top-level domains")
-		children   = flag.Int("children", 50, "children per top-level domain")
-		days       = flag.Int("days", 800, "simulated days")
-		seed       = flag.Int64("seed", 1998, "random seed")
-		fig        = flag.String("fig", "csv", `output: "2a" (utilization series), "2b" (G-RIB series), "csv" (both)`)
-		summary    = flag.Bool("summary", false, "print only the steady-state summary")
-		hetero     = flag.Bool("hetero", false, "heterogeneous topology: variable children per provider and block sizes")
-		metrics    = flag.Bool("metrics", false, "dump protocol event counters to stderr at exit")
-		trace      = flag.Bool("trace", false, "print every protocol event to stderr as it happens")
-		traceOut   = flag.String("trace-out", "", "record allocator claim spans and write Chrome trace-event JSON to this file")
-		metricsOut = flag.String("metrics-out", "", "write counters and histograms to this file in Prometheus text exposition format")
+		top        = fs.Int("top", 50, "number of top-level domains")
+		children   = fs.Int("children", 50, "children per top-level domain")
+		days       = fs.Int("days", 800, "simulated days")
+		seed       = fs.Int64("seed", 1998, "random seed")
+		fig        = fs.String("fig", "csv", `output: "2a" (utilization series), "2b" (G-RIB series), "csv" (both)`)
+		summary    = fs.Bool("summary", false, "print only the steady-state summary")
+		hetero     = fs.Bool("hetero", false, "heterogeneous topology: variable children per provider and block sizes")
+		metrics    = fs.Bool("metrics", false, "dump protocol event counters to stderr at exit")
+		trace      = fs.Bool("trace", false, "print every protocol event to stderr as it happens")
+		traceOut   = fs.String("trace-out", "", "record allocator claim spans and write Chrome trace-event JSON to this file")
+		metricsOut = fs.String("metrics-out", "", "write counters and histograms to this file in Prometheus text exposition format")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "mascsim: "+format+"\n", a...)
+		return 2
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"-top", *top}, {"-children", *children}, {"-days", *days}} {
+		if f.v < 1 {
+			return usage("%s must be at least 1, got %d", f.name, f.v)
+		}
+	}
+	if *fig != "2a" && *fig != "2b" && *fig != "csv" {
+		return usage("unknown -fig %q (valid: 2a, 2b, csv)", *fig)
+	}
 
 	cfg := mascbgmp.DefaultFig2Config()
 	cfg.TopLevel = *top
@@ -59,7 +89,7 @@ func main() {
 		ob = mascbgmp.NewObserver()
 		cfg.Obs = ob
 		if *trace {
-			ob.Subscribe(func(e mascbgmp.Event) { fmt.Fprintln(os.Stderr, e) })
+			ob.Subscribe(func(e mascbgmp.Event) { fmt.Fprintln(stderr, e) })
 		}
 		if *traceOut != "" {
 			tr = mascbgmp.NewTracer(*seed)
@@ -72,83 +102,50 @@ func main() {
 	if !*summary {
 		switch *fig {
 		case "2a":
-			fmt.Println("day,utilization_pct")
+			fmt.Fprintln(stdout, "day,utilization_pct")
 			for _, s := range res.Samples {
-				fmt.Printf("%.0f,%.2f\n", s.Day, s.Utilization*100)
+				fmt.Fprintf(stdout, "%.0f,%.2f\n", s.Day, s.Utilization*100)
 			}
 		case "2b":
-			fmt.Println("day,grib_avg,grib_max")
+			fmt.Fprintln(stdout, "day,grib_avg,grib_max")
 			for _, s := range res.Samples {
-				fmt.Printf("%.0f,%.1f,%d\n", s.Day, s.GRIBAvg, s.GRIBMax)
+				fmt.Fprintf(stdout, "%.0f,%.1f,%d\n", s.Day, s.GRIBAvg, s.GRIBMax)
 			}
 		case "csv":
-			fmt.Println("day,utilization_pct,grib_avg,grib_max,global_prefixes,demand,claimed")
+			fmt.Fprintln(stdout, "day,utilization_pct,grib_avg,grib_max,global_prefixes,demand,claimed")
 			for _, s := range res.Samples {
-				fmt.Printf("%.0f,%.2f,%.1f,%d,%d,%d,%d\n",
+				fmt.Fprintf(stdout, "%.0f,%.2f,%.1f,%d,%d,%d,%d\n",
 					s.Day, s.Utilization*100, s.GRIBAvg, s.GRIBMax, s.GlobalPrefixes, s.Demand, s.Claimed)
 			}
-		default:
-			fmt.Fprintf(os.Stderr, "mascsim: unknown -fig %q\n", *fig)
-			os.Exit(2)
 		}
 	}
 
-	// Steady-state summary (after the startup transient).
-	util, grib, gribMax, cut := steadyState(res.Samples, *days)
-	fmt.Fprintf(os.Stderr, "\n# steady state after day %.0f (paper: util ~50%%, G-RIB mean ~175 / max <=180 at 50x50)\n", cut)
-	fmt.Fprintf(os.Stderr, "domains:              %d top-level, %d children\n", *top, *top**children)
-	fmt.Fprintf(os.Stderr, "utilization:          %.1f%%\n", util*100)
-	fmt.Fprintf(os.Stderr, "G-RIB size:           mean %.1f, max %d\n", grib, gribMax)
-	fmt.Fprintf(os.Stderr, "live block requests:  %d (paper: ~37500 at 50x50)\n", res.LiveBlocks)
-	fmt.Fprintf(os.Stderr, "requests satisfied:   %d (failed: %d)\n", res.Satisfied, res.Failed)
-	fmt.Fprintf(os.Stderr, "expansion events:     %d doublings, %d extra claims, %d replacements, %d releases\n",
+	// Steady-state summary, after the startup transient: day
+	// min(days/4, 100).
+	cut := min(float64(*days)/4, 100)
+	util, grib, gribMax := res.SteadyState(cut)
+	fmt.Fprintf(stderr, "\n# steady state after day %.0f (paper: util ~50%%, G-RIB mean ~175 / max <=180 at 50x50)\n", cut)
+	fmt.Fprintf(stderr, "domains:              %d top-level, %d children\n", *top, *top**children)
+	fmt.Fprintf(stderr, "utilization:          %.1f%%\n", util*100)
+	fmt.Fprintf(stderr, "G-RIB size:           mean %.1f, max %d\n", grib, gribMax)
+	fmt.Fprintf(stderr, "live block requests:  %d (paper: ~37500 at 50x50)\n", res.LiveBlocks)
+	fmt.Fprintf(stderr, "requests satisfied:   %d (failed: %d)\n", res.Satisfied, res.Failed)
+	fmt.Fprintf(stderr, "expansion events:     %d doublings, %d extra claims, %d replacements, %d releases\n",
 		res.ChildStats.Doublings, res.ChildStats.ExtraClaims, res.ChildStats.Replacements, res.ChildStats.Releases)
 
 	if *metrics {
-		fmt.Fprintf(os.Stderr, "\n# protocol event counters\n%s", ob.Snapshot().Totals())
+		fmt.Fprintf(stderr, "\n# protocol event counters\n%s", ob.Snapshot().Totals())
 	}
-	writeObsFiles(ob, tr, *metricsOut, *traceOut)
-}
-
-// writeObsFiles writes the optional -metrics-out Prometheus exposition and
-// -trace-out Chrome trace JSON. Both are sorted and byte-deterministic for
-// a given seed.
-func writeObsFiles(ob *mascbgmp.Observer, tr *mascbgmp.Tracer, metricsOut, traceOut string) {
-	if metricsOut != "" {
-		if err := os.WriteFile(metricsOut, []byte(ob.Snapshot().Prometheus()), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "mascsim: %v\n", err)
-			os.Exit(2)
+	// Both files are sorted and byte-deterministic for a given seed.
+	if *metricsOut != "" {
+		if err := os.WriteFile(*metricsOut, []byte(ob.Snapshot().Prometheus()), 0o644); err != nil {
+			return usage("%v", err)
 		}
 	}
-	if traceOut != "" {
-		if err := os.WriteFile(traceOut, mascbgmp.ChromeTrace(tr.Records()), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "mascsim: %v\n", err)
-			os.Exit(2)
+	if *traceOut != "" {
+		if err := os.WriteFile(*traceOut, mascbgmp.ChromeTrace(tr.Records()), 0o644); err != nil {
+			return usage("%v", err)
 		}
 	}
-}
-
-// steadyState averages the post-transient samples (after day
-// min(days/4, 100)) and returns the cut day used.
-func steadyState(samples []mascbgmp.Fig2Sample, days int) (util, grib float64, gribMax int, cut float64) {
-	cut = float64(days) / 4
-	if cut > 100 {
-		cut = 100
-	}
-	n := 0
-	for _, s := range samples {
-		if s.Day > cut {
-			util += s.Utilization
-			grib += s.GRIBAvg
-			if s.GRIBMax > gribMax {
-				gribMax = s.GRIBMax
-			}
-			n++
-		}
-	}
-	if n > 0 {
-		util /= float64(n)
-		grib /= float64(n)
-	}
-	return util, grib, gribMax, cut
+	return 0
 }

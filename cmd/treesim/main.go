@@ -10,28 +10,27 @@
 // Usage:
 //
 //	treesim [-domains 3326] [-peering 350] [-seed 1998] [-trials 5]
-//	        [-parallel 1] [-sizes 1,2,5,...] [-random-root] [-summary]
+//	        [-sizes 1,2,5,...] [-random-root] [-summary]
 //	        [-backend shared-tree|bier|map-encap]
 //	        [-metrics] [-trace] [-trace-out spans.json]
-//	        [-fault-links N] [-fault-loss P]
 //
 // -trace-out records one causal span per sampled group (the tree build
-// plus its delivery sampling) and writes Chrome trace-event JSON. It
-// requires -parallel 1: the file is byte-identical for the same seed.
-//
-// -parallel fans the per-size sweep across a worker pool; each size draws
-// from its own seed-derived rng, so the output is identical at any value.
+// plus its delivery sampling) and writes Chrome trace-event JSON; the file
+// is byte-identical for the same seed.
 //
 // -backend selects a data-plane backend to compare against the default
 // shared trees: after the Figure 4 table, treesim appends a data-plane
 // comparison (state, path stretch, per-packet header overhead) for the
 // chosen backend on the same topology, via the scale-churn workload.
-// Unknown backend names exit with status 2.
+//
+// Bad flag values (fewer than 2 domains, no trials, a malformed -sizes
+// entry, an unknown backend) exit with status 2.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -40,49 +39,57 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main without the process: it parses args, writes the CSV to stdout
+// and everything else to stderr, and returns the exit code (2 usage or
+// unwritable output file), so the tests can drive it in-process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("treesim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		domains    = flag.Int("domains", 3326, "number of domains (paper: 3326)")
-		peering    = flag.Int("peering", 350, "extra peering links in the synthetic topology")
-		seed       = flag.Int64("seed", 1998, "random seed")
-		trials     = flag.Int("trials", 5, "trials per group size")
-		parallel   = flag.Int("parallel", 1, "worker pool size for the per-size sweep (0: GOMAXPROCS); results are identical at any value")
-		sizes      = flag.String("sizes", "", "comma-separated receiver counts (default: the paper's 1..1000 sweep)")
-		backend    = flag.String("backend", mascbgmp.DataPlaneSharedTree, "data-plane backend to compare against the shared tree (shared-tree, bier, map-encap)")
-		randomRoot = flag.Bool("random-root", false, "ablation: root the bidirectional tree at a random domain instead of the initiator's")
-		summary    = flag.Bool("summary", false, "print only the overall summary")
-		metrics    = flag.Bool("metrics", false, "dump protocol event counters to stderr at exit")
-		trace      = flag.Bool("trace", false, "print every protocol event to stderr as it happens")
-		traceOut   = flag.String("trace-out", "", "record per-group tree-build spans and write Chrome trace-event JSON to this file (requires -parallel 1)")
-		faultLinks = flag.Int("fault-links", 0, "remove N non-bridge links from the topology before the sweep")
-		faultLoss  = flag.Float64("fault-loss", 0, "per-hop data loss probability on sampled deliveries (0..1)")
+		domains    = fs.Int("domains", 3326, "number of domains (paper: 3326)")
+		peering    = fs.Int("peering", 350, "extra peering links in the synthetic topology")
+		seed       = fs.Int64("seed", 1998, "random seed")
+		trials     = fs.Int("trials", 5, "trials per group size")
+		sizes      = fs.String("sizes", "", "comma-separated receiver counts (default: the paper's 1..1000 sweep)")
+		backend    = fs.String("backend", mascbgmp.DataPlaneSharedTree, "data-plane backend to compare against the shared tree (shared-tree, bier, map-encap)")
+		randomRoot = fs.Bool("random-root", false, "ablation: root the bidirectional tree at a random domain instead of the initiator's")
+		summary    = fs.Bool("summary", false, "print only the overall summary")
+		metrics    = fs.Bool("metrics", false, "dump protocol event counters to stderr at exit")
+		trace      = fs.Bool("trace", false, "print every protocol event to stderr as it happens")
+		traceOut   = fs.String("trace-out", "", "record per-group tree-build spans and write Chrome trace-event JSON to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "treesim: "+format+"\n", a...)
+		return 2
+	}
+	if *domains < 2 {
+		return usage("-domains must be at least 2, got %d", *domains)
+	}
+	if *trials < 1 {
+		return usage("-trials must be at least 1, got %d", *trials)
+	}
+	if !mascbgmp.ValidDataPlane(*backend) {
+		return usage("unknown -backend %q (valid: %s)", *backend, strings.Join(mascbgmp.DataPlaneNames(), ", "))
+	}
 
 	cfg := mascbgmp.DefaultFig4Config()
 	cfg.Domains = *domains
 	cfg.ExtraPeering = *peering
 	cfg.Seed = *seed
 	cfg.Trials = *trials
-	cfg.Parallel = *parallel
 	cfg.RandomRoot = *randomRoot
-	cfg.FaultLinks = *faultLinks
-	cfg.FaultLoss = *faultLoss
-	if *faultLoss < 0 || *faultLoss >= 1 {
-		fmt.Fprintln(os.Stderr, "treesim: -fault-loss must be in [0, 1)")
-		os.Exit(2)
-	}
-	if !mascbgmp.ValidDataPlane(*backend) {
-		fmt.Fprintf(os.Stderr, "treesim: unknown -backend %q (valid: %s)\n",
-			*backend, strings.Join(mascbgmp.DataPlaneNames(), ", "))
-		os.Exit(2)
-	}
 	if *sizes != "" {
 		cfg.GroupSizes = nil
 		for _, f := range strings.Split(*sizes, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(f))
 			if err != nil || n < 1 {
-				fmt.Fprintf(os.Stderr, "treesim: bad -sizes entry %q\n", f)
-				os.Exit(2)
+				return usage("bad -sizes entry %q", f)
 			}
 			cfg.GroupSizes = append(cfg.GroupSizes, n)
 		}
@@ -94,15 +101,9 @@ func main() {
 		ob = mascbgmp.NewObserver()
 		cfg.Obs = ob
 		if *trace {
-			ob.Subscribe(func(e mascbgmp.Event) { fmt.Fprintln(os.Stderr, e) })
+			ob.Subscribe(func(e mascbgmp.Event) { fmt.Fprintln(stderr, e) })
 		}
 		if *traceOut != "" {
-			if *parallel != 1 {
-				// Concurrent sizes would allocate span IDs in scheduling
-				// order and break the byte determinism of the trace file.
-				fmt.Fprintln(os.Stderr, "treesim: -trace-out requires -parallel 1")
-				os.Exit(2)
-			}
 			tr = mascbgmp.NewTracer(*seed)
 			ob.SetTracer(tr)
 		}
@@ -112,24 +113,15 @@ func main() {
 
 	if *traceOut != "" {
 		if err := os.WriteFile(*traceOut, mascbgmp.ChromeTrace(tr.Records()), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "treesim: %v\n", err)
-			os.Exit(2)
+			return usage("%v", err)
 		}
 	}
 
 	if !*summary {
-		if *faultLoss > 0 {
-			fmt.Println("receivers,uni_avg,uni_max,bidir_avg,bidir_max,hybrid_avg,hybrid_max,tree_size,delivery_ratio")
-		} else {
-			fmt.Println("receivers,uni_avg,uni_max,bidir_avg,bidir_max,hybrid_avg,hybrid_max,tree_size")
-		}
+		fmt.Fprintln(stdout, "receivers,uni_avg,uni_max,bidir_avg,bidir_max,hybrid_avg,hybrid_max,tree_size")
 		for _, p := range pts {
-			fmt.Printf("%d,%.3f,%.2f,%.3f,%.2f,%.3f,%.2f,%.0f",
+			fmt.Fprintf(stdout, "%d,%.3f,%.2f,%.3f,%.2f,%.3f,%.2f,%.0f\n",
 				p.Receivers, p.UniAvg, p.UniMax, p.BidirAvg, p.BidirMax, p.HybridAvg, p.HybridMax, p.TreeSize)
-			if *faultLoss > 0 {
-				fmt.Printf(",%.3f", p.DeliveryRatio)
-			}
-			fmt.Println()
 		}
 	}
 
@@ -161,10 +153,10 @@ func main() {
 		bidir /= float64(n)
 		hybrid /= float64(n)
 	}
-	fmt.Fprintf(os.Stderr, "\n# overhead vs shortest-path tree, groups >= 10 receivers (avg / worst)\n")
-	fmt.Fprintf(os.Stderr, "unidirectional (PIM-SM model):  %.2fx / %.1fx   (paper: ~2x / <=6x)\n", uni, uniMax)
-	fmt.Fprintf(os.Stderr, "bidirectional  (BGMP):          %.2fx / %.1fx   (paper: <1.3x / <=4.5x)\n", bidir, bidirMax)
-	fmt.Fprintf(os.Stderr, "hybrid (BGMP + src branches):   %.2fx / %.1fx   (paper: <1.2x / <=4x)\n", hybrid, hybridMax)
+	fmt.Fprintf(stderr, "\n# overhead vs shortest-path tree, groups >= 10 receivers (avg / worst)\n")
+	fmt.Fprintf(stderr, "unidirectional (PIM-SM model):  %.2fx / %.1fx   (paper: ~2x / <=6x)\n", uni, uniMax)
+	fmt.Fprintf(stderr, "bidirectional  (BGMP):          %.2fx / %.1fx   (paper: <1.3x / <=4.5x)\n", bidir, bidirMax)
+	fmt.Fprintf(stderr, "hybrid (BGMP + src branches):   %.2fx / %.1fx   (paper: <1.2x / <=4x)\n", hybrid, hybridMax)
 
 	// Data-plane comparison: cost the selected backend against the shared
 	// tree on the same topology, via the churn workload (DESIGN.md §11).
@@ -174,9 +166,9 @@ func main() {
 		ccfg.ExtraPeering = *peering
 		ccfg.Seed = *seed
 		dres := mascbgmp.RunDataPlane(ccfg)
-		fmt.Fprintf(os.Stderr, "\n# data-plane comparison (%d groups, %d churn events)\n",
+		fmt.Fprintf(stderr, "\n# data-plane comparison (%d groups, %d churn events)\n",
 			ccfg.Groups, ccfg.Events)
-		fmt.Fprintf(os.Stderr, "%-12s %14s %15s %13s %12s %14s\n",
+		fmt.Fprintf(stderr, "%-12s %14s %15s %13s %12s %14s\n",
 			"backend", "group_entries", "overlay_entries", "hops/pkt", "hdr_B/pkt", "stretch avg/max")
 		pkts := float64(dres.Churn.Packets)
 		for _, name := range []string{mascbgmp.DataPlaneSharedTree, *backend} {
@@ -184,7 +176,7 @@ func main() {
 			if !ok {
 				continue
 			}
-			fmt.Fprintf(os.Stderr, "%-12s %14d %15d %13.1f %12.1f %9.2f/%.1f\n",
+			fmt.Fprintf(stderr, "%-12s %14d %15d %13.1f %12.1f %9.2f/%.1f\n",
 				c.Backend, c.GroupEntries, c.OverlayEntries,
 				float64(c.ForwardHops)/pkts, float64(c.HeaderBytes)/pkts,
 				c.MeanStretch, c.MaxStretch)
@@ -192,6 +184,7 @@ func main() {
 	}
 
 	if *metrics {
-		fmt.Fprintf(os.Stderr, "\n# protocol event counters\n%s", ob.Snapshot().Totals())
+		fmt.Fprintf(stderr, "\n# protocol event counters\n%s", ob.Snapshot().Totals())
 	}
+	return 0
 }

@@ -28,7 +28,7 @@ func TestCheckedInBaselinesReproduce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := RunSuite(base.Suite, Options{Trials: base.Trials, Seed: base.Seed})
+			res, err := RunSuite(builtin(t, base.Suite), Options{Trials: base.Trials, Seed: base.Seed})
 			if err != nil {
 				t.Fatal(err)
 			}

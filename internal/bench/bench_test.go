@@ -3,6 +3,7 @@ package bench
 import (
 	"encoding/json"
 	"errors"
+	"math/rand"
 	"path/filepath"
 	"testing"
 
@@ -11,10 +12,10 @@ import (
 	"mascbgmp/internal/wire"
 )
 
-// synthetic is a cheap scenario whose output is a pure function of the
-// trial rng — ideal for exercising the runner without real workloads.
-func synthetic() Scenario {
-	return Scenario{
+// synthetic is a cheap suite whose output is a pure function of the
+// trial seed — ideal for exercising the runner without real workloads.
+func synthetic() Suite {
+	return Suite{
 		Name:          "synthetic",
 		Description:   "test-only",
 		DefaultTrials: 4,
@@ -23,7 +24,7 @@ func synthetic() Scenario {
 			{Name: "cost", Better: Lower},
 		},
 		Trial: func(ctx TrialContext) (TrialOutput, error) {
-			v := ctx.Rng.Float64()
+			v := rand.New(rand.NewSource(ctx.Seed)).Float64()
 			ctx.Obs.Emit(obs.Event{Kind: obs.MASCClaim, Domain: wire.DomainID(ctx.Index + 1)})
 			return TrialOutput{
 				Values: map[string]float64{"draw": v, "cost": v * 10},
@@ -35,7 +36,7 @@ func synthetic() Scenario {
 
 func TestRunScenarioDeterministicAcrossParallelism(t *testing.T) {
 	run := func(parallel int) SuiteResult {
-		res, err := RunScenario(synthetic(), Options{Trials: 16, Parallel: parallel, Seed: 42})
+		res, err := RunSuite(synthetic(), Options{Trials: 16, Parallel: parallel, Seed: 42})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,8 +67,8 @@ func TestRunScenarioDeterministicAcrossParallelism(t *testing.T) {
 }
 
 func TestRunScenarioSeedPerturbs(t *testing.T) {
-	a, _ := RunScenario(synthetic(), Options{Trials: 8, Seed: 1})
-	b, _ := RunScenario(synthetic(), Options{Trials: 8, Seed: 2})
+	a, _ := RunSuite(synthetic(), Options{Trials: 8, Seed: 1})
+	b, _ := RunSuite(synthetic(), Options{Trials: 8, Seed: 2})
 	if DeterministicDiff(a, b) == "" {
 		t.Fatal("different suite seeds produced identical results")
 	}
@@ -77,7 +78,7 @@ func TestRunScenarioTrialError(t *testing.T) {
 	s := synthetic()
 	boom := errors.New("boom")
 	s.Trial = func(ctx TrialContext) (TrialOutput, error) { return TrialOutput{}, boom }
-	if _, err := RunScenario(s, Options{Trials: 4}); !errors.Is(err, boom) {
+	if _, err := RunSuite(s, Options{Trials: 4}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
 }
@@ -87,13 +88,13 @@ func TestRunScenarioMissingMetric(t *testing.T) {
 	s.Trial = func(ctx TrialContext) (TrialOutput, error) {
 		return TrialOutput{Values: map[string]float64{"draw": 1}}, nil // no "cost"
 	}
-	if _, err := RunScenario(s, Options{Trials: 2}); err == nil {
+	if _, err := RunSuite(s, Options{Trials: 2}); err == nil {
 		t.Fatal("missing declared metric must error")
 	}
 }
 
 func TestResultRoundTripAndValidate(t *testing.T) {
-	res, err := RunScenario(synthetic(), Options{Trials: 4, Seed: 7})
+	res, err := RunSuite(synthetic(), Options{Trials: 4, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestResultRoundTripAndValidate(t *testing.T) {
 }
 
 func TestCompareFlagsRegressions(t *testing.T) {
-	base, err := RunScenario(synthetic(), Options{Trials: 4, Seed: 7})
+	base, err := RunSuite(synthetic(), Options{Trials: 4, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,23 +183,57 @@ func TestCompareFlagsRegressions(t *testing.T) {
 	}
 }
 
-func TestBuiltinScenariosRegistered(t *testing.T) {
-	for _, name := range []string{"fig2-alloc", "fig4-trees", "scale-churn",
-		"chaos-recovery", "chaos-detectors", "dataplane-compare"} {
-		if _, ok := Lookup(name); !ok {
-			t.Fatalf("suite %q not registered", name)
+// builtin returns a suite from the table by name.
+func builtin(t *testing.T, name string) Suite {
+	t.Helper()
+	s, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("no built-in suite %q", name)
+	}
+	return s
+}
+
+// TestSuitesTable: the table is what Lookup, -list and the baselines rely
+// on — sorted, unique, exactly the seven built-ins, every suite runnable
+// and every metric's direction one -compare understands.
+func TestSuitesTable(t *testing.T) {
+	want := []string{"chaos-detectors", "chaos-recovery", "dataplane-compare",
+		"fig2-alloc", "fig4-trees", "scale-churn", "workloads"}
+	suites := Suites()
+	if len(suites) != len(want) {
+		t.Fatalf("%d suites, want %d", len(suites), len(want))
+	}
+	for i, s := range suites {
+		if s.Name != want[i] {
+			t.Errorf("suite %d = %q, want %q (sorted, unique)", i, s.Name, want[i])
+		}
+		if got, ok := Lookup(s.Name); !ok || got.Name != s.Name {
+			t.Errorf("Lookup(%q) = %q, %t", s.Name, got.Name, ok)
+		}
+		if s.Trial == nil || s.DefaultTrials < 1 || s.Description == "" || len(s.Metrics) == 0 {
+			t.Errorf("suite %q is malformed: %+v", s.Name, s)
+		}
+		seen := map[string]bool{}
+		for _, m := range s.Metrics {
+			if m.Name == "" || seen[m.Name] {
+				t.Errorf("suite %q: empty or duplicate metric %q", s.Name, m.Name)
+			}
+			seen[m.Name] = true
+			if m.Better != Lower && m.Better != Higher && m.Better != Info {
+				t.Errorf("suite %q metric %q: direction %q", s.Name, m.Name, m.Better)
+			}
 		}
 	}
-	names := Scenarios()
-	for i := 1; i < len(names); i++ {
-		if names[i-1].Name >= names[i].Name {
-			t.Fatal("Scenarios() not sorted")
-		}
+	// Suites hands out a copy: appending a loaded file to it must not
+	// reach the table.
+	_ = append(suites[:1], Suite{Name: "clobber"})
+	if Suites()[1].Name != want[1] {
+		t.Fatal("Suites() aliases the built-in table")
 	}
 }
 
 func TestRunScenarioRejectsUnknownBackend(t *testing.T) {
-	if _, err := RunScenario(synthetic(), Options{Trials: 1, Backend: "flooding"}); err == nil {
+	if _, err := RunSuite(synthetic(), Options{Trials: 1, Backend: "flooding"}); err == nil {
 		t.Fatal("unknown backend must error")
 	}
 	// A valid backend reaches the trial context.
@@ -208,7 +243,7 @@ func TestRunScenarioRejectsUnknownBackend(t *testing.T) {
 		seen = ctx.Backend
 		return TrialOutput{Values: map[string]float64{"draw": 0, "cost": 0}}, nil
 	}
-	if _, err := RunScenario(s, Options{Trials: 1, Backend: dataplane.BIERName}); err != nil {
+	if _, err := RunSuite(s, Options{Trials: 1, Backend: dataplane.BIERName}); err != nil {
 		t.Fatal(err)
 	}
 	if seen != dataplane.BIERName {
@@ -220,7 +255,7 @@ func TestChaosRecoverySuiteRuns(t *testing.T) {
 	// The cheapest real suite end-to-end: JSON-valid, deterministic at
 	// different parallelism.
 	run := func(parallel int) SuiteResult {
-		res, err := RunSuite("chaos-recovery", Options{Trials: 2, Parallel: parallel, Seed: 1998})
+		res, err := RunSuite(builtin(t, "chaos-recovery"), Options{Trials: 2, Parallel: parallel, Seed: 1998})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -70,7 +70,7 @@ type Timing struct {
 	AllocBytes  Percentiles `json:"alloc_bytes,omitempty"`
 	PeakHeap    Percentiles `json:"peak_heap_bytes,omitempty"`
 	// Rates maps "<name>_per_sec" to the mean per-trial rate for every
-	// rate counter the scenario reports (e.g. joins_per_sec).
+	// rate counter the suite reports (e.g. joins_per_sec).
 	Rates map[string]float64 `json:"rates,omitempty"`
 }
 

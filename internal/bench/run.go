@@ -14,15 +14,15 @@ import (
 
 // Options parameterize a suite run.
 type Options struct {
-	// Trials overrides the scenario's DefaultTrials when positive.
+	// Trials overrides the suite's DefaultTrials when positive.
 	Trials int
 	// Parallel bounds the worker pool; <= 0 uses GOMAXPROCS.
 	Parallel int
 	// Seed is the suite seed every trial's seed derives from.
 	Seed int64
-	// Backend selects the data-plane backend for scenarios that model
+	// Backend selects the data-plane backend for suites that model
 	// forwarding (scale-churn, chaos-recovery). Empty keeps each
-	// scenario's default; otherwise it must be one of dataplane.Names().
+	// suite's default; otherwise it must be one of dataplane.Names().
 	Backend string
 	// Trace attaches a deterministic tracer (seeded from the trial seed)
 	// to every trial's observer; recorded spans concatenate in trial
@@ -32,20 +32,11 @@ type Options struct {
 	Trace bool
 }
 
-// RunSuite runs a registered scenario by name.
-func RunSuite(name string, opts Options) (SuiteResult, error) {
-	s, ok := Lookup(name)
-	if !ok {
-		return SuiteResult{}, fmt.Errorf("bench: unknown suite %q (try -list)", name)
-	}
-	return RunScenario(s, opts)
-}
-
-// RunScenario runs a scenario (registered or not) through the harness
-// and aggregates the trials into a SuiteResult. The Metrics and Counters
-// sections are pure functions of (scenario, trials, seed); Env and
-// Timing carry everything host- or wall-clock-dependent.
-func RunScenario(s Scenario, opts Options) (SuiteResult, error) {
+// RunSuite runs a suite through the harness and aggregates the trials
+// into a SuiteResult. The Metrics and Counters sections are pure
+// functions of (suite, trials, seed); Env and Timing carry everything
+// host- or wall-clock-dependent.
+func RunSuite(s Suite, opts Options) (SuiteResult, error) {
 	if opts.Backend != "" && !dataplane.ValidName(opts.Backend) {
 		return SuiteResult{}, fmt.Errorf("bench: unknown backend %q (valid: %s)",
 			opts.Backend, strings.Join(dataplane.Names(), ", "))
@@ -65,33 +56,25 @@ func RunScenario(s Scenario, opts Options) (SuiteResult, error) {
 		spans []obs.SpanRecord
 	}
 	start := time.Now()
-	results, err := harness.Run(harness.Config{
-		Trials:   trials,
-		Parallel: opts.Parallel,
-		Seed:     opts.Seed,
-		Run: func(t harness.Trial) (any, error) {
-			ob := obs.NewObserver()
-			var tr *obs.Tracer
-			if opts.Trace {
-				tr = obs.NewTracer(t.Seed)
-				ob.SetTracer(tr)
+	results, err := harness.Run(trials, opts.Parallel, opts.Seed, func(index int, seed int64) (trialRecord, error) {
+		ob := obs.NewObserver()
+		var tr *obs.Tracer
+		if opts.Trace {
+			tr = obs.NewTracer(seed)
+			ob.SetTracer(tr)
+		}
+		out, err := s.Trial(TrialContext{Index: index, Seed: seed, Obs: ob, Backend: opts.Backend})
+		if err != nil {
+			return trialRecord{}, err
+		}
+		for _, m := range s.Metrics {
+			if _, ok := out.Values[m.Name]; !ok {
+				return trialRecord{}, fmt.Errorf("trial output missing metric %q", m.Name)
 			}
-			out, err := s.Trial(TrialContext{
-				Index: t.Index, Seed: t.Seed, Rng: t.Rng, Obs: ob,
-				Backend: opts.Backend,
-			})
-			if err != nil {
-				return nil, err
-			}
-			for _, m := range s.Metrics {
-				if _, ok := out.Values[m.Name]; !ok {
-					return nil, fmt.Errorf("trial output missing metric %q", m.Name)
-				}
-			}
-			snap := ob.Snapshot()
-			return trialRecord{out: out, obs: snap.NameTotals(), hists: snap.HistTotals(),
-				spans: tr.Records()}, nil
-		},
+		}
+		snap := ob.Snapshot()
+		return trialRecord{out: out, obs: snap.NameTotals(), hists: snap.HistTotals(),
+			spans: tr.Records()}, nil
 	})
 	if err != nil {
 		return SuiteResult{}, fmt.Errorf("bench: suite %s: %w", s.Name, err)
@@ -112,7 +95,7 @@ func RunScenario(s Scenario, opts Options) (SuiteResult, error) {
 	for _, def := range s.Metrics {
 		series := make([]float64, trials)
 		for i, r := range results {
-			series[i] = r.Value.(trialRecord).out.Values[def.Name]
+			series[i] = r.Value.out.Values[def.Name]
 		}
 		mean, pct := summarize(series)
 		res.Metrics = append(res.Metrics, MetricSummary{
@@ -121,7 +104,7 @@ func RunScenario(s Scenario, opts Options) (SuiteResult, error) {
 		})
 	}
 	for _, r := range results {
-		for k, v := range r.Value.(trialRecord).obs {
+		for k, v := range r.Value.obs {
 			res.Counters[k] += v
 		}
 	}
@@ -132,7 +115,7 @@ func RunScenario(s Scenario, opts Options) (SuiteResult, error) {
 	// identical at any parallelism, like the counters above.
 	merged := map[string]obs.HistSnapshot{}
 	for _, r := range results {
-		for name, h := range r.Value.(trialRecord).hists {
+		for name, h := range r.Value.hists {
 			m := merged[name]
 			m.Merge(h)
 			merged[name] = m
@@ -148,7 +131,7 @@ func RunScenario(s Scenario, opts Options) (SuiteResult, error) {
 		}
 	}
 	for _, r := range results {
-		res.Spans = append(res.Spans, r.Value.(trialRecord).spans...)
+		res.Spans = append(res.Spans, r.Value.spans...)
 	}
 
 	// Volatile sections: wall/alloc/heap percentiles and mean rates.
@@ -164,7 +147,7 @@ func RunScenario(s Scenario, opts Options) (SuiteResult, error) {
 		if secs <= 0 {
 			continue
 		}
-		for k, count := range r.Value.(trialRecord).out.Rates {
+		for k, count := range r.Value.out.Rates {
 			rateSums[k] += count / secs
 		}
 	}

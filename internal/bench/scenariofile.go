@@ -7,9 +7,9 @@ import (
 	"mascbgmp/internal/scenario"
 )
 
-// File-loaded scenarios: a parsed scenario.Spec becomes a registered
-// Scenario with the generic workload metric set, runnable by name
-// exactly like a built-in suite (benchsuite -scenario <file>).
+// File-loaded scenarios: a parsed scenario.Spec becomes a Suite value
+// with the generic workload metric set, run exactly like a built-in
+// (benchsuite -scenario <file>).
 
 // workloadMetrics is the metric set every scenario-file suite reports
 // (the workloads suite prefixes the names with each sub-run's).
@@ -40,14 +40,13 @@ func workloadMetrics() []MetricDef {
 	}
 }
 
-// FileScenario wraps a parsed spec as a runnable Scenario (without
-// registering it).
-func FileScenario(spec scenario.Spec) Scenario {
+// fileSuite wraps a parsed spec as a runnable Suite.
+func fileSuite(spec scenario.Spec) Suite {
 	desc := spec.Description
 	if desc == "" {
 		desc = fmt.Sprintf("scenario file: %s workload on a %s topology", spec.Workload.Kind, spec.Topology.Kind)
 	}
-	return Scenario{
+	return Suite{
 		Name:          spec.Name,
 		Description:   desc,
 		DefaultTrials: spec.Trials,
@@ -85,19 +84,16 @@ func FileScenario(spec scenario.Spec) Scenario {
 	}
 }
 
-// LoadScenarioFile parses a scenario file and registers it beside the
-// built-in suites, returning the registered Scenario. A name collision
-// with an existing suite (built-in or previously loaded) is an error,
-// not a panic: the name comes from user input.
-func LoadScenarioFile(path string) (Scenario, error) {
+// LoadScenarioFile parses a scenario file and returns it as a Suite. The
+// name comes from user input, so one that would shadow a built-in suite
+// is an error.
+func LoadScenarioFile(path string) (Suite, error) {
 	spec, err := scenario.ParseFile(path)
 	if err != nil {
-		return Scenario{}, err
+		return Suite{}, err
 	}
 	if _, exists := Lookup(spec.Name); exists {
-		return Scenario{}, fmt.Errorf("%s: scenario name %q is already registered; rename it in the file", path, spec.Name)
+		return Suite{}, fmt.Errorf("%s: scenario name %q is a built-in suite's; rename it in the file", path, spec.Name)
 	}
-	s := FileScenario(spec)
-	Register(s)
-	return s, nil
+	return fileSuite(spec), nil
 }

@@ -19,8 +19,7 @@ func writeScenario(t *testing.T, name, body string) string {
 	return path
 }
 
-// smallScenario is a fast file scenario for runner tests (unique name
-// per call site to keep the global registry conflict-free).
+// smallScenario is a fast file scenario for runner tests.
 func smallScenario(name string) string {
 	return `name = "` + name + `"
 description = "test scenario"
@@ -44,8 +43,9 @@ sends-per-group = 1
 `
 }
 
-func TestLoadScenarioFileRegistersAndRuns(t *testing.T) {
+func TestLoadScenarioFileRunsWithoutGlobalState(t *testing.T) {
 	path := writeScenario(t, "s.toml", smallScenario("filetest-zipf"))
+	before := len(Suites())
 	s, err := LoadScenarioFile(path)
 	if err != nil {
 		t.Fatalf("LoadScenarioFile: %v", err)
@@ -53,16 +53,21 @@ func TestLoadScenarioFileRegistersAndRuns(t *testing.T) {
 	if s.Name != "filetest-zipf" || s.DefaultTrials != 2 {
 		t.Errorf("loaded %q trials=%d", s.Name, s.DefaultTrials)
 	}
-	if _, ok := Lookup("filetest-zipf"); !ok {
-		t.Fatal("loaded scenario not in registry")
+	// Loading is a parse, not a registration: the table is as it was and
+	// the same file loads again.
+	if _, ok := Lookup("filetest-zipf"); ok || len(Suites()) != before {
+		t.Fatal("loading a scenario file changed the built-in table")
+	}
+	if _, err := LoadScenarioFile(path); err != nil {
+		t.Fatalf("second load of the same file: %v", err)
 	}
 
 	// The -parallel 1 vs 8 determinism contract, through the real runner.
-	a, err := RunSuite("filetest-zipf", Options{Trials: 4, Parallel: 1, Seed: 9})
+	a, err := RunSuite(s, Options{Trials: 4, Parallel: 1, Seed: 9})
 	if err != nil {
 		t.Fatalf("RunSuite: %v", err)
 	}
-	b, err := RunSuite("filetest-zipf", Options{Trials: 4, Parallel: 8, Seed: 9})
+	b, err := RunSuite(s, Options{Trials: 4, Parallel: 8, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,19 +79,19 @@ func TestLoadScenarioFileRegistersAndRuns(t *testing.T) {
 	}
 }
 
+// A file may not take a built-in suite's name: -suite and the BENCH_*.json
+// "suite" field would stop saying which workload ran.
 func TestLoadScenarioFileRejectsDuplicates(t *testing.T) {
-	path := writeScenario(t, "s.toml", smallScenario("filetest-dup"))
-	if _, err := LoadScenarioFile(path); err != nil {
-		t.Fatalf("first load: %v", err)
+	before := len(Suites())
+	for _, name := range []string{"workloads", "fig4-trees"} {
+		path := writeScenario(t, "s.toml", smallScenario(name))
+		_, err := LoadScenarioFile(path)
+		if err == nil || !strings.Contains(err.Error(), "built-in") || !strings.Contains(err.Error(), name) {
+			t.Fatalf("file named %q: err = %v, want a built-in name collision", name, err)
+		}
 	}
-	_, err := LoadScenarioFile(path)
-	if err == nil || !strings.Contains(err.Error(), "already registered") {
-		t.Fatalf("duplicate load: err = %v", err)
-	}
-	// A collision with a built-in suite is the same error.
-	path2 := writeScenario(t, "s2.toml", strings.Replace(smallScenario("x"), `name = "x"`, `name = "workloads"`, 1))
-	if _, err := LoadScenarioFile(path2); err == nil {
-		t.Fatal("shadowing a built-in suite did not error")
+	if len(Suites()) != before {
+		t.Fatal("a rejected load changed the built-in table")
 	}
 }
 
@@ -112,11 +117,11 @@ func TestWorkloadsSuiteDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("workloads suite trial is relatively heavy")
 	}
-	a, err := RunSuite("workloads", Options{Trials: 1, Parallel: 1, Seed: 5})
+	a, err := RunSuite(builtin(t, "workloads"), Options{Trials: 1, Parallel: 1, Seed: 5})
 	if err != nil {
 		t.Fatalf("RunSuite(workloads): %v", err)
 	}
-	b, err := RunSuite("workloads", Options{Trials: 1, Parallel: 8, Seed: 5})
+	b, err := RunSuite(builtin(t, "workloads"), Options{Trials: 1, Parallel: 8, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,8 @@ import (
 // collapse, or the trial fails — BENCH_workloads.json is the recorded
 // proof that the §4.3.3 machinery responds to workload shape alone.
 
-func init() {
-	var subs []Scenario
+func workloadsSuite() Suite {
+	var subs []Suite
 	var metrics []MetricDef
 	for _, name := range scenarios.Names() {
 		spec, err := scenario.Parse("scenarios/"+name+".toml", scenarios.TOML(name))
@@ -24,13 +24,13 @@ func init() {
 			// The files are compiled in and covered by tests.
 			panic("bench: " + err.Error())
 		}
-		subs = append(subs, FileScenario(spec))
+		subs = append(subs, fileSuite(spec))
 		for _, m := range workloadMetrics() {
 			m.Name = name + "_" + m.Name
 			metrics = append(metrics, m)
 		}
 	}
-	Register(Scenario{
+	return Suite{
 		Name: "workloads",
 		Description: "the exemplar scenario files (flash-crowd, diurnal, zipf, affinity) " +
 			"through the scenario engine: occupancy excursions, claim/collapse counts, join fan-in",
@@ -62,5 +62,5 @@ func init() {
 			}
 			return out, nil
 		},
-	})
+	}
 }

@@ -9,7 +9,6 @@ import (
 	"mascbgmp/internal/bgmp"
 	"mascbgmp/internal/dataplane"
 	"mascbgmp/internal/faultinject"
-	"mascbgmp/internal/harness"
 	"mascbgmp/internal/liveness"
 	"mascbgmp/internal/migp/dvmrp"
 	"mascbgmp/internal/obs"
@@ -68,12 +67,6 @@ type ChaosConfig struct {
 	// sweep; same-seed sweeps produce byte-identical snapshots. Nil uses
 	// an internal observer.
 	Obs *obs.Observer
-	// Parallel bounds the worker pool running the loss-rate points
-	// (<= 1: serial). Every point builds its own network with faults
-	// seeded from (Seed, point index), so the measured ChaosPoints and
-	// the Obs counter totals are identical at any Parallel value; only
-	// the interleaving of the live event stream changes.
-	Parallel int
 	// DataPlane selects the forwarding backend under test
 	// (core.Config.DataPlane); empty runs the default shared trees. The
 	// stateless backends recover through BGP route withdrawal instead of
@@ -143,58 +136,46 @@ const (
 const chaosDemandAfter = 10
 
 // RunChaos runs the failure-recovery sweep and returns one point per loss
-// rate. Deterministic for a given config. The points are independent
-// seeded trials, so the sweep fans out across the harness worker pool:
-// each point emits into its own observer (scoping the per-point session
-// counters) and forwards every event to cfg.Obs, whose counter totals are
-// order-independent sums.
+// rate. Deterministic for a given config. Every point builds its own
+// network with faults seeded from (Seed, point index) and emits into its
+// own observer (scoping the per-point session counters), which forwards
+// every event to cfg.Obs.
 func RunChaos(cfg ChaosConfig) ([]ChaosPoint, error) {
 	ob := cfg.Obs
 	if ob == nil {
 		ob = obs.NewObserver()
 	}
-	par := cfg.Parallel
-	if par <= 0 {
-		par = 1
-	}
-	results, err := harness.Run(harness.Config{
-		Trials:   len(cfg.LossRates),
-		Parallel: par,
-		Seed:     cfg.Seed,
-		Run: func(t harness.Trial) (any, error) {
-			loss := cfg.LossRates[t.Index]
-			pointObs := obs.NewObserver()
-			cancel := pointObs.Subscribe(ob.Emit)
-			defer cancel()
-			var tracer *obs.Tracer
-			if cfg.Trace {
-				// Per-point tracer: the point networks are single-threaded
-				// (Synchronous), so span IDs allocate in a deterministic
-				// order for a given (Seed, point) pair.
-				tracer = obs.NewTracer(cfg.Seed + 104729*int64(t.Index))
-				pointObs.SetTracer(tracer)
-			}
-			// The flight recorder retains each router's recent events; a
-			// failed point dumps them with the error.
-			fr := obs.NewFlightRecorder(64)
-			pointObs.Subscribe(fr.Record)
-			pt, err := runChaosPoint(cfg, int64(t.Index), loss, pointObs)
-			if err != nil {
-				return nil, fmt.Errorf("chaos: loss %.2f: %w\nflight recorder:\n%s", loss, err, fr.Dump())
-			}
-			pt.Spans = tracer.Records()
-			return pt, nil
-		},
-	})
-	if err != nil {
-		return nil, err
+	point := func(i int, loss float64) (ChaosPoint, error) {
+		pointObs := obs.NewObserver()
+		cancel := pointObs.Subscribe(ob.Emit)
+		defer cancel()
+		var tracer *obs.Tracer
+		if cfg.Trace {
+			// Per-point tracer: the point networks are single-threaded
+			// (Synchronous), so span IDs allocate in a deterministic
+			// order for a given (Seed, point) pair.
+			tracer = obs.NewTracer(cfg.Seed + 104729*int64(i))
+			pointObs.SetTracer(tracer)
+		}
+		// The flight recorder retains each router's recent events; a
+		// failed point dumps them with the error.
+		fr := obs.NewFlightRecorder(64)
+		pointObs.Subscribe(fr.Record)
+		pt, err := runChaosPoint(cfg, int64(i), loss, pointObs)
+		if err != nil {
+			return ChaosPoint{}, fmt.Errorf("chaos: loss %.2f: %w\nflight recorder:\n%s", loss, err, fr.Dump())
+		}
+		pt.Spans = tracer.Records()
+		return pt, nil
 	}
 	out := make([]ChaosPoint, 0, len(cfg.LossRates))
-	for _, r := range results {
-		pt := r.Value.(ChaosPoint)
+	for i, loss := range cfg.LossRates {
+		pt, err := point(i, loss)
+		if err != nil {
+			return nil, err
+		}
 		// Fold the point's recovery latencies into the sweep observer's
-		// histograms (index order; merged snapshots are order-independent
-		// anyway). BENCH_chaos percentiles come from these.
+		// histograms. BENCH_chaos percentiles come from these.
 		ob.Histogram(obs.HistDetect, 0, 0).Observe(uint64(pt.Detect))
 		ob.Histogram(obs.HistReroute, 0, 0).Observe(uint64(pt.Reroute))
 		ob.Histogram(obs.HistReconverge, 0, 0).Observe(uint64(pt.Reconverge))

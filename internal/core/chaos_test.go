@@ -115,32 +115,3 @@ func TestChaosStatelessBackendsRecover(t *testing.T) {
 		}
 	}
 }
-
-func TestChaosSweepParallelMatchesSerial(t *testing.T) {
-	// The loss-rate points are independent seeded trials; fanning them
-	// across workers must not change the measured points or the counter
-	// totals (event interleaving may differ, counter sums may not).
-	run := func(parallel int) (string, []ChaosPoint) {
-		cfg := scaledChaos()
-		cfg.LossRates = []float64{0, 0.10, 0.20}
-		cfg.Packets = 10
-		cfg.Parallel = parallel
-		ob := obs.NewObserver()
-		cfg.Obs = ob
-		pts, err := RunChaos(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ob.Snapshot().String(), pts
-	}
-	sSerial, pSerial := run(1)
-	sPar, pPar := run(3)
-	if sSerial != sPar {
-		t.Fatalf("parallel sweep changed counter totals:\n--- serial\n%s\n--- parallel\n%s", sSerial, sPar)
-	}
-	for i := range pSerial {
-		if !reflect.DeepEqual(pSerial[i], pPar[i]) {
-			t.Fatalf("point %d diverged under parallelism: %+v vs %+v", i, pSerial[i], pPar[i])
-		}
-	}
-}

@@ -95,6 +95,26 @@ type Fig2Result struct {
 	ChildStats masc.AllocStats
 }
 
+// SteadyState averages utilization and mean G-RIB size over the samples
+// after afterDay (the startup transient), with the largest G-RIB seen in
+// them. All zero when no sample is later than afterDay.
+func (r Fig2Result) SteadyState(afterDay float64) (util, gribAvg float64, gribMax int) {
+	n := 0
+	for _, s := range r.Samples {
+		if s.Day > afterDay {
+			util += s.Utilization
+			gribAvg += s.GRIBAvg
+			gribMax = max(gribMax, s.GRIBMax)
+			n++
+		}
+	}
+	if n > 0 {
+		util /= float64(n)
+		gribAvg /= float64(n)
+	}
+	return util, gribAvg, gribMax
+}
+
 // event is a pending block request for one child.
 type event struct {
 	at    time.Time

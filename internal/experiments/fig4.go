@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"math"
 	"math/rand"
 
 	"mascbgmp/internal/addr"
@@ -39,18 +38,6 @@ type Fig4Config struct {
 	// and data.forwarded/data.delivered for the sampled paths. Nil
 	// disables observation.
 	Obs *obs.Observer
-	// FaultLinks removes that many randomly chosen links (those whose
-	// removal keeps the graph connected) before the sweep, degrading the
-	// topology the trees must route over.
-	FaultLinks int
-	// FaultLoss is a per-hop data loss probability applied to each sampled
-	// bidirectional-tree delivery; Fig4Point.DeliveryRatio reports the
-	// surviving fraction. Zero disables loss (ratio 1.0).
-	FaultLoss float64
-	// Parallel bounds the worker pool fanning the per-size sweeps out
-	// (<= 1: serial). Each group size draws from its own rng derived from
-	// (Seed, size index), so results are identical at any Parallel value.
-	Parallel int
 }
 
 // DefaultFig4Config returns parameters matching the paper's setup.
@@ -77,37 +64,17 @@ type Fig4Point struct {
 	// TreeSize is the mean number of on-tree domains (forwarding-state
 	// footprint).
 	TreeSize float64
-	// DeliveryRatio is the fraction of sampled bidirectional-tree
-	// deliveries surviving Fig4Config.FaultLoss (1.0 when no loss is
-	// configured).
-	DeliveryRatio float64
 }
 
 // RunFig4 runs the path-length comparison and returns one point per group
-// size. Deterministic for a given config: each group size is one harness
-// trial with its own (Seed, size index)-derived rng, so the sweep's
-// results do not depend on Parallel or on scheduling. The shared topology
-// is built once and only read concurrently.
+// size. Deterministic for a given config: each group size draws from its
+// own (Seed, size index)-derived rng.
 func RunFig4(cfg Fig4Config) []Fig4Point {
 	g := topology.ASGraph(cfg.Domains, cfg.ExtraPeering, cfg.Seed)
-	if cfg.FaultLinks > 0 {
-		degradeTopology(g, cfg.FaultLinks, cfg.Seed+13)
-	}
-	par := cfg.Parallel
-	if par <= 0 {
-		par = 1
-	}
-	results, _ := harness.Run(harness.Config{
-		Trials:   len(cfg.GroupSizes),
-		Parallel: par,
-		Seed:     cfg.Seed + 7,
-		Run: func(t harness.Trial) (any, error) {
-			return fig4Size(cfg, g, cfg.GroupSizes[t.Index], t.Rng), nil
-		},
-	})
 	out := make([]Fig4Point, 0, len(cfg.GroupSizes))
-	for _, r := range results {
-		out = append(out, r.Value.(Fig4Point))
+	for i, size := range cfg.GroupSizes {
+		rng := rand.New(rand.NewSource(harness.TrialSeed(cfg.Seed+7, i)))
+		out = append(out, fig4Size(cfg, g, size, rng))
 	}
 	return out
 }
@@ -115,9 +82,9 @@ func RunFig4(cfg Fig4Config) []Fig4Point {
 // fig4Size measures one x-axis point (one group size) of Figure 4 with the
 // given per-size rng.
 func fig4Size(cfg Fig4Config, g *topology.Graph, size int, rng *rand.Rand) Fig4Point {
-	pt := Fig4Point{Receivers: size, DeliveryRatio: 1}
+	pt := Fig4Point{Receivers: size}
 	var uniSum, bidirSum, hybridSum, treeSum float64
-	samples, survived := 0, 0
+	samples := 0
 	for trial := 0; trial < cfg.Trials; trial++ {
 		receivers := pickDistinct(rng, cfg.Domains, size)
 		src := topology.DomainID(rng.Intn(cfg.Domains))
@@ -161,16 +128,8 @@ func fig4Size(cfg Fig4Config, g *topology.Graph, size int, rng *rand.Rand) Fig4P
 				continue
 			}
 			samples++
-			// Per-hop loss on the bidirectional delivery path; the
-			// draw only happens under fault so clean runs keep their
-			// rng sequence (and their recorded bands) unchanged. Loss
-			// affects delivery accounting only — path-length overheads
-			// are properties of the tree, not of the packet's luck.
-			if cfg.FaultLoss == 0 || rng.Float64() < math.Pow(1-cfg.FaultLoss, float64(bidir)) {
-				survived++
-				delivered++
-				hops += uint64(bidir)
-			}
+			delivered++
+			hops += uint64(bidir)
 			ru, rb, rh := float64(uni)/spt, float64(bidir)/spt, float64(hybrid)/spt
 			uniSum += ru
 			bidirSum += rb
@@ -204,48 +163,9 @@ func fig4Size(cfg Fig4Config, g *topology.Graph, size int, rng *rand.Rand) Fig4P
 		pt.UniAvg = uniSum / float64(samples)
 		pt.BidirAvg = bidirSum / float64(samples)
 		pt.HybridAvg = hybridSum / float64(samples)
-		pt.DeliveryRatio = float64(survived) / float64(samples)
 	}
 	pt.TreeSize = treeSum / float64(cfg.Trials)
 	return pt
-}
-
-// degradeTopology removes up to n randomly chosen links whose removal
-// keeps the graph connected (a disconnected receiver would measure the
-// routing protocol's absence, not its repair).
-func degradeTopology(g *topology.Graph, n int, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	type link struct{ a, b topology.DomainID }
-	var links []link
-	for d := topology.DomainID(0); int(d) < g.NumDomains(); d++ {
-		for _, e := range g.Neighbors(d) {
-			if d < e.To {
-				links = append(links, link{d, e.To})
-			}
-		}
-	}
-	rng.Shuffle(len(links), func(i, j int) { links[i], links[j] = links[j], links[i] })
-	removed := 0
-	for _, l := range links {
-		if removed >= n {
-			break
-		}
-		provAB, provBA := g.IsProviderOf(l.a, l.b), g.IsProviderOf(l.b, l.a)
-		g.RemoveLink(l.a, l.b)
-		if !g.Connected() {
-			// The link was a bridge; put it back with its old relation.
-			switch {
-			case provAB:
-				g.AddProviderLink(l.a, l.b)
-			case provBA:
-				g.AddProviderLink(l.b, l.a)
-			default:
-				g.AddLink(l.a, l.b)
-			}
-			continue
-		}
-		removed++
-	}
 }
 
 // pickDistinct draws k distinct domain IDs.

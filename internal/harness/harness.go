@@ -1,69 +1,42 @@
 // Package harness runs N independent, seeded benchmark trials across a
-// bounded worker pool.
+// bounded worker pool. It has one caller, internal/bench: a suite's trials
+// are the only level at which this repository fans work out.
 //
 // The paper's evaluation (§4.3.3 Figure 2, §5.4 Figure 4) and this
 // repository's additions (the chaos sweep, the churn workload) are all
-// sweeps of independent seeded trials. The harness gives every trial its
-// own *rand.Rand derived purely from (suite seed, trial index) with a
-// splitmix64 mix, so a suite's results are bit-identical regardless of the
-// worker count or the order the scheduler happens to run trials in —
+// sweeps of independent seeded trials. The harness gives every trial a
+// seed derived purely from (suite seed, trial index) with a splitmix64
+// mix, so a suite's results are bit-identical regardless of the worker
+// count or the order the scheduler happens to run trials in —
 // parallelism changes wall time, never results.
 //
 // Per-trial wall time and approximate allocation / peak-heap figures are
 // sampled around each trial with runtime.ReadMemStats. Those are the only
 // non-deterministic outputs and are reported separately so callers (the
 // internal/bench result model) can exclude them from determinism
-// comparisons. ReadMemStats figures are process-global: with Parallel > 1
+// comparisons. ReadMemStats figures are process-global: with parallel > 1
 // the memory attribution of concurrently running trials overlaps, so treat
 // AllocBytes/PeakHeapBytes as indicative, not exact, in parallel runs.
 //
 // This package deliberately uses time.Now for wall-clock measurement: a
 // benchmark's timing is real time by definition. Everything that feeds
-// simulation logic goes through the derived per-trial *rand.Rand.
+// simulation logic seeds its own generators from the per-trial seed.
 package harness
 
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Trial is the context handed to a TrialFunc: its index in the suite, the
-// seed derived for it, and a rand.Rand freshly created from that seed.
-// Trial functions must draw randomness only from Rng (or sub-seed their
-// own generators from Seed) to stay deterministic under parallelism.
-type Trial struct {
-	Index int
-	Seed  int64
-	Rng   *rand.Rand
-}
-
-// TrialFunc runs one trial and returns its result value. Returning an
-// error cancels the suite: no new trials start, and Run reports the error
-// of the lowest-indexed failed trial.
-type TrialFunc func(t Trial) (any, error)
-
-// Config parameterizes Run.
-type Config struct {
-	// Trials is the number of independent trials.
-	Trials int
-	// Parallel bounds the worker pool; <= 0 uses GOMAXPROCS.
-	Parallel int
-	// Seed is the suite seed every per-trial seed derives from.
-	Seed int64
-	// Run is the trial body.
-	Run TrialFunc
-}
-
 // Result is one completed trial. Value is deterministic for a given
 // (suite seed, index); the remaining fields are timing measurements.
-type Result struct {
+type Result[T any] struct {
 	Index int
-	Value any
+	Value T
 
 	// Wall is the trial's wall-clock duration.
 	Wall time.Duration
@@ -85,30 +58,32 @@ func TrialSeed(suiteSeed int64, trial int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// Run executes cfg.Trials independent trials across the worker pool and
-// returns their results ordered by trial index. On the first trial error
-// the pool stops dispatching new trials, waits for in-flight trials, and
-// returns the error of the lowest-indexed trial that failed (so the
-// reported failure does not depend on scheduling).
-func Run(cfg Config) ([]Result, error) {
-	if cfg.Run == nil {
-		return nil, errors.New("harness: Config.Run is nil")
+// Run executes trials independent trials of fn across a pool of parallel
+// workers (<= 0: GOMAXPROCS) and returns their results ordered by trial
+// index. fn gets the trial's index and its TrialSeed(seed, index), and must
+// draw randomness only from generators it seeds from that to stay
+// deterministic under parallelism. On the first trial error the pool stops
+// dispatching new trials, waits for in-flight trials, and returns the
+// error of the lowest-indexed trial that failed (so the reported failure
+// does not depend on scheduling).
+func Run[T any](trials, parallel int, seed int64, fn func(index int, seed int64) (T, error)) ([]Result[T], error) {
+	if fn == nil {
+		return nil, errors.New("harness: trial func is nil")
 	}
-	if cfg.Trials < 0 {
-		return nil, fmt.Errorf("harness: Trials = %d, want >= 0", cfg.Trials)
+	if trials < 0 {
+		return nil, fmt.Errorf("harness: trials = %d, want >= 0", trials)
 	}
-	if cfg.Trials == 0 {
+	if trials == 0 {
 		return nil, nil
 	}
-	par := cfg.Parallel
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
+	if parallel <= 0 {
+		parallel = runtime.GOMAXPROCS(0)
 	}
-	if par > cfg.Trials {
-		par = cfg.Trials
+	if parallel > trials {
+		parallel = trials
 	}
 
-	results := make([]Result, cfg.Trials)
+	results := make([]Result[T], trials)
 	var (
 		mu          sync.Mutex
 		firstErr    error
@@ -119,7 +94,7 @@ func Run(cfg Config) ([]Result, error) {
 	idxCh := make(chan int)
 	go func() {
 		defer close(idxCh)
-		for i := 0; i < cfg.Trials; i++ {
+		for i := 0; i < trials; i++ {
 			if stop.Load() {
 				return
 			}
@@ -128,12 +103,12 @@ func Run(cfg Config) ([]Result, error) {
 	}()
 
 	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
+	for w := 0; w < parallel; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idxCh {
-				res, err := runTrial(cfg, i)
+				res, err := runTrial(i, TrialSeed(seed, i), fn)
 				mu.Lock()
 				if err != nil {
 					if firstErrIdx < 0 || i < firstErrIdx {
@@ -156,22 +131,21 @@ func Run(cfg Config) ([]Result, error) {
 }
 
 // runTrial runs one trial with timing and memory sampling around it.
-func runTrial(cfg Config, i int) (Result, error) {
-	seed := TrialSeed(cfg.Seed, i)
+func runTrial[T any](i int, seed int64, fn func(int, int64) (T, error)) (Result[T], error) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	v, err := cfg.Run(Trial{Index: i, Seed: seed, Rng: rand.New(rand.NewSource(seed))})
+	v, err := fn(i, seed)
 	wall := time.Since(start)
 	runtime.ReadMemStats(&after)
 	if err != nil {
-		return Result{}, err
+		return Result[T]{}, err
 	}
 	peak := before.HeapInuse
 	if after.HeapInuse > peak {
 		peak = after.HeapInuse
 	}
-	return Result{
+	return Result[T]{
 		Index:         i,
 		Value:         v,
 		Wall:          wall,

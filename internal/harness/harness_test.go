@@ -2,6 +2,7 @@ package harness
 
 import (
 	"errors"
+	"math/rand"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -9,26 +10,22 @@ import (
 
 // trialValues runs a rng-consuming trial function at the given parallelism
 // and returns the deterministic values in index order.
-func trialValues(t *testing.T, parallel int) []any {
+func trialValues(t *testing.T, parallel int) [][2]int64 {
 	t.Helper()
-	res, err := Run(Config{
-		Trials:   24,
-		Parallel: parallel,
-		Seed:     1998,
-		Run: func(tr Trial) (any, error) {
-			// Consume a trial-dependent amount of the stream so any
-			// accidental sharing between trials would show immediately.
-			sum := int64(0)
-			for i := 0; i <= tr.Index%5; i++ {
-				sum += tr.Rng.Int63()
-			}
-			return [2]int64{tr.Seed, sum}, nil
-		},
+	res, err := Run(24, parallel, 1998, func(index int, seed int64) ([2]int64, error) {
+		// Consume a trial-dependent amount of the stream so any
+		// accidental sharing between trials would show immediately.
+		rng := rand.New(rand.NewSource(seed))
+		sum := int64(0)
+		for i := 0; i <= index%5; i++ {
+			sum += rng.Int63()
+		}
+		return [2]int64{seed, sum}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals := make([]any, len(res))
+	vals := make([][2]int64, len(res))
 	for i, r := range res {
 		if r.Index != i {
 			t.Fatalf("result %d has Index %d", i, r.Index)
@@ -65,17 +62,12 @@ func TestRunCancelsOnFirstError(t *testing.T) {
 	boom := errors.New("boom")
 	var started atomic.Int32
 	const trials = 1000
-	_, err := Run(Config{
-		Trials:   trials,
-		Parallel: 2,
-		Seed:     1,
-		Run: func(tr Trial) (any, error) {
-			started.Add(1)
-			if tr.Index == 3 {
-				return nil, boom
-			}
-			return tr.Index, nil
-		},
+	_, err := Run(trials, 2, 1, func(index int, _ int64) (int, error) {
+		started.Add(1)
+		if index == 3 {
+			return 0, boom
+		}
+		return index, nil
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
@@ -90,16 +82,11 @@ func TestRunReportsLowestIndexedError(t *testing.T) {
 	// must be a deterministic choice among the trials that ran — and with
 	// trial 0 failing, it must be trial 0 (workers start from index 0).
 	wantErr := errors.New("fail-0")
-	_, err := Run(Config{
-		Trials:   8,
-		Parallel: 8,
-		Seed:     1,
-		Run: func(tr Trial) (any, error) {
-			if tr.Index == 0 {
-				return nil, wantErr
-			}
-			return nil, errors.New("fail-other")
-		},
+	_, err := Run(8, 8, 1, func(index int, _ int64) (struct{}, error) {
+		if index == 0 {
+			return struct{}{}, wantErr
+		}
+		return struct{}{}, errors.New("fail-other")
 	})
 	if !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v, want the lowest-indexed trial's error", err)
@@ -107,16 +94,13 @@ func TestRunReportsLowestIndexedError(t *testing.T) {
 }
 
 func TestRunTimingFieldsPopulated(t *testing.T) {
-	res, err := Run(Config{
-		Trials: 2,
-		Seed:   7,
-		Run: func(tr Trial) (any, error) {
-			buf := make([]byte, 1<<20)
-			for i := range buf {
-				buf[i] = byte(tr.Rng.Intn(256))
-			}
-			return int(buf[0]), nil
-		},
+	res, err := Run(2, 0, 7, func(_ int, seed int64) (int, error) {
+		rng := rand.New(rand.NewSource(seed))
+		buf := make([]byte, 1<<20)
+		for i := range buf {
+			buf[i] = byte(rng.Intn(256))
+		}
+		return int(buf[0]), nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -132,13 +116,14 @@ func TestRunTimingFieldsPopulated(t *testing.T) {
 }
 
 func TestRunEdgeCases(t *testing.T) {
-	if _, err := Run(Config{Trials: 1}); err == nil {
-		t.Fatal("nil Run must error")
+	noop := func(int, int64) (int, error) { return 0, nil }
+	if _, err := Run[int](1, 0, 0, nil); err == nil {
+		t.Fatal("nil trial func must error")
 	}
-	if _, err := Run(Config{Trials: -1, Run: func(Trial) (any, error) { return nil, nil }}); err == nil {
-		t.Fatal("negative Trials must error")
+	if _, err := Run(-1, 0, 0, noop); err == nil {
+		t.Fatal("negative trials must error")
 	}
-	res, err := Run(Config{Trials: 0, Run: func(Trial) (any, error) { return nil, nil }})
+	res, err := Run(0, 0, 0, noop)
 	if err != nil || res != nil {
 		t.Fatalf("zero trials: res=%v err=%v", res, err)
 	}

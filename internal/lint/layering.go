@@ -78,9 +78,9 @@ var layerTable = map[string]layerSpec{
 
 	"internal/core": {layer: 9, imports: []string{
 		"internal/addr", "internal/bgmp", "internal/bgp", "internal/dataplane",
-		"internal/faultinject", "internal/harness", "internal/liveness", "internal/maas",
-		"internal/masc", "internal/migp", "internal/migp/dvmrp", "internal/obs",
-		"internal/simclock", "internal/topology", "internal/transport", "internal/wire"}},
+		"internal/faultinject", "internal/liveness", "internal/maas", "internal/masc",
+		"internal/migp", "internal/migp/dvmrp", "internal/obs", "internal/simclock",
+		"internal/topology", "internal/transport", "internal/wire"}},
 
 	"internal/bench": {layer: 10, imports: []string{
 		"internal/core", "internal/dataplane", "internal/experiments",

@@ -396,8 +396,8 @@ func (r *reader) requiredStr(key string) string {
 		r.fail(line, "missing required key %q %s", key, where)
 		return ""
 	}
-	if !v.str {
-		r.fail(v.line, "key %q: expected a quoted string", key)
+	if !v.str || v.raw == "" {
+		r.fail(v.line, "key %q: expected a non-empty quoted string", key)
 		return ""
 	}
 	return v.raw

@@ -81,6 +81,10 @@ func TestParseSpecErrors(t *testing.T) {
 	}{
 		{"missing-name", "[topology]\nkind = \"as\"\n[workload]\nkind = \"uniform\"\n",
 			`missing required key "name"`, 0},
+		{"empty-name", "name = \"\"\n[topology]\nkind = \"as\"\n[workload]\nkind = \"uniform\"\n",
+			`key "name": expected a non-empty quoted string`, 1},
+		{"empty-kind", base("kind = \"\"\n"),
+			`key "kind": expected a non-empty quoted string`, 5},
 		{"missing-topology", "name = \"x\"\n[workload]\nkind = \"uniform\"\n",
 			"missing [topology] section", 0},
 		{"missing-workload", "name = \"x\"\n[topology]\nkind = \"as\"\n",

@@ -38,28 +38,31 @@ label = "a # not a comment"
 	}
 }
 
+// tomlErrorCases are the malformed inputs TestParseTOMLErrors pins and
+// FuzzParse starts from.
+var tomlErrorCases = []struct {
+	name string
+	in   string
+	line int
+	want string
+}{
+	{"no-equals", "name = \"x\"\njunk line\n", 2, "expected key = value"},
+	{"bad-section", "[topology\nkind = \"as\"\n", 1, "malformed section header"},
+	{"bad-section-name", "[Topology]\n", 1, "invalid section name"},
+	{"dup-section", "[topology]\n[workload]\n[topology]\n", 3, "duplicate section"},
+	{"dup-key", "a = 1\na = 2\n", 2, `duplicate key "a"`},
+	{"bad-key", "Name = \"x\"\n", 1, "invalid key"},
+	{"missing-value", "a =\n", 1, "missing value"},
+	{"unterminated", "a = \"oops\n", 1, "unterminated string"},
+	{"array", "a = [1, 2]\n", 1, "arrays and inline tables"},
+	{"bare-word", "\n\nkind = as\n", 3, "not a string, number, or bool"},
+	{"trailing", "a = 1 2\n", 1, "unexpected text after value"},
+}
+
 // TestParseTOMLErrors pins the error line numbers: benchsuite surfaces
 // these verbatim and verify.sh greps for file:line.
 func TestParseTOMLErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		in   string
-		line int
-		want string
-	}{
-		{"no-equals", "name = \"x\"\njunk line\n", 2, "expected key = value"},
-		{"bad-section", "[topology\nkind = \"as\"\n", 1, "malformed section header"},
-		{"bad-section-name", "[Topology]\n", 1, "invalid section name"},
-		{"dup-section", "[topology]\n[workload]\n[topology]\n", 3, "duplicate section"},
-		{"dup-key", "a = 1\na = 2\n", 2, `duplicate key "a"`},
-		{"bad-key", "Name = \"x\"\n", 1, "invalid key"},
-		{"missing-value", "a =\n", 1, "missing value"},
-		{"unterminated", "a = \"oops\n", 1, "unterminated string"},
-		{"array", "a = [1, 2]\n", 1, "arrays and inline tables"},
-		{"bare-word", "\n\nkind = as\n", 3, "not a string, number, or bool"},
-		{"trailing", "a = 1 2\n", 1, "unexpected text after value"},
-	}
-	for _, tc := range cases {
+	for _, tc := range tomlErrorCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := parseTOML("bad.toml", []byte(tc.in))
 			if err == nil {

@@ -37,10 +37,16 @@ func WriteEdgeList(w io.Writer, g *Graph, kind string) error {
 	return bw.Flush()
 }
 
+// maxEdgeListDomains bounds the graph a file may ask for: the domain count
+// sizes an allocation, and the file comes from outside the program. The
+// paper-scale graph has 3326 domains.
+const maxEdgeListDomains = 1 << 20
+
 // ReadEdgeList parses the edge-list format back into a Graph. The
 // domain count comes from the header's domains= field when present
 // (preserving isolated trailing domains); otherwise it is inferred as
 // the highest endpoint + 1. Errors carry the 1-based line number.
+// Domain counts and endpoints beyond maxEdgeListDomains are errors.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -58,6 +64,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		if strings.HasPrefix(text, "#") {
 			if domains < 0 {
 				domains = headerDomains(text)
+				if domains > maxEdgeListDomains {
+					return nil, fmt.Errorf("line %d: domains=%d exceeds the limit of %d", ln, domains, maxEdgeListDomains)
+				}
 			}
 			continue
 		}
@@ -69,6 +78,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		b, errB := strconv.Atoi(fields[1])
 		if errA != nil || errB != nil || a < 0 || b < 0 {
 			return nil, fmt.Errorf("line %d: link endpoints must be non-negative integers, got %q", ln, text)
+		}
+		if a >= maxEdgeListDomains || b >= maxEdgeListDomains {
+			return nil, fmt.Errorf("line %d: link endpoint beyond the limit of %d domains, got %q", ln, maxEdgeListDomains, text)
 		}
 		if a == b {
 			return nil, fmt.Errorf("line %d: self-loop %d-%d", ln, a, b)

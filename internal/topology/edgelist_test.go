@@ -71,6 +71,8 @@ func TestReadEdgeListErrors(t *testing.T) {
 		{"0 1\n2 -3\n", "line 2: link endpoints"},
 		{"0 1\n\n4 4\n", "line 3: self-loop"},
 		{"# header only\n", "no links"},
+		{"0 1\n0 4000000000\n", "line 2: link endpoint beyond the limit"},
+		{"# domains=4000000000\n0 1\n", "line 1: domains=4000000000 exceeds the limit"},
 	}
 	for _, tc := range cases {
 		_, err := ReadEdgeList(strings.NewReader(tc.in))

@@ -46,7 +46,6 @@ import (
 	"time"
 
 	"mascbgmp/internal/addr"
-	"mascbgmp/internal/bench"
 	"mascbgmp/internal/bgp"
 	"mascbgmp/internal/core"
 	"mascbgmp/internal/dataplane"
@@ -235,8 +234,6 @@ type (
 	Fig2Config = experiments.Fig2Config
 	// Fig2Result is its outcome.
 	Fig2Result = experiments.Fig2Result
-	// Fig2Sample is one time-series point of Figure 2.
-	Fig2Sample = experiments.Fig2Sample
 	// Fig4Config parameterizes the §5.4 tree-quality comparison.
 	Fig4Config = experiments.Fig4Config
 	// Fig4Point is one x-axis point of Figure 4.
@@ -280,35 +277,6 @@ func RunDataPlane(cfg ChurnConfig) DataPlaneResult { return experiments.RunDataP
 // the paper's BGP-dump topology; see DESIGN.md §2).
 func ASGraph(n, extraPeering int, seed int64) *Graph {
 	return topology.ASGraph(n, extraPeering, seed)
-}
-
-// Benchmark suite layer (cmd/benchsuite): named scenarios run through the
-// parallel deterministic trial runner and reported as machine-readable
-// results. The Metrics and Counters sections of a BenchResult are pure
-// functions of (suite, trials, seed) — identical at any parallelism —
-// while Env and Timing carry the host- and wall-clock-dependent figures.
-type (
-	// BenchScenario is a named, registered benchmark workload.
-	BenchScenario = bench.Scenario
-	// BenchOptions parameterize a suite run (trials, parallelism, seed).
-	BenchOptions = bench.Options
-	// BenchResult is the machine-readable outcome of one suite run —
-	// the contents of a BENCH_<suite>.json file.
-	BenchResult = bench.SuiteResult
-)
-
-// BenchScenarios lists the registered benchmark suites sorted by name.
-func BenchScenarios() []BenchScenario { return bench.Scenarios() }
-
-// RunBenchScenario runs a registered suite by name.
-func RunBenchScenario(name string, opts BenchOptions) (BenchResult, error) {
-	return bench.RunSuite(name, opts)
-}
-
-// LoadBenchScenarioFile parses a scenario file (scenarios/*.toml) and
-// registers it beside the built-in benchmark suites (benchsuite -scenario).
-func LoadBenchScenarioFile(path string) (BenchScenario, error) {
-	return bench.LoadScenarioFile(path)
 }
 
 // Failure-recovery sweep (cmd/chaossim): a fault plane on every peering,
