@@ -339,6 +339,15 @@ func (s *Speaker) LookupPrefix(table wire.Table, p addr.Prefix) (Entry, bool) {
 	return s.entryOf(sel), true
 }
 
+// Generation counts the changes to a table's selected routes. An answer
+// Lookup gave for a route with no lifetime is the one it gives now for as
+// long as the count read before that Lookup still stands.
+func (s *Speaker) Generation(table wire.Table) uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.tables[table].gen
+}
+
 // Table returns a snapshot of a table's best routes sorted by prefix; the
 // paper's "G-RIB size" is len(Table(wire.TableGRIB)).
 func (s *Speaker) Table(table wire.Table) []Entry {
@@ -494,6 +503,7 @@ func (s *Speaker) reselectLocked(table wire.Table, changed []*record, ctx wire.T
 			r.lens[rec.prefix.Len]--
 		}
 		rec.sel, rec.hasSel = newSel, hasNew
+		r.gen++
 		if notes == nil {
 			notes = make([]note, 0, left)
 		}

@@ -152,10 +152,11 @@ func newRouter(n *Network, d *Domain, id wire.RouterID, at migp.Node, export bgp
 			LookupUnicast: func(a addr.Addr) (bgp.Entry, bool) {
 				return r.bgp.Lookup(wire.TableUnicast, a)
 			},
-			Internal:   r.isInternal,
-			SendPeer:   r.sendTo,
-			MIGP:       migpAdapter,
-			DomainAddr: n.domainAddr,
+			UnicastGeneration: func() uint64 { return r.bgp.Generation(wire.TableUnicast) },
+			Internal:          r.isInternal,
+			SendPeer:          r.sendTo,
+			MIGP:              migpAdapter,
+			DomainAddr:        n.domainAddr,
 			SourceDomain: func(s addr.Addr) (wire.DomainID, bool) {
 				e, ok := lookupSource(s)
 				return e.Route.Origin, ok

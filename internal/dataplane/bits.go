@@ -1,21 +1,18 @@
 package dataplane
 
-import (
-	"math/bits"
-
-	"mascbgmp/internal/wire"
-)
+import "mascbgmp/internal/wire"
 
 // Bitstring helpers: bit i lives in word i/64, position i%64. Domain IDs
 // index bits directly, so the bitstring length scales with the highest
 // member domain ID rather than the member count — the BIER trade of
 // header bytes for per-group state.
 
-// makeBits builds a bitstring with one bit set per domain in ds.
-func makeBits(ds []wire.DomainID) []uint64 {
+// makeBits builds a bitstring with one bit set per domain in ds other than
+// skip1 and skip2; nil when that leaves none.
+func makeBits(ds []wire.DomainID, skip1, skip2 wire.DomainID) []uint64 {
 	maxw := -1
 	for _, d := range ds {
-		if w := int(d / 64); w > maxw {
+		if w := int(d / 64); w > maxw && d != skip1 && d != skip2 {
 			maxw = w
 		}
 	}
@@ -24,54 +21,17 @@ func makeBits(ds []wire.DomainID) []uint64 {
 	}
 	out := make([]uint64, maxw+1)
 	for _, d := range ds {
-		out[d/64] |= 1 << (uint(d) % 64)
-	}
-	return out
-}
-
-// setBit sets bit i, growing nothing: the caller sized the string.
-func setBit(b []uint64, i uint32) {
-	w := int(i / 64)
-	if w < len(b) {
-		b[w] |= 1 << (i % 64)
-	}
-}
-
-// clearBit clears bit i, reporting whether it was set.
-func clearBit(b []uint64, i uint32) bool {
-	w := int(i / 64)
-	if w >= len(b) || b[w]&(1<<(i%64)) == 0 {
-		return false
-	}
-	b[w] &^= 1 << (i % 64)
-	return true
-}
-
-// anyBit reports whether any bit is set.
-func anyBit(b []uint64) bool {
-	for _, w := range b {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// setBits returns the set bit indices in ascending order.
-func setBits(b []uint64) []uint32 {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	out := make([]uint32, 0, n)
-	for wi, w := range b {
-		for w != 0 {
-			i := bits.TrailingZeros64(w)
-			out = append(out, uint32(wi*64+i))
-			w &^= 1 << uint(i)
+		if d != skip1 && d != skip2 {
+			out[d/64] |= 1 << (d % 64)
 		}
 	}
 	return out
+}
+
+// hasBit reports whether bit i is set.
+func hasBit(b []uint64, i uint32) bool {
+	w := int(i / 64)
+	return w < len(b) && b[w]&(1<<(i%64)) != 0
 }
 
 // trimBits drops trailing zero words so header accounting reflects the

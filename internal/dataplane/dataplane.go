@@ -24,7 +24,6 @@ package dataplane
 
 import (
 	"slices"
-	"sort"
 	"sync"
 
 	"mascbgmp/internal/addr"
@@ -131,6 +130,10 @@ type Config struct {
 	// LookupUnicast resolves a unicast address (tunnel endpoints, domain
 	// anchor addresses).
 	LookupUnicast func(a addr.Addr) (bgp.Entry, bool)
+	// UnicastGeneration counts the changes to what LookupUnicast answers
+	// from (bgp.Speaker.Generation): BIER keeps a next hop it looked up
+	// while the count stands, and with nil looks every bit up every time.
+	UnicastGeneration func() uint64
 	// Internal reports whether a router ID is a border of this domain.
 	Internal func(r wire.RouterID) bool
 	// SendPeer transmits a message to an external peer.
@@ -158,12 +161,20 @@ type Config struct {
 // domain share one Store.
 type Store struct {
 	mu      sync.Mutex
-	members map[addr.Addr]map[wire.DomainID]int // guarded by mu
+	members map[addr.Addr]*memberSet // guarded by mu
+}
+
+// memberSet is one group's membership: a refcount per member domain, and
+// the domains ascending as Members last listed them — dropped, never edited,
+// by a change, so a list a reader holds stays as it was.
+type memberSet struct {
+	refs map[wire.DomainID]int
+	list []wire.DomainID
 }
 
 // NewStore returns an empty membership store.
 func NewStore() *Store {
-	return &Store{members: map[addr.Addr]map[wire.DomainID]int{}}
+	return &Store{members: map[addr.Addr]*memberSet{}}
 }
 
 // Add records one membership assertion for (g, d).
@@ -172,10 +183,11 @@ func (s *Store) Add(g addr.Addr, d wire.DomainID) {
 	defer s.mu.Unlock()
 	m := s.members[g]
 	if m == nil {
-		m = make(map[wire.DomainID]int, 2)
+		m = &memberSet{refs: make(map[wire.DomainID]int, 2)}
 		s.members[g] = m
 	}
-	m[d]++
+	m.refs[d]++
+	m.list = nil
 }
 
 // Remove retracts one membership assertion for (g, d).
@@ -186,26 +198,34 @@ func (s *Store) Remove(g addr.Addr, d wire.DomainID) {
 	if m == nil {
 		return
 	}
-	m[d]--
-	if m[d] <= 0 {
-		delete(m, d)
+	m.list = nil
+	m.refs[d]--
+	if m.refs[d] <= 0 {
+		delete(m.refs, d)
 	}
-	if len(m) == 0 {
+	if len(m.refs) == 0 {
 		delete(s.members, g)
 	}
 }
 
-// Members returns g's member domains in ascending order.
+// Members returns g's member domains in ascending order: the store's own
+// list, read-only, built by the first call after a change and handed to
+// every call until the next.
 func (s *Store) Members(g addr.Addr) []wire.DomainID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m := s.members[g]
-	out := make([]wire.DomainID, 0, len(m))
-	for d := range m {
-		out = append(out, d)
+	if m == nil {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	if m.list == nil {
+		m.list = make([]wire.DomainID, 0, len(m.refs))
+		for d := range m.refs {
+			m.list = append(m.list, d)
+		}
+		slices.Sort(m.list)
+	}
+	return m.list
 }
 
 // Entries counts (group, member-domain) records across all groups.
@@ -214,7 +234,7 @@ func (s *Store) Entries() int {
 	defer s.mu.Unlock()
 	n := 0
 	for _, m := range s.members {
-		n += len(m)
+		n += len(m.refs)
 	}
 	return n
 }

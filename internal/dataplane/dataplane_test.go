@@ -29,12 +29,18 @@ func TestNames(t *testing.T) {
 }
 
 func TestBitstringHelpers(t *testing.T) {
-	b := makeBits([]wire.DomainID{3, 64, 130})
+	b := makeBits([]wire.DomainID{3, 7, 64, 130, 200}, 7, 200)
 	if len(b) != 3 {
 		t.Fatalf("makeBits words = %d, want 3", len(b))
 	}
 	if got, want := setBits(b), []uint32{3, 64, 130}; !reflect.DeepEqual(got, want) {
 		t.Errorf("setBits = %v, want %v", got, want)
+	}
+	if !hasBit(b, 64) || hasBit(b, 7) || hasBit(b, 200) {
+		t.Error("hasBit must see exactly the bits made")
+	}
+	if makeBits([]wire.DomainID{7, 200}, 7, 200) != nil {
+		t.Error("makeBits of nothing but skipped domains must be nil")
 	}
 	if !clearBit(b, 64) || clearBit(b, 64) {
 		t.Error("clearBit must report and clear exactly once")
@@ -82,6 +88,16 @@ func TestStoreRefcounts(t *testing.T) {
 	if got, want := s.Members(g), []wire.DomainID{3, 5}; !reflect.DeepEqual(got, want) {
 		t.Errorf("refcounted Remove dropped the member early: %v, want %v", got, want)
 	}
+	// The list is built once per change, and a list handed out never moves.
+	held := s.Members(g)
+	if n := testing.AllocsPerRun(10, func() { s.Members(g) }); n != 0 {
+		t.Errorf("Members allocates %v per call with no change between", n)
+	}
+	s.Add(g, 4)
+	if got, want := s.Members(g), []wire.DomainID{3, 4, 5}; !reflect.DeepEqual(got, want) || !reflect.DeepEqual(held, []wire.DomainID{3, 5}) {
+		t.Errorf("after Add: Members = %v, want %v; the list held from before = %v, want [3 5]", got, want, held)
+	}
+	s.Remove(g, 4)
 	s.Remove(g, 5)
 	s.Remove(g, 3)
 	if got := s.Members(g); len(got) != 0 {

@@ -1,6 +1,8 @@
 package dataplane
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -30,6 +32,17 @@ type overlay struct {
 	// guarded by mu
 	pending map[addr.Addr]int
 	stats   Stats // guarded by mu
+	// bift is the bit index forwarding table (RFC 8279 §6.4), indexed by
+	// domain ID and filled by the packets that need it: see nextHopLocked.
+	bift []biftEntry // guarded by mu
+}
+
+// biftEntry is the way toward one domain and the unicast generation it was
+// looked up under; ok is false in one never filled.
+type biftEntry struct {
+	to  bgmp.Target
+	gen uint64
+	ok  bool
 }
 
 // NewBIER returns the BIER-style bitstring backend.
@@ -58,6 +71,7 @@ func (o *overlay) Reset() {
 	o.mu.Lock()
 	o.pending = map[addr.Addr]int{}
 	o.stats = Stats{}
+	o.bift = nil
 	o.mu.Unlock()
 }
 
@@ -113,6 +127,9 @@ func (o *overlay) LocalLeave(g addr.Addr) {
 // one originating here (built only if it has to travel). It returns false
 // when no G-RIB route exists yet.
 func (o *overlay) report(g addr.Addr, dom wire.DomainID, leave bool, m *wire.MemberReport) bool {
+	if o.mode == BIERName && dom > wire.MaxDataBit {
+		return true // no bitstring could carry it: refused, not parked
+	}
 	ent, ok := o.cfg.LookupGroup(g)
 	if !ok {
 		return false
@@ -277,40 +294,36 @@ func (o *overlay) deliverTunnel(d *wire.Data) {
 	o.deliverTunnel(&cp)
 }
 
-// rootReplicate is the root domain's fan-out: compute the egress member
-// set from the overlay store and emit per-backend copies. injectLocally
+// rootReplicate is the root domain's fan-out: read the egress member set
+// off the overlay store and emit per-backend copies. injectLocally
 // controls whether a local membership is served here (false when the
 // packet originated in this domain and the interior already has it).
 func (o *overlay) rootReplicate(d *wire.Data, injectLocally bool) {
 	members := o.cfg.Store.Members(d.Group)
+	// The source's own domain delivered natively: like this one, no copy.
 	srcDom, haveSrcDom := o.cfg.SourceDomain(d.Source)
-	egress := make([]wire.DomainID, 0, len(members))
-	local := false
-	for _, m := range members {
-		switch {
-		case m == o.cfg.Domain:
-			local = true
-		case haveSrcDom && m == srcDom:
-			// The source's own domain delivered natively at origination.
-		default:
-			egress = append(egress, m)
-		}
+	if !haveSrcDom {
+		srcDom = o.cfg.Domain // nothing further to skip
+	} else if srcDom == o.cfg.Domain {
+		injectLocally = false
 	}
-	if local && injectLocally && !(haveSrcDom && srcDom == o.cfg.Domain) {
+	if _, local := slices.BinarySearch(members, o.cfg.Domain); local && injectLocally {
 		o.injectLocal(d)
 	}
-	if len(egress) == 0 {
-		return
-	}
 	if o.mode == BIERName {
-		cp := *d
-		cp.TunnelTo = 0
-		cp.Bits = makeBits(egress)
-		o.count(Stats{Encaps: 1})
-		o.forwardBits(&cp)
+		if bs := makeBits(members, o.cfg.Domain, srcDom); bs != nil {
+			cp := *d
+			cp.TunnelTo = 0
+			cp.Bits = bs
+			o.count(Stats{Encaps: 1})
+			o.forwardBits(&cp)
+		}
 		return
 	}
-	for _, m := range egress {
+	for _, m := range members {
+		if m == o.cfg.Domain || m == srcDom {
+			continue
+		}
 		ta, ok := o.cfg.DomainAddr(m)
 		if !ok {
 			continue
@@ -327,54 +340,93 @@ func (o *overlay) rootReplicate(d *wire.Data, injectLocally bool) {
 // deliverBits handles a bitstring packet: serve the local bit, then split
 // the remainder across unicast next hops.
 func (o *overlay) deliverBits(d *wire.Data) {
-	bits := append([]uint64(nil), d.Bits...)
-	if clearBit(bits, uint32(o.cfg.Domain)) {
+	if hasBit(d.Bits, uint32(o.cfg.Domain)) {
 		cp := *d
 		cp.Bits = nil
 		o.injectLocal(&cp)
 	}
-	if anyBit(bits) {
+	o.forwardBits(d)
+}
+
+// forwardBits is the BIER forwarding rule (RFC 8279 §6.5): walk the set
+// bits other than this domain's own, ascending, ask the BIFT for each one's
+// next hop, and send every next hop — in order of first occurrence — one
+// copy carrying only the bits it serves.
+func (o *overlay) forwardBits(d *wire.Data) {
+	words, self := len(d.Bits), uint32(o.cfg.Domain)
+	n := 0
+	for _, w := range d.Bits {
+		n += bits.OnesCount64(w)
+	}
+	if n == 0 || n == 1 && hasBit(d.Bits, self) {
+		return // nothing but the bit deliverBits served
+	}
+	var gen uint64
+	if o.cfg.UnicastGeneration != nil {
+		gen = o.cfg.UnicastGeneration() // before any lookup it will stamp
+	}
+	// One slab holds every outgoing string, next hop k's at k*words; a
+	// packet's next hops are bounded by its bits and the router's peers.
+	tos := make([]bgmp.Target, 0, 8)
+	slab := make([]uint64, min(n, cap(tos))*words)
+	o.mu.Lock()
+	for wi, w := range d.Bits {
+		for ; w != 0; w &= w - 1 {
+			dom := uint32(wi*64 + bits.TrailingZeros64(w))
+			if dom == self {
+				continue
+			}
+			to, ok := o.nextHopLocked(dom, gen)
+			if !ok {
+				continue
+			}
+			k := slices.Index(tos, to)
+			if k < 0 {
+				k = len(tos)
+				tos = append(tos, to)
+				if len(slab) < len(tos)*words {
+					slab = append(slab, make([]uint64, words)...) // a ninth next hop
+				}
+			}
+			slab[k*words+wi] |= w & -w
+		}
+	}
+	o.mu.Unlock()
+	for k, to := range tos {
 		cp := *d
-		cp.Bits = bits
-		o.forwardBits(&cp)
+		cp.Bits = trimBits(slab[k*words : (k+1)*words])
+		o.hop(to, &cp, BIERHeaderBytes(len(cp.Bits)))
 	}
 }
 
-// forwardBits buckets the set bits by unicast next hop and sends one copy
-// per bucket, each carrying only the bits that hop serves — the BIER
-// forwarding rule, using nothing but the unicast RIB.
-func (o *overlay) forwardBits(d *wire.Data) {
-	type bucket struct {
-		to   bgmp.Target
-		bits []uint64
-	}
-	// Sized for the common fan-out: the distinct next hops of one packet
-	// are bounded by the router's peer count, typically a handful.
-	order := make([]wire.RouterID, 0, 8)
-	buckets := make(map[wire.RouterID]*bucket, 8)
-	for _, dom := range setBits(d.Bits) {
-		ta, ok := o.cfg.DomainAddr(wire.DomainID(dom))
-		if !ok {
-			continue
+// nextHopLocked is the BIFT: where a copy for domain dom leaves this
+// router. An entry is derived from the unicast RIB by the first packet that
+// needs it and stands while gen, the unicast generation, is the one it was
+// looked up under. Misses are not kept, so the table grows only to domain
+// IDs that exist; nor is a route with a lifetime, so that a kept answer is
+// always the one LookupUnicast would give now. Caller holds o.mu.
+func (o *overlay) nextHopLocked(dom uint32, gen uint64) (bgmp.Target, bool) {
+	if int(dom) < len(o.bift) {
+		if e := o.bift[dom]; e.ok && e.gen == gen {
+			return e.to, true
 		}
-		ue, ok := o.cfg.LookupUnicast(ta)
-		if !ok {
-			continue
-		}
-		bk := buckets[ue.NextHop]
-		if bk == nil {
-			bk = &bucket{to: o.eg.Toward(ue.NextHop), bits: make([]uint64, len(d.Bits))}
-			buckets[ue.NextHop] = bk
-			order = append(order, ue.NextHop)
-		}
-		setBit(bk.bits, dom)
 	}
-	for _, nh := range order {
-		bk := buckets[nh]
-		cp := *d
-		cp.Bits = trimBits(bk.bits)
-		o.hop(bk.to, &cp, BIERHeaderBytes(len(cp.Bits)))
+	ta, ok := o.cfg.DomainAddr(wire.DomainID(dom))
+	if !ok {
+		return bgmp.Target{}, false
 	}
+	ue, ok := o.cfg.LookupUnicast(ta)
+	if !ok {
+		return bgmp.Target{}, false
+	}
+	to := o.eg.Toward(ue.NextHop)
+	if o.cfg.UnicastGeneration != nil && ue.Route.ExpireUnix == 0 && dom <= wire.MaxDataBit {
+		if int(dom) >= len(o.bift) {
+			o.bift = append(o.bift, make([]biftEntry, int(dom)+1-len(o.bift))...)
+		}
+		o.bift[dom] = biftEntry{to: to, gen: gen, ok: true}
+	}
+	return to, true
 }
 
 // injectLocal delivers a decapsulated packet to the domain interior,

@@ -560,6 +560,10 @@ type Data struct {
 	Payload []byte
 }
 
+// MaxDataBit is the largest bit a Data frame's bitstring can carry: the
+// word count travels as a u16.
+const MaxDataBit = 0xFFFF*64 - 1
+
 // Type implements Message.
 func (*Data) Type() MsgType { return TypeData }
 
@@ -604,17 +608,17 @@ func (m *Data) DecodePayload(b []byte) error {
 	m.Encap = flags&dataFlagEncap != 0
 	m.TunnelTo = 0
 	if flags&dataFlagTunnel != 0 {
-		m.TunnelTo = r.addr()
+		// Zero means "no tunnel" in memory, so it cannot be a tunnel's end.
+		if m.TunnelTo = r.addr(); r.err == nil && m.TunnelTo == 0 {
+			return fmt.Errorf("wire: data frame tunnelled to the zero address")
+		}
 	}
 	m.Bits = nil
 	if flags&dataFlagBits != 0 {
-		n := int(r.u16())
-		for i := 0; i < n && r.err == nil; i++ {
-			m.Bits = append(m.Bits, r.u64())
-		}
-		if m.Bits == nil {
-			// A present-but-empty bitstring keeps flag round-trip fidelity.
-			m.Bits = []uint64{}
+		// Non-nil even when empty, for flag round-trip fidelity.
+		m.Bits = make([]uint64, r.count(8))
+		for i := range m.Bits {
+			m.Bits[i] = r.u64()
 		}
 	}
 	m.Payload = r.bytes()

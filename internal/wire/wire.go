@@ -198,6 +198,11 @@ func DecodeNext(b []byte) (Message, []byte, error) {
 		ctx.Span = binary.BigEndian.Uint64(payload[8:])
 		ctx.Start = binary.BigEndian.Uint64(payload[16:])
 		payload = payload[TraceBlockSize:]
+		// AppendFrame writes the block only for a message that carries a
+		// nonzero context; any other would not survive re-encoding.
+		if _, ok := msg.(Traceable); !ok || ctx.Zero() {
+			return nil, b, fmt.Errorf("%w: trace block with no context to carry", ErrBadVersion)
+		}
 	}
 	if err := msg.DecodePayload(payload); err != nil {
 		return nil, b, err

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -160,6 +161,48 @@ func TestUpdateDecodeAllocatesAnnouncedSizesOnly(t *testing.T) {
 	}
 	if !reflect.DeepEqual(&m, honest) {
 		t.Errorf("honest update decoded to %#v", m)
+	}
+}
+
+// TestDataDecodeAllocatesAnnouncedBitsOnly: a Data frame's bitstring is
+// made once, at the announced width, after the width has been checked
+// against the bytes that follow — so a forged count allocates nothing.
+func TestDataDecodeAllocatesAnnouncedBitsOnly(t *testing.T) {
+	for _, words := range []int{0, 1, 4, 64, 1000} {
+		honest := &Data{Group: addr.MakeAddr(224, 0, 128, 1), TTL: 9, Bits: make([]uint64, words)}
+		for i := range honest.Bits {
+			honest.Bits[i] = uint64(i) + 1
+		}
+		payload := honest.AppendPayload(nil)
+		var m Data
+		want := 1.0
+		if words == 0 {
+			want = 0 // present but empty: non-nil, nothing behind it
+		}
+		if got := testing.AllocsPerRun(10, func() {
+			if err := m.DecodePayload(payload); err != nil {
+				t.Fatal(err)
+			}
+		}); got != want {
+			t.Errorf("%d-word bitstring: %v allocations, want %v", words, got, want)
+		}
+		if m.Bits == nil || !reflect.DeepEqual(m.Bits, honest.Bits) {
+			t.Errorf("%d-word bitstring decoded to %v", words, m.Bits)
+		}
+
+		// The same frame announcing more words than it has, up to all a
+		// count can say.
+		for _, claim := range []int{words + 1, 0xffff} {
+			forged := bytes.Clone(payload)
+			binary.BigEndian.PutUint16(forged[10:], uint16(claim))
+			if got := testing.AllocsPerRun(10, func() {
+				if err := m.DecodePayload(forged); err != ErrTruncated {
+					t.Fatalf("%d words announced, %d present: err = %v, want ErrTruncated", claim, words, err)
+				}
+			}); got != 0 || len(m.Bits) != 0 {
+				t.Errorf("%d words announced, %d present: %v allocations, %d words made, want none", claim, words, got, len(m.Bits))
+			}
+		}
 	}
 }
 
