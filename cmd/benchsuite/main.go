@@ -63,6 +63,7 @@ import (
 	"strings"
 
 	"mascbgmp"
+	"mascbgmp/cmd/internal/obsflags"
 	"mascbgmp/internal/bench"
 )
 
@@ -84,21 +85,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchsuite", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		suite      = fs.String("suite", "", "suite to run (see -list)")
-		scenFile   = fs.String("scenario", "", "scenario file (scenarios/*.toml) to load as a suite beside the built-ins; becomes the default -suite")
-		trials     = fs.Int("trials", 0, "trials to run (0: the suite's default)")
-		parallel   = fs.Int("parallel", 0, "worker pool size (0: GOMAXPROCS)")
-		seed       = fs.Int64("seed", 1998, "suite seed; per-trial seeds derive from it")
-		backend    = fs.String("backend", "", "forwarding data plane for suites that model one (shared-tree, bier, map-encap; empty: suite default)")
-		out        = fs.String("out", "", "write the result JSON to this file (default: stdout)")
-		traceOut   = fs.String("trace-out", "", "record causal spans per trial and write Chrome trace-event JSON to this file")
-		metricsOut = fs.String("metrics-out", "", "write counter and histogram totals to this file in Prometheus text exposition format")
-		compare    = fs.String("compare", "", "baseline result file to gate the run against")
-		tolerance  = fs.Float64("tolerance", 0.10, "relative regression tolerance for -compare")
-		list       = fs.Bool("list", false, "list the suites and exit")
-		validate   = fs.String("validate", "", "validate a result file against the schema and exit")
-		diff       = fs.Bool("diff", false, "compare two result files (args) modulo env/timing and exit")
+		suite     = fs.String("suite", "", "suite to run (see -list)")
+		scenFile  = fs.String("scenario", "", "scenario file (scenarios/*.toml) to load as a suite beside the built-ins; becomes the default -suite")
+		trials    = fs.Int("trials", 0, "trials to run (0: the suite's default)")
+		parallel  = fs.Int("parallel", 0, "worker pool size (0: GOMAXPROCS)")
+		seed      = fs.Int64("seed", 1998, "suite seed; per-trial seeds derive from it")
+		backend   = fs.String("backend", "", "forwarding data plane for suites that model one (shared-tree, bier, map-encap; empty: suite default)")
+		out       = fs.String("out", "", "write the result JSON to this file (default: stdout)")
+		compare   = fs.String("compare", "", "baseline result file to gate the run against")
+		tolerance = fs.Float64("tolerance", 0.10, "relative regression tolerance for -compare")
+		list      = fs.Bool("list", false, "list the suites and exit")
+		validate  = fs.String("validate", "", "validate a result file against the schema and exit")
+		diff      = fs.Bool("diff", false, "compare two result files (args) modulo env/timing and exit")
+		of        obsflags.Flags
 	)
+	of.Register(fs, "trace-out", "metrics-out")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: benchsuite [flags]\n\n"+
 			"Exit status: 0 success; 1 regression (-compare) or mismatch (-diff);\n"+
@@ -180,21 +181,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	res, err := bench.RunSuite(suites[i], bench.Options{
 		Trials: *trials, Parallel: *parallel, Seed: *seed, Backend: *backend,
-		Trace: *traceOut != "",
+		Trace: of.TraceOut != "",
 	})
 	if err != nil {
 		return fail(exitUsage, err.Error())
 	}
 
-	if *metricsOut != "" {
-		if err := os.WriteFile(*metricsOut, []byte(res.PrometheusText()), 0o644); err != nil {
-			return fail(exitUsage, err.Error())
-		}
-	}
-	if *traceOut != "" {
-		if err := os.WriteFile(*traceOut, mascbgmp.ChromeTrace(res.Spans), 0o644); err != nil {
-			return fail(exitUsage, err.Error())
-		}
+	if err := of.Finish(stderr, "", res.PrometheusText(), res.Spans); err != nil {
+		return fail(exitUsage, err.Error())
 	}
 
 	if *out != "" {

@@ -55,6 +55,7 @@ import (
 	"time"
 
 	"mascbgmp"
+	"mascbgmp/cmd/internal/obsflags"
 )
 
 func main() {
@@ -68,22 +69,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("chaossim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		seed       = fs.Int64("seed", 1998, "random seed")
-		loss       = fs.String("loss", "", "comma-separated loss rates in [0,1) (default: the recorded 0,0.05,0.1,0.2 sweep)")
-		hold       = fs.Duration("hold", 30*time.Second, "session hold time (keepalives every third)")
-		backoff    = fs.Duration("backoff", 15*time.Second, "initial reconnect backoff (doubles per failure)")
-		crash      = fs.Duration("crash", 5*time.Minute, "how long the crashed border router stays down")
-		groups     = fs.Int("groups", 3, "multicast groups rooted in the source domain")
-		packets    = fs.Int("packets", 50, "probe packets per group during the lossy phase")
-		backend    = fs.String("backend", mascbgmp.DataPlaneSharedTree, "forwarding data plane (shared-tree, bier, map-encap)")
-		liveness   = fs.Bool("liveness", false, "arm the BFD-style fast-liveness detector beside the hold timers")
-		lvFloor    = fs.Duration("liveness-floor", 0, "liveness probe-interval floor (0: the 100ms default)")
-		lvMult     = fs.Int("liveness-mult", 0, "missed intervals before liveness declares a session dead (0: the ×3 default)")
-		metrics    = fs.Bool("metrics", false, "dump protocol event counters to stderr at exit")
-		trace      = fs.Bool("trace", false, "print every protocol event to stderr as it happens")
-		traceOut   = fs.String("trace-out", "", "record causal span trees and write Chrome trace-event JSON to this file")
-		metricsOut = fs.String("metrics-out", "", "write counters and latency histograms to this file in Prometheus text exposition format")
+		seed     = fs.Int64("seed", 1998, "random seed")
+		loss     = fs.String("loss", "", "comma-separated loss rates in [0,1) (default: the recorded 0,0.05,0.1,0.2 sweep)")
+		hold     = fs.Duration("hold", 30*time.Second, "session hold time (keepalives every third)")
+		backoff  = fs.Duration("backoff", 15*time.Second, "initial reconnect backoff (doubles per failure)")
+		crash    = fs.Duration("crash", 5*time.Minute, "how long the crashed border router stays down")
+		groups   = fs.Int("groups", 3, "multicast groups rooted in the source domain")
+		packets  = fs.Int("packets", 50, "probe packets per group during the lossy phase")
+		backend  = fs.String("backend", mascbgmp.DataPlaneSharedTree, "forwarding data plane (shared-tree, bier, map-encap)")
+		liveness = fs.Bool("liveness", false, "arm the BFD-style fast-liveness detector beside the hold timers")
+		lvFloor  = fs.Duration("liveness-floor", 0, "liveness probe-interval floor (0: the 100ms default)")
+		lvMult   = fs.Int("liveness-mult", 0, "missed intervals before liveness declares a session dead (0: the ×3 default)")
+		of       obsflags.Flags
 	)
+	of.Register(fs, "metrics", "trace", "trace-out", "metrics-out")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -117,14 +116,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// The observer is always on: the recovery-latency summary below reads
-	// its histograms (RunChaos observes detect/reroute/reconverge there).
-	ob := mascbgmp.NewObserver()
-	cfg.Obs = ob
-	cfg.Trace = *traceOut != ""
-	if *trace {
-		ob.Subscribe(func(e mascbgmp.Event) { fmt.Fprintln(stderr, e) })
+	// The observer is on whatever the flags say: the recovery-latency
+	// summary below reads its histograms (RunChaos observes
+	// detect/reroute/reconverge there). Spans come from RunChaos's own
+	// per-point tracers, returned with the points.
+	ob := of.Observer(*seed, stderr)
+	if ob == nil {
+		ob = mascbgmp.NewObserver()
 	}
+	cfg.Obs = ob
+	cfg.Trace = of.TraceOut != ""
 
 	pts, err := mascbgmp.RunChaos(cfg)
 	if err != nil {
@@ -158,10 +159,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// than ad-hoc per-point aggregation: RunChaos observes every point's
 	// detect/reroute/reconverge durations, so the percentiles here match
 	// the histograms benchsuite serializes into BENCH_chaos.json.
-	hists := ob.Snapshot().HistTotals()
+	snap := ob.Snapshot()
 	fmt.Fprintf(stderr, "\n# recovery latency distributions (histogram p50/p95/p99 over %d points)\n", len(pts))
-	for _, name := range []string{mascbgmp.HistDetect, mascbgmp.HistReroute, mascbgmp.HistReconverge} {
-		h := hists[name]
+	for _, name := range []mascbgmp.Hist{mascbgmp.HistDetect, mascbgmp.HistReroute, mascbgmp.HistReconverge} {
+		h := snap.Hist(name, 0, 0) // RunChaos observes them unscoped
 		if h.Count == 0 {
 			continue
 		}
@@ -169,24 +170,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			float64(h.Quantile(0.50))/1e9, float64(h.Quantile(0.95))/1e9, float64(h.Quantile(0.99))/1e9)
 	}
 
-	if *metrics {
-		fmt.Fprintf(stderr, "\n# protocol event counters\n%s", ob.Snapshot().Totals())
+	var recs []mascbgmp.SpanRecord
+	for _, p := range pts {
+		recs = append(recs, p.Spans...)
 	}
-	if *metricsOut != "" {
-		if err := os.WriteFile(*metricsOut, []byte(ob.Snapshot().Prometheus()), 0o644); err != nil {
-			fmt.Fprintf(stderr, "chaossim: %v\n", err)
-			return 2
-		}
-	}
-	if *traceOut != "" {
-		var recs []mascbgmp.SpanRecord
-		for _, p := range pts {
-			recs = append(recs, p.Spans...)
-		}
-		if err := os.WriteFile(*traceOut, mascbgmp.ChromeTrace(recs), 0o644); err != nil {
-			fmt.Fprintf(stderr, "chaossim: %v\n", err)
-			return 2
-		}
+	if err := of.Finish(stderr, snap.Totals(), snap.Prometheus(), recs); err != nil {
+		fmt.Fprintf(stderr, "chaossim: %v\n", err)
+		return 2
 	}
 	return 0
 }

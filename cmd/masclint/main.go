@@ -1,9 +1,8 @@
 // Command masclint runs the repo's static-analysis pass (internal/lint)
 // over the module: determinism (no wall-clock or global rand), layering
 // (the documented internal import DAG), maporder (protocol map ranges
-// must not leak iteration order), obsdiscipline (obs bus names come from
-// constants) and guarded (mutex-guarded fields accessed only under their
-// lock).
+// must not leak iteration order) and guarded (mutex-guarded fields
+// accessed only under their lock).
 //
 // Usage:
 //

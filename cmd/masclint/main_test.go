@@ -43,14 +43,14 @@ func TestFindingsExitOne(t *testing.T) {
 
 func TestAnalyzerSelection(t *testing.T) {
 	// The determinism fixture is clean under every other analyzer.
-	code, out, _ := runCLI(t, "-C", fixture(t, "determinism"), "-layering", "-maporder", "-obsdiscipline")
+	code, out, _ := runCLI(t, "-C", fixture(t, "determinism"), "-layering", "-maporder", "-guarded")
 	if code != 0 || out != "" {
 		t.Fatalf("exit = %d, out = %q; want clean run", code, out)
 	}
 }
 
 func TestJSONOutput(t *testing.T) {
-	code, out, _ := runCLI(t, "-C", fixture(t, "obsdiscipline"), "-obsdiscipline", "-json")
+	code, out, _ := runCLI(t, "-C", fixture(t, "maporder"), "-maporder", "-json")
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1", code)
 	}
@@ -58,11 +58,11 @@ func TestJSONOutput(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &fs); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, out)
 	}
-	if len(fs) != 7 {
-		t.Fatalf("got %d findings, want 7", len(fs))
+	if len(fs) != 3 {
+		t.Fatalf("got %d findings, want 3", len(fs))
 	}
 	for _, f := range fs {
-		if f.Analyzer != "obsdiscipline" || f.Pos == "" || f.Package == "" || f.Message == "" {
+		if f.Analyzer != "maporder" || f.Pos == "" || f.Package == "" || f.Message == "" {
 			t.Errorf("incomplete finding: %+v", f)
 		}
 	}

@@ -32,6 +32,7 @@ import (
 	"os"
 
 	"mascbgmp"
+	"mascbgmp/cmd/internal/obsflags"
 )
 
 func main() {
@@ -45,18 +46,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mascsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		top        = fs.Int("top", 50, "number of top-level domains")
-		children   = fs.Int("children", 50, "children per top-level domain")
-		days       = fs.Int("days", 800, "simulated days")
-		seed       = fs.Int64("seed", 1998, "random seed")
-		fig        = fs.String("fig", "csv", `output: "2a" (utilization series), "2b" (G-RIB series), "csv" (both)`)
-		summary    = fs.Bool("summary", false, "print only the steady-state summary")
-		hetero     = fs.Bool("hetero", false, "heterogeneous topology: variable children per provider and block sizes")
-		metrics    = fs.Bool("metrics", false, "dump protocol event counters to stderr at exit")
-		trace      = fs.Bool("trace", false, "print every protocol event to stderr as it happens")
-		traceOut   = fs.String("trace-out", "", "record allocator claim spans and write Chrome trace-event JSON to this file")
-		metricsOut = fs.String("metrics-out", "", "write counters and histograms to this file in Prometheus text exposition format")
+		top      = fs.Int("top", 50, "number of top-level domains")
+		children = fs.Int("children", 50, "children per top-level domain")
+		days     = fs.Int("days", 800, "simulated days")
+		seed     = fs.Int64("seed", 1998, "random seed")
+		fig      = fs.String("fig", "csv", `output: "2a" (utilization series), "2b" (G-RIB series), "csv" (both)`)
+		summary  = fs.Bool("summary", false, "print only the steady-state summary")
+		hetero   = fs.Bool("hetero", false, "heterogeneous topology: variable children per provider and block sizes")
+		of       obsflags.Flags
 	)
+	of.Register(fs, "metrics", "trace", "trace-out", "metrics-out")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -83,19 +82,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.Seed = *seed
 	cfg.Heterogeneous = *hetero
 
-	var ob *mascbgmp.Observer
-	var tr *mascbgmp.Tracer
-	if *metrics || *trace || *traceOut != "" || *metricsOut != "" {
-		ob = mascbgmp.NewObserver()
-		cfg.Obs = ob
-		if *trace {
-			ob.Subscribe(func(e mascbgmp.Event) { fmt.Fprintln(stderr, e) })
-		}
-		if *traceOut != "" {
-			tr = mascbgmp.NewTracer(*seed)
-			ob.SetTracer(tr)
-		}
-	}
+	ob := of.Observer(*seed, stderr)
+	cfg.Obs = ob
 
 	res := mascbgmp.RunFig2(cfg)
 
@@ -133,19 +121,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stderr, "expansion events:     %d doublings, %d extra claims, %d replacements, %d releases\n",
 		res.ChildStats.Doublings, res.ChildStats.ExtraClaims, res.ChildStats.Replacements, res.ChildStats.Releases)
 
-	if *metrics {
-		fmt.Fprintf(stderr, "\n# protocol event counters\n%s", ob.Snapshot().Totals())
-	}
-	// Both files are sorted and byte-deterministic for a given seed.
-	if *metricsOut != "" {
-		if err := os.WriteFile(*metricsOut, []byte(ob.Snapshot().Prometheus()), 0o644); err != nil {
-			return usage("%v", err)
-		}
-	}
-	if *traceOut != "" {
-		if err := os.WriteFile(*traceOut, mascbgmp.ChromeTrace(tr.Records()), 0o644); err != nil {
-			return usage("%v", err)
-		}
+	snap := ob.Snapshot()
+	if err := of.Finish(stderr, snap.Totals(), snap.Prometheus(), ob.Tracer().Records()); err != nil {
+		return usage("%v", err)
 	}
 	return 0
 }

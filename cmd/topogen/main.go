@@ -23,24 +23,41 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"mascbgmp/internal/topology"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main without the process: it parses args, writes the edge list to
+// stdout (or -out) and diagnostics to stderr, and returns the exit code (2
+// usage or unwritable output file), so the tests can drive it in-process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("topogen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		kind     = flag.String("kind", "as", `generator: "as" or "hierarchy"`)
-		n        = flag.Int("n", 3326, "domains (as)")
-		peering  = flag.Int("peering", 350, "extra peering links (as)")
-		seed     = flag.Int64("seed", 1998, "random seed (as only; rejected with -kind hierarchy)")
-		top      = flag.Int("top", 50, "top-level domains (hierarchy)")
-		children = flag.Int("children", 50, "children per top-level domain (hierarchy)")
-		out      = flag.String("out", "", "write the edge list to this file instead of stdout (scenario files reference it via topology kind \"file\")")
+		kind     = fs.String("kind", "as", `generator: "as" or "hierarchy"`)
+		n        = fs.Int("n", 3326, "domains (as)")
+		peering  = fs.Int("peering", 350, "extra peering links (as)")
+		seed     = fs.Int64("seed", 1998, "random seed (as only; rejected with -kind hierarchy)")
+		top      = fs.Int("top", 50, "top-level domains (hierarchy)")
+		children = fs.Int("children", 50, "children per top-level domain (hierarchy)")
+		out      = fs.String("out", "", "write the edge list to this file instead of stdout (scenario files reference it via topology kind \"file\")")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "topogen: "+format+"\n", a...)
+		return 2
+	}
 
 	var g *topology.Graph
 	switch *kind {
@@ -51,40 +68,26 @@ func main() {
 		// would be silently ignored, which reads like a reproducibility
 		// knob that does not exist. Reject it instead.
 		seedSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "seed" {
-				seedSet = true
-			}
-		})
+		fs.Visit(func(f *flag.Flag) { seedSet = seedSet || f.Name == "seed" })
 		if seedSet {
-			fmt.Fprintln(os.Stderr, "topogen: -seed has no effect with -kind hierarchy (the generator is fully regular); drop the flag")
-			os.Exit(2)
+			return fail("-seed has no effect with -kind hierarchy (the generator is fully regular); drop the flag")
 		}
 		g, _, _ = topology.Hierarchy(*top, *children)
 	default:
-		fmt.Fprintf(os.Stderr, "topogen: unknown -kind %q\n", *kind)
-		os.Exit(2)
+		return fail("unknown -kind %q", *kind)
 	}
 
-	dst := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "topogen: "+err.Error())
-			os.Exit(2)
-		}
-		dst = f
+	var buf bytes.Buffer
+	if err := topology.WriteEdgeList(&buf, g, *kind); err != nil {
+		return fail("%v", err)
 	}
-	if err := topology.WriteEdgeList(dst, g, *kind); err != nil {
-		fmt.Fprintln(os.Stderr, "topogen: "+err.Error())
-		os.Exit(2)
+	if *out == "" {
+		stdout.Write(buf.Bytes())
+		return 0
 	}
-	if *out != "" {
-		if err := dst.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "topogen: "+err.Error())
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "topogen: wrote %s (%d domains, %d links)\n",
-			*out, g.NumDomains(), g.NumLinks())
+	if err := os.WriteFile(*out, buf.Bytes(), 0o644); err != nil {
+		return fail("%v", err)
 	}
+	fmt.Fprintf(stderr, "topogen: wrote %s (%d domains, %d links)\n", *out, g.NumDomains(), g.NumLinks())
+	return 0
 }

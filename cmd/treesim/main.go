@@ -36,6 +36,7 @@ import (
 	"strings"
 
 	"mascbgmp"
+	"mascbgmp/cmd/internal/obsflags"
 )
 
 func main() {
@@ -57,10 +58,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		backend    = fs.String("backend", mascbgmp.DataPlaneSharedTree, "data-plane backend to compare against the shared tree (shared-tree, bier, map-encap)")
 		randomRoot = fs.Bool("random-root", false, "ablation: root the bidirectional tree at a random domain instead of the initiator's")
 		summary    = fs.Bool("summary", false, "print only the overall summary")
-		metrics    = fs.Bool("metrics", false, "dump protocol event counters to stderr at exit")
-		trace      = fs.Bool("trace", false, "print every protocol event to stderr as it happens")
-		traceOut   = fs.String("trace-out", "", "record per-group tree-build spans and write Chrome trace-event JSON to this file")
+		of         obsflags.Flags
 	)
+	of.Register(fs, "metrics", "trace", "trace-out")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -95,27 +95,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	var ob *mascbgmp.Observer
-	var tr *mascbgmp.Tracer
-	if *metrics || *trace || *traceOut != "" {
-		ob = mascbgmp.NewObserver()
-		cfg.Obs = ob
-		if *trace {
-			ob.Subscribe(func(e mascbgmp.Event) { fmt.Fprintln(stderr, e) })
-		}
-		if *traceOut != "" {
-			tr = mascbgmp.NewTracer(*seed)
-			ob.SetTracer(tr)
-		}
-	}
+	ob := of.Observer(*seed, stderr)
+	cfg.Obs = ob
 
 	pts := mascbgmp.RunFig4(cfg)
-
-	if *traceOut != "" {
-		if err := os.WriteFile(*traceOut, mascbgmp.ChromeTrace(tr.Records()), 0o644); err != nil {
-			return usage("%v", err)
-		}
-	}
 
 	if !*summary {
 		fmt.Fprintln(stdout, "receivers,uni_avg,uni_max,bidir_avg,bidir_max,hybrid_avg,hybrid_max,tree_size")
@@ -183,8 +166,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if *metrics {
-		fmt.Fprintf(stderr, "\n# protocol event counters\n%s", ob.Snapshot().Totals())
+	if err := of.Finish(stderr, ob.Snapshot().Totals(), "", ob.Tracer().Records()); err != nil {
+		return usage("%v", err)
 	}
 	return 0
 }

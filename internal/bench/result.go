@@ -211,8 +211,11 @@ func DeterministicDiff(a, b SuiteResult) string {
 // PrometheusText renders the deterministic sections — counter sums and
 // merged histograms — in Prometheus text exposition format: counters as
 // `_total` counters, histograms as summaries with p50/p95/p99 quantile
-// lines. Sorted, so equal results render to identical bytes.
+// lines. Names are obs names, dotted: '.' becomes '_' as in
+// obs.Snapshot.Prometheus. Sorted, so equal results render to identical
+// bytes.
 func (r SuiteResult) PrometheusText() string {
+	promName := strings.NewReplacer(".", "_").Replace
 	var b strings.Builder
 	names := make([]string, 0, len(r.Counters))
 	for k := range r.Counters {
@@ -220,7 +223,7 @@ func (r SuiteResult) PrometheusText() string {
 	}
 	sort.Strings(names)
 	for _, k := range names {
-		n := obs.PromName(k) + "_total"
+		n := promName(k) + "_total"
 		fmt.Fprintf(&b, "# TYPE %s counter\n%s %d\n", n, n, r.Counters[k])
 	}
 	names = names[:0]
@@ -230,7 +233,7 @@ func (r SuiteResult) PrometheusText() string {
 	sort.Strings(names)
 	for _, k := range names {
 		h := r.Histograms[k]
-		n := obs.PromName(k)
+		n := promName(k)
 		fmt.Fprintf(&b, "# TYPE %s summary\n", n)
 		fmt.Fprintf(&b, "%s{quantile=\"0.5\"} %d\n", n, h.P50)
 		fmt.Fprintf(&b, "%s{quantile=\"0.95\"} %d\n", n, h.P95)

@@ -310,7 +310,7 @@ func TestFlapAllocBudget(t *testing.T) {
 	before := ob.Snapshot()
 	flap(t, counted, link)
 	d := ob.Snapshot().Diff(before)
-	items := int(d.Total(obs.BGPAnnounce.String()) + d.Total(obs.BGPWithdraw.String()))
+	items := int(d.Total(obs.BGPAnnounce) + d.Total(obs.BGPWithdraw))
 	if items < 5*n {
 		t.Fatalf("a flap moved %d route items on a %d-router ring; the budget would be vacuous", items, n)
 	}

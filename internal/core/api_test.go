@@ -147,10 +147,10 @@ func TestQuiesceDrainsAsyncNetwork(t *testing.T) {
 	}
 
 	s := ob.Snapshot()
-	if s.Total("transport.sent") == 0 || s.Total("transport.recv") == 0 {
+	if s.Total(obs.TransportSent) == 0 || s.Total(obs.TransportRecv) == 0 {
 		t.Fatalf("transport counters empty:\n%s", s)
 	}
-	if s.Total("data.delivered") == 0 {
+	if s.Total(obs.DataDelivered) == 0 {
 		t.Fatalf("no data.delivered recorded:\n%s", s)
 	}
 }

@@ -316,8 +316,8 @@ func runChaosPoint(cfg ChaosConfig, pointSeed int64, loss float64, ob *obs.Obser
 		return ChaosPoint{}, err
 	}
 	pt := ChaosPoint{Loss: loss}
-	downs0 := ob.Snapshot().Total(obs.SessionDown.String())
-	ups0 := ob.Snapshot().Total(obs.SessionUp.String())
+	downs0 := ob.Snapshot().Total(obs.SessionDown)
+	ups0 := ob.Snapshot().Total(obs.SessionUp)
 
 	if _, _, ok := cn.probe(); !ok {
 		return ChaosPoint{}, fmt.Errorf("baseline delivery failed before fault injection")
@@ -401,7 +401,7 @@ func runChaosPoint(cfg ChaosConfig, pointSeed int64, loss float64, ob *obs.Obser
 	}
 
 	s := ob.Snapshot()
-	pt.SessionDowns = s.Total(obs.SessionDown.String()) - downs0
-	pt.SessionUps = s.Total(obs.SessionUp.String()) - ups0
+	pt.SessionDowns = s.Total(obs.SessionDown) - downs0
+	pt.SessionUps = s.Total(obs.SessionUp) - ups0
 	return pt, nil
 }

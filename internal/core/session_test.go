@@ -92,7 +92,7 @@ func TestPartitionDropsSessionAndRecovers(t *testing.T) {
 	// hold timer expires, and the session is declared down.
 	plane.PartitionFor(12, 31, 2*time.Minute)
 	clk.RunFor(time.Minute)
-	if ob.Snapshot().Total("session.down") == 0 {
+	if ob.Snapshot().Total(obs.SessionDown) == 0 {
 		t.Fatal("hold timer never expired during partition")
 	}
 	// BGP withdrew the direct route; the tree repaired onto transit.
@@ -112,10 +112,10 @@ func TestPartitionDropsSessionAndRecovers(t *testing.T) {
 	// direct path.
 	clk.RunFor(5 * time.Minute)
 	s := ob.Snapshot()
-	if s.Total("session.retry") == 0 {
+	if s.Total(obs.SessionRetry) == 0 {
 		t.Fatal("no failed reconnect attempts observed")
 	}
-	if s.Total("session.up") == 0 {
+	if s.Total(obs.SessionUp) == 0 {
 		t.Fatal("session never re-established after heal")
 	}
 	parent, _, ok = n.Router(31).BGMP().GroupEntry(lease.Addr)
@@ -147,7 +147,7 @@ func TestPeerCrashDetectedByHoldTimerAndRecovered(t *testing.T) {
 		t.Fatal("crashed router kept BGMP state")
 	}
 	clk.RunFor(time.Minute)
-	if ob.Snapshot().Total("session.down") == 0 {
+	if ob.Snapshot().Total(obs.SessionDown) == 0 {
 		t.Fatal("crash not detected via hold timer")
 	}
 	parent, _, ok := n.Router(31).BGMP().GroupEntry(lease.Addr)
@@ -163,7 +163,7 @@ func TestPeerCrashDetectedByHoldTimerAndRecovered(t *testing.T) {
 	// After the restart, a backoff retry reconnects, BGP resyncs, and the
 	// restarted router relearns its tree state from the rejoin.
 	clk.RunFor(15 * time.Minute)
-	if ob.Snapshot().Total("session.up") == 0 {
+	if ob.Snapshot().Total(obs.SessionUp) == 0 {
 		t.Fatal("session to restarted peer never came back")
 	}
 	parent, _, ok = n.Router(31).BGMP().GroupEntry(lease.Addr)
@@ -191,7 +191,7 @@ func TestDataLossDoesNotDropSessions(t *testing.T) {
 	}
 	n.Domain(3).Join(lease.Addr, 0)
 	clk.RunFor(10 * time.Minute)
-	if got := ob.Snapshot().Total("session.down"); got != 0 {
+	if got := ob.Snapshot().Total(obs.SessionDown); got != 0 {
 		t.Fatalf("session.down = %d under data-only loss, want 0", got)
 	}
 }
@@ -219,7 +219,7 @@ func TestDelayedKeepalivesDoNotExpireSession(t *testing.T) {
 	plane.SetLink(12, 31, faultinject.LinkFaults{Delay: 28 * time.Second, Classes: faultinject.MaskKeepalive})
 	clk.RunFor(5 * time.Minute)
 
-	if got := ob.Snapshot().Total("session.down"); got != 0 {
+	if got := ob.Snapshot().Total(obs.SessionDown); got != 0 {
 		t.Fatalf("session.down = %d under delayed-but-steady keepalives, want 0", got)
 	}
 	if parent, _, ok := n.Router(31).BGMP().GroupEntry(lease.Addr); !ok || parent != bgmp.PeerTarget(12) {
@@ -242,7 +242,7 @@ func TestStaleKeepalivesDoNotTouchNextIncarnation(t *testing.T) {
 	// still queued for delivery inside the next incarnation's lifetime.
 	plane.SetLink(12, 31, faultinject.LinkFaults{Delay: 40 * time.Second, Classes: faultinject.MaskKeepalive})
 	deadline := clk.Now().Add(time.Minute)
-	for ob.Snapshot().Total("session.down") == 0 {
+	for ob.Snapshot().Total(obs.SessionDown) == 0 {
 		if !clk.Now().Before(deadline) {
 			t.Fatal("session never dropped under 40s keepalive delay")
 		}
@@ -256,7 +256,7 @@ func TestStaleKeepalivesDoNotTouchNextIncarnation(t *testing.T) {
 	// the new incarnation, the second down would slip past +50s.
 	plane.SetLink(12, 31, faultinject.LinkFaults{Drop: 1, Classes: faultinject.MaskKeepalive})
 	clk.RunFor(50 * time.Second)
-	if got := ob.Snapshot().Total("session.down"); got != 2 {
+	if got := ob.Snapshot().Total(obs.SessionDown); got != 2 {
 		t.Fatalf("session.down = %d within 50s of the first drop, want 2 (stale keepalives must not feed the new incarnation)", got)
 	}
 }
@@ -311,7 +311,7 @@ func TestAsymmetricKeepaliveLossConvergesBothEnds(t *testing.T) {
 			if !(downEvt.Router == 12 && downEvt.Peer == 31) && !(downEvt.Router == 31 && downEvt.Peer == 12) {
 				t.Fatalf("first session.down was %v, want the 12–31 peering", downEvt)
 			}
-			if tc.lv != nil && ob.Snapshot().Total("liveness.detect") == 0 {
+			if tc.lv != nil && ob.Snapshot().Total(obs.LivenessDetect) == 0 {
 				t.Fatal("liveness detector configured but hold timer made the detection")
 			}
 
@@ -319,7 +319,7 @@ func TestAsymmetricKeepaliveLossConvergesBothEnds(t *testing.T) {
 			// ends must return to the direct path.
 			plane.ClearLinkDirected(12, 31)
 			clk.RunFor(5 * time.Minute)
-			if ob.Snapshot().Total("session.up") == 0 {
+			if ob.Snapshot().Total(obs.SessionUp) == 0 {
 				t.Fatal("session never re-established after heal")
 			}
 			if parent, _, ok := n.Router(31).BGMP().GroupEntry(lease.Addr); !ok || parent != bgmp.PeerTarget(12) {
@@ -354,13 +354,13 @@ func TestLivenessCrashFailsOverToBackupParent(t *testing.T) {
 	clk.RunFor(5 * time.Second)
 
 	s := ob.Snapshot()
-	if s.Total("liveness.detect") == 0 {
+	if s.Total(obs.LivenessDetect) == 0 {
 		t.Fatal("liveness never detected the silent crash")
 	}
-	if s.Total("session.down") == 0 {
+	if s.Total(obs.SessionDown) == 0 {
 		t.Fatal("detection did not reach the session supervisor")
 	}
-	if s.Total("bgmp.failover") == 0 {
+	if s.Total(obs.BGMPFailover) == 0 {
 		t.Fatal("no precomputed failover happened")
 	}
 	if parent, _, ok := n.Router(31).BGMP().GroupEntry(lease.Addr); !ok || parent != bgmp.PeerTarget(22) {

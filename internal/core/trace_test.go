@@ -69,6 +69,13 @@ func TestGoldenJoinSpanTree(t *testing.T) {
 	if got != want {
 		t.Errorf("join span tree:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
+
+	// The network is quiescent, so everything begun along the way — MASC
+	// claim rounds, BGP updates, the join chain — has ended. This is what
+	// holds a discarded Begin or a return path that forgets End.
+	if open := tr.Open(); len(open) != 0 {
+		t.Errorf("%d span(s) still open at quiescence:\n%s", len(open), obs.RenderTree(open))
+	}
 }
 
 // groupLabel renders the group address the way RenderTree does (its
@@ -107,7 +114,7 @@ func TestJoinSpanTreeIsDeterministic(t *testing.T) {
 	if a != b {
 		t.Fatalf("renders differ:\n--- a ---\n%s--- b ---\n%s", a, b)
 	}
-	if !strings.Contains(a, obs.SpanClaim) {
+	if !strings.Contains(a, obs.SpanClaim.String()) {
 		t.Fatalf("render missing claim spans:\n%s", a)
 	}
 }

@@ -83,16 +83,16 @@ func TestChurnMetricsAreSeedStable(t *testing.T) {
 	cfg.Obs = obs.NewObserver()
 	res := RunChurn(cfg)
 	s := cfg.Obs.Snapshot()
-	for _, name := range []string{"maas.lease", "bgmp.join", "bgmp.prune", "masc.claim",
-		"data.forwarded", "data.delivered"} {
-		if s.Total(name) == 0 {
-			t.Fatalf("counter %q is zero", name)
+	for _, kind := range []obs.Kind{obs.MAASLease, obs.BGMPJoin, obs.BGMPPrune, obs.MASCClaim,
+		obs.DataForwarded, obs.DataDelivered} {
+		if s.Total(kind) == 0 {
+			t.Fatalf("counter %q is zero", kind)
 		}
 	}
-	if got := s.Total("bgmp.join"); got != uint64(res.Joins) {
+	if got := s.Total(obs.BGMPJoin); got != uint64(res.Joins) {
 		t.Fatalf("bgmp.join = %d, want %d", got, res.Joins)
 	}
-	if got := s.Total("data.delivered"); got != res.Delivered {
+	if got := s.Total(obs.DataDelivered); got != res.Delivered {
 		t.Fatalf("data.delivered = %d, want %d", got, res.Delivered)
 	}
 }

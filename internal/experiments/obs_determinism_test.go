@@ -30,9 +30,9 @@ func TestFig2MetricsAreSeedStable(t *testing.T) {
 		t.Fatalf("results diverged: %+v vs %+v", res1, res2)
 	}
 	s := cfgSnapshot(t, snap1)
-	for _, name := range []string{"masc.claim", "masc.won", "bgp.announce", "maas.lease"} {
-		if s.Total(name) == 0 {
-			t.Fatalf("counter %q is zero:\n%s", name, snap1)
+	for _, kind := range []obs.Kind{obs.MASCClaim, obs.MASCWon, obs.BGPAnnounce, obs.MAASLease} {
+		if s.Total(kind) == 0 {
+			t.Fatalf("counter %q is zero:\n%s", kind, snap1)
 		}
 	}
 }
@@ -72,13 +72,13 @@ func TestFig4MetricsAreSeedStable(t *testing.T) {
 	cfg.Obs = obs.NewObserver()
 	RunFig4(cfg)
 	s := cfg.Obs.Snapshot()
-	for _, name := range []string{"bgmp.join", "bgmp.prune", "data.delivered", "data.forwarded"} {
-		if s.Total(name) == 0 {
-			t.Fatalf("counter %q is zero:\n%s", name, snap1)
+	for _, kind := range []obs.Kind{obs.BGMPJoin, obs.BGMPPrune, obs.DataDelivered, obs.DataForwarded} {
+		if s.Total(kind) == 0 {
+			t.Fatalf("counter %q is zero:\n%s", kind, snap1)
 		}
 	}
 	// Every join is matched by a teardown prune.
-	if s.Total("bgmp.join") != s.Total("bgmp.prune") {
-		t.Fatalf("joins %d != prunes %d", s.Total("bgmp.join"), s.Total("bgmp.prune"))
+	if s.Total(obs.BGMPJoin) != s.Total(obs.BGMPPrune) {
+		t.Fatalf("joins %d != prunes %d", s.Total(obs.BGMPJoin), s.Total(obs.BGMPPrune))
 	}
 }

@@ -208,9 +208,9 @@ func TestFaultEventsAreObservable(t *testing.T) {
 	p.Partition(3, 4)
 	p.Heal(3, 4)
 	s := ob.Snapshot()
-	for _, name := range []string{"fault.drop", "fault.partition", "fault.heal"} {
-		if s.Total(name) == 0 {
-			t.Fatalf("counter %q is zero:\n%s", name, s)
+	for _, kind := range []obs.Kind{obs.FaultDrop, obs.FaultPartition, obs.FaultHeal} {
+		if s.Total(kind) == 0 {
+			t.Fatalf("counter %q is zero:\n%s", kind, s)
 		}
 	}
 }

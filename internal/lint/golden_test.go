@@ -22,7 +22,6 @@ func TestGolden(t *testing.T) {
 		{"guarded", []string{"guarded"}},
 		{"layering", []string{"layering"}},
 		{"maporder", []string{"maporder"}},
-		{"obsdiscipline", []string{"obsdiscipline"}},
 		{"clean", nil},
 	}
 	for _, fx := range fixtures {

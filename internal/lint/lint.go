@@ -15,15 +15,14 @@
 //     lets iteration order escape (appending to an outer slice, emitting
 //     an obs event, writing to a message/encoder) unless the result is
 //     sorted afterwards;
-//   - obsdiscipline: counter names passed to the obs bus must come from
-//     package-level constants, never inline string literals;
 //   - guarded: a field annotated `// guarded by <mu>` is touched only in
 //     functions that lock that mutex or are named *Locked.
 //
-// Each is something a run cannot see: a randomised map order, a typo'd
-// counter name or a field read without its lock does not fail a test.
+// Each is something neither a run nor the compiler can see: a randomised
+// map order or a field read without its lock does not fail a test.
 // Quantities a test can measure (allocations per packet, the wire type
-// registry) are held by tests, not here.
+// registry, spans left open) are held by tests, and what a type can check
+// (an obs name is an enum value, not a string) by types, not here.
 //
 // The analyzers run over every non-test file of the module; cmd/masclint
 // is the CLI and lint_test.go keeps `go test ./...` self-enforcing.
@@ -72,7 +71,6 @@ func Analyzers() []*Analyzer {
 		GuardedAnalyzer(),
 		LayeringAnalyzer(),
 		MapOrderAnalyzer(),
-		ObsDisciplineAnalyzer(),
 	}
 }
 

@@ -4,8 +4,8 @@ import "testing"
 
 // TestModuleIsClean is the self-enforcing gate: every analyzer must report
 // zero findings on the real module, so `go test ./...` fails the moment a
-// wall-clock call, layering violation, order-leaking map range, inline obs
-// name or unguarded field access is introduced.
+// wall-clock call, layering violation, order-leaking map range or
+// unguarded field access is introduced.
 func TestModuleIsClean(t *testing.T) {
 	m, err := Load("../..")
 	if err != nil {
@@ -22,7 +22,7 @@ func TestModuleIsClean(t *testing.T) {
 
 // TestAnalyzerRegistry pins the analyzer set and name lookup.
 func TestAnalyzerRegistry(t *testing.T) {
-	want := []string{"determinism", "guarded", "layering", "maporder", "obsdiscipline"}
+	want := []string{"determinism", "guarded", "layering", "maporder"}
 	as := Analyzers()
 	if len(as) != len(want) {
 		t.Fatalf("got %d analyzers, want %d", len(as), len(want))

@@ -48,7 +48,7 @@ func newHarness(t *testing.T, seed int64, p Params) *harness {
 	return h
 }
 
-func (h *harness) total(name string) uint64 { return h.ob.Snapshot().Total(name) }
+func (h *harness) total(kind obs.Kind) uint64 { return h.ob.Snapshot().Total(kind) }
 
 // TestRampToFloorAndDemand drives a clean session and checks the adaptive
 // ramp: the interval halves from Initial down to the floor, and after
@@ -72,10 +72,10 @@ func TestRampToFloorAndDemand(t *testing.T) {
 	if !st.Demand {
 		t.Fatalf("monitor did not quiesce after %d stable rounds: %+v", 4, st)
 	}
-	if got := h.total("liveness.demand"); got != 1 {
+	if got := h.total(obs.LivenessDemand); got != 1 {
 		t.Fatalf("liveness.demand = %d, want 1", got)
 	}
-	if got := h.total("liveness.detect"); got != 0 {
+	if got := h.total(obs.LivenessDetect); got != 0 {
 		t.Fatalf("false detection on a clean session: liveness.detect = %d", got)
 	}
 	if h.downs != 0 {
@@ -119,7 +119,7 @@ func TestDetectAfterSilence(t *testing.T) {
 	if h.downs != 1 {
 		t.Fatalf("OnDown fired %d times, want 1", h.downs)
 	}
-	if got := h.total("liveness.detect"); got != 1 {
+	if got := h.total(obs.LivenessDetect); got != 1 {
 		t.Fatalf("liveness.detect = %d, want 1", got)
 	}
 	if st := h.mon.State(); st.Running {
@@ -154,20 +154,20 @@ func TestDemandExitWithoutFalseDown(t *testing.T) {
 	h.plane.SetLink(11, 21, faultinject.LinkFaults{})
 	h.clk.RunFor(10 * time.Second)
 
-	if got := h.total("liveness.detect"); got != 0 {
+	if got := h.total(obs.LivenessDetect); got != 0 {
 		t.Fatalf("false detection on a transient loss burst: liveness.detect = %d", got)
 	}
 	if h.downs != 0 {
 		t.Fatalf("OnDown fired %d times on a transient loss burst", h.downs)
 	}
-	if got := h.total("liveness.resume"); got == 0 {
+	if got := h.total(obs.LivenessResume); got == 0 {
 		t.Fatal("monitor never resumed fast probing after the missed poll")
 	}
 	st := h.mon.State()
 	if !st.Running || !st.Demand {
 		t.Fatalf("monitor did not recover and re-quiesce: %+v", st)
 	}
-	if got := h.total("liveness.demand"); got != 2 {
+	if got := h.total(obs.LivenessDemand); got != 2 {
 		t.Fatalf("liveness.demand = %d, want 2 (initial quiesce + re-quiesce)", got)
 	}
 }
@@ -196,7 +196,7 @@ func TestStaleGenerationIgnored(t *testing.T) {
 	if h.downs != 1 {
 		t.Fatalf("OnDown fired %d times, want 1 (stale probes must not credit the new incarnation)", h.downs)
 	}
-	if got := h.total("liveness.detect"); got != 1 {
+	if got := h.total(obs.LivenessDetect); got != 1 {
 		t.Fatalf("liveness.detect = %d, want 1", got)
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"mascbgmp/internal/addr"
 	"mascbgmp/internal/obs"
-	"mascbgmp/internal/wire"
 )
 
 // Strategy holds the tunables of the paper's claim algorithm (§4.3.3).
@@ -56,39 +55,8 @@ type Block struct {
 // them with the paper's rules. It is driven by a Ledger shared with (or
 // synchronized to) the sibling domains.
 type BlockAllocator struct {
-	strat    Strategy
-	ledger   *Ledger
-	rng      *rand.Rand
-	holdings []*Holding
-	blocks   []*allocBlock
-
-	obs       *obs.Observer
-	obsDomain wire.DomainID
-
-	// Stats counts expansion events for the ablation benchmarks.
-	Stats AllocStats
-}
-
-// SetObserver routes the allocator's events (claims, collisions, wins,
-// renewals, releases, MAAS leases, and the mirrored BGP route injections)
-// to o, scoped to domain. Nil disables observation.
-func (a *BlockAllocator) SetObserver(o *obs.Observer, domain wire.DomainID) {
-	a.obs, a.obsDomain = o, domain
-}
-
-func (a *BlockAllocator) emit(kind obs.Kind, p addr.Prefix) {
-	if a.obs != nil {
-		a.obs.Emit(obs.Event{Kind: kind, Domain: a.obsDomain, Prefix: p})
-	}
-}
-
-// AllocStats counts allocator events.
-type AllocStats struct {
-	Doublings    int
-	ExtraClaims  int
-	Replacements int
-	Failures     int
-	Releases     int
+	claimer
+	blocks []*allocBlock
 }
 
 type allocBlock struct {
@@ -100,16 +68,7 @@ type allocBlock struct {
 // NewBlockAllocator returns an allocator claiming from ledger with the
 // given strategy. rng drives the random choice among shortest-free blocks.
 func NewBlockAllocator(strat Strategy, ledger *Ledger, rng *rand.Rand) *BlockAllocator {
-	return &BlockAllocator{strat: strat, ledger: ledger, rng: rng}
-}
-
-// Holdings returns copies of the current holdings, sorted by prefix.
-func (a *BlockAllocator) Holdings() []Holding {
-	out := make([]Holding, 0, len(a.holdings))
-	for _, h := range a.holdings {
-		out = append(out, *h)
-	}
-	return out
+	return &BlockAllocator{claimer: claimer{strat: strat, ledger: ledger, rng: rng}}
 }
 
 // Demand returns the number of addresses in live blocks.
@@ -121,23 +80,8 @@ func (a *BlockAllocator) Demand() uint64 {
 	return n
 }
 
-// Capacity returns the number of addresses across all holdings.
-func (a *BlockAllocator) Capacity() uint64 {
-	var n uint64
-	for _, h := range a.holdings {
-		n += h.Prefix.Size()
-	}
-	return n
-}
-
 // Utilization returns Demand/Capacity, or 0 with no holdings.
-func (a *BlockAllocator) Utilization() float64 {
-	c := a.Capacity()
-	if c == 0 {
-		return 0
-	}
-	return float64(a.Demand()) / float64(c)
-}
+func (a *BlockAllocator) Utilization() float64 { return a.utilization(a.Demand()) }
 
 // Tick expires blocks and holdings as of now: expired blocks free their
 // addresses; holdings that are past expiry and empty are released back to
@@ -153,23 +97,7 @@ func (a *BlockAllocator) Tick(now time.Time) {
 		}
 	}
 	a.blocks = live
-	kept := a.holdings[:0]
-	for _, h := range a.holdings {
-		if !h.Expires.After(now) {
-			if h.Used == 0 {
-				a.ledger.Release(h.Prefix)
-				a.Stats.Releases++
-				a.emit(obs.MASCReleased, h.Prefix)
-				a.emit(obs.BGPWithdraw, h.Prefix)
-				continue
-			}
-			// Renewal: the claim must outlive its allocations.
-			h.Expires = now.Add(a.strat.ClaimLifetime)
-			a.emit(obs.MASCRenewed, h.Prefix)
-		}
-		kept = append(kept, h)
-	}
-	a.holdings = kept
+	a.expire(now, func(h *Holding) bool { return h.Used == 0 })
 }
 
 // Request satisfies a block request of n addresses with the given lifetime,
@@ -216,17 +144,6 @@ func (a *BlockAllocator) place(h *Holding, n uint64, lifetime time.Duration, now
 	}
 	a.blocks = append(a.blocks, &allocBlock{size: n, expires: exp, holding: h})
 	return Block{Prefix: h.Prefix, Size: n, Expires: exp}
-}
-
-// activeCount returns the number of active holdings.
-func (a *BlockAllocator) activeCount() int {
-	c := 0
-	for _, h := range a.holdings {
-		if h.Active {
-			c++
-		}
-	}
-	return c
 }
 
 // expand implements the §4.3.3 expansion rules and returns a holding that
@@ -289,15 +206,7 @@ func (a *BlockAllocator) expand(n uint64, now time.Time) *Holding {
 // fits, subject to the occupancy test and ledger availability.
 func (a *BlockAllocator) tryDouble(demand, n uint64) *Holding {
 	for {
-		var smallest *Holding
-		for _, h := range a.holdings {
-			if !h.Active || !a.ledger.CanDouble(h.Prefix) {
-				continue
-			}
-			if smallest == nil || h.Prefix.Size() < smallest.Prefix.Size() {
-				smallest = h
-			}
-		}
+		smallest := a.smallestDoublable()
 		if smallest == nil {
 			return nil
 		}
@@ -305,53 +214,15 @@ func (a *BlockAllocator) tryDouble(demand, n uint64) *Holding {
 		if float64(demand) < a.strat.TargetOccupancy*float64(newSize) {
 			return nil
 		}
-		d, ok := a.ledger.Double(smallest.Prefix)
-		if !ok {
+		if !a.double(smallest) {
 			a.emit(obs.MASCCollision, smallest.Prefix)
 			return nil
 		}
-		old := smallest.Prefix
-		smallest.Prefix = d
-		a.Stats.Doublings++
-		// The model-level claim round is instantaneous; the span still
-		// lands in the trace so allocation activity lines up with the
-		// protocol spans on the same timeline.
-		sp := a.obs.Tracer().Begin(obs.SpanClaim, obs.Event{Domain: a.obsDomain, Prefix: d})
-		a.emit(obs.MASCClaim, d)
-		a.emit(obs.MASCWon, d)
-		sp.End()
-		a.emit(obs.BGPWithdraw, old)
-		a.emit(obs.BGPAnnounce, d)
 		if smallest.Used+n <= smallest.Prefix.Size() {
 			return smallest
 		}
 		// Doubled but still too small (tiny prefix, large block): loop.
 	}
-}
-
-// claimNew claims a fresh prefix of the desired mask length via the ledger
-// and records it as an active holding.
-func (a *BlockAllocator) claimNew(maskLen int, now time.Time) *Holding {
-	if maskLen < 0 {
-		return nil
-	}
-	p, ok := a.ledger.PickClaim(maskLen, a.rng)
-	if !ok {
-		a.emit(obs.MASCCollision, addr.Prefix{})
-		return nil
-	}
-	if !a.ledger.Claim(p) {
-		a.emit(obs.MASCCollision, p)
-		return nil
-	}
-	h := &Holding{Prefix: p, Active: true, Expires: now.Add(a.strat.ClaimLifetime)}
-	a.holdings = append(a.holdings, h)
-	sp := a.obs.Tracer().Begin(obs.SpanClaim, obs.Event{Domain: a.obsDomain, Prefix: p})
-	a.emit(obs.MASCClaim, p)
-	a.emit(obs.MASCWon, p)
-	a.emit(obs.BGPAnnounce, p)
-	sp.End()
-	return h
 }
 
 func (a *BlockAllocator) removeHolding(h *Holding) {
@@ -364,17 +235,6 @@ func (a *BlockAllocator) removeHolding(h *Holding) {
 			return
 		}
 	}
-}
-
-// AdvertisedPrefixes returns the domain's claimed prefixes as they would be
-// injected into BGP after CIDR aggregation — the per-domain contribution to
-// the G-RIB.
-func (a *BlockAllocator) AdvertisedPrefixes() []addr.Prefix {
-	s := addr.NewSet()
-	for _, h := range a.holdings {
-		s.Add(h.Prefix)
-	}
-	return s.Aggregated().Prefixes()
 }
 
 // String aids debugging.

@@ -2,6 +2,7 @@ package masc
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -23,13 +24,6 @@ type NodeConfig struct {
 	// WaitPeriod is how long a claim listens for collisions before it is
 	// won — 48 hours in the paper, shortened in tests via the sim clock.
 	WaitPeriod time.Duration
-	// RetryDelay spaces successive claim attempts after a collision.
-	// Defaults to one hour.
-	RetryDelay time.Duration
-	// MaxAttempts caps claim retries for one RequestSpace call; defaults
-	// to 16. In the worst case of n simultaneous claimers the paper notes
-	// the nth domain may need up to n attempts.
-	MaxAttempts int
 	// AutoRenew keeps won ranges alive: shortly before a holding's
 	// lifetime expires it is renewed for another lifetime and
 	// re-announced (§4.3.1: "the address range claimed by the domain
@@ -111,6 +105,17 @@ type pendingClaim struct {
 	span obs.Span
 }
 
+const (
+	// defaultWaitPeriod is the paper's collision-listening period (§4.1).
+	defaultWaitPeriod = 48 * time.Hour
+	// retryDelay spaces successive claim attempts after a collision.
+	retryDelay = time.Hour
+	// maxAttempts caps claim retries for one RequestSpace call. In the
+	// worst case of n simultaneous claimers the paper notes the nth domain
+	// may need up to n attempts.
+	maxAttempts = 16
+)
+
 // NewNode returns a Node. For top-level domains the claimable space is
 // 224/4; otherwise it is empty until the parent's RangeAdvert arrives.
 func NewNode(cfg NodeConfig) *Node {
@@ -118,13 +123,7 @@ func NewNode(cfg NodeConfig) *Node {
 		cfg.Clock = simclock.Real{}
 	}
 	if cfg.WaitPeriod == 0 {
-		cfg.WaitPeriod = 48 * time.Hour
-	}
-	if cfg.RetryDelay == 0 {
-		cfg.RetryDelay = time.Hour
-	}
-	if cfg.MaxAttempts == 0 {
-		cfg.MaxAttempts = 16
+		cfg.WaitPeriod = defaultWaitPeriod
 	}
 	heard := NewLedger()
 	if cfg.TopLevel {
@@ -208,9 +207,7 @@ func (n *Node) Holdings() []Holding {
 func (n *Node) RequestSpace(size uint64, lifetime time.Duration) bool {
 	n.mu.Lock()
 	ok := n.claimLocked(size, lifetime, 0)
-	msgs, evs := n.drainOutboxLocked()
-	n.mu.Unlock()
-	n.flush(msgs, evs)
+	n.flushLocked()
 	return ok
 }
 
@@ -222,7 +219,7 @@ type outMsg struct {
 
 // claimLocked selects and announces a claim. Caller holds n.mu.
 func (n *Node) claimLocked(size uint64, lifetime time.Duration, attempts int) bool {
-	if attempts >= n.cfg.MaxAttempts {
+	if attempts >= maxAttempts {
 		return false
 	}
 	maskLen := addr.MaskLenFor(size)
@@ -250,12 +247,7 @@ func (n *Node) claimLocked(size uint64, lifetime time.Duration, attempts int) bo
 		LifeSecs: uint32(lifetime / time.Second),
 	}
 	wire.Stamp(claim, pc.span.Context())
-	for _, s := range n.sortedSiblingsLocked() {
-		n.outbox = append(n.outbox, outMsg{s, claim})
-	}
-	if n.hasParent {
-		n.outbox = append(n.outbox, outMsg{n.parent, claim})
-	}
+	n.announceLocked(claim)
 	pc.timer = n.cfg.Clock.AfterFunc(n.cfg.WaitPeriod, func() { n.claimMatured(p) })
 	n.eventLocked(obs.MASCClaim, p)
 	return true
@@ -281,10 +273,8 @@ func (n *Node) claimMatured(p addr.Prefix) {
 	n.eventLocked(obs.MASCWon, p)
 	n.observeClaimConverge(pc)
 	ranges := n.rangesLocked()
-	children := n.sortedChildrenLocked()
-	msgs, evs := n.drainOutboxLocked()
-	n.mu.Unlock()
-	n.flush(msgs, evs)
+	children := sortedDomains(n.children)
+	n.flushLocked()
 	// Advertise the grown space to children.
 	adv := &wire.RangeAdvert{Owner: n.cfg.Domain, Ranges: ranges}
 	for _, c := range children {
@@ -299,28 +289,12 @@ func (n *Node) claimMatured(p addr.Prefix) {
 // and children.
 func (n *Node) Release(p addr.Prefix) {
 	n.mu.Lock()
-	found := false
-	for i, h := range n.holdings {
-		if h.Prefix == p {
-			n.holdings = append(n.holdings[:i], n.holdings[i+1:]...)
-			found = true
-			break
-		}
-	}
+	found := n.dropHoldingLocked(p)
 	if found {
-		n.heard.Release(p)
-		rel := &wire.Release{Claimer: n.cfg.Domain, Prefix: p}
-		for _, s := range n.sortedSiblingsLocked() {
-			n.outbox = append(n.outbox, outMsg{s, rel})
-		}
-		if n.hasParent {
-			n.outbox = append(n.outbox, outMsg{n.parent, rel})
-		}
+		n.releaseLocked(p)
 		n.eventLocked(obs.MASCReleased, p)
 	}
-	msgs, evs := n.drainOutboxLocked()
-	n.mu.Unlock()
-	n.flush(msgs, evs)
+	n.flushLocked()
 	if found && n.cfg.OnLost != nil {
 		n.cfg.OnLost(p)
 	}
@@ -384,7 +358,7 @@ func (n *Node) handleClaim(from wire.DomainID, m *wire.Claim) {
 		n.childClaims.Record(m.Prefix)
 		// Parent relays child claims to its other children (§4.1: "A then
 		// propagates this claim information to its other children").
-		for _, c := range n.sortedChildrenLocked() {
+		for _, c := range sortedDomains(n.children) {
 			if c != from {
 				n.outbox = append(n.outbox, outMsg{c, m})
 			}
@@ -393,30 +367,38 @@ func (n *Node) handleClaim(from wire.DomainID, m *wire.Claim) {
 		// Sibling claim: record it so our future claims avoid it.
 		n.heard.Record(m.Prefix)
 	}
-	msgs, evs := n.drainOutboxLocked()
-	n.mu.Unlock()
-	n.flush(msgs, evs)
+	n.flushLocked()
 }
 
-// pendingConflictLocked resolves a competing claim against our pending
-// claims: the lower (ClaimID, Domain) pair wins (§4.1 footnote). If we
-// lose, the pending claim is abandoned and retried. If we win, a collision
-// for the competitor is returned.
+// pendingConflictLocked resolves a competing claim against the pending
+// claims it overlaps: the lower (ClaimID, Domain) pair wins (§4.1
+// footnote). If any of ours wins, the competitor gets that collision and
+// nothing of ours moves; if all lose, each is abandoned and retried. The
+// overlapping claims are walked in prefix order, so the answer depends on
+// the claims alone and not on how the map iterates.
 func (n *Node) pendingConflictLocked(m *wire.Claim) *wire.Collision {
-	for p, pc := range n.pending {
-		if !p.Overlaps(m.Prefix) {
-			continue
+	var ours []addr.Prefix
+	for p := range n.pending {
+		if p.Overlaps(m.Prefix) {
+			ours = append(ours, p)
 		}
-		weWin := pc.claimID < m.ClaimID ||
-			(pc.claimID == m.ClaimID && n.cfg.Domain < m.Claimer)
-		if weWin {
+	}
+	slices.SortFunc(ours, addr.Compare)
+	for _, p := range ours {
+		pc := n.pending[p]
+		if pc.claimID < m.ClaimID || (pc.claimID == m.ClaimID && n.cfg.Domain < m.Claimer) {
 			return &wire.Collision{From: n.cfg.Domain, Loser: m.Claimer, Prefix: m.Prefix, Conflict: p, Reason: wire.CollideInUse}
 		}
-		// We lose: abandon and re-claim elsewhere after a delay.
+	}
+	// We lose: abandon and re-claim elsewhere, off the winner's range,
+	// after a delay.
+	for _, p := range ours {
+		pc := n.pending[p]
 		n.abandonLocked(p, pc)
-		n.heard.Record(m.Prefix)
 		n.scheduleRetry(pc)
-		return nil
+	}
+	if len(ours) > 0 {
+		n.heard.Record(m.Prefix)
 	}
 	return nil
 }
@@ -437,23 +419,15 @@ func (n *Node) handleCollision(from wire.DomainID, m *wire.Collision) {
 			n.heard.Record(m.Conflict)
 		}
 		n.scheduleRetry(pc)
-	} else {
+	} else if n.dropHoldingLocked(m.Prefix) {
 		// A collision can arrive for an already-won range after a
 		// partition heals; the loser must give it up.
-		for i, h := range n.holdings {
-			if h.Prefix == m.Prefix {
-				n.holdings = append(n.holdings[:i], n.holdings[i+1:]...)
-				n.heard.Release(m.Prefix)
-				n.heard.Record(m.Conflict) // still taken — by the winner
-				n.eventLocked(obs.MASCCollision, m.Prefix)
-				lostHolding = true
-				break
-			}
-		}
+		n.heard.Release(m.Prefix)
+		n.heard.Record(m.Conflict) // still taken — by the winner
+		n.eventLocked(obs.MASCCollision, m.Prefix)
+		lostHolding = true
 	}
-	msgs, evs := n.drainOutboxLocked()
-	n.mu.Unlock()
-	n.flush(msgs, evs)
+	n.flushLocked()
 	if lostHolding && n.cfg.OnLost != nil {
 		n.cfg.OnLost(m.Prefix)
 	}
@@ -466,23 +440,21 @@ func (n *Node) handleRelease(from wire.DomainID, m *wire.Release) {
 	n.mu.Unlock()
 }
 
-// scheduleRetry re-runs claim selection for a lost claim after RetryDelay,
+// scheduleRetry re-runs claim selection for a lost claim after retryDelay,
 // breaking the synchronous collide-reclaim recursion. Caller holds n.mu.
 func (n *Node) scheduleRetry(pc *pendingClaim) {
-	if pc.attempts+1 >= n.cfg.MaxAttempts {
+	if pc.attempts+1 >= maxAttempts {
 		return
 	}
 	size, life, attempts := pc.size, pc.life, pc.attempts+1
-	n.cfg.Clock.AfterFunc(n.cfg.RetryDelay, func() {
+	n.cfg.Clock.AfterFunc(retryDelay, func() {
 		n.mu.Lock()
 		if n.dead {
 			n.mu.Unlock()
 			return
 		}
 		n.claimLocked(size, life, attempts)
-		msgs, evs := n.drainOutboxLocked()
-		n.mu.Unlock()
-		n.flush(msgs, evs)
+		n.flushLocked()
 	})
 }
 
@@ -545,7 +517,6 @@ func (n *Node) rangesLocked() []wire.RangeLife {
 	return out
 }
 
-// drainOutboxLocked empties the under-lock message queue for post-unlock delivery.
 // scheduleExpiry arms the lifetime timer for a holding: renewal (when
 // AutoRenew) or expiry-release. Caller holds n.mu.
 func (n *Node) scheduleExpiry(p addr.Prefix, life time.Duration) {
@@ -575,12 +546,10 @@ func (n *Node) lifetimeDue(p addr.Prefix, life time.Duration) {
 		h.Expires = n.cfg.Clock.Now().Add(life)
 		expires := h.Expires
 		ranges := n.rangesLocked()
-		children := n.sortedChildrenLocked()
+		children := sortedDomains(n.children)
 		n.scheduleExpiry(p, life)
 		n.eventLocked(obs.MASCRenewed, p)
-		_, evs := n.drainOutboxLocked()
-		n.mu.Unlock()
-		n.flush(nil, evs)
+		n.flushLocked()
 		adv := &wire.RangeAdvert{Owner: n.cfg.Domain, Ranges: ranges}
 		for _, c := range children {
 			n.send(c, adv)
@@ -592,24 +561,10 @@ func (n *Node) lifetimeDue(p addr.Prefix, life time.Duration) {
 	}
 	// Expiry: the range is given up; siblings and parent treat it as
 	// unallocated once their own view of the lifetime lapses.
-	for i, x := range n.holdings {
-		if x == h {
-			n.holdings = append(n.holdings[:i], n.holdings[i+1:]...)
-			break
-		}
-	}
-	n.heard.Release(p)
-	rel := &wire.Release{Claimer: n.cfg.Domain, Prefix: p}
-	for _, s := range n.sortedSiblingsLocked() {
-		n.outbox = append(n.outbox, outMsg{s, rel})
-	}
-	if n.hasParent {
-		n.outbox = append(n.outbox, outMsg{n.parent, rel})
-	}
+	n.dropHoldingLocked(p)
+	n.releaseLocked(p)
 	n.eventLocked(obs.MASCExpired, p)
-	msgs, evs := n.drainOutboxLocked()
-	n.mu.Unlock()
-	n.flush(msgs, evs)
+	n.flushLocked()
 	if n.cfg.OnLost != nil {
 		n.cfg.OnLost(p)
 	}
@@ -624,13 +579,14 @@ func (n *Node) eventLocked(kind obs.Kind, p addr.Prefix) {
 	n.evbuf = append(n.evbuf, obs.Event{Kind: kind, Domain: n.cfg.Domain, Prefix: p})
 }
 
-func (n *Node) drainOutboxLocked() ([]outMsg, []obs.Event) {
+// flushLocked ends a locked section: it takes what the section queued,
+// releases n.mu, and only then sends the messages and emits the events, so
+// peers and observers may call back into the node. Caller holds n.mu and
+// no longer does on return.
+func (n *Node) flushLocked() {
 	msgs, evs := n.outbox, n.evbuf
 	n.outbox, n.evbuf = nil, nil
-	return msgs, evs
-}
-
-func (n *Node) flush(msgs []outMsg, evs []obs.Event) {
+	n.mu.Unlock()
 	for _, m := range msgs {
 		n.send(m.to, m.msg)
 	}
@@ -645,25 +601,42 @@ func (n *Node) send(to wire.DomainID, msg wire.Message) {
 	}
 }
 
-// sortedSiblingsLocked returns the sibling domain IDs in ascending order.
-// Outbound message order is part of the protocol's observable behavior,
-// so it must never depend on map iteration. Caller holds n.mu.
-func (n *Node) sortedSiblingsLocked() []wire.DomainID {
-	out := make([]wire.DomainID, 0, len(n.siblings))
-	for s := range n.siblings {
-		out = append(out, s)
+// announceLocked queues msg for every sibling and the parent: the audience
+// of a claim or a release (§4.1). Caller holds n.mu.
+func (n *Node) announceLocked(msg wire.Message) {
+	for _, s := range sortedDomains(n.siblings) {
+		n.outbox = append(n.outbox, outMsg{s, msg})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	if n.hasParent {
+		n.outbox = append(n.outbox, outMsg{n.parent, msg})
+	}
 }
 
-// sortedChildrenLocked returns the child domain IDs in ascending order. Caller
-// holds n.mu.
-func (n *Node) sortedChildrenLocked() []wire.DomainID {
-	out := make([]wire.DomainID, 0, len(n.children))
-	for c := range n.children {
-		out = append(out, c)
+// releaseLocked frees p in our view of the claimed space and tells
+// siblings and parent it is given up. Caller holds n.mu.
+func (n *Node) releaseLocked(p addr.Prefix) {
+	n.heard.Release(p)
+	n.announceLocked(&wire.Release{Claimer: n.cfg.Domain, Prefix: p})
+}
+
+// dropHoldingLocked removes the holding of exactly p, reporting whether
+// there was one. Caller holds n.mu.
+func (n *Node) dropHoldingLocked(p addr.Prefix) bool {
+	i := slices.IndexFunc(n.holdings, func(h *Holding) bool { return h.Prefix == p })
+	if i >= 0 {
+		n.holdings = slices.Delete(n.holdings, i, i+1)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return i >= 0
+}
+
+// sortedDomains returns a neighbor set's domain IDs in ascending order.
+// Outbound message order is part of the protocol's observable behavior,
+// so it must never depend on map iteration.
+func sortedDomains(set map[wire.DomainID]bool) []wire.DomainID {
+	out := make([]wire.DomainID, 0, len(set))
+	for d := range set {
+		out = append(out, d)
+	}
+	slices.Sort(out)
 	return out
 }

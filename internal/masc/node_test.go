@@ -1,6 +1,7 @@
 package masc
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -330,5 +331,38 @@ func TestReleasedHoldingNotRenewedByTimer(t *testing.T) {
 	}
 	if len(nn.lost[1]) != 1 {
 		t.Fatalf("lost events = %v", nn.lost[1])
+	}
+}
+
+// TestCompetingClaimOverTwoPendingIsDeterministic: a sibling's claim that
+// covers two of our pending claims, one that beats it under the §4.1
+// footnote rule (lower claim ID) and one that loses to it (equal ID, higher
+// domain), has one answer — the winner's collision, nothing abandoned —
+// however the pending map happens to iterate.
+func TestCompetingClaimOverTwoPendingIsDeterministic(t *testing.T) {
+	outcomes := map[string]int{}
+	for run := 0; run < 200; run++ {
+		collisions := 0
+		n := NewNode(NodeConfig{
+			Domain:     5,
+			Clock:      simclock.NewSim(time.Date(1998, 9, 1, 0, 0, 0, 0, time.UTC)),
+			Rand:       rand.New(rand.NewSource(1)),
+			WaitPeriod: 48 * time.Hour,
+			TopLevel:   true,
+			Send: func(_ wire.DomainID, msg wire.Message) {
+				if _, ok := msg.(*wire.Collision); ok {
+					collisions++
+				}
+			},
+		})
+		n.AddSibling(3)
+		if !n.RequestSpace(256, time.Hour) || !n.RequestSpace(256, time.Hour) {
+			t.Fatal("claim selection failed")
+		}
+		n.HandleMessage(3, &wire.Claim{Claimer: 3, ClaimID: 2, Prefix: addr.MulticastSpace})
+		outcomes[fmt.Sprintf("%d collision(s) sent, %d claim(s) still pending", collisions, len(n.Snapshot().Pending))]++
+	}
+	if want := "1 collision(s) sent, 2 claim(s) still pending"; len(outcomes) != 1 || outcomes[want] != 200 {
+		t.Fatalf("outcomes over 200 identical runs = %v, want only %q", outcomes, want)
 	}
 }

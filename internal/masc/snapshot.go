@@ -128,7 +128,5 @@ func (n *Node) Restore(s Snapshot) {
 		n.pending[ps.Prefix] = pc
 	}
 	n.eventLocked(obs.MASCRestored, addr.Prefix{})
-	_, evs := n.drainOutboxLocked()
-	n.mu.Unlock()
-	n.flush(nil, evs)
+	n.flushLocked()
 }

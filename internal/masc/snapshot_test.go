@@ -122,7 +122,7 @@ func TestRestoreEmitsObservableEvent(t *testing.T) {
 		Obs:      ob,
 	})
 	n2.Restore(n.Snapshot())
-	if ob.Snapshot().Total("masc.restored") != 1 {
+	if ob.Snapshot().Total(obs.MASCRestored) != 1 {
 		t.Fatalf("masc.restored missing:\n%s", ob.Snapshot())
 	}
 }

@@ -6,7 +6,7 @@
 // address-space utilization, G-RIB size, claim/collision churn, join/prune
 // traffic (§4.3.3, §5.4) — and the instrumented layers report exactly
 // those quantities. Components hold an *Observer and call Emit; a nil
-// Observer (and a nil Metrics, Counter, …) is a no-op everywhere, so
+// Observer (and a nil Counter, Histogram, Tracer) is a no-op everywhere, so
 // un-observed hot paths pay a single branch.
 //
 // Layering: obs sits below transport and above wire/addr/simclock in the
@@ -129,11 +129,19 @@ var kindNames = [kindCount]string{
 }
 
 // String returns the event kind's counter name, e.g. "masc.claim".
-func (k Kind) String() string {
-	if k == KindInvalid || k >= kindCount || kindNames[k] == "" {
-		return fmt.Sprintf("kind(%d)", uint8(k))
+func (k Kind) String() string { return nameOf(kindNames[:], "kind", uint8(k)) }
+
+// valid reports whether k is a declared kind (KindInvalid is not).
+func (k Kind) valid() bool { return k != KindInvalid && k < kindCount }
+
+// nameOf looks an enum value up in its name table; a value the table does
+// not name renders as "what(N)". TestNameTablesExhaustive keeps the three
+// tables (kinds, spans, histograms) free of such gaps.
+func nameOf(table []string, what string, i uint8) string {
+	if int(i) < len(table) && table[i] != "" {
+		return table[i]
 	}
-	return kindNames[k]
+	return fmt.Sprintf("%s(%d)", what, i)
 }
 
 // Event is one observed protocol occurrence. Kind and the two scope fields
@@ -166,23 +174,12 @@ type Event struct {
 	Count uint64
 }
 
-// N returns the event's magnitude (Count, or 1 when Count is zero).
-func (e Event) N() uint64 {
-	if e.Count == 0 {
-		return 1
-	}
-	return e.Count
-}
+// scope returns the (domain, router) pair the event counts under.
+func (e Event) scope() scope { return scope{e.Domain, e.Router} }
 
 // String renders the event as one deterministic trace line.
 func (e Event) String() string {
-	s := e.Kind.String()
-	if e.Domain != 0 {
-		s += fmt.Sprintf(" domain=%d", e.Domain)
-	}
-	if e.Router != 0 {
-		s += fmt.Sprintf(" router=%d", e.Router)
-	}
+	s := e.Kind.String() + e.scope().String()
 	if e.Peer != 0 {
 		s += fmt.Sprintf(" peer=%d", e.Peer)
 	}

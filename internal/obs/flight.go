@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -17,9 +16,9 @@ import (
 // *FlightRecorder ignores records.
 type FlightRecorder struct {
 	mu    sync.Mutex
-	cap   int                        // guarded by mu
-	seq   uint64                     // global arrival order across all scopes; guarded by mu
-	rings map[CounterKey]*flightRing // guarded by mu
+	cap   int                   // guarded by mu
+	seq   uint64                // global arrival order across all scopes; guarded by mu
+	rings map[scope]*flightRing // guarded by mu
 }
 
 type flightRing struct {
@@ -39,7 +38,7 @@ func NewFlightRecorder(perScope int) *FlightRecorder {
 	if perScope < 1 {
 		perScope = 64
 	}
-	return &FlightRecorder{cap: perScope, rings: map[CounterKey]*flightRing{}}
+	return &FlightRecorder{cap: perScope, rings: map[scope]*flightRing{}}
 }
 
 // Record retains e in its scope's ring. Safe on nil and for concurrent
@@ -48,7 +47,7 @@ func (f *FlightRecorder) Record(e Event) {
 	if f == nil {
 		return
 	}
-	k := CounterKey{Domain: e.Domain, Router: e.Router}
+	k := e.scope()
 	f.mu.Lock()
 	r := f.rings[k]
 	if r == nil {
@@ -73,21 +72,10 @@ func (f *FlightRecorder) Dump() string {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	keys := make([]CounterKey, 0, len(f.rings))
-	for k := range f.rings {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Domain != b.Domain {
-			return a.Domain < b.Domain
-		}
-		return a.Router < b.Router
-	})
 	var b strings.Builder
-	for _, k := range keys {
+	for _, k := range sortedKeys(f.rings) {
 		r := f.rings[k]
-		fmt.Fprintf(&b, "-- flight domain=%d router=%d --\n", k.Domain, k.Router)
+		fmt.Fprintf(&b, "-- flight%s --\n", k)
 		start, n := 0, r.next
 		if r.full {
 			start, n = r.next, f.cap

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -121,30 +120,57 @@ func (s HistSnapshot) Mean() uint64 {
 	return s.Sum / s.Count
 }
 
-// Histogram returns the histogram registered under (name, domain, router),
-// creating it on first use. Safe on nil (returns a nil histogram).
-func (m *Metrics) Histogram(name string, domain wire.DomainID, router wire.RouterID) *Histogram {
-	if m == nil {
+// Hist enumerates the histograms the instrumented layers observe into.
+// Values are nanoseconds unless the name says otherwise.
+type Hist uint8
+
+const (
+	HistJoinGraft     Hist = iota + 1 // member join → branch grafted
+	HistClaimConverge                 // claim announced → claim won
+	HistDetect                        // fault injected → session declared down
+	HistReroute                       // fault injected → delivery restored
+	HistReconverge                    // restart → direct path reconverged
+	HistForwardWork                   // per-packet forwarding fan-out (copies)
+
+	histCount // sentinel; keep last
+)
+
+var histNames = [histCount]string{
+	HistJoinGraft:     "join_graft_ns",
+	HistClaimConverge: "claim_converge_ns",
+	HistDetect:        "detect_ns",
+	HistReroute:       "reroute_ns",
+	HistReconverge:    "reconverge_ns",
+	HistForwardWork:   "forward_fanout",
+}
+
+// String returns the histogram's exposition name, e.g. "detect_ns".
+func (h Hist) String() string { return nameOf(histNames[:], "hist", uint8(h)) }
+
+func (h Hist) valid() bool { return h != 0 && h < histCount }
+
+// Histogram returns the histogram registered under (h, domain, router),
+// creating it on first use. Safe on nil, and an undeclared h has no
+// histogram (both return a nil, no-op histogram).
+func (o *Observer) Histogram(h Hist, domain wire.DomainID, router wire.RouterID) *Histogram {
+	if o == nil || !h.valid() {
 		return nil
 	}
-	k := CounterKey{Name: name, Domain: domain, Router: router}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.hists == nil {
-		m.hists = map[CounterKey]*Histogram{}
+	k := key[Hist]{h, scope{domain, router}}
+	o.regMu.Lock()
+	defer o.regMu.Unlock()
+	hist := o.hists[k]
+	if hist == nil {
+		hist = &Histogram{}
+		o.hists[k] = hist
 	}
-	h := m.hists[k]
-	if h == nil {
-		h = &Histogram{}
-		m.hists[k] = h
-	}
-	return h
+	return hist
 }
 
 // Hist returns the snapshotted histogram for one key (the zero snapshot
 // when it was never registered).
-func (s Snapshot) Hist(name string, domain wire.DomainID, router wire.RouterID) HistSnapshot {
-	return s.hists[CounterKey{Name: name, Domain: domain, Router: router}]
+func (s Snapshot) Hist(h Hist, domain wire.DomainID, router wire.RouterID) HistSnapshot {
+	return s.hists[key[Hist]{h, scope{domain, router}}]
 }
 
 // HistTotals merges each histogram name's snapshots across every scope —
@@ -152,62 +178,18 @@ func (s Snapshot) Hist(name string, domain wire.DomainID, router wire.RouterID) 
 func (s Snapshot) HistTotals() map[string]HistSnapshot {
 	totals := make(map[string]HistSnapshot, len(s.hists))
 	for k, h := range s.hists {
-		t := totals[k.Name]
+		name := k.id.String()
+		t := totals[name]
 		t.Merge(h)
-		totals[k.Name] = t
+		totals[name] = t
 	}
 	return totals
 }
 
-// sortedHistKeys returns the snapshot's histogram keys ordered by
-// (name, domain, router).
-func (s Snapshot) sortedHistKeys() []CounterKey {
-	keys := make([]CounterKey, 0, len(s.hists))
-	for k := range s.hists {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		if a.Domain != b.Domain {
-			return a.Domain < b.Domain
-		}
-		return a.Router < b.Router
-	})
-	return keys
-}
-
-// PromName rewrites a metric name into the Prometheus alphabet
-// ([a-zA-Z0-9_:]), mapping every other rune to '_'. Exported for layers
-// that render their own expositions from snapshot-derived data (bench).
-func PromName(name string) string { return promName(name) }
-
-// promName rewrites a metric name into the Prometheus alphabet
-// ([a-z0-9_:]), mapping '.' and '-' to '_'.
-func promName(name string) string {
-	var b strings.Builder
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_', r == ':':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
-}
-
-// promLabels renders a key's scope as a Prometheus label set.
-func promLabels(k CounterKey, extra string) string {
-	var parts []string
-	if k.Domain != 0 {
-		parts = append(parts, fmt.Sprintf("domain=%q", fmt.Sprint(k.Domain)))
-	}
-	if k.Router != 0 {
-		parts = append(parts, fmt.Sprintf("router=%q", fmt.Sprint(k.Router)))
-	}
+// promLabels renders a scope, plus an optional extra label, as a
+// Prometheus label set.
+func promLabels(s scope, extra string) string {
+	parts := s.labels(`%s="%d"`)
 	if extra != "" {
 		parts = append(parts, extra)
 	}
@@ -219,31 +201,33 @@ func promLabels(k CounterKey, extra string) string {
 
 // Prometheus renders the snapshot as Prometheus text exposition format:
 // every counter as a `_total` counter and every histogram as cumulative
-// `_bucket`/`_sum`/`_count` series with power-of-two `le` bounds. The
-// output is sorted and deterministic: equal snapshots render to identical
-// bytes, so two same-seed runs produce byte-identical files.
+// `_bucket`/`_sum`/`_count` series with power-of-two `le` bounds. A name
+// is its dotted form with '.' as '_' (TestNameTablesExhaustive holds the
+// tables to that alphabet). The output is sorted and deterministic: equal
+// snapshots render to identical bytes, so two same-seed runs produce
+// byte-identical files.
 func (s Snapshot) Prometheus() string {
 	var b strings.Builder
 	lastHelp := ""
-	for _, k := range s.sortedKeys() {
+	for _, k := range sortedKeys(s.counts) {
 		v := s.counts[k]
 		if v == 0 {
 			continue
 		}
-		name := promName(k.Name) + "_total"
+		name := strings.ReplaceAll(k.id.String(), ".", "_") + "_total"
 		if name != lastHelp {
 			fmt.Fprintf(&b, "# TYPE %s counter\n", name)
 			lastHelp = name
 		}
-		fmt.Fprintf(&b, "%s%s %d\n", name, promLabels(k, ""), v)
+		fmt.Fprintf(&b, "%s%s %d\n", name, promLabels(k.scope, ""), v)
 	}
 	lastHelp = ""
-	for _, k := range s.sortedHistKeys() {
+	for _, k := range sortedKeys(s.hists) {
 		h := s.hists[k]
 		if h.Count == 0 {
 			continue
 		}
-		name := promName(k.Name)
+		name := strings.ReplaceAll(k.id.String(), ".", "_")
 		if name != lastHelp {
 			fmt.Fprintf(&b, "# TYPE %s histogram\n", name)
 			lastHelp = name
@@ -257,11 +241,11 @@ func (s Snapshot) Prometheus() string {
 			cum += n
 			_, hi := bucketBounds(i)
 			le := fmt.Sprintf("le=%q", fmt.Sprint(hi))
-			fmt.Fprintf(&b, "%s_bucket%s %d\n", name, promLabels(k, le), cum)
+			fmt.Fprintf(&b, "%s_bucket%s %d\n", name, promLabels(k.scope, le), cum)
 		}
-		fmt.Fprintf(&b, "%s_bucket%s %d\n", name, promLabels(k, `le="+Inf"`), h.Count)
-		fmt.Fprintf(&b, "%s_sum%s %d\n", name, promLabels(k, ""), h.Sum)
-		fmt.Fprintf(&b, "%s_count%s %d\n", name, promLabels(k, ""), h.Count)
+		fmt.Fprintf(&b, "%s_bucket%s %d\n", name, promLabels(k.scope, `le="+Inf"`), h.Count)
+		fmt.Fprintf(&b, "%s_sum%s %d\n", name, promLabels(k.scope, ""), h.Sum)
+		fmt.Fprintf(&b, "%s_count%s %d\n", name, promLabels(k.scope, ""), h.Count)
 	}
 	return b.String()
 }

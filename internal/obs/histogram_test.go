@@ -69,7 +69,7 @@ func TestHistSnapshotMergeIsCommutative(t *testing.T) {
 }
 
 func TestHistogramConcurrentObserveIsExact(t *testing.T) {
-	m := NewMetrics()
+	m := NewObserver()
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -90,11 +90,11 @@ func TestHistogramConcurrentObserveIsExact(t *testing.T) {
 }
 
 func TestHistTotalsMergesScopes(t *testing.T) {
-	m := NewMetrics()
+	m := NewObserver()
 	m.Histogram(HistJoinGraft, 1, 11).Observe(100)
 	m.Histogram(HistJoinGraft, 2, 21).Observe(300)
 	totals := m.Snapshot().HistTotals()
-	s := totals[HistJoinGraft]
+	s := totals[HistJoinGraft.String()]
 	if s.Count != 2 || s.Sum != 400 {
 		t.Fatalf("totals = %+v", s)
 	}
@@ -102,9 +102,9 @@ func TestHistTotalsMergesScopes(t *testing.T) {
 
 func TestPrometheusExpositionIsDeterministic(t *testing.T) {
 	build := func() string {
-		m := NewMetrics()
-		m.Counter(BGMPJoin.String(), 1, 11).Add(3)
-		m.Counter(BGMPJoin.String(), 2, 21).Add(1)
+		m := NewObserver()
+		m.Counter(BGMPJoin, 1, 11).Add(3)
+		m.Counter(BGMPJoin, 2, 21).Add(1)
 		m.Histogram(HistDetect, 0, 0).Observe(5_000_000_000)
 		m.Histogram(HistDetect, 0, 0).Observe(25_000_000_000)
 		return m.Snapshot().Prometheus()

@@ -1,38 +1,87 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"mascbgmp/internal/wire"
 )
 
-// CounterKey identifies one counter: a metric name plus its scope. Router
-// is zero for domain-level counters; both are zero for global counters.
-type CounterKey struct {
-	Name   string
+// name is what the three obs enums (Kind, SpanName, Hist) share: a small
+// integer whose String is its dotted name in the enum's table. Registry
+// and tracer methods take the enum, so a string where a name belongs does
+// not compile; strings appear only in renderings.
+type name interface {
+	~uint8
+	fmt.Stringer
+}
+
+// scope is the (domain, router) pair every counter, histogram, flight
+// ring and span is filed under. Router is zero for domain-level entries;
+// both are zero for global ones.
+type scope struct {
 	Domain wire.DomainID
 	Router wire.RouterID
 }
 
+// labels renders the scope's nonzero fields through format (a %s label
+// name and a %d value), domain before router — the one place that order
+// and those two label names are spelled.
+func (s scope) labels(format string) []string {
+	var out []string
+	if s.Domain != 0 {
+		out = append(out, fmt.Sprintf(format, "domain", s.Domain))
+	}
+	if s.Router != 0 {
+		out = append(out, fmt.Sprintf(format, "router", s.Router))
+	}
+	return out
+}
+
+// String renders the scope as the suffix of a text line, e.g.
+// " domain=2 router=21" (empty for the global scope).
+func (s scope) String() string { return strings.Join(s.labels(" %s=%d"), "") }
+
+func (s scope) compare(o scope) int {
+	return cmp.Or(cmp.Compare(s.Domain, o.Domain), cmp.Compare(s.Router, o.Router))
+}
+
+// key identifies one counter or histogram: its enum value plus its scope.
+type key[N name] struct {
+	id N
+	scope
+}
+
 // String renders the key deterministically, e.g.
 // "bgmp.join domain=2 router=21".
-func (k CounterKey) String() string {
-	s := k.Name
-	if k.Domain != 0 {
-		s += fmt.Sprintf(" domain=%d", k.Domain)
+func (k key[N]) String() string { return k.id.String() + k.scope.String() }
+
+// compare orders keys by (name, domain, router) — by the rendered name,
+// not the enum value, so sorted output does not move when an enum grows.
+func (k key[N]) compare(o key[N]) int {
+	return cmp.Or(strings.Compare(k.id.String(), o.id.String()), k.scope.compare(o.scope))
+}
+
+// sortedKeys returns m's keys in their compare order: the one ordering
+// behind every obs rendering.
+func sortedKeys[K interface {
+	comparable
+	compare(K) int
+}, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	if k.Router != 0 {
-		s += fmt.Sprintf(" router=%d", k.Router)
-	}
-	return s
+	slices.SortFunc(keys, K.compare)
+	return keys
 }
 
 // Counter is one atomic counter. The zero value is ready to use; a nil
-// *Counter ignores all operations so callers can hold one unconditionally.
+// *Counter ignores Add so callers can hold one unconditionally.
 type Counter struct {
 	v atomic.Uint64
 }
@@ -44,101 +93,72 @@ func (c *Counter) Add(n uint64) {
 	}
 }
 
-// Inc increments the counter by one. Safe on nil.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current count. A nil counter reads zero.
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Metrics is a registry of named, scoped counters. Registration takes a
-// mutex; increments on retrieved counters are lock-free atomics. A nil
-// *Metrics is a no-op registry whose lookups return nil counters.
-type Metrics struct {
-	mu       sync.Mutex
-	counters map[CounterKey]*Counter   // guarded by mu
-	hists    map[CounterKey]*Histogram // guarded by mu
-}
-
-// NewMetrics returns an empty registry.
-func NewMetrics() *Metrics {
-	return &Metrics{counters: map[CounterKey]*Counter{}}
-}
-
-// Counter returns the counter for key, creating it at zero on first use.
-// The returned handle may be cached and incremented without locks. Safe on
-// nil (returns a nil counter).
-func (m *Metrics) Counter(name string, domain wire.DomainID, router wire.RouterID) *Counter {
-	if m == nil {
+// Counter returns kind's counter in one scope, creating it at zero on
+// first use. The returned handle may be cached and incremented without
+// locks. Safe on nil, and an undeclared kind has no counter (both return
+// a nil counter).
+func (o *Observer) Counter(kind Kind, domain wire.DomainID, router wire.RouterID) *Counter {
+	if o == nil || !kind.valid() {
 		return nil
 	}
-	k := CounterKey{Name: name, Domain: domain, Router: router}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c := m.counters[k]
+	k := key[Kind]{kind, scope{domain, router}}
+	o.regMu.Lock()
+	defer o.regMu.Unlock()
+	c := o.counters[k]
 	if c == nil {
 		c = &Counter{}
-		m.counters[k] = c
+		o.counters[k] = c
 	}
 	return c
 }
 
-// Global returns the unscoped counter for name.
-func (m *Metrics) Global(name string) *Counter { return m.Counter(name, 0, 0) }
-
-// Snapshot captures every counter's value at one instant. Snapshots are
-// plain values: comparable with Diff, renderable with String/Totals.
+// Snapshot captures every counter's and histogram's value at one instant.
+// Snapshots are plain values: comparable with Diff, renderable with
+// String/Totals/Prometheus.
 type Snapshot struct {
-	counts map[CounterKey]uint64
-	hists  map[CounterKey]HistSnapshot
+	counts map[key[Kind]]uint64
+	hists  map[key[Hist]]HistSnapshot
 }
 
 // Snapshot returns the current values of all registered counters and
 // histograms. Safe on nil (returns an empty snapshot).
-func (m *Metrics) Snapshot() Snapshot {
-	s := Snapshot{counts: map[CounterKey]uint64{}, hists: map[CounterKey]HistSnapshot{}}
-	if m == nil {
+func (o *Observer) Snapshot() Snapshot {
+	s := Snapshot{counts: map[key[Kind]]uint64{}, hists: map[key[Hist]]HistSnapshot{}}
+	if o == nil {
 		return s
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for k, c := range m.counters {
-		s.counts[k] = c.Value()
+	o.regMu.Lock()
+	defer o.regMu.Unlock()
+	for k, c := range o.counters {
+		s.counts[k] = c.v.Load()
 	}
-	for k, h := range m.hists {
+	for k, h := range o.hists {
 		s.hists[k] = h.Snapshot()
 	}
 	return s
 }
 
-// Get returns the snapshotted value for one key.
-func (s Snapshot) Get(name string, domain wire.DomainID, router wire.RouterID) uint64 {
-	return s.counts[CounterKey{Name: name, Domain: domain, Router: router}]
+// Get returns the snapshotted value of kind in one scope.
+func (s Snapshot) Get(kind Kind, domain wire.DomainID, router wire.RouterID) uint64 {
+	return s.counts[key[Kind]{kind, scope{domain, router}}]
 }
 
-// Total sums the snapshotted value of name across every scope.
-func (s Snapshot) Total(name string) uint64 {
+// Total sums the snapshotted value of kind across every scope.
+func (s Snapshot) Total(kind Kind) uint64 {
 	var n uint64
 	for k, v := range s.counts {
-		if k.Name == name {
+		if k.id == kind {
 			n += v
 		}
 	}
 	return n
 }
 
-// Len returns the number of counters captured.
-func (s Snapshot) Len() int { return len(s.counts) }
-
 // Diff returns a snapshot holding, for every key in s, the increase since
 // prev (keys that did not grow are omitted). Counters are monotonic, so a
 // diff is itself a valid snapshot of "what happened in between".
 func (s Snapshot) Diff(prev Snapshot) Snapshot {
-	d := Snapshot{counts: map[CounterKey]uint64{}}
+	d := Snapshot{counts: map[key[Kind]]uint64{}}
 	for k, v := range s.counts {
 		if dv := v - prev.counts[k]; dv > 0 {
 			d.counts[k] = dv
@@ -147,31 +167,12 @@ func (s Snapshot) Diff(prev Snapshot) Snapshot {
 	return d
 }
 
-// sortedKeys returns the snapshot's keys ordered by (name, domain, router).
-func (s Snapshot) sortedKeys() []CounterKey {
-	keys := make([]CounterKey, 0, len(s.counts))
-	for k := range s.counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		if a.Domain != b.Domain {
-			return a.Domain < b.Domain
-		}
-		return a.Router < b.Router
-	})
-	return keys
-}
-
 // String renders every nonzero counter, one per line, sorted by
 // (name, domain, router). The rendering is deterministic: equal snapshots
 // produce identical strings.
 func (s Snapshot) String() string {
 	var b strings.Builder
-	for _, k := range s.sortedKeys() {
+	for _, k := range sortedKeys(s.counts) {
 		if v := s.counts[k]; v > 0 {
 			fmt.Fprintf(&b, "%s %d\n", k, v)
 		}
@@ -186,7 +187,7 @@ func (s Snapshot) String() string {
 func (s Snapshot) NameTotals() map[string]uint64 {
 	totals := make(map[string]uint64, len(s.counts))
 	for k, v := range s.counts {
-		totals[k.Name] += v
+		totals[k.id.String()] += v
 	}
 	return totals
 }

@@ -13,13 +13,10 @@ func TestNilObserverIsNoOp(t *testing.T) {
 	o.Emit(Event{Kind: MASCClaim, Domain: 1}) // must not panic
 	cancel := o.Subscribe(func(Event) { t.Fatal("subscriber on nil observer") })
 	cancel()
-	if got := o.Metrics().Snapshot().Len(); got != 0 {
-		t.Fatalf("nil observer snapshot has %d counters", got)
-	}
-	var m *Metrics
-	m.Counter("x", 1, 2).Add(5) // nil registry, nil counter: no-ops
-	if m.Counter("x", 1, 2).Value() != 0 {
-		t.Fatal("nil counter read nonzero")
+	o.Counter(MASCClaim, 1, 2).Add(5) // nil observer, nil counter: no-ops
+	o.Histogram(HistDetect, 1, 2).Observe(5)
+	if got := o.Snapshot().Prometheus(); got != "" {
+		t.Fatalf("nil observer snapshot is not empty:\n%s", got)
 	}
 }
 
@@ -30,13 +27,13 @@ func TestEmitCountsByKindAndScope(t *testing.T) {
 	o.Emit(Event{Kind: BGMPJoin, Domain: 3, Router: 31})
 	o.Emit(Event{Kind: DataForwarded, Domain: 2, Router: 21, Count: 7})
 	s := o.Snapshot()
-	if got := s.Get("bgmp.join", 2, 21); got != 2 {
+	if got := s.Get(BGMPJoin, 2, 21); got != 2 {
 		t.Fatalf("bgmp.join@2/21 = %d, want 2", got)
 	}
-	if got := s.Total("bgmp.join"); got != 3 {
+	if got := s.Total(BGMPJoin); got != 3 {
 		t.Fatalf("bgmp.join total = %d, want 3", got)
 	}
-	if got := s.Total("data.forwarded"); got != 7 {
+	if got := s.Total(DataForwarded); got != 7 {
 		t.Fatalf("data.forwarded total = %d, want 7 (Count magnitude)", got)
 	}
 }
@@ -64,7 +61,7 @@ func TestSnapshotDiffAndDeterministicRendering(t *testing.T) {
 	o.Emit(Event{Kind: BGPWithdraw, Domain: 1, Router: 11})
 	after := o.Snapshot()
 	d := after.Diff(before)
-	if d.Get("bgp.announce", 1, 11) != 1 || d.Get("bgp.withdraw", 1, 11) != 1 {
+	if d.Get(BGPAnnounce, 1, 11) != 1 || d.Get(BGPWithdraw, 1, 11) != 1 {
 		t.Fatalf("diff wrong: %v", d.String())
 	}
 	// Rendering is sorted and stable.
@@ -90,7 +87,7 @@ func TestConcurrentEmitIsRaceFreeAndExact(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				o.Emit(Event{Kind: TransportSent, Domain: 1, Router: 11})
-				o.Metrics().Counter("custom", 0, 0).Inc()
+				o.Counter(MAASLease, 0, 0).Add(1)
 			}
 		}(g)
 	}
@@ -100,10 +97,10 @@ func TestConcurrentEmitIsRaceFreeAndExact(t *testing.T) {
 	}
 	wg.Wait()
 	s := o.Snapshot()
-	if got := s.Get("transport.sent", 1, 11); got != goroutines*per {
+	if got := s.Get(TransportSent, 1, 11); got != goroutines*per {
 		t.Fatalf("transport.sent = %d, want %d", got, goroutines*per)
 	}
-	if got := s.Get("custom", 0, 0); got != goroutines*per {
-		t.Fatalf("custom = %d, want %d", got, goroutines*per)
+	if got := s.Get(MAASLease, 0, 0); got != goroutines*per {
+		t.Fatalf("direct counter = %d, want %d", got, goroutines*per)
 	}
 }

@@ -3,19 +3,22 @@ package obs
 import (
 	"sync"
 	"sync/atomic"
-
-	"mascbgmp/internal/wire"
 )
 
-// Observer is the handle protocol components emit events through. Every
-// event increments the matching counter in the observer's Metrics registry
-// (scoped by the event's Domain/Router) and fans out to subscribers.
+// Observer is the handle protocol components emit events through, and the
+// registry of what they emitted: scoped counters keyed by Kind and scoped
+// histograms keyed by Hist. Every event increments its Kind's counter in
+// the event's (Domain, Router) scope and fans out to subscribers.
+// Registration takes a mutex; increments on retrieved handles are
+// lock-free atomics.
 //
 // A nil *Observer is a valid no-op sink: Emit returns immediately and
-// Metrics() returns a nil (no-op) registry, so instrumented hot paths cost
-// one branch when observability is off.
+// Counter/Histogram return nil (no-op) handles, so instrumented hot paths
+// cost one branch when observability is off.
 type Observer struct {
-	metrics *Metrics
+	regMu    sync.Mutex
+	counters map[key[Kind]]*Counter   // guarded by regMu
+	hists    map[key[Hist]]*Histogram // guarded by regMu
 
 	// tracer is an optional attachment, loaded lock-free by Tracer().
 	tracer atomic.Pointer[Tracer]
@@ -28,32 +31,27 @@ type Observer struct {
 	nsubs atomic.Int32
 }
 
-// NewObserver returns an Observer with a fresh Metrics registry.
+// NewObserver returns an Observer with an empty registry.
 func NewObserver() *Observer {
-	return &Observer{metrics: NewMetrics(), subs: map[int]func(Event){}}
-}
-
-// Metrics returns the observer's counter registry (nil for a nil
-// observer; the nil registry ignores everything).
-func (o *Observer) Metrics() *Metrics {
-	if o == nil {
-		return nil
+	return &Observer{
+		counters: map[key[Kind]]*Counter{},
+		hists:    map[key[Hist]]*Histogram{},
+		subs:     map[int]func(Event){},
 	}
-	return o.metrics
 }
 
-// Emit records one event: the counter named by the event's Kind, scoped by
-// its Domain and Router, grows by Event.N(), and every subscriber runs
-// with the event. Safe on nil and for concurrent use.
+// Emit records one event: the counter of the event's Kind, scoped by its
+// Domain and Router, grows by the event's Count (1 when zero), and every
+// subscriber runs with the event. Safe on nil and for concurrent use.
 //
 // Subscribers run synchronously on the emitting goroutine. Instrumented
 // components emit only outside their internal locks, so subscribers may
 // inspect component state; they must not block.
 func (o *Observer) Emit(e Event) {
-	if o == nil || e.Kind == KindInvalid || e.Kind >= kindCount {
+	if o == nil || !e.Kind.valid() {
 		return
 	}
-	o.metrics.Counter(e.Kind.String(), e.Domain, e.Router).Add(e.N())
+	o.Counter(e.Kind, e.Domain, e.Router).Add(max(e.Count, 1))
 	if o.nsubs.Load() == 0 {
 		return
 	}
@@ -88,9 +86,6 @@ func (o *Observer) Subscribe(fn func(Event)) (cancel func()) {
 	}
 }
 
-// Snapshot is shorthand for Metrics().Snapshot().
-func (o *Observer) Snapshot() Snapshot { return o.Metrics().Snapshot() }
-
 // SetTracer attaches t; subsequent Tracer() calls return it. Safe on nil.
 func (o *Observer) SetTracer(t *Tracer) {
 	if o != nil {
@@ -105,11 +100,4 @@ func (o *Observer) Tracer() *Tracer {
 		return nil
 	}
 	return o.tracer.Load()
-}
-
-// Histogram is shorthand for Metrics().Histogram — the handle protocol
-// components observe latencies through. Safe on nil (returns a nil,
-// no-op histogram).
-func (o *Observer) Histogram(name string, domain wire.DomainID, router wire.RouterID) *Histogram {
-	return o.Metrics().Histogram(name, domain, router)
 }

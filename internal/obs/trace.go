@@ -1,8 +1,9 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -11,45 +12,58 @@ import (
 	"mascbgmp/internal/wire"
 )
 
-// Span names. Every Begin/BeginChild site must spell its name through one
-// of these package-level constants (enforced by masclint's obsdiscipline
-// analyzer), so trace consumers and emitters can never fork on a typo.
+// SpanName enumerates the spans the instrumented layers open.
+type SpanName uint8
+
 const (
-	SpanMemberJoin     = "member.join"      // a domain-local member joined a group
-	SpanMemberLeave    = "member.leave"     // the last domain-local member left
-	SpanJoinHop        = "bgmp.join.hop"    // a join/source-join processed at one hop
-	SpanPruneHop       = "bgmp.prune.hop"   // a prune/source-prune processed at one hop
-	SpanRepair         = "bgmp.repair"      // RouteChanged re-attached trees
-	SpanPeerDown       = "bgmp.peer_down"   // PeerDown failover processing
-	SpanBGPUpdate      = "bgp.update"       // an inbound update's reselection
-	SpanBGPWithdraw    = "bgp.withdraw"     // RemoveNeighbor's withdrawal reselection
-	SpanSessionDown    = "session.down"     // session supervision tore a peering down
-	SpanLivenessDetect = "liveness.detect"  // the fast detector declared a peer dead
-	SpanClaim          = "masc.claim.round" // a MASC claim from announce to win/loss
+	SpanMemberJoin     SpanName = iota + 1 // a domain-local member joined a group
+	SpanMemberLeave                        // the last domain-local member left
+	SpanJoinHop                            // a join/source-join processed at one hop
+	SpanPruneHop                           // a prune/source-prune processed at one hop
+	SpanRepair                             // RouteChanged re-attached trees
+	SpanPeerDown                           // PeerDown failover processing
+	SpanBGPUpdate                          // an inbound update's reselection
+	SpanBGPWithdraw                        // RemoveNeighbor's withdrawal reselection
+	SpanSessionDown                        // session supervision tore a peering down
+	SpanLivenessDetect                     // the fast detector declared a peer dead
+	SpanClaim                              // a MASC claim from announce to win/loss
+
+	spanCount // sentinel; keep last
 )
 
-// Histogram names. Values are nanoseconds unless the name says otherwise.
-const (
-	HistJoinGraft     = "join_graft_ns"     // member join → branch grafted
-	HistClaimConverge = "claim_converge_ns" // claim announced → claim won
-	HistDetect        = "detect_ns"         // fault injected → session declared down
-	HistReroute       = "reroute_ns"        // fault injected → delivery restored
-	HistReconverge    = "reconverge_ns"     // restart → direct path reconverged
-	HistForwardWork   = "forward_fanout"    // per-packet forwarding fan-out (copies)
-)
+var spanNames = [spanCount]string{
+	SpanMemberJoin:     "member.join",
+	SpanMemberLeave:    "member.leave",
+	SpanJoinHop:        "bgmp.join.hop",
+	SpanPruneHop:       "bgmp.prune.hop",
+	SpanRepair:         "bgmp.repair",
+	SpanPeerDown:       "bgmp.peer_down",
+	SpanBGPUpdate:      "bgp.update",
+	SpanBGPWithdraw:    "bgp.withdraw",
+	SpanSessionDown:    "session.down",
+	SpanLivenessDetect: "liveness.detect",
+	SpanClaim:          "masc.claim.round",
+}
 
-// SpanRecord is one completed (or still-open, End==Start) span.
+// String returns the span's trace name, e.g. "bgmp.join.hop".
+func (n SpanName) String() string { return nameOf(spanNames[:], "span", uint8(n)) }
+
+func (n SpanName) valid() bool { return n != 0 && n < spanCount }
+
+// SpanRecord is one span: completed, or still open (End==Start, and
+// listed by Tracer.Open).
 type SpanRecord struct {
 	Trace  uint64 // causal chain ID
 	ID     uint64 // this span's ID
 	Parent uint64 // parent span ID; zero for roots
-	Name   string
+	Name   SpanName
 	Domain wire.DomainID
 	Router wire.RouterID
 	Peer   wire.RouterID
 	Group  addr.Addr
 	Start  uint64 // ns on the tracer's clock
 	End    uint64
+	ended  bool // End ran; a clockless tracer cannot tell from End alone
 }
 
 // Tracer allocates span and trace IDs from a deterministic seed stream
@@ -91,12 +105,15 @@ func (t *Tracer) Now() uint64 {
 		return 0
 	}
 	t.mu.Lock()
-	now := t.now
-	t.mu.Unlock()
-	if now == nil {
+	defer t.mu.Unlock()
+	return t.nowLocked()
+}
+
+func (t *Tracer) nowLocked() uint64 {
+	if t.now == nil {
 		return 0
 	}
-	return uint64(now().UnixNano())
+	return uint64(t.now().UnixNano())
 }
 
 // nextIDLocked advances the splitmix64 stream, skipping zero (a zero trace
@@ -133,17 +150,30 @@ func (s Span) End() {
 		return
 	}
 	s.t.mu.Lock()
-	if s.t.now != nil {
-		s.t.recs[s.idx].End = uint64(s.t.now().UnixNano())
-	}
+	s.t.recs[s.idx].End = s.t.nowLocked()
+	s.t.recs[s.idx].ended = true
 	s.t.mu.Unlock()
+}
+
+// Open returns the spans begun and never ended, in Records order. Every
+// instrumented path ends what it begins, so at quiescence there are none;
+// a test that traces a protocol exchange asserts it, which catches both a
+// discarded Begin and a span some return path forgets to End. Safe on nil.
+func (t *Tracer) Open() []SpanRecord {
+	var open []SpanRecord
+	for _, r := range t.Records() {
+		if !r.ended {
+			open = append(open, r)
+		}
+	}
+	return open
 }
 
 // Begin starts a new trace rooted at a protocol-initiating event. The
 // event supplies the span's scope labels (Domain/Router/Peer/Group). Safe
-// on nil (returns a no-op Span).
-func (t *Tracer) Begin(name string, e Event) Span {
-	if t == nil {
+// on nil, and an undeclared name begins nothing (both return a no-op Span).
+func (t *Tracer) Begin(name SpanName, e Event) Span {
+	if t == nil || !name.valid() {
 		return Span{}
 	}
 	t.mu.Lock()
@@ -155,8 +185,8 @@ func (t *Tracer) Begin(name string, e Event) Span {
 // BeginChild starts a span under ctx's span in ctx's trace. A zero ctx
 // (untraced message) or nil tracer yields a no-op Span, so propagation
 // stops exactly where tracing stopped.
-func (t *Tracer) BeginChild(ctx wire.TraceContext, name string, e Event) Span {
-	if t == nil || ctx.Zero() {
+func (t *Tracer) BeginChild(ctx wire.TraceContext, name SpanName, e Event) Span {
+	if t == nil || ctx.Zero() || !name.valid() {
 		return Span{}
 	}
 	t.mu.Lock()
@@ -164,12 +194,9 @@ func (t *Tracer) BeginChild(ctx wire.TraceContext, name string, e Event) Span {
 	return t.beginLocked(ctx.Trace, ctx.Span, ctx.Start, name, e)
 }
 
-func (t *Tracer) beginLocked(trace, parent, rootStart uint64, name string, e Event) Span {
+func (t *Tracer) beginLocked(trace, parent, rootStart uint64, name SpanName, e Event) Span {
 	id := t.nextIDLocked()
-	var now uint64
-	if t.now != nil {
-		now = uint64(t.now().UnixNano())
-	}
+	now := t.nowLocked()
 	if rootStart == 0 {
 		rootStart = now
 	}
@@ -191,21 +218,14 @@ func (t *Tracer) Records() []SpanRecord {
 	t.mu.Lock()
 	out := append([]SpanRecord(nil), t.recs...)
 	t.mu.Unlock()
-	SortSpans(out)
+	sortSpans(out)
 	return out
 }
 
-// SortSpans orders spans by (Trace, Start, ID).
-func SortSpans(recs []SpanRecord) {
-	sort.Slice(recs, func(i, j int) bool {
-		a, b := recs[i], recs[j]
-		if a.Trace != b.Trace {
-			return a.Trace < b.Trace
-		}
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		return a.ID < b.ID
+// sortSpans orders spans by (Trace, Start, ID).
+func sortSpans(recs []SpanRecord) {
+	slices.SortFunc(recs, func(a, b SpanRecord) int {
+		return cmp.Or(cmp.Compare(a.Trace, b.Trace), cmp.Compare(a.Start, b.Start), cmp.Compare(a.ID, b.ID))
 	})
 }
 
@@ -253,7 +273,7 @@ func ChromeTrace(recs []SpanRecord) []byte {
 // children by (start, ID). Offsets are milliseconds from the trace root.
 func RenderTree(recs []SpanRecord) string {
 	sorted := append([]SpanRecord(nil), recs...)
-	SortSpans(sorted)
+	sortSpans(sorted)
 	children := map[uint64][]SpanRecord{} // parent span ID → spans
 	var roots []SpanRecord
 	inTrace := map[uint64]bool{}
@@ -271,13 +291,7 @@ func RenderTree(recs []SpanRecord) string {
 	var walk func(r SpanRecord, depth int, rootStart uint64)
 	walk = func(r SpanRecord, depth int, rootStart uint64) {
 		b.WriteString(strings.Repeat("  ", depth))
-		b.WriteString(r.Name)
-		if r.Domain != 0 {
-			fmt.Fprintf(&b, " domain=%d", r.Domain)
-		}
-		if r.Router != 0 {
-			fmt.Fprintf(&b, " router=%d", r.Router)
-		}
+		b.WriteString(r.Name.String() + scope{r.Domain, r.Router}.String())
 		if r.Peer != 0 {
 			fmt.Fprintf(&b, " peer=%d", r.Peer)
 		}

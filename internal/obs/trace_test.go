@@ -87,7 +87,7 @@ func TestTracerBuildsParentChildChain(t *testing.T) {
 	}
 	byName := map[string]SpanRecord{}
 	for _, r := range recs {
-		byName[r.Name+string(rune('0'+r.Router%10))] = r
+		byName[r.Name.String()+string(rune('0'+r.Router%10))] = r
 	}
 	rootRec, hopRec, hop2Rec := byName["member.join1"], byName["bgmp.join.hop3"], byName["bgmp.join.hop2"]
 	if rootRec.Parent != 0 {

@@ -76,8 +76,8 @@ func StartPeer(mc *MsgConn, cfg PeerConfig) (*Peer, error) {
 		out:     cfg.Out,
 		in:      cfg.In,
 		obs:     cfg.Obs,
-		sent:    cfg.Obs.Metrics().Counter(obs.TransportSent.String(), cfg.Local.Domain, cfg.Local.Router),
-		recv:    cfg.Obs.Metrics().Counter(obs.TransportRecv.String(), cfg.Local.Domain, cfg.Local.Router),
+		sent:    cfg.Obs.Counter(obs.TransportSent, cfg.Local.Domain, cfg.Local.Router),
+		recv:    cfg.Obs.Counter(obs.TransportRecv, cfg.Local.Domain, cfg.Local.Router),
 		done:    make(chan struct{}),
 	}
 	if cfg.KeepaliveEvery > 0 {
@@ -100,7 +100,7 @@ func (p *Peer) Send(msg wire.Message) error {
 		p.out.Handled() // never entered the stream
 		return err
 	}
-	p.sent.Inc()
+	p.sent.Add(1)
 	return nil
 }
 
@@ -145,7 +145,7 @@ func (p *Peer) readLoop(useHold bool) {
 			p.finish(err)
 			return
 		}
-		p.recv.Inc()
+		p.recv.Add(1)
 		switch msg.(type) {
 		case *wire.Keepalive:
 			// refreshes the read deadline implicitly

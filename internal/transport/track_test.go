@@ -133,10 +133,10 @@ func TestPeerTracksInFlightMessages(t *testing.T) {
 		t.Fatal("quiesce returned before the handler finished")
 	}
 	s := ob.Snapshot()
-	if s.Get(obs.TransportSent.String(), 10, 1) != 1 {
-		t.Fatalf("transport.sent@10/1 = %d, want 1\n%s", s.Get(obs.TransportSent.String(), 10, 1), s)
+	if s.Get(obs.TransportSent, 10, 1) != 1 {
+		t.Fatalf("transport.sent@10/1 = %d, want 1\n%s", s.Get(obs.TransportSent, 10, 1), s)
 	}
-	if s.Get(obs.TransportRecv.String(), 20, 2) != 1 {
-		t.Fatalf("transport.recv@20/2 = %d, want 1\n%s", s.Get(obs.TransportRecv.String(), 20, 2), s)
+	if s.Get(obs.TransportRecv, 20, 2) != 1 {
+		t.Fatalf("transport.recv@20/2 = %d, want 1\n%s", s.Get(obs.TransportRecv, 20, 2), s)
 	}
 }

@@ -88,7 +88,7 @@ var ErrNotLinked = core.ErrNotLinked
 // collisions, BGP route churn, BGMP joins/prunes and repairs, data-plane
 // hops and deliveries — and to subscribe to the live event stream. Attach
 // a NewTracer (Observer.SetTracer) to record protocol causality as span
-// trees (DESIGN.md §13); everything derives from the deterministic seed
+// trees (DESIGN.md §7); everything derives from the deterministic seed
 // stream and the sim clock: same seed, same spans.
 type (
 	// Observer fans protocol events out to subscribers and the metrics
@@ -102,9 +102,11 @@ type (
 	Tracer = obs.Tracer
 	// SpanRecord is one finished span as recorded by a Tracer.
 	SpanRecord = obs.SpanRecord
+	// Hist names one histogram; Snapshot.Hist reads it.
+	Hist = obs.Hist
 )
 
-// NewObserver returns an Observer backed by a fresh Metrics registry.
+// NewObserver returns an Observer with an empty counter registry.
 func NewObserver() *Observer { return obs.NewObserver() }
 
 // NewTracer returns a Tracer whose span IDs derive from seed.
@@ -118,8 +120,7 @@ func ChromeTrace(recs []SpanRecord) []byte { return obs.ChromeTrace(recs) }
 // filtering the stream; the other kinds are Event.Kind.String() names.
 const EventMASCClaim = obs.MASCClaim
 
-// The histogram names chaossim reports (obs owns the canonical constants;
-// masclint rejects string-literal emission sites).
+// The histograms chaossim reports.
 const (
 	HistDetect     = obs.HistDetect
 	HistReroute    = obs.HistReroute

@@ -19,3 +19,7 @@ go test -run Determinism -count=2 ./...
 # benchmark/ is its own module importing internal/ directly: ./... above
 # never compiles it, so a change that may not edit it can still break it.
 (cd benchmark && go vet . && go test .)
+# The deletion-budget number as ROADMAP item 6 counts it (non-test Go
+# outside benchmark/ and testdata/): each PR reports this line.
+set +x
+echo "non-test Go lines: $(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path '*/testdata/*' -not -path './.bench_build/*' | xargs cat | wc -l)"
