@@ -217,13 +217,17 @@ func TestBidirectionalForwarding(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rig := newRig(1, 5, false)
 			buildTree(rig)
-			rig.comp.Deliver(tc.from, data(16))
+			in := data(16)
+			rig.comp.Deliver(tc.from, in)
 			var peers []wire.RouterID
 			for _, s := range rig.sent {
 				if d, ok := s.msg.(*wire.Data); ok {
 					peers = append(peers, s.to)
-					if d.TTL != 15 {
-						t.Errorf("TTL = %d, want 15", d.TTL)
+					// Every peer is handed the packet itself, as it came:
+					// the hop's TTL is the receiver's to spend (TestTTLExpiry
+					// holds the sender's half, the refusal at TTL 1).
+					if d != in || d.TTL != 16 {
+						t.Errorf("peer %d was sent %p with TTL %d, want the packet delivered (%p) with its TTL 16", s.to, d, d.TTL, in)
 					}
 				}
 			}

@@ -57,28 +57,28 @@ func (e *Egress) Send(t Target, msg wire.Message) {
 	}
 }
 
-// ToPeer sends a copy of d across an inter-domain hop, spending one TTL. It
-// reports false when the TTL is used up and the packet dropped.
+// ToPeer sends d across an inter-domain hop as it is; the router that
+// receives it spends the hop's TTL, on the copy it decodes and alone owns. It
+// reports false when no TTL is left to spend and the packet dropped.
 func (e *Egress) ToPeer(to wire.RouterID, d *wire.Data) bool {
 	if d.TTL <= 1 {
 		return false
 	}
-	cp := *d
-	cp.TTL--
 	e.emit(obs.DataForwarded, to, d)
-	e.SendPeer(to, &cp)
+	e.SendPeer(to, d)
 	return true
 }
 
-// Inject delivers a native copy of d — backend headers stripped — into the
-// domain interior at this border. When interior RPF refuses the entry point
-// (§5.3) it returns the border router the interior expects d's source to
-// enter at; the caller does its bookkeeping and then Encaps to it. Zero
-// means delivered, or refused with nowhere to encapsulate to: dropped.
+// Inject delivers d natively into the domain interior at this border, copied
+// only to strip a backend header it still carries. When interior RPF refuses
+// the entry point (§5.3) it returns the border router the interior expects
+// d's source to enter at; the caller does its bookkeeping and then Encaps to
+// it. Zero means delivered, or refused with nowhere to encapsulate to: dropped.
 func (e *Egress) Inject(d *wire.Data) (expected wire.RouterID) {
-	cp := *d
-	cp.Bits, cp.TunnelTo, cp.Encap = nil, 0, false
-	if e.MIGP.Inject(&cp) {
+	if d.Bits != nil || d.TunnelTo != 0 || d.Encap {
+		d = &wire.Data{Group: d.Group, Source: d.Source, TTL: d.TTL, Payload: d.Payload}
+	}
+	if e.MIGP.Inject(d) {
 		return 0
 	}
 	if exp := e.MIGP.ExpectedEntry(d.Source); exp != e.Router {

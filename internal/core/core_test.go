@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"mascbgmp/internal/addr"
+	"mascbgmp/internal/dataplane"
 	"mascbgmp/internal/migp/dvmrp"
 	"mascbgmp/internal/obs"
 	"mascbgmp/internal/simclock"
@@ -223,6 +226,42 @@ func establishGroup(t *testing.T, n *Network, clk *simclock.Sim) addr.Addr {
 	return g
 }
 
+// paperMembers are the domains establishGroup joins.
+var paperMembers = []wire.DomainID{2, 3, 4, 6, 8}
+
+// assertExactlyOnce is the steady-state delivery clause (§5.2; ROADMAP item
+// 1(a)): one packet sent to group from a host in domain sender — a member or
+// not (§3) — arrives exactly once in every domain of members, payload, group
+// and source intact, and nowhere else. Each member domain is taken to hold
+// one member host. The delivery logs are cleared on the way in and out.
+func assertExactlyOnce(t *testing.T, n *Network, group addr.Addr, members []wire.DomainID, sender wire.DomainID) {
+	t.Helper()
+	for _, d := range n.Domains() {
+		d.ClearReceived()
+	}
+	from := n.Domain(sender)
+	src, payload := from.HostAddr(1), fmt.Sprintf("exactly once from %d", sender)
+	from.Send(group, src, payload, 0)
+	for _, d := range n.Domains() {
+		got := d.Received()
+		d.ClearReceived()
+		if !slices.Contains(members, d.ID) {
+			if len(got) != 0 {
+				t.Errorf("%s: domain %d has no member of %v and received %v", n.cfg.DataPlane, d.ID, group, got)
+			}
+			continue
+		}
+		if len(got) != 1 {
+			t.Errorf("%s: member domain %d received %d copies of one packet from domain %d, want exactly 1: %v",
+				n.cfg.DataPlane, d.ID, len(got), sender, got)
+			continue
+		}
+		if dv := got[0]; dv.Group != group || dv.Source != src || dv.Payload != payload {
+			t.Errorf("%s: member domain %d received %+v, want %q from %v to %v", n.cfg.DataPlane, d.ID, dv, payload, src, group)
+		}
+	}
+}
+
 func TestBidirectionalTreeConstruction(t *testing.T) {
 	n, clk := paperNet(t, false, false)
 	g := establishGroup(t, n, clk)
@@ -270,60 +309,39 @@ func TestBidirectionalTreeConstruction(t *testing.T) {
 	}
 }
 
+// paperNetBackends runs fn on the Fig 3(a) group once per forwarding backend.
+func paperNetBackends(t *testing.T, fn func(n *Network, g addr.Addr)) {
+	t.Helper()
+	for _, backend := range dataplane.Names() {
+		n, clk := paperNetDP(t, false, false, backend, nil)
+		fn(n, establishGroup(t, n, clk))
+	}
+}
+
 func TestDataDeliveryAlongBidirectionalTree(t *testing.T) {
-	n, clk := paperNet(t, false, false)
-	g := establishGroup(t, n, clk)
-
-	// A host in D (a member domain) sends: every member domain receives,
-	// including D itself is not required (sender's own domain has the
-	// member at another node — it does receive via the interior).
-	src := n.Domain(4).HostAddr(1)
-	n.Domain(4).Send(g, src, "hello from D", 1)
-
-	for _, id := range []wire.DomainID{2, 3, 6, 8} {
-		got := n.Domain(id).Received()
-		if len(got) == 0 {
-			t.Fatalf("domain %d received nothing", id)
-		}
-		for _, dv := range got {
-			if dv.Group != g || dv.Source != src || dv.Payload != "hello from D" {
-				t.Fatalf("domain %d bad delivery %+v", id, dv)
-			}
-		}
-	}
-	// Non-member domain E must receive nothing.
-	if got := n.Domain(5).Received(); len(got) != 0 {
-		t.Fatalf("E is not a member but received %v", got)
-	}
+	// A host in D (a member domain) sends: every member domain receives —
+	// D itself through its interior — and non-member E receives nothing.
+	paperNetBackends(t, func(n *Network, g addr.Addr) {
+		assertExactlyOnce(t, n, g, paperMembers, 4)
+	})
 }
 
 func TestNonMemberSenderConformsToIPModel(t *testing.T) {
 	// §3: senders need not be members. A host in E (no members) sends;
 	// data flows toward the root domain and down the tree to all members.
-	n, clk := paperNet(t, false, false)
-	g := establishGroup(t, n, clk)
-
-	src := n.Domain(5).HostAddr(1)
-	n.Domain(5).Send(g, src, "sensor report", 1)
-
-	for _, id := range []wire.DomainID{2, 3, 4, 6, 8} {
-		if len(n.Domain(id).Received()) == 0 {
-			t.Fatalf("member domain %d missed the non-member sender's data", id)
-		}
-	}
+	paperNetBackends(t, func(n *Network, g addr.Addr) {
+		assertExactlyOnce(t, n, g, paperMembers, 5)
+	})
 }
 
 func TestNoDuplicateDeliveries(t *testing.T) {
-	n, clk := paperNet(t, false, false)
-	g := establishGroup(t, n, clk)
-	src := n.Domain(5).HostAddr(1)
-	n.Domain(5).Send(g, src, "one", 1)
-	for _, id := range []wire.DomainID{2, 3, 4, 6, 8} {
-		got := n.Domain(id).Received()
-		if len(got) != 1 {
-			t.Fatalf("domain %d got %d copies, want exactly 1: %v", id, len(got), got)
+	// Steady state stays steady: packet after packet, from members and
+	// non-members in turn, one copy each and no more.
+	paperNetBackends(t, func(n *Network, g addr.Addr) {
+		for _, sender := range []wire.DomainID{5, 4, 1, 8, 5} {
+			assertExactlyOnce(t, n, g, paperMembers, sender)
 		}
-	}
+	})
 }
 
 func TestLeavePrunesTree(t *testing.T) {
@@ -344,15 +362,7 @@ func TestLeavePrunesTree(t *testing.T) {
 		t.Fatal("C1 must keep state for C's member")
 	}
 	// Data still reaches remaining members but not H.
-	n.Domain(8).ClearReceived()
-	src := n.Domain(4).HostAddr(1)
-	n.Domain(4).Send(g, src, "after prune", 1)
-	if len(n.Domain(8).Received()) != 0 {
-		t.Fatal("H received data after leaving")
-	}
-	if len(n.Domain(3).Received()) == 0 {
-		t.Fatal("C lost data after H's prune")
-	}
+	assertExactlyOnce(t, n, g, []wire.DomainID{2, 3, 4, 6}, 4)
 }
 
 func TestFig3bEncapsulationAndSourceBranch(t *testing.T) {
@@ -392,16 +402,9 @@ func TestFig3bEncapsulationAndSourceBranch(t *testing.T) {
 	if got := n.Domain(6).Received(); len(got) != 1 {
 		t.Fatalf("F got %d copies of pkt3, want exactly 1: %v", len(got), got)
 	}
-	// And every other member domain still gets exactly one copy.
-	for _, id := range []wire.DomainID{2, 3, 4, 8} {
-		n.Domain(id).ClearReceived()
-	}
-	n.Domain(4).Send(g, src, "pkt4", 1)
-	for _, id := range []wire.DomainID{2, 3, 8} {
-		if got := n.Domain(id).Received(); len(got) != 1 {
-			t.Fatalf("domain %d got %d copies of pkt4: %v", id, len(got), got)
-		}
-	}
+	// And every member domain, F included, gets exactly one copy of the next
+	// packet from S.
+	assertExactlyOnce(t, n, g, paperMembers, 4)
 }
 
 func TestAsyncNetworkConverges(t *testing.T) {

@@ -149,6 +149,11 @@ type Network struct {
 	// frame is the encode buffer every function-call hop reuses.
 	// guarded by frameMu
 	frame []byte
+	// packets are the free lists of decoded data packets, [1] of those with
+	// a bitstring (so that decoding never drops its array): plain stacks, not
+	// a sync.Pool, which a collection empties — what a send allocates must
+	// not depend on the collector (DESIGN.md §17). guarded by frameMu
+	packets [2][]*wire.Data
 }
 
 type link struct {
@@ -347,12 +352,28 @@ func (n *Network) mascDeliver(from, to wire.DomainID, msg wire.Message) {
 
 // roundTrip returns msg as its receiver decodes it off the wire. wire.Decode
 // copies everything out of the frame, so the one buffer is free again before
-// the receiver runs and sends in turn.
+// the receiver runs and sends in turn. A data packet is decoded into the free
+// list's top one: the receiver's until it returns and the caller recycles it.
 func (n *Network) roundTrip(msg wire.Message) (wire.Message, error) {
 	n.frameMu.Lock()
 	defer n.frameMu.Unlock()
 	n.frame = wire.AppendFrame(n.frame[:0], msg)
+	if d, ok := msg.(*wire.Data); ok {
+		if free := &n.packets[min(len(d.Bits), 1)]; len(*free) > 0 {
+			into := (*free)[len(*free)-1]
+			*free = (*free)[:len(*free)-1]
+			return into, wire.DecodeInto(n.frame, into)
+		}
+	}
 	return wire.Decode(n.frame)
+}
+
+// recycle frees a data packet roundTrip decoded, once its receiver has returned.
+func (n *Network) recycle(d *wire.Data) {
+	n.frameMu.Lock()
+	free := &n.packets[min(len(d.Bits), 1)]
+	*free = append(*free, d)
+	n.frameMu.Unlock()
 }
 
 // Quiesce blocks until every in-flight asynchronous message — including

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 
 	"mascbgmp/internal/addr"
@@ -36,7 +37,9 @@ type Router struct {
 }
 
 // sender abstracts the delivery path to one peer: a transport.Peer in
-// asynchronous mode, a direct dispatch in synchronous mode.
+// asynchronous mode, a direct dispatch in synchronous mode. A *wire.Data is
+// the caller's again — a recycled packet, soon decoded over — when Send
+// returns: a sender that delivers later, or twice, copies first (faultSender).
 type sender interface {
 	Send(msg wire.Message) error
 	Close() error
@@ -50,11 +53,15 @@ type directSender struct {
 }
 
 func (d directSender) Send(msg wire.Message) error {
-	decoded, err := d.to.domain.net.roundTrip(msg)
+	n := d.to.domain.net
+	decoded, err := n.roundTrip(msg)
 	if err != nil {
 		return err
 	}
 	d.to.dispatch(d.from, decoded)
+	if data, ok := decoded.(*wire.Data); ok {
+		n.recycle(data)
+	}
 	return nil
 }
 
@@ -73,8 +80,12 @@ type faultSender struct {
 
 func (f *faultSender) Send(msg wire.Message) error {
 	class := faultinject.Control
-	if _, ok := msg.(*wire.Data); ok {
+	if d, ok := msg.(*wire.Data); ok {
 		class = faultinject.Data
+		// The plane may run the closure after Send has returned, or twice.
+		cp := *d
+		cp.Bits, cp.Payload = slices.Clone(d.Bits), slices.Clone(d.Payload)
+		msg = &cp
 	}
 	f.plane.Deliver(f.from, f.to, class, func() { _ = f.inner.Send(msg) })
 	return nil
@@ -237,6 +248,11 @@ func (r *Router) dispatch(from wire.RouterID, msg wire.Message) {
 	case *wire.GroupJoin, *wire.GroupPrune, *wire.SourceJoin, *wire.SourcePrune:
 		r.bgmp.HandlePeer(from, msg)
 	case *wire.Data:
+		// The receiver spends the hop's TTL, on the copy it decoded: the
+		// sender's packet is one its other targets still read (Egress.ToPeer).
+		if m.TTL > 0 {
+			m.TTL--
+		}
 		r.backend.Deliver(bgmp.PeerTarget(from), m)
 	case *wire.MemberReport:
 		r.backend.HandleControl(bgmp.PeerTarget(from), m)

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -229,6 +230,13 @@ func biftScript(seed int64, steps int, sabotage bool) error {
 		if !slices.Equal(got.log, want.log) {
 			return fmt.Errorf("step %d, bits %x:\n BIFT   %q\n oracle %q", step, bs, got.log, want.log)
 		}
+		for _, line := range got.log {
+			// Across a peering as through the interior: the next router
+			// spends the hop's TTL, none is spent here.
+			if line != "inject" && !strings.Contains(line, " ttl 16 ") {
+				return fmt.Errorf("step %d: %q left with another TTL than the 16 it came with", step, line)
+			}
+		}
 		if g, w := got.o.Stats(), want.o.Stats(); g != w {
 			return fmt.Errorf("step %d: Stats %+v, oracle %+v", step, g, w)
 		}
@@ -291,7 +299,7 @@ func biftScript(seed int64, steps int, sabotage bool) error {
 // per-packet derivation it replaced: over random next-hop moves,
 // withdrawals, re-announcements, sibling-border next hops, routes whose
 // lifetime runs out between two packets and crashes, every packet must
-// leave both routers as the same copies — target, TTL, trimmed bits — in
+// leave both routers as the same copies — target, TTL as it came, trimmed bits — in
 // the same order, with the same header bytes and counters. Skipping the
 // generation bump of a route change must make it fail.
 func TestBIFTMatchesPerPacketLookup(t *testing.T) {

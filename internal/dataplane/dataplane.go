@@ -74,7 +74,8 @@ func BIERHeaderBytes(words int) int { return BIERFixedHeaderBytes + 8*words }
 type Backend interface {
 	// Name returns the backend's registered name.
 	Name() string
-	// Deliver forwards one multicast packet that arrived from src.
+	// Deliver forwards one multicast packet that arrived from src. d is valid
+	// until it returns (the next packet is decoded over it): copy what is kept.
 	Deliver(src bgmp.Target, d *wire.Data)
 	// HandleControl processes a backend-specific control message (today:
 	// *wire.MemberReport). Messages of other types are ignored.

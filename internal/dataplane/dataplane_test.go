@@ -201,8 +201,10 @@ func TestOverlayEgress(t *testing.T) {
 		wantEvent    obs.Kind
 		want         Stats
 	}{
+		// The hop's TTL is the receiving router's to spend (core.TestTTLReach):
+		// the copy leaves with the TTL it came with.
 		{name: "peer hop spends a TTL and a tunnel header", ent: away(7), ttl: 16,
-			wantTo: 7, wantTTL: 15, wantEvent: obs.DataForwarded,
+			wantTo: 7, wantTTL: 16, wantEvent: obs.DataForwarded,
 			want: Stats{PeerSends: 1, HeaderBytes: EncapHeaderBytes}},
 		{name: "TTL 1 is dropped at the peering", ent: away(7), ttl: 1},
 		{name: "sibling next hop relays through the interior", ent: away(103), ttl: 16,

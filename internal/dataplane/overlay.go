@@ -271,7 +271,7 @@ func (o *overlay) deliverTunnel(d *wire.Data) {
 		return
 	}
 	cp := *d
-	cp.TunnelTo = 0
+	cp.Bits, cp.TunnelTo, cp.Encap = nil, 0, false // all of them: Inject copies what has one
 	if d.Encap {
 		// The root's egress copy reached the member domain.
 		o.injectLocal(&cp)
@@ -342,7 +342,7 @@ func (o *overlay) rootReplicate(d *wire.Data, injectLocally bool) {
 func (o *overlay) deliverBits(d *wire.Data) {
 	if hasBit(d.Bits, uint32(o.cfg.Domain)) {
 		cp := *d
-		cp.Bits = nil
+		cp.Bits, cp.TunnelTo, cp.Encap = nil, 0, false
 		o.injectLocal(&cp)
 	}
 	o.forwardBits(d)
@@ -439,9 +439,9 @@ func (o *overlay) injectLocal(d *wire.Data) {
 	}
 }
 
-// hop moves one copy of d a unicast hop toward t: relayed as is through the
-// interior to a sibling border, or across the peering, which spends a TTL
-// and headerBytes of this backend's header.
+// hop moves d a unicast hop toward t: relayed as is through the interior to
+// a sibling border, or across the peering, which costs a TTL (spent by the
+// receiver, see Egress.ToPeer) and headerBytes of this backend's header.
 func (o *overlay) hop(t bgmp.Target, d *wire.Data, headerBytes int) {
 	if t.MIGP {
 		o.count(Stats{Relays: 1})

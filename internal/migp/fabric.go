@@ -42,7 +42,7 @@ type FabricConfig struct {
 	// not made at all.
 	BestExit func(a addr.Addr) wire.RouterID
 	// OnHostDeliver, if set, observes every member delivery (for tests
-	// and example programs).
+	// and example programs). d is valid until it returns: copy what is kept.
 	OnHostDeliver func(member Node, d *wire.Data)
 }
 
@@ -58,9 +58,10 @@ type Border interface {
 	LocalLeave(g addr.Addr)
 	// Deliver hands the border a packet from the domain interior
 	// (bgmp.MIGPTarget) — the single data ingress of the forwarding API.
+	// d is valid until Deliver returns; a border copies what it keeps.
 	Deliver(src bgmp.Target, d *wire.Data)
 	// HandleFromBorder processes a message relayed from a sibling border
-	// router through the domain.
+	// router through the domain; a *wire.Data is valid until it returns.
 	HandleFromBorder(from wire.RouterID, msg wire.Message)
 	// HasForwardingState reports whether the border holds per-group
 	// forwarding state for g (used to route border-entered packets only

@@ -27,6 +27,9 @@ import (
 type MsgConn struct {
 	conn net.Conn
 	br   *bufio.Reader
+	// rbuf holds the frame Read is parsing (wire.Decode copies out of it). No
+	// lock: one goroutine reads, Handshake's Read returning before readLoop starts.
+	rbuf []byte
 
 	wmu  sync.Mutex
 	wbuf []byte // guarded by wmu
@@ -38,7 +41,7 @@ type MsgConn struct {
 // NewMsgConn wraps conn. The caller must not read from or write to conn
 // directly afterwards.
 func NewMsgConn(conn net.Conn) *MsgConn {
-	return &MsgConn{conn: conn, br: bufio.NewReaderSize(conn, 32*1024)}
+	return &MsgConn{conn: conn, br: bufio.NewReaderSize(conn, 32*1024), rbuf: make([]byte, wire.HeaderSize)}
 }
 
 // Pipe returns two MsgConns connected back-to-back in memory, for tests and
@@ -64,11 +67,11 @@ func (mc *MsgConn) Write(msg wire.Message) error {
 // (possibly wrapped); on any framing error the connection is poisoned and
 // should be closed.
 func (mc *MsgConn) Read() (wire.Message, error) {
-	var hdr [wire.HeaderSize]byte
-	if _, err := io.ReadFull(mc.br, hdr[:]); err != nil {
+	hdr := mc.rbuf[:wire.HeaderSize]
+	if _, err := io.ReadFull(mc.br, hdr); err != nil {
 		return nil, err
 	}
-	if binary.BigEndian.Uint16(hdr[:]) != wire.Magic {
+	if binary.BigEndian.Uint16(hdr) != wire.Magic {
 		return nil, wire.ErrBadMagic
 	}
 	if hdr[2] != wire.Version && hdr[2] != wire.TraceVersion {
@@ -78,8 +81,11 @@ func (mc *MsgConn) Read() (wire.Message, error) {
 	if n > wire.MaxPayload {
 		return nil, wire.ErrBadLength
 	}
-	frame := make([]byte, wire.HeaderSize+int(n))
-	copy(frame, hdr[:])
+	size := wire.HeaderSize + int(n)
+	if cap(mc.rbuf) < size {
+		mc.rbuf = append(make([]byte, 0, size), hdr...)
+	}
+	frame := mc.rbuf[:size]
 	if _, err := io.ReadFull(mc.br, frame[wire.HeaderSize:]); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF

@@ -33,6 +33,41 @@ func TestMsgConnRoundTripOverPipe(t *testing.T) {
 	}
 }
 
+// TestReadAllocatesOnlyTheMessage: Read parses each frame in the buffer the
+// connection keeps — wire.Decode copies out of it — so once that has grown to
+// the frame size a data packet costs the decoded message and its payload and
+// nothing for the frame.
+func TestReadAllocatesOnlyTheMessage(t *testing.T) {
+	for _, size := range []int{64, 1400} {
+		a, b := Pipe()
+		msg := &wire.Data{Group: addr.MakeAddr(224, 1, 2, 3), Source: addr.MakeAddr(10, 0, 0, 1), TTL: 16, Payload: make([]byte, size)}
+		next, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			for range next {
+				if err := a.Write(msg); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		got := testing.AllocsPerRun(100, func() {
+			next <- struct{}{}
+			m, err := b.Read()
+			if err != nil || len(m.(*wire.Data).Payload) != size {
+				t.Fatalf("Read = %v, %v", m, err)
+			}
+		})
+		close(next)
+		<-done
+		a.Close()
+		b.Close()
+		if got != 2 {
+			t.Errorf("%d B data packet: %v allocations per Read, want 2 (the message, its payload)", size, got)
+		}
+	}
+}
+
 func TestMsgConnManyMessagesOrdered(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"testing"
 
 	"mascbgmp/internal/addr"
@@ -10,10 +11,14 @@ import (
 
 // FuzzDecodeNext feeds arbitrary bytes to the frame decoder: it must never
 // panic, any frame it accepts must re-encode to the identical bytes
-// (round-trip stability), and the message must not alias the input. The
-// seed corpus covers every message type, an Update for a table that does
-// not exist (the frame that used to crash the receiving speaker), traced
-// frames and Data bitstrings whole, cut short and overstated.
+// (round-trip stability), and the message must not alias the input. A Data
+// frame it accepts must also decode into a dirty, reused Data — a longer
+// payload, a bitstring, a tunnel and the encap mark left over — as the very
+// message a fresh Decode gives (nil against empty Bits included) and as free
+// of aliases. The seed corpus covers every message type, an Update for a
+// table that does not exist (the frame that used to crash the receiving
+// speaker), traced frames and Data bitstrings whole, cut short and
+// overstated.
 func FuzzDecodeNext(f *testing.F) {
 	for _, msg := range allMessages() {
 		f.Add(Encode(msg))
@@ -42,6 +47,18 @@ func FuzzDecodeNext(f *testing.F) {
 		re := Encode(msg)
 		if !bytes.Equal(re, consumed) {
 			t.Fatalf("round trip mismatch:\n in  %x\n out %x", consumed, re)
+		}
+		if _, ok := msg.(*Data); ok {
+			frame := bytes.Clone(consumed)
+			dirty := &Data{Group: 1, Source: 2, TTL: 3, Encap: true, TunnelTo: 4,
+				Bits: []uint64{5, 6, 7, 8, 9}, Payload: bytes.Repeat([]byte{0xA5}, len(frame)+64)}
+			if err := DecodeInto(frame, dirty); err != nil {
+				t.Fatalf("Decode accepts %x, DecodeInto: %v", frame, err)
+			}
+			if !reflect.DeepEqual(dirty, msg) {
+				t.Fatalf("frame %x\n into a reused Data %#v\n fresh               %#v", frame, dirty, msg)
+			}
+			requireNoAlias(t, dirty, frame)
 		}
 		requireNoAlias(t, msg, consumed)
 	})

@@ -595,7 +595,8 @@ func (m *Data) AppendPayload(b []byte) []byte {
 	return appendBytes(b, m.Payload)
 }
 
-// DecodePayload implements Message.
+// DecodePayload implements Message. Payload and Bits are copied into the
+// arrays m holds when they have room: a reused Data allocates only to grow.
 func (m *Data) DecodePayload(b []byte) error {
 	r := reader{b: b}
 	m.Group = r.addr()
@@ -613,15 +614,20 @@ func (m *Data) DecodePayload(b []byte) error {
 			return fmt.Errorf("wire: data frame tunnelled to the zero address")
 		}
 	}
+	bits := m.Bits
 	m.Bits = nil
 	if flags&dataFlagBits != 0 {
 		// Non-nil even when empty, for flag round-trip fidelity.
-		m.Bits = make([]uint64, r.count(8))
+		n := r.count(8)
+		if bits == nil || cap(bits) < n {
+			bits = make([]uint64, n)
+		}
+		m.Bits = bits[:n]
 		for i := range m.Bits {
 			m.Bits[i] = r.u64()
 		}
 	}
-	m.Payload = r.bytes()
+	m.Payload = r.bytes(m.Payload)
 	return r.done()
 }
 

@@ -157,19 +157,29 @@ func AppendFrame(b []byte, msg Message) []byte {
 // Decode copies: the message holds no reference into b, so the caller may
 // reuse the frame buffer as soon as Decode returns.
 func Decode(b []byte) (Message, error) {
-	msg, rest, err := DecodeNext(b)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
+	msg, rest, err := decodeNext(b, nil)
+	if err == nil && len(rest) != 0 {
 		return nil, ErrTrailing
 	}
-	return msg, nil
+	return msg, err
+}
+
+// DecodeInto is Decode into msg, a message of the frame's type whose contents
+// it overwrites (unspecified after an error). A Data that has held a packet as
+// large allocates nothing, and still holds no reference into b.
+func DecodeInto(b []byte, msg Message) error {
+	if _, rest, err := decodeNext(b, msg); err != nil || len(rest) == 0 {
+		return err
+	}
+	return ErrTrailing
 }
 
 // DecodeNext parses the first frame in b and returns the remainder, so a
 // byte stream of concatenated frames can be consumed incrementally.
-func DecodeNext(b []byte) (Message, []byte, error) {
+func DecodeNext(b []byte) (Message, []byte, error) { return decodeNext(b, nil) }
+
+// decodeNext is DecodeNext into msg, or a new message when msg is nil.
+func decodeNext(b []byte, msg Message) (Message, []byte, error) {
 	if len(b) < HeaderSize {
 		return nil, b, ErrShortFrame
 	}
@@ -184,7 +194,11 @@ func DecodeNext(b []byte) (Message, []byte, error) {
 	if n > MaxPayload || uint64(HeaderSize)+uint64(n) > uint64(len(b)) {
 		return nil, b, ErrBadLength
 	}
-	msg := newMessage(t)
+	if msg == nil {
+		msg = newMessage(t)
+	} else if msg.Type() != t {
+		return nil, b, fmt.Errorf("wire: %v frame decoded into a %v", t, msg.Type())
+	}
 	if msg == nil {
 		return nil, b, fmt.Errorf("%w: 0x%02x", ErrUnknownType, uint8(t))
 	}
@@ -323,7 +337,9 @@ func (r *reader) prefix() addr.Prefix {
 	return p
 }
 
-func (r *reader) bytes() []byte {
+// bytes copies a u32-counted byte string out, into into's array when that has
+// room; an empty string reads as nil.
+func (r *reader) bytes(into []byte) []byte {
 	n := int(r.u32())
 	if r.err != nil || len(r.b) < n {
 		r.fail()
@@ -332,13 +348,12 @@ func (r *reader) bytes() []byte {
 	if n == 0 {
 		return nil
 	}
-	v := make([]byte, n)
-	copy(v, r.b)
+	v := append(into[:0], r.b[:n]...)
 	r.b = r.b[n:]
 	return v
 }
 
-func (r *reader) str() string { return string(r.bytes()) }
+func (r *reader) str() string { return string(r.bytes(nil)) }
 
 // done returns the decode error, requiring full consumption of the payload.
 func (r *reader) done() error {

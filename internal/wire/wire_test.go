@@ -166,41 +166,76 @@ func TestUpdateDecodeAllocatesAnnouncedSizesOnly(t *testing.T) {
 
 // TestDataDecodeAllocatesAnnouncedBitsOnly: a Data frame's bitstring is
 // made once, at the announced width, after the width has been checked
-// against the bytes that follow — so a forged count allocates nothing.
+// against the bytes that follow — so a forged count allocates nothing. Both
+// entry points are held to it: Decode pays for the message and a string of
+// exactly the announced size, DecodeInto into a Data that has held one as
+// wide pays nothing, and neither lets an overstated count size anything.
 func TestDataDecodeAllocatesAnnouncedBitsOnly(t *testing.T) {
 	for _, words := range []int{0, 1, 4, 64, 1000} {
 		honest := &Data{Group: addr.MakeAddr(224, 0, 128, 1), TTL: 9, Bits: make([]uint64, words)}
 		for i := range honest.Bits {
 			honest.Bits[i] = uint64(i) + 1
 		}
-		payload := honest.AppendPayload(nil)
-		var m Data
-		want := 1.0
-		if words == 0 {
-			want = 0 // present but empty: non-nil, nothing behind it
-		}
-		if got := testing.AllocsPerRun(10, func() {
-			if err := m.DecodePayload(payload); err != nil {
-				t.Fatal(err)
+		frame := Encode(honest)
+		check := func(how string, m *Data) {
+			t.Helper()
+			if m.Bits == nil || !reflect.DeepEqual(m.Bits, honest.Bits) {
+				t.Errorf("%s, %d-word bitstring decoded to %v", how, words, m.Bits)
 			}
-		}); got != want {
-			t.Errorf("%d-word bitstring: %v allocations, want %v", words, got, want)
-		}
-		if m.Bits == nil || !reflect.DeepEqual(m.Bits, honest.Bits) {
-			t.Errorf("%d-word bitstring decoded to %v", words, m.Bits)
 		}
 
+		wantFresh := 2.0 // the message and its string
+		if words == 0 {
+			wantFresh = 1 // present but empty: non-nil, nothing behind it
+		}
+		var fresh Message
+		if got := testing.AllocsPerRun(10, func() {
+			var err error
+			if fresh, err = Decode(frame); err != nil {
+				t.Fatal(err)
+			}
+		}); got != wantFresh {
+			t.Errorf("Decode, %d-word bitstring: %v allocations, want %v", words, got, wantFresh)
+		}
+		check("Decode", fresh.(*Data))
+		if got := cap(fresh.(*Data).Bits); got != words {
+			t.Errorf("Decode, %d-word bitstring: made room for %d words", words, got)
+		}
+
+		var m Data
+		if err := DecodeInto(frame, &m); err != nil {
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(10, func() {
+			if err := DecodeInto(frame, &m); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("DecodeInto, %d-word bitstring into a Data that held one: %v allocations, want 0", words, got)
+		}
+		check("DecodeInto", &m)
+
 		// The same frame announcing more words than it has, up to all a
-		// count can say.
+		// count can say: an error, and only Decode's message is allocated.
 		for _, claim := range []int{words + 1, 0xffff} {
-			forged := bytes.Clone(payload)
-			binary.BigEndian.PutUint16(forged[10:], uint16(claim))
+			forged := bytes.Clone(frame)
+			binary.BigEndian.PutUint16(forged[HeaderSize+10:], uint16(claim))
 			if got := testing.AllocsPerRun(10, func() {
-				if err := m.DecodePayload(forged); err != ErrTruncated {
-					t.Fatalf("%d words announced, %d present: err = %v, want ErrTruncated", claim, words, err)
+				if _, err := Decode(forged); err != ErrTruncated {
+					t.Fatalf("Decode, %d words announced, %d present: err = %v, want ErrTruncated", claim, words, err)
 				}
-			}); got != 0 || len(m.Bits) != 0 {
-				t.Errorf("%d words announced, %d present: %v allocations, %d words made, want none", claim, words, got, len(m.Bits))
+			}); got != 1 {
+				t.Errorf("Decode, %d words announced, %d present: %v allocations, want 1 (the message)", claim, words, got)
+			}
+			for _, into := range []*Data{{}, &m} { // nothing to reuse; a string to reuse
+				if got := testing.AllocsPerRun(10, func() {
+					if err := DecodeInto(forged, into); err != ErrTruncated {
+						t.Fatalf("DecodeInto, %d words announced, %d present: err = %v, want ErrTruncated", claim, words, err)
+					}
+				}); got != 0 || len(into.Bits) != 0 {
+					t.Errorf("DecodeInto, %d words announced, %d present: %v allocations, %d words made, want none",
+						claim, words, got, len(into.Bits))
+				}
 			}
 		}
 	}
