@@ -223,21 +223,39 @@ func (c *Component) forwardTo(t Target, d *wire.Data) {
 
 // handleEncap processes an encapsulated packet relayed from another border
 // router of this domain: decapsulate, inject (we are the expected entry, so
-// interior RPF passes), and optionally start a source-specific branch so
-// future packets arrive natively.
+// interior RPF passes), serve this router's own peers on the shared tree,
+// and optionally start a source-specific branch so future packets arrive
+// natively.
 func (c *Component) handleEncap(from wire.RouterID, d *wire.Data) {
-	c.eg.Inject(d)
-	if !c.cfg.BuildSourceBranches {
-		return
-	}
+	native := &wire.Data{Group: d.Group, Source: d.Source, TTL: d.TTL, Payload: d.Payload}
+	c.eg.Inject(native)
 	k := sgKey{d.Source, d.Group}
 	c.mu.Lock()
+	e := c.groups[d.Group]
+	if e == nil {
+		e = c.prefixEntryForLocked(d.Group)
+	}
+	var targets []Target
+	if e != nil {
+		targets = e.targets()
+	}
 	_, have := c.srcs[k]
-	if !have {
+	branch := c.cfg.BuildSourceBranches && !have
+	if branch {
 		c.encapFrom[k] = from
 	}
 	c.mu.Unlock()
-	if !have {
+	// The interior hands an injected packet to every border but the one it
+	// entered at, so the peers this router holds on the shared tree get
+	// their copy here. The (*,G) entry's peers only: through handleData or
+	// the (S,G) entry the shared-tree copy goes up a source branch's parent
+	// and loops until its TTL runs out.
+	for _, t := range targets {
+		if !t.MIGP {
+			c.eg.ToPeer(t.Router, native)
+		}
+	}
+	if branch {
 		c.RequestSourceBranch(d.Source, d.Group)
 	}
 }

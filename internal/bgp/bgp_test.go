@@ -270,35 +270,6 @@ func TestNoTransitForPeerRoutes(t *testing.T) {
 	}
 }
 
-func TestDenyPrefixFilter(t *testing.T) {
-	tn := newTestNet()
-	deny := DenyPrefixFilter(addr.MustParsePrefix("239.0.0.0/8"))
-	a := tn.add(1, 10, func(c *Config) { c.Export = deny })
-	b := tn.add(2, 20)
-	tn.connect(a, b, false)
-	a.Originate(wire.TableGRIB, wire.Route{Prefix: addr.MustParsePrefix("239.1.0.0/16"), Origin: 10})
-	a.Originate(wire.TableGRIB, wire.Route{Prefix: addr.MustParsePrefix("224.1.0.0/16"), Origin: 10})
-	if _, ok := b.LookupPrefix(wire.TableGRIB, addr.MustParsePrefix("239.1.0.0/16")); ok {
-		t.Fatal("denied prefix leaked")
-	}
-	if _, ok := b.LookupPrefix(wire.TableGRIB, addr.MustParsePrefix("224.1.0.0/16")); !ok {
-		t.Fatal("permitted prefix missing")
-	}
-}
-
-func TestAndFilters(t *testing.T) {
-	f := AndFilters(
-		DenyPrefixFilter(addr.MustParsePrefix("239.0.0.0/8")),
-		func(Neighbor, wire.Table, wire.Route) bool { return true },
-	)
-	if f(Neighbor{}, wire.TableGRIB, wire.Route{Prefix: addr.MustParsePrefix("239.1.0.0/16")}) {
-		t.Fatal("AndFilters should deny")
-	}
-	if !f(Neighbor{}, wire.TableGRIB, wire.Route{Prefix: addr.MustParsePrefix("224.1.0.0/16")}) {
-		t.Fatal("AndFilters should permit")
-	}
-}
-
 func TestRouteExpiry(t *testing.T) {
 	clk := simclock.NewSim(time.Unix(1000, 0))
 	tn := newTestNet()

@@ -1,9 +1,6 @@
 package bgp
 
-import (
-	"mascbgmp/internal/addr"
-	"mascbgmp/internal/wire"
-)
+import "mascbgmp/internal/wire"
 
 // CustomerExportFilter implements the canonical provider-customer policy of
 // paper §3/§4.2: toward providers and peers, a domain advertises only
@@ -34,32 +31,5 @@ func TableExportFilter(table wire.Table, f ExportFilter) ExportFilter {
 			return true
 		}
 		return f(to, t, rt)
-	}
-}
-
-// DenyPrefixFilter blocks routes covered by any of the given prefixes —
-// selective non-propagation, the basic policy primitive ("if border router
-// X does not advertise group route R to neighbor Y then Y will not be aware
-// that it can use X to reach the root domain for R").
-func DenyPrefixFilter(deny ...addr.Prefix) ExportFilter {
-	return func(to Neighbor, table wire.Table, rt wire.Route) bool {
-		for _, d := range deny {
-			if d.ContainsPrefix(rt.Prefix) {
-				return false
-			}
-		}
-		return true
-	}
-}
-
-// AndFilters permits a route only when every filter permits it.
-func AndFilters(filters ...ExportFilter) ExportFilter {
-	return func(to Neighbor, table wire.Table, rt wire.Route) bool {
-		for _, f := range filters {
-			if !f(to, table, rt) {
-				return false
-			}
-		}
-		return true
 	}
 }

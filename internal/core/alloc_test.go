@@ -8,7 +8,7 @@ import (
 	"mascbgmp/internal/addr"
 	"mascbgmp/internal/dataplane"
 	"mascbgmp/internal/faultinject"
-	"mascbgmp/internal/migp/dvmrp"
+	"mascbgmp/internal/migp"
 	"mascbgmp/internal/obs"
 	"mascbgmp/internal/simclock"
 	"mascbgmp/internal/wire"
@@ -50,7 +50,7 @@ func chainNetFaults(t *testing.T, backend string, transit, members, behind int, 
 	for i := range doms {
 		id := wire.DomainID(i + 1)
 		doms[i], err = n.AddDomain(DomainConfig{
-			ID: id, Routers: []wire.RouterID{wire.RouterID(id)}, Protocol: dvmrp.New(),
+			ID: id, Routers: []wire.RouterID{wire.RouterID(id)}, Protocol: migp.DVMRP(),
 			TopLevel:   i == root,
 			HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, byte(id), 0, 0), Len: 16},
 		})
@@ -209,7 +209,7 @@ func ringNet(t testing.TB, backend string, n, chord int, ob *obs.Observer) *Netw
 	var root *Domain
 	for i := 1; i <= n; i++ {
 		d, err := net.AddDomain(DomainConfig{
-			ID: wire.DomainID(i), Routers: []wire.RouterID{wire.RouterID(i)}, Protocol: dvmrp.New(),
+			ID: wire.DomainID(i), Routers: []wire.RouterID{wire.RouterID(i)}, Protocol: migp.DVMRP(),
 			TopLevel:   i == 1,
 			HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, byte(i), 0, 0), Len: 16},
 		})

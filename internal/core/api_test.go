@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"mascbgmp/internal/addr"
-	"mascbgmp/internal/migp/dvmrp"
+	"mascbgmp/internal/migp"
 	"mascbgmp/internal/obs"
 	"mascbgmp/internal/simclock"
 	"mascbgmp/internal/wire"
@@ -53,9 +53,9 @@ func TestUnlinkNotLinked(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, dc := range []DomainConfig{
-		{ID: 1, Routers: []wire.RouterID{11}, Protocol: dvmrp.New(), TopLevel: true,
+		{ID: 1, Routers: []wire.RouterID{11}, Protocol: migp.DVMRP(), TopLevel: true,
 			HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, 1, 0, 0), Len: 16}},
-		{ID: 2, Routers: []wire.RouterID{21}, Protocol: dvmrp.New(),
+		{ID: 2, Routers: []wire.RouterID{21}, Protocol: migp.DVMRP(),
 			HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, 2, 0, 0), Len: 16}},
 	} {
 		if _, err := n.AddDomain(dc); err != nil {
@@ -103,7 +103,7 @@ func TestQuiesceDrainsAsyncNetwork(t *testing.T) {
 		{3, []wire.RouterID{31}, false},
 	} {
 		if _, err := n.AddDomain(DomainConfig{
-			ID: dc.id, Routers: dc.routers, Protocol: dvmrp.New(), TopLevel: dc.top,
+			ID: dc.id, Routers: dc.routers, Protocol: migp.DVMRP(), TopLevel: dc.top,
 			HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, byte(dc.id), 0, 0), Len: 16},
 		}); err != nil {
 			t.Fatal(err)

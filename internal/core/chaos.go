@@ -10,7 +10,7 @@ import (
 	"mascbgmp/internal/dataplane"
 	"mascbgmp/internal/faultinject"
 	"mascbgmp/internal/liveness"
-	"mascbgmp/internal/migp/dvmrp"
+	"mascbgmp/internal/migp"
 	"mascbgmp/internal/obs"
 	"mascbgmp/internal/simclock"
 	"mascbgmp/internal/wire"
@@ -231,11 +231,11 @@ func buildChaosNet(cfg ChaosConfig, pointSeed int64, ob *obs.Observer) (*chaosNe
 		return nil, err
 	}
 	for _, dc := range []DomainConfig{
-		{ID: 1, Routers: []wire.RouterID{11, 12}, Protocol: dvmrp.New(), TopLevel: true,
+		{ID: 1, Routers: []wire.RouterID{11, 12}, Protocol: migp.DVMRP(), TopLevel: true,
 			HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, 1, 0, 0), Len: 16}},
-		{ID: 2, Routers: []wire.RouterID{21, 22}, Protocol: dvmrp.New(), TopLevel: true,
+		{ID: 2, Routers: []wire.RouterID{21, 22}, Protocol: migp.DVMRP(), TopLevel: true,
 			HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, 2, 0, 0), Len: 16}},
-		{ID: 3, Routers: []wire.RouterID{31}, Protocol: dvmrp.New(), TopLevel: true,
+		{ID: 3, Routers: []wire.RouterID{31}, Protocol: migp.DVMRP(), TopLevel: true,
 			HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, 3, 0, 0), Len: 16}},
 	} {
 		if _, err := n.AddDomain(dc); err != nil {

@@ -28,7 +28,7 @@ type DomainConfig struct {
 	InteriorNodes int
 	// Protocol is the domain's MIGP; required (the architecture's
 	// MIGP-independence means any implementation plugs in here).
-	Protocol migp.Protocol
+	Protocol *migp.Protocol
 	// TopLevel marks a backbone domain with no MASC parent.
 	TopLevel bool
 	// HostPrefix is the domain's unicast prefix (for source addresses),

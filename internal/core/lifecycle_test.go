@@ -7,9 +7,6 @@ import (
 	"mascbgmp/internal/addr"
 	"mascbgmp/internal/bgp"
 	"mascbgmp/internal/migp"
-	"mascbgmp/internal/migp/cbt"
-	"mascbgmp/internal/migp/dvmrp"
-	"mascbgmp/internal/migp/pimsm"
 	"mascbgmp/internal/simclock"
 	"mascbgmp/internal/wire"
 )
@@ -65,7 +62,7 @@ func TestMixedMIGPsAcrossDomains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	add := func(id wire.DomainID, routers []wire.RouterID, top bool, proto migp.Protocol) {
+	add := func(id wire.DomainID, routers []wire.RouterID, top bool, proto *migp.Protocol) {
 		t.Helper()
 		if _, err := n.AddDomain(DomainConfig{
 			ID: id, Routers: routers, InteriorNodes: len(routers) + 2,
@@ -75,10 +72,10 @@ func TestMixedMIGPsAcrossDomains(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	add(1, []wire.RouterID{11, 12, 13}, true, dvmrp.New())
-	add(2, []wire.RouterID{21}, false, dvmrp.New())
-	add(3, []wire.RouterID{31}, false, pimsm.New(1))
-	add(6, []wire.RouterID{61}, false, cbt.New())
+	add(1, []wire.RouterID{11, 12, 13}, true, migp.DVMRP())
+	add(2, []wire.RouterID{21}, false, migp.DVMRP())
+	add(3, []wire.RouterID{31}, false, migp.PIMSM(1))
+	add(6, []wire.RouterID{61}, false, migp.CBT())
 	for _, l := range [][2]wire.RouterID{{21, 11}, {31, 12}, {61, 13}} {
 		if err := n.Link(l[0], l[1]); err != nil {
 			t.Fatal(err)
@@ -208,12 +205,12 @@ func TestExportPolicyInsideNetwork(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mustAdd(DomainConfig{ID: 1, Routers: []wire.RouterID{11, 12}, Protocol: dvmrp.New(),
+	mustAdd(DomainConfig{ID: 1, Routers: []wire.RouterID{11, 12}, Protocol: migp.DVMRP(),
 		TopLevel: true, Export: policy,
 		HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, 1, 0, 0), Len: 16}})
-	mustAdd(DomainConfig{ID: 3, Routers: []wire.RouterID{31}, Protocol: dvmrp.New(),
+	mustAdd(DomainConfig{ID: 3, Routers: []wire.RouterID{31}, Protocol: migp.DVMRP(),
 		TopLevel: true, HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, 3, 0, 0), Len: 16}})
-	mustAdd(DomainConfig{ID: 4, Routers: []wire.RouterID{41}, Protocol: dvmrp.New(),
+	mustAdd(DomainConfig{ID: 4, Routers: []wire.RouterID{41}, Protocol: migp.DVMRP(),
 		TopLevel: true, HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, 4, 0, 0), Len: 16}})
 	if err := n.Link(11, 31); err != nil {
 		t.Fatal(err)

@@ -36,7 +36,6 @@ var globalRandAllowed = map[string]bool{
 var DefaultDeterminismAllowlist = map[string]string{
 	"internal/harness/harness.go": "benchmark harness: wall-clock trial timing is the deliverable",
 	"internal/bench/run.go":       "benchmark result model: wall-clock suite timing is the deliverable",
-	"internal/transport/peer.go":  "real net.Conn deadlines and keepalive pacing",
 	"internal/transport/track.go": "Quiesce bounds real goroutines with a wall-clock timeout",
 	"cmd/bgmpd/main.go":           "interactive daemon demo paced in real time",
 }

@@ -6,7 +6,7 @@
 //
 //   - determinism: no wall-clock (time.Now/Sleep/Since/...) or global
 //     math/rand calls outside internal/simclock and a short allowlist of
-//     files whose job is real time (benchmark timing, socket deadlines);
+//     files whose job is real time (benchmark timing, Quiesce's timeout);
 //   - layering: the documented low→high internal import DAG (addr,
 //     simclock, harness, topology, wire → transport, bgp, masc, maas,
 //     migp, bgmp → trees, experiments → core → bench → facade) — every

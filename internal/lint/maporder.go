@@ -15,7 +15,7 @@ func protocolPackage(rel string) bool {
 	case "internal/wire", "internal/bgp", "internal/masc", "internal/bgmp", "internal/trees", "internal/migp":
 		return true
 	}
-	return strings.HasPrefix(rel, "internal/migp/")
+	return false
 }
 
 // MapOrderAnalyzer flags `range` statements over maps in protocol packages

@@ -1,4 +1,4 @@
-package cbt
+package migp_test
 
 import (
 	"testing"
@@ -6,11 +6,6 @@ import (
 	"mascbgmp/internal/addr"
 	"mascbgmp/internal/migp"
 	"mascbgmp/internal/topology"
-)
-
-var (
-	grp = addr.MakeAddr(224, 1, 1, 1)
-	src = addr.MakeAddr(10, 0, 0, 1)
 )
 
 func star(leaves int) *topology.Graph {
@@ -21,18 +16,9 @@ func star(leaves int) *topology.Graph {
 	return g
 }
 
-// hopsTo runs one Deliver over a fresh paths provider and returns the hop
-// count per member, in the order given (which must be ascending).
-func hopsTo(p *Protocol, g *topology.Graph, entry migp.Node, s, group addr.Addr, members ...migp.Node) []int {
-	hops := make([]int, len(members))
-	p.Deliver(migp.NewPaths(g), entry, s, group, members, hops)
-	return hops
-}
-
 func TestCoreStablePerGroup(t *testing.T) {
 	g := star(6)
-	p := New()
-	if p.Core(g, grp) != p.Core(g, grp) {
+	if migp.HashGroup(grp1, g.NumDomains()) != migp.HashGroup(grp1, g.NumDomains()) {
 		t.Fatal("core must be stable")
 	}
 }
@@ -41,12 +27,12 @@ func TestBidirectionalNoCoreDetour(t *testing.T) {
 	// On a star, any leaf-to-leaf tree path is exactly 2 regardless of
 	// where the core landed — the bidirectional property.
 	g := star(6)
-	p := New()
+	p := migp.CBT()
 	members := []migp.Node{2, 3}
-	for i, h := range hopsTo(p, g, 1, src, grp, members...) {
+	for i, h := range hopsTo(p, g, 1, src, grp1, members...) {
 		m := members[i]
 		want := 2
-		if int(p.Core(g, grp)) == 1 || m == p.Core(g, grp) {
+		if int(migp.HashGroup(grp1, g.NumDomains())) == 1 || m == migp.HashGroup(grp1, g.NumDomains()) {
 			// entry or member at the hub side can shorten it
 			if h > 2 {
 				t.Fatalf("hops[%v] = %d", m, h)
@@ -61,11 +47,11 @@ func TestBidirectionalNoCoreDetour(t *testing.T) {
 
 func TestTreeCachedAcrossPackets(t *testing.T) {
 	g := star(6)
-	p := New()
+	p := migp.CBT()
 	paths := migp.NewPaths(g)
 	var a, b [1]int
-	p.Deliver(paths, 1, src, grp, []migp.Node{3}, a[:])
-	p.Deliver(paths, 1, src, grp, []migp.Node{3}, b[:])
+	p.Deliver(paths, 1, src, grp1, []migp.Node{3}, a[:])
+	p.Deliver(paths, 1, src, grp1, []migp.Node{3}, b[:])
 	if a != b {
 		t.Fatal("tree must be stable across packets")
 	}
@@ -73,31 +59,30 @@ func TestTreeCachedAcrossPackets(t *testing.T) {
 
 func TestDifferentGroupsMayDiffer(t *testing.T) {
 	g := star(16)
-	p := New()
 	cores := map[migp.Node]bool{}
 	for i := 0; i < 64; i++ {
-		cores[p.Core(g, addr.Addr(0xe0000000+i*7919))] = true
+		cores[migp.HashGroup(addr.Addr(0xe0000000+i*7919), g.NumDomains())] = true
 	}
 	if len(cores) < 2 {
 		t.Fatal("core hash never spreads groups")
 	}
 }
 
-func TestNonStrictRPF(t *testing.T) {
-	if New().StrictRPF() {
+func TestCBTNonStrictRPF(t *testing.T) {
+	if migp.CBT().StrictRPF() {
 		t.Fatal("CBT accepts data from any direction on the tree")
 	}
 }
 
-func BenchmarkDeliverCached(b *testing.B) {
+func BenchmarkCBTDeliverCached(b *testing.B) {
 	paths := migp.NewPaths(topology.ASGraph(100, 20, 1))
-	p := New()
+	p := migp.CBT()
 	members := []migp.Node{3, 17, 42, 77, 99}
 	hops := make([]int, len(members))
-	p.Deliver(paths, 0, src, grp, members, hops) // warm the core's row
+	p.Deliver(paths, 0, src, grp1, members, hops) // warm the core's row
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Deliver(paths, 0, src, grp, members, hops)
+		p.Deliver(paths, 0, src, grp1, members, hops)
 	}
 }

@@ -24,7 +24,7 @@ func line(n int) *topology.Graph {
 
 // hopsTo runs one Deliver over a fresh paths provider and returns the hop
 // count per member, in the order given (which must be ascending).
-func hopsTo(p *Protocol, g *topology.Graph, entry migp.Node, s, group addr.Addr, members ...migp.Node) []int {
+func hopsTo(p *migp.Protocol, g *topology.Graph, entry migp.Node, s, group addr.Addr, members ...migp.Node) []int {
 	hops := make([]int, len(members))
 	p.Deliver(migp.NewPaths(g), entry, s, group, members, hops)
 	return hops

@@ -11,11 +11,6 @@ import (
 	"mascbgmp/internal/bgmp"
 	"mascbgmp/internal/bgp"
 	"mascbgmp/internal/migp"
-	"mascbgmp/internal/migp/cbt"
-	"mascbgmp/internal/migp/dvmrp"
-	"mascbgmp/internal/migp/mospf"
-	"mascbgmp/internal/migp/pimdm"
-	"mascbgmp/internal/migp/pimsm"
 	"mascbgmp/internal/topology"
 	"mascbgmp/internal/wire"
 )
@@ -174,12 +169,12 @@ func randomInterior(rng *rand.Rand) *topology.Graph {
 }
 
 func TestFabricMatchesPerPacketRebuild(t *testing.T) {
-	protocols := map[string]func() migp.Protocol{
-		"dvmrp": func() migp.Protocol { return dvmrp.New() },
-		"pimdm": func() migp.Protocol { return pimdm.New(2) },
-		"mospf": func() migp.Protocol { return mospf.New() },
-		"pimsm": func() migp.Protocol { return pimsm.New(sptAfter) },
-		"cbt":   func() migp.Protocol { return cbt.New() },
+	protocols := map[string]func() *migp.Protocol{
+		"dvmrp": migp.DVMRP,
+		"pimdm": func() *migp.Protocol { return migp.PIMDM(2) },
+		"mospf": migp.MOSPF,
+		"pimsm": func() *migp.Protocol { return migp.PIMSM(sptAfter) },
+		"cbt":   migp.CBT,
 	}
 	for name, mk := range protocols {
 		for seed := int64(1); seed <= 40; seed++ {
@@ -190,7 +185,7 @@ func TestFabricMatchesPerPacketRebuild(t *testing.T) {
 	}
 }
 
-func runEquivalence(t *testing.T, name string, proto migp.Protocol, rng *rand.Rand) {
+func runEquivalence(t *testing.T, name string, proto *migp.Protocol, rng *rand.Rand) {
 	g := randomInterior(rng)
 	n := g.NumDomains()
 
@@ -296,7 +291,7 @@ func runEquivalence(t *testing.T, name string, proto migp.Protocol, rng *rand.Ra
 // border or none — so Inject does not make it.
 func TestInjectSingleBorderNeverRefuses(t *testing.T) {
 	for _, exit := range []wire.RouterID{0, 101} {
-		rig := newFabricRig(t, dvmrp.New(), 101)
+		rig := newFabricRig(t, migp.DVMRP(), 101)
 		rig.bestExit = 101
 		rig.gribs[fGroup] = bgp.Entry{Route: wire.Route{Origin: 5}} // root domain
 		rig.fab.HostJoin(fGroup, 1)
@@ -317,7 +312,7 @@ func benchFabricDeliver(b *testing.B, nodes int) {
 		g.AddLink(topology.DomainID(i), topology.DomainID(i+1))
 	}
 	var log []string
-	fab := migp.NewFabric(migp.FabricConfig{Domain: 1, Graph: g, Protocol: dvmrp.New(),
+	fab := migp.NewFabric(migp.FabricConfig{Domain: 1, Graph: g, Protocol: migp.DVMRP(),
 		BestExit:      func(addr.Addr) wire.RouterID { return 1 },
 		OnHostDeliver: func(migp.Node, *wire.Data) {}})
 	border := fab.AttachBorder(1, 0)

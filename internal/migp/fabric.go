@@ -30,7 +30,7 @@ type FabricConfig struct {
 	// Graph is the interior router topology.
 	Graph *topology.Graph
 	// Protocol supplies the interior delivery mechanics.
-	Protocol Protocol
+	Protocol *Protocol
 	// BestExit returns the domain's best exit border router for an
 	// address (a G-RIB lookup for groups, M-RIB/unicast for sources);
 	// zero when unknown. Interior joins are reported to the group's best

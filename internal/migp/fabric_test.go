@@ -7,8 +7,6 @@ import (
 	"mascbgmp/internal/bgmp"
 	"mascbgmp/internal/bgp"
 	"mascbgmp/internal/migp"
-	"mascbgmp/internal/migp/dvmrp"
-	"mascbgmp/internal/migp/pimsm"
 	"mascbgmp/internal/topology"
 	"mascbgmp/internal/wire"
 )
@@ -24,7 +22,7 @@ type fabricRig struct {
 	gribs     map[addr.Addr]bgp.Entry
 }
 
-func newFabricRig(t *testing.T, proto migp.Protocol, borders ...wire.RouterID) *fabricRig {
+func newFabricRig(t *testing.T, proto *migp.Protocol, borders ...wire.RouterID) *fabricRig {
 	t.Helper()
 	g := topology.New(len(borders) + 2)
 	for i := 0; i < g.NumDomains()-1; i++ {
@@ -73,7 +71,7 @@ var (
 )
 
 func TestHostJoinNotifiesBestExit(t *testing.T) {
-	rig := newFabricRig(t, dvmrp.New(), 101, 102)
+	rig := newFabricRig(t, migp.DVMRP(), 101, 102)
 	rig.bestExit = 102
 	rig.gribs[fGroup] = bgp.Entry{Route: wire.Route{Origin: 9}, NextHop: 7}
 	rig.fab.HostJoin(fGroup, 1)
@@ -105,7 +103,7 @@ func TestHostJoinNotifiesBestExit(t *testing.T) {
 }
 
 func TestInjectStrictRPFRejectsWrongEntry(t *testing.T) {
-	rig := newFabricRig(t, dvmrp.New(), 101, 102)
+	rig := newFabricRig(t, migp.DVMRP(), 101, 102)
 	rig.bestExit = 102 // RPF expects entry at 102
 	rig.gribs[fGroup] = bgp.Entry{Route: wire.Route{Origin: 9}, NextHop: 7}
 	rig.fab.HostJoin(fGroup, 1)
@@ -125,7 +123,7 @@ func TestInjectStrictRPFRejectsWrongEntry(t *testing.T) {
 }
 
 func TestInjectRelaxedRPFAcceptsAnyEntry(t *testing.T) {
-	rig := newFabricRig(t, pimsm.New(0), 101, 102)
+	rig := newFabricRig(t, migp.PIMSM(0), 101, 102)
 	rig.bestExit = 102
 	rig.gribs[fGroup] = bgp.Entry{Route: wire.Route{Origin: 9}, NextHop: 7}
 	rig.fab.HostJoin(fGroup, 1)
@@ -140,7 +138,7 @@ func TestInjectRelaxedRPFAcceptsAnyEntry(t *testing.T) {
 }
 
 func TestSendFromHostReachesAllBorders(t *testing.T) {
-	rig := newFabricRig(t, dvmrp.New(), 101, 102)
+	rig := newFabricRig(t, migp.DVMRP(), 101, 102)
 	rig.bestExit = 101
 	// 102 is on the tree for the group (simulate a remote child join).
 	rig.gribs[fGroup] = bgp.Entry{Route: wire.Route{Origin: 9}, NextHop: 7}
@@ -167,7 +165,7 @@ func TestSendFromHostReachesAllBorders(t *testing.T) {
 }
 
 func TestMemberNodesAndStats(t *testing.T) {
-	rig := newFabricRig(t, dvmrp.New(), 101)
+	rig := newFabricRig(t, migp.DVMRP(), 101)
 	rig.bestExit = 101
 	rig.gribs[fGroup] = bgp.Entry{Route: wire.Route{Origin: 5}} // root domain
 	rig.fab.HostJoin(fGroup, 1)
@@ -188,6 +186,6 @@ func TestMemberNodesAndStats(t *testing.T) {
 }
 
 func TestHostLeaveUnknownGroupHarmless(t *testing.T) {
-	rig := newFabricRig(t, dvmrp.New(), 101)
+	rig := newFabricRig(t, migp.DVMRP(), 101)
 	rig.fab.HostLeave(fGroup, 1) // must not panic
 }

@@ -8,8 +8,9 @@
 // router of interior joins, (2) carry joins/prunes/data between border
 // routers across the domain, and (3) deliver injected packets to interior
 // members, enforcing whatever RPF discipline the protocol has. Fabric
-// implements that contract over an interior router graph, delegating the
-// protocol-specific delivery mechanics to a Protocol implementation.
+// implements that contract over an interior router graph; what differs
+// between the five protocols is one table row and one hop rule each
+// (Protocol, protocols.go).
 package migp
 
 import (
@@ -19,27 +20,6 @@ import (
 
 // Node is an interior router in a domain's topology.
 type Node = topology.DomainID
-
-// Protocol captures the per-protocol delivery mechanics inside one domain.
-// Implementations are stateless with respect to the fabric (prune and tree
-// state lives inside the implementation).
-type Protocol interface {
-	// Name returns the protocol's name ("DVMRP", "PIM-SM", ...).
-	Name() string
-	// StrictRPF reports whether a packet that enters the domain at a
-	// border router other than the reverse-path one toward its source is
-	// dropped by interior routers — the property that forces BGMP's
-	// encapsulation and source-specific branches (§5.3). It is a constant
-	// of the implementation; the fabric reads it once.
-	StrictRPF() bool
-	// Deliver sets hops[i] to the interior hop count from the entry node
-	// to members[i] for one packet, -1 when the member is unreachable in
-	// the interior graph, updating any protocol state (prunes, tree
-	// joins). members is ascending and read-only; hops has the same
-	// length. All interior distances come from paths — a protocol never
-	// searches the graph itself.
-	Deliver(paths *Paths, entry Node, source addr.Addr, group addr.Addr, members []Node, hops []int)
-}
 
 // Paths is the one provider of interior shortest-path rows: the BFS
 // distances and parents from a node, computed on first use and kept for the
@@ -72,16 +52,6 @@ func (p *Paths) From(root Node) (dist []int, parent []Node) {
 		r.dist, r.parent = p.g.BFS(root)
 	}
 	return r.dist, r.parent
-}
-
-// ShortestHops fills hops with the shortest-path distance from entry to
-// each member: the delivery cost of the protocols that forward along
-// source-rooted shortest-path trees (DVMRP, PIM-DM, MOSPF).
-func ShortestHops(paths *Paths, entry Node, members []Node, hops []int) {
-	dist, _ := paths.From(entry)
-	for i, m := range members {
-		hops[i] = dist[m]
-	}
 }
 
 // HashGroup maps a group to an interior node, the standard "hash the group

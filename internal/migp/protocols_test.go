@@ -5,43 +5,41 @@ import (
 
 	"mascbgmp/internal/addr"
 	"mascbgmp/internal/migp"
-	"mascbgmp/internal/migp/cbt"
-	"mascbgmp/internal/migp/dvmrp"
-	"mascbgmp/internal/migp/mospf"
-	"mascbgmp/internal/migp/pimdm"
-	"mascbgmp/internal/migp/pimsm"
 	"mascbgmp/internal/topology"
 )
 
 var (
-	grp = addr.MakeAddr(224, 1, 2, 3)
-	src = addr.MakeAddr(10, 0, 0, 1)
+	grp  = addr.MakeAddr(224, 1, 2, 3)
+	grp1 = addr.MakeAddr(224, 1, 1, 1) // the group of the per-protocol files
+	src  = addr.MakeAddr(10, 0, 0, 1)
 )
 
-// line5 returns the path graph 0-1-2-3-4.
-func line5() *topology.Graph {
-	g := topology.New(5)
-	for i := 0; i < 4; i++ {
+// line returns the path graph 0-1-…-(n-1).
+func line(n int) *topology.Graph {
+	g := topology.New(n)
+	for i := 0; i < n-1; i++ {
 		g.AddLink(topology.DomainID(i), topology.DomainID(i+1))
 	}
 	return g
 }
 
+func line5() *topology.Graph { return line(5) }
+
 // hopsTo runs one Deliver over a fresh paths provider and returns the hop
 // count per member, in the order given (which must be ascending).
-func hopsTo(p migp.Protocol, g *topology.Graph, entry migp.Node, s, group addr.Addr, members ...migp.Node) []int {
+func hopsTo(p *migp.Protocol, g *topology.Graph, entry migp.Node, s, group addr.Addr, members ...migp.Node) []int {
 	hops := make([]int, len(members))
 	p.Deliver(migp.NewPaths(g), entry, s, group, members, hops)
 	return hops
 }
 
-func allProtocols() map[string]migp.Protocol {
-	return map[string]migp.Protocol{
-		"dvmrp": dvmrp.New(),
-		"pimsm": pimsm.New(0),
-		"pimdm": pimdm.New(0),
-		"cbt":   cbt.New(),
-		"mospf": mospf.New(),
+func allProtocols() map[string]*migp.Protocol {
+	return map[string]*migp.Protocol{
+		"dvmrp": migp.DVMRP(),
+		"pimsm": migp.PIMSM(0),
+		"pimdm": migp.PIMDM(0),
+		"cbt":   migp.CBT(),
+		"mospf": migp.MOSPF(),
 	}
 }
 
@@ -104,7 +102,7 @@ func TestSteadyStateDeliverAllocatesNothing(t *testing.T) {
 
 func TestDVMRPFloodsOncePerSourceGroup(t *testing.T) {
 	g := line5()
-	p := dvmrp.New()
+	p := migp.DVMRP()
 	hopsTo(p, g, 0, src, grp, 4)
 	hopsTo(p, g, 0, src, grp, 4)
 	if p.Floods() != 1 {
@@ -125,7 +123,7 @@ func TestDVMRPFloodsOncePerSourceGroup(t *testing.T) {
 
 func TestPIMDMPruneExpiry(t *testing.T) {
 	g := line5()
-	p := pimdm.New(2) // prunes live for 2 packets
+	p := migp.PIMDM(2) // prunes live for 2 packets
 	for i := 0; i < 6; i++ {
 		hopsTo(p, g, 0, src, grp, 4)
 	}
@@ -137,8 +135,8 @@ func TestPIMDMPruneExpiry(t *testing.T) {
 
 func TestPIMSMTrianglePathViaRP(t *testing.T) {
 	g := line5()
-	p := pimsm.New(0)
-	rp := p.RP(g, grp)
+	p := migp.PIMSM(0)
+	rp := migp.HashGroup(grp, g.NumDomains())
 	got := hopsTo(p, g, 0, src, grp, 4)
 	distEntryToRP := int(rp) // on a line from node 0, dist = node index
 	want := distEntryToRP + (4 - int(rp))
@@ -152,7 +150,7 @@ func TestPIMSMTrianglePathViaRP(t *testing.T) {
 
 func TestPIMSMSPTSwitchover(t *testing.T) {
 	g := line5()
-	p := pimsm.New(1) // switch after 1 packet
+	p := migp.PIMSM(1) // switch after 1 packet
 	first := hopsTo(p, g, 0, src, grp, 4)
 	second := hopsTo(p, g, 0, src, grp, 4)
 	if second[0] > first[0] {
@@ -172,8 +170,8 @@ func TestCBTBidirectionalShortcut(t *testing.T) {
 	for i := 1; i < 5; i++ {
 		g.AddLink(0, topology.DomainID(i))
 	}
-	p := cbt.New()
-	core := p.Core(g, grp)
+	p := migp.CBT()
+	core := migp.HashGroup(grp, g.NumDomains())
 	got := hopsTo(p, g, 1, src, grp, 2)
 	wantMax := 2 // leaf→hub→leaf
 	if core == 1 || core == 2 {
@@ -184,7 +182,7 @@ func TestCBTBidirectionalShortcut(t *testing.T) {
 	}
 	// Compare with PIM-SM from the same entry: unidirectional must be
 	// >= bidirectional.
-	sm := hopsTo(pimsm.New(0), g, 1, src, grp, 2)
+	sm := hopsTo(migp.PIMSM(0), g, 1, src, grp, 2)
 	if sm[0] < got[0] {
 		t.Fatalf("unidirectional (%d) beat bidirectional (%d)", sm[0], got[0])
 	}
@@ -192,20 +190,20 @@ func TestCBTBidirectionalShortcut(t *testing.T) {
 
 func TestMOSPFMembershipFloods(t *testing.T) {
 	g := line5()
-	p := mospf.New()
+	p := migp.MOSPF()
 	hopsTo(p, g, 0, src, grp, 4)
 	hopsTo(p, g, 0, src, grp, 4)
-	if p.MembershipFloods() != 1 {
-		t.Fatalf("floods = %d, want 1 (unchanged membership)", p.MembershipFloods())
+	if p.Floods() != 1 {
+		t.Fatalf("floods = %d, want 1 (unchanged membership)", p.Floods())
 	}
 	hopsTo(p, g, 0, src, grp, 2, 4)
-	if p.MembershipFloods() != 2 {
-		t.Fatalf("floods = %d, want 2 (membership changed)", p.MembershipFloods())
+	if p.Floods() != 2 {
+		t.Fatalf("floods = %d, want 2 (membership changed)", p.Floods())
 	}
 	// The same set in a fresh slice is no change.
 	hopsTo(p, g, 0, src, grp, 2, 4)
-	if p.MembershipFloods() != 2 {
-		t.Fatalf("floods = %d, want 2 (same membership)", p.MembershipFloods())
+	if p.Floods() != 2 {
+		t.Fatalf("floods = %d, want 2 (same membership)", p.Floods())
 	}
 }
 

@@ -33,8 +33,7 @@ type Relation int
 const (
 	// RelPeer links two domains with no transit obligations.
 	RelPeer Relation = iota
-	// RelProviderCustomer marks a transit link; which side is the
-	// provider is recorded in the graph and queried with IsProviderOf.
+	// RelProviderCustomer marks a transit link (AddProviderLink).
 	RelProviderCustomer
 )
 
@@ -59,8 +58,7 @@ type Edge struct {
 // Graph is an undirected domain graph without duplicate links or self
 // loops. Construct with New; the zero value is an empty graph.
 type Graph struct {
-	adj       [][]Edge
-	providers map[DomainID]map[DomainID]bool // providers[c][p]: p is a provider of c
+	adj [][]Edge
 }
 
 // New returns a graph with n isolated domains.
@@ -82,43 +80,27 @@ func (g *Graph) AddDomains(n int) DomainID {
 // ignored.
 func (g *Graph) AddLink(a, b DomainID) { g.addLink(a, b, RelPeer) }
 
-// AddProviderLink connects provider p and customer c, recording the
-// provider-customer relation used by export policies.
-func (g *Graph) AddProviderLink(p, c DomainID) {
-	if g.addLink(p, c, RelProviderCustomer) {
-		if g.providers == nil {
-			g.providers = map[DomainID]map[DomainID]bool{}
-		}
-		m := g.providers[c]
-		if m == nil {
-			m = map[DomainID]bool{}
-			g.providers[c] = m
-		}
-		m[p] = true
-	}
-}
+// AddProviderLink connects provider p and customer c; both halves of the
+// edge carry RelProviderCustomer.
+func (g *Graph) AddProviderLink(p, c DomainID) { g.addLink(p, c, RelProviderCustomer) }
 
-func (g *Graph) addLink(a, b DomainID, rel Relation) bool {
+func (g *Graph) addLink(a, b DomainID, rel Relation) {
 	if a == b || g.HasLink(a, b) {
-		return false
+		return
 	}
 	g.adj[a] = append(g.adj[a], Edge{To: b, Rel: rel})
 	g.adj[b] = append(g.adj[b], Edge{To: a, Rel: rel})
-	return true
 }
 
 // RemoveLink disconnects a and b (either order), reporting whether a link
-// existed. Provider-customer records for the pair are dropped with it. The
-// fault experiments use this to model long-lived link failures at the
-// topology level; transient faults belong to the faultinject plane.
+// existed. The fault experiments use this to model long-lived link failures
+// at the topology level; transient faults belong to the faultinject plane.
 func (g *Graph) RemoveLink(a, b DomainID) bool {
 	if !g.HasLink(a, b) {
 		return false
 	}
 	g.adj[a] = dropEdge(g.adj[a], b)
 	g.adj[b] = dropEdge(g.adj[b], a)
-	delete(g.providers[a], b)
-	delete(g.providers[b], a)
 	return true
 }
 
@@ -142,18 +124,6 @@ func (g *Graph) HasLink(a, b DomainID) bool {
 		}
 	}
 	return false
-}
-
-// IsProviderOf reports whether p is a direct provider of c.
-func (g *Graph) IsProviderOf(p, c DomainID) bool { return g.providers[c][p] }
-
-// Providers returns c's direct providers in unspecified order.
-func (g *Graph) Providers(c DomainID) []DomainID {
-	var out []DomainID
-	for p := range g.providers[c] {
-		out = append(out, p)
-	}
-	return out
 }
 
 // Neighbors returns the adjacency list of d. The returned slice is owned by

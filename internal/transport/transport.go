@@ -17,7 +17,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"time"
 
 	"mascbgmp/internal/wire"
 )
@@ -95,20 +94,11 @@ func (mc *MsgConn) Read() (wire.Message, error) {
 	return wire.Decode(frame)
 }
 
-// SetReadDeadline forwards to the underlying connection.
-func (mc *MsgConn) SetReadDeadline(t time.Time) error { return mc.conn.SetReadDeadline(t) }
-
 // Close closes the underlying connection. It is idempotent.
 func (mc *MsgConn) Close() error {
 	mc.closeOnce.Do(func() { mc.closeErr = mc.conn.Close() })
 	return mc.closeErr
 }
-
-// LocalAddr returns the underlying connection's local address.
-func (mc *MsgConn) LocalAddr() net.Addr { return mc.conn.LocalAddr() }
-
-// RemoteAddr returns the underlying connection's remote address.
-func (mc *MsgConn) RemoteAddr() net.Addr { return mc.conn.RemoteAddr() }
 
 // ErrHandshake is returned when the peer's first message is not a valid
 // Open.

@@ -52,11 +52,6 @@ import (
 	"mascbgmp/internal/experiments"
 	"mascbgmp/internal/masc"
 	"mascbgmp/internal/migp"
-	"mascbgmp/internal/migp/cbt"
-	"mascbgmp/internal/migp/dvmrp"
-	"mascbgmp/internal/migp/mospf"
-	"mascbgmp/internal/migp/pimdm"
-	"mascbgmp/internal/migp/pimsm"
 	"mascbgmp/internal/obs"
 	"mascbgmp/internal/simclock"
 	"mascbgmp/internal/topology"
@@ -190,26 +185,26 @@ type SimClock = simclock.Sim
 // NewSimClock returns a simulated clock starting at the given instant.
 func NewSimClock(start time.Time) *SimClock { return simclock.NewSim(start) }
 
-// MIGP is the interior-protocol delivery model interface. The
-// architecture is MIGP-independent and each domain picks one (§3).
-type MIGP = migp.Protocol
+// MIGP is an interior-protocol delivery model. The architecture is
+// MIGP-independent and each domain picks one (§3).
+type MIGP = *migp.Protocol
 
 // NewDVMRP returns a DVMRP interior protocol (flood-and-prune, strict RPF).
-func NewDVMRP() MIGP { return dvmrp.New() }
+func NewDVMRP() MIGP { return migp.DVMRP() }
 
 // NewPIMSM returns a PIM Sparse-Mode interior protocol with the given SPT
 // switchover threshold (0 keeps receivers on the RP tree).
-func NewPIMSM(sptThreshold int) MIGP { return pimsm.New(sptThreshold) }
+func NewPIMSM(sptThreshold int) MIGP { return migp.PIMSM(sptThreshold) }
 
 // NewPIMDM returns a PIM Dense-Mode interior protocol whose prune state
 // expires after pruneLife packets (0: never).
-func NewPIMDM(pruneLife int) MIGP { return pimdm.New(pruneLife) }
+func NewPIMDM(pruneLife int) MIGP { return migp.PIMDM(pruneLife) }
 
 // NewCBT returns a Core Based Trees interior protocol.
-func NewCBT() MIGP { return cbt.New() }
+func NewCBT() MIGP { return migp.CBT() }
 
 // NewMOSPF returns a Multicast OSPF interior protocol.
-func NewMOSPF() MIGP { return mospf.New() }
+func NewMOSPF() MIGP { return migp.MOSPF() }
 
 // Pluggable data-plane backends (DESIGN.md §11). Config.DataPlane selects
 // the forwarding plane every border router runs: the default BGMP shared

@@ -18,6 +18,8 @@ go test -race ./...
 go test -run Determinism -count=2 ./...
 # benchmark/ is its own module importing internal/ directly: ./... above
 # never compiles it, so a change that may not edit it can still break it.
+# This is also what proves internal/migp/dvmrp, the shim that exists only
+# because benchmark/ spells its interior protocol dvmrp.New().
 (cd benchmark && go vet . && go test .)
 # The deletion-budget number as ROADMAP item 6 counts it (non-test Go
 # outside benchmark/ and testdata/): each PR reports this line.
