@@ -23,6 +23,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -30,27 +31,36 @@ import (
 )
 
 func main() {
-	var (
-		wait     = flag.Duration("wait", 2*time.Second, "MASC collision waiting period (paper: 48h)")
-		branches = flag.Bool("branches", true, "enable source-specific branches (§5.3)")
-		verbose  = flag.Bool("verbose", false, "dump per-router G-RIB tables")
-		metrics  = flag.Bool("metrics", false, "dump per-router protocol counters at exit")
-		trace    = flag.Bool("trace", false, "print every protocol event to stderr as it happens")
-	)
-	flag.Parse()
-
-	if err := run(*wait, *branches, *verbose, *metrics, *trace); err != nil {
-		fmt.Fprintln(os.Stderr, "bgmpd:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(wait time.Duration, branches, verbose, metrics, trace bool) error {
+// run is main without the process, for the tests: 2 is a usage error, 1 a failed step.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("bgmpd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		wait     = fs.Duration("wait", 2*time.Second, "MASC collision waiting period (paper: 48h)")
+		branches = fs.Bool("branches", true, "enable source-specific branches (§5.3)")
+		verbose  = fs.Bool("verbose", false, "dump per-router G-RIB tables")
+		metrics  = fs.Bool("metrics", false, "dump per-router protocol counters at exit")
+		trace    = fs.Bool("trace", false, "print every protocol event to stderr as it happens")
+	)
+	if fs.Parse(args) != nil {
+		return 2
+	}
+	if err := scenario(stdout, stderr, *wait, *branches, *verbose, *metrics, *trace); err != nil {
+		fmt.Fprintln(stderr, "bgmpd:", err)
+		return 1
+	}
+	return 0
+}
+
+func scenario(stdout, stderr io.Writer, wait time.Duration, branches, verbose, metrics, trace bool) error {
 	var ob *mascbgmp.Observer
 	if metrics || trace {
 		ob = mascbgmp.NewObserver()
 		if trace {
-			ob.Subscribe(func(e mascbgmp.Event) { fmt.Fprintln(os.Stderr, e) })
+			ob.Subscribe(func(e mascbgmp.Event) { fmt.Fprintln(stderr, e) })
 		}
 	}
 	net, err := mascbgmp.NewNetwork(mascbgmp.Config{
@@ -112,10 +122,10 @@ func run(wait time.Duration, branches, verbose, metrics, trace bool) error {
 			return err
 		}
 	}
-	fmt.Printf("built 8 domains, %d TCP-linked border routers\n", 4+2+2+1+1+2+2+1)
+	fmt.Fprintf(stdout, "built 8 domains, %d TCP-linked border routers\n", 4+2+2+1+1+2+2+1)
 
 	// MASC address allocation, level by level.
-	fmt.Printf("MASC: A claims a /16 from 224/4 (waiting period %v)...\n", wait)
+	fmt.Fprintf(stdout, "MASC: A claims a /16 from 224/4 (waiting period %v)...\n", wait)
 	if !net.Domain(1).MASC().RequestSpace(1<<16, 48*time.Hour) {
 		return fmt.Errorf("A's claim selection failed")
 	}
@@ -124,7 +134,7 @@ func run(wait time.Duration, branches, verbose, metrics, trace bool) error {
 	if len(holdings) == 0 {
 		return fmt.Errorf("A's claim never matured")
 	}
-	fmt.Printf("MASC: A won %v\n", holdings[0].Prefix)
+	fmt.Fprintf(stdout, "MASC: A won %v\n", holdings[0].Prefix)
 
 	for _, id := range []mascbgmp.DomainID{2, 3} {
 		if !net.Domain(id).MASC().RequestSpace(256, 24*time.Hour) {
@@ -137,7 +147,7 @@ func run(wait time.Duration, branches, verbose, metrics, trace bool) error {
 		if len(hs) == 0 {
 			return fmt.Errorf("%s's claim never matured", names[id])
 		}
-		fmt.Printf("MASC: %s won %v (inside A's range)\n", names[id], hs[0].Prefix)
+		fmt.Fprintf(stdout, "MASC: %s won %v (inside A's range)\n", names[id], hs[0].Prefix)
 	}
 	if err := net.Quiesce(3 * time.Second); err != nil {
 		return err
@@ -148,7 +158,7 @@ func run(wait time.Duration, branches, verbose, metrics, trace bool) error {
 	if err != nil {
 		return fmt.Errorf("lease: %w", err)
 	}
-	fmt.Printf("MAAS: session in B leased group %v (root domain: B)\n", lease.Addr)
+	fmt.Fprintf(stdout, "MAAS: session in B leased group %v (root domain: B)\n", lease.Addr)
 
 	// Members join in B, C, D, F, H (Fig 3a).
 	for _, id := range []mascbgmp.DomainID{2, 3, 4, 6, 8} {
@@ -157,14 +167,14 @@ func run(wait time.Duration, branches, verbose, metrics, trace bool) error {
 	if err := net.Quiesce(3 * time.Second); err != nil {
 		return err
 	}
-	fmt.Println("BGMP: members joined in B, C, D, F, H — bidirectional tree built")
+	fmt.Fprintln(stdout, "BGMP: members joined in B, C, D, F, H — bidirectional tree built")
 
 	if verbose {
 		for _, d := range doms {
 			for _, r := range net.Domain(d.id).Routers() {
 				parent, children, ok := r.BGMP().GroupEntry(lease.Addr)
 				if ok {
-					fmt.Printf("  router %d (%s): (*,G) parent=%v children=%v\n", r.ID, d.name, parent, children)
+					fmt.Fprintf(stdout, "  router %d (%s): (*,G) parent=%v children=%v\n", r.ID, d.name, parent, children)
 				}
 			}
 		}
@@ -177,21 +187,21 @@ func run(wait time.Duration, branches, verbose, metrics, trace bool) error {
 		src := net.Domain(from).HostAddr(1)
 		net.Domain(from).Send(lease.Addr, src, what, 1)
 		_ = net.Quiesce(3 * time.Second)
-		fmt.Printf("data: host in %s sent %q → received in:", names[from], what)
+		fmt.Fprintf(stdout, "data: host in %s sent %q → received in:", names[from], what)
 		for _, d := range doms {
 			if got := net.Domain(d.id).Received(); len(got) > 0 {
-				fmt.Printf(" %s(x%d)", d.name, len(got))
+				fmt.Fprintf(stdout, " %s(x%d)", d.name, len(got))
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	send(4, "hello from member domain D")
 	send(5, "hello from non-member sender E") // §3: senders need not be members
 	send(4, "second packet from D")           // source-specific branch in steady state
 
 	if metrics {
-		fmt.Printf("\n# per-router protocol counters\n%s", ob.Snapshot())
+		fmt.Fprintf(stdout, "\n# per-router protocol counters\n%s", ob.Snapshot())
 	}
-	fmt.Println("done")
+	fmt.Fprintln(stdout, "done")
 	return nil
 }

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"mascbgmp/internal/addr"
 	"mascbgmp/internal/obs"
@@ -100,6 +101,9 @@ type Speaker struct {
 	pass      uint64                         // guarded by mu; the current reselection pass
 	pend      [][wire.NumTables]*wire.Update // guarded by mu; updates a pass has built, by neighbor index
 	npend     int                            // guarded by mu; non-nil cells of pend
+	// gens counts, per table, the changes reselectLocked (its only writer,
+	// under mu) makes to a record's sel; Generation reads it without mu.
+	gens [wire.NumTables]atomic.Uint64
 }
 
 // New returns a configured Speaker.
@@ -341,11 +345,10 @@ func (s *Speaker) LookupPrefix(table wire.Table, p addr.Prefix) (Entry, bool) {
 
 // Generation counts the changes to a table's selected routes. An answer
 // Lookup gave for a route with no lifetime is the one it gives now for as
-// long as the count read before that Lookup still stands.
+// long as the count read before that Lookup still stands: a change bumps it
+// inside the critical section it is made in, so Generation takes no lock.
 func (s *Speaker) Generation(table wire.Table) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tables[table].gen
+	return s.gens[table].Load()
 }
 
 // Table returns a snapshot of a table's best routes sorted by prefix; the
@@ -503,7 +506,7 @@ func (s *Speaker) reselectLocked(table wire.Table, changed []*record, ctx wire.T
 			r.lens[rec.prefix.Len]--
 		}
 		rec.sel, rec.hasSel = newSel, hasNew
-		r.gen++
+		s.gens[table].Add(1)
 		if notes == nil {
 			notes = make([]note, 0, left)
 		}

@@ -95,9 +95,6 @@ type rib struct {
 	best map[addr.Prefix]selected
 	// lens[l] counts the prefixes of length l in best.
 	lens [33]uint32
-	// gen counts the changes reselectLocked makes to a record's sel (its
-	// only writer too): what a reader derived from best stands while gen does.
-	gen uint64
 }
 
 func newRIB() *rib {

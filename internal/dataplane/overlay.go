@@ -32,17 +32,20 @@ type overlay struct {
 	// guarded by mu
 	pending map[addr.Addr]int
 	stats   Stats // guarded by mu
-	// bift is the bit index forwarding table (RFC 8279 §6.4), indexed by
-	// domain ID and filled by the packets that need it: see nextHopLocked.
-	bift []biftEntry // guarded by mu
+	// The forwarding table, one fill rule (wayLocked) under two keys: bift,
+	// the bit index (RFC 8279 §6.4), by domain ID, and tunnels by anchor
+	// address. Stale entries are refilled in place, never added again.
+	bift    []fwdEntry              // guarded by mu
+	tunnels map[addr.Addr]*fwdEntry // guarded by mu
 }
 
-// biftEntry is the way toward one domain and the unicast generation it was
-// looked up under; ok is false in one never filled.
-type biftEntry struct {
-	to  bgmp.Target
-	gen uint64
-	ok  bool
+// fwdEntry is the way a copy toward an anchor address leaves this router and
+// the unicast generation it was looked up under; kept is false in one unfilled.
+type fwdEntry struct {
+	to   bgmp.Target
+	here bool // the route ends in this domain: a tunnel lands here
+	kept bool
+	gen  uint64
 }
 
 // NewBIER returns the BIER-style bitstring backend.
@@ -71,7 +74,7 @@ func (o *overlay) Reset() {
 	o.mu.Lock()
 	o.pending = map[addr.Addr]int{}
 	o.stats = Stats{}
-	o.bift = nil
+	o.bift, o.tunnels = nil, nil
 	o.mu.Unlock()
 }
 
@@ -87,11 +90,15 @@ func (o *overlay) Stats() Stats {
 // count adds delta to the comparison counters.
 func (o *overlay) count(delta Stats) {
 	o.mu.Lock()
+	o.countLocked(delta)
+	o.mu.Unlock()
+}
+
+func (o *overlay) countLocked(delta Stats) {
 	o.stats.PeerSends += delta.PeerSends
 	o.stats.Relays += delta.Relays
 	o.stats.Encaps += delta.Encaps
 	o.stats.HeaderBytes += delta.HeaderBytes
-	o.mu.Unlock()
 }
 
 // ---------------------------------------------------------- control plane
@@ -261,13 +268,18 @@ func (o *overlay) deliverPlain(src bgmp.Target, d *wire.Data) {
 // ranges (§4.2), so the tunnel target is re-resolved against this domain's
 // more specific route and the climb continues.
 func (o *overlay) deliverTunnel(d *wire.Data) {
-	ue, ok := o.cfg.LookupUnicast(d.TunnelTo)
+	gen := o.generation()
+	o.mu.Lock()
+	e, ok := o.tunnelLocked(d.TunnelTo, gen)
+	if ok && !e.here {
+		o.countLocked(hopStats(e.to, d, EncapHeaderBytes))
+	}
+	o.mu.Unlock()
 	if !ok {
 		return
 	}
-	next, here := o.eg.Resolve(ue)
-	if !here {
-		o.hop(next, d, EncapHeaderBytes)
+	if !e.here {
+		o.send(e.to, d)
 		return
 	}
 	cp := *d
@@ -341,9 +353,7 @@ func (o *overlay) rootReplicate(d *wire.Data, injectLocally bool) {
 // the remainder across unicast next hops.
 func (o *overlay) deliverBits(d *wire.Data) {
 	if hasBit(d.Bits, uint32(o.cfg.Domain)) {
-		cp := *d
-		cp.Bits, cp.TunnelTo, cp.Encap = nil, 0, false
-		o.injectLocal(&cp)
+		o.injectLocal(d) // Inject and Encap strip the bitstring
 	}
 	o.forwardBits(d)
 }
@@ -361,10 +371,7 @@ func (o *overlay) forwardBits(d *wire.Data) {
 	if n == 0 || n == 1 && hasBit(d.Bits, self) {
 		return // nothing but the bit deliverBits served
 	}
-	var gen uint64
-	if o.cfg.UnicastGeneration != nil {
-		gen = o.cfg.UnicastGeneration() // before any lookup it will stamp
-	}
+	gen := o.generation()
 	// One slab holds every outgoing string, next hop k's at k*words; a
 	// packet's next hops are bounded by its bits and the router's peers.
 	tos := make([]bgmp.Target, 0, 8)
@@ -376,14 +383,14 @@ func (o *overlay) forwardBits(d *wire.Data) {
 			if dom == self {
 				continue
 			}
-			to, ok := o.nextHopLocked(dom, gen)
+			e, ok := o.bitLocked(dom, gen)
 			if !ok {
 				continue
 			}
-			k := slices.Index(tos, to)
+			k := slices.Index(tos, e.to)
 			if k < 0 {
 				k = len(tos)
-				tos = append(tos, to)
+				tos = append(tos, e.to)
 				if len(slab) < len(tos)*words {
 					slab = append(slab, make([]uint64, words)...) // a ninth next hop
 				}
@@ -395,38 +402,73 @@ func (o *overlay) forwardBits(d *wire.Data) {
 	for k, to := range tos {
 		cp := *d
 		cp.Bits = trimBits(slab[k*words : (k+1)*words])
-		o.hop(to, &cp, BIERHeaderBytes(len(cp.Bits)))
+		o.count(hopStats(to, &cp, BIERHeaderBytes(len(cp.Bits))))
+		o.send(to, &cp)
 	}
 }
 
-// nextHopLocked is the BIFT: where a copy for domain dom leaves this
-// router. An entry is derived from the unicast RIB by the first packet that
-// needs it and stands while gen, the unicast generation, is the one it was
-// looked up under. Misses are not kept, so the table grows only to domain
-// IDs that exist; nor is a route with a lifetime, so that a kept answer is
-// always the one LookupUnicast would give now. Caller holds o.mu.
-func (o *overlay) nextHopLocked(dom uint32, gen uint64) (bgmp.Target, bool) {
+// generation reads the unicast generation, before any lookup it will stamp.
+func (o *overlay) generation() uint64 {
+	if o.cfg.UnicastGeneration == nil {
+		return 0 // and nothing is kept
+	}
+	return o.cfg.UnicastGeneration()
+}
+
+// wayLocked is the table's fill rule: e stands while gen, the unicast
+// generation, is the one it was filled under; else it is derived anew from
+// the route toward anchor address ta() — its next hop, and whether it ends
+// here — and kept if there is a generation and no lifetime, so that a kept e
+// is what LookupUnicast would give now. False, e untouched: no route.
+func (o *overlay) wayLocked(e *fwdEntry, ta func() (addr.Addr, bool), gen uint64) bool {
+	if e.kept && e.gen == gen {
+		return true
+	}
+	a, ok := ta()
+	if !ok {
+		return false
+	}
+	ue, ok := o.cfg.LookupUnicast(a)
+	if !ok {
+		return false
+	}
+	*e = fwdEntry{to: o.eg.Toward(ue.NextHop), gen: gen, kept: o.cfg.UnicastGeneration != nil && ue.Route.ExpireUnix == 0}
+	_, e.here = o.eg.Resolve(ue)
+	return true
+}
+
+// bitLocked reads the table by domain, grown to dom only to keep its entry.
+func (o *overlay) bitLocked(dom uint32, gen uint64) (e fwdEntry, ok bool) {
 	if int(dom) < len(o.bift) {
-		if e := o.bift[dom]; e.ok && e.gen == gen {
-			return e.to, true
-		}
+		e = o.bift[dom]
 	}
-	ta, ok := o.cfg.DomainAddr(wire.DomainID(dom))
-	if !ok {
-		return bgmp.Target{}, false
-	}
-	ue, ok := o.cfg.LookupUnicast(ta)
-	if !ok {
-		return bgmp.Target{}, false
-	}
-	to := o.eg.Toward(ue.NextHop)
-	if o.cfg.UnicastGeneration != nil && ue.Route.ExpireUnix == 0 && dom <= wire.MaxDataBit {
+	if ok = o.wayLocked(&e, func() (addr.Addr, bool) { return o.cfg.DomainAddr(wire.DomainID(dom)) }, gen); ok && e.kept {
 		if int(dom) >= len(o.bift) {
-			o.bift = append(o.bift, make([]biftEntry, int(dom)+1-len(o.bift))...)
+			o.bift = append(o.bift, make([]fwdEntry, int(dom)+1-len(o.bift))...)
 		}
-		o.bift[dom] = biftEntry{to: to, gen: gen, ok: true}
+		o.bift[dom] = e
 	}
-	return to, true
+	return e, ok
+}
+
+// tunnelLocked reads the table by anchor address, refilling through the
+// pointer: Go grows a full small map on any assignment, even to a key it holds.
+func (o *overlay) tunnelLocked(ta addr.Addr, gen uint64) (e fwdEntry, ok bool) {
+	p := o.tunnels[ta]
+	if p != nil {
+		e = *p
+	}
+	if ok = o.wayLocked(&e, func() (addr.Addr, bool) { return ta, true }, gen); ok && e.kept {
+		if p == nil {
+			if o.tunnels == nil {
+				o.tunnels = map[addr.Addr]*fwdEntry{}
+			}
+			p = new(fwdEntry)
+			o.tunnels[ta] = p
+		}
+		*p = e
+	}
+	return e, ok
 }
 
 // injectLocal delivers a decapsulated packet to the domain interior,
@@ -439,18 +481,26 @@ func (o *overlay) injectLocal(d *wire.Data) {
 	}
 }
 
-// hop moves d a unicast hop toward t: relayed as is through the interior to
+// send moves d a unicast hop toward t: relayed as is through the interior to
 // a sibling border, or across the peering, which costs a TTL (spent by the
-// receiver, see Egress.ToPeer) and headerBytes of this backend's header.
-func (o *overlay) hop(t bgmp.Target, d *wire.Data, headerBytes int) {
+// receiver, see Egress.ToPeer).
+func (o *overlay) send(t bgmp.Target, d *wire.Data) {
 	if t.MIGP {
-		o.count(Stats{Relays: 1})
 		o.eg.Send(t, d)
-	} else if o.eg.ToPeer(t.Router, d) {
-		o.count(Stats{PeerSends: 1, HeaderBytes: uint64(headerBytes)})
+	} else {
+		o.eg.ToPeer(t.Router, d)
 	}
 }
 
-var (
-	_ Backend = (*overlay)(nil)
-)
+// hopStats is what send(t, d) adds to the counters, headerBytes being this
+// backend's header on a peering hop, which ToPeer drops with no TTL to spend.
+func hopStats(t bgmp.Target, d *wire.Data, headerBytes int) (s Stats) {
+	if t.MIGP {
+		s.Relays = 1
+	} else if d.TTL > 1 {
+		s.PeerSends, s.HeaderBytes = 1, uint64(headerBytes)
+	}
+	return s
+}
+
+var _ Backend = (*overlay)(nil)

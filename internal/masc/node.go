@@ -99,7 +99,6 @@ type pendingClaim struct {
 	// snapshot can re-arm the maturity timer with the remaining wait.
 	matureAt time.Time
 	timer    simclock.Timer
-	lost     bool
 	// span traces the claim round from announcement to win/abandon; the
 	// announced Claim messages carry its context to siblings and parent.
 	span obs.Span
@@ -248,21 +247,18 @@ func (n *Node) claimLocked(size uint64, lifetime time.Duration, attempts int) bo
 	}
 	wire.Stamp(claim, pc.span.Context())
 	n.announceLocked(claim)
-	pc.timer = n.cfg.Clock.AfterFunc(n.cfg.WaitPeriod, func() { n.claimMatured(p) })
+	pc.timer = n.cfg.Clock.AfterFunc(n.cfg.WaitPeriod, func() { n.claimMatured(pc) })
 	n.eventLocked(obs.MASCClaim, p)
 	return true
 }
 
 // claimMatured runs when the waiting period for a claim elapses without a
-// collision: the range is won.
-func (n *Node) claimMatured(p addr.Prefix) {
+// collision: the range is won — unless pc no longer pends, abandoned or
+// replaced by a Restore while its timer was on its way.
+func (n *Node) claimMatured(pc *pendingClaim) {
 	n.mu.Lock()
-	if n.dead {
-		n.mu.Unlock()
-		return
-	}
-	pc, ok := n.pending[p]
-	if !ok || pc.lost {
+	p := pc.prefix
+	if n.dead || n.pending[p] != pc {
 		n.mu.Unlock()
 		return
 	}
@@ -459,7 +455,6 @@ func (n *Node) scheduleRetry(pc *pendingClaim) {
 }
 
 func (n *Node) abandonLocked(p addr.Prefix, pc *pendingClaim) {
-	pc.lost = true
 	if pc.timer != nil {
 		pc.timer.Stop()
 	}

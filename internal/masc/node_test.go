@@ -17,6 +17,11 @@ type nodeNet struct {
 	nodes map[wire.DomainID]*Node
 	won   map[wire.DomainID][]addr.Prefix
 	lost  map[wire.DomainID][]addr.Prefix
+	// hold queues messages until flush, so that claims made in one instant
+	// cross instead of being heard one by one.
+	hold       bool
+	queue      []func()
+	collisions int
 }
 
 func newNodeNet(t *testing.T) *nodeNet {
@@ -37,8 +42,18 @@ func (nn *nodeNet) add(d wire.DomainID, topLevel bool, seed int64) *Node {
 		WaitPeriod: 48 * time.Hour,
 		TopLevel:   topLevel,
 		Send: func(to wire.DomainID, msg wire.Message) {
-			if peer, ok := nn.nodes[to]; ok {
-				peer.HandleMessage(d, msg)
+			if _, ok := msg.(*wire.Collision); ok {
+				nn.collisions++
+			}
+			deliver := func() {
+				if peer, ok := nn.nodes[to]; ok {
+					peer.HandleMessage(d, msg)
+				}
+			}
+			if nn.hold {
+				nn.queue = append(nn.queue, deliver)
+			} else {
+				deliver()
 			}
 		},
 		OnWon:  func(p addr.Prefix, _ time.Time) { nn.won[d] = append(nn.won[d], p) },
@@ -50,6 +65,16 @@ func (nn *nodeNet) add(d wire.DomainID, topLevel bool, seed int64) *Node {
 
 // run advances simulated time past the waiting period.
 func (nn *nodeNet) run(d time.Duration) { nn.clk.RunFor(d) }
+
+// flush ends hold, delivering what it queued in order.
+func (nn *nodeNet) flush() {
+	nn.hold = false
+	for len(nn.queue) > 0 {
+		deliver := nn.queue[0]
+		nn.queue = nn.queue[1:]
+		deliver()
+	}
+}
 
 func TestTopLevelClaimWins(t *testing.T) {
 	nn := newNodeNet(t)

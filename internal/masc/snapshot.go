@@ -90,6 +90,9 @@ func (n *Node) Snapshot() Snapshot {
 func (n *Node) Restore(s Snapshot) {
 	now := n.cfg.Clock.Now()
 	n.mu.Lock()
+	for p, pc := range n.pending {
+		n.abandonLocked(p, pc) // from the ledger replaced next
+	}
 	n.heard = NewLedger(s.Spaces...)
 	for _, p := range s.Heard {
 		n.heard.Record(p)
@@ -123,8 +126,7 @@ func (n *Node) Restore(s Snapshot) {
 		if remaining < 0 {
 			remaining = 0
 		}
-		p := ps.Prefix
-		pc.timer = n.cfg.Clock.AfterFunc(remaining, func() { n.claimMatured(p) })
+		pc.timer = n.cfg.Clock.AfterFunc(remaining, func() { n.claimMatured(pc) })
 		n.pending[ps.Prefix] = pc
 	}
 	n.eventLocked(obs.MASCRestored, addr.Prefix{})

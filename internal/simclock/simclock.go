@@ -139,6 +139,9 @@ func (s *Sim) RunUntil(deadline time.Time) int {
 	n := 0
 	for {
 		s.mu.Lock()
+		for s.pend.Len() > 0 && s.pend[0].stopped {
+			heap.Pop(&s.pend) // else Step would skip it and run what lies past deadline
+		}
 		if s.pend.Len() == 0 || s.pend[0].at.After(deadline) {
 			if s.now.Before(deadline) {
 				s.now = deadline

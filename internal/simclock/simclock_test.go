@@ -107,6 +107,18 @@ func TestSimRunUntil(t *testing.T) {
 	}
 }
 
+// TestSimRunUntilPastStoppedEvent: a stopped event before the deadline
+// must not pull in one after it.
+func TestSimRunUntilPastStoppedEvent(t *testing.T) {
+	s := NewSim(t0)
+	ran := false
+	s.AfterFunc(time.Hour, func() {}).Stop()
+	s.AfterFunc(5*time.Hour, func() { ran = true })
+	if n := s.RunFor(2 * time.Hour); n != 0 || ran || !s.Now().Equal(t0.Add(2*time.Hour)) {
+		t.Fatalf("RunFor(2h) ran %d events (the 5 h one: %v), Now %v", n, ran, s.Now())
+	}
+}
+
 func TestSimRescheduleFromCallback(t *testing.T) {
 	s := NewSim(t0)
 	count := 0
