@@ -326,6 +326,48 @@ func TestFlapAllocBudget(t *testing.T) {
 	}
 }
 
+// TestSetupRouteItemBudget bounds the route items — one route announced or
+// withdrawn to one neighbour, counted off the observer — that building an
+// asWorld moves, as
+//
+//	perEntry × RIB entries at convergence
+//
+// where an entry is one router's selected route for one prefix in one
+// table. Every entry but an origination is announced at least once, and a
+// link coming up sends each end the other's whole table. Anything past that
+// is a route some router announced and then replaced before the build was
+// done. Delivering each update by nested call, a link's first update ran to
+// the end of the graph before its sender's next one left: routers learned
+// long paths first and replaced them, 4.4 items per entry here (5.4 and 20
+// on the benchmark's tree-dense and mesh-sparse). Breadth-first from one
+// queue, a second update folded into one still waiting on its session, the
+// build takes 3.0 (2.3 and 7.5 there).
+func TestSetupRouteItemBudget(t *testing.T) {
+	ob := obs.NewObserver()
+	w := newASWorld(t, 80, 40, 1998, ob)
+	d := ob.Snapshot()
+	items := d.Total(obs.BGPAnnounce) + d.Total(obs.BGPWithdraw)
+	entries := ribEntries(w.net)
+	const perEntry = 3.5
+	if budget := perEntry * float64(entries); float64(items) > budget {
+		t.Errorf("set-up moved %d route items for %d RIB entries (%.2f each), budget %.1f × %d = %.0f",
+			items, entries, float64(items)/float64(entries), perEntry, entries, budget)
+	}
+}
+
+// ribEntries counts the selected routes of every router's three tables.
+func ribEntries(net *Network) int {
+	n := 0
+	for _, d := range net.Domains() {
+		for _, r := range d.Routers() {
+			for t := range wire.NumTables {
+				n += len(r.bgp.Table(wire.Table(t)))
+			}
+		}
+	}
+	return n
+}
+
 // BenchmarkLinkFlap times one link of a 48-router ring with chords going
 // down and coming back: two session teardowns, the withdrawals and path
 // hunting they set off, two full-table Syncs and the reconvergence.
@@ -337,4 +379,19 @@ func BenchmarkLinkFlap(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		flap(b, net, 5+i%7)
 	}
+}
+
+// BenchmarkBuildWorld times building TestSetupRouteItemBudget's asWorld —
+// 80 domains, 140 links brought up one at a time, four MASC claims, eight
+// groups — and reports the route items one build moves.
+func BenchmarkBuildWorld(b *testing.B) {
+	b.ReportAllocs()
+	var items uint64
+	for i := 0; i < b.N; i++ {
+		ob := obs.NewObserver()
+		newASWorld(b, 80, 40, 1998, ob)
+		d := ob.Snapshot()
+		items += d.Total(obs.BGPAnnounce) + d.Total(obs.BGPWithdraw)
+	}
+	b.ReportMetric(float64(items)/float64(b.N), "items/op")
 }

@@ -11,6 +11,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -45,10 +46,18 @@ type Config struct {
 	// them before expiry (§4.3.1). Off, ranges lapse at their lifetime
 	// and the covering routes age out.
 	AutoRenewClaims bool
-	// Synchronous delivers inter-router messages by direct call (with an
-	// encode/decode round trip), making runs deterministic. Unset, every
-	// peering is a real loopback TCP connection with background transport
-	// goroutines — the deployment shape of cmd/bgmpd.
+	// Synchronous delivers inter-router messages in the calling goroutine
+	// (after an encode/decode round trip), making runs deterministic. Data
+	// packets, BGMP joins and prunes and MemberReports are delivered by
+	// nested call before Send returns. BGP updates wait in one FIFO per
+	// network, folded into an update still waiting on the same session and
+	// table if there is one: a Send made while the queue is being delivered
+	// returns before its update arrives, and the outermost call delivers
+	// the queue until it is empty. So BGP converges breadth-first, and
+	// Link, Unlink, AddDomain and a MASC origination return converged. A
+	// synchronous network is driven from one goroutine at a time. Unset,
+	// every peering is a real loopback TCP connection with background
+	// transport goroutines — the deployment shape of cmd/bgmpd.
 	Synchronous bool
 	// Observer receives protocol events and feeds the metrics registry:
 	// MASC claims and collisions, BGP route churn, BGMP joins/prunes and
@@ -154,6 +163,32 @@ type Network struct {
 	// a sync.Pool, which a collection empties — what a send allocates must
 	// not depend on the collector (DESIGN.md §17). guarded by frameMu
 	packets [2][]*wire.Data
+
+	queueMu sync.Mutex
+	// updates are the BGP updates sent on a synchronous network and not yet
+	// delivered, oldest at updates[qhead]; the array is reused across
+	// drains, as frame is. guarded by queueMu
+	updates []queuedUpdate
+	qhead   int // guarded by queueMu
+	// waiting finds the queued update, if any, from one router to another
+	// for one table. guarded by queueMu
+	waiting map[updateKey]*wire.Update
+	// draining is set while a converge call holds or delivers the queue.
+	// guarded by queueMu
+	draining bool
+}
+
+// updateKey names one session's stream of updates for one table.
+type updateKey struct {
+	from  wire.RouterID
+	to    *Router
+	table wire.Table
+}
+
+// queuedUpdate is one BGP update on its way to its receiver.
+type queuedUpdate struct {
+	updateKey
+	u *wire.Update
 }
 
 type link struct {
@@ -186,6 +221,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 		tracker: &transport.Tracker{},
 		domains: map[wire.DomainID]*Domain{},
 		routers: map[wire.RouterID]*Router{},
+		waiting: map[updateKey]*wire.Update{},
 	}
 	if cfg.Faults != nil {
 		cfg.Faults.SetPeerHooks(n.onPeerCrash, n.onPeerRestart)
@@ -298,8 +334,10 @@ func (n *Network) Unlink(a, b wire.RouterID) error {
 	if !linked {
 		return fmt.Errorf("%w: %d-%d", ErrNotLinked, a, b)
 	}
-	ra.dropPeer(b, wire.TraceContext{})
-	rb.dropPeer(a, wire.TraceContext{})
+	n.converge(func() {
+		ra.dropPeer(b, wire.TraceContext{})
+		rb.dropPeer(a, wire.TraceContext{})
+	})
 	return nil
 }
 
@@ -366,6 +404,81 @@ func (n *Network) roundTrip(msg wire.Message) (wire.Message, error) {
 		}
 	}
 	return wire.Decode(n.frame)
+}
+
+// deliverUpdate queues a decoded BGP update for its receiver and, unless a
+// drain is already running further up the stack, delivers the queue. An
+// update for a session and table that still has one waiting is folded into
+// that one (supersede), as by a speaker that rewrites its pending output to
+// a peer: the receiver learns where the sender's routes are now, once,
+// rather than every route the sender passed through on the way. Without
+// it, the withdrawal of a prefix that became unreachable hunts down every
+// alternative path, and breadth-first order makes that hunt hundreds of
+// times longer than nesting did (DESIGN.md §5).
+func (n *Network) deliverUpdate(from wire.RouterID, to *Router, u *wire.Update) {
+	k := updateKey{from, to, u.Table}
+	n.queueMu.Lock()
+	if q := n.waiting[k]; q != nil {
+		supersede(q, u)
+	} else {
+		n.waiting[k] = u
+		n.updates = append(n.updates, queuedUpdate{k, u})
+	}
+	n.queueMu.Unlock()
+	n.converge(nil)
+}
+
+// supersede folds u into q, the update still waiting on the same session and
+// table: each prefix u names leaves q's lists, and u's lists are appended.
+func supersede(q, u *wire.Update) {
+	named := func(p addr.Prefix) bool {
+		return slices.Contains(u.Withdrawn, p) ||
+			slices.ContainsFunc(u.Routes, func(rt wire.Route) bool { return rt.Prefix == p })
+	}
+	q.Withdrawn = append(slices.DeleteFunc(q.Withdrawn, named), u.Withdrawn...)
+	q.Routes = append(slices.DeleteFunc(q.Routes, func(rt wire.Route) bool { return named(rt.Prefix) }), u.Routes...)
+}
+
+// converge runs fn, when not nil, with every BGP update it sends held in the
+// queue, and then — unless a drain is already running further up the stack
+// — delivers the queue in arrival order until it is empty. Every router
+// hears a change before any of them hears the next one's consequences, as
+// over real sessions. Held, a speaker's whole batch is queued before the
+// replies to its first update can change its selection again: otherwise a
+// RemoveNeighbor's later updates, stale by then, would reach their peers
+// after the fresher ones the drain made it send, and stay
+// (TestRIBsConvergeToShortestPaths). A peering going down or up changes
+// both ends in one fn, so no router hears of it before both ends have.
+func (n *Network) converge(fn func()) {
+	n.queueMu.Lock()
+	outer := !n.draining
+	n.draining = true
+	n.queueMu.Unlock()
+	if fn != nil {
+		fn()
+	}
+	if !outer {
+		return
+	}
+	n.queueMu.Lock()
+	for n.qhead < len(n.updates) {
+		q := n.updates[n.qhead]
+		delete(n.waiting, q.updateKey)
+		n.updates[n.qhead] = queuedUpdate{}
+		n.qhead++
+		if 2*n.qhead >= len(n.updates) {
+			// Slide what is left to the front: the array stays about twice
+			// the queue's longest, however many updates a drain delivers.
+			left := copy(n.updates, n.updates[n.qhead:])
+			clear(n.updates[left:])
+			n.updates, n.qhead = n.updates[:left], 0
+		}
+		n.queueMu.Unlock()
+		q.to.dispatch(q.from, q.u)
+		n.queueMu.Lock()
+	}
+	n.draining = false
+	n.queueMu.Unlock()
 }
 
 // recycle frees a data packet roundTrip decoded, once its receiver has returned.

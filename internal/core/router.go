@@ -45,8 +45,10 @@ type sender interface {
 	Close() error
 }
 
-// directSender delivers by function call after an encode/decode round trip
-// (same bytes as the TCP path, no goroutines).
+// directSender delivers in the caller's goroutine after an encode/decode
+// round trip (same bytes as the TCP path, no goroutines): a BGP update
+// through the network's queue (Network.deliverUpdate), anything else by
+// nested call.
 type directSender struct {
 	from wire.RouterID
 	to   *Router
@@ -58,9 +60,14 @@ func (d directSender) Send(msg wire.Message) error {
 	if err != nil {
 		return err
 	}
-	d.to.dispatch(d.from, decoded)
-	if data, ok := decoded.(*wire.Data); ok {
-		n.recycle(data)
+	switch m := decoded.(type) {
+	case *wire.Update:
+		n.deliverUpdate(d.from, d.to, m)
+	case *wire.Data:
+		d.to.dispatch(d.from, m)
+		n.recycle(m)
+	default:
+		d.to.dispatch(d.from, decoded)
 	}
 	return nil
 }
@@ -264,7 +271,7 @@ func (r *Router) dispatch(from wire.RouterID, msg wire.Message) {
 // connect wires r and other with a bidirectional peering: loopback TCP
 // with background receive loops, or direct dispatch in synchronous
 // networks. Both speakers register the neighbor and run the
-// initial route exchange.
+// initial route exchange, both tables in flight before either arrives.
 func (r *Router) connect(other *Router) error {
 	internal := r.domain == other.domain
 	// faulty wraps a sender in the network's fault plane, when one is
@@ -323,8 +330,10 @@ func (r *Router) connect(other *Router) error {
 
 	r.bgp.AddNeighbor(bgp.Neighbor{Router: other.ID, Domain: other.domain.ID, Internal: internal})
 	other.bgp.AddNeighbor(bgp.Neighbor{Router: r.ID, Domain: r.domain.ID, Internal: internal})
-	r.bgp.Sync(other.ID)
-	other.bgp.Sync(r.ID)
+	r.domain.net.converge(func() {
+		r.bgp.Sync(other.ID)
+		other.bgp.Sync(r.ID)
+	})
 	return nil
 }
 
@@ -368,7 +377,8 @@ func (r *Router) addPeer(id wire.RouterID, s sender, internal bool) {
 // dropPeer severs the session with a peer: the sender closes, BGP forgets
 // the neighbor (withdrawing its routes, which triggers BGMP tree repair),
 // and BGMP drops child targets pointing at it. ctx carries the teardown's
-// causal trace (zero for administrative unlinks).
+// causal trace (zero for administrative unlinks). Callers drop both ends of
+// a peering inside one Network.converge.
 func (r *Router) dropPeer(id wire.RouterID, ctx wire.TraceContext) {
 	r.mu.Lock()
 	s := r.peers[id]

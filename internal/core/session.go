@@ -194,8 +194,10 @@ func (s *session) down(ctx wire.TraceContext) {
 		sp = tr.BeginChild(ctx, obs.SpanSessionDown, ev)
 	}
 	s.n.emit(obs.Event{Kind: obs.SessionDown, Domain: s.a.domain.ID, Router: s.a.ID, Peer: s.b.ID})
-	s.a.dropPeer(s.b.ID, sp.Context())
-	s.b.dropPeer(s.a.ID, sp.Context())
+	s.n.converge(func() {
+		s.a.dropPeer(s.b.ID, sp.Context())
+		s.b.dropPeer(s.a.ID, sp.Context())
+	})
 	sp.End()
 
 	s.mu.Lock()
@@ -261,11 +263,13 @@ func (n *Network) onPeerCrash(id wire.RouterID) {
 		return
 	}
 	r.backend.Reset()
-	for _, p := range r.domain.Routers() {
-		if p != r {
-			p.bgp.RemoveNeighbor(id, wire.TraceContext{})
+	n.converge(func() {
+		for _, p := range r.domain.Routers() {
+			if p != r {
+				p.bgp.RemoveNeighbor(id, wire.TraceContext{})
+			}
 		}
-	}
+	})
 }
 
 // onPeerRestart is the fault plane's restart hook. External sessions come
@@ -279,12 +283,14 @@ func (n *Network) onPeerRestart(id wire.RouterID) {
 	if r == nil {
 		return
 	}
-	for _, p := range r.domain.Routers() {
-		if p == r {
-			continue
+	n.converge(func() {
+		for _, p := range r.domain.Routers() {
+			if p == r {
+				continue
+			}
+			p.bgp.AddNeighbor(bgp.Neighbor{Router: r.ID, Domain: r.domain.ID, Internal: true})
+			p.bgp.Sync(r.ID)
+			r.bgp.Sync(p.ID)
 		}
-		p.bgp.AddNeighbor(bgp.Neighbor{Router: r.ID, Domain: r.domain.ID, Internal: true})
-		p.bgp.Sync(r.ID)
-		r.bgp.Sync(p.ID)
-	}
+	})
 }
