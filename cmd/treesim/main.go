@@ -11,20 +11,14 @@
 //
 //	treesim [-domains 3326] [-peering 350] [-seed 1998] [-trials 5]
 //	        [-sizes 1,2,5,...] [-random-root] [-summary]
-//	        [-backend shared-tree|bier|map-encap]
 //	        [-metrics] [-trace] [-trace-out spans.json]
 //
 // -trace-out records one causal span per sampled group (the tree build
 // plus its delivery sampling) and writes Chrome trace-event JSON; the file
 // is byte-identical for the same seed.
 //
-// -backend selects a data-plane backend to compare against the default
-// shared trees: after the Figure 4 table, treesim appends a data-plane
-// comparison (state, path stretch, per-packet header overhead) for the
-// chosen backend on the same topology, via the scale-churn workload.
-//
 // Bad flag values (fewer than 2 domains, no trials, a malformed -sizes
-// entry, an unknown backend) exit with status 2.
+// entry) exit with status 2.
 package main
 
 import (
@@ -55,7 +49,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed       = fs.Int64("seed", 1998, "random seed")
 		trials     = fs.Int("trials", 5, "trials per group size")
 		sizes      = fs.String("sizes", "", "comma-separated receiver counts (default: the paper's 1..1000 sweep)")
-		backend    = fs.String("backend", mascbgmp.DataPlaneSharedTree, "data-plane backend to compare against the shared tree (shared-tree, bier, map-encap)")
 		randomRoot = fs.Bool("random-root", false, "ablation: root the bidirectional tree at a random domain instead of the initiator's")
 		summary    = fs.Bool("summary", false, "print only the overall summary")
 		of         obsflags.Flags
@@ -73,9 +66,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *trials < 1 {
 		return usage("-trials must be at least 1, got %d", *trials)
-	}
-	if !mascbgmp.ValidDataPlane(*backend) {
-		return usage("unknown -backend %q (valid: %s)", *backend, strings.Join(mascbgmp.DataPlaneNames(), ", "))
 	}
 
 	cfg := mascbgmp.DefaultFig4Config()
@@ -140,31 +130,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stderr, "unidirectional (PIM-SM model):  %.2fx / %.1fx   (paper: ~2x / <=6x)\n", uni, uniMax)
 	fmt.Fprintf(stderr, "bidirectional  (BGMP):          %.2fx / %.1fx   (paper: <1.3x / <=4.5x)\n", bidir, bidirMax)
 	fmt.Fprintf(stderr, "hybrid (BGMP + src branches):   %.2fx / %.1fx   (paper: <1.2x / <=4x)\n", hybrid, hybridMax)
-
-	// Data-plane comparison: cost the selected backend against the shared
-	// tree on the same topology, via the churn workload (DESIGN.md §11).
-	if *backend != mascbgmp.DataPlaneSharedTree {
-		ccfg := mascbgmp.DefaultChurnConfig()
-		ccfg.Domains = *domains
-		ccfg.ExtraPeering = *peering
-		ccfg.Seed = *seed
-		dres := mascbgmp.RunDataPlane(ccfg)
-		fmt.Fprintf(stderr, "\n# data-plane comparison (%d groups, %d churn events)\n",
-			ccfg.Groups, ccfg.Events)
-		fmt.Fprintf(stderr, "%-12s %14s %15s %13s %12s %14s\n",
-			"backend", "group_entries", "overlay_entries", "hops/pkt", "hdr_B/pkt", "stretch avg/max")
-		pkts := float64(dres.Churn.Packets)
-		for _, name := range []string{mascbgmp.DataPlaneSharedTree, *backend} {
-			c, ok := dres.Cost(name)
-			if !ok {
-				continue
-			}
-			fmt.Fprintf(stderr, "%-12s %14d %15d %13.1f %12.1f %9.2f/%.1f\n",
-				c.Backend, c.GroupEntries, c.OverlayEntries,
-				float64(c.ForwardHops)/pkts, float64(c.HeaderBytes)/pkts,
-				c.MeanStretch, c.MaxStretch)
-		}
-	}
 
 	if err := of.Finish(stderr, ob.Snapshot().Totals(), "", ob.Tracer().Records()); err != nil {
 		return usage("%v", err)

@@ -27,7 +27,6 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		{[]string{"-trials", "0"}, "-trials must be at least 1"},
 		{[]string{"-sizes", "5,x"}, `bad -sizes entry "x"`},
 		{[]string{"-sizes", "5,0"}, `bad -sizes entry "0"`},
-		{[]string{"-backend", "bogus"}, "unknown -backend"},
 	} {
 		code, out, errb := runCLI(tc.args...)
 		if code != 2 || out != "" || !strings.Contains(errb, tc.want) || strings.Count(errb, "\n") != 1 {

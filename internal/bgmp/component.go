@@ -83,9 +83,6 @@ type Component struct {
 	mu     sync.Mutex
 	groups map[addr.Addr]*entry // guarded by mu
 	srcs   map[sgKey]*entry     // guarded by mu
-	// prefixes holds (*,G-prefix) aggregated forwarding state (§7); see
-	// aggregate.go. guarded by mu
-	prefixes map[addr.Prefix]*entry
 	// encapFrom remembers, per (S,G), the internal border router that is
 	// encapsulating data to us, so we can source-prune it once the
 	// source-specific branch delivers. guarded by mu
@@ -176,7 +173,7 @@ func sortTargets(ts []Target) {
 	})
 }
 
-// HasGroupState reports whether the router holds an exact (*,G) entry.
+// HasGroupState reports whether the router holds a (*,G) entry.
 func (c *Component) HasGroupState(g addr.Addr) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -200,7 +197,6 @@ func (c *Component) Reset() {
 	c.mu.Lock()
 	c.groups = map[addr.Addr]*entry{}
 	c.srcs = map[sgKey]*entry{}
-	c.prefixes = nil
 	c.encapFrom = map[sgKey]wire.RouterID{}
 	c.importedSG = map[sgKey]bool{}
 	c.orphans = map[addr.Addr]*entry{}
@@ -208,15 +204,15 @@ func (c *Component) Reset() {
 	c.mu.Unlock()
 }
 
-// HasForwardingState reports whether the router can forward g's data from
-// tree state: an exact (*,G) entry or covering (*,G-prefix) state.
-func (c *Component) HasForwardingState(g addr.Addr) bool {
+// HasForwardingState is HasGroupState under the name migp.Border and
+// dataplane.Backend use: a (*,G) entry is the only tree state.
+func (c *Component) HasForwardingState(g addr.Addr) bool { return c.HasGroupState(g) }
+
+// StateSize reports the number of (*,G) and (S,G) forwarding entries.
+func (c *Component) StateSize() (groups, sources int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.groups[g]; ok {
-		return true
-	}
-	return c.prefixEntryForLocked(g) != nil
+	return len(c.groups), len(c.srcs)
 }
 
 // ---------------------------------------------------------------- joining
@@ -304,19 +300,10 @@ func (c *Component) handle(src Target, msg wire.Message) {
 }
 
 // joinLocked adds `child` to the (*,G) entry, creating it (and propagating
-// the join toward the root domain) when absent. A group covered by
-// aggregated (*,G-prefix) state is re-materialized first, keeping control
-// traffic per-group precise.
+// the join toward the root domain) when absent.
 func (c *Component) joinLocked(g addr.Addr, child Target) {
 	c.eventLocked(obs.Event{Kind: obs.BGMPJoin, Group: g})
 	e, ok := c.groups[g]
-	if !ok {
-		if me := c.materializeLocked(g); me != nil {
-			me.addChild(child)
-			c.observeGraftLocked()
-			return
-		}
-	}
 	// grafted marks the join terminating at this router — it met existing
 	// tree state or the root — which is when the branch is complete and the
 	// origin-to-graft latency is observable.
@@ -366,18 +353,15 @@ func (c *Component) pruneLocked(g addr.Addr, child Target) {
 	c.eventLocked(obs.Event{Kind: obs.BGMPPrune, Group: g})
 	e, ok := c.groups[g]
 	if !ok {
-		e = c.materializeLocked(g)
-		if e == nil {
-			// The group may be parked as an orphan (no route); retract the
-			// child's interest there so a later rejoin is accurate.
-			if oe, had := c.orphans[g]; had {
-				oe.removeChild(child)
-				if len(oe.children) == 0 {
-					delete(c.orphans, g)
-				}
+		// The group may be parked as an orphan (no route); retract the
+		// child's interest there so a later rejoin is accurate.
+		if oe, had := c.orphans[g]; had {
+			oe.removeChild(child)
+			if len(oe.children) == 0 {
+				delete(c.orphans, g)
 			}
-			return
 		}
+		return
 	}
 	e.removeChild(child)
 	if len(e.children) > 0 {

@@ -133,9 +133,8 @@ func (c *Component) handleData(from Target, d *wire.Data) {
 	e, isSG := c.srcs[k], false
 	if e != nil {
 		isSG = true
-	} else if e = c.groups[d.Group]; e == nil {
-		// Aggregated (*,G-prefix) state (§7) serves covered groups.
-		e = c.prefixEntryForLocked(d.Group)
+	} else {
+		e = c.groups[d.Group]
 	}
 	var encapFrom wire.RouterID
 	var hadEncap bool
@@ -232,9 +231,6 @@ func (c *Component) handleEncap(from wire.RouterID, d *wire.Data) {
 	k := sgKey{d.Source, d.Group}
 	c.mu.Lock()
 	e := c.groups[d.Group]
-	if e == nil {
-		e = c.prefixEntryForLocked(d.Group)
-	}
 	var targets []Target
 	if e != nil {
 		targets = e.targets()

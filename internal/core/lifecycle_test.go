@@ -281,43 +281,3 @@ func TestSendBeforeAnyJoinReachesNobody(t *testing.T) {
 		t.Fatal("late joiner missed subsequent data")
 	}
 }
-
-func TestBGMPStateCompressionInNetwork(t *testing.T) {
-	// Many groups in B's range joined by C through the same path: A2's
-	// per-group state compresses into one (*,G-prefix) entry; data for
-	// every group keeps flowing.
-	n, clk := paperNet(t, false, false)
-	allocateSpaces(t, n, clk)
-	bRange := n.Domain(2).MASC().Holdings()[0].Prefix
-
-	var groups []addr.Addr
-	for i := 0; i < 8; i++ {
-		lease, err := n.Domain(2).NewGroup(24 * time.Hour)
-		if err != nil {
-			t.Fatal(err)
-		}
-		groups = append(groups, lease.Addr)
-		n.Domain(3).Join(lease.Addr, 0)
-	}
-	a2 := n.Router(12)
-	g0, _, p0 := a2.BGMP().StateSize()
-	if g0 < 8 {
-		t.Fatalf("expected >=8 exact entries, got %d", g0)
-	}
-	merged := a2.BGMP().CompressState(bRange)
-	if merged < 8 {
-		t.Fatalf("merged = %d", merged)
-	}
-	g1, _, p1 := a2.BGMP().StateSize()
-	if g1 != g0-merged || p1 != p0+1 {
-		t.Fatalf("state after compression: groups %d→%d prefixes %d→%d", g0, g1, p0, p1)
-	}
-	src := n.Domain(5).HostAddr(1)
-	for _, g := range groups {
-		n.Domain(3).ClearReceived()
-		n.Domain(5).Send(g, src, "compressed", 0)
-		if len(n.Domain(3).Received()) != 1 {
-			t.Fatalf("group %v broken after compression", g)
-		}
-	}
-}

@@ -102,8 +102,8 @@ type Backend interface {
 // Stats are the per-router comparison counters every backend reports.
 type Stats struct {
 	// GroupEntries counts per-group forwarding entries held by this
-	// router ((*,G) + (S,G) + aggregated prefixes for shared trees; zero
-	// by design for the stateless backends).
+	// router ((*,G) + (S,G) for shared trees; zero by design for the
+	// stateless backends).
 	GroupEntries int
 	// OverlayEntries counts (group, member-domain) membership records in
 	// the domain's overlay store. Only root-domain borders hold any, and

@@ -36,8 +36,8 @@ func (s *sharedTree) RouteChanged(p addr.Prefix, ctx wire.TraceContext) { s.c.Ro
 func (s *sharedTree) Reset() { s.c.Reset() }
 
 func (s *sharedTree) Stats() Stats {
-	groups, srcs, prefixes := s.c.StateSize()
-	return Stats{GroupEntries: groups + srcs + prefixes}
+	groups, srcs := s.c.StateSize()
+	return Stats{GroupEntries: groups + srcs}
 }
 
 var _ Backend = (*sharedTree)(nil)

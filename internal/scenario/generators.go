@@ -55,42 +55,27 @@ type Generator interface {
 	Emit(s int, v View, rng *rand.Rand, emit func(Op))
 }
 
-// Compile builds the generator a validated workload spec names. It
-// rejects specs that did not come through Parse-level validation.
+// Compile builds the generator a workload spec names, after the same
+// validation Parse applies.
 func Compile(w WorkloadSpec) (Generator, error) {
+	if err := w.validate(); err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
+	}
 	switch w.Kind {
-	case KindUniform:
-		return &Uniform{PerStep: w.EventsPerStep}, nil
 	case KindZipf:
-		if w.ZipfS <= 1 || w.ZipfV < 1 || w.Groups < 2 {
-			return nil, fmt.Errorf("scenario: zipf needs s > 1, v >= 1, groups >= 2 (s=%g v=%g groups=%d)",
-				w.ZipfS, w.ZipfV, w.Groups)
-		}
 		return &Zipf{PerStep: w.EventsPerStep, S: w.ZipfS, V: w.ZipfV}, nil
 	case KindAffinity:
-		if w.ZipfS != 0 && (w.ZipfS <= 1 || w.ZipfV < 1) {
-			return nil, fmt.Errorf("scenario: affinity zipf group pick needs s > 1, v >= 1 (s=%g v=%g)", w.ZipfS, w.ZipfV)
-		}
 		return &Affinity{PerStep: w.EventsPerStep, P: w.Affinity, Locality: w.Locality,
 			S: w.ZipfS, V: w.ZipfV}, nil
 	case KindFlashCrowd:
-		steps := w.Steps()
-		ramp := int(w.Ramp / w.Step)
-		hold := int(w.Hold / w.Step)
-		if ramp < 1 || ramp+hold >= steps {
-			return nil, fmt.Errorf("scenario: flash-crowd phases do not fit: ramp=%d hold=%d of %d steps", ramp, hold, steps)
-		}
 		return &FlashCrowd{Hot: w.HotGroups, Peak: w.PeakMembers,
-			RampSteps: ramp, HoldSteps: hold, Steps: steps,
+			RampSteps: int(w.Ramp / w.Step), HoldSteps: int(w.Hold / w.Step), Steps: w.Steps(),
 			BackgroundPerStep: w.BackgroundPerStep}, nil
 	case KindDiurnal:
-		if w.Step <= 0 || w.Period < 2*w.Step || w.BaseGroups >= w.PeakGroups {
-			return nil, fmt.Errorf("scenario: diurnal needs period >= 2*step and base < peak")
-		}
 		return &Diurnal{StepsPerPeriod: float64(w.Period) / float64(w.Step),
 			Base: w.BaseGroups, Peak: w.PeakGroups, Members: w.MembersPerGroup}, nil
-	default:
-		return nil, fmt.Errorf("scenario: unknown workload kind %q", w.Kind)
+	default: // KindUniform: validate rejects every other kind
+		return &Uniform{PerStep: w.EventsPerStep}, nil
 	}
 }
 

@@ -167,7 +167,7 @@ func TestFlashCrowdReachesPeak(t *testing.T) {
 	g := testGraph(t)
 	w := WorkloadSpec{Kind: KindFlashCrowd, Groups: 8, HotGroups: 2,
 		PeakMembers: 500, // above the 90% cap of 128 domains
-		Duration:    30, Step: 1, Ramp: 10, Hold: 10}
+		Duration:    30, Step: 1, Ramp: 10, Hold: 10, RootDomains: 1, AddressesPerGroup: 1, ClaimLifetime: 1}
 	gen, err := Compile(w)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func TestFlashCrowdReachesPeak(t *testing.T) {
 func TestAffinityLocality(t *testing.T) {
 	g := testGraph(t)
 	w := WorkloadSpec{Kind: KindAffinity, Groups: 4, EventsPerStep: 200,
-		Affinity: 1.0, Locality: 8, Duration: 10, Step: 1}
+		Affinity: 1.0, Locality: 8, Duration: 10, Step: 1, RootDomains: 1, AddressesPerGroup: 1, ClaimLifetime: 1}
 	gen, err := Compile(w)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +227,7 @@ func TestAffinityLocality(t *testing.T) {
 func TestZipfSkew(t *testing.T) {
 	g := testGraph(t)
 	w := WorkloadSpec{Kind: KindZipf, Groups: 64, EventsPerStep: 500,
-		ZipfS: 1.5, ZipfV: 1, Duration: 4, Step: 1}
+		ZipfS: 1.5, ZipfV: 1, Duration: 4, Step: 1, RootDomains: 1, AddressesPerGroup: 1, ClaimLifetime: 1}
 	gen, err := Compile(w)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -261,14 +262,19 @@ func decodeWorkload(d *doc, w *WorkloadSpec) error {
 	if err := r.finish(); err != nil {
 		return err
 	}
-	return validateWorkload(d, r, w)
+	// Every key has parsed, so a failure is about the combination: point
+	// at the [workload] section header line.
+	if err := w.validate(); err != nil {
+		return &ParseError{d.file, r.sec.line, err.Error()}
+	}
+	return nil
 }
 
-// validateWorkload applies the cross-field rules. Errors point at the
-// [workload] section header line: by this point every key has parsed,
-// so the failure is about the combination.
-func validateWorkload(d *doc, r *reader, w *WorkloadSpec) error {
-	bad := func(msg string) error { return &ParseError{d.file, r.sec.line, msg} }
+// validate applies the cross-field workload rules, the one copy both
+// Parse and Compile enforce. Flash-crowd phases must fit both in time and
+// in whole steps: the generator counts them in steps.
+func (w WorkloadSpec) validate() error {
+	bad := errors.New
 	switch {
 	case w.Groups < 1:
 		return bad("groups must be >= 1")
@@ -316,8 +322,10 @@ func validateWorkload(d *doc, r *reader, w *WorkloadSpec) error {
 		if w.PeakMembers < 1 {
 			return bad("flash-crowd needs peak-members >= 1")
 		}
-		if w.Ramp < w.Step || w.Hold < 0 || w.Ramp+w.Hold >= w.Duration {
-			return bad("flash-crowd needs ramp >= step, hold >= 0, and ramp + hold < duration (the rest is the decay)")
+		ramp, hold := int(w.Ramp/w.Step), int(w.Hold/w.Step)
+		if ramp < 1 || w.Hold < 0 || w.Ramp+w.Hold >= w.Duration || ramp+hold >= w.Steps() {
+			return fmt.Errorf("flash-crowd needs ramp >= step, hold >= 0, and ramp + hold < duration (the rest is the decay): ramp=%d hold=%d of %d steps",
+				ramp, hold, w.Steps())
 		}
 		if w.BackgroundPerStep < 0 {
 			return bad("background-events-per-step must be >= 0")
@@ -332,6 +340,8 @@ func validateWorkload(d *doc, r *reader, w *WorkloadSpec) error {
 		if w.MembersPerGroup < 1 {
 			return bad("members-per-group must be >= 1")
 		}
+	default:
+		return fmt.Errorf("unknown workload kind %q", w.Kind)
 	}
 	return nil
 }

@@ -259,16 +259,6 @@ func DefaultFig4Config() Fig4Config { return experiments.DefaultFig4Config() }
 // RunFig4 runs the tree-quality comparison behind Figure 4.
 func RunFig4(cfg Fig4Config) []Fig4Point { return experiments.RunFig4(cfg) }
 
-// DefaultChurnConfig returns the scale-churn workload at paper scale:
-// the 3326-domain AS graph, 2500 groups, 40000 join/leave events.
-func DefaultChurnConfig() ChurnConfig { return experiments.DefaultChurnConfig() }
-
-// RunDataPlane costs the three forwarding backends side by side on the
-// churn workload — state, path stretch, per-packet header overhead — from
-// the same membership and the same senders (the dataplane-compare suite).
-// Deterministic for a given config; cfg.DataPlane is ignored.
-func RunDataPlane(cfg ChurnConfig) DataPlaneResult { return experiments.RunDataPlane(cfg) }
-
 // ASGraph synthesizes an AS-like inter-domain topology (the stand-in for
 // the paper's BGP-dump topology; see DESIGN.md §2).
 func ASGraph(n, extraPeering int, seed int64) *Graph {

@@ -20,7 +20,7 @@ go test -run Determinism -count=2 ./...
 # This is also what proves internal/migp/dvmrp, the shim that exists only
 # because benchmark/ spells its interior protocol dvmrp.New().
 (cd benchmark && go vet . && go test .)
-# The deletion-budget number as ROADMAP item 6 counts it (non-test Go
+# The deletion-budget number as ROADMAP item 8 counts it (non-test Go
 # outside benchmark/ and testdata/): each PR reports this line.
 set +x
 echo "non-test Go lines: $(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path '*/testdata/*' -not -path './.bench_build/*' | xargs cat | wc -l)"
