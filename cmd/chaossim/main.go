@@ -1,6 +1,6 @@
 // Command chaossim measures protocol recovery under injected failure: a
 // three-domain internetwork with a redundant path runs with session
-// supervision (hold timers, exponential-backoff reconnect) while the fault
+// supervision (hold timers, reconnect backoff from hold/2) while the fault
 // plane drops data and keepalives at a swept loss rate and crashes the
 // direct-path border router. For each loss rate it reports the delivery
 // ratio during the lossy steady state, the sim-time to detect the crash
@@ -13,10 +13,9 @@
 //
 // Usage:
 //
-//	chaossim [-seed 1998] [-loss 0,0.05,0.1,0.2] [-hold 30s] [-backoff 15s]
-//	         [-crash 5m] [-groups 3] [-packets 50]
-//	         [-backend shared-tree|bier|map-encap] [-liveness]
-//	         [-liveness-floor 100ms] [-liveness-mult 3] [-metrics] [-trace]
+//	chaossim [-seed 1998] [-loss 0,0.05,0.1,0.2] [-hold 30s] [-crash 5m]
+//	         [-groups 3] [-packets 50] [-backend shared-tree|bier|map-encap]
+//	         [-liveness] [-metrics] [-trace]
 //	         [-trace-out spans.json] [-metrics-out metrics.prom]
 //
 // -trace-out arms the causal trace plane: every point records its
@@ -28,14 +27,13 @@
 // and byte-deterministic.
 //
 // -liveness arms the BFD-style fast detector on every supervised session:
-// probe intervals ramp from hold/3 down to -liveness-floor, detection
-// fires after -liveness-mult consecutive missed intervals, and stable
-// sessions quiesce into demand mode (probing at 10× the floor) until a
-// miss re-arms fast probing. Hold timers keep running as the fallback.
-// Paired with BGMP's precomputed backup parents, detection — not repair —
-// is the only latency left, so time-to-reroute drops by an order of
-// magnitude; the recovery probes step at 250ms instead of 5s so that
-// resolves.
+// probe intervals ramp from hold/3 down to 100ms, detection fires after
+// three consecutive missed intervals, and stable sessions quiesce into
+// demand mode (probing once a second) until a miss re-arms fast probing.
+// Hold timers keep running as the fallback. Paired with BGMP's
+// precomputed backup parents, detection — not repair — is the only
+// latency left, so time-to-reroute drops by an order of magnitude; the
+// recovery probes step at 250ms instead of 5s so that resolves.
 //
 // -backend selects the forwarding data plane the routers run under fault
 // injection: the default BGMP shared trees repair tree state through the
@@ -72,14 +70,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed     = fs.Int64("seed", 1998, "random seed")
 		loss     = fs.String("loss", "", "comma-separated loss rates in [0,1) (default: the recorded 0,0.05,0.1,0.2 sweep)")
 		hold     = fs.Duration("hold", 30*time.Second, "session hold time (keepalives every third)")
-		backoff  = fs.Duration("backoff", 15*time.Second, "initial reconnect backoff (doubles per failure)")
 		crash    = fs.Duration("crash", 5*time.Minute, "how long the crashed border router stays down")
 		groups   = fs.Int("groups", 3, "multicast groups rooted in the source domain")
 		packets  = fs.Int("packets", 50, "probe packets per group during the lossy phase")
 		backend  = fs.String("backend", mascbgmp.DataPlaneSharedTree, "forwarding data plane (shared-tree, bier, map-encap)")
 		liveness = fs.Bool("liveness", false, "arm the BFD-style fast-liveness detector beside the hold timers")
-		lvFloor  = fs.Duration("liveness-floor", 0, "liveness probe-interval floor (0: the 100ms default)")
-		lvMult   = fs.Int("liveness-mult", 0, "missed intervals before liveness declares a session dead (0: the ×3 default)")
 		of       obsflags.Flags
 	)
 	of.Register(fs, "metrics", "trace", "trace-out", "metrics-out")
@@ -97,13 +92,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.Seed = *seed
 	cfg.DataPlane = *backend
 	cfg.HoldTime = *hold
-	cfg.ReconnectBackoff = *backoff
 	cfg.CrashFor = *crash
 	cfg.Groups = *groups
 	cfg.Packets = *packets
 	cfg.Liveness = *liveness
-	cfg.LivenessFloor = *lvFloor
-	cfg.LivenessMultiplier = *lvMult
 	if *loss != "" {
 		cfg.LossRates = nil
 		for _, f := range strings.Split(*loss, ",") {
@@ -145,7 +137,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		detector = "liveness"
 	}
 	fmt.Fprintf(stderr, "\n# recovery vs loss rate (hold %v, backoff %v, crash %v, detector %s)\n",
-		*hold, *backoff, *crash, detector)
+		*hold, *hold/2, *crash, detector)
 	for _, p := range pts {
 		state := "recovered"
 		if !p.Recovered {

@@ -86,3 +86,14 @@ func TestParallelFlagIsGone(t *testing.T) {
 		t.Fatalf("exit %d, stderr %q; want 2 as an unknown flag", code, errb.String())
 	}
 }
+
+// The reconnect backoff is half the hold time and the liveness detector
+// has one timing: neither is a flag.
+func TestTimingFlagsAreGone(t *testing.T) {
+	for _, args := range [][]string{{"-backoff", "15s"}, {"-liveness-floor", "100ms"}, {"-liveness-mult", "3"}} {
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 2 || !strings.Contains(errb.String(), "not defined") {
+			t.Fatalf("%s: exit %d, stderr %q; want 2 as an unknown flag", args[0], code, errb.String())
+		}
+	}
+}

@@ -14,10 +14,8 @@ import (
 // source joins and source prunes from several children over a few groups,
 // interleaved with G-RIB changes (RouteChanged) and session failures
 // (PeerDown), must leave nothing behind once every child has pruned what
-// it joined. A child peer whose session failed prunes too, as it would on
-// coming back: PeerDown drops the peer from (S,G) child lists but keeps a
-// source-specific branch it leaves childless, so that entry goes only with
-// the peer's prune.
+// it joined. A child peer whose session failed prunes nothing afterwards:
+// PeerDown stands for the prunes it can no longer send.
 func TestStateConservation(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		conserve(t, seed)
@@ -114,7 +112,10 @@ func conserve(t *testing.T, seed int64) {
 			set(backups, g)
 			rig.comp.RouteChanged(cover, wire.TraceContext{})
 		default:
-			rig.comp.PeerDown([]wire.RouterID{7, 8, 20, 21}[rng.Intn(4)], wire.TraceContext{})
+			p := []wire.RouterID{7, 8, 20, 21}[rng.Intn(4)]
+			rig.comp.PeerDown(p, wire.TraceContext{})
+			clear(joined[PeerTarget(p)])
+			clear(srcJoined[PeerTarget(p)])
 		}
 	}
 

@@ -146,10 +146,11 @@ func (c *Component) RouteChanged(prefix addr.Prefix, ctx wire.TraceContext) {
 	c.finishLocked()
 }
 
-// PeerDown removes every child target pointing at a failed external peer
-// and tears down entries that lose their last child, propagating prunes —
-// the session-failure half of repair (RouteChanged handles the parent
-// side once BGP withdraws the routes learned from the peer).
+// PeerDown is the session-failure half of repair: a failed external peer
+// sends no more prunes, so every (*,G), (S,G) and orphan entry that has it
+// as a child is pruned on its behalf, by the paths its prunes would have
+// taken. RouteChanged handles the parent side once BGP withdraws the
+// routes learned from the peer.
 func (c *Component) PeerDown(peer wire.RouterID, ctx wire.TraceContext) {
 	sp := c.cfg.Obs.Tracer().BeginChild(ctx, obs.SpanPeerDown,
 		obs.Event{Domain: c.cfg.Domain, Router: c.cfg.Router, Peer: peer})
@@ -158,18 +159,9 @@ func (c *Component) PeerDown(peer wire.RouterID, ctx wire.TraceContext) {
 	c.mu.Lock()
 	c.cur = sp.Context()
 	for _, g := range sortedGroups(c.groups) {
-		e := c.groups[g]
-		if !e.children[t] {
-			continue
+		if c.groups[g].children[t] {
+			c.pruneLocked(g, t)
 		}
-		e.removeChild(t)
-		if len(e.children) > 0 {
-			continue
-		}
-		delete(c.groups, g)
-		c.eventLocked(obs.Event{Kind: obs.BGMPRepair, Group: g})
-		c.dropSharedClonesLocked(g)
-		c.detachLocked(g, e.parent, e.root)
 	}
 	// Precomputed 1:1 protection: surviving entries whose parent died
 	// switch to their backup target immediately, without re-querying the
@@ -196,19 +188,14 @@ func (c *Component) PeerDown(peer wire.RouterID, ctx wire.TraceContext) {
 		c.attachLocked(g, bk, e.root)
 	}
 	for _, k := range sortedSGKeys(c.srcs) {
-		if se := c.srcs[k]; se.children[t] {
-			se.removeChild(t)
+		if c.srcs[k].children[t] {
+			c.sourcePruneLocked(k.src, k.group, t)
 		}
 	}
 	// The dead peer's parked interest must not trigger a rejoin later.
 	for _, g := range sortedGroups(c.orphans) {
-		oe := c.orphans[g]
-		if !oe.children[t] {
-			continue
-		}
-		oe.removeChild(t)
-		if len(oe.children) == 0 {
-			delete(c.orphans, g)
+		if c.orphans[g].children[t] {
+			c.pruneLocked(g, t)
 		}
 	}
 	c.finishLocked()

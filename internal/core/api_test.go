@@ -21,7 +21,6 @@ func TestConfigValidate(t *testing.T) {
 		{"zero value", Config{}, ""},
 		{"synchronous", Config{Synchronous: true}, ""},
 		{"negative masc wait", Config{MASCWait: -time.Hour}, "MASCWait"},
-		{"negative claim lifetime", Config{ClaimLifetime: -time.Second}, "ClaimLifetime"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

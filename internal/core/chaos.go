@@ -9,7 +9,6 @@ import (
 	"mascbgmp/internal/bgmp"
 	"mascbgmp/internal/dataplane"
 	"mascbgmp/internal/faultinject"
-	"mascbgmp/internal/liveness"
 	"mascbgmp/internal/migp"
 	"mascbgmp/internal/obs"
 	"mascbgmp/internal/simclock"
@@ -38,20 +37,14 @@ type ChaosConfig struct {
 	// data and keepalive classes (control messages ride reliably, as TCP
 	// peerings would).
 	LossRates []float64
-	// HoldTime / ReconnectBackoff configure session supervision
-	// (Config.HoldTime, Config.ReconnectBackoff).
-	HoldTime         time.Duration
-	ReconnectBackoff time.Duration
+	// HoldTime configures session supervision (Config.HoldTime).
+	HoldTime time.Duration
 	// Liveness enables the BFD-style fast detector (Config.Liveness) on
 	// the supervised sessions; hold timers stay the fallback. The loss
 	// sweep does not drop liveness probes (only data and keepalives), so
 	// the fast detector measures pure detection latency, not loss
 	// robustness.
 	Liveness bool
-	// LivenessFloor / LivenessMultiplier tune the detector; zero values
-	// take the liveness package defaults (100ms floor, ×3 multiplier).
-	LivenessFloor      time.Duration
-	LivenessMultiplier int
 	// CrashFor is how long the crashed border router stays down.
 	CrashFor time.Duration
 	// Groups is the number of multicast groups rooted in the source
@@ -82,14 +75,13 @@ type ChaosConfig struct {
 // DefaultChaosConfig returns the sweep recorded in EXPERIMENTS.md.
 func DefaultChaosConfig() ChaosConfig {
 	return ChaosConfig{
-		Seed:             1998,
-		LossRates:        []float64{0, 0.05, 0.10, 0.20},
-		HoldTime:         30 * time.Second,
-		ReconnectBackoff: 15 * time.Second,
-		CrashFor:         5 * time.Minute,
-		Groups:           3,
-		Packets:          50,
-		MASCWait:         time.Hour,
+		Seed:      1998,
+		LossRates: []float64{0, 0.05, 0.10, 0.20},
+		HoldTime:  30 * time.Second,
+		CrashFor:  5 * time.Minute,
+		Groups:    3,
+		Packets:   50,
+		MASCWait:  time.Hour,
 	}
 }
 
@@ -130,10 +122,6 @@ const (
 	chaosStep         = 5 * time.Second
 	chaosLivenessStep = 250 * time.Millisecond
 )
-
-// chaosDemandAfter is the stable rounds before the liveness detector
-// quiesces, low enough that the demand path is what the crash exercises.
-const chaosDemandAfter = 10
 
 // RunChaos runs the failure-recovery sweep and returns one point per loss
 // rate. Deterministic for a given config. Every point builds its own
@@ -207,25 +195,16 @@ func buildChaosNet(cfg ChaosConfig, pointSeed int64, ob *obs.Observer) (*chaosNe
 	if err != nil {
 		return nil, err
 	}
-	var lv *liveness.Params
-	if cfg.Liveness {
-		lv = &liveness.Params{
-			Floor:       cfg.LivenessFloor,
-			Multiplier:  cfg.LivenessMultiplier,
-			DemandAfter: chaosDemandAfter,
-		}
-	}
 	n, err := NewNetwork(Config{
-		Clock:            clk,
-		Seed:             cfg.Seed,
-		MASCWait:         cfg.MASCWait,
-		Synchronous:      true,
-		Observer:         ob,
-		Faults:           plane,
-		HoldTime:         cfg.HoldTime,
-		ReconnectBackoff: cfg.ReconnectBackoff,
-		Liveness:         lv,
-		DataPlane:        cfg.DataPlane,
+		Clock:       clk,
+		Seed:        cfg.Seed,
+		MASCWait:    cfg.MASCWait,
+		Synchronous: true,
+		Observer:    ob,
+		Faults:      plane,
+		HoldTime:    cfg.HoldTime,
+		Liveness:    cfg.Liveness,
+		DataPlane:   cfg.DataPlane,
 	})
 	if err != nil {
 		return nil, err
@@ -378,7 +357,9 @@ func runChaosPoint(cfg ChaosConfig, pointSeed int64, loss float64, ob *obs.Obser
 	if remaining := restartAt.Sub(cn.clk.Now()); remaining > 0 {
 		cn.clk.RunFor(remaining)
 	}
-	reconvergeBudget := cfg.HoldTime + 10*cfg.ReconnectBackoff + 2*time.Minute
+	// A hold time, ten first reconnect backoffs (HoldTime/2 each) and two
+	// minutes.
+	reconvergeBudget := 6*cfg.HoldTime + 2*time.Minute
 	for !cn.directPath() {
 		if cn.clk.Now().Sub(restartAt) > reconvergeBudget {
 			return ChaosPoint{}, fmt.Errorf("no reconvergence within %v of restart", reconvergeBudget)

@@ -39,7 +39,7 @@ func TestChaosReconvergence(t *testing.T) {
 	if pt.Reroute <= 0 || pt.Reroute > cfg.HoldTime+2*time.Minute {
 		t.Fatalf("Reroute = %v, want within hold+2m", pt.Reroute)
 	}
-	if pt.Reconverge < 0 || pt.Reconverge > cfg.HoldTime+10*cfg.ReconnectBackoff+2*time.Minute {
+	if pt.Reconverge < 0 || pt.Reconverge > 6*cfg.HoldTime+2*time.Minute {
 		t.Fatalf("Reconverge = %v, want within hold+backoff budget", pt.Reconverge)
 	}
 	if pt.DeliveryRatio < 0.5 || pt.DeliveryRatio > 1 {

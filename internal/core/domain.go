@@ -146,20 +146,18 @@ func (n *Network) AddDomain(cfg DomainConfig) (*Domain, error) {
 		Rand:       rand.New(rand.NewSource(seedBase + 1)),
 		WaitPeriod: n.cfg.MASCWait,
 		TopLevel:   cfg.TopLevel,
-		AutoRenew:  n.cfg.AutoRenewClaims,
 		Obs:        n.cfg.Observer,
 		Send: func(to wire.DomainID, msg wire.Message) {
 			n.mascDeliver(cfg.ID, to, msg)
 		},
-		OnWon:     d.onRangeWon,
-		OnRenewed: d.onRangeWon, // refresh the route expiry and MAAS range
-		OnLost:    d.onRangeLost,
+		OnWon:  d.onRangeWon,
+		OnLost: d.onRangeLost,
 	})
 	mserver, err := maas.NewServer(maas.Config{
 		Clock: n.cfg.Clock,
 		Rand:  rand.New(rand.NewSource(seedBase + 2)),
 		OnDemand: func(need uint64) {
-			d.masc.RequestSpace(need, n.cfg.ClaimLifetime)
+			d.masc.RequestSpace(need, masc.DefaultStrategy().ClaimLifetime)
 		},
 	})
 	if err != nil {

@@ -20,7 +20,6 @@ import (
 	"mascbgmp/internal/addr"
 	"mascbgmp/internal/dataplane"
 	"mascbgmp/internal/faultinject"
-	"mascbgmp/internal/liveness"
 	"mascbgmp/internal/obs"
 	"mascbgmp/internal/simclock"
 	"mascbgmp/internal/transport"
@@ -37,15 +36,9 @@ type Config struct {
 	Seed int64
 	// MASCWait overrides the 48-hour claim waiting period.
 	MASCWait time.Duration
-	// ClaimLifetime is the lifetime for MASC claims; defaults to 30 days.
-	ClaimLifetime time.Duration
 	// SourceBranches enables §5.3 source-specific branches on every
 	// border router.
 	SourceBranches bool
-	// AutoRenewClaims keeps domains' MASC holdings alive by renewing
-	// them before expiry (§4.3.1). Off, ranges lapse at their lifetime
-	// and the covering routes age out.
-	AutoRenewClaims bool
 	// Synchronous delivers inter-router messages in the calling goroutine
 	// (after an encode/decode round trip), making runs deterministic. Data
 	// packets, BGMP joins and prunes and MemberReports are delivered by
@@ -72,19 +65,17 @@ type Config struct {
 	// HoldTime enables session supervision on links made with Link: each
 	// side sends keepalives every HoldTime/3, and a session that hears
 	// nothing for HoldTime is declared down — BGP withdraws the peer's
-	// routes, BGMP repairs, and reconnects are retried with exponential
-	// backoff. Zero disables supervision (links only fail via Unlink).
+	// routes, BGMP repairs, and reconnects are retried, the first after
+	// HoldTime/2 and each later one after twice the wait before, up to 8×
+	// the first. Zero disables supervision (links only fail via Unlink).
 	HoldTime time.Duration
-	// ReconnectBackoff is the first retry delay after a session drops;
-	// it doubles per failed attempt up to 8×. Defaults to HoldTime/2.
-	ReconnectBackoff time.Duration
-	// Liveness, when set, additionally runs a BFD-style fast detector
+	// Liveness additionally runs a BFD-style fast detector
 	// (internal/liveness) on every supervised session: probe intervals
-	// ramp from HoldTime/3 down to Params.Floor, detection fires after
-	// Params.Multiplier missed intervals, and stable sessions quiesce
-	// into demand mode. Hold timers keep running as the fallback
-	// detector. Requires HoldTime (session supervision).
-	Liveness *liveness.Params
+	// ramp from HoldTime/3 down to 100ms, detection fires after three
+	// missed intervals, and stable sessions quiesce into demand mode.
+	// Hold timers keep running as the fallback detector. Requires
+	// HoldTime (session supervision).
+	Liveness bool
 	// DataPlane selects the forwarding backend every border router runs:
 	// one of dataplane.Names() — "shared-tree" (BGMP shared trees, the
 	// default when empty), "bier" (per-packet domain bitstrings computed
@@ -110,26 +101,11 @@ func (c Config) Validate() error {
 	if c.MASCWait < 0 {
 		return &ConfigError{Field: "MASCWait", Reason: "must not be negative"}
 	}
-	if c.ClaimLifetime < 0 {
-		return &ConfigError{Field: "ClaimLifetime", Reason: "must not be negative"}
-	}
 	if c.HoldTime < 0 {
 		return &ConfigError{Field: "HoldTime", Reason: "must not be negative"}
 	}
-	if c.ReconnectBackoff < 0 {
-		return &ConfigError{Field: "ReconnectBackoff", Reason: "must not be negative"}
-	}
-	if c.ReconnectBackoff > 0 && c.HoldTime == 0 {
-		return &ConfigError{Field: "ReconnectBackoff", Reason: "needs HoldTime to enable session supervision"}
-	}
-	if c.Liveness != nil {
-		if c.HoldTime == 0 {
-			return &ConfigError{Field: "Liveness", Reason: "needs HoldTime to enable session supervision"}
-		}
-		if c.Liveness.Floor < 0 || c.Liveness.Multiplier < 0 ||
-			c.Liveness.DemandAfter < 0 || c.Liveness.DemandInterval < 0 {
-			return &ConfigError{Field: "Liveness", Reason: "parameters must not be negative"}
-		}
+	if c.Liveness && c.HoldTime == 0 {
+		return &ConfigError{Field: "Liveness", Reason: "needs HoldTime to enable session supervision"}
 	}
 	if c.DataPlane != "" && !dataplane.ValidName(c.DataPlane) {
 		return &ConfigError{Field: "DataPlane", Reason: fmt.Sprintf(
@@ -206,12 +182,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 	}
 	if cfg.MASCWait == 0 {
 		cfg.MASCWait = 48 * time.Hour
-	}
-	if cfg.ClaimLifetime == 0 {
-		cfg.ClaimLifetime = 30 * 24 * time.Hour
-	}
-	if cfg.HoldTime > 0 && cfg.ReconnectBackoff == 0 {
-		cfg.ReconnectBackoff = cfg.HoldTime / 2
 	}
 	// An attached tracer times spans on the network's clock (obs sits
 	// below simclock in the layering, so the clock is injected here).

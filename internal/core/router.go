@@ -263,8 +263,6 @@ func (r *Router) dispatch(from wire.RouterID, msg wire.Message) {
 		r.backend.Deliver(bgmp.PeerTarget(from), m)
 	case *wire.MemberReport:
 		r.backend.HandleControl(bgmp.PeerTarget(from), m)
-	case *wire.Notification:
-		// Session-level; the peer layer already tears down.
 	}
 }
 

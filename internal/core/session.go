@@ -19,8 +19,9 @@ import (
 // HoldTime declares the session dead. A dead session is torn down exactly
 // like Unlink — BGP withdraws the peer's routes, BGMP repairs or orphans
 // the affected trees — but the session object stays and retries the
-// connection with exponential backoff, re-running the BGP route exchange
-// when it succeeds so orphaned groups rejoin through RouteChanged.
+// connection with exponential backoff from HoldTime/2, re-running the BGP
+// route exchange when it succeeds so orphaned groups rejoin through
+// RouteChanged.
 //
 // Peer crashes injected through the fault plane are detected the same way:
 // the crashed router exchanges no traffic, so its external peers' hold
@@ -55,11 +56,10 @@ type session struct {
 
 func newSession(n *Network, a, b *Router) *session {
 	s := &session{n: n, a: a, b: b}
-	if p := n.cfg.Liveness; p != nil {
+	if n.cfg.Liveness {
 		s.lv = liveness.New(liveness.Config{
 			Clock:   n.cfg.Clock,
 			Initial: n.cfg.HoldTime / 3,
-			Params:  *p,
 			Domain:  a.domain.ID,
 			A:       a.ID,
 			B:       b.ID,
@@ -73,6 +73,10 @@ func newSession(n *Network, a, b *Router) *session {
 
 func (s *session) interval() time.Duration { return s.n.cfg.HoldTime / 3 }
 
+// firstBackoff is the wait before the first reconnect attempt; each failed
+// attempt doubles the wait, up to 8× this.
+func (s *session) firstBackoff() time.Duration { return s.n.cfg.HoldTime / 2 }
+
 // start arms the keepalive tick (and the fast-liveness monitor, when
 // configured) on a freshly connected session.
 func (s *session) start() {
@@ -81,7 +85,7 @@ func (s *session) start() {
 	s.up = true
 	s.gen++
 	s.heardA, s.heardB = now, now
-	s.backoff = s.n.cfg.ReconnectBackoff
+	s.backoff = s.firstBackoff()
 	s.timer = s.n.cfg.Clock.AfterFunc(s.interval(), s.onTick)
 	s.mu.Unlock()
 	if s.lv != nil {
@@ -209,7 +213,7 @@ func (s *session) down(ctx wire.TraceContext) {
 
 // retry attempts to re-establish the peering. While the link is
 // partitioned or either end is crashed the attempt fails and the backoff
-// doubles (capped at 8× the configured initial); a successful attempt
+// doubles (capped at 8× the first); a successful attempt
 // reconnects, resyncs BGP — which replays routes and lets orphaned trees
 // rejoin — and resumes keepalives.
 func (s *session) retry() {
@@ -232,7 +236,7 @@ func (s *session) retry() {
 		s.n.emit(obs.Event{Kind: obs.SessionRetry, Domain: s.a.domain.ID, Router: s.a.ID, Peer: s.b.ID})
 		s.mu.Lock()
 		if !s.stopped {
-			s.backoff = min(backoff*2, 8*s.n.cfg.ReconnectBackoff)
+			s.backoff = min(backoff*2, 8*s.firstBackoff())
 			s.timer = s.n.cfg.Clock.AfterFunc(s.backoff, s.retry)
 		}
 		s.mu.Unlock()

@@ -8,7 +8,6 @@ import (
 	"mascbgmp/internal/addr"
 	"mascbgmp/internal/bgmp"
 	"mascbgmp/internal/faultinject"
-	"mascbgmp/internal/liveness"
 	"mascbgmp/internal/migp"
 	"mascbgmp/internal/obs"
 	"mascbgmp/internal/simclock"
@@ -17,7 +16,7 @@ import (
 
 // faultNet is failoverNet with a fault plane and session supervision: the
 // triangle R(11,12)—T(21,22)—M(31) with the direct link 12–31, hold time
-// 30s (10s keepalives) and a 15s initial reconnect backoff.
+// 30s (10s keepalives, a 15s first reconnect backoff).
 func faultNet(t *testing.T, seed int64) (*Network, *simclock.Sim, *faultinject.Plane, *obs.Observer) {
 	t.Helper()
 	return faultNetCfg(t, seed, nil)
@@ -38,13 +37,12 @@ func faultNetCfg(t *testing.T, seed int64, mutate func(*Config)) (*Network, *sim
 		t.Fatal(err)
 	}
 	cfg := Config{
-		Clock:            clk,
-		Seed:             seed,
-		Synchronous:      true,
-		Observer:         ob,
-		Faults:           plane,
-		HoldTime:         30 * time.Second,
-		ReconnectBackoff: 15 * time.Second,
+		Clock:       clk,
+		Seed:        seed,
+		Synchronous: true,
+		Observer:    ob,
+		Faults:      plane,
+		HoldTime:    30 * time.Second,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -261,6 +259,49 @@ func TestStaleKeepalivesDoNotTouchNextIncarnation(t *testing.T) {
 	}
 }
 
+// TestReconnectBackoffSchedule pins the reconnect schedule: after a session
+// goes down, the first retry waits HoldTime/2 (15s), and every failed retry
+// doubles the wait up to 8× the first — 15, 30, 60, 120, 120 … s.
+func TestReconnectBackoffSchedule(t *testing.T) {
+	_, clk, plane, ob := faultNet(t, 3)
+	var down time.Time
+	var retries []time.Time
+	cancel := ob.Subscribe(func(e obs.Event) {
+		if e.Router != 12 || e.Peer != 31 {
+			return
+		}
+		switch e.Kind {
+		case obs.SessionDown:
+			if down.IsZero() {
+				down = clk.Now()
+			}
+		case obs.SessionRetry:
+			retries = append(retries, clk.Now())
+		}
+	})
+	defer cancel()
+
+	plane.PartitionFor(12, 31, 10*time.Minute)
+	clk.RunFor(12 * time.Minute)
+	if down.IsZero() {
+		t.Fatal("the partitioned session never went down")
+	}
+	if len(retries) < 5 {
+		t.Fatalf("%d failed retries in a ten-minute partition, want at least 5", len(retries))
+	}
+	prev := down
+	for i, at := range retries {
+		want := min(15*time.Second<<i, 120*time.Second)
+		if gap := at.Sub(prev); gap != want {
+			t.Fatalf("retry %d came %v after the one before (or the down), want %v", i+1, gap, want)
+		}
+		prev = at
+	}
+	if got := ob.Snapshot().Total(obs.SessionUp); got != 1 {
+		t.Fatalf("session.up = %d after the partition healed, want 1", got)
+	}
+}
+
 // TestAsymmetricKeepaliveLossConvergesBothEnds starves exactly one
 // direction (12→31) of keepalives and liveness probes: the end that stops
 // hearing must expire, and — because the supervisor tears both sides of
@@ -271,11 +312,11 @@ func TestStaleKeepalivesDoNotTouchNextIncarnation(t *testing.T) {
 func TestAsymmetricKeepaliveLossConvergesBothEnds(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
-		lv    *liveness.Params
+		lv    bool
 		bound time.Duration
 	}{
-		{"hold-timer", nil, 45 * time.Second},
-		{"liveness", &liveness.Params{Floor: 100 * time.Millisecond, Multiplier: 3, DemandAfter: 10}, 5 * time.Second},
+		{"hold-timer", false, 45 * time.Second},
+		{"liveness", true, 5 * time.Second},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			n, clk, plane, ob := faultNetCfg(t, 7, func(c *Config) { c.Liveness = tc.lv })
@@ -311,7 +352,7 @@ func TestAsymmetricKeepaliveLossConvergesBothEnds(t *testing.T) {
 			if !(downEvt.Router == 12 && downEvt.Peer == 31) && !(downEvt.Router == 31 && downEvt.Peer == 12) {
 				t.Fatalf("first session.down was %v, want the 12–31 peering", downEvt)
 			}
-			if tc.lv != nil && ob.Snapshot().Total(obs.LivenessDetect) == 0 {
+			if tc.lv && ob.Snapshot().Total(obs.LivenessDetect) == 0 {
 				t.Fatal("liveness detector configured but hold timer made the detection")
 			}
 
@@ -335,9 +376,7 @@ func TestAsymmetricKeepaliveLossConvergesBothEnds(t *testing.T) {
 // the tree onto transit within seconds — detection is the only latency,
 // repair is a single precomputed switchover (bgmp.failover).
 func TestLivenessCrashFailsOverToBackupParent(t *testing.T) {
-	n, clk, plane, ob := faultNetCfg(t, 9, func(c *Config) {
-		c.Liveness = &liveness.Params{Floor: 100 * time.Millisecond, Multiplier: 3, DemandAfter: 10}
-	})
+	n, clk, plane, ob := faultNetCfg(t, 9, func(c *Config) { c.Liveness = true })
 	lease, err := n.Domain(1).NewGroup(24 * time.Hour)
 	if err != nil {
 		t.Fatal(err)

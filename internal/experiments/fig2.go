@@ -16,21 +16,26 @@ import (
 	"mascbgmp/internal/wire"
 )
 
-// Fig2Config parameterizes the MASC claim-algorithm simulation of §4.3.3:
-// "we simulated a network with 50 top-level domains, each with 50 child
-// domains. Each child domain's allocation server requests blocks of 256
-// addresses with a lifetime of 30 days for local usage. The inter-request
-// times for each child domain are chosen uniformly and randomly from
-// between 1 and 95 hours."
+// The MASC claim-algorithm simulation of §4.3.3: "we simulated a network
+// with 50 top-level domains, each with 50 child domains. Each child
+// domain's allocation server requests blocks of 256 addresses with a
+// lifetime of 30 days for local usage. The inter-request times for each
+// child domain are chosen uniformly and randomly from between 1 and 95
+// hours." The block lifetime and the inter-request times are those
+// numbers; the metrics are sampled once a day.
+const (
+	fig2Lifetime     = 30 * 24 * time.Hour
+	fig2GapMin       = time.Hour
+	fig2GapMax       = 95 * time.Hour
+	fig2SamplePeriod = 24 * time.Hour
+)
+
+// Fig2Config parameterizes the §4.3.3 simulation.
 type Fig2Config struct {
-	TopLevel    int           // paper: 50
-	ChildrenPer int           // paper: 50
-	Days        int           // paper: ~800
-	BlockSize   uint64        // paper: 256
-	BlockLife   time.Duration // paper: 30 days
-	ReqMin      time.Duration // paper: 1 hour
-	ReqMax      time.Duration // paper: 95 hours
-	SampleEvery time.Duration // metric sampling period (e.g. 24h)
+	TopLevel    int    // paper: 50
+	ChildrenPer int    // paper: 50
+	Days        int    // paper: ~800
+	BlockSize   uint64 // paper: 256
 	Seed        int64
 	// Strategy overrides the child-domain claim strategy; zero value uses
 	// masc.DefaultStrategy (75 % occupancy target, ≤ 2 prefixes). Used by
@@ -56,10 +61,6 @@ func DefaultFig2Config() Fig2Config {
 		ChildrenPer: 50,
 		Days:        800,
 		BlockSize:   256,
-		BlockLife:   30 * 24 * time.Hour,
-		ReqMin:      time.Hour,
-		ReqMax:      95 * time.Hour,
-		SampleEvery: 24 * time.Hour,
 		Seed:        1998,
 	}
 }
@@ -178,8 +179,7 @@ func RunFig2(cfg Fig2Config) Fig2Result {
 	}
 
 	nextReq := func(now time.Time) time.Time {
-		span := cfg.ReqMax - cfg.ReqMin
-		return now.Add(cfg.ReqMin + time.Duration(rng.Int63n(int64(span)+1)))
+		return now.Add(fig2GapMin + time.Duration(rng.Int63n(int64(fig2GapMax-fig2GapMin)+1)))
 	}
 
 	var h eventHeap
@@ -188,7 +188,7 @@ func RunFig2(cfg Fig2Config) Fig2Result {
 	}
 
 	res := Fig2Result{}
-	nextSample := start.Add(cfg.SampleEvery)
+	nextSample := start.Add(fig2SamplePeriod)
 	nextMaint := start.Add(24 * time.Hour)
 
 	for h.Len() > 0 {
@@ -207,13 +207,13 @@ func RunFig2(cfg Fig2Config) Fig2Result {
 		}
 		for !nextSample.After(ev.at) {
 			res.Samples = append(res.Samples, sampleFig2(nextSample.Sub(start), providers, children, parentOf, nextSample))
-			nextSample = nextSample.Add(cfg.SampleEvery)
+			nextSample = nextSample.Add(fig2SamplePeriod)
 		}
 
 		child := children[ev.child]
 		parent := providers[parentOf[ev.child]]
 		bs := blockSize[ev.child]
-		if _, ok := child.Request(bs, cfg.BlockLife, ev.at); ok {
+		if _, ok := child.Request(bs, fig2Lifetime, ev.at); ok {
 			res.Satisfied++
 		} else {
 			// The child could not expand within the parent's space: the
@@ -221,7 +221,7 @@ func RunFig2(cfg Fig2Config) Fig2Result {
 			// retries — the paper's bottom-up demand propagation (§4.3.1).
 			need := child.Demand() + bs
 			parent.EnsureRoom(need, ev.at)
-			if _, ok := child.Request(bs, cfg.BlockLife, ev.at); ok {
+			if _, ok := child.Request(bs, fig2Lifetime, ev.at); ok {
 				res.Satisfied++
 			} else {
 				res.Failed++

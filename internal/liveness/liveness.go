@@ -2,10 +2,10 @@
 // spirit) for supervised peering sessions: each monitored peering
 // exchanges small liveness probes at an adaptive transmit interval that
 // ramps down from the session's keepalive cadence (HoldTime/3) toward a
-// configured floor, declares the peering dead after a multiplier of
-// consecutive missed intervals, and — once the session has proven stable
-// at the floor — quiesces into demand mode, probing at a slow poll
-// interval until the first missed round re-arms fast probing.
+// 100ms floor, declares the peering dead after three consecutive missed
+// intervals, and — once the session has proven stable at the floor —
+// quiesces into demand mode, probing once a second until the first missed
+// round re-arms fast probing.
 //
 // The monitor is driven entirely by the configured simclock.Clock and
 // routes every probe through the fault plane as its own message class
@@ -29,37 +29,21 @@ import (
 	"mascbgmp/internal/wire"
 )
 
-// Params tunes the detector. The zero value takes defaults suitable for
-// the chaos experiments; see the field comments.
-type Params struct {
-	// Floor is the minimum transmit interval the adaptive ramp converges
-	// to. Defaults to 100ms.
-	Floor time.Duration
-	// Multiplier is the number of consecutive missed intervals in either
-	// direction before the peering is declared dead. Defaults to 3.
-	Multiplier int
-	// DemandAfter is the number of consecutive clean rounds at the floor
-	// before the monitor quiesces into demand mode; zero disables demand
-	// mode (the monitor probes at the floor forever).
-	DemandAfter int
-	// DemandInterval is the slow poll cadence in demand mode. Defaults to
-	// 10× the floor.
-	DemandInterval time.Duration
-}
-
-// normalized fills defaulted fields.
-func (p Params) normalized() Params {
-	if p.Floor <= 0 {
-		p.Floor = 100 * time.Millisecond
-	}
-	if p.Multiplier <= 0 {
-		p.Multiplier = 3
-	}
-	if p.DemandInterval <= 0 {
-		p.DemandInterval = 10 * p.Floor
-	}
-	return p
-}
+// The detector's timing. Every session runs the same detector.
+const (
+	// floor is the minimum transmit interval the adaptive ramp converges
+	// to.
+	floor = 100 * time.Millisecond
+	// multiplier is the number of consecutive missed intervals in either
+	// direction before the peering is declared dead.
+	multiplier = 3
+	// demandAfter is the number of consecutive clean rounds at the floor
+	// before the monitor quiesces into demand mode: low enough that a
+	// crash in the chaos sweep meets a quiesced detector.
+	demandAfter = 10
+	// demandInterval is the slow poll cadence in demand mode.
+	demandInterval = 10 * floor
+)
 
 // Config parameterizes a Monitor. One Monitor supervises one peering and
 // probes both directions, mirroring the session supervisor it feeds.
@@ -68,10 +52,8 @@ type Config struct {
 	Clock simclock.Clock
 	// Initial is the starting transmit interval, conventionally the
 	// session's keepalive cadence (HoldTime/3); the ramp negotiates it
-	// down to Params.Floor. Values below the floor are clamped up.
+	// down to the floor. Values below the floor are clamped up.
 	Initial time.Duration
-	// Params tunes detection; zero fields take defaults.
-	Params Params
 	// Domain and A, B scope the monitored peering for events: A and B are
 	// the two session endpoints, probed in both directions.
 	Domain wire.DomainID
@@ -92,7 +74,6 @@ type Config struct {
 // use; deterministic when driven from a simulated clock.
 type Monitor struct {
 	cfg Config
-	prm Params
 
 	mu      sync.Mutex
 	running bool // guarded by mu
@@ -115,7 +96,7 @@ type Monitor struct {
 
 // New returns a Monitor for the configured peering. Start arms it.
 func New(cfg Config) *Monitor {
-	return &Monitor{cfg: cfg, prm: cfg.Params.normalized()}
+	return &Monitor{cfg: cfg}
 }
 
 // Start (re-)arms the monitor for a fresh session incarnation: the ramp
@@ -124,10 +105,7 @@ func (m *Monitor) Start() {
 	m.mu.Lock()
 	m.gen++
 	m.running = true
-	m.interval = m.cfg.Initial
-	if m.interval < m.prm.Floor {
-		m.interval = m.prm.Floor
-	}
+	m.interval = max(m.cfg.Initial, floor)
 	m.demand = false
 	m.stable = 0
 	m.rounds = 0
@@ -189,7 +167,7 @@ func (m *Monitor) onTick() {
 			m.missB++
 			missed = true
 		}
-		detect = m.missA >= m.prm.Multiplier || m.missB >= m.prm.Multiplier
+		detect = m.missA >= multiplier || m.missB >= multiplier
 		switch {
 		case detect:
 			// Disarm before reporting: the supervisor restarts us on
@@ -200,19 +178,16 @@ func (m *Monitor) onTick() {
 			// multiplier counts floor intervals, not poll intervals.
 			m.demand = false
 			m.stable = 0
-			m.interval = m.prm.Floor
+			m.interval = floor
 			resumed = true
 		case !missed && !m.demand:
 			// Clean round: ramp the interval down toward the floor, and
 			// after enough stable floor rounds, quiesce.
-			if m.interval > m.prm.Floor {
-				m.interval /= 2
-				if m.interval < m.prm.Floor {
-					m.interval = m.prm.Floor
-				}
-			} else if m.prm.DemandAfter > 0 {
+			if m.interval > floor {
+				m.interval = max(m.interval/2, floor)
+			} else {
 				m.stable++
-				if m.stable >= m.prm.DemandAfter {
+				if m.stable >= demandAfter {
 					m.demand = true
 					quiesced = true
 				}
@@ -225,7 +200,7 @@ func (m *Monitor) onTick() {
 	if !detect {
 		next := interval
 		if demand {
-			next = m.prm.DemandInterval
+			next = demandInterval
 		}
 		m.timer = m.cfg.Clock.AfterFunc(next, m.onTick)
 	}
@@ -259,7 +234,7 @@ func (m *Monitor) probe(from, to wire.RouterID, gen uint32, interval time.Durati
 	frame := wire.Encode(&wire.LivenessCtl{
 		Generation: gen,
 		IntervalUS: uint32(interval / time.Microsecond),
-		Multiplier: uint8(m.prm.Multiplier),
+		Multiplier: multiplier,
 		Demand:     demand,
 	})
 	deliver := func() {

@@ -23,7 +23,7 @@ type harness struct {
 	downs int
 }
 
-func newHarness(t *testing.T, seed int64, p Params) *harness {
+func newHarness(t *testing.T, seed int64) *harness {
 	t.Helper()
 	h := &harness{clk: simclock.NewSim(simStart), ob: obs.NewObserver()}
 	plane, err := faultinject.New(faultinject.Config{
@@ -37,7 +37,6 @@ func newHarness(t *testing.T, seed int64, p Params) *harness {
 	h.mon = New(Config{
 		Clock:   h.clk,
 		Initial: 10 * time.Second, // HoldTime 30s / 3
-		Params:  p,
 		Domain:  1,
 		A:       11,
 		B:       21,
@@ -52,14 +51,14 @@ func (h *harness) total(kind obs.Kind) uint64 { return h.ob.Snapshot().Total(kin
 
 // TestRampToFloorAndDemand drives a clean session and checks the adaptive
 // ramp: the interval halves from Initial down to the floor, and after
-// DemandAfter stable floor rounds the monitor quiesces into demand mode.
+// demandAfter stable floor rounds the monitor quiesces into demand mode.
 func TestRampToFloorAndDemand(t *testing.T) {
-	h := newHarness(t, 1, Params{Floor: 100 * time.Millisecond, Multiplier: 3, DemandAfter: 4})
+	h := newHarness(t, 1)
 	h.mon.Start()
 
 	// The first tick only fires at Initial (10s), then each clean round
 	// halves: 10s → 5s → 2.5s → 1.25s → 625ms → 312.5ms → 156.25ms →
-	// 100ms, reaching the floor at ~30s; 4 more floor rounds quiesce.
+	// 100ms, reaching the floor at ~30s; 10 more floor rounds quiesce.
 	h.clk.RunFor(35 * time.Second)
 
 	st := h.mon.State()
@@ -70,7 +69,7 @@ func TestRampToFloorAndDemand(t *testing.T) {
 		t.Fatalf("interval did not converge to the floor: %v", st.Interval)
 	}
 	if !st.Demand {
-		t.Fatalf("monitor did not quiesce after %d stable rounds: %+v", 4, st)
+		t.Fatalf("monitor did not quiesce after %d stable rounds: %+v", demandAfter, st)
 	}
 	if got := h.total(obs.LivenessDemand); got != 1 {
 		t.Fatalf("liveness.demand = %d, want 1", got)
@@ -82,7 +81,7 @@ func TestRampToFloorAndDemand(t *testing.T) {
 		t.Fatalf("OnDown fired %d times on a clean session", h.downs)
 	}
 
-	// Demand mode probes at DemandInterval (10× floor = 1s), not the
+	// Demand mode probes at demandInterval (10× floor = 1s), not the
 	// floor: a 10s quiet stretch should see ~10 more rounds, not ~100.
 	before := h.plane.Stats().Delivered
 	h.clk.RunFor(10 * time.Second)
@@ -97,7 +96,7 @@ func TestRampToFloorAndDemand(t *testing.T) {
 // one demand poll to notice the miss and resume fast probing, then
 // Multiplier-1 further floor rounds to trip the multiplier.
 func TestDetectAfterSilence(t *testing.T) {
-	h := newHarness(t, 2, Params{Floor: 100 * time.Millisecond, Multiplier: 3, DemandAfter: 4})
+	h := newHarness(t, 2)
 	h.mon.Start()
 	h.clk.RunFor(35 * time.Second)
 	if st := h.mon.State(); !st.Demand {
@@ -139,7 +138,7 @@ func TestDetectAfterSilence(t *testing.T) {
 // resumes fast probing without declaring the session dead, then
 // re-quiesces once the link heals.
 func TestDemandExitWithoutFalseDown(t *testing.T) {
-	h := newHarness(t, 3, Params{Floor: 100 * time.Millisecond, Multiplier: 3, DemandAfter: 4})
+	h := newHarness(t, 3)
 	h.mon.Start()
 	h.clk.RunFor(35 * time.Second)
 	if st := h.mon.State(); !st.Demand {
@@ -177,7 +176,7 @@ func TestDemandExitWithoutFalseDown(t *testing.T) {
 // every fresh probe dropped, detection must still fire on schedule even
 // while stale delayed probes keep arriving.
 func TestStaleGenerationIgnored(t *testing.T) {
-	h := newHarness(t, 4, Params{Floor: 100 * time.Millisecond, Multiplier: 3})
+	h := newHarness(t, 4)
 	// First incarnation: delay probes by 5s so a stream of them is in
 	// flight when the incarnation ends.
 	h.plane.SetLink(11, 21, faultinject.LinkFaults{Delay: 5 * time.Second, Classes: faultinject.MaskLiveness})
@@ -205,7 +204,7 @@ func TestStaleGenerationIgnored(t *testing.T) {
 // same seed and requires byte-identical event snapshots.
 func TestLivenessDeterminism(t *testing.T) {
 	run := func() string {
-		h := newHarness(t, 1998, Params{Floor: 100 * time.Millisecond, Multiplier: 3, DemandAfter: 4})
+		h := newHarness(t, 1998)
 		h.plane.SetLink(11, 21, faultinject.LinkFaults{Drop: 0.3, Classes: faultinject.MaskLiveness})
 		h.mon.Start()
 		h.clk.RunFor(2 * time.Minute)

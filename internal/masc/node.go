@@ -24,29 +24,15 @@ type NodeConfig struct {
 	// WaitPeriod is how long a claim listens for collisions before it is
 	// won — 48 hours in the paper, shortened in tests via the sim clock.
 	WaitPeriod time.Duration
-	// AutoRenew keeps won ranges alive: shortly before a holding's
-	// lifetime expires it is renewed for another lifetime and
-	// re-announced (§4.3.1: "the address range claimed by the domain
-	// becomes invalid once the lifetime expires unless the request is
-	// renewed before expiration"). Disabled, holdings expire and are
-	// given up.
-	AutoRenew bool
-	// OnRenewed runs when a holding's lifetime is extended, so the owner
-	// can refresh the BGP route expiry and the MAAS range.
-	OnRenewed func(p addr.Prefix, expires time.Time)
 	// TopLevel marks a domain with no MASC parent: it claims from the
 	// entire multicast space against its top-level siblings (§4.1).
 	TopLevel bool
-	// MaxClaim, when nonzero, is the largest prefix size (in addresses) a
-	// parent tolerates from this node's children before sending explicit
-	// CollideTooLarge collisions — the §7 fair-use disincentive.
-	MaxClaim uint64
 	// Send transmits a MASC message to another domain's node. Called
 	// without internal locks held.
 	Send func(to wire.DomainID, msg wire.Message)
 	// Obs observes claim-collide protocol activity (claims announced,
-	// collisions suffered, ranges won/expired/renewed/released), scoped
-	// by Domain. Nil disables observation.
+	// collisions suffered, ranges won/expired/released), scoped by
+	// Domain. Nil disables observation.
 	Obs *obs.Observer
 	// OnWon runs when a claim survives its waiting period, with the won
 	// prefix and its expiry; the owner injects it into BGP and hands it
@@ -328,9 +314,6 @@ func (n *Node) handleClaim(from wire.DomainID, m *wire.Claim) {
 	fromChild := n.children[from]
 	var collide *wire.Collision
 	switch {
-	case fromChild && n.cfg.MaxClaim > 0 && m.Prefix.Size() > n.cfg.MaxClaim:
-		// §7 disincentive: the parent rejects excessive claims.
-		collide = &wire.Collision{From: n.cfg.Domain, Loser: m.Claimer, Prefix: m.Prefix, Conflict: m.Prefix, Reason: wire.CollideTooLarge}
 	case fromChild && !n.containsLocked(m.Prefix):
 		// Child claimed outside our (current) space (§4.4).
 		collide = &wire.Collision{From: n.cfg.Domain, Loser: m.Claimer, Prefix: m.Prefix, Conflict: m.Prefix, Reason: wire.CollideOutsideParent}
@@ -512,14 +495,14 @@ func (n *Node) rangesLocked() []wire.RangeLife {
 	return out
 }
 
-// scheduleExpiry arms the lifetime timer for a holding: renewal (when
-// AutoRenew) or expiry-release. Caller holds n.mu.
+// scheduleExpiry arms the lifetime timer for a holding. Nothing renews a
+// holding: it lapses at the end of its lifetime. Caller holds n.mu.
 func (n *Node) scheduleExpiry(p addr.Prefix, life time.Duration) {
-	n.cfg.Clock.AfterFunc(life, func() { n.lifetimeDue(p, life) })
+	n.cfg.Clock.AfterFunc(life, func() { n.lifetimeDue(p) })
 }
 
 // lifetimeDue runs when a holding's lifetime elapses.
-func (n *Node) lifetimeDue(p addr.Prefix, life time.Duration) {
+func (n *Node) lifetimeDue(p addr.Prefix) {
 	n.mu.Lock()
 	if n.dead {
 		n.mu.Unlock()
@@ -533,25 +516,8 @@ func (n *Node) lifetimeDue(p addr.Prefix, life time.Duration) {
 		}
 	}
 	if h == nil || h.Expires.After(n.cfg.Clock.Now()) {
-		// Released meanwhile, or already renewed by a longer lease.
+		// Released meanwhile, or restored with a later expiry.
 		n.mu.Unlock()
-		return
-	}
-	if n.cfg.AutoRenew && h.Active {
-		h.Expires = n.cfg.Clock.Now().Add(life)
-		expires := h.Expires
-		ranges := n.rangesLocked()
-		children := sortedDomains(n.children)
-		n.scheduleExpiry(p, life)
-		n.eventLocked(obs.MASCRenewed, p)
-		n.flushLocked()
-		adv := &wire.RangeAdvert{Owner: n.cfg.Domain, Ranges: ranges}
-		for _, c := range children {
-			n.send(c, adv)
-		}
-		if n.cfg.OnRenewed != nil {
-			n.cfg.OnRenewed(p, expires)
-		}
 		return
 	}
 	// Expiry: the range is given up; siblings and parent treat it as

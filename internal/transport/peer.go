@@ -34,8 +34,8 @@ type Peer struct {
 type PeerConfig struct {
 	// Local identifies this speaker in the handshake.
 	Local wire.Open
-	// Handler receives every inbound message except Keepalive, called
-	// sequentially from the receive goroutine.
+	// Handler receives every inbound message, called sequentially from
+	// the receive goroutine.
 	Handler func(*Peer, wire.Message)
 	// Out and In account this session's two directed streams against a
 	// Tracker for quiescence detection: Out is the stream this peer
@@ -112,24 +112,12 @@ func (p *Peer) readLoop() {
 			return
 		}
 		p.recv.Add(1)
-		switch msg.(type) {
-		case *wire.Keepalive:
-			p.in.Handled()
-		case *wire.Notification:
-			if p.handler != nil {
-				p.handler(p, msg)
-			}
-			p.in.Handled()
-			p.finish()
-			return
-		default:
-			if p.handler != nil {
-				p.handler(p, msg)
-			}
-			// Handled only after the handler returns: follow-up messages
-			// the handler sent are already counted, so the tracker never
-			// dips to zero mid-cascade.
-			p.in.Handled()
+		if p.handler != nil {
+			p.handler(p, msg)
 		}
+		// Handled only after the handler returns: follow-up messages the
+		// handler sent are already counted, so the tracker never dips to
+		// zero mid-cascade.
+		p.in.Handled()
 	}
 }

@@ -106,7 +106,7 @@ func TestMsgConnConcurrentWriters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if err := a.Write(&wire.Keepalive{}); err != nil {
+				if err := a.Write(&wire.GroupJoin{Group: addr.MakeAddr(224, 9, 9, 9)}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -226,8 +226,8 @@ func TestHandshake(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 
-	openA := wire.Open{Router: 1, Domain: 10, HoldSecs: 90}
-	openB := wire.Open{Router: 2, Domain: 20, HoldSecs: 90}
+	openA := wire.Open{Router: 1, Domain: 10}
+	openB := wire.Open{Router: 2, Domain: 20}
 	var remoteAtA wire.Open
 	var errA error
 	done := make(chan struct{})
@@ -249,7 +249,7 @@ func TestHandshakeRejectsNonOpen(t *testing.T) {
 	a, b := Pipe()
 	defer a.Close()
 	defer b.Close()
-	go b.Write(&wire.Keepalive{})
+	go b.Write(&wire.GroupJoin{Group: addr.MakeAddr(224, 9, 9, 9)})
 	if _, err := Handshake(a, wire.Open{Router: 1}); !errors.Is(err, ErrHandshake) {
 		t.Fatalf("want handshake error, got %v", err)
 	}
@@ -305,30 +305,11 @@ func TestPeerRemoteCloseEndsSession(t *testing.T) {
 	}
 }
 
-func TestPeerNotificationEndsSession(t *testing.T) {
-	notes := make(chan wire.Message, 1)
-	pa, pb := startPeerPair(t, nil, func(_ *Peer, m wire.Message) { notes <- m })
-	pa.Send(&wire.Notification{Code: wire.NoteCeaseAdmin, Reason: "bye"})
-	select {
-	case <-pb.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("notification did not end session")
-	}
-	select {
-	case m := <-notes:
-		if n, ok := m.(*wire.Notification); !ok || n.Reason != "bye" {
-			t.Fatalf("handler got %#v", m)
-		}
-	default:
-		t.Fatal("handler never saw the notification")
-	}
-}
-
 func TestPeerSendAfterCloseErrors(t *testing.T) {
 	pa, pb := startPeerPair(t, nil, nil)
 	pa.Close()
 	<-pa.Done()
-	if err := pa.Send(&wire.Keepalive{}); err == nil {
+	if err := pa.Send(&wire.GroupJoin{Group: addr.MakeAddr(224, 9, 9, 9)}); err == nil {
 		t.Fatal("send on closed session should error")
 	}
 	pb.Close()

@@ -15,10 +15,10 @@ import (
 // frame it accepts must also decode into a dirty, reused Data — a longer
 // payload, a bitstring, a tunnel and the encap mark left over — as the very
 // message a fresh Decode gives (nil against empty Bits included) and as free
-// of aliases. The seed corpus covers every message type, an Update for a
-// table that does not exist (the frame that used to crash the receiving
-// speaker), traced frames and Data bitstrings whole, cut short and
-// overstated.
+// of aliases. The seed corpus covers every message type, the two retired
+// type codes, an Update for a table that does not exist (the frame that used
+// to crash the receiving speaker), traced frames and Data bitstrings whole,
+// cut short and overstated.
 func FuzzDecodeNext(f *testing.F) {
 	for _, msg := range allMessages() {
 		f.Add(Encode(msg))
@@ -26,6 +26,10 @@ func FuzzDecodeNext(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(Encode(&Update{Table: Table(NumTables), Routes: []Route{{Prefix: addr.MustParsePrefix("10.0.0.0/8")}}}))
 	f.Add([]byte{0x4D, 0x42, 1, 0x10})
+	// Frames of the two retired session types, 0x11 (an empty keepalive)
+	// and 0x13 (a notification: code, reason): both are unknown now.
+	f.Add([]byte{0x4D, 0x42, 1, 0x11, 0, 0, 0, 0})
+	f.Add([]byte{0x4D, 0x42, 1, 0x13, 0, 0, 0, 6, 2, 0, 0, 0, 1, 'x'})
 	// A wire-v2 frame carrying the 24-byte trace block, and one cut inside it.
 	traced := &GroupJoin{Group: addr.MakeAddr(224, 0, 128, 1)}
 	Stamp(traced, TraceContext{Trace: 7, Span: 9, Start: 11})

@@ -21,9 +21,6 @@ type DomainID uint32
 type Open struct {
 	Router RouterID
 	Domain DomainID
-	// HoldSecs is the proposed hold time in seconds; keepalives must
-	// arrive faster than this or the session drops.
-	HoldSecs uint32
 }
 
 // Type implements Message.
@@ -32,8 +29,7 @@ func (*Open) Type() MsgType { return TypeOpen }
 // AppendPayload implements Message.
 func (m *Open) AppendPayload(b []byte) []byte {
 	b = appendU32(b, uint32(m.Router))
-	b = appendU32(b, uint32(m.Domain))
-	return appendU32(b, m.HoldSecs)
+	return appendU32(b, uint32(m.Domain))
 }
 
 // DecodePayload implements Message.
@@ -41,54 +37,6 @@ func (m *Open) DecodePayload(b []byte) error {
 	r := reader{b: b}
 	m.Router = RouterID(r.u32())
 	m.Domain = DomainID(r.u32())
-	m.HoldSecs = r.u32()
-	return r.done()
-}
-
-// Keepalive refreshes a session's hold timer.
-type Keepalive struct{}
-
-// Type implements Message.
-func (*Keepalive) Type() MsgType { return TypeKeepalive }
-
-// AppendPayload implements Message.
-func (*Keepalive) AppendPayload(b []byte) []byte { return b }
-
-// DecodePayload implements Message.
-func (*Keepalive) DecodePayload(b []byte) error {
-	r := reader{b: b}
-	return r.done()
-}
-
-// Notification reports a fatal session error before closing, like BGP's
-// NOTIFICATION.
-type Notification struct {
-	Code   uint8
-	Reason string
-}
-
-// Notification codes.
-const (
-	NoteCeaseAdmin    = 1 // administrative shutdown
-	NoteHoldExpired   = 2 // hold timer expired
-	NoteBadMessage    = 3 // malformed or unexpected message
-	NoteDupConnection = 4 // duplicate peering
-)
-
-// Type implements Message.
-func (*Notification) Type() MsgType { return TypeNotification }
-
-// AppendPayload implements Message.
-func (m *Notification) AppendPayload(b []byte) []byte {
-	b = append(b, m.Code)
-	return appendStr(b, m.Reason)
-}
-
-// DecodePayload implements Message.
-func (m *Notification) DecodePayload(b []byte) error {
-	r := reader{b: b}
-	m.Code = r.u8()
-	m.Reason = r.str()
 	return r.done()
 }
 
@@ -323,10 +271,6 @@ const (
 	// CollideInUse: the announced range overlaps a range the sender holds
 	// or has a better claim on.
 	CollideInUse uint8 = 1
-	// CollideTooLarge: the parent rejects an excessive claim — the
-	// enforcement mechanism sketched in the paper's §7 incentives
-	// discussion.
-	CollideTooLarge uint8 = 2
 	// CollideOutsideParent: the claim falls outside the parent's
 	// (possibly re-acquired) space (§4.4 start-up behavior).
 	CollideOutsideParent uint8 = 3
@@ -340,9 +284,9 @@ type Collision struct {
 	Loser  DomainID // whose claim is rejected
 	Prefix addr.Prefix
 	// Conflict is the objector's range that the claim collided with, so
-	// the loser can avoid it (and only it) when re-selecting. For
-	// rejections that are not about occupancy (too-large, outside the
-	// parent space) it equals Prefix.
+	// the loser can avoid it (and only it) when re-selecting. For a
+	// rejection that is not about occupancy (outside the parent space) it
+	// equals Prefix.
 	Conflict addr.Prefix
 	Reason   uint8
 }

@@ -62,10 +62,10 @@ func TestUntracedFramesStayVersion1(t *testing.T) {
 }
 
 func TestStampOnUntraceableMessageIsNoOp(t *testing.T) {
-	msg := &Keepalive{}
+	msg := &Open{Router: 7, Domain: 3}
 	Stamp(msg, TraceContext{Trace: 1, Span: 2, Start: 3})
 	if ctx := ContextOf(msg); !ctx.Zero() {
-		t.Fatalf("keepalive carries context %+v", ctx)
+		t.Fatalf("open carries context %+v", ctx)
 	}
 }
 

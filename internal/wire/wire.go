@@ -49,9 +49,7 @@ type MsgType uint8
 const (
 	TypeInvalid      MsgType = 0x00
 	TypeOpen         MsgType = 0x10
-	TypeKeepalive    MsgType = 0x11
 	TypeUpdate       MsgType = 0x12
-	TypeNotification MsgType = 0x13
 	TypeLiveness     MsgType = 0x14
 	TypeClaim        MsgType = 0x20
 	TypeCollision    MsgType = 0x21
@@ -70,12 +68,8 @@ func (t MsgType) String() string {
 	switch t {
 	case TypeOpen:
 		return "OPEN"
-	case TypeKeepalive:
-		return "KEEPALIVE"
 	case TypeUpdate:
 		return "UPDATE"
-	case TypeNotification:
-		return "NOTIFICATION"
 	case TypeLiveness:
 		return "LIVENESS"
 	case TypeClaim:
@@ -231,12 +225,8 @@ func newMessage(t MsgType) Message {
 	switch t {
 	case TypeOpen:
 		return &Open{}
-	case TypeKeepalive:
-		return &Keepalive{}
 	case TypeUpdate:
 		return &Update{}
-	case TypeNotification:
-		return &Notification{}
 	case TypeLiveness:
 		return &LivenessCtl{}
 	case TypeClaim:
@@ -353,8 +343,6 @@ func (r *reader) bytes(into []byte) []byte {
 	return v
 }
 
-func (r *reader) str() string { return string(r.bytes(nil)) }
-
 // done returns the decode error, requiring full consumption of the payload.
 func (r *reader) done() error {
 	if r.err != nil {
@@ -381,5 +369,3 @@ func appendBytes(b, v []byte) []byte {
 	b = appendU32(b, uint32(len(v)))
 	return append(b, v...)
 }
-
-func appendStr(b []byte, s string) []byte { return appendBytes(b, []byte(s)) }

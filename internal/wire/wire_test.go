@@ -15,9 +15,7 @@ import (
 // allMessages returns one populated instance of every message type.
 func allMessages() []Message {
 	return []Message{
-		&Open{Router: 7, Domain: 3, HoldSecs: 90},
-		&Keepalive{},
-		&Notification{Code: NoteHoldExpired, Reason: "hold timer expired"},
+		&Open{Router: 7, Domain: 3},
 		&LivenessCtl{Generation: 3, IntervalUS: 100_000, Multiplier: 3, Demand: true},
 		&LivenessCtl{Generation: 1, IntervalUS: 10_000_000},
 		&Update{
@@ -324,7 +322,7 @@ func TestDecodeNextStream(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	good := Encode(&Keepalive{})
+	good := Encode(&Open{Router: 7, Domain: 3})
 
 	short := good[:4]
 	if _, err := Decode(short); !errors.Is(err, ErrShortFrame) {
@@ -343,10 +341,13 @@ func TestDecodeErrors(t *testing.T) {
 		t.Errorf("bad version: %v", err)
 	}
 
-	badType := bytes.Clone(good)
-	badType[3] = 0xEE
-	if _, err := Decode(badType); !errors.Is(err, ErrUnknownType) {
-		t.Errorf("bad type: %v", err)
+	// 0x11 and 0x13 are the retired keepalive and notification types.
+	for _, typ := range []byte{0xEE, 0x11, 0x13} {
+		badType := bytes.Clone(good)
+		badType[3] = typ
+		if _, err := Decode(badType); !errors.Is(err, ErrUnknownType) {
+			t.Errorf("bad type 0x%02x: %v", typ, err)
+		}
 	}
 
 	badLen := bytes.Clone(good)
@@ -362,7 +363,7 @@ func TestDecodeErrors(t *testing.T) {
 }
 
 func TestDecodeHugeLengthRejected(t *testing.T) {
-	frame := Encode(&Keepalive{})
+	frame := Encode(&Open{Router: 7, Domain: 3})
 	frame[4], frame[5], frame[6], frame[7] = 0xFF, 0xFF, 0xFF, 0xFF
 	if _, err := Decode(frame); !errors.Is(err, ErrBadLength) {
 		t.Errorf("huge length: %v", err)

@@ -234,12 +234,6 @@ type (
 	Fig4Config = experiments.Fig4Config
 	// Fig4Point is one x-axis point of Figure 4.
 	Fig4Point = experiments.Fig4Point
-	// ChurnConfig parameterizes the scale-churn workload: join/leave
-	// churn over thousands of groups on the paper-scale AS graph.
-	ChurnConfig = experiments.ChurnConfig
-	// DataPlaneResult is the outcome of RunDataPlane: the churn workload
-	// plus one cost row per backend.
-	DataPlaneResult = experiments.DataPlaneResult
 	// Graph is an inter-domain topology.
 	Graph = topology.Graph
 )
