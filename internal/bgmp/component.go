@@ -1,7 +1,6 @@
 package bgmp
 
 import (
-	"sort"
 	"sync"
 
 	"mascbgmp/internal/addr"
@@ -45,14 +44,16 @@ type MIGP interface {
 type Config struct {
 	Router wire.RouterID
 	Domain wire.DomainID
-	// LookupGroup resolves a group address in the G-RIB.
+	// LookupGroup resolves a group address in the G-RIB; required.
 	LookupGroup func(g addr.Addr) (bgp.Entry, bool)
-	// LookupGroupBackup resolves the runner-up G-RIB candidate for a
-	// group — the route the decision process would pick if the current
-	// best's peer vanished. Set, it arms precomputed backup parents so
-	// PeerDown can switch a tree over without re-querying the G-RIB; nil
-	// disables them (repair then waits for the BGP withdrawal).
-	LookupGroupBackup func(g addr.Addr) (bgp.Entry, bool)
+	// LookupGroupBackup is LookupGroup that also returns the runner-up
+	// G-RIB candidate for the prefix it matched — the route the decision
+	// process would pick if the best's peer vanished — valid when
+	// hasBackup. A (*,G) entry takes its parent and its precomputed backup
+	// parent from one call, so PeerDown can switch a tree over without
+	// re-querying the G-RIB; nil means no backups (repair then waits for
+	// the BGP withdrawal).
+	LookupGroupBackup func(g addr.Addr) (best, backup bgp.Entry, ok, hasBackup bool)
 	// LookupSource resolves a source address for RPF-style forwarding
 	// (the M-RIB view, falling back to unicast).
 	LookupSource func(s addr.Addr) (bgp.Entry, bool)
@@ -125,6 +126,12 @@ type outItem struct {
 
 // New returns a Component.
 func New(cfg Config) *Component {
+	if lookup := cfg.LookupGroup; cfg.LookupGroupBackup == nil { // no backups: the parent alone
+		cfg.LookupGroupBackup = func(g addr.Addr) (best, backup bgp.Entry, ok, hasBackup bool) {
+			best, ok = lookup(g)
+			return best, backup, ok, false
+		}
+	}
 	c := &Component{cfg: cfg, eg: Egress{Router: cfg.Router, Domain: cfg.Domain,
 		Internal: cfg.Internal, SendPeer: cfg.SendPeer, MIGP: cfg.MIGP, Obs: cfg.Obs}}
 	c.Reset() // a new speaker starts as a restarted one does: empty
@@ -149,28 +156,13 @@ func (c *Component) SourceEntry(s, g addr.Addr) (parent Target, children []Targe
 	return c.srcs[sgKey{s, g}].listing()
 }
 
-// listing returns the entry's parent and its children in sortTargets order;
-// ok is false for a nil entry.
+// listing returns the entry's parent and a copy of its children, in
+// cmpTargets order; ok is false for a nil entry.
 func (e *entry) listing() (parent Target, children []Target, ok bool) {
 	if e == nil {
 		return Target{}, nil, false
 	}
-	for t := range e.children {
-		children = append(children, t)
-	}
-	sortTargets(children)
-	return e.parent, children, true
-}
-
-// sortTargets orders a target list by router ID, MIGP targets first on a
-// tie, so entry listings never depend on map iteration order.
-func sortTargets(ts []Target) {
-	sort.Slice(ts, func(i, j int) bool {
-		if ts[i].Router != ts[j].Router {
-			return ts[i].Router < ts[j].Router
-		}
-		return ts[i].MIGP && !ts[j].MIGP
-	})
+	return e.parent, append([]Target(nil), e.children...), true
 }
 
 // HasGroupState reports whether the router holds a (*,G) entry.
@@ -309,23 +301,22 @@ func (c *Component) joinLocked(g addr.Addr, child Target) {
 	// origin-to-graft latency is observable.
 	grafted := ok
 	if !ok {
-		parent, root, ok2 := c.resolve(c.cfg.LookupGroup, g)
+		up, ok2 := c.lookupGroup(g)
 		if !ok2 {
 			// No G-RIB route: park the interest as an orphan so the join
 			// propagates the moment a covering route (re)appears.
 			oe, had := c.orphans[g]
 			if !had {
-				oe = newEntry(Target{}, false)
+				oe = &entry{}
 				c.orphans[g] = oe
 			}
 			oe.addChild(child)
 			return
 		}
-		e = newEntry(parent, root)
-		c.armBackupLocked(e, g)
+		e = &entry{upstream: up}
 		c.groups[g] = e
-		c.attachLocked(g, parent, root)
-		grafted = root
+		c.attachLocked(g, up.parent, up.root)
+		grafted = up.root
 	}
 	e.addChild(child)
 	if grafted {
@@ -405,11 +396,10 @@ func (c *Component) detachLocked(g addr.Addr, parent Target, root bool) {
 }
 
 // resolve looks a up in one RIB view and maps the entry through the
-// egress's next-hop rule. The (*,G) parent (LookupGroup), its precomputed
-// backup (LookupGroupBackup), the (S,G) parent (LookupSource) and the
-// off-tree data path all answer through here, so a backup is sound by
-// construction: it is resolved by the rule that resolved the primary. ok is
-// false when the view is disabled or holds no covering route.
+// egress's next-hop rule. The (S,G) parent (LookupSource) and the off-tree
+// data path (LookupGroup) answer through here, as lookupGroup's (*,G)
+// parent and backup answer through the same Egress.Resolve. ok is false
+// when the view is disabled or holds no covering route.
 func (c *Component) resolve(lookup func(addr.Addr) (bgp.Entry, bool), a addr.Addr) (next Target, here, ok bool) {
 	if lookup == nil {
 		return Target{}, false, false
@@ -422,10 +412,22 @@ func (c *Component) resolve(lookup func(addr.Addr) (bgp.Entry, bool), a addr.Add
 	return next, here, true
 }
 
-// armBackupLocked (re)computes e's fallback parent: the runner-up G-RIB
-// candidate for g. Caller holds c.mu.
-func (c *Component) armBackupLocked(e *entry, g addr.Addr) {
-	e.backup, _, e.hasBackup = c.resolve(c.cfg.LookupGroupBackup, g)
+// lookupGroup asks the G-RIB about g once and maps both answers through
+// the egress's next-hop rule: the (*,G) parent and its precomputed backup,
+// so a backup is sound by construction — it is resolved by the rule, and
+// from the lookup, that resolved the parent. ok is false when no covering
+// route exists.
+func (c *Component) lookupGroup(g addr.Addr) (up upstream, ok bool) {
+	best, backup, ok, hasBackup := c.cfg.LookupGroupBackup(g)
+	if !ok {
+		return upstream{}, false
+	}
+	up.parent, up.root = c.eg.Resolve(best)
+	if hasBackup {
+		up.backup, _ = c.eg.Resolve(backup)
+		up.hasBackup = true
+	}
+	return up, true
 }
 
 // BackupParent exposes g's precomputed fallback parent; ok is false when

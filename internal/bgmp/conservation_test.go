@@ -26,9 +26,10 @@ func conserve(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	rig := newRig(1, 5, true)
 	backups := map[addr.Addr]bgp.Entry{}
-	rig.comp.cfg.LookupGroupBackup = func(g addr.Addr) (bgp.Entry, bool) {
-		e, ok := backups[g]
-		return e, ok
+	rig.comp.cfg.LookupGroupBackup = func(g addr.Addr) (best, backup bgp.Entry, ok, hasBackup bool) {
+		best, ok = rig.groups[g]
+		backup, hasBackup = backups[g]
+		return best, backup, ok, ok && hasBackup
 	}
 	groups := []addr.Addr{
 		addr.MakeAddr(224, 0, 128, 1), addr.MakeAddr(224, 0, 128, 2), addr.MakeAddr(224, 0, 129, 1),

@@ -36,7 +36,10 @@ func TestOneNextHopRule(t *testing.T) {
 			var sent []relayed
 			c := New(Config{
 				Router: 1, Domain: 5,
-				LookupGroup: lookup, LookupGroupBackup: lookup, LookupSource: lookup,
+				LookupGroup: lookup, LookupSource: lookup,
+				LookupGroupBackup: func(addr.Addr) (bgp.Entry, bgp.Entry, bool, bool) {
+					return tc.ent, tc.ent, tc.ok, tc.ok
+				},
 				Internal: func(id wire.RouterID) bool { return id >= 100 },
 				SendPeer: func(to wire.RouterID, m wire.Message) { sent = append(sent, relayed{to, m}) },
 				MIGP:     migp,
@@ -46,13 +49,15 @@ func TestOneNextHopRule(t *testing.T) {
 					t.Fatalf("Resolve = %v here=%v, want %v here=%v", next, here, tc.want, tc.here)
 				}
 			}
-			for i, view := range []func(addr.Addr) (bgp.Entry, bool){
-				c.cfg.LookupGroup, c.cfg.LookupGroupBackup, c.cfg.LookupSource,
-			} {
+			for i, view := range []func(addr.Addr) (bgp.Entry, bool){c.cfg.LookupGroup, c.cfg.LookupSource} {
 				if next, here, ok := c.resolve(view, groupG); next != tc.want || here != tc.here || ok != tc.ok {
 					t.Errorf("view %d: resolve = %v here=%v ok=%v, want %v here=%v ok=%v",
 						i, next, here, ok, tc.want, tc.here, tc.ok)
 				}
+			}
+			if up, ok := c.lookupGroup(groupG); up.parent != tc.want || up.root != tc.here || ok != tc.ok ||
+				up.hasBackup != tc.ok || (ok && up.backup != tc.want) {
+				t.Errorf("lookupGroup = %+v ok=%v, want parent and backup %v here=%v ok=%v", up, ok, tc.want, tc.here, tc.ok)
 			}
 
 			// The same answers, seen through the component's own state.

@@ -43,7 +43,7 @@ func (c *Component) sourceJoinLocked(s, g addr.Addr, child Target) {
 	if !ok {
 		return
 	}
-	e := newEntry(parent, sourceLocal)
+	e := &entry{upstream: upstream{parent: parent, root: sourceLocal}}
 	e.addChild(child)
 	c.srcs[k] = e
 	if !sourceLocal {

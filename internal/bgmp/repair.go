@@ -1,6 +1,7 @@
 package bgmp
 
 import (
+	"slices"
 	"sort"
 
 	"mascbgmp/internal/addr"
@@ -20,13 +21,17 @@ import (
 // All repair paths iterate entry maps in sorted key order so that the
 // emitted messages and obs events are identical across same-seed runs.
 
-// sortedGroups returns m's keys in ascending order. Caller holds c.mu.
-func sortedGroups(m map[addr.Addr]*entry) []addr.Addr {
-	gs := make([]addr.Addr, 0, len(m))
+// sortedGroups returns the keys of m that within contains, in ascending
+// order: the groups are picked out first, so only they are sorted. A zero
+// within (/0) contains every group. Caller holds c.mu.
+func sortedGroups(m map[addr.Addr]*entry, within addr.Prefix) []addr.Addr {
+	var gs []addr.Addr
 	for g := range m {
-		gs = append(gs, g)
+		if within.Contains(g) {
+			gs = append(gs, g)
+		}
 	}
-	sort.Slice(gs, func(i, j int) bool { return gs[i] < gs[j] })
+	slices.Sort(gs)
 	return gs
 }
 
@@ -82,12 +87,9 @@ func (c *Component) RouteChanged(prefix addr.Prefix, ctx wire.TraceContext) {
 		rejoined  bool
 	}
 	var changes []change
-	for _, g := range sortedGroups(c.groups) {
-		if !prefix.Contains(g) {
-			continue
-		}
+	for _, g := range sortedGroups(c.groups, prefix) {
 		e := c.groups[g]
-		parent, root, ok := c.resolve(c.cfg.LookupGroup, g)
+		up, ok := c.lookupGroup(g)
 		if !ok {
 			// No route at all anymore: tear the forwarding entry down but
 			// remember the children, so a returning route re-attaches the
@@ -95,44 +97,36 @@ func (c *Component) RouteChanged(prefix addr.Prefix, ctx wire.TraceContext) {
 			changes = append(changes, change{g: g, oldParent: e.parent, oldRoot: e.root, torn: true})
 			delete(c.groups, g)
 			c.dropSharedClonesLocked(g)
-			e.setParent(Target{})
-			e.root = false
+			e.setUpstream(upstream{})
 			c.orphans[g] = e
 			continue
 		}
-		if parent.key() == e.parent.key() && root == e.root {
+		if up.parent.key() == e.parent.key() && up.root == e.root {
 			// Path unchanged; the runner-up candidate set may still have
 			// rotated, so refresh the precomputed backup incrementally.
-			c.armBackupLocked(e, g)
+			e.backup, e.hasBackup = up.backup, up.hasBackup
 			continue
 		}
 		changes = append(changes, change{
 			g: g, oldParent: e.parent, oldRoot: e.root,
-			newParent: parent, newRoot: root,
+			newParent: up.parent, newRoot: up.root,
 		})
-		e.setParent(parent)
-		e.root = root
-		c.armBackupLocked(e, g)
+		e.setUpstream(up)
 		// Dependent shared-clone (S,G) state inherited the old parent;
 		// rebuild it lazily (drop it — prunes re-establish if needed).
 		c.dropSharedClonesLocked(g)
 	}
 	// Orphans covered by the changed prefix may have a route again.
-	for _, g := range sortedGroups(c.orphans) {
-		if !prefix.Contains(g) {
-			continue
-		}
-		parent, root, ok := c.resolve(c.cfg.LookupGroup, g)
+	for _, g := range sortedGroups(c.orphans, prefix) {
+		up, ok := c.lookupGroup(g)
 		if !ok {
 			continue
 		}
 		e := c.orphans[g]
 		delete(c.orphans, g)
-		e.setParent(parent)
-		e.root = root
-		c.armBackupLocked(e, g)
+		e.setUpstream(up)
 		c.groups[g] = e
-		changes = append(changes, change{g: g, newParent: parent, newRoot: root, rejoined: true})
+		changes = append(changes, change{g: g, newParent: up.parent, newRoot: up.root, rejoined: true})
 	}
 	for _, ch := range changes {
 		c.eventLocked(obs.Event{Kind: obs.BGMPRepair, Group: ch.g, Prefix: prefix})
@@ -158,8 +152,8 @@ func (c *Component) PeerDown(peer wire.RouterID, ctx wire.TraceContext) {
 	t := PeerTarget(peer)
 	c.mu.Lock()
 	c.cur = sp.Context()
-	for _, g := range sortedGroups(c.groups) {
-		if c.groups[g].children[t] {
+	for _, g := range sortedGroups(c.groups, addr.Prefix{}) {
+		if c.groups[g].hasChild(t) {
 			c.pruneLocked(g, t)
 		}
 	}
@@ -167,7 +161,7 @@ func (c *Component) PeerDown(peer wire.RouterID, ctx wire.TraceContext) {
 	// switch to their backup target immediately, without re-querying the
 	// G-RIB — the withdrawal-driven RouteChanged later confirms the new
 	// parent (a no-op when it matches) and re-arms a fresh backup.
-	for _, g := range sortedGroups(c.groups) {
+	for _, g := range sortedGroups(c.groups, addr.Prefix{}) {
 		e := c.groups[g]
 		if e.root || e.parent.key() != t {
 			continue
@@ -177,24 +171,22 @@ func (c *Component) PeerDown(peer wire.RouterID, ctx wire.TraceContext) {
 			// to re-resolve (or orphan) it.
 			continue
 		}
+		// A runner-up route that ends at this domain makes the entry root:
+		// the interior supplies the tree. The backup is spent.
 		bk := e.backup
-		e.backup, e.hasBackup = Target{}, false
-		e.setParent(bk)
+		e.setUpstream(upstream{parent: bk, root: bk == MIGPTarget})
 		c.dropSharedClonesLocked(g)
 		c.eventLocked(obs.Event{Kind: obs.BGMPFailover, Group: g, Peer: peer})
-		// A runner-up route that ends at this domain makes the entry root:
-		// the interior supplies the tree.
-		e.root = bk == MIGPTarget
 		c.attachLocked(g, bk, e.root)
 	}
 	for _, k := range sortedSGKeys(c.srcs) {
-		if c.srcs[k].children[t] {
+		if c.srcs[k].hasChild(t) {
 			c.sourcePruneLocked(k.src, k.group, t)
 		}
 	}
 	// The dead peer's parked interest must not trigger a rejoin later.
-	for _, g := range sortedGroups(c.orphans) {
-		if c.orphans[g].children[t] {
+	for _, g := range sortedGroups(c.orphans, addr.Prefix{}) {
+		if c.orphans[g].hasChild(t) {
 			c.pruneLocked(g, t)
 		}
 	}

@@ -11,8 +11,9 @@
 package bgmp
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"mascbgmp/internal/addr"
 	"mascbgmp/internal/wire"
@@ -59,52 +60,77 @@ func (t Target) String() string {
 	return fmt.Sprintf("peer(%d)", t.Router)
 }
 
-// entry is shared bookkeeping for (*,G) and (S,G) state: a parent target
-// and a set of child targets. Children are tracked exactly (an MIGP child
-// toward border X is distinct from the generic interior-member child) so
-// prunes from one internal path do not erase another's interest; the
-// forwarding view deduplicates MIGP-kind targets.
-type entry struct {
-	parent   Target
-	children map[Target]bool
+// cmpTargets orders targets by router ID, MIGP targets first on a tie: the
+// order an entry keeps its children in, so listings never depend on the
+// order the joins came in.
+func cmpTargets(a, b Target) int {
+	if a.Router != b.Router || a.MIGP == b.MIGP {
+		return cmp.Compare(a.Router, b.Router)
+	}
+	if a.MIGP {
+		return -1
+	}
+	return 1
+}
+
+// upstream is where an entry leads toward the root domain (or, for a
+// source-specific branch, the source): what one RIB answer resolves to.
+type upstream struct {
+	parent Target
 	// root marks a (*,G) entry in the group's root domain (no BGP next
 	// hop; the parent target is the MIGP component).
 	root bool
+	// backup is the precomputed fallback parent for a (*,G) entry — the
+	// runner-up G-RIB candidate, resolved from the lookup that resolved
+	// the parent — valid when hasBackup. PeerDown switches the parent to
+	// it without re-querying the G-RIB (1:1 protection).
+	backup    Target
+	hasBackup bool
+}
+
+// entry is shared bookkeeping for (*,G) and (S,G) state: an upstream and
+// the child targets. Children are tracked exactly (an MIGP child toward
+// border X is distinct from the generic interior-member child) so prunes
+// from one internal path do not erase another's interest; the forwarding
+// view deduplicates MIGP-kind targets.
+type entry struct {
+	upstream
+	// children holds each child target once, in cmpTargets order.
+	children []Target
 	// sharedClone marks (S,G) state instantiated from the (*,G) entry —
 	// shared-tree prune state rather than a source-specific branch. When
 	// its child list empties it becomes a negative cache (drop S's
 	// packets here) instead of being torn down.
 	sharedClone bool
-	// backup is the precomputed fallback parent for a (*,G) entry — the
-	// runner-up G-RIB candidate, resolved at join time and refreshed on
-	// every RouteChanged — valid when hasBackup. PeerDown switches the
-	// parent to it without re-querying the G-RIB (1:1 protection).
-	backup    Target
-	hasBackup bool
 	// targetCache is the memoized result of targets(), rebuilt lazily
 	// after any parent/child mutation. Entries see one mutation per
 	// join/prune but many forwarding lookups, so caching turns the
-	// per-packet sort+dedup into a slice read.
+	// per-packet merge into a slice read.
 	targetCache []Target
 }
 
-func newEntry(parent Target, root bool) *entry {
-	return &entry{parent: parent, children: make(map[Target]bool, 2), root: root}
-}
-
 func (e *entry) addChild(t Target) {
-	e.children[t] = true
-	e.targetCache = nil
+	if i, ok := slices.BinarySearchFunc(e.children, t, cmpTargets); !ok {
+		e.children = slices.Insert(e.children, i, t)
+		e.targetCache = nil
+	}
 }
 
 func (e *entry) removeChild(t Target) {
-	delete(e.children, t)
-	e.targetCache = nil
+	if i, ok := slices.BinarySearchFunc(e.children, t, cmpTargets); ok {
+		e.children = slices.Delete(e.children, i, i+1)
+		e.targetCache = nil
+	}
 }
 
-// setParent reparents the entry (failover or G-RIB change).
-func (e *entry) setParent(t Target) {
-	e.parent = t
+func (e *entry) hasChild(t Target) bool {
+	_, ok := slices.BinarySearchFunc(e.children, t, cmpTargets)
+	return ok
+}
+
+// setUpstream reparents the entry (failover or G-RIB change).
+func (e *entry) setUpstream(u upstream) {
+	e.upstream = u
 	e.targetCache = nil
 }
 
@@ -112,37 +138,43 @@ func (e *entry) setParent(t Target) {
 // prune from the domain interior means the interior as a whole gets S via
 // another border now.
 func (e *entry) removeMIGPChildren() {
-	for t := range e.children {
-		if t.MIGP {
-			delete(e.children, t)
-		}
-	}
+	e.children = slices.DeleteFunc(e.children, func(t Target) bool { return t.MIGP })
 	e.targetCache = nil
 }
 
-// targets returns the deduplicated full target list (parent + children).
-// Callers must not mutate the returned slice: it is the shared cache.
+// targets returns the deduplicated full target list (parent + children):
+// the interior first when the parent or any child is on it, then the peers
+// in router order. One pass over the sorted children merges the parent in
+// among the peers. Callers must not mutate the returned slice: it is the
+// shared cache.
 func (e *entry) targets() []Target {
 	if e.targetCache != nil {
 		return e.targetCache
 	}
-	seen := make(map[Target]bool, len(e.children)+1)
-	seen[e.parent.key()] = true
-	out := make([]Target, 1, len(e.children)+1)
-	out[0] = e.parent.key()
-	for c := range e.children {
-		k := c.key()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, k)
+	out := make([]Target, 1, len(e.children)+2) // out[0] is held for the interior
+	p := e.parent.key()
+	interior, merged := p.MIGP, p.MIGP
+	for _, c := range e.children {
+		switch {
+		case c.MIGP:
+			interior = true
+			continue
+		case merged:
+		case p.Router < c.Router:
+			out, merged = append(out, p), true
+		case p == c:
+			merged = true
 		}
+		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].MIGP != out[j].MIGP {
-			return out[i].MIGP
-		}
-		return out[i].Router < out[j].Router
-	})
+	if !merged {
+		out = append(out, p)
+	}
+	if interior {
+		out[0] = MIGPTarget
+	} else {
+		out = out[1:]
+	}
 	e.targetCache = out
 	return out
 }
@@ -150,12 +182,8 @@ func (e *entry) targets() []Target {
 // clone copies the entry into (S,G) shared-tree state (used when source-
 // specific state is instantiated from the (*,G) entry, per §5.3).
 func (e *entry) clone() *entry {
-	c := newEntry(e.parent, e.root)
-	c.sharedClone = true
-	for t := range e.children {
-		c.children[t] = true
-	}
-	return c
+	return &entry{upstream: upstream{parent: e.parent, root: e.root},
+		children: slices.Clone(e.children), sharedClone: true}
 }
 
 // sgKey indexes (S,G) entries.

@@ -156,15 +156,15 @@ func (s *Speaker) Sync(to wire.RouterID) {
 		s.mu.Unlock()
 		return
 	}
-	n := s.neighbors[i]
+	n, clk := s.neighbors[i], clock{src: s.cfg.Clock}
 	var out []outUpdate
 	for t, r := range s.tables {
 		table := wire.Table(t)
 		recs := r.sortedSelected()
 		routes := make([]wire.Route, 0, len(recs))
 		for _, rec := range recs {
-			ad := s.advertLocked(table, rec.sel)
-			if rt, ok := s.exportLocked(n, &ad); ok {
+			ad := s.advertLocked(table, rec.sel, &clk)
+			if rt, ok := s.exportLocked(n, &ad, &clk); ok {
 				routes = append(routes, rt)
 				rec.advertise(n.Router)
 			}
@@ -254,7 +254,7 @@ func (s *Speaker) HandleUpdate(from wire.RouterID, u *wire.Update) {
 		s.mu.Unlock()
 		return
 	}
-	r := s.tables[u.Table]
+	r, clk := s.tables[u.Table], clock{src: s.cfg.Clock}
 	changed := make([]*record, 0, len(u.Withdrawn)+len(u.Routes))
 	for _, p := range u.Withdrawn {
 		if rec := r.recs[p.Canonical()]; rec != nil && rec.removeIn(from) {
@@ -266,7 +266,7 @@ func (s *Speaker) HandleUpdate(from wire.RouterID, u *wire.Update) {
 		if rt.HasLoop(s.cfg.Domain) {
 			continue // AS-path loop: a route that already traversed us
 		}
-		if s.expired(rt) {
+		if clk.expired(rt) {
 			continue
 		}
 		rec := r.recordFor(rt.Prefix)
@@ -285,7 +285,7 @@ func (s *Speaker) HandleUpdate(from wire.RouterID, u *wire.Update) {
 func (s *Speaker) Lookup(table wire.Table, a addr.Addr) (Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	best, ok := s.longestMatchLocked(s.tables[table], a)
+	best, ok := longestMatchLocked(s.tables[table], a, &clock{src: s.cfg.Clock})
 	if !ok {
 		return Entry{}, false
 	}
@@ -293,17 +293,16 @@ func (s *Speaker) Lookup(table wire.Table, a addr.Addr) (Entry, bool) {
 }
 
 // longestMatchLocked returns the selected route of the most specific
-// unexpired prefix of r covering a: the one match behind Lookup and
-// LookupBackup, so a backup is always the runner-up of the very prefix the
-// primary matched. An expired more-specific falls through to the route
-// that covers it. Caller holds s.mu.
-func (s *Speaker) longestMatchLocked(r *rib, a addr.Addr) (selected, bool) {
+// prefix of r covering a that is unexpired by clk: the one match behind
+// Lookup and LookupBackup. An expired more-specific falls through to the
+// route that covers it. Caller holds s.mu.
+func longestMatchLocked(r *rib, a addr.Addr, clk *clock) (selected, bool) {
 	for l := 32; l >= 0; {
 		sel, ok := r.covering(a, l)
 		if !ok {
 			break
 		}
-		if !s.expired(sel.route) {
+		if !clk.expired(sel.route) {
 			return sel, true
 		}
 		l = sel.route.Prefix.Len - 1
@@ -311,25 +310,25 @@ func (s *Speaker) longestMatchLocked(r *rib, a addr.Addr) (selected, bool) {
 	return selected{}, false
 }
 
-// LookupBackup longest-prefix-matches like Lookup, then returns the
-// runner-up candidate for the matched prefix — the route the decision
-// process would select if the current best's source vanished. BGMP uses it
-// to precompute a backup parent target per (*,G) so a peer failure can
-// switch the tree over without waiting for the withdrawal to propagate.
-// ok is false when the best route has no independent alternative.
-func (s *Speaker) LookupBackup(table wire.Table, a addr.Addr) (Entry, bool) {
+// LookupBackup is Lookup that also returns the runner-up candidate for the
+// prefix it matched — what the decision process would select if the best's
+// source vanished — under the same lock, match and clock reading. BGMP arms
+// a backup parent from it beside each (*,G) parent. ok is false when no
+// covering unexpired route exists, hasBackup when the best has no
+// independent alternative.
+func (s *Speaker) LookupBackup(table wire.Table, a addr.Addr) (best, backup Entry, ok, hasBackup bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r := s.tables[table]
-	cur, ok := s.longestMatchLocked(r, a)
+	r, clk := s.tables[table], clock{src: s.cfg.Clock}
+	cur, ok := longestMatchLocked(r, a, &clk)
 	if !ok {
-		return Entry{}, false
+		return Entry{}, Entry{}, false, false
 	}
-	second, ok := s.decide(r.recs[cur.route.Prefix], &cur)
-	if !ok {
-		return Entry{}, false
+	second, hasBackup := decide(r.recs[cur.route.Prefix], &cur, &clk)
+	if hasBackup {
+		backup = s.entryOf(second)
 	}
-	return s.entryOf(second), true
+	return s.entryOf(cur), backup, true, hasBackup
 }
 
 // LookupPrefix returns the best route for an exact prefix.
@@ -337,7 +336,8 @@ func (s *Speaker) LookupPrefix(table wire.Table, p addr.Prefix) (Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sel, ok := s.tables[table].best[p.Canonical()]
-	if !ok || s.expired(sel.route) {
+	clk := clock{src: s.cfg.Clock}
+	if !ok || clk.expired(sel.route) {
 		return Entry{}, false
 	}
 	return s.entryOf(sel), true
@@ -356,11 +356,11 @@ func (s *Speaker) Generation(table wire.Table) uint64 {
 func (s *Speaker) Table(table wire.Table) []Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	recs := s.tables[table].sortedSelected()
+	recs, clk := s.tables[table].sortedSelected(), clock{src: s.cfg.Clock}
 	out := make([]Entry, 0, len(recs))
 	for _, rec := range recs {
 		sel := rec.sel
-		if s.expired(sel.route) {
+		if clk.expired(sel.route) {
 			continue
 		}
 		sel.route = sel.route.Clone()
@@ -374,10 +374,11 @@ func (s *Speaker) Table(table wire.Table) []Entry {
 func (s *Speaker) Sweep() {
 	s.mu.Lock()
 	var notes []note
+	clk := clock{src: s.cfg.Clock}
 	for t, r := range s.tables {
 		var changed []*record
 		for _, rec := range r.recs {
-			if s.dropExpiredLocked(rec) {
+			if dropExpiredLocked(rec, &clk) {
 				changed = append(changed, rec)
 			}
 		}
@@ -390,17 +391,17 @@ func (s *Speaker) Sweep() {
 	s.notify(notes)
 }
 
-// dropExpiredLocked removes rec's expired origination and learned routes
-// and reports whether it removed any. Caller holds s.mu.
-func (s *Speaker) dropExpiredLocked(rec *record) bool {
+// dropExpiredLocked removes rec's routes expired by clk, origination and
+// learned, and reports whether it removed any. Caller holds s.mu.
+func dropExpiredLocked(rec *record, clk *clock) bool {
 	dropped := false
-	if rec.local != nil && s.expired(*rec.local) {
+	if rec.local != nil && clk.expired(*rec.local) {
 		rec.local = nil
 		dropped = true
 	}
 	kept := rec.in[:0]
 	for _, pr := range rec.in {
-		if !s.expired(pr.route) {
+		if !clk.expired(pr.route) {
 			kept = append(kept, pr)
 		}
 	}
@@ -412,8 +413,21 @@ func (s *Speaker) dropExpiredLocked(rec *record) bool {
 	return dropped
 }
 
-func (s *Speaker) expired(rt wire.Route) bool {
-	return rt.ExpireUnix != 0 && uint64(s.cfg.Clock.Now().Unix()) >= rt.ExpireUnix
+// clock is the time as one question or one reselection pass sees it: src
+// is read when the first route with a lifetime is judged, into now (0 until
+// then), and not again; routes without one never read it (a simclock.Sim
+// locks per read).
+type clock struct {
+	src simclock.Clock
+	now uint64
+}
+
+// expired reports whether rt's lifetime has run out.
+func (c *clock) expired(rt wire.Route) bool {
+	if rt.ExpireUnix != 0 && c.now == 0 {
+		c.now = uint64(c.src.Now().Unix())
+	}
+	return rt.ExpireUnix != 0 && c.now >= rt.ExpireUnix
 }
 
 func (s *Speaker) entryOf(sel selected) Entry {
@@ -483,14 +497,14 @@ func (s *Speaker) reselectLocked(table wire.Table, changed []*record, ctx wire.T
 		s.pend = make([][wire.NumTables]*wire.Update, len(s.neighbors))
 	}
 	s.pass++
-	r := s.tables[table]
+	r, clk := s.tables[table], clock{src: s.cfg.Clock}
 	for i, rec := range changed {
 		if rec.pass == s.pass {
 			continue
 		}
 		rec.pass = s.pass
 		left := len(changed) - i // what this pass can still add to any one list
-		newSel, hasNew := s.decide(rec, nil)
+		newSel, hasNew := decide(rec, nil, &clk)
 		hadOld := rec.hasSel
 		if hadOld && hasNew && rec.sel.equal(newSel) {
 			continue
@@ -514,11 +528,11 @@ func (s *Speaker) reselectLocked(table wire.Table, changed []*record, ctx wire.T
 		// Advertise or withdraw to each neighbor.
 		var ad advert
 		if hasNew {
-			ad = s.advertLocked(table, newSel)
+			ad = s.advertLocked(table, newSel, &clk)
 		}
 		for k, n := range s.neighbors {
 			if hasNew {
-				if rt, ok := s.exportLocked(n, &ad); ok {
+				if rt, ok := s.exportLocked(n, &ad, &clk); ok {
 					rec.advertise(n.Router)
 					u := s.pendingLocked(k, table, ctx)
 					if u.Routes == nil {
@@ -578,22 +592,22 @@ func (s *Speaker) flushLocked() []outUpdate {
 
 // decide runs the decision process for one prefix: a local origination
 // wins; otherwise the shortest AS path, tie-broken by lowest advertising
-// router ID. Expired candidates are skipped, and so is the source of skip
-// when non-nil — passing the current best yields the runner-up. The minimum
-// is taken in one pass in slice order: better is a total order whose last
-// key, from, is unique per entry, so the result does not depend on the
-// order of rec.in. A nil record has no candidates.
-func (s *Speaker) decide(rec *record, skip *selected) (selected, bool) {
+// router ID. Candidates expired by clk are skipped, and so is the source of
+// skip when non-nil — passing the current best yields the runner-up. The
+// minimum is taken in one pass in slice order: better is a total order
+// whose last key, from, is unique per entry, so the result does not depend
+// on the order of rec.in. A nil record has no candidates.
+func decide(rec *record, skip *selected, clk *clock) (selected, bool) {
 	if rec == nil {
 		return selected{}, false
 	}
-	if rec.local != nil && !s.expired(*rec.local) && !(skip != nil && skip.local) {
+	if rec.local != nil && !clk.expired(*rec.local) && !(skip != nil && skip.local) {
 		return selected{route: *rec.local, local: true}, true
 	}
 	best := -1
 	for i := range rec.in {
 		pr := &rec.in[i]
-		if s.expired(pr.route) || (skip != nil && !skip.local && pr.from == skip.from) {
+		if clk.expired(pr.route) || (skip != nil && !skip.local && pr.from == skip.from) {
 			continue
 		}
 		if best < 0 || pr.better(&rec.in[best]) {
@@ -632,9 +646,10 @@ type advert struct {
 	path []wire.DomainID
 }
 
-// advertLocked starts the export decision for sel. Caller holds s.mu.
-func (s *Speaker) advertLocked(table wire.Table, sel selected) advert {
-	ad := advert{table: table, sel: sel, dead: s.expired(sel.route)}
+// advertLocked starts the export decision for sel, judging expiry by clk.
+// Caller holds s.mu.
+func (s *Speaker) advertLocked(table wire.Table, sel selected, clk *clock) advert {
+	ad := advert{table: table, sel: sel, dead: clk.expired(sel.route)}
 	if !sel.local {
 		if i, ok := s.neighborIndexLocked(sel.from); ok {
 			ad.fromInternal = s.neighbors[i].Internal
@@ -646,8 +661,9 @@ func (s *Speaker) advertLocked(table wire.Table, sel selected) advert {
 // exportLocked applies the advertisement rules for neighbor n and returns
 // the route as it should appear on the wire. The route shares its AS path
 // with the RIB (internal neighbors) or with the other external neighbors'
-// copies: stored paths are never written into. Caller holds s.mu.
-func (s *Speaker) exportLocked(n Neighbor, ad *advert) (wire.Route, bool) {
+// copies: stored paths are never written into. clk judges the covering
+// test's expiries. Caller holds s.mu.
+func (s *Speaker) exportLocked(n Neighbor, ad *advert, clk *clock) (wire.Route, bool) {
 	if ad.dead {
 		return wire.Route{}, false
 	}
@@ -666,7 +682,7 @@ func (s *Speaker) exportLocked(n Neighbor, ad *advert) (wire.Route, bool) {
 	// External export.
 	if s.cfg.AggregateCovered {
 		if !ad.coveredKnown {
-			ad.covered, ad.coveredKnown = s.coveredByOwnOriginationLocked(ad.table, ad.sel), true
+			ad.covered, ad.coveredKnown = s.coveredByOwnOriginationLocked(ad.table, ad.sel, clk), true
 		}
 		if ad.covered {
 			return wire.Route{}, false
@@ -695,14 +711,14 @@ func (s *Speaker) exportLocked(n Neighbor, ad *advert) (wire.Route, bool) {
 // parent domain need not propagate their children's group routes"). An
 // unexpired local origination is always its prefix's selected route, so
 // the selected routes are all there is to walk.
-func (s *Speaker) coveredByOwnOriginationLocked(table wire.Table, sel selected) bool {
+func (s *Speaker) coveredByOwnOriginationLocked(table wire.Table, sel selected, clk *clock) bool {
 	r, q := s.tables[table], sel.route.Prefix
 	for l := q.Len - 1; l >= 0; {
 		b, ok := r.covering(q.Base, l)
 		if !ok {
 			break
 		}
-		if (b.local || wire.DomainID(b.route.Origin) == s.cfg.Domain) && !s.expired(b.route) {
+		if (b.local || wire.DomainID(b.route.Origin) == s.cfg.Domain) && !clk.expired(b.route) {
 			return true
 		}
 		l = b.route.Prefix.Len - 1

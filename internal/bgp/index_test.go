@@ -13,9 +13,9 @@ import (
 
 // scanLongestMatch is the longest match as it was before the length index:
 // a scan of every selected route. Kept as the oracle.
-func scanLongestMatch(s *Speaker, r *rib, a addr.Addr) (best selected, ok bool) {
+func scanLongestMatch(r *rib, a addr.Addr, clk *clock) (best selected, ok bool) {
 	for p, sel := range r.best {
-		if !p.Contains(a) || s.expired(sel.route) {
+		if !p.Contains(a) || clk.expired(sel.route) {
 			continue
 		}
 		if !ok || p.Len > best.route.Prefix.Len {
@@ -27,15 +27,15 @@ func scanLongestMatch(s *Speaker, r *rib, a addr.Addr) (best selected, ok bool) 
 
 // scanCovered is the §4.3.2 covering test as it was before the length
 // index. Kept as the oracle.
-func scanCovered(s *Speaker, r *rib, sel selected) bool {
+func scanCovered(s *Speaker, r *rib, sel selected, clk *clock) bool {
 	for p, rec := range r.recs {
-		if rec.local != nil && p.Len < sel.route.Prefix.Len && p.ContainsPrefix(sel.route.Prefix) && !s.expired(*rec.local) {
+		if rec.local != nil && p.Len < sel.route.Prefix.Len && p.ContainsPrefix(sel.route.Prefix) && !clk.expired(*rec.local) {
 			return true
 		}
 	}
 	for p, b := range r.best {
 		if wire.DomainID(b.route.Origin) == s.cfg.Domain &&
-			p.Len < sel.route.Prefix.Len && p.ContainsPrefix(sel.route.Prefix) && !s.expired(b.route) {
+			p.Len < sel.route.Prefix.Len && p.ContainsPrefix(sel.route.Prefix) && !clk.expired(b.route) {
 			return true
 		}
 	}
@@ -69,12 +69,13 @@ func checkMirror(t *testing.T, table wire.Table, r *rib) {
 
 // checkIndex compares every reader of the read index with its oracle on
 // one table: the mirror with the records, the counts with a recount of
-// best, Lookup and LookupBackup on the probe addresses, the covering test
-// on every selected route.
+// best, Lookup and both answers of one LookupBackup on the probe addresses
+// (the scan's match, and decide over it with its source skipped), the
+// covering test on every selected route.
 func checkIndex(t *testing.T, s *Speaker, table wire.Table, probes []addr.Addr) {
 	t.Helper()
 	s.mu.Lock()
-	r := s.tables[table]
+	r, clk := s.tables[table], clock{src: s.cfg.Clock}
 	checkMirror(t, table, r)
 	var recount [33]uint32
 	for p := range r.best {
@@ -89,15 +90,15 @@ func checkIndex(t *testing.T, s *Speaker, table wire.Table, probes []addr.Addr) 
 	}
 	want := make([][2]answer, len(probes))
 	for i, a := range probes {
-		if cur, ok := scanLongestMatch(s, r, a); ok {
+		if cur, ok := scanLongestMatch(r, a, &clk); ok {
 			want[i][0] = answer{s.entryOf(cur), true}
-			if second, ok := s.decide(r.recs[cur.route.Prefix], &cur); ok {
+			if second, ok := decide(r.recs[cur.route.Prefix], &cur, &clk); ok {
 				want[i][1] = answer{s.entryOf(second), true}
 			}
 		}
 	}
 	for _, sel := range r.best {
-		if got, want := s.coveredByOwnOriginationLocked(table, sel), scanCovered(s, r, sel); got != want {
+		if got, want := s.coveredByOwnOriginationLocked(table, sel, &clk), scanCovered(s, r, sel, &clk); got != want {
 			t.Fatalf("table %d: covered(%v) = %v, scan says %v", table, sel.route.Prefix, got, want)
 		}
 	}
@@ -107,9 +108,12 @@ func checkIndex(t *testing.T, s *Speaker, table wire.Table, probes []addr.Addr) 
 		if got := (answer{e, ok}); !reflect.DeepEqual(got, want[i][0]) {
 			t.Fatalf("table %d: Lookup(%v) = %+v, scan says %+v", table, a, got, want[i][0])
 		}
-		e, ok = s.LookupBackup(table, a)
-		if got := (answer{e, ok}); !reflect.DeepEqual(got, want[i][1]) {
-			t.Fatalf("table %d: LookupBackup(%v) = %+v, scan says %+v", table, a, got, want[i][1])
+		best, backup, ok, hasBackup := s.LookupBackup(table, a)
+		if got := (answer{best, ok}); !reflect.DeepEqual(got, want[i][0]) {
+			t.Fatalf("table %d: LookupBackup(%v) best = %+v, scan says %+v", table, a, got, want[i][0])
+		}
+		if got := (answer{backup, hasBackup}); !reflect.DeepEqual(got, want[i][1]) {
+			t.Fatalf("table %d: LookupBackup(%v) backup = %+v, scan says %+v", table, a, got, want[i][1])
 		}
 	}
 }
@@ -217,6 +221,53 @@ func TestLongestMatchFallsThroughExpired(t *testing.T) {
 	}
 	if n := len(s.tables[wire.TableGRIB].best); n != 4 {
 		t.Fatalf("best holds %d routes; the test needs the expired ones still in it", n)
+	}
+}
+
+// TestLookupBackupFallsThroughExpired pins both answers of LookupBackup
+// across the two expiries the random test reaches only by chance: a best
+// route that has expired while its prefix's runner-up is still live sends
+// the match, and with it the backup, to the covering prefix; a runner-up
+// that has expired leaves the best without a backup.
+func TestLookupBackupFallsThroughExpired(t *testing.T) {
+	clk := simclock.NewSim(time.Unix(1000, 0))
+	s := New(Config{Router: 1, Domain: 1, Clock: clk})
+	s.AddNeighbor(Neighbor{Router: 2, Domain: 2})
+	s.AddNeighbor(Neighbor{Router: 3, Domain: 3})
+	route := func(p string, path []wire.DomainID, expire uint64) wire.Route {
+		return wire.Route{Prefix: addr.MustParsePrefix(p), ASPath: path, Origin: 9, ExpireUnix: expire}
+	}
+	// Peer 2's paths are shorter, so it is the best for both prefixes.
+	s.HandleUpdate(2, &wire.Update{Table: wire.TableGRIB, Routes: []wire.Route{
+		route("224.1.2.0/24", []wire.DomainID{2, 9}, 1100), route("224.1.0.0/16", []wire.DomainID{2, 9}, 0),
+	}})
+	s.HandleUpdate(3, &wire.Update{Table: wire.TableGRIB, Routes: []wire.Route{
+		route("224.1.2.0/24", []wire.DomainID{3, 4, 9}, 0), route("224.1.0.0/16", []wire.DomainID{3, 4, 9}, 1200),
+	}})
+	in24, in16 := addr.MakeAddr(224, 1, 2, 3), addr.MakeAddr(224, 1, 9, 9)
+	for _, c := range []struct {
+		at     int64
+		a      addr.Addr
+		prefix string
+		backup wire.RouterID // 0: none
+	}{
+		{1000, in24, "224.1.2.0/24", 3},
+		{1000, in16, "224.1.0.0/16", 3},
+		{1100, in24, "224.1.0.0/16", 3}, // the /24's best expired; its live runner-up is not consulted
+		{1200, in24, "224.1.0.0/16", 0}, // the /16's runner-up expired
+		{1200, in16, "224.1.0.0/16", 0},
+	} {
+		clk.RunUntil(time.Unix(c.at, 0))
+		best, backup, ok, hasBackup := s.LookupBackup(wire.TableGRIB, c.a)
+		if !ok || best.Route.Prefix.String() != c.prefix || best.NextHop != 2 {
+			t.Errorf("t=%d LookupBackup(%v) best = %v ok=%v, want %s via 2", c.at, c.a, best, ok, c.prefix)
+		}
+		if hasBackup != (c.backup != 0) || (hasBackup && (backup.NextHop != c.backup || backup.Route.Prefix != best.Route.Prefix)) {
+			t.Errorf("t=%d LookupBackup(%v) backup = %v hasBackup=%v, want %s via %d", c.at, c.a, backup, hasBackup, c.prefix, c.backup)
+		}
+		if e, _ := s.Lookup(wire.TableGRIB, c.a); !reflect.DeepEqual(e, best) {
+			t.Errorf("t=%d Lookup(%v) = %v, LookupBackup's best is %v", c.at, c.a, e, best)
+		}
 	}
 }
 

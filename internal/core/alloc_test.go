@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -160,10 +161,10 @@ func TestSendAllocBudget(t *testing.T) {
 //
 //	perHop × peering hops to the root + constant
 //
-// On the shared tree a hop costs 9: the join builds a (*,G) entry and its
-// child map at the next router, records the child, and both the GroupJoin
-// and the GroupPrune cost an output list, the message and its decoded
-// copy. The overlays keep no transit state, so a hop is the two decoded
+// On the shared tree a hop costs 8: the (*,G) entry the join builds at the
+// next router, its child list, and for each of the GroupJoin and the
+// GroupPrune an output list, the message and its decoded copy. The
+// overlays keep no transit state, so a hop is the two decoded
 // MemberReports. All three rows are the measured floor: one more
 // allocation anywhere between the host and the root fails.
 func TestJoinAllocBudget(t *testing.T) {
@@ -171,7 +172,7 @@ func TestJoinAllocBudget(t *testing.T) {
 		backend          string
 		perHop, constant int
 	}{
-		{dataplane.SharedTreeName, 9, 2},
+		{dataplane.SharedTreeName, 8, 2},
 		{dataplane.BIERName, 2, 4},
 		{dataplane.MapEncapName, 2, 4},
 	}
@@ -378,6 +379,29 @@ func BenchmarkLinkFlap(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		flap(b, net, 5+i%7)
+	}
+}
+
+// BenchmarkJoinLeave times a host join and the leave that undoes it in the
+// domain farthest from the first group's root on TestSetupRouteItemBudget's
+// asWorld: a (*,G) entry built and torn down at each router until the join
+// meets the group's tree, the G-RIB asked once per new entry.
+func BenchmarkJoinLeave(b *testing.B) {
+	w := newASWorld(b, 80, 40, 1998, nil)
+	wg := w.groups[0]
+	dist, _ := w.graph.BFS(wg.root)
+	far, farthest := 0, -1
+	for v, k := range dist {
+		if k > farthest && !slices.Contains(wg.members, wire.DomainID(v+1)) {
+			far, farthest = v, k
+		}
+	}
+	d := w.net.Domain(wire.DomainID(far + 1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Join(wg.addr, 0)
+		d.Leave(wg.addr, 0)
 	}
 }
 

@@ -25,6 +25,16 @@ type asWorld struct {
 	roots []topology.DomainID
 	// links are the graph's links, a < b, ascending.
 	links [][2]topology.DomainID
+	// groups are the groups the roots leased, in lease order.
+	groups []worldGroup
+}
+
+// worldGroup is one group of an asWorld: its address, the graph domain
+// that leased it, and its member domains, one member host each.
+type worldGroup struct {
+	addr    addr.Addr
+	root    topology.DomainID
+	members []wire.DomainID
 }
 
 // asWorldRoots is how many top-level domains claim MASC space in an asWorld.
@@ -94,9 +104,12 @@ func newASWorld(t testing.TB, n, extra int, seed int64, ob *obs.Observer) *asWor
 			if err != nil {
 				t.Fatalf("domain %d: %v", root+1, err)
 			}
+			wg := worldGroup{addr: lease.Addr, root: root}
 			for _, m := range r.Perm(n)[:3] {
 				doms[m].Join(lease.Addr, 0)
+				wg.members = append(wg.members, doms[m].ID)
 			}
+			w.groups = append(w.groups, wg)
 		}
 	}
 	return w

@@ -149,7 +149,7 @@ func newRouter(n *Network, d *Domain, id wire.RouterID, at migp.Node, export bgp
 		Router:      id,
 		Domain:      d.ID,
 		LookupGroup: lookupGroup,
-		LookupGroupBackup: func(g addr.Addr) (bgp.Entry, bool) {
+		LookupGroupBackup: func(g addr.Addr) (best, backup bgp.Entry, ok, hasBackup bool) {
 			return r.bgp.LookupBackup(wire.TableGRIB, g)
 		},
 		LookupSource:        lookupSource,

@@ -203,7 +203,7 @@ func (w *mapOrderWalker) sortedLater(funcBody *ast.BlockStmt, rs *ast.RangeStmt,
 
 // isSortCall recognizes the calls that establish a deterministic order:
 // the sort and slices packages, plus module-local helpers named sort*/Sort*
-// (the convention for shared comparators like sortTargets).
+// (the convention for shared comparators like sortRecords).
 func (w *mapOrderWalker) isSortCall(call *ast.CallExpr) bool {
 	var fn *types.Func
 	switch fun := call.Fun.(type) {
