@@ -180,13 +180,15 @@ func scenario(stdout, stderr io.Writer, wait time.Duration, branches, verbose, m
 		}
 	}
 
-	send := func(from mascbgmp.DomainID, what string) {
+	send := func(from mascbgmp.DomainID, what string) error {
 		for _, d := range doms {
 			net.Domain(d.id).ClearReceived()
 		}
 		src := net.Domain(from).HostAddr(1)
 		net.Domain(from).Send(lease.Addr, src, what, 1)
-		_ = net.Quiesce(3 * time.Second)
+		if err := net.Quiesce(3 * time.Second); err != nil {
+			return fmt.Errorf("after %q: %w", what, err)
+		}
 		fmt.Fprintf(stdout, "data: host in %s sent %q → received in:", names[from], what)
 		for _, d := range doms {
 			if got := net.Domain(d.id).Received(); len(got) > 0 {
@@ -194,10 +196,17 @@ func scenario(stdout, stderr io.Writer, wait time.Duration, branches, verbose, m
 			}
 		}
 		fmt.Fprintln(stdout)
+		return nil
 	}
-	send(4, "hello from member domain D")
-	send(5, "hello from non-member sender E") // §3: senders need not be members
-	send(4, "second packet from D")           // source-specific branch in steady state
+	if err := send(4, "hello from member domain D"); err != nil {
+		return err
+	}
+	if err := send(5, "hello from non-member sender E"); err != nil { // §3: senders need not be members
+		return err
+	}
+	if err := send(4, "second packet from D"); err != nil { // source-specific branch in steady state
+		return err
+	}
 
 	if metrics {
 		fmt.Fprintf(stdout, "\n# per-router protocol counters\n%s", ob.Snapshot())

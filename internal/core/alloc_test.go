@@ -108,7 +108,7 @@ func chainNetFaults(t *testing.T, backend string, transit, members, behind int, 
 // its tunnels share no hop, and crossing root → hub once per member behind
 // it costs nothing now. Every row is the measured floor, under go test and
 // go test -race: one allocation more or fewer anywhere on the path fails.
-// ROADMAP item 7(a) tracks the overlays' rows.
+// The overlays' rows are on ROADMAP item 9's "frozen by an API" list.
 //
 // Each world has also been sent a MemberReport for a domain no bitstring
 // can carry (wire.MaxDataBit): BIER must refuse it rather than size every

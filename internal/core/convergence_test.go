@@ -167,9 +167,9 @@ func ribViolations(net *Network, g *topology.Graph) []string {
 }
 
 // TestRIBsConvergeToShortestPaths holds every router's unicast RIB and
-// M-RIB to ribViolations' oracle after set-up, with each of eight links
-// down and after it comes back. The first link flapped is a root's; the
-// rest are drawn from the whole graph. A delivery order may change the path
+// M-RIB to ribViolations' oracle, and the shared trees to treeViolations,
+// after set-up, with each of eight links down and after it comes back. The
+// first link flapped is a root's; the rest are drawn from the whole graph. A delivery order may change the path
 // to convergence, never where it ends: delivered by nested call, a
 // speaker's stale updates could overtake its fresh ones, and the first
 // link down left ten entries wrong. One of the links, 2–55, is domain 55's
@@ -180,9 +180,14 @@ func ribViolations(net *Network, g *topology.Graph) []string {
 func TestRIBsConvergeToShortestPaths(t *testing.T) {
 	ob := obs.NewObserver()
 	w := newASWorld(t, 80, 40, 1998, ob)
+	groups := w.addrs()
 	check := func(when string) {
 		t.Helper()
-		if vs := ribViolations(w.net, w.graph); len(vs) > 0 {
+		vs := ribViolations(w.net, w.graph)
+		if len(vs) == 0 {
+			vs = treeViolations(w.net, groups)
+		}
+		if len(vs) > 0 {
 			t.Fatalf("%s: %d violations, the first: %s", when, len(vs), vs[0])
 		}
 	}

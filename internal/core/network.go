@@ -39,18 +39,16 @@ type Config struct {
 	// SourceBranches enables §5.3 source-specific branches on every
 	// border router.
 	SourceBranches bool
-	// Synchronous delivers inter-router messages in the calling goroutine
-	// (after an encode/decode round trip), making runs deterministic. Data
-	// packets, BGMP joins and prunes and MemberReports are delivered by
-	// nested call before Send returns. BGP updates wait in one FIFO per
-	// network, folded into an update still waiting on the same session and
-	// table if there is one: a Send made while the queue is being delivered
-	// returns before its update arrives, and the outermost call delivers
-	// the queue until it is empty. So BGP converges breadth-first, and
-	// Link, Unlink, AddDomain and a MASC origination return converged. A
-	// synchronous network is driven from one goroutine at a time. Unset,
-	// every peering is a real loopback TCP connection with background
-	// transport goroutines — the deployment shape of cmd/bgmpd.
+	// Synchronous delivers inter-router messages in the calling goroutine,
+	// after an encode/decode round trip, so runs are deterministic. Data
+	// packets are delivered by nested call before Send returns; every other
+	// message waits in one FIFO per network (an update folded into one still
+	// waiting on its session and table), which the outermost call delivers
+	// until it is empty. So a router hears each peer in the order it sent,
+	// as over TCP, BGP converges breadth-first, and Link, Unlink, AddDomain,
+	// Join, Leave and a MASC origination return converged. Drive it from one
+	// goroutine at a time. Unset, every peering is a real loopback TCP
+	// connection with background transport goroutines, as in cmd/bgmpd.
 	Synchronous bool
 	// Observer receives protocol events and feeds the metrics registry:
 	// MASC claims and collisions, BGP route churn, BGMP joins/prunes and
@@ -139,18 +137,16 @@ type Network struct {
 	// a sync.Pool, which a collection empties — what a send allocates must
 	// not depend on the collector (DESIGN.md §17). guarded by frameMu
 	packets [2][]*wire.Data
-
-	queueMu sync.Mutex
-	// updates are the BGP updates sent on a synchronous network and not yet
-	// delivered, oldest at updates[qhead]; the array is reused across
-	// drains, as frame is. guarded by queueMu
-	updates []queuedUpdate
-	qhead   int // guarded by queueMu
+	// queue holds the control messages sent on a synchronous network and not
+	// yet delivered, oldest at queue[qhead]; the array is reused across
+	// drains, as frame is. guarded by frameMu
+	queue []queued
+	qhead int // guarded by frameMu
 	// waiting finds the queued update, if any, from one router to another
-	// for one table. guarded by queueMu
+	// for one table. guarded by frameMu
 	waiting map[updateKey]*wire.Update
-	// draining is set while a converge call holds or delivers the queue.
-	// guarded by queueMu
+	// draining is set while a drain runs or a converge call holds the
+	// queue. guarded by frameMu
 	draining bool
 }
 
@@ -161,10 +157,11 @@ type updateKey struct {
 	table wire.Table
 }
 
-// queuedUpdate is one BGP update on its way to its receiver.
-type queuedUpdate struct {
-	updateKey
-	u *wire.Update
+// queued is one control message on its way to its receiver.
+type queued struct {
+	from wire.RouterID
+	to   *Router
+	msg  wire.Message
 }
 
 type link struct {
@@ -376,7 +373,7 @@ func (n *Network) roundTrip(msg wire.Message) (wire.Message, error) {
 	return wire.Decode(n.frame)
 }
 
-// deliverUpdate queues a decoded BGP update for its receiver and, unless a
+// deliver queues a decoded control message for its receiver and, unless a
 // drain is already running further up the stack, delivers the queue. An
 // update for a session and table that still has one waiting is folded into
 // that one (supersede), as by a speaker that rewrites its pending output to
@@ -385,17 +382,24 @@ func (n *Network) roundTrip(msg wire.Message) (wire.Message, error) {
 // it, the withdrawal of a prefix that became unreachable hunts down every
 // alternative path, and breadth-first order makes that hunt hundreds of
 // times longer than nesting did (DESIGN.md §5).
-func (n *Network) deliverUpdate(from wire.RouterID, to *Router, u *wire.Update) {
-	k := updateKey{from, to, u.Table}
-	n.queueMu.Lock()
-	if q := n.waiting[k]; q != nil {
-		supersede(q, u)
-	} else {
+func (n *Network) deliver(from wire.RouterID, to *Router, msg wire.Message) {
+	n.frameMu.Lock()
+	if u, ok := msg.(*wire.Update); ok {
+		k := updateKey{from, to, u.Table}
+		if q := n.waiting[k]; q != nil {
+			supersede(q, u) // a waiting update means a drain is running
+			n.frameMu.Unlock()
+			return
+		}
 		n.waiting[k] = u
-		n.updates = append(n.updates, queuedUpdate{k, u})
 	}
-	n.queueMu.Unlock()
-	n.converge(nil)
+	n.queue = append(n.queue, queued{from, to, msg})
+	if n.draining {
+		n.frameMu.Unlock()
+		return
+	}
+	n.draining = true
+	n.drainLocked()
 }
 
 // supersede folds u into q, the update still waiting on the same session and
@@ -409,46 +413,51 @@ func supersede(q, u *wire.Update) {
 	q.Routes = append(slices.DeleteFunc(q.Routes, func(rt wire.Route) bool { return named(rt.Prefix) }), u.Routes...)
 }
 
-// converge runs fn, when not nil, with every BGP update it sends held in the
-// queue, and then — unless a drain is already running further up the stack
-// — delivers the queue in arrival order until it is empty. Every router
-// hears a change before any of them hears the next one's consequences, as
-// over real sessions. Held, a speaker's whole batch is queued before the
+// converge runs fn with every control message it sends held in the queue,
+// and then — unless a drain is already running further up the stack —
+// delivers the queue. Held, a speaker's whole batch is queued before the
 // replies to its first update can change its selection again: otherwise a
 // RemoveNeighbor's later updates, stale by then, would reach their peers
 // after the fresher ones the drain made it send, and stay
 // (TestRIBsConvergeToShortestPaths). A peering going down or up changes
 // both ends in one fn, so no router hears of it before both ends have.
 func (n *Network) converge(fn func()) {
-	n.queueMu.Lock()
+	n.frameMu.Lock()
 	outer := !n.draining
 	n.draining = true
-	n.queueMu.Unlock()
-	if fn != nil {
-		fn()
+	n.frameMu.Unlock()
+	fn()
+	if outer {
+		n.frameMu.Lock()
+		n.drainLocked()
 	}
-	if !outer {
-		return
-	}
-	n.queueMu.Lock()
-	for n.qhead < len(n.updates) {
-		q := n.updates[n.qhead]
-		delete(n.waiting, q.updateKey)
-		n.updates[n.qhead] = queuedUpdate{}
-		n.qhead++
-		if 2*n.qhead >= len(n.updates) {
-			// Slide what is left to the front: the array stays about twice
-			// the queue's longest, however many updates a drain delivers.
-			left := copy(n.updates, n.updates[n.qhead:])
-			clear(n.updates[left:])
-			n.updates, n.qhead = n.updates[:left], 0
+}
+
+// drainLocked, called with frameMu held and draining set, delivers the queue
+// in arrival order until it is empty, then clears draining and unlocks. So a
+// router hears each peer in the order it sent: delivered by nested call, a
+// prune overtook a join not yet handed over (TestFlapsKeepTreesValid).
+func (n *Network) drainLocked() {
+	for n.qhead < len(n.queue) {
+		q := n.queue[n.qhead]
+		if u, ok := q.msg.(*wire.Update); ok {
+			delete(n.waiting, updateKey{q.from, q.to, u.Table})
 		}
-		n.queueMu.Unlock()
-		q.to.dispatch(q.from, q.u)
-		n.queueMu.Lock()
+		n.queue[n.qhead] = queued{}
+		n.qhead++
+		if 2*n.qhead >= len(n.queue) {
+			// Slide what is left to the front: the array stays about twice
+			// the queue's longest, however many messages a drain delivers.
+			left := copy(n.queue, n.queue[n.qhead:])
+			clear(n.queue[left:])
+			n.queue, n.qhead = n.queue[:left], 0
+		}
+		n.frameMu.Unlock()
+		q.to.dispatch(q.from, q.msg)
+		n.frameMu.Lock()
 	}
 	n.draining = false
-	n.queueMu.Unlock()
+	n.frameMu.Unlock()
 }
 
 // recycle frees a data packet roundTrip decoded, once its receiver has returned.

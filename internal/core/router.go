@@ -46,9 +46,8 @@ type sender interface {
 }
 
 // directSender delivers in the caller's goroutine after an encode/decode
-// round trip (same bytes as the TCP path, no goroutines): a BGP update
-// through the network's queue (Network.deliverUpdate), anything else by
-// nested call.
+// round trip (same bytes as the TCP path, no goroutines): a data packet by
+// nested call, to recycle it, and the rest through Network.deliver's queue.
 type directSender struct {
 	from wire.RouterID
 	to   *Router
@@ -60,14 +59,11 @@ func (d directSender) Send(msg wire.Message) error {
 	if err != nil {
 		return err
 	}
-	switch m := decoded.(type) {
-	case *wire.Update:
-		n.deliverUpdate(d.from, d.to, m)
-	case *wire.Data:
+	if m, ok := decoded.(*wire.Data); ok {
 		d.to.dispatch(d.from, m)
 		n.recycle(m)
-	default:
-		d.to.dispatch(d.from, decoded)
+	} else {
+		n.deliver(d.from, d.to, decoded)
 	}
 	return nil
 }
