@@ -112,6 +112,7 @@ func newASWorld(t testing.TB, n, extra int, seed int64, ob *obs.Observer) *asWor
 			w.groups = append(w.groups, wg)
 		}
 	}
+	noViolations(t, "MASC ranges after the wait", mascViolations(net))
 	return w
 }
 
@@ -183,13 +184,8 @@ func TestRIBsConvergeToShortestPaths(t *testing.T) {
 	groups := w.addrs()
 	check := func(when string) {
 		t.Helper()
-		vs := ribViolations(w.net, w.graph)
-		if len(vs) == 0 {
-			vs = treeViolations(w.net, groups)
-		}
-		if len(vs) > 0 {
-			t.Fatalf("%s: %d violations, the first: %s", when, len(vs), vs[0])
-		}
+		noViolations(t, when, ribViolations(w.net, w.graph))
+		noViolations(t, when, treeViolations(w.net, groups))
 	}
 	check("after set-up")
 	entries := ribEntries(w.net)

@@ -128,6 +128,7 @@ func allocateSpaces(t *testing.T, n *Network, clk *simclock.Sim) {
 			t.Fatalf("domain %d did not win a range", d)
 		}
 	}
+	noViolations(t, "MASC ranges after the waits", mascViolations(n))
 }
 
 func TestMASCHierarchyAllocatesNestedRanges(t *testing.T) {
@@ -316,12 +317,15 @@ func TestBidirectionalTreeConstruction(t *testing.T) {
 	}
 }
 
-// paperNetBackends runs fn on the Fig 3(a) group once per forwarding backend.
+// paperNetBackends runs fn on the Fig 3(a) group once per forwarding
+// backend, and holds the group's tree to treeViolations after it.
 func paperNetBackends(t *testing.T, fn func(n *Network, g addr.Addr)) {
 	t.Helper()
 	for _, backend := range dataplane.Names() {
 		n, clk := paperNetDP(t, false, false, backend, nil)
-		fn(n, establishGroup(t, n, clk))
+		g := establishGroup(t, n, clk)
+		fn(n, g)
+		noViolations(t, backend, treeViolations(n, []addr.Addr{g}))
 	}
 }
 
@@ -420,6 +424,9 @@ func TestFig3bEncapsulationAndSourceBranch(t *testing.T) {
 // link of Fig 3(b) and source-specific branches, on every forwarding
 // backend, delivers one packet from a host in each of the eight domains
 // exactly once to every member domain and nowhere else — and does so again.
+// Each cell also holds its MASC ranges to mascViolations (in
+// allocateSpaces) and its tree to treeViolations, after set-up and after
+// the sends.
 func TestMIGPIndependenceMatrix(t *testing.T) {
 	rows := []struct {
 		name string
@@ -440,6 +447,7 @@ func TestMIGPIndependenceMatrix(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						n, clk := paperNetMIGP(t, f2a4, sb, backend, nil, row.new)
 						g := establishGroup(t, n, clk)
+						noViolations(t, "after set-up", treeViolations(n, []addr.Addr{g}))
 						for _, d := range n.Domains() {
 							if sb {
 								// The switch to a source branch takes a
@@ -452,6 +460,7 @@ func TestMIGPIndependenceMatrix(t *testing.T) {
 							assertExactlyOnce(t, n, g, paperMembers, d.ID)
 							assertExactlyOnce(t, n, g, paperMembers, d.ID)
 						}
+						noViolations(t, "after the sends", treeViolations(n, []addr.Addr{g}))
 					})
 				}
 			}

@@ -105,6 +105,67 @@ func treeViolations(net *Network, groups []addr.Addr) []string {
 	return out
 }
 
+// mascViolations checks the domains' won MASC ranges against §4.1 (ROADMAP
+// item 1(a), the MASC half):
+//
+//   - two domains hold overlapping ranges only when one is the other's
+//     MASC ancestor;
+//   - every range a child holds lies inside a range its parent holds.
+//
+// It returns one line per violation, naming the section, sorted; nil when
+// the ranges hold.
+func mascViolations(net *Network) []string {
+	var out []string
+	domains := net.Domains()
+	parent := map[wire.DomainID]wire.DomainID{}
+	held := map[wire.DomainID][]addr.Prefix{}
+	for _, d := range domains {
+		d.mu.Lock()
+		for _, c := range d.mascChildren {
+			parent[c] = d.ID
+		}
+		d.mu.Unlock()
+		for _, h := range d.MASC().Holdings() {
+			held[d.ID] = append(held[d.ID], h.Prefix)
+		}
+	}
+	ancestor := func(a, d wire.DomainID) bool {
+		for p, ok := parent[d]; ok; p, ok = parent[p] {
+			if p == a {
+				return true
+			}
+		}
+		return false
+	}
+	for i, a := range domains {
+		for _, p := range held[a.ID] {
+			if up, ok := parent[a.ID]; ok && !slices.ContainsFunc(held[up], func(q addr.Prefix) bool { return q.ContainsPrefix(p) }) {
+				out = append(out, fmt.Sprintf("§4.1 domain %d: range %v is not inside a range of its parent %d", a.ID, p, up))
+			}
+			for _, b := range domains[i+1:] {
+				if ancestor(a.ID, b.ID) || ancestor(b.ID, a.ID) {
+					continue
+				}
+				for _, q := range held[b.ID] {
+					if p.Overlaps(q) {
+						out = append(out, fmt.Sprintf("§4.1 domains %d and %d: ranges %v and %v overlap", a.ID, b.ID, p, q))
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// noViolations fails t with the first of a checker's violations, if any.
+func noViolations(t testing.TB, when string, vs []string) {
+	t.Helper()
+	if len(vs) > 0 {
+		t.Fatalf("%s: %d violations, the first: %s", when, len(vs), vs[0])
+	}
+}
+
 // rootDomain returns the domain whose MAAS range holds g most specifically.
 func rootDomain(net *Network, g addr.Addr) (wire.DomainID, bool) {
 	var root wire.DomainID
@@ -204,20 +265,14 @@ func TestFlapsKeepTreesValid(t *testing.T) {
 // the (*,G) entry count against entries and one probe per group.
 func flapChecked(t *testing.T, w *asWorld, a, b wire.RouterID, entries int) {
 	groups := w.addrs()
-	check := func(when string) {
-		t.Helper()
-		if vs := treeViolations(w.net, groups); len(vs) > 0 {
-			t.Fatalf("link %d–%d %s: %d violations, the first: %s", a, b, when, len(vs), vs[0])
-		}
-	}
 	if err := w.net.Unlink(a, b); err != nil {
 		t.Fatal(err)
 	}
-	check("down")
+	noViolations(t, fmt.Sprintf("link %d–%d down", a, b), treeViolations(w.net, groups))
 	if err := w.net.Link(a, b); err != nil {
 		t.Fatal(err)
 	}
-	check("back")
+	noViolations(t, fmt.Sprintf("link %d–%d back", a, b), treeViolations(w.net, groups))
 	if got := groupEntries(w.net); got != entries {
 		t.Fatalf("link %d–%d back: %d (*,G) entries, %d after set-up", a, b, got, entries)
 	}
@@ -235,9 +290,7 @@ func TestChurnKeepsTreesValid(t *testing.T) {
 	groups := w.addrs()
 	check := func(when string) {
 		t.Helper()
-		if vs := treeViolations(w.net, groups); len(vs) > 0 {
-			t.Fatalf("%s: %d violations, the first: %s", when, len(vs), vs[0])
-		}
+		noViolations(t, when, treeViolations(w.net, groups))
 	}
 	check("after set-up")
 	domains := w.net.Domains()

@@ -53,7 +53,6 @@ type Node struct {
 	cfg NodeConfig
 
 	mu        sync.Mutex
-	dead      bool                   // guarded by mu
 	parent    wire.DomainID          // guarded by mu
 	hasParent bool                   // guarded by mu
 	siblings  map[wire.DomainID]bool // guarded by mu
@@ -61,10 +60,7 @@ type Node struct {
 	// heard is this node's view of claimed space: parent's advertised
 	// ranges define the spaces; sibling claims and own holdings are
 	// recorded as taken. guarded by mu
-	heard *Ledger
-	// childClaims tracks claims by children inside our space.
-	// guarded by mu
-	childClaims *Ledger
+	heard       *Ledger
 	holdings    []*Holding                    // guarded by mu
 	pending     map[addr.Prefix]*pendingClaim // guarded by mu
 	nextClaimID uint64                        // guarded by mu
@@ -81,9 +77,6 @@ type pendingClaim struct {
 	life     time.Duration
 	size     uint64 // original request, for retry
 	attempts int
-	// matureAt is the absolute end of the waiting period, kept so a
-	// snapshot can re-arm the maturity timer with the remaining wait.
-	matureAt time.Time
 	timer    simclock.Timer
 	// span traces the claim round from announcement to win/abandon; the
 	// announced Claim messages carry its context to siblings and parent.
@@ -115,28 +108,12 @@ func NewNode(cfg NodeConfig) *Node {
 		heard.SetSpaces([]addr.Prefix{addr.MulticastSpace})
 	}
 	return &Node{
-		cfg:         cfg,
-		siblings:    map[wire.DomainID]bool{},
-		children:    map[wire.DomainID]bool{},
-		heard:       heard,
-		childClaims: NewLedger(),
-		pending:     map[addr.Prefix]*pendingClaim{},
+		cfg:      cfg,
+		siblings: map[wire.DomainID]bool{},
+		children: map[wire.DomainID]bool{},
+		heard:    heard,
+		pending:  map[addr.Prefix]*pendingClaim{},
 	}
-}
-
-// Shutdown models the node's process dying: pending-claim timers stop and
-// every later timer or message callback becomes a no-op. A successor node
-// (usually built from a Snapshot via Restore) takes over the domain's
-// allocation duties. Irreversible.
-func (n *Node) Shutdown() {
-	n.mu.Lock()
-	n.dead = true
-	for _, pc := range n.pending {
-		if pc.timer != nil {
-			pc.timer.Stop()
-		}
-	}
-	n.mu.Unlock()
 }
 
 // SetParent configures the node's MASC parent (chosen among its providers,
@@ -219,10 +196,7 @@ func (n *Node) claimLocked(size uint64, lifetime time.Duration, attempts int) bo
 		return false
 	}
 	n.nextClaimID++
-	pc := &pendingClaim{
-		prefix: p, claimID: n.nextClaimID, life: lifetime, size: size, attempts: attempts,
-		matureAt: n.cfg.Clock.Now().Add(n.cfg.WaitPeriod),
-	}
+	pc := &pendingClaim{prefix: p, claimID: n.nextClaimID, life: lifetime, size: size, attempts: attempts}
 	n.pending[p] = pc
 	pc.span = n.cfg.Obs.Tracer().Begin(obs.SpanClaim, obs.Event{Domain: n.cfg.Domain, Prefix: p})
 	claim := &wire.Claim{
@@ -239,12 +213,12 @@ func (n *Node) claimLocked(size uint64, lifetime time.Duration, attempts int) bo
 }
 
 // claimMatured runs when the waiting period for a claim elapses without a
-// collision: the range is won — unless pc no longer pends, abandoned or
-// replaced by a Restore while its timer was on its way.
+// collision: the range is won — unless pc no longer pends: it was abandoned
+// while its timer was on its way, and the prefix may be claimed again since.
 func (n *Node) claimMatured(pc *pendingClaim) {
 	n.mu.Lock()
 	p := pc.prefix
-	if n.dead || n.pending[p] != pc {
+	if n.pending[p] != pc {
 		n.mu.Unlock()
 		return
 	}
@@ -313,28 +287,17 @@ func (n *Node) handleClaim(from wire.DomainID, m *wire.Claim) {
 	n.mu.Lock()
 	fromChild := n.children[from]
 	var collide *wire.Collision
-	switch {
-	case fromChild && !n.containsLocked(m.Prefix):
+	if fromChild && !n.containsLocked(m.Prefix) {
 		// Child claimed outside our (current) space (§4.4).
 		collide = &wire.Collision{From: n.cfg.Domain, Loser: m.Claimer, Prefix: m.Prefix, Conflict: m.Prefix, Reason: wire.CollideOutsideParent}
-	case n.overlapsHoldingLocked(m.Prefix):
-		conflict := m.Prefix
-		for _, h := range n.holdings {
-			if h.Prefix.Overlaps(m.Prefix) {
-				conflict = h.Prefix
-				break
-			}
-		}
-		collide = &wire.Collision{From: n.cfg.Domain, Loser: m.Claimer, Prefix: m.Prefix, Conflict: conflict, Reason: wire.CollideInUse}
-	default:
-		if winner := n.pendingConflictLocked(m); winner != nil {
-			collide = winner
-		}
+	} else if h, ok := n.heldConflictLocked(m.Prefix, fromChild); ok {
+		collide = &wire.Collision{From: n.cfg.Domain, Loser: m.Claimer, Prefix: m.Prefix, Conflict: h, Reason: wire.CollideInUse}
+	} else {
+		collide = n.pendingConflictLocked(m)
 	}
 	if collide != nil {
 		n.outbox = append(n.outbox, outMsg{m.Claimer, collide})
 	} else if fromChild {
-		n.childClaims.Record(m.Prefix)
 		// Parent relays child claims to its other children (§4.1: "A then
 		// propagates this claim information to its other children").
 		for _, c := range sortedDomains(n.children) {
@@ -415,7 +378,6 @@ func (n *Node) handleCollision(from wire.DomainID, m *wire.Collision) {
 func (n *Node) handleRelease(from wire.DomainID, m *wire.Release) {
 	n.mu.Lock()
 	n.heard.Release(m.Prefix)
-	n.childClaims.Release(m.Prefix)
 	n.mu.Unlock()
 }
 
@@ -428,10 +390,6 @@ func (n *Node) scheduleRetry(pc *pendingClaim) {
 	size, life, attempts := pc.size, pc.life, pc.attempts+1
 	n.cfg.Clock.AfterFunc(retryDelay, func() {
 		n.mu.Lock()
-		if n.dead {
-			n.mu.Unlock()
-			return
-		}
 		n.claimLocked(size, life, attempts)
 		n.flushLocked()
 	})
@@ -470,16 +428,18 @@ func (n *Node) containsLocked(p addr.Prefix) bool {
 	return false
 }
 
-func (n *Node) overlapsHoldingLocked(p addr.Prefix) bool {
+// heldConflictLocked returns the holding a claim for p collides with. A
+// child claims inside our ranges (§4.1), so a holding that strictly
+// contains a child's claim is no conflict; a sibling shares none of our
+// space, so any overlap is one. Caller holds n.mu.
+func (n *Node) heldConflictLocked(p addr.Prefix, fromChild bool) (addr.Prefix, bool) {
 	for _, h := range n.holdings {
-		if h.Prefix.Overlaps(p) && !h.Prefix.ContainsPrefix(p) {
-			return true
+		if !h.Prefix.Overlaps(p) || (fromChild && h.Prefix != p && h.Prefix.ContainsPrefix(p)) {
+			continue
 		}
-		if h.Prefix == p || p.ContainsPrefix(h.Prefix) {
-			return true
-		}
+		return h.Prefix, true
 	}
-	return false
+	return addr.Prefix{}, false
 }
 
 func (n *Node) rangesLocked() []wire.RangeLife {
@@ -504,10 +464,6 @@ func (n *Node) scheduleExpiry(p addr.Prefix, life time.Duration) {
 // lifetimeDue runs when a holding's lifetime elapses.
 func (n *Node) lifetimeDue(p addr.Prefix) {
 	n.mu.Lock()
-	if n.dead {
-		n.mu.Unlock()
-		return
-	}
 	var h *Holding
 	for _, x := range n.holdings {
 		if x.Prefix == p {
@@ -516,7 +472,8 @@ func (n *Node) lifetimeDue(p addr.Prefix) {
 		}
 	}
 	if h == nil || h.Expires.After(n.cfg.Clock.Now()) {
-		// Released meanwhile, or restored with a later expiry.
+		// Released meanwhile, or released and won again: a new holding
+		// with a later expiry that this older timer must not drop.
 		n.mu.Unlock()
 		return
 	}

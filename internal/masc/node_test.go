@@ -212,13 +212,51 @@ func TestParentRejectsOutsideClaim(t *testing.T) {
 
 	// Inject a child claim outside the parent's space.
 	outside := addr.MustParsePrefix("239.255.0.0/24")
+	before := nn.collisions
 	parent.HandleMessage(10, &wire.Claim{Claimer: 10, ClaimID: 1, Prefix: outside, LifeSecs: 60})
 	nn.run(time.Hour)
-	// The child must have received a collision; since it had no matching
-	// pending claim nothing explodes, but the parent must not have
-	// recorded it as a child claim.
-	if parent.childClaims.taken.ContainsPrefix(outside) {
-		t.Fatal("out-of-space child claim must not be recorded")
+	// The parent answers with one collision; the child had no matching
+	// pending claim, so nothing else moves.
+	if got := nn.collisions - before; got != 1 {
+		t.Fatalf("out-of-space child claim drew %d collisions, want 1", got)
+	}
+}
+
+// TestSiblingClaimInsideHoldingCollides: a sibling that missed our claim —
+// partitioned during the waiting period — claims the first /24 of our /16.
+// A child may claim inside our ranges; a sibling may not, so it gets
+// exactly one in-use collision naming the /16 (§4.1).
+func TestSiblingClaimInsideHoldingCollides(t *testing.T) {
+	clk := simclock.NewSim(time.Date(1998, 9, 1, 0, 0, 0, 0, time.UTC))
+	var got []*wire.Collision
+	a := NewNode(NodeConfig{
+		Domain:     1,
+		Clock:      clk,
+		Rand:       rand.New(rand.NewSource(1)),
+		WaitPeriod: 48 * time.Hour,
+		TopLevel:   true,
+		Send: func(_ wire.DomainID, msg wire.Message) {
+			if c, ok := msg.(*wire.Collision); ok {
+				got = append(got, c)
+			}
+		},
+	})
+	a.AddSibling(2)
+	if !a.RequestSpace(1<<16, 30*24*time.Hour) {
+		t.Fatal("claim selection failed")
+	}
+	clk.RunFor(49 * time.Hour)
+	held := a.Holdings()
+	if len(held) != 1 || held[0].Prefix.Len != 16 {
+		t.Fatalf("setup: holdings = %v, want one /16", held)
+	}
+	inside, err := held[0].Prefix.FirstSub(24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.HandleMessage(2, &wire.Claim{Claimer: 2, ClaimID: 1, Prefix: inside, LifeSecs: 3600})
+	if len(got) != 1 || got[0].Reason != wire.CollideInUse || got[0].Conflict != held[0].Prefix || got[0].Loser != 2 {
+		t.Fatalf("collisions sent = %+v, want one in-use collision naming %v", got, held[0].Prefix)
 	}
 }
 
@@ -322,9 +360,77 @@ func TestCompetingClaimOverTwoPendingIsDeterministic(t *testing.T) {
 			t.Fatal("claim selection failed")
 		}
 		n.HandleMessage(3, &wire.Claim{Claimer: 3, ClaimID: 2, Prefix: addr.MulticastSpace})
-		outcomes[fmt.Sprintf("%d collision(s) sent, %d claim(s) still pending", collisions, len(n.Snapshot().Pending))]++
+		outcomes[fmt.Sprintf("%d collision(s) sent, %d claim(s) still pending", collisions, len(n.pending))]++
 	}
 	if want := "1 collision(s) sent, 2 claim(s) still pending"; len(outcomes) != 1 || outcomes[want] != 200 {
 		t.Fatalf("outcomes over 200 identical runs = %v, want only %q", outcomes, want)
 	}
+}
+
+// TestSiblingHoldingsStayDisjoint: over seeded claim/collide/release
+// scripts among three or four top-level siblings, no two domains ever hold
+// overlapping ranges (§4.1), and the scripts do claim against each other.
+func TestSiblingHoldingsStayDisjoint(t *testing.T) {
+	seeds := int64(40)
+	if testing.Short() {
+		seeds = 4
+	}
+	var won, collisions int
+	for seed := int64(1); seed <= seeds; seed++ {
+		w, c := siblingScript(t, seed, 60)
+		won, collisions = won+w, collisions+c
+	}
+	if won == 0 || collisions == 0 {
+		t.Errorf("the scripts won %d ranges and collided %d times: nothing was claimed against", won, collisions)
+	}
+}
+
+// siblingScript runs one script and returns the ranges won and the
+// collisions sent.
+func siblingScript(t *testing.T, seed int64, steps int) (won, collisions int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	nn := newNodeNet(t)
+	doms := make([]wire.DomainID, 3+rng.Intn(2))
+	for i := range doms {
+		doms[i] = wire.DomainID(i + 1)
+		nn.add(doms[i], true, seed*10+int64(i))
+	}
+	for _, a := range doms {
+		for _, b := range doms {
+			nn.nodes[a].AddSibling(b)
+		}
+	}
+	for step := 0; step < steps; step++ {
+		switch rng.Intn(4) {
+		case 0: // claims made in one instant cross, and collide
+			nn.hold = true
+			for _, i := range rng.Perm(len(doms))[:1+rng.Intn(len(doms))] {
+				nn.nodes[doms[i]].RequestSpace(1<<(8+rng.Intn(9)), 30*24*time.Hour)
+			}
+			nn.flush()
+		case 1:
+			n := nn.nodes[doms[rng.Intn(len(doms))]]
+			if hs := n.Holdings(); len(hs) > 0 {
+				n.Release(hs[rng.Intn(len(hs))].Prefix)
+			}
+		default:
+			nn.run(time.Duration(1+rng.Intn(30)) * time.Hour)
+		}
+		for i, a := range doms {
+			for _, b := range doms[i+1:] {
+				for _, ha := range nn.nodes[a].Holdings() {
+					for _, hb := range nn.nodes[b].Holdings() {
+						if ha.Prefix.Overlaps(hb.Prefix) {
+							t.Fatalf("seed %d step %d: domains %d and %d both hold %v / %v", seed, step, a, b, ha.Prefix, hb.Prefix)
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, ps := range nn.won {
+		won += len(ps)
+	}
+	return won, nn.collisions
 }

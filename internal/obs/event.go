@@ -75,10 +75,6 @@ const (
 	SessionRetry // a reconnect attempt failed; backoff grows
 	SessionUp    // a peering session (re-)established and resynced
 
-	// MASCRestored marks a MASC node whose claim state was restored after
-	// a restart (holdings and pending claims survived).
-	MASCRestored
-
 	// Fast-liveness detector events (internal/liveness).
 	LivenessDetect // the liveness monitor declared a peering dead
 	LivenessDemand // a stable session quiesced into demand mode
@@ -121,7 +117,6 @@ var kindNames = [kindCount]string{
 	SessionDown:    "session.down",
 	SessionRetry:   "session.retry",
 	SessionUp:      "session.up",
-	MASCRestored:   "masc.restored",
 	LivenessDetect: "liveness.detect",
 	LivenessDemand: "liveness.demand",
 	LivenessResume: "liveness.resume",
