@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -152,6 +153,7 @@ func TestSendAllocBudget(t *testing.T) {
 				}
 			}
 			assertExactlyOnce(t, src.net, g, memberDomains, src.ID)
+			noViolations(t, fmt.Sprintf("%s, shape %v, after the sends", b.backend, shape), violations(src.net, nil, []addr.Addr{g}))
 		}
 	}
 }

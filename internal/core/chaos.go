@@ -53,9 +53,6 @@ type ChaosConfig struct {
 	// Packets is the number of probe packets per group sent during the
 	// lossy steady-state phase (one second apart).
 	Packets int
-	// MASCWait shortens the 48-hour claim waiting period so a sweep
-	// stays cheap; the claim protocol is not under test here.
-	MASCWait time.Duration
 	// Obs, when set, receives every protocol and fault event of the whole
 	// sweep; same-seed sweeps produce byte-identical snapshots. Nil uses
 	// an internal observer.
@@ -81,7 +78,6 @@ func DefaultChaosConfig() ChaosConfig {
 		CrashFor:  5 * time.Minute,
 		Groups:    3,
 		Packets:   50,
-		MASCWait:  time.Hour,
 	}
 }
 
@@ -117,10 +113,12 @@ type ChaosPoint struct {
 
 // The probing granularity of the reroute/reconverge clocks: the recorded 5s
 // under hold timers, 250ms with the liveness detector so sub-second
-// recovery resolves.
+// recovery resolves. chaosMASCWait shortens the 48-hour claim waiting
+// period so a sweep stays cheap; the claim protocol is not under test here.
 const (
 	chaosStep         = 5 * time.Second
 	chaosLivenessStep = 250 * time.Millisecond
+	chaosMASCWait     = time.Hour
 )
 
 // RunChaos runs the failure-recovery sweep and returns one point per loss
@@ -198,7 +196,7 @@ func buildChaosNet(cfg ChaosConfig, pointSeed int64, ob *obs.Observer) (*chaosNe
 	n, err := NewNetwork(Config{
 		Clock:       clk,
 		Seed:        cfg.Seed,
-		MASCWait:    cfg.MASCWait,
+		MASCWait:    chaosMASCWait,
 		Synchronous: true,
 		Observer:    ob,
 		Faults:      plane,
@@ -234,7 +232,7 @@ func buildChaosNet(cfg ChaosConfig, pointSeed int64, ob *obs.Observer) (*chaosNe
 	if !n.Domain(1).MASC().RequestSpace(1<<12, 90*24*time.Hour) {
 		return nil, fmt.Errorf("MASC claim selection failed")
 	}
-	clk.RunFor(cfg.MASCWait + time.Hour)
+	clk.RunFor(chaosMASCWait + time.Hour)
 
 	cn := &chaosNet{n: n, clk: clk, plane: plane, src: n.Domain(1).HostAddr(1), dataPlane: cfg.DataPlane}
 	for g := 0; g < cfg.Groups; g++ {

@@ -112,7 +112,7 @@ func newASWorld(t testing.TB, n, extra int, seed int64, ob *obs.Observer) *asWor
 			w.groups = append(w.groups, wg)
 		}
 	}
-	noViolations(t, "MASC ranges after the wait", mascViolations(net))
+	noViolations(t, "after set-up", violations(net, w.graph, w.addrs()))
 	return w
 }
 
@@ -184,8 +184,7 @@ func TestRIBsConvergeToShortestPaths(t *testing.T) {
 	groups := w.addrs()
 	check := func(when string) {
 		t.Helper()
-		noViolations(t, when, ribViolations(w.net, w.graph))
-		noViolations(t, when, treeViolations(w.net, groups))
+		noViolations(t, when, violations(w.net, w.graph, groups))
 	}
 	check("after set-up")
 	entries := ribEntries(w.net)

@@ -128,7 +128,7 @@ func allocateSpaces(t *testing.T, n *Network, clk *simclock.Sim) {
 			t.Fatalf("domain %d did not win a range", d)
 		}
 	}
-	noViolations(t, "MASC ranges after the waits", mascViolations(n))
+	noViolations(t, "MASC ranges after the waits", violations(n, nil, nil))
 }
 
 func TestMASCHierarchyAllocatesNestedRanges(t *testing.T) {
@@ -325,7 +325,7 @@ func paperNetBackends(t *testing.T, fn func(n *Network, g addr.Addr)) {
 		n, clk := paperNetDP(t, false, false, backend, nil)
 		g := establishGroup(t, n, clk)
 		fn(n, g)
-		noViolations(t, backend, treeViolations(n, []addr.Addr{g}))
+		noViolations(t, backend, violations(n, nil, []addr.Addr{g}))
 	}
 }
 
@@ -447,7 +447,7 @@ func TestMIGPIndependenceMatrix(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						n, clk := paperNetMIGP(t, f2a4, sb, backend, nil, row.new)
 						g := establishGroup(t, n, clk)
-						noViolations(t, "after set-up", treeViolations(n, []addr.Addr{g}))
+						noViolations(t, "after set-up", violations(n, nil, []addr.Addr{g}))
 						for _, d := range n.Domains() {
 							if sb {
 								// The switch to a source branch takes a
@@ -460,7 +460,7 @@ func TestMIGPIndependenceMatrix(t *testing.T) {
 							assertExactlyOnce(t, n, g, paperMembers, d.ID)
 							assertExactlyOnce(t, n, g, paperMembers, d.ID)
 						}
-						noViolations(t, "after the sends", treeViolations(n, []addr.Addr{g}))
+						noViolations(t, "after the sends", violations(n, nil, []addr.Addr{g}))
 					})
 				}
 			}

@@ -158,6 +158,36 @@ func mascViolations(net *Network) []string {
 	return out
 }
 
+// violations is the one checker entry point (ROADMAP item 1(a)). It
+// returns the sorted union of treeViolations over groups, mascViolations,
+// and, when graph is not nil, ribViolations against it, with two clauses
+// of its own:
+//
+//   - §5.2: no router keeps a group's tree interest orphaned while its
+//     G-RIB has a route for the group;
+//   - the network's tracer, if its observer carries one, holds no open
+//     span.
+func violations(net *Network, graph *topology.Graph, groups []addr.Addr) []string {
+	out := append(treeViolations(net, groups), mascViolations(net)...)
+	if graph != nil {
+		out = append(out, ribViolations(net, graph)...)
+	}
+	for _, g := range groups {
+		for _, d := range net.Domains() {
+			for _, r := range d.Routers() {
+				if _, ok := r.bgp.Lookup(wire.TableGRIB, g); ok && r.BGMP().Orphaned(g) {
+					out = append(out, fmt.Sprintf("§5.2 group %v router %d: orphaned while the G-RIB has a route", g, r.ID))
+				}
+			}
+		}
+	}
+	for _, s := range net.Observer().Tracer().Open() {
+		out = append(out, fmt.Sprintf("trace: span %s (trace %d, span %d) never ended", s.Name, s.Trace, s.ID))
+	}
+	sort.Strings(out)
+	return out
+}
+
 // noViolations fails t with the first of a checker's violations, if any.
 func noViolations(t testing.TB, when string, vs []string) {
 	t.Helper()
@@ -268,11 +298,11 @@ func flapChecked(t *testing.T, w *asWorld, a, b wire.RouterID, entries int) {
 	if err := w.net.Unlink(a, b); err != nil {
 		t.Fatal(err)
 	}
-	noViolations(t, fmt.Sprintf("link %d–%d down", a, b), treeViolations(w.net, groups))
+	noViolations(t, fmt.Sprintf("link %d–%d down", a, b), violations(w.net, nil, groups))
 	if err := w.net.Link(a, b); err != nil {
 		t.Fatal(err)
 	}
-	noViolations(t, fmt.Sprintf("link %d–%d back", a, b), treeViolations(w.net, groups))
+	noViolations(t, fmt.Sprintf("link %d–%d back", a, b), violations(w.net, nil, groups))
 	if got := groupEntries(w.net); got != entries {
 		t.Fatalf("link %d–%d back: %d (*,G) entries, %d after set-up", a, b, got, entries)
 	}
@@ -290,7 +320,7 @@ func TestChurnKeepsTreesValid(t *testing.T) {
 	groups := w.addrs()
 	check := func(when string) {
 		t.Helper()
-		noViolations(t, when, treeViolations(w.net, groups))
+		noViolations(t, when, violations(w.net, nil, groups))
 	}
 	check("after set-up")
 	domains := w.net.Domains()

@@ -115,11 +115,12 @@ func buildChurn(cfg ChurnConfig) *model {
 
 	// Churn phase: the uniform membership generator toggles random
 	// (group, domain) pairs, so each group's membership does a random
-	// walk and the trees grow and shrink continuously. scenario.Uniform
-	// reproduces this workload's historical rng stream exactly, which is
-	// what keeps the checked-in scale/dataplane baselines valid.
+	// walk and the trees grow and shrink continuously. The generator
+	// scenario.Uniform returns reproduces this workload's historical rng
+	// stream exactly, which is what keeps the checked-in scale/dataplane
+	// baselines valid.
 	if cfg.Groups > 0 && cfg.Events > 0 {
-		gen := &scenario.Uniform{PerStep: cfg.Events}
+		gen := scenario.Uniform(cfg.Events)
 		gen.Start(scenario.Env{Graph: g, Groups: cfg.Groups}, st.rng)
 		gen.Emit(0, st, st.rng, st.apply)
 	}

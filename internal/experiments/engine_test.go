@@ -166,9 +166,9 @@ func TestRunWorkloadFileTopology(t *testing.T) {
 	}
 }
 
-// TestRunWorkloadMatchesChurnStream: the uniform generator through the
-// engine and the churn workload consume the same rng discipline; this
-// guards the refactor that routed churn through scenario.Uniform.
+// TestChurnRefactorPinsMetrics: churn toggles through the one
+// scenario.Generator (scenario.Uniform), deterministically, and applies
+// every event it draws.
 func TestChurnRefactorPinsMetrics(t *testing.T) {
 	cfg := ChurnConfig{Domains: 200, ExtraPeering: 30, Groups: 50,
 		RootDomains: 4, Events: 2000, BlockSize: 16, SendsPerGroup: 2, Seed: 7}

@@ -21,9 +21,10 @@ import (
 // domain's allocation server requests blocks of 256 addresses with a
 // lifetime of 30 days for local usage. The inter-request times for each
 // child domain are chosen uniformly and randomly from between 1 and 95
-// hours." The block lifetime and the inter-request times are those
-// numbers; the metrics are sampled once a day.
+// hours." The block size, the block lifetime and the inter-request times
+// are those numbers; the metrics are sampled once a day.
 const (
+	fig2BlockSize    = 256
 	fig2Lifetime     = 30 * 24 * time.Hour
 	fig2GapMin       = time.Hour
 	fig2GapMax       = 95 * time.Hour
@@ -32,10 +33,9 @@ const (
 
 // Fig2Config parameterizes the §4.3.3 simulation.
 type Fig2Config struct {
-	TopLevel    int    // paper: 50
-	ChildrenPer int    // paper: 50
-	Days        int    // paper: ~800
-	BlockSize   uint64 // paper: 256
+	TopLevel    int // paper: 50
+	ChildrenPer int // paper: 50
+	Days        int // paper: ~800
 	Seed        int64
 	// Strategy overrides the child-domain claim strategy; zero value uses
 	// masc.DefaultStrategy (75 % occupancy target, ≤ 2 prefixes). Used by
@@ -60,7 +60,6 @@ func DefaultFig2Config() Fig2Config {
 		TopLevel:    50,
 		ChildrenPer: 50,
 		Days:        800,
-		BlockSize:   256,
 		Seed:        1998,
 	}
 }
@@ -167,12 +166,9 @@ func RunFig2(cfg Fig2Config) Fig2Result {
 			ba.SetObserver(cfg.Obs, wire.DomainID(i+1))
 			children = append(children, ba)
 			parentOf = append(parentOf, i)
-			bs := cfg.BlockSize
+			bs := uint64(fig2BlockSize)
 			if cfg.Heterogeneous {
-				bs = cfg.BlockSize >> 2 << uint(rng.Intn(4)) // size/4 .. size*2
-				if bs == 0 {
-					bs = cfg.BlockSize
-				}
+				bs = fig2BlockSize >> 2 << uint(rng.Intn(4)) // size/4 .. size*2
 			}
 			blockSize = append(blockSize, bs)
 		}

@@ -113,9 +113,6 @@ type Config struct {
 	// Rand drives every probabilistic fault decision. Required: a plane
 	// without an explicit seed cannot be reproduced.
 	Rand *rand.Rand
-	// Default is the fault profile applied to links without a SetLink
-	// override.
-	Default LinkFaults
 	// Obs observes every applied fault (fault.drop, fault.dup, …),
 	// partitions/heals, and peer crash/restart. Nil disables observation.
 	Obs *obs.Observer
@@ -150,6 +147,7 @@ type Plane struct {
 
 	mu       sync.Mutex
 	seedBase int64                  // guarded by mu
+	def      LinkFaults             // links without an override; guarded by mu
 	links    map[linkKey]LinkFaults // guarded by mu
 	// linksDir holds one-direction overrides (SetLinkDirected); they take
 	// precedence over the bidirectional profile for their direction only,
@@ -205,7 +203,7 @@ func (p *Plane) rngLocked(k directedKey) *rand.Rand {
 // SetDefault replaces the profile applied to links without an override.
 func (p *Plane) SetDefault(f LinkFaults) {
 	p.mu.Lock()
-	p.cfg.Default = f
+	p.def = f
 	p.mu.Unlock()
 }
 
@@ -353,7 +351,7 @@ func (p *Plane) Deliver(from, to wire.RouterID, class Class, deliver func()) boo
 	f, ok := p.linksDir[directedKey{from, to}]
 	if !ok {
 		if f, ok = p.links[k]; !ok {
-			f = p.cfg.Default
+			f = p.def
 		}
 	}
 	if f.zero() || !f.Classes.has(class) {

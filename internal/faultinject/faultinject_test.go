@@ -10,7 +10,9 @@ import (
 	"mascbgmp/internal/wire"
 )
 
-func newPlane(t *testing.T, cfg Config) *Plane {
+// newPlane builds a plane seeded 7 unless cfg says otherwise, with the
+// default fault profile def when given.
+func newPlane(t *testing.T, cfg Config, def ...LinkFaults) *Plane {
 	t.Helper()
 	if cfg.Rand == nil {
 		cfg.Rand = rand.New(rand.NewSource(7))
@@ -18,6 +20,9 @@ func newPlane(t *testing.T, cfg Config) *Plane {
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, f := range def {
+		p.SetDefault(f)
 	}
 	return p
 }
@@ -45,7 +50,7 @@ func TestCleanLinkDeliversEverything(t *testing.T) {
 }
 
 func TestDropProbability(t *testing.T) {
-	p := newPlane(t, Config{Default: LinkFaults{Drop: 0.5}})
+	p := newPlane(t, Config{}, LinkFaults{Drop: 0.5})
 	delivered := 0
 	for i := 0; i < 1000; i++ {
 		p.Deliver(1, 2, Data, func() { delivered++ })
@@ -61,7 +66,7 @@ func TestDropProbability(t *testing.T) {
 
 func TestDropIsSeedDeterministic(t *testing.T) {
 	run := func() []bool {
-		p := newPlane(t, Config{Rand: rand.New(rand.NewSource(42)), Default: LinkFaults{Drop: 0.3}})
+		p := newPlane(t, Config{Rand: rand.New(rand.NewSource(42))}, LinkFaults{Drop: 0.3})
 		out := make([]bool, 0, 200)
 		for i := 0; i < 200; i++ {
 			out = append(out, p.Deliver(1, 2, Data, func() {}))
@@ -77,7 +82,7 @@ func TestDropIsSeedDeterministic(t *testing.T) {
 }
 
 func TestDuplicate(t *testing.T) {
-	p := newPlane(t, Config{Default: LinkFaults{Dup: 1.0}})
+	p := newPlane(t, Config{}, LinkFaults{Dup: 1.0})
 	n := 0
 	p.Deliver(1, 2, Data, func() { n++ })
 	if n != 2 {
@@ -88,7 +93,7 @@ func TestDuplicate(t *testing.T) {
 func TestReorderSwapsAdjacentMessages(t *testing.T) {
 	// First message always reordered (held), second releases it after
 	// itself: delivery order is 2, 1.
-	p := newPlane(t, Config{Default: LinkFaults{Reorder: 1.0}})
+	p := newPlane(t, Config{}, LinkFaults{Reorder: 1.0})
 	var order []int
 	p.Deliver(1, 2, Data, func() { order = append(order, 1) })
 	p.Deliver(1, 2, Data, func() { order = append(order, 2) })
@@ -98,7 +103,7 @@ func TestReorderSwapsAdjacentMessages(t *testing.T) {
 }
 
 func TestFlushHeldReleasesParked(t *testing.T) {
-	p := newPlane(t, Config{Default: LinkFaults{Reorder: 1.0}})
+	p := newPlane(t, Config{}, LinkFaults{Reorder: 1.0})
 	n := 0
 	p.Deliver(1, 2, Data, func() { n++ })
 	if n != 0 {
@@ -112,7 +117,7 @@ func TestFlushHeldReleasesParked(t *testing.T) {
 
 func TestDelayGoesThroughClock(t *testing.T) {
 	clk := simclock.NewSim(time.Unix(0, 0))
-	p := newPlane(t, Config{Clock: clk, Default: LinkFaults{Delay: time.Second}})
+	p := newPlane(t, Config{Clock: clk}, LinkFaults{Delay: time.Second})
 	n := 0
 	p.Deliver(1, 2, Data, func() { n++ })
 	if n != 0 {
@@ -174,7 +179,7 @@ func TestCrashAndRestartHooks(t *testing.T) {
 }
 
 func TestClassMaskExemptsControl(t *testing.T) {
-	p := newPlane(t, Config{Default: LinkFaults{Drop: 1.0, Classes: MaskData}})
+	p := newPlane(t, Config{}, LinkFaults{Drop: 1.0, Classes: MaskData})
 	if !p.Deliver(1, 2, Control, func() {}) {
 		t.Fatal("control message dropped despite MaskData")
 	}
@@ -187,7 +192,7 @@ func TestClassMaskExemptsControl(t *testing.T) {
 }
 
 func TestLinkOverrideBeatsDefault(t *testing.T) {
-	p := newPlane(t, Config{Default: LinkFaults{Drop: 1.0}})
+	p := newPlane(t, Config{}, LinkFaults{Drop: 1.0})
 	p.SetLink(1, 2, LinkFaults{}) // clean override
 	if !p.Deliver(1, 2, Data, func() {}) {
 		t.Fatal("override ignored")
@@ -203,7 +208,7 @@ func TestLinkOverrideBeatsDefault(t *testing.T) {
 
 func TestFaultEventsAreObservable(t *testing.T) {
 	ob := obs.NewObserver()
-	p := newPlane(t, Config{Obs: ob, Default: LinkFaults{Drop: 1.0}})
+	p := newPlane(t, Config{Obs: ob}, LinkFaults{Drop: 1.0})
 	p.Deliver(1, 2, Data, func() {})
 	p.Partition(3, 4)
 	p.Heal(3, 4)

@@ -42,142 +42,129 @@ type Env struct {
 }
 
 // Generator produces a workload's membership-op stream, one Emit per
-// engine step. Implementations draw randomness only from the rng they
-// are handed — the engine passes the same per-trial stream to Start and
-// every Emit, so (spec, seed) fully determines the op sequence. A
-// Generator is single-use: Compile a fresh one per run.
-type Generator interface {
-	Name() string
-	// Start binds the generator to the run's topology and group count.
-	Start(env Env, rng *rand.Rand)
-	// Emit appends step s's ops via emit. Ops take effect immediately:
-	// v reflects everything emitted so far.
-	Emit(s int, v View, rng *rand.Rand, emit func(Op))
+// engine step. Every workload kind is a setting of the same two parts,
+// run in this order each step:
+//
+//   - targets: groups [0, targeted) move toward target(s, g) members.
+//     These are flash-crowd's hot groups on their ramp, hold and decay,
+//     and every diurnal group on the wave;
+//   - toggles: perStep toggles of one (group, domain) pair's membership.
+//     The group is drawn from [lo, groups), uniformly or by Zipf (rank 0
+//     hottest); the domain uniformly or, for affinity only, from the
+//     group's home locality with probability affinity.
+//
+// A Generator draws randomness only from the rng it is handed: the engine
+// passes the same per-trial stream to Start and every Emit, so (spec,
+// seed) fully determines the op sequence. It is single-use: Compile a
+// fresh one per run.
+type Generator struct {
+	targeted int
+	target   func(s, g int) int
+	// peak is flash-crowd's member peak; Start caps it to the topology.
+	peak int
+
+	perStep, lo  int
+	zipfS, zipfV float64 // zipfS > 0 draws the group by Zipf
+	affinity     float64
+	locality     int // > 0 gives every group a home locality
+
+	groups int
+	zipf   *rand.Zipf
+	home   [][]topology.DomainID
 }
 
 // Compile builds the generator a workload spec names, after the same
 // validation Parse applies.
-func Compile(w WorkloadSpec) (Generator, error) {
+func Compile(w WorkloadSpec) (*Generator, error) {
 	if err := w.validate(); err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
+	gen := &Generator{}
 	switch w.Kind {
 	case KindZipf:
-		return &Zipf{PerStep: w.EventsPerStep, S: w.ZipfS, V: w.ZipfV}, nil
+		// Heavy-hitter groups grow large trees while the tail stays
+		// nearly idle: the skew the dynamic-multicast-routing comparison
+		// papers use to separate algorithms.
+		gen.perStep, gen.zipfS, gen.zipfV = w.EventsPerStep, w.ZipfS, w.ZipfV
 	case KindAffinity:
-		return &Affinity{PerStep: w.EventsPerStep, P: w.Affinity, Locality: w.Locality,
-			S: w.ZipfS, V: w.ZipfV}, nil
+		// Correlated members share most of their path to the root, so
+		// trees stay compact: the locality effect uniform churn cannot
+		// show. ZipfS == 0 keeps the group pick uniform, so locality is
+		// measured apart from popularity skew.
+		gen.perStep, gen.zipfS, gen.zipfV = w.EventsPerStep, w.ZipfS, w.ZipfV
+		gen.affinity, gen.locality = w.Affinity, w.Locality
 	case KindFlashCrowd:
-		return &FlashCrowd{Hot: w.HotGroups, Peak: w.PeakMembers,
-			RampSteps: int(w.Ramp / w.Step), HoldSteps: int(w.Hold / w.Step), Steps: w.Steps(),
-			BackgroundPerStep: w.BackgroundPerStep}, nil
+		// The hot groups ramp linearly to the peak, hold it, and decay
+		// linearly back to zero by the last step, while the toggles churn
+		// the other groups. The simultaneous joins along shared paths are
+		// what BGMP join aggregation at the root domain should absorb.
+		ramp, hold, steps := int(w.Ramp/w.Step), int(w.Hold/w.Step), w.Steps()
+		gen.targeted, gen.peak = w.HotGroups, w.PeakMembers
+		gen.lo, gen.perStep = w.HotGroups, w.BackgroundPerStep
+		gen.target = func(s, _ int) int {
+			switch {
+			case s < ramp:
+				return gen.peak * (s + 1) / ramp
+			case s < ramp+hold:
+				return gen.peak
+			default:
+				return gen.peak * (steps - 1 - s) / (steps - ramp - hold)
+			}
+		}
 	case KindDiurnal:
-		return &Diurnal{StepsPerPeriod: float64(w.Period) / float64(w.Step),
-			Base: w.BaseGroups, Peak: w.PeakGroups, Members: w.MembersPerGroup}, nil
+		// The live-group count swings from BaseGroups at the trough (t = 0
+		// mod period) to PeakGroups at the crest on a (1-cos)/2 wave:
+		// groups below it hold MembersPerGroup members, the rest none.
+		// Rising demand makes every root allocator lease more blocks,
+		// forcing §4.3.3 prefix doublings past the 75% target, and the
+		// trough lets leases and then claims expire until holdings
+		// collapse back to the ledger.
+		perPeriod := float64(w.Period) / float64(w.Step)
+		gen.targeted = w.Groups
+		gen.target = func(s, g int) int {
+			wave := (1 - math.Cos(2*math.Pi*float64(s)/perPeriod)) / 2
+			if g < w.BaseGroups+int(math.Round(float64(w.PeakGroups-w.BaseGroups)*wave)) {
+				return w.MembersPerGroup
+			}
+			return 0
+		}
 	default: // KindUniform: validate rejects every other kind
-		return &Uniform{PerStep: w.EventsPerStep}, nil
+		gen.perStep = w.EventsPerStep
 	}
+	return gen, nil
 }
 
-// Uniform is the classic churn model: per event, a uniform group and a
-// uniform domain, toggling membership. It reproduces the scale-churn
-// suite's historical rng stream exactly (group draw, activity check,
-// domain draw), so feeding it through the engine leaves the checked-in
-// BENCH_scale.json baseline bit-identical.
-type Uniform struct {
-	// PerStep is the number of toggle events per engine step.
-	PerStep int
-	groups  int
-}
+// Uniform returns the classic churn generator: per step, perStep toggles
+// of a uniform group and a uniform domain. Its rng stream (group draw,
+// activity check, domain draw) is the scale-churn suite's historical one,
+// which keeps the checked-in BENCH_scale.json baseline bit-identical.
+func Uniform(perStep int) *Generator { return &Generator{perStep: perStep} }
 
-func (u *Uniform) Name() string { return KindUniform }
-
-func (u *Uniform) Start(env Env, _ *rand.Rand) { u.groups = env.Groups }
-
-func (u *Uniform) Emit(_ int, v View, rng *rand.Rand, emit func(Op)) {
-	per := u.PerStep
-	if per < 1 {
-		per = 1
-	}
-	for i := 0; i < per; i++ {
-		g := rng.Intn(u.groups)
-		if !v.Active(g) {
-			continue
-		}
-		d := topology.DomainID(rng.Intn(v.Domains()))
-		emit(Op{Group: g, Domain: d, Join: !v.IsMember(g, d)})
-	}
-}
-
-// Zipf skews group popularity: the group index is drawn from a Zipf
-// distribution (rank 0 hottest), the domain uniformly, toggling
-// membership. Heavy-hitter groups grow large trees while the tail stays
-// nearly idle — the skew the dynamic-multicast-routing comparison papers
-// use to separate algorithms.
-type Zipf struct {
-	PerStep int
-	S, V    float64
-	groups  int
-	z       *rand.Zipf
-}
-
-func (z *Zipf) Name() string { return KindZipf }
-
-func (z *Zipf) Start(env Env, rng *rand.Rand) {
-	z.groups = env.Groups
-	z.z = rand.NewZipf(rng, z.S, z.V, uint64(env.Groups-1))
-}
-
-func (z *Zipf) Emit(_ int, v View, rng *rand.Rand, emit func(Op)) {
-	for i := 0; i < z.PerStep; i++ {
-		g := int(z.z.Uint64())
-		if !v.Active(g) {
-			continue
-		}
-		d := topology.DomainID(rng.Intn(v.Domains()))
-		emit(Op{Group: g, Domain: d, Join: !v.IsMember(g, d)})
-	}
-}
-
-// Affinity correlates membership with topology: each group gets a home
-// locality (the Locality domains nearest a random center, BFS metric),
-// and a join draws its domain from that locality with probability P.
-// Correlated members share most of their path to the root, so trees
-// stay compact — the locality effect the uniform model cannot show.
-type Affinity struct {
-	PerStep  int
-	P        float64
-	Locality int
-	// S and V enable a Zipf group pick when S > 0; S == 0 keeps it
-	// uniform so locality is measured orthogonally to popularity skew.
-	S, V   float64
-	groups int
-	z      *rand.Zipf
-	home   [][]topology.DomainID
-}
-
-func (a *Affinity) Name() string { return KindAffinity }
-
-func (a *Affinity) Start(env Env, rng *rand.Rand) {
-	a.groups = env.Groups
-	if a.S > 0 {
-		a.z = rand.NewZipf(rng, a.S, a.V, uint64(env.Groups-1))
-	}
+// Start binds the generator to the run's topology and group count. Only
+// affinity draws here: one locality center per group.
+func (gen *Generator) Start(env Env, rng *rand.Rand) {
+	gen.groups = env.Groups
 	n := env.Graph.NumDomains()
-	size := a.Locality
-	if size > n {
-		size = n
+	// The crowd cannot exceed the topology; cap at 90% so random
+	// non-member draws keep a workable hit rate at the peak.
+	gen.peak = max(1, min(gen.peak, n*9/10))
+	if gen.zipfS > 0 {
+		gen.zipf = rand.NewZipf(rng, gen.zipfS, gen.zipfV, uint64(env.Groups-1))
 	}
-	a.home = make([][]topology.DomainID, env.Groups)
-	for g := range a.home {
-		center := topology.DomainID(rng.Intn(n))
-		dist, _ := env.Graph.BFS(center)
+	if gen.locality == 0 {
+		return
+	}
+	// A home locality is the locality domains nearest a random center
+	// (BFS metric), nearest first, ties by ID; unreachable domains sort
+	// last and are trimmed.
+	size := min(gen.locality, n)
+	gen.home = make([][]topology.DomainID, env.Groups)
+	for g := range gen.home {
+		dist, _ := env.Graph.BFS(topology.DomainID(rng.Intn(n)))
 		ids := make([]topology.DomainID, n)
 		for i := range ids {
 			ids[i] = topology.DomainID(i)
 		}
-		// Nearest-first, ties by ID; unreachable (-1) domains sort last
-		// and are trimmed below.
 		sort.Slice(ids, func(i, j int) bool {
 			di, dj := dist[ids[i]], dist[ids[j]]
 			if di < 0 {
@@ -195,136 +182,37 @@ func (a *Affinity) Start(env Env, rng *rand.Rand) {
 		for reach > 0 && dist[ids[reach-1]] < 0 {
 			reach--
 		}
-		if reach == 0 {
-			reach = 1 // the center itself
-		}
-		a.home[g] = ids[:reach:reach]
+		reach = max(reach, 1) // the center itself
+		gen.home[g] = ids[:reach:reach]
 	}
 }
 
-func (a *Affinity) Emit(_ int, v View, rng *rand.Rand, emit func(Op)) {
-	for i := 0; i < a.PerStep; i++ {
+// Emit appends step s's ops via emit, the targets first, then the
+// toggles. Ops take effect immediately: v reflects everything emitted so
+// far.
+func (gen *Generator) Emit(s int, v View, rng *rand.Rand, emit func(Op)) {
+	for g := 0; g < gen.targeted; g++ {
+		if v.Active(g) {
+			moveToward(g, gen.target(s, g), v, rng, emit)
+		}
+	}
+	for i := 0; i < gen.perStep; i++ {
 		var g int
-		if a.z != nil {
-			g = int(a.z.Uint64())
+		if gen.zipf != nil {
+			g = int(gen.zipf.Uint64())
 		} else {
-			g = rng.Intn(a.groups)
+			g = gen.lo + rng.Intn(gen.groups-gen.lo)
 		}
 		if !v.Active(g) {
 			continue
 		}
 		var d topology.DomainID
-		if rng.Float64() < a.P {
-			d = a.home[g][rng.Intn(len(a.home[g]))]
+		if gen.home != nil && rng.Float64() < gen.affinity {
+			d = gen.home[g][rng.Intn(len(gen.home[g]))]
 		} else {
 			d = topology.DomainID(rng.Intn(v.Domains()))
 		}
 		emit(Op{Group: g, Domain: d, Join: !v.IsMember(g, d)})
-	}
-}
-
-// FlashCrowd converges a crowd on a few hot groups: groups 0..Hot-1 ramp
-// linearly to Peak member domains over RampSteps, hold for HoldSteps,
-// and decay linearly back to zero by the last step, while the remaining
-// groups see BackgroundPerStep uniform toggles per step. The
-// simultaneous joins along shared paths are exactly what BGMP join
-// aggregation at the root domain is supposed to absorb.
-type FlashCrowd struct {
-	Hot               int
-	Peak              int
-	RampSteps         int
-	HoldSteps         int
-	Steps             int
-	BackgroundPerStep int
-	groups            int
-}
-
-func (f *FlashCrowd) Name() string { return KindFlashCrowd }
-
-func (f *FlashCrowd) Start(env Env, _ *rand.Rand) {
-	f.groups = env.Groups
-	// The crowd cannot exceed the topology; cap at 90% so random
-	// non-member draws keep a workable hit rate at the peak.
-	if limit := env.Graph.NumDomains() * 9 / 10; f.Peak > limit {
-		f.Peak = limit
-	}
-	if f.Peak < 1 {
-		f.Peak = 1
-	}
-}
-
-// target returns the hot-group member target at step s.
-func (f *FlashCrowd) target(s int) int {
-	switch {
-	case s < f.RampSteps:
-		return f.Peak * (s + 1) / f.RampSteps
-	case s < f.RampSteps+f.HoldSteps:
-		return f.Peak
-	default:
-		decay := f.Steps - f.RampSteps - f.HoldSteps
-		left := f.Steps - 1 - s
-		return f.Peak * left / decay
-	}
-}
-
-func (f *FlashCrowd) Emit(s int, v View, rng *rand.Rand, emit func(Op)) {
-	tgt := f.target(s)
-	for g := 0; g < f.Hot; g++ {
-		if !v.Active(g) {
-			continue
-		}
-		moveToward(g, tgt, v, rng, emit)
-	}
-	for i := 0; i < f.BackgroundPerStep; i++ {
-		g := f.Hot + rng.Intn(f.groups-f.Hot)
-		if !v.Active(g) {
-			continue
-		}
-		d := topology.DomainID(rng.Intn(v.Domains()))
-		emit(Op{Group: g, Domain: d, Join: !v.IsMember(g, d)})
-	}
-}
-
-// Diurnal swings the live-group count between Base and Peak on a
-// (1-cos)/2 wave: groups 0..A(t)-1 hold Members member domains each,
-// the rest are empty. Rising demand makes every root allocator lease
-// more blocks — forcing §4.3.3 prefix doublings once occupancy passes
-// the 75% target — and the trough lets leases and then claims expire,
-// draining holdings until they collapse back to the ledger.
-type Diurnal struct {
-	StepsPerPeriod float64
-	Base, Peak     int
-	Members        int
-	groups         int
-}
-
-func (d *Diurnal) Name() string { return KindDiurnal }
-
-func (d *Diurnal) Start(env Env, _ *rand.Rand) { d.groups = env.Groups }
-
-// active returns the live-group target at step s: Base at the trough
-// (t = 0 mod period), Peak at the crest (t = period/2).
-func (d *Diurnal) active(s int) int {
-	phase := 2 * math.Pi * float64(s) / d.StepsPerPeriod
-	wave := (1 - math.Cos(phase)) / 2
-	a := d.Base + int(math.Round(float64(d.Peak-d.Base)*wave))
-	if a > d.groups {
-		a = d.groups
-	}
-	return a
-}
-
-func (d *Diurnal) Emit(s int, v View, rng *rand.Rand, emit func(Op)) {
-	live := d.active(s)
-	for g := 0; g < d.groups; g++ {
-		if !v.Active(g) {
-			continue
-		}
-		want := 0
-		if g < live {
-			want = d.Members
-		}
-		moveToward(g, want, v, rng, emit)
 	}
 }
 

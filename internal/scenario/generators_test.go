@@ -1,9 +1,12 @@
 package scenario
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"mascbgmp/internal/topology"
 	"mascbgmp/scenarios"
@@ -120,42 +123,112 @@ func TestGeneratorDeterminism(t *testing.T) {
 	}
 }
 
+// TestOpStreamsUnchanged pins each kind's op stream, and affinity's with a
+// Zipf group pick, which no checked-in baseline reaches, to a hash: a
+// change to any generator's rng draw order fails here before it moves a
+// baseline.
+func TestOpStreamsUnchanged(t *testing.T) {
+	base := WorkloadSpec{Groups: 16, Duration: 24, Step: 1, RootDomains: 1,
+		AddressesPerGroup: 1, ClaimLifetime: 1, EventsPerStep: 40}
+	cases := []struct {
+		name string
+		set  func(*WorkloadSpec)
+		want string
+	}{
+		{"uniform", func(w *WorkloadSpec) { w.Kind = KindUniform }, "4a7d457e4b625679"},
+		{"zipf", func(w *WorkloadSpec) { w.Kind, w.ZipfS, w.ZipfV = KindZipf, 1.3, 1 }, "66767634c89701f2"},
+		{"affinity", func(w *WorkloadSpec) { w.Kind, w.Affinity, w.Locality = KindAffinity, 0.8, 12 }, "79c85331f8824137"},
+		{"affinity-zipf", func(w *WorkloadSpec) {
+			w.Kind, w.Affinity, w.Locality, w.ZipfS, w.ZipfV = KindAffinity, 0.8, 12, 1.3, 2
+		}, "18c77b9876e6df71"},
+		{"flash-crowd", func(w *WorkloadSpec) {
+			w.Kind, w.HotGroups, w.PeakMembers, w.Ramp, w.Hold, w.BackgroundPerStep = KindFlashCrowd, 2, 500, 8, 6, 10
+		}, "aa39297b17420b9a"},
+		{"diurnal", func(w *WorkloadSpec) {
+			w.Kind, w.Period, w.BaseGroups, w.PeakGroups, w.MembersPerGroup = KindDiurnal, 12, 2, 14, 5
+		}, "444532e865e31ae0"},
+	}
+	g := testGraph(t)
+	for _, c := range cases {
+		w := base
+		c.set(&w)
+		sum := sha256.Sum256([]byte(run(t, w, g, 1998)))
+		if got := hex.EncodeToString(sum[:8]); got != c.want {
+			t.Errorf("%s: op stream hash %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// shapeSpec returns a one-root workload of kind over steps one-unit steps,
+// for the tests that read a compiled generator's targets or homes.
+func shapeSpec(kind string, groups, steps int) WorkloadSpec {
+	return WorkloadSpec{Kind: kind, Groups: groups, Duration: time.Duration(steps), Step: 1,
+		RootDomains: 1, AddressesPerGroup: 1, ClaimLifetime: 1}
+}
+
 func TestDiurnalWaveShape(t *testing.T) {
-	d := &Diurnal{StepsPerPeriod: 96, Base: 3, Peak: 51, Members: 4, groups: 51}
-	if got := d.active(0); got != 3 {
-		t.Errorf("active(trough) = %d, want base 3", got)
+	w := shapeSpec(KindDiurnal, 51, 200)
+	w.Period, w.BaseGroups, w.PeakGroups, w.MembersPerGroup = 96, 3, 51, 4
+	gen, err := Compile(w)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := d.active(48); got != 51 {
-		t.Errorf("active(crest) = %d, want peak 51", got)
+	// live counts the groups the wave wants populated at step s.
+	live := func(s int) int {
+		n := 0
+		for g := 0; g < gen.targeted; g++ {
+			if m := gen.target(s, g); m > 0 {
+				if m != 4 {
+					t.Fatalf("step %d group %d: target %d, want members-per-group 4", s, g, m)
+				}
+				n++
+			}
+		}
+		return n
 	}
-	if got := d.active(96); got != 3 {
-		t.Errorf("active(next trough) = %d, want base 3", got)
+	if got := live(0); got != 3 {
+		t.Errorf("live(trough) = %d, want base 3", got)
+	}
+	if got := live(48); got != 51 {
+		t.Errorf("live(crest) = %d, want peak 51", got)
+	}
+	if got := live(96); got != 3 {
+		t.Errorf("live(next trough) = %d, want base 3", got)
 	}
 	for s := 1; s <= 48; s++ {
-		if d.active(s) < d.active(s-1) {
+		if live(s) < live(s-1) {
 			t.Fatalf("wave not monotone on the rise at step %d", s)
 		}
 	}
 }
 
 func TestFlashCrowdTargetShape(t *testing.T) {
-	f := &FlashCrowd{Hot: 2, Peak: 100, RampSteps: 10, HoldSteps: 5, Steps: 30}
-	if got := f.target(9); got != 100 {
+	w := shapeSpec(KindFlashCrowd, 3, 30)
+	w.HotGroups, w.PeakMembers, w.Ramp, w.Hold = 2, 100, 10, 5
+	gen, err := Compile(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gen.targeted != 2 || gen.lo != 2 {
+		t.Fatalf("targets groups [0, %d) and toggles from %d, want the 2 hot groups and the rest", gen.targeted, gen.lo)
+	}
+	target := func(s int) int { return gen.target(s, 0) }
+	if got := target(9); got != 100 {
 		t.Errorf("end of ramp = %d, want 100", got)
 	}
-	if got := f.target(12); got != 100 {
+	if got := target(12); got != 100 {
 		t.Errorf("hold = %d, want 100", got)
 	}
-	if got := f.target(29); got != 0 {
+	if got := target(29); got != 0 {
 		t.Errorf("last step = %d, want 0 (crowd fully drained)", got)
 	}
 	for s := 1; s < 10; s++ {
-		if f.target(s) < f.target(s-1) {
+		if target(s) < target(s-1) {
 			t.Fatalf("ramp not monotone at step %d", s)
 		}
 	}
 	for s := 16; s < 30; s++ {
-		if f.target(s) > f.target(s-1) {
+		if target(s) > target(s-1) {
 			t.Fatalf("decay not monotone at step %d", s)
 		}
 	}
@@ -201,7 +274,6 @@ func TestAffinityLocality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aff := gen.(*Affinity)
 	rng := rand.New(rand.NewSource(5))
 	gen.Start(Env{Graph: g, Groups: w.Groups}, rng)
 	v := newMemView(128, w.Groups)
@@ -210,11 +282,11 @@ func TestAffinityLocality(t *testing.T) {
 	}
 	for gi := 0; gi < w.Groups; gi++ {
 		home := map[topology.DomainID]bool{}
-		for _, d := range aff.home[gi] {
+		for _, d := range gen.home[gi] {
 			home[d] = true
 		}
-		if len(aff.home[gi]) != 8 {
-			t.Errorf("group %d home locality has %d domains, want 8", gi, len(aff.home[gi]))
+		if len(gen.home[gi]) != 8 {
+			t.Errorf("group %d home locality has %d domains, want 8", gi, len(gen.home[gi]))
 		}
 		for _, d := range v.order[gi] {
 			if !home[d] {

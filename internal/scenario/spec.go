@@ -3,6 +3,7 @@ package scenario
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -431,8 +432,10 @@ func (r *reader) float(key string, def float64) float64 {
 	if !ok || r.err != nil {
 		return def
 	}
+	// NaN and the infinities parse, and would pass every range check
+	// below them: a Zipf sampler built on one never returns.
 	f, err := strconv.ParseFloat(v.raw, 64)
-	if err != nil || v.str {
+	if err != nil || v.str || math.IsNaN(f) || math.IsInf(f, 0) {
 		r.fail(v.line, "key %q: invalid number %q", key, v.raw)
 		return def
 	}

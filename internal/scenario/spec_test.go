@@ -107,6 +107,8 @@ func TestParseSpecErrors(t *testing.T) {
 			`invalid duration "forever"`, 6},
 		{"zipf-s-low", base("kind = \"zipf\"\nzipf-s = 0.5\n"),
 			"zipf needs zipf-s > 1", 4},
+		{"zipf-v-inf", base("kind = \"zipf\"\nzipf-v = inf\n"),
+			`key "zipf-v": invalid number "inf"`, 6},
 		{"flash-phases", base("kind = \"flash-crowd\"\npeak-members = 10\nramp = \"50m\"\nhold = \"20m\"\n"),
 			"ramp + hold < duration", 4},
 		{"diurnal-range", base("kind = \"diurnal\"\nbase-groups = 64\npeak-groups = 32\n"),
