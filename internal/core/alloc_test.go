@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -21,14 +22,14 @@ import (
 // memberless hub domain off the root with behind more member domains off
 // it. One group is rooted at the root domain with a member in every member
 // domain. It returns the source domain and the group.
-func chainNet(t *testing.T, backend string, transit, members, behind int) (*Domain, addr.Addr) {
+func chainNet(t testing.TB, backend string, transit, members, behind int) (*Domain, addr.Addr) {
 	t.Helper()
 	return chainNetFaults(t, backend, transit, members, behind, false)
 }
 
 // chainNetFaults is chainNet with, when faulty, every peering behind a fault
 // plane on the network's clock (Config.Faults), all links clean to begin with.
-func chainNetFaults(t *testing.T, backend string, transit, members, behind int, faulty bool) (*Domain, addr.Addr) {
+func chainNetFaults(t testing.TB, backend string, transit, members, behind int, faulty bool) (*Domain, addr.Addr) {
 	t.Helper()
 	clk := simclock.NewSim(time.Date(1998, 9, 1, 0, 0, 0, 0, time.UTC))
 	cfg := Config{Clock: clk, Seed: 7, Synchronous: true, DataPlane: backend}
@@ -96,20 +97,20 @@ func chainNetFaults(t *testing.T, backend string, transit, members, behind int, 
 // A peering hop costs nothing on any backend, up to the root domain or down
 // from it: the packet is forwarded as it is and decoded into a recycled one
 // (Network.packets), and a native packet enters an interior without a copy.
-// What is left is each backend's own. On the shared tree a member delivery
-// costs 1, the Delivery record's payload string, and the constant 2 is the
-// packet and its payload. BIER pays 1 for the copy forwardBits aims at each
-// next hop (one per peering crossed on the way down), 1 slab at every router
-// that splits a string, 2 per delivery (the copy the member's border strips
-// of its string, the Delivery string) and a constant 5: the packet, its
-// payload, the tunnel copy the source's border makes, the copy the root
-// strips of the tunnel, and the root's string. Map-and-encap pays 3 per
-// delivery (the tunnel copy the root makes, the copy the member's border
-// strips of it, the Delivery string) and BIER's constant less the string;
-// its tunnels share no hop, and crossing root → hub once per member behind
-// it costs nothing now. Every row is the measured floor, under go test and
-// go test -race: one allocation more or fewer anywhere on the path fails.
-// The overlays' rows are on ROADMAP item 9's "frozen by an API" list.
+// A member's Delivery record holds the sender's payload string, not a copy
+// of it. What is left is each backend's own. The shared tree pays nothing
+// per delivery, and the constant 2 is the packet and its payload. BIER pays
+// 1 for the copy forwardBits aims at each next hop (one per peering crossed
+// on the way down), 1 slab at every router that splits a string, 1 per
+// delivery (the copy the member's border strips of its string) and a
+// constant 5: the packet, its payload, the tunnel copy the source's border
+// makes, the copy the root strips of the tunnel, and the root's string.
+// Map-and-encap pays 2 per delivery (the tunnel copy the root makes, the
+// copy the member's border strips of it) and BIER's constant less the
+// string; its tunnels share no hop, and crossing root → hub once per member
+// behind it costs nothing. Every row is the measured floor, under go test
+// and go test -race: one allocation more or fewer anywhere on the path
+// fails.
 //
 // Each world has also been sent a MemberReport for a domain no bitstring
 // can carry (wire.MaxDataBit): BIER must refuse it rather than size every
@@ -120,9 +121,9 @@ func TestSendAllocBudget(t *testing.T) {
 		backend                                  string
 		perCopy, perDelivery, perSplit, constant int
 	}{
-		{dataplane.SharedTreeName, 0, 1, 0, 2},
-		{dataplane.BIERName, 1, 2, 1, 5},
-		{dataplane.MapEncapName, 0, 3, 0, 4},
+		{dataplane.SharedTreeName, 0, 0, 0, 2},
+		{dataplane.BIERName, 1, 1, 1, 5},
+		{dataplane.MapEncapName, 0, 2, 0, 4},
 	}
 	for _, b := range budgets {
 		// transit domains, members off the root, members behind the hub
@@ -154,6 +155,34 @@ func TestSendAllocBudget(t *testing.T) {
 			}
 			assertExactlyOnce(t, src.net, g, memberDomains, src.ID)
 			noViolations(t, fmt.Sprintf("%s, shape %v, after the sends", b.backend, shape), violations(src.net, nil, []addr.Addr{g}))
+		}
+	}
+}
+
+// BenchmarkSendFanOut times one send from the source of a chainNet with two
+// transit domains to 30 member domains off the root, on every backend, with
+// a 64-byte and a 1400-byte payload: what a send costs per member, in time
+// and allocations, at the benchmark's tree-dense fan-out. The delivery logs
+// are cleared every 64 sends, off the clock.
+func BenchmarkSendFanOut(b *testing.B) {
+	for _, backend := range dataplane.Names() {
+		for _, size := range []int{64, 1400} {
+			b.Run(fmt.Sprintf("%s/%dB", backend, size), func(b *testing.B) {
+				src, g := chainNet(b, backend, 2, 30, 0)
+				from, payload := src.HostAddr(0), strings.Repeat("x", size)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					src.Send(g, from, payload, 0)
+					if i%64 == 63 {
+						b.StopTimer()
+						for _, d := range src.net.Domains() {
+							d.ClearReceived()
+						}
+						b.StartTimer()
+					}
+				}
+			})
 		}
 	}
 }
@@ -347,7 +376,7 @@ func TestFlapAllocBudget(t *testing.T) {
 // build takes 3.0 (2.3 and 7.5 there).
 func TestSetupRouteItemBudget(t *testing.T) {
 	ob := obs.NewObserver()
-	w := newASWorld(t, 80, 40, 1998, ob)
+	w := newASWorld(t, 80, 40, 1998, dataplane.SharedTreeName, ob)
 	d := ob.Snapshot()
 	items := d.Total(obs.BGPAnnounce) + d.Total(obs.BGPWithdraw)
 	entries := ribEntries(w.net)
@@ -389,7 +418,7 @@ func BenchmarkLinkFlap(b *testing.B) {
 // asWorld: a (*,G) entry built and torn down at each router until the join
 // meets the group's tree, the G-RIB asked once per new entry.
 func BenchmarkJoinLeave(b *testing.B) {
-	w := newASWorld(b, 80, 40, 1998, nil)
+	w := newASWorld(b, 80, 40, 1998, dataplane.SharedTreeName, nil)
 	wg := w.groups[0]
 	dist, _ := w.graph.BFS(wg.root)
 	far, farthest := 0, -1
@@ -415,7 +444,7 @@ func BenchmarkBuildWorld(b *testing.B) {
 	var items uint64
 	for i := 0; i < b.N; i++ {
 		ob := obs.NewObserver()
-		newASWorld(b, 80, 40, 1998, ob)
+		newASWorld(b, 80, 40, 1998, dataplane.SharedTreeName, ob)
 		d := ob.Snapshot()
 		items += d.Total(obs.BGPAnnounce) + d.Total(obs.BGPWithdraw)
 	}

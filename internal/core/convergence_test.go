@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mascbgmp/internal/addr"
+	"mascbgmp/internal/dataplane"
 	"mascbgmp/internal/migp"
 	"mascbgmp/internal/obs"
 	"mascbgmp/internal/simclock"
@@ -43,11 +44,12 @@ const asWorldRoots = 4
 // newASWorld builds an asWorld of n domains and extra peering links: every
 // domain originates a /24 host prefix, the links come up one at a time, the
 // roots (MASC siblings) claim a range each and wait it out, and then each
-// root has two groups with three member domains apiece. ob may be nil.
-func newASWorld(t testing.TB, n, extra int, seed int64, ob *obs.Observer) *asWorld {
+// root has two groups with three member domains apiece, on the named
+// forwarding backend. ob may be nil.
+func newASWorld(t testing.TB, n, extra int, seed int64, backend string, ob *obs.Observer) *asWorld {
 	t.Helper()
 	clk := simclock.NewSim(time.Date(1998, 9, 1, 0, 0, 0, 0, time.UTC))
-	net, err := NewNetwork(Config{Clock: clk, Seed: seed, Synchronous: true, Observer: ob})
+	net, err := NewNetwork(Config{Clock: clk, Seed: seed, Synchronous: true, DataPlane: backend, Observer: ob})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +182,7 @@ func ribViolations(net *Network, g *topology.Graph) []string {
 // hunted down alternative paths for 3.7 million items.
 func TestRIBsConvergeToShortestPaths(t *testing.T) {
 	ob := obs.NewObserver()
-	w := newASWorld(t, 80, 40, 1998, ob)
+	w := newASWorld(t, 80, 40, 1998, dataplane.SharedTreeName, ob)
 	groups := w.addrs()
 	check := func(when string) {
 		t.Helper()

@@ -237,37 +237,44 @@ func establishGroup(t *testing.T, n *Network, clk *simclock.Sim) addr.Addr {
 // paperMembers are the domains establishGroup joins.
 var paperMembers = []wire.DomainID{2, 3, 4, 6, 8}
 
-// assertExactlyOnce is the steady-state delivery clause (§5.2; ROADMAP item
-// 1(a)): one packet sent to group from a host in domain sender — a member or
-// not (§3) — arrives exactly once in every domain of members, payload, group
-// and source intact, and nowhere else. Each member domain is taken to hold
-// one member host. The delivery logs are cleared on the way in and out.
+// assertExactlyOnce fails t with every deliveryViolations line.
 func assertExactlyOnce(t *testing.T, n *Network, group addr.Addr, members []wire.DomainID, sender wire.DomainID) {
 	t.Helper()
+	for _, v := range deliveryViolations(n, group, members, sender) {
+		t.Error(v)
+	}
+}
+
+// deliveryViolations is the steady-state delivery clause (§5.2): one packet
+// sent to group from a host in domain sender — a member or not (§3) —
+// arrives exactly once in every domain of members, payload, group and
+// source intact, and nowhere else. Each member domain is taken to hold one
+// member host. The delivery logs are cleared on the way in and out. It
+// returns one line per domain that breaks the clause.
+func deliveryViolations(n *Network, group addr.Addr, members []wire.DomainID, sender wire.DomainID) []string {
 	for _, d := range n.Domains() {
 		d.ClearReceived()
 	}
+	var out []string
 	from := n.Domain(sender)
 	src, payload := from.HostAddr(1), fmt.Sprintf("exactly once from %d", sender)
 	from.Send(group, src, payload, 0)
 	for _, d := range n.Domains() {
 		got := d.Received()
 		d.ClearReceived()
-		if !slices.Contains(members, d.ID) {
+		switch {
+		case !slices.Contains(members, d.ID):
 			if len(got) != 0 {
-				t.Errorf("%s: domain %d has no member of %v and received %v", n.cfg.DataPlane, d.ID, group, got)
+				out = append(out, fmt.Sprintf("%s: domain %d has no member of %v and received %v", n.cfg.DataPlane, d.ID, group, got))
 			}
-			continue
-		}
-		if len(got) != 1 {
-			t.Errorf("%s: member domain %d received %d copies of one packet from domain %d, want exactly 1: %v",
-				n.cfg.DataPlane, d.ID, len(got), sender, got)
-			continue
-		}
-		if dv := got[0]; dv.Group != group || dv.Source != src || dv.Payload != payload {
-			t.Errorf("%s: member domain %d received %+v, want %q from %v to %v", n.cfg.DataPlane, d.ID, dv, payload, src, group)
+		case len(got) != 1:
+			out = append(out, fmt.Sprintf("%s: member domain %d received %d copies of one packet from domain %d, want exactly 1: %v",
+				n.cfg.DataPlane, d.ID, len(got), sender, got))
+		case got[0].Group != group || got[0].Source != src || got[0].Payload != payload:
+			out = append(out, fmt.Sprintf("%s: member domain %d received %+v, want %q from %v to %v", n.cfg.DataPlane, d.ID, got[0], payload, src, group))
 		}
 	}
+	return out
 }
 
 func TestBidirectionalTreeConstruction(t *testing.T) {
@@ -468,9 +475,11 @@ func TestMIGPIndependenceMatrix(t *testing.T) {
 	}
 }
 
-func TestAsyncNetworkConverges(t *testing.T) {
-	// The same scenario over loopback TCP with background receive
-	// loops: slower, nondeterministic ordering, same outcome.
+// asyncNet builds three domains peered over loopback TCP with background
+// receive loops: domain 1 (two border routers) is the MASC parent of domains
+// 2 and 3, domain 2 roots a group, and domain 3 has a member of it.
+func asyncNet(t *testing.T) (*Network, addr.Addr) {
+	t.Helper()
 	clk := simclock.NewSim(time.Date(1998, 9, 1, 0, 0, 0, 0, time.UTC))
 	n, err := NewNetwork(Config{Clock: clk, Seed: 42, Synchronous: false})
 	if err != nil {
@@ -517,9 +526,15 @@ func TestAsyncNetworkConverges(t *testing.T) {
 	if err := n.Quiesce(time.Second); err != nil {
 		t.Fatal(err)
 	}
+	return n, lease.Addr
+}
 
+func TestAsyncNetworkConverges(t *testing.T) {
+	// The paper's pipeline over loopback TCP with background receive
+	// loops: slower, nondeterministic ordering, same outcome.
+	n, g := asyncNet(t)
 	src := n.Domain(2).HostAddr(1)
-	n.Domain(2).Send(lease.Addr, src, "async hello", 0)
+	n.Domain(2).Send(g, src, "async hello", 0)
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if len(n.Domain(3).Received()) > 0 {

@@ -107,9 +107,15 @@ func (n *Network) AddDomain(cfg DomainConfig) (*Domain, error) {
 		Protocol: cfg.Protocol,
 		BestExit: d.bestExit,
 		OnHostDeliver: func(node migp.Node, data *wire.Data) {
+			n.frameMu.Lock()
+			payload := n.sent
+			n.frameMu.Unlock()
+			if string(data.Payload) != payload {
+				payload = string(data.Payload) // a deferred or interleaved send's own bytes
+			}
 			d.mu.Lock()
 			d.received = append(d.received, Delivery{
-				Group: data.Group, Source: data.Source, Node: node, Payload: string(data.Payload),
+				Group: data.Group, Source: data.Source, Node: node, Payload: payload,
 			})
 			d.mu.Unlock()
 			if n.cfg.Observer != nil {
@@ -253,8 +259,12 @@ func (d *Domain) Join(g addr.Addr, at migp.Node) { d.fabric.HostJoin(g, at) }
 func (d *Domain) Leave(g addr.Addr, at migp.Node) { d.fabric.HostLeave(g, at) }
 
 // Send originates a multicast packet from an interior host. Senders need
-// not be members (§3).
+// not be members (§3). Every member's Delivery whose bytes match payload
+// holds payload itself rather than a copy of it.
 func (d *Domain) Send(g addr.Addr, src addr.Addr, payload string, at migp.Node) {
+	d.net.frameMu.Lock()
+	d.net.sent = payload
+	d.net.frameMu.Unlock()
 	d.fabric.SendFromHost(at, &wire.Data{
 		Group:   g,
 		Source:  src,
@@ -275,9 +285,11 @@ func (d *Domain) Received() []Delivery {
 	return append([]Delivery(nil), d.received...)
 }
 
-// ClearReceived empties the delivery log.
+// ClearReceived empties the delivery log. It keeps the log's array, so a
+// log refilled to the same length does not grow it again.
 func (d *Domain) ClearReceived() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.received = nil
+	clear(d.received)
+	d.received = d.received[:0]
 }

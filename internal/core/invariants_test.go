@@ -9,6 +9,7 @@ import (
 
 	"mascbgmp/internal/addr"
 	"mascbgmp/internal/bgmp"
+	"mascbgmp/internal/dataplane"
 	"mascbgmp/internal/topology"
 	"mascbgmp/internal/wire"
 )
@@ -160,11 +161,14 @@ func mascViolations(net *Network) []string {
 
 // violations is the one checker entry point (ROADMAP item 1(a)). It
 // returns the sorted union of treeViolations over groups, mascViolations,
-// and, when graph is not nil, ribViolations against it, with two clauses
+// and, when graph is not nil, ribViolations against it, with three clauses
 // of its own:
 //
 //   - §5.2: no router keeps a group's tree interest orphaned while its
 //     G-RIB has a route for the group;
+//   - delivery: probeViolations for each group, unless the network builds
+//     §5.3 source branches, whose switch-over may deliver a sender's first
+//     packets twice (EXPERIMENTS.md Known deviation 4);
 //   - the network's tracer, if its observer carries one, holds no open
 //     span.
 func violations(net *Network, graph *topology.Graph, groups []addr.Addr) []string {
@@ -180,11 +184,57 @@ func violations(net *Network, graph *topology.Graph, groups []addr.Addr) []strin
 				}
 			}
 		}
+		if !net.cfg.SourceBranches {
+			out = append(out, probeViolations(net, g)...)
+		}
 	}
 	for _, s := range net.Observer().Tracer().Open() {
 		out = append(out, fmt.Sprintf("trace: span %s (trace %d, span %d) never ended", s.Name, s.Trace, s.ID))
 	}
 	sort.Strings(out)
+	return out
+}
+
+// probeViolations sends one probe to g from the lowest-ID domain that can
+// reach g's root domain over the network's links and whose fabric holds no
+// member of g, and holds it to deliveryViolations: it must reach, once,
+// exactly the domains on the root's side of any partition whose fabric
+// holds a member. A group with no root domain is treeViolations' to report.
+func probeViolations(net *Network, g addr.Addr) []string {
+	root, ok := rootDomain(net, g)
+	if !ok {
+		return nil
+	}
+	reach := map[wire.DomainID]bool{root: true}
+	net.mu.Lock()
+	for grew := true; grew; {
+		grew = false
+		for _, l := range net.links {
+			a, b := l.a.domain.ID, l.b.domain.ID
+			if reach[a] != reach[b] {
+				reach[a], reach[b], grew = true, true, true
+			}
+		}
+	}
+	net.mu.Unlock()
+	var members []wire.DomainID
+	sender := wire.DomainID(0)
+	for _, d := range net.Domains() {
+		switch {
+		case !reach[d.ID]:
+		case len(d.Fabric().MemberNodes(g)) > 0:
+			members = append(members, d.ID)
+		case sender == 0:
+			sender = d.ID
+		}
+	}
+	if sender == 0 {
+		return nil // every domain the root reaches has a member
+	}
+	var out []string
+	for _, v := range deliveryViolations(net, g, members, sender) {
+		out = append(out, fmt.Sprintf("delivery group %v: %s", g, v))
+	}
 	return out
 }
 
@@ -210,13 +260,15 @@ func rootDomain(net *Network, g addr.Addr) (wire.DomainID, bool) {
 	return root, best >= 0
 }
 
-// groupEntries counts the (*,G) entries of every router.
-func groupEntries(net *Network) int {
+// membershipEntries counts the group state every router's data plane
+// reports: (*,G) and (S,G) entries on the shared tree, overlay membership
+// records on BIER and map-encap.
+func membershipEntries(net *Network) int {
 	n := 0
 	for _, d := range net.Domains() {
 		for _, r := range d.Routers() {
-			groups, _ := r.BGMP().StateSize()
-			n += groups
+			st := r.DataPlane().Stats()
+			n += st.GroupEntries + st.OverlayEntries
 		}
 	}
 	return n
@@ -265,8 +317,8 @@ func (w *asWorld) assertDelivers(t *testing.T) {
 func TestFlapsKeepTreesValid(t *testing.T) {
 	// flapEach flaps first, then the world's links that keep says to.
 	flapEach := func(t *testing.T, n int, first [][2]wire.RouterID, keep func(*asWorld, [2]topology.DomainID) bool) {
-		w := newASWorld(t, n, 40, 1998, nil)
-		entries := groupEntries(w.net)
+		w := newASWorld(t, n, 40, 1998, dataplane.SharedTreeName, nil)
+		entries := membershipEntries(w.net)
 		flaps := first
 		for _, l := range w.links {
 			if ab := [2]wire.RouterID{w.router(l[0]), w.router(l[1])}; keep(w, l) && !slices.Contains(first, ab) {
@@ -276,7 +328,7 @@ func TestFlapsKeepTreesValid(t *testing.T) {
 		for _, ab := range flaps {
 			a, b := ab[0], ab[1]
 			if !t.Run(fmt.Sprintf("%d-%d", a, b), func(t *testing.T) { flapChecked(t, w, a, b, entries) }) {
-				w = newASWorld(t, n, 40, 1998, nil)
+				w = newASWorld(t, n, 40, 1998, dataplane.SharedTreeName, nil)
 			}
 		}
 	}
@@ -303,56 +355,62 @@ func flapChecked(t *testing.T, w *asWorld, a, b wire.RouterID, entries int) {
 		t.Fatal(err)
 	}
 	noViolations(t, fmt.Sprintf("link %d–%d back", a, b), violations(w.net, nil, groups))
-	if got := groupEntries(w.net); got != entries {
+	if got := membershipEntries(w.net); got != entries {
 		t.Fatalf("link %d–%d back: %d (*,G) entries, %d after set-up", a, b, got, entries)
 	}
 	w.assertDelivers(t)
 }
 
-// TestChurnKeepsTreesValid holds the shared trees to treeViolations under
-// the join/leave churn arXiv cs/9809102 analyses: on a 60-domain asWorld,
-// each of thirty passes joins five non-member domains to every group and
-// then makes them leave again in a shuffled order, with the checker after
-// each half-pass, and at the end one packet per group must reach exactly
-// its members.
+// TestChurnKeepsTreesValid holds a 60-domain asWorld to violations under
+// the join/leave churn arXiv cs/9809102 analyses, on every forwarding
+// backend: each of thirty passes joins five non-member domains to every
+// group and then makes them leave again in a shuffled order, with the
+// checker after each half-pass, and at the end one packet per group must
+// reach exactly its members. Some router must have held group state along
+// the way: (*,G) entries on the shared tree, membership records on the
+// overlays.
 func TestChurnKeepsTreesValid(t *testing.T) {
-	w := newASWorld(t, 60, 40, 1998, nil)
-	groups := w.addrs()
-	check := func(when string) {
-		t.Helper()
-		noViolations(t, when, violations(w.net, nil, groups))
-	}
-	check("after set-up")
-	domains := w.net.Domains()
-	rng := rand.New(rand.NewSource(7))
-	type join struct {
-		d *Domain
-		g addr.Addr
-	}
-	most := 0
-	for pass := 0; pass < 30; pass++ {
-		var joined []join
-		for _, wg := range w.groups {
-			picked := 0
-			for _, i := range rng.Perm(len(domains)) {
-				if d := domains[i]; picked < 5 && !slices.Contains(wg.members, d.ID) {
-					d.Join(wg.addr, 0)
-					joined = append(joined, join{d, wg.addr})
-					picked++
-				}
+	for _, backend := range dataplane.Names() {
+		t.Run(backend, func(t *testing.T) {
+			w := newASWorld(t, 60, 40, 1998, backend, nil)
+			groups := w.addrs()
+			check := func(when string) {
+				t.Helper()
+				noViolations(t, when, violations(w.net, nil, groups))
 			}
-		}
-		check(fmt.Sprintf("pass %d, joined", pass))
-		most = max(most, groupEntries(w.net))
-		rng.Shuffle(len(joined), func(i, j int) { joined[i], joined[j] = joined[j], joined[i] })
-		for _, j := range joined {
-			j.d.Leave(j.g, 0)
-		}
-		check(fmt.Sprintf("pass %d, left", pass))
+			check("after set-up")
+			domains := w.net.Domains()
+			rng := rand.New(rand.NewSource(7))
+			type join struct {
+				d *Domain
+				g addr.Addr
+			}
+			most := 0
+			for pass := 0; pass < 30; pass++ {
+				var joined []join
+				for _, wg := range w.groups {
+					picked := 0
+					for _, i := range rng.Perm(len(domains)) {
+						if d := domains[i]; picked < 5 && !slices.Contains(wg.members, d.ID) {
+							d.Join(wg.addr, 0)
+							joined = append(joined, join{d, wg.addr})
+							picked++
+						}
+					}
+				}
+				check(fmt.Sprintf("pass %d, joined", pass))
+				most = max(most, membershipEntries(w.net))
+				rng.Shuffle(len(joined), func(i, j int) { joined[i], joined[j] = joined[j], joined[i] })
+				for _, j := range joined {
+					j.d.Leave(j.g, 0)
+				}
+				check(fmt.Sprintf("pass %d, left", pass))
+			}
+			if most == 0 {
+				t.Fatal("no router held membership state; the check would be vacuous")
+			}
+			t.Logf("%d groups, up to %d entries at once", len(groups), most)
+			w.assertDelivers(t)
+		})
 	}
-	if most == 0 {
-		t.Fatal("no router held a (*,G) entry; the check would be vacuous")
-	}
-	t.Logf("%d groups, up to %d (*,G) entries at once", len(groups), most)
-	w.assertDelivers(t)
 }

@@ -148,6 +148,9 @@ type Network struct {
 	// draining is set while a drain runs or a converge call holds the
 	// queue. guarded by frameMu
 	draining bool
+	// sent is the payload of the latest Domain.Send, which a member's
+	// Delivery shares when its bytes are the same. guarded by frameMu
+	sent string
 }
 
 // updateKey names one session's stream of updates for one table.

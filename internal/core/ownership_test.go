@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"mascbgmp/internal/dataplane"
 	"mascbgmp/internal/faultinject"
@@ -106,6 +108,61 @@ func TestDeferredSendsOwnTheirPackets(t *testing.T) {
 			t.Errorf("%s: the plane delayed %d, reordered %d and duplicated %d packets; the test needs all three", backend, st.Delayed, st.Reordered, st.Duplicated)
 		}
 	}
+}
+
+// TestDeliveriesShareTheSendersPayload: on a synchronous shared tree, every
+// member's Delivery of one send holds the very string passed to Domain.Send,
+// not a copy of its bytes, whichever of two payloads of one length is sent.
+func TestDeliveriesShareTheSendersPayload(t *testing.T) {
+	src, g := chainNet(t, dataplane.SharedTreeName, 2, 5, 3)
+	for _, payload := range []string{strings.Repeat("a", 100), strings.Repeat("b", 100)} {
+		src.Send(g, src.HostAddr(0), payload, 0)
+		shared := 0
+		for _, d := range src.net.Domains() {
+			for _, dv := range d.Received() {
+				if dv.Payload != payload || unsafe.StringData(dv.Payload) != unsafe.StringData(payload) {
+					t.Errorf("domain %d logged %.12q at %p, want the sender's %.12q at %p",
+						d.ID, dv.Payload, unsafe.StringData(dv.Payload), payload, unsafe.StringData(payload))
+				}
+				shared++
+			}
+			d.ClearReceived()
+		}
+		if shared != 8 {
+			t.Errorf("%d deliveries of one send, want one in each of 8 member domains", shared)
+		}
+	}
+}
+
+// TestConcurrentSendsLogTheirOwnPayloads: on an asynchronous network, two
+// goroutines send different payloads to one group at once, so that one
+// send's copies arrive while the network holds the other's payload as the
+// latest sent. Every member must log exactly the payloads that were sent,
+// each once.
+func TestConcurrentSendsLogTheirOwnPayloads(t *testing.T) {
+	n, g := asyncNet(t)
+	const perSender = 20
+	senders := []*Domain{n.Domain(1), n.Domain(2)}
+	sent := make([][]string, len(senders))
+	var wg sync.WaitGroup
+	for i, s := range senders {
+		sent[i] = make([]string, perSender)
+		for k := range sent[i] {
+			sent[i][k] = fmt.Sprintf("from %d, packet %02d", s.ID, k)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, p := range sent[i] {
+				s.Send(g, s.HostAddr(1), p, 0)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := n.Quiesce(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	requireCopies(t, "async", n.Domain(3), append(sent[0], sent[1]...), 1)
 }
 
 // TestRelayedPacketsStayWhole is the same payload check on the Fig 3(b)
