@@ -25,7 +25,8 @@ type MIGP interface {
 	LeaveGroup(g addr.Addr)
 	// RelayToBorder carries a BGMP control or encapsulated data message
 	// through the domain to another of its border routers, setting up
-	// any transit state the interior protocol needs.
+	// any transit state the interior protocol needs. A *wire.Data it is
+	// handed is the caller's again when it returns (Config.SendPeer).
 	RelayToBorder(to wire.RouterID, msg wire.Message)
 	// Inject delivers a multicast packet into the domain at this border
 	// router: the interior protocol distributes it to interior members
@@ -33,6 +34,7 @@ type MIGP interface {
 	// return value is false when interior RPF would drop the packet
 	// (the packet entered at the wrong border router for its source, the
 	// encapsulation case of §5.3) — the caller must encapsulate instead.
+	// d is the caller's again when Inject returns (Config.SendPeer).
 	Inject(d *wire.Data) bool
 	// ExpectedEntry returns the border router through which interior RPF
 	// expects packets from src to enter the domain (the best exit toward
@@ -60,7 +62,12 @@ type Config struct {
 	// Internal reports whether a router ID is a border router of this
 	// same domain.
 	Internal func(r wire.RouterID) bool
-	// SendPeer transmits a BGMP message to an external peer.
+	// SendPeer transmits a BGMP message to an external peer. A *wire.Data
+	// it is handed is the caller's again when it returns: the caller may
+	// reuse the packet for its next copy, so a SendPeer that keeps or
+	// defers one copies it first (core's faultSender does; its direct
+	// sender decodes its own copy and the TCP peer encodes before it
+	// returns). The same holds for MIGP's RelayToBorder and Inject.
 	SendPeer func(to wire.RouterID, msg wire.Message)
 	// MIGP is the interior component; required.
 	MIGP MIGP

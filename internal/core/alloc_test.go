@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -94,23 +95,18 @@ func chainNetFaults(t testing.TB, backend string, transit, members, behind int, 
 //	perCopy × copies sent down + perDelivery × member deliveries
 //	+ perSplit × bitstring splits + constant
 //
-// A peering hop costs nothing on any backend, up to the root domain or down
-// from it: the packet is forwarded as it is and decoded into a recycled one
-// (Network.packets), and a native packet enters an interior without a copy.
-// A member's Delivery record holds the sender's payload string, not a copy
-// of it. What is left is each backend's own. The shared tree pays nothing
-// per delivery, and the constant 2 is the packet and its payload. BIER pays
-// 1 for the copy forwardBits aims at each next hop (one per peering crossed
-// on the way down), 1 slab at every router that splits a string, 1 per
-// delivery (the copy the member's border strips of its string) and a
-// constant 5: the packet, its payload, the tunnel copy the source's border
-// makes, the copy the root strips of the tunnel, and the root's string.
-// Map-and-encap pays 2 per delivery (the tunnel copy the root makes, the
-// copy the member's border strips of it) and BIER's constant less the
-// string; its tunnels share no hop, and crossing root → hub once per member
-// behind it costs nothing. Every row is the measured floor, under go test
-// and go test -race: one allocation more or fewer anywhere on the path
-// fails.
+// Every backend's row is 2, the packet and its payload, whatever the
+// fan-out. A peering hop costs nothing on any backend, up to the root
+// domain or down from it: the packet is forwarded as it is and decoded into
+// a recycled one (Network.packets), and a native packet enters an interior
+// without a copy. A member's Delivery record holds the sender's payload
+// string, not a copy of it. The overlays' own copies — the source border's
+// tunnel, the root's bitstring or per-member tunnels, BIER's slab and copy
+// per next hop, the header a member's border strips — are built in the
+// router's recycled scratch (overlay.spare). The per-item terms are kept
+// so that a cost creeping back names what it scales with. Every row is the
+// measured floor, under go test and go test -race: one allocation more or
+// fewer anywhere on the path fails.
 //
 // Each world has also been sent a MemberReport for a domain no bitstring
 // can carry (wire.MaxDataBit): BIER must refuse it rather than size every
@@ -122,8 +118,8 @@ func TestSendAllocBudget(t *testing.T) {
 		perCopy, perDelivery, perSplit, constant int
 	}{
 		{dataplane.SharedTreeName, 0, 0, 0, 2},
-		{dataplane.BIERName, 1, 1, 1, 5},
-		{dataplane.MapEncapName, 0, 2, 0, 4},
+		{dataplane.BIERName, 0, 0, 0, 2},
+		{dataplane.MapEncapName, 0, 0, 0, 2},
 	}
 	for _, b := range budgets {
 		// transit domains, members off the root, members behind the hub
@@ -157,6 +153,51 @@ func TestSendAllocBudget(t *testing.T) {
 			noViolations(t, fmt.Sprintf("%s, shape %v, after the sends", b.backend, shape), violations(src.net, nil, []addr.Addr{g}))
 		}
 	}
+}
+
+// TestSendAfterChurnAllocBudget says what tree-dense's sends pay past the
+// shared tree's row of 2: a membership change clears the target list of
+// every (*,G) entry it touched that outlives it (bgmp's targetCache), and
+// the first send through each such entry rebuilds the list, one
+// allocation apiece. The change causes the cost; the next send is billed for
+// it. A join from the chain's far end and the leave that undoes it build
+// and prune an entry at every router up to the root, and touch one that
+// stays, the root's, which gained and lost the child: the send after them
+// costs 2 + 1, and the send after that 2, however long the chain.
+func TestSendAfterChurnAllocBudget(t *testing.T) {
+	const rebuilt = 1 // the root's entry, where the join met the tree
+	for _, transit := range []int{1, 4} {
+		src, g := chainNet(t, dataplane.SharedTreeName, transit, 3, 0)
+		from := src.HostAddr(0)
+		send := func() uint64 {
+			for _, d := range src.net.Domains() {
+				d.ClearReceived() // the logs keep their arrays: a send appends without growing one
+			}
+			return mallocs(func() { src.Send(g, from, "sixteen byte load", 0) })
+		}
+		churn := func() { src.Join(g, 0); src.Leave(g, 0) }
+		send()
+		churn()
+		send()
+		for i := 0; i < 5; i++ {
+			churn()
+			if first, second := send(), send(); first != 2+rebuilt || second != 2 {
+				t.Fatalf("%d transit domains: the sends after a far-end join and leave allocate %d, then %d; want 2 + %d, then 2",
+					transit, first, second, rebuilt)
+			}
+		}
+	}
+}
+
+// mallocs counts the heap allocations f makes, on one processor as
+// testing.AllocsPerRun counts them, but for one run rather than a mean.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 // BenchmarkSendFanOut times one send from the source of a chainNet with two

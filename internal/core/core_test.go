@@ -476,12 +476,13 @@ func TestMIGPIndependenceMatrix(t *testing.T) {
 }
 
 // asyncNet builds three domains peered over loopback TCP with background
-// receive loops: domain 1 (two border routers) is the MASC parent of domains
-// 2 and 3, domain 2 roots a group, and domain 3 has a member of it.
-func asyncNet(t *testing.T) (*Network, addr.Addr) {
+// receive loops, on the named data plane: domain 1 (two border routers) is
+// the MASC parent of domains 2 and 3, domain 2 roots a group, and domain 3
+// has a member of it.
+func asyncNet(t *testing.T, backend string) (*Network, addr.Addr) {
 	t.Helper()
 	clk := simclock.NewSim(time.Date(1998, 9, 1, 0, 0, 0, 0, time.UTC))
-	n, err := NewNetwork(Config{Clock: clk, Seed: 42, Synchronous: false})
+	n, err := NewNetwork(Config{Clock: clk, Seed: 42, Synchronous: false, DataPlane: backend})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +533,7 @@ func asyncNet(t *testing.T) (*Network, addr.Addr) {
 func TestAsyncNetworkConverges(t *testing.T) {
 	// The paper's pipeline over loopback TCP with background receive
 	// loops: slower, nondeterministic ordering, same outcome.
-	n, g := asyncNet(t)
+	n, g := asyncNet(t, dataplane.SharedTreeName)
 	src := n.Domain(2).HostAddr(1)
 	n.Domain(2).Send(g, src, "async hello", 0)
 	deadline := time.Now().Add(5 * time.Second)

@@ -138,31 +138,33 @@ func TestDeliveriesShareTheSendersPayload(t *testing.T) {
 // goroutines send different payloads to one group at once, so that one
 // send's copies arrive while the network holds the other's payload as the
 // latest sent. Every member must log exactly the payloads that were sent,
-// each once.
+// each once, on every backend.
 func TestConcurrentSendsLogTheirOwnPayloads(t *testing.T) {
-	n, g := asyncNet(t)
-	const perSender = 20
-	senders := []*Domain{n.Domain(1), n.Domain(2)}
-	sent := make([][]string, len(senders))
-	var wg sync.WaitGroup
-	for i, s := range senders {
-		sent[i] = make([]string, perSender)
-		for k := range sent[i] {
-			sent[i][k] = fmt.Sprintf("from %d, packet %02d", s.ID, k)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, p := range sent[i] {
-				s.Send(g, s.HostAddr(1), p, 0)
+	for _, backend := range dataplane.Names() {
+		n, g := asyncNet(t, backend)
+		const perSender = 20
+		senders := []*Domain{n.Domain(1), n.Domain(2)}
+		sent := make([][]string, len(senders))
+		var wg sync.WaitGroup
+		for i, s := range senders {
+			sent[i] = make([]string, perSender)
+			for k := range sent[i] {
+				sent[i][k] = fmt.Sprintf("from %d, packet %02d", s.ID, k)
 			}
-		}()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, p := range sent[i] {
+					s.Send(g, s.HostAddr(1), p, 0)
+				}
+			}()
+		}
+		wg.Wait()
+		if err := n.Quiesce(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		requireCopies(t, backend, n.Domain(3), append(sent[0], sent[1]...), 1)
 	}
-	wg.Wait()
-	if err := n.Quiesce(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	requireCopies(t, "async", n.Domain(3), append(sent[0], sent[1]...), 1)
 }
 
 // TestRelayedPacketsStayWhole is the same payload check on the Fig 3(b)

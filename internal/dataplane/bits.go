@@ -1,15 +1,19 @@
 package dataplane
 
-import "mascbgmp/internal/wire"
+import (
+	"slices"
+
+	"mascbgmp/internal/wire"
+)
 
 // Bitstring helpers: bit i lives in word i/64, position i%64. Domain IDs
 // index bits directly, so the bitstring length scales with the highest
 // member domain ID rather than the member count — the BIER trade of
 // header bytes for per-group state.
 
-// makeBits builds a bitstring with one bit set per domain in ds other than
-// skip1 and skip2; nil when that leaves none.
-func makeBits(ds []wire.DomainID, skip1, skip2 wire.DomainID) []uint64 {
+// makeBits builds, in dst's array, a bitstring with one bit set per domain
+// in ds other than skip1 and skip2; empty when that leaves none.
+func makeBits(dst []uint64, ds []wire.DomainID, skip1, skip2 wire.DomainID) []uint64 {
 	maxw := -1
 	for _, d := range ds {
 		if w := int(d / 64); w > maxw && d != skip1 && d != skip2 {
@@ -17,9 +21,10 @@ func makeBits(ds []wire.DomainID, skip1, skip2 wire.DomainID) []uint64 {
 		}
 	}
 	if maxw < 0 {
-		return nil
+		return dst[:0]
 	}
-	out := make([]uint64, maxw+1)
+	out := slices.Grow(dst[:0], maxw+1)[:maxw+1]
+	clear(out)
 	for _, d := range ds {
 		if d != skip1 && d != skip2 {
 			out[d/64] |= 1 << (d % 64)

@@ -1,7 +1,10 @@
 package dataplane
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"mascbgmp/internal/addr"
@@ -29,7 +32,7 @@ func TestNames(t *testing.T) {
 }
 
 func TestBitstringHelpers(t *testing.T) {
-	b := makeBits([]wire.DomainID{3, 7, 64, 130, 200}, 7, 200)
+	b := makeBits(nil, []wire.DomainID{3, 7, 64, 130, 200}, 7, 200)
 	if len(b) != 3 {
 		t.Fatalf("makeBits words = %d, want 3", len(b))
 	}
@@ -39,8 +42,23 @@ func TestBitstringHelpers(t *testing.T) {
 	if !hasBit(b, 64) || hasBit(b, 7) || hasBit(b, 200) {
 		t.Error("hasBit must see exactly the bits made")
 	}
-	if makeBits([]wire.DomainID{7, 200}, 7, 200) != nil {
+	if makeBits(nil, []wire.DomainID{7, 200}, 7, 200) != nil {
 		t.Error("makeBits of nothing but skipped domains must be nil")
+	}
+	// Built into a dirty array that is longer, shorter or as long, a string
+	// is what building into nil gives, and it lands in that array if it fits.
+	for _, ds := range [][]wire.DomainID{{3, 64}, {1}, {3, 7, 64, 130, 200}, {250}, {7, 200}} {
+		want := makeBits(nil, ds, 7, 200)
+		for _, dirty := range [][]uint64{{^uint64(0)}, {^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}, make([]uint64, 1, 8)} {
+			dirty[0] = ^uint64(0)
+			got := makeBits(dirty, ds, 7, 200)
+			if !slices.Equal(got, want) {
+				t.Errorf("makeBits(%x, %v) = %x, want %x as from nil", dirty, ds, got, want)
+			}
+			if len(got) > 0 && len(got) <= cap(dirty) && &got[0] != &dirty[:1][0] {
+				t.Errorf("makeBits(%x, %v) left the array it fits in", dirty, ds)
+			}
+		}
 	}
 	if !clearBit(b, 64) || clearBit(b, 64) {
 		t.Error("clearBit must report and clear exactly once")
@@ -134,14 +152,28 @@ type hop struct {
 	msg wire.Message
 }
 
+// keep returns a copy of m the recorder may hold past the call. A packet
+// handed to SendPeer, RelayToBorder or Inject is the caller's again when
+// the call returns (DESIGN.md §17), and the overlay reuses its memory, so
+// a stub that kept the pointer would read whatever came next.
+func keep(m wire.Message) wire.Message {
+	d, ok := m.(*wire.Data)
+	if !ok {
+		return m
+	}
+	cp := *d
+	cp.Bits, cp.Payload = slices.Clone(d.Bits), slices.Clone(d.Payload)
+	return &cp
+}
+
 func (m *stubMIGP) JoinGroup(addr.Addr)  {}
 func (m *stubMIGP) LeaveGroup(addr.Addr) {}
 func (m *stubMIGP) RelayToBorder(to wire.RouterID, msg wire.Message) {
-	m.relays = append(m.relays, hop{to, msg})
+	m.relays = append(m.relays, hop{to, keep(msg)})
 }
 func (m *stubMIGP) Inject(d *wire.Data) bool {
 	if m.injectOK {
-		m.injected = append(m.injected, d)
+		m.injected = append(m.injected, keep(d).(*wire.Data))
 	}
 	return m.injectOK
 }
@@ -168,7 +200,7 @@ func newOverlayRig(ent bgp.Entry, routed bool) *overlayRig {
 		Router: 1, Domain: 5,
 		LookupGroup: lookup, LookupUnicast: lookup,
 		Internal:     func(id wire.RouterID) bool { return id >= 100 },
-		SendPeer:     func(to wire.RouterID, m wire.Message) { r.sent = append(r.sent, hop{to, m}) },
+		SendPeer:     func(to wire.RouterID, m wire.Message) { r.sent = append(r.sent, hop{to, keep(m)}) },
 		MIGP:         r.migp,
 		DomainAddr:   func(d wire.DomainID) (addr.Addr, bool) { return addr.MakeAddr(10, byte(d), 0, 0), true },
 		SourceDomain: func(addr.Addr) (wire.DomainID, bool) { return 9, true },
@@ -302,4 +334,95 @@ func TestOverlayRootTest(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestScratchSurvivesReentry holds the overlay's free list to what a
+// synchronous network asks of it: a packet handed to SendPeer is delivered
+// by nested call, so another packet can run through the same router before
+// the first call returns. A root of each overlay fans two groups out to
+// peers 20 and 21; the first time SendPeer is called it delivers the other
+// group's packet, other payload and other bitstring, back into the same
+// backend, and only then records a deep copy of the message it was handed,
+// which must still be whole. Every message either packet sends must equal
+// that packet's run alone. One scratch per router fails this: the nested
+// call writes its copy over the one still in flight.
+func TestScratchSurvivesReentry(t *testing.T) {
+	outer := &wire.Data{Group: addr.MakeAddr(224, 1, 0, 1), Source: addr.MakeAddr(10, 0, 9, 1), TTL: 16,
+		Payload: []byte("the outer packet, to the first group")}
+	inner := &wire.Data{Group: addr.MakeAddr(224, 1, 0, 2), Source: addr.MakeAddr(10, 0, 9, 2), TTL: 9,
+		Payload: []byte("inner")}
+	members := map[addr.Addr][]wire.DomainID{
+		outer.Group: {10, 11, 12, 13, 70},    // two words
+		inner.Group: {20, 21, 130, 131, 140}, // three
+	}
+	for _, mode := range []string{BIERName, MapEncapName} {
+		// run delivers d to a fresh root twice, with reenter's nested
+		// delivery armed for the second, and returns what that one sent.
+		run := func(d, reenter *wire.Data) []hop {
+			var b Backend
+			var sent []hop
+			armed := false
+			store := NewStore()
+			for g, ds := range members {
+				for _, m := range ds {
+					store.Add(g, m)
+				}
+			}
+			b = newOverlay(Config{
+				Router: 1, Domain: 5,
+				LookupGroup: func(addr.Addr) (bgp.Entry, bool) {
+					return bgp.Entry{Route: wire.Route{Origin: 5}, NextHop: 1, Local: true}, true
+				},
+				LookupUnicast: func(a addr.Addr) (bgp.Entry, bool) {
+					dom := wire.DomainID(a >> 8 & 0xffff)
+					return bgp.Entry{Route: wire.Route{Origin: dom}, NextHop: wire.RouterID(20 + dom%2)}, true
+				},
+				UnicastGeneration: func() uint64 { return 1 },
+				SendPeer: func(to wire.RouterID, m wire.Message) {
+					if armed {
+						armed = false
+						b.Deliver(bgmp.PeerTarget(8), reenter)
+					}
+					sent = append(sent, hop{to, keep(m)})
+				},
+				MIGP: &stubMIGP{},
+				DomainAddr: func(d wire.DomainID) (addr.Addr, bool) {
+					return addr.MakeAddr(10, byte(d>>8), byte(d), 0), true
+				},
+				SourceDomain: func(addr.Addr) (wire.DomainID, bool) { return 9, true },
+				Store:        store,
+			}, mode)
+			b.Deliver(bgmp.PeerTarget(8), d) // leaves dirty scratch behind
+			sent, armed = nil, reenter != nil
+			b.Deliver(bgmp.PeerTarget(8), d)
+			return sent
+		}
+		alone := map[addr.Addr][]hop{outer.Group: run(outer, nil), inner.Group: run(inner, nil)}
+		peers := map[wire.RouterID]bool{}
+		for _, h := range alone[outer.Group] {
+			peers[h.to] = true
+		}
+		if len(peers) < 2 {
+			t.Fatalf("%s: the outer packet reaches %d peers; a nested call could not land between two copies", mode, len(peers))
+		}
+		got := map[addr.Addr][]hop{}
+		for _, h := range run(outer, inner) {
+			g := h.msg.(*wire.Data).Group
+			got[g] = append(got[g], h)
+		}
+		for g, want := range alone {
+			if !reflect.DeepEqual(got[g], want) {
+				t.Errorf("%s, group %v: with a nested delivery sent\n%s\nwant, as alone,\n%s", mode, g, hops(got[g]), hops(want))
+			}
+		}
+	}
+}
+
+// hops prints a list of data messages one a line.
+func hops(hs []hop) string {
+	var b strings.Builder
+	for _, h := range hs {
+		fmt.Fprintf(&b, "  to %d: %+v\n", h.to, *h.msg.(*wire.Data))
+	}
+	return b.String()
 }

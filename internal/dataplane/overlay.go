@@ -37,6 +37,23 @@ type overlay struct {
 	// address. Stale entries are refilled in place, never added again.
 	bift    []fwdEntry              // guarded by mu
 	tunnels map[addr.Addr]*fwdEntry // guarded by mu
+	// spare is the free list of scratch, last in first out: a call takes
+	// one and gives it back before it returns, so nested deliveries and
+	// concurrent ones each hold their own, and a send reuses the few that
+	// its deepest nesting made. Not a sync.Pool: a collection would empty
+	// it, and what a send allocates would depend on when it last ran.
+	spare []*scratch // guarded by mu
+}
+
+// scratch is the room one call builds its packet copy in: the packet, and
+// the arrays of a bitstring and of forwardBits' next hops, each grown to the
+// largest it has held. Every copy dies with the call that made it: a
+// *wire.Data handed to SendPeer or the MIGP is the caller's again when that
+// returns (Config.SendPeer).
+type scratch struct {
+	d    wire.Data
+	bits []uint64
+	tos  []bgmp.Target
 }
 
 // fwdEntry is the way a copy toward an anchor address leaves this router and
@@ -198,6 +215,31 @@ func (o *overlay) RouteChanged(p addr.Prefix, ctx wire.TraceContext) {
 
 // ------------------------------------------------------------- data plane
 
+// take pops a scratch off the free list, or makes one when it is empty.
+func (o *overlay) take() *scratch {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.takeLocked()
+}
+
+func (o *overlay) takeLocked() *scratch {
+	n := len(o.spare)
+	if n == 0 {
+		return new(scratch)
+	}
+	s := o.spare[n-1]
+	o.spare = o.spare[:n-1]
+	return s
+}
+
+// give puts s back, its packet cleared so that it holds no one's payload.
+func (o *overlay) give(s *scratch) {
+	s.d = wire.Data{}
+	o.mu.Lock()
+	o.spare = append(o.spare, s)
+	o.mu.Unlock()
+}
+
 // Deliver dispatches on the packet's headers: bitstring packets and
 // tunnels have their own forwarding rules; plain packets are classified by
 // where they are relative to the group's root domain.
@@ -253,12 +295,19 @@ func (o *overlay) deliverPlain(src bgmp.Target, d *wire.Data) {
 	if !ok {
 		return
 	}
-	cp := *d
-	cp.TunnelTo = ta
 	if interiorOrigin {
 		o.count(Stats{Encaps: 1})
 	}
-	o.deliverTunnel(&cp)
+	o.tunnelTo(ta, d)
+}
+
+// tunnelTo sends a copy of d down deliverTunnel with its tunnel aimed at ta.
+func (o *overlay) tunnelTo(ta addr.Addr, d *wire.Data) {
+	s := o.take()
+	s.d = *d
+	s.d.TunnelTo = ta
+	o.deliverTunnel(&s.d)
+	o.give(s)
 }
 
 // deliverTunnel forwards or terminates a unicast tunnel. Egress copies
@@ -282,11 +331,9 @@ func (o *overlay) deliverTunnel(d *wire.Data) {
 		o.send(e.to, d)
 		return
 	}
-	cp := *d
-	cp.Bits, cp.TunnelTo, cp.Encap = nil, 0, false // all of them: Inject copies what has one
 	if d.Encap {
 		// The root's egress copy reached the member domain.
-		o.injectLocal(&cp)
+		o.injectLocal(d)
 		return
 	}
 	ent, ok := o.cfg.LookupGroup(d.Group)
@@ -294,7 +341,7 @@ func (o *overlay) deliverTunnel(d *wire.Data) {
 		return
 	}
 	if _, inRoot := o.eg.Resolve(ent); inRoot {
-		o.rootReplicate(&cp, true)
+		o.rootReplicate(d, true) // every copy it makes replaces the tunnel header
 		return
 	}
 	// Aggregation ancestor: continue toward the specific route's origin.
@@ -302,8 +349,7 @@ func (o *overlay) deliverTunnel(d *wire.Data) {
 	if !ok || ta == d.TunnelTo {
 		return // no more specific route: drop
 	}
-	cp.TunnelTo = ta
-	o.deliverTunnel(&cp)
+	o.tunnelTo(ta, d)
 }
 
 // rootReplicate is the root domain's fan-out: read the egress member set
@@ -322,13 +368,15 @@ func (o *overlay) rootReplicate(d *wire.Data, injectLocally bool) {
 	if _, local := slices.BinarySearch(members, o.cfg.Domain); local && injectLocally {
 		o.injectLocal(d)
 	}
+	// One scratch serves every copy: each is sent before the next is written.
+	s := o.take()
+	defer o.give(s)
 	if o.mode == BIERName {
-		if bs := makeBits(members, o.cfg.Domain, srcDom); bs != nil {
-			cp := *d
-			cp.TunnelTo = 0
-			cp.Bits = bs
+		if s.bits = makeBits(s.bits, members, o.cfg.Domain, srcDom); len(s.bits) > 0 {
+			s.d = *d
+			s.d.TunnelTo, s.d.Bits = 0, s.bits
 			o.count(Stats{Encaps: 1})
-			o.forwardBits(&cp)
+			o.forwardBits(&s.d)
 		}
 		return
 	}
@@ -340,12 +388,11 @@ func (o *overlay) rootReplicate(d *wire.Data, injectLocally bool) {
 		if !ok {
 			continue
 		}
-		cp := *d
-		cp.TunnelTo = ta
-		cp.Bits = nil
-		cp.Encap = true // egress copy: decapsulate where the tunnel lands
+		s.d = *d
+		s.d.TunnelTo, s.d.Bits = ta, nil
+		s.d.Encap = true // egress copy: decapsulate where the tunnel lands
 		o.count(Stats{Encaps: 1})
-		o.deliverTunnel(&cp)
+		o.deliverTunnel(&s.d)
 	}
 }
 
@@ -353,7 +400,7 @@ func (o *overlay) rootReplicate(d *wire.Data, injectLocally bool) {
 // the remainder across unicast next hops.
 func (o *overlay) deliverBits(d *wire.Data) {
 	if hasBit(d.Bits, uint32(o.cfg.Domain)) {
-		o.injectLocal(d) // Inject and Encap strip the bitstring
+		o.injectLocal(d) // which strips the bitstring
 	}
 	o.forwardBits(d)
 }
@@ -372,11 +419,10 @@ func (o *overlay) forwardBits(d *wire.Data) {
 		return // nothing but the bit deliverBits served
 	}
 	gen := o.generation()
-	// One slab holds every outgoing string, next hop k's at k*words; a
-	// packet's next hops are bounded by its bits and the router's peers.
-	tos := make([]bgmp.Target, 0, 8)
-	slab := make([]uint64, min(n, cap(tos))*words)
 	o.mu.Lock()
+	// One slab holds every outgoing string, next hop k's at k*words.
+	s := o.takeLocked()
+	tos, slab := s.tos[:0], s.bits[:0]
 	for wi, w := range d.Bits {
 		for ; w != 0; w &= w - 1 {
 			dom := uint32(wi*64 + bits.TrailingZeros64(w))
@@ -391,20 +437,23 @@ func (o *overlay) forwardBits(d *wire.Data) {
 			if k < 0 {
 				k = len(tos)
 				tos = append(tos, e.to)
-				if len(slab) < len(tos)*words {
-					slab = append(slab, make([]uint64, words)...) // a ninth next hop
-				}
+				// Grown and cleared, not appended from a make: under -race
+				// that temporary is a heap allocation.
+				slab = slices.Grow(slab, words)[:len(slab)+words]
+				clear(slab[k*words:])
 			}
 			slab[k*words+wi] |= w & -w
 		}
 	}
+	s.tos, s.bits = tos, slab
 	o.mu.Unlock()
 	for k, to := range tos {
-		cp := *d
-		cp.Bits = trimBits(slab[k*words : (k+1)*words])
-		o.count(hopStats(to, &cp, BIERHeaderBytes(len(cp.Bits))))
-		o.send(to, &cp)
+		s.d = *d
+		s.d.Bits = trimBits(slab[k*words : (k+1)*words])
+		o.count(hopStats(to, &s.d, BIERHeaderBytes(len(s.d.Bits))))
+		o.send(to, &s.d)
 	}
+	o.give(s)
 }
 
 // generation reads the unicast generation, before any lookup it will stamp.
@@ -471,14 +520,18 @@ func (o *overlay) tunnelLocked(ta addr.Addr, gen uint64) (e fwdEntry, ok bool) {
 	return e, ok
 }
 
-// injectLocal delivers a decapsulated packet to the domain interior,
-// falling back to the §5.3 border-to-border encapsulation when interior
-// RPF rejects this entry point.
+// injectLocal delivers d, stripped of its backend header, to the domain
+// interior, falling back to the §5.3 border-to-border encapsulation when
+// interior RPF rejects this entry point. The stripped copy is a scratch, so
+// Egress.Inject never copies an overlay packet.
 func (o *overlay) injectLocal(d *wire.Data) {
-	if exp := o.eg.Inject(d); exp != 0 {
+	s := o.take()
+	s.d = wire.Data{Group: d.Group, Source: d.Source, TTL: d.TTL, Payload: d.Payload}
+	if exp := o.eg.Inject(&s.d); exp != 0 {
 		o.count(Stats{Encaps: 1})
-		o.eg.Encap(exp, d)
+		o.eg.Encap(exp, &s.d)
 	}
+	o.give(s)
 }
 
 // send moves d a unicast hop toward t: relayed as is through the interior to
