@@ -102,7 +102,7 @@ type Speaker struct {
 	pend      [][wire.NumTables]*wire.Update // guarded by mu; updates a pass has built, by neighbor index
 	npend     int                            // guarded by mu; non-nil cells of pend
 	// gens counts, per table, the changes reselectLocked (its only writer,
-	// under mu) makes to a record's sel; Generation reads it without mu.
+	// under mu) makes to the table's best; Generation reads it without mu.
 	gens [wire.NumTables]atomic.Uint64
 }
 
@@ -160,13 +160,13 @@ func (s *Speaker) Sync(to wire.RouterID) {
 	var out []outUpdate
 	for t, r := range s.tables {
 		table := wire.Table(t)
-		recs := r.sortedSelected()
-		routes := make([]wire.Route, 0, len(recs))
-		for _, rec := range recs {
-			ad := s.advertLocked(table, rec.sel, &clk)
+		prefixes := r.sortedSelected()
+		routes := make([]wire.Route, 0, len(prefixes))
+		for _, p := range prefixes {
+			ad := s.advertLocked(table, r.best[p], &clk)
 			if rt, ok := s.exportLocked(n, &ad, &clk); ok {
 				routes = append(routes, rt)
-				rec.advertise(n.Router)
+				r.recs[p].advertise(n.Router)
 			}
 		}
 		if len(routes) > 0 {
@@ -266,7 +266,7 @@ func (s *Speaker) HandleUpdate(from wire.RouterID, u *wire.Update) {
 		if rt.HasLoop(s.cfg.Domain) {
 			continue // AS-path loop: a route that already traversed us
 		}
-		if clk.expired(rt) {
+		if clk.expired(rt.ExpireUnix) {
 			continue
 		}
 		rec := r.recordFor(rt.Prefix)
@@ -302,7 +302,7 @@ func longestMatchLocked(r *rib, a addr.Addr, clk *clock) (selected, bool) {
 		if !ok {
 			break
 		}
-		if !clk.expired(sel.route) {
+		if !clk.expired(sel.route.ExpireUnix) {
 			return sel, true
 		}
 		l = sel.route.Prefix.Len - 1
@@ -337,7 +337,7 @@ func (s *Speaker) LookupPrefix(table wire.Table, p addr.Prefix) (Entry, bool) {
 	defer s.mu.Unlock()
 	sel, ok := s.tables[table].best[p.Canonical()]
 	clk := clock{src: s.cfg.Clock}
-	if !ok || clk.expired(sel.route) {
+	if !ok || clk.expired(sel.route.ExpireUnix) {
 		return Entry{}, false
 	}
 	return s.entryOf(sel), true
@@ -356,11 +356,12 @@ func (s *Speaker) Generation(table wire.Table) uint64 {
 func (s *Speaker) Table(table wire.Table) []Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	recs, clk := s.tables[table].sortedSelected(), clock{src: s.cfg.Clock}
-	out := make([]Entry, 0, len(recs))
-	for _, rec := range recs {
-		sel := rec.sel
-		if clk.expired(sel.route) {
+	r, clk := s.tables[table], clock{src: s.cfg.Clock}
+	prefixes := r.sortedSelected()
+	out := make([]Entry, 0, len(prefixes))
+	for _, p := range prefixes {
+		sel := r.best[p]
+		if clk.expired(sel.route.ExpireUnix) {
 			continue
 		}
 		sel.route = sel.route.Clone()
@@ -395,13 +396,13 @@ func (s *Speaker) Sweep() {
 // learned, and reports whether it removed any. Caller holds s.mu.
 func dropExpiredLocked(rec *record, clk *clock) bool {
 	dropped := false
-	if rec.local != nil && clk.expired(*rec.local) {
+	if rec.local != nil && clk.expired(rec.local.ExpireUnix) {
 		rec.local = nil
 		dropped = true
 	}
 	kept := rec.in[:0]
 	for _, pr := range rec.in {
-		if !clk.expired(pr.route) {
+		if !clk.expired(pr.expire) {
 			kept = append(kept, pr)
 		}
 	}
@@ -422,12 +423,13 @@ type clock struct {
 	now uint64
 }
 
-// expired reports whether rt's lifetime has run out.
-func (c *clock) expired(rt wire.Route) bool {
-	if rt.ExpireUnix != 0 && c.now == 0 {
+// expired reports whether a lifetime ending at Unix second at (a route's
+// ExpireUnix; zero: none) has run out.
+func (c *clock) expired(at uint64) bool {
+	if at != 0 && c.now == 0 {
 		c.now = uint64(c.src.Now().Unix())
 	}
-	return rt.ExpireUnix != 0 && c.now >= rt.ExpireUnix
+	return at != 0 && c.now >= at
 }
 
 func (s *Speaker) entryOf(sel selected) Entry {
@@ -505,8 +507,8 @@ func (s *Speaker) reselectLocked(table wire.Table, changed []*record, ctx wire.T
 		rec.pass = s.pass
 		left := len(changed) - i // what this pass can still add to any one list
 		newSel, hasNew := decide(rec, nil, &clk)
-		hadOld := rec.hasSel
-		if hadOld && hasNew && rec.sel.equal(newSel) {
+		oldSel, hadOld := r.best[rec.prefix]
+		if hadOld && hasNew && oldSel.equal(newSel) {
 			continue
 		}
 		switch {
@@ -519,7 +521,6 @@ func (s *Speaker) reselectLocked(table wire.Table, changed []*record, ctx wire.T
 			delete(r.best, rec.prefix)
 			r.lens[rec.prefix.Len]--
 		}
-		rec.sel, rec.hasSel = newSel, hasNew
 		s.gens[table].Add(1)
 		if notes == nil {
 			notes = make([]note, 0, left)
@@ -601,13 +602,13 @@ func decide(rec *record, skip *selected, clk *clock) (selected, bool) {
 	if rec == nil {
 		return selected{}, false
 	}
-	if rec.local != nil && !clk.expired(*rec.local) && !(skip != nil && skip.local) {
+	if rec.local != nil && !clk.expired(rec.local.ExpireUnix) && !(skip != nil && skip.local) {
 		return selected{route: *rec.local, local: true}, true
 	}
 	best := -1
 	for i := range rec.in {
 		pr := &rec.in[i]
-		if clk.expired(pr.route) || (skip != nil && !skip.local && pr.from == skip.from) {
+		if clk.expired(pr.expire) || (skip != nil && !skip.local && pr.from == skip.from) {
 			continue
 		}
 		if best < 0 || pr.better(&rec.in[best]) {
@@ -617,14 +618,14 @@ func decide(rec *record, skip *selected, clk *clock) (selected, bool) {
 	if best < 0 {
 		return selected{}, false
 	}
-	return selected{route: rec.in[best].route, from: rec.in[best].from}, true
+	return selected{route: rec.in[best].route(rec.prefix), from: rec.in[best].from}, true
 }
 
 // better is the route preference order among learned routes: the shorter
 // AS path, then the lower advertising router ID.
 func (a *peerRoute) better(b *peerRoute) bool {
-	if len(a.route.ASPath) != len(b.route.ASPath) {
-		return len(a.route.ASPath) < len(b.route.ASPath)
+	if len(a.path) != len(b.path) {
+		return len(a.path) < len(b.path)
 	}
 	return a.from < b.from
 }
@@ -649,7 +650,7 @@ type advert struct {
 // advertLocked starts the export decision for sel, judging expiry by clk.
 // Caller holds s.mu.
 func (s *Speaker) advertLocked(table wire.Table, sel selected, clk *clock) advert {
-	ad := advert{table: table, sel: sel, dead: clk.expired(sel.route)}
+	ad := advert{table: table, sel: sel, dead: clk.expired(sel.route.ExpireUnix)}
 	if !sel.local {
 		if i, ok := s.neighborIndexLocked(sel.from); ok {
 			ad.fromInternal = s.neighbors[i].Internal
@@ -718,7 +719,7 @@ func (s *Speaker) coveredByOwnOriginationLocked(table wire.Table, sel selected, 
 		if !ok {
 			break
 		}
-		if (b.local || wire.DomainID(b.route.Origin) == s.cfg.Domain) && !clk.expired(b.route) {
+		if (b.local || wire.DomainID(b.route.Origin) == s.cfg.Domain) && !clk.expired(b.route.ExpireUnix) {
 			return true
 		}
 		l = b.route.Prefix.Len - 1

@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -15,7 +16,7 @@ import (
 // a scan of every selected route. Kept as the oracle.
 func scanLongestMatch(r *rib, a addr.Addr, clk *clock) (best selected, ok bool) {
 	for p, sel := range r.best {
-		if !p.Contains(a) || clk.expired(sel.route) {
+		if !p.Contains(a) || clk.expired(sel.route.ExpireUnix) {
 			continue
 		}
 		if !ok || p.Len > best.route.Prefix.Len {
@@ -29,41 +30,64 @@ func scanLongestMatch(r *rib, a addr.Addr, clk *clock) (best selected, ok bool) 
 // index. Kept as the oracle.
 func scanCovered(s *Speaker, r *rib, sel selected, clk *clock) bool {
 	for p, rec := range r.recs {
-		if rec.local != nil && p.Len < sel.route.Prefix.Len && p.ContainsPrefix(sel.route.Prefix) && !clk.expired(*rec.local) {
+		if rec.local != nil && p.Len < sel.route.Prefix.Len && p.ContainsPrefix(sel.route.Prefix) && !clk.expired(rec.local.ExpireUnix) {
 			return true
 		}
 	}
 	for p, b := range r.best {
 		if wire.DomainID(b.route.Origin) == s.cfg.Domain &&
-			p.Len < sel.route.Prefix.Len && p.ContainsPrefix(sel.route.Prefix) && !clk.expired(b.route) {
+			p.Len < sel.route.Prefix.Len && p.ContainsPrefix(sel.route.Prefix) && !clk.expired(b.route.ExpireUnix) {
 			return true
 		}
 	}
 	return false
 }
 
-// checkMirror requires best to hold exactly the records' selected routes,
-// by value, and recs to hold no record with nothing in it. Caller holds s.mu.
+// checkMirror is checkMirrorAt at the end of time, for callers without the
+// speaker's clock: every lifetime has run out, so a record without a best
+// entry must hold no candidate that has none.
 func checkMirror(t *testing.T, table wire.Table, r *rib) {
 	t.Helper()
-	selected := 0
+	checkMirrorAt(t, table, r, &clock{now: math.MaxUint64})
+}
+
+// checkMirrorAt requires best, the only copy of each selection, to name a
+// route its record still holds, by value — the origination, or the in
+// entry of the peer it names under the record's prefix — and a record with
+// no best entry to hold no candidate unexpired by clk; recs holds no record
+// with nothing in it. Caller holds s.mu.
+func checkMirrorAt(t *testing.T, table wire.Table, r *rib, clk *clock) {
+	t.Helper()
+	n := 0
 	for p, rec := range r.recs {
 		if rec.prefix != p || rec.empty() {
 			t.Fatalf("table %d: record %v filed under %v, empty = %v", table, rec.prefix, p, rec.empty())
 		}
-		if !rec.hasSel {
-			if sel, ok := r.best[p]; ok {
-				t.Fatalf("table %d: best[%v] = %+v, the record selects nothing", table, p, sel)
+		sel, ok := r.best[p]
+		if !ok {
+			if cand, ok := decide(rec, nil, clk); ok {
+				t.Fatalf("table %d: best has no %v, the record holds the unexpired %+v", table, p, cand)
 			}
 			continue
 		}
-		selected++
-		if sel, ok := r.best[p]; !ok || !reflect.DeepEqual(sel, rec.sel) {
-			t.Fatalf("table %d: best[%v] = %+v (present %v), the record selects %+v", table, p, sel, ok, rec.sel)
+		n++
+		var held selected
+		switch {
+		case sel.local && rec.local != nil:
+			held = selected{route: *rec.local, local: true}
+		case !sel.local:
+			for i := range rec.in {
+				if rec.in[i].from == sel.from {
+					held = selected{route: rec.in[i].route(p), from: sel.from}
+				}
+			}
+		}
+		if !reflect.DeepEqual(sel, held) {
+			t.Fatalf("table %d: best[%v] = %+v, the record holds %+v from that source", table, p, sel, held)
 		}
 	}
-	if selected != len(r.best) {
-		t.Fatalf("table %d: best holds %d routes, the records select %d", table, len(r.best), selected)
+	if n != len(r.best) {
+		t.Fatalf("table %d: best holds %d routes, %d of them under a record", table, len(r.best), n)
 	}
 }
 
@@ -76,7 +100,7 @@ func checkIndex(t *testing.T, s *Speaker, table wire.Table, probes []addr.Addr) 
 	t.Helper()
 	s.mu.Lock()
 	r, clk := s.tables[table], clock{src: s.cfg.Clock}
-	checkMirror(t, table, r)
+	checkMirrorAt(t, table, r, &clk)
 	var recount [33]uint32
 	for p := range r.best {
 		recount[p.Len]++

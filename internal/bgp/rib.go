@@ -7,10 +7,11 @@ import (
 	"mascbgmp/internal/wire"
 )
 
-// record is everything one table knows about one prefix: Adj-RIB-In,
-// Loc-RIB and Adj-RIB-Out as views of one object. The write path reaches
-// it with one probe of rib.recs and hands the pointer on; a record with
-// nothing left in it is dropped by reselectLocked.
+// record is everything one table knows about one prefix: Adj-RIB-In and
+// Adj-RIB-Out as views of one object, whose Loc-RIB entry, the selected
+// route, is kept once, in rib.best. The write path reaches it with one
+// probe of rib.recs and hands the pointer on; a record with nothing left
+// in it is dropped by reselectLocked.
 type record struct {
 	prefix addr.Prefix
 	// local is this speaker's own origination, nil when there is none.
@@ -18,9 +19,6 @@ type record struct {
 	// in holds the routes learned from peers, at most one per peer, in no
 	// particular order: decide takes a minimum under a total order.
 	in []peerRoute
-	// sel is the selected route when hasSel; rib.best mirrors it by value.
-	sel    selected
-	hasSel bool
 	// out lists the peers the prefix is currently advertised to, so that a
 	// withdrawal goes exactly where an announcement went.
 	out []wire.RouterID
@@ -29,21 +27,30 @@ type record struct {
 	pass uint64
 }
 
-// peerRoute is one Adj-RIB-In entry.
+// peerRoute is one Adj-RIB-In entry: a learned wire.Route less its
+// prefix, which is the record's (route rebuilds it).
 type peerRoute struct {
-	from  wire.RouterID
-	route wire.Route
+	from   wire.RouterID
+	origin wire.DomainID
+	expire uint64
+	path   []wire.DomainID
+}
+
+// route is the learned route whole again, under the record's prefix p.
+func (pr *peerRoute) route(p addr.Prefix) wire.Route {
+	return wire.Route{Prefix: p, ASPath: pr.path, Origin: pr.origin, ExpireUnix: pr.expire}
 }
 
 // setIn stores peer from's route for the prefix, replacing its earlier one.
 func (rec *record) setIn(from wire.RouterID, rt wire.Route) {
+	pr := peerRoute{from, rt.Origin, rt.ExpireUnix, rt.ASPath}
 	for i := range rec.in {
 		if rec.in[i].from == from {
-			rec.in[i].route = rt
+			rec.in[i] = pr
 			return
 		}
 	}
-	rec.in = append(rec.in, peerRoute{from, rt})
+	rec.in = append(rec.in, pr)
 }
 
 // removeIn drops peer from's route and reports whether there was one.
@@ -80,18 +87,19 @@ func (rec *record) unadvertise(id wire.RouterID) bool {
 	return true
 }
 
-// empty reports whether the record holds nothing worth keeping.
+// empty reports whether the record holds nothing worth keeping. A selected
+// route is one of the record's candidates, so it needs no term of its own.
 func (rec *record) empty() bool {
-	return rec.local == nil && len(rec.in) == 0 && !rec.hasSel && len(rec.out) == 0
+	return rec.local == nil && len(rec.in) == 0 && len(rec.out) == 0
 }
 
 // rib holds one logical routing table: the per-prefix records the write
 // path works on, and the by-value read index Lookup probes.
 type rib struct {
 	recs map[addr.Prefix]*record
-	// best mirrors every record's selected route by value, so a lookup
-	// costs one probe and no pointer chase. reselectLocked is its only
-	// writer, at the moment it changes a record's sel.
+	// best holds every record's selected route by value, its only copy, so
+	// a lookup costs one probe and no pointer chase. reselectLocked is its
+	// only writer.
 	best map[addr.Prefix]selected
 	// lens[l] counts the prefixes of length l in best.
 	lens [33]uint32
@@ -130,15 +138,13 @@ func (r *rib) covering(a addr.Addr, maxLen int) (selected, bool) {
 	return selected{}, false
 }
 
-// sortedSelected returns the records that have a selected route, by prefix.
-func (r *rib) sortedSelected() []*record {
-	out := make([]*record, 0, len(r.best))
-	for _, rec := range r.recs {
-		if rec.hasSel {
-			out = append(out, rec)
-		}
+// sortedSelected returns the prefixes that have a selected route, in order.
+func (r *rib) sortedSelected() []addr.Prefix {
+	out := make([]addr.Prefix, 0, len(r.best))
+	for p := range r.best {
+		out = append(out, p)
 	}
-	sortRecords(out)
+	slices.SortFunc(out, addr.Compare)
 	return out
 }
 

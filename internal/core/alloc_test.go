@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"os/exec"
 	"runtime"
 	"slices"
 	"strings"
@@ -428,6 +430,49 @@ func TestSetupRouteItemBudget(t *testing.T) {
 	}
 }
 
+// TestRIBHeapBudget bounds the live heap TestSetupRouteItemBudget's asWorld
+// holds once built, per RIB entry. Nearly all of it is BGP state, which
+// grows about as the square of the domains: one record per prefix per
+// table per router, the routes learned from each peer, and the selected
+// route by value in the read index. With the selection kept twice, in the
+// record and in the index, and every learned route carrying its own copy
+// of the record's prefix, a record took 160 bytes, a learned route 64 and
+// an entry about 697; kept once, they take 80, 40 and about 545 (549 under
+// -race). Putting the prefix back into the learned route alone reads about
+// 615.
+//
+// The test measures in a process of its own: an earlier test's world can
+// outlive that test by a collection or two, and the heap it frees during
+// the build would go unmeasured.
+func TestRIBHeapBudget(t *testing.T) {
+	const child = "MASCBGMP_RIB_HEAP_CHILD"
+	if os.Getenv(child) == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestRIBHeapBudget$")
+		cmd.Env = append(os.Environ(), child+"=1")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("%v:\n%s", err, out)
+		}
+		return
+	}
+	before := liveHeap()
+	w := newASWorld(t, 80, 40, 1998, dataplane.SharedTreeName, nil)
+	grown := liveHeap() - before
+	entries := ribEntries(w.net)
+	const perEntry = 600
+	if got := float64(grown) / float64(entries); got > perEntry {
+		t.Errorf("the built world holds %d live heap bytes for %d RIB entries (%.0f each), budget %d each",
+			grown, entries, got, perEntry)
+	}
+}
+
+// liveHeap returns the bytes of heap that survive a collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
 // ribEntries counts the selected routes of every router's three tables.
 func ribEntries(net *Network) int {
 	n := 0
@@ -479,15 +524,25 @@ func BenchmarkJoinLeave(b *testing.B) {
 
 // BenchmarkBuildWorld times building TestSetupRouteItemBudget's asWorld —
 // 80 domains, 140 links brought up one at a time, four MASC claims, eight
-// groups — and reports the route items one build moves.
+// groups — and reports the route items one build moves and the live heap
+// bytes per RIB entry it holds (TestRIBHeapBudget's figure), read off the
+// clock.
 func BenchmarkBuildWorld(b *testing.B) {
 	b.ReportAllocs()
-	var items uint64
+	var items, grown, entries uint64
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		before := liveHeap()
+		b.StartTimer()
 		ob := obs.NewObserver()
-		newASWorld(b, 80, 40, 1998, dataplane.SharedTreeName, ob)
+		w := newASWorld(b, 80, 40, 1998, dataplane.SharedTreeName, ob)
+		b.StopTimer()
+		grown += liveHeap() - before
+		entries += uint64(ribEntries(w.net))
+		b.StartTimer()
 		d := ob.Snapshot()
 		items += d.Total(obs.BGPAnnounce) + d.Total(obs.BGPWithdraw)
 	}
 	b.ReportMetric(float64(items)/float64(b.N), "items/op")
+	b.ReportMetric(float64(grown)/float64(entries), "B/entry")
 }

@@ -15,7 +15,8 @@ import (
 )
 
 // treeViolations checks the shared trees of groups on a quiesced network
-// against §5.2 and DESIGN.md §12 (ROADMAP item 1(a), the tree half):
+// against §5.2, DESIGN.md §12 (backup parents) and DESIGN.md §16 (the
+// G-RIB route a join follows):
 //
 //   - per group, the (*,G) entries form one acyclic tree: every parent
 //     chain ends at an entry whose parent is the interior, in the domain
@@ -106,8 +107,8 @@ func treeViolations(net *Network, groups []addr.Addr) []string {
 	return out
 }
 
-// mascViolations checks the domains' won MASC ranges against §4.1 (ROADMAP
-// item 1(a), the MASC half):
+// mascViolations checks the domains' won MASC ranges against §4.1 (the
+// claim hierarchy of DESIGN.md §1):
 //
 //   - two domains hold overlapping ranges only when one is the other's
 //     MASC ancestor;
@@ -159,10 +160,10 @@ func mascViolations(net *Network) []string {
 	return out
 }
 
-// violations is the one checker entry point (ROADMAP item 1(a)). It
-// returns the sorted union of treeViolations over groups, mascViolations,
-// and, when graph is not nil, ribViolations against it, with three clauses
-// of its own:
+// violations is the one checker entry point, run at quiescence (DESIGN.md
+// §5, the synchronous network's one queue). It returns the sorted union of
+// treeViolations over groups, mascViolations, and, when graph is not nil,
+// ribViolations against it, with three clauses of its own:
 //
 //   - §5.2: no router keeps a group's tree interest orphaned while its
 //     G-RIB has a route for the group;
