@@ -160,13 +160,13 @@ func (s *Speaker) Sync(to wire.RouterID) {
 	var out []outUpdate
 	for t, r := range s.tables {
 		table := wire.Table(t)
-		prefixes := r.sortedSelected()
-		routes := make([]wire.Route, 0, len(prefixes))
-		for _, p := range prefixes {
-			ad := s.advertLocked(table, r.best[p], &clk)
+		keys := r.sortedSelected()
+		routes := make([]wire.Route, 0, len(keys))
+		for _, k := range keys {
+			ad := s.advertLocked(table, prefixOf(k), r.best[k], &clk)
 			if rt, ok := s.exportLocked(n, &ad, &clk); ok {
 				routes = append(routes, rt)
-				r.recs[p].advertise(n.Router)
+				r.recs[k].advertise(n.Router)
 			}
 		}
 		if len(routes) > 0 {
@@ -257,7 +257,7 @@ func (s *Speaker) HandleUpdate(from wire.RouterID, u *wire.Update) {
 	r, clk := s.tables[u.Table], clock{src: s.cfg.Clock}
 	changed := make([]*record, 0, len(u.Withdrawn)+len(u.Routes))
 	for _, p := range u.Withdrawn {
-		if rec := r.recs[p.Canonical()]; rec != nil && rec.removeIn(from) {
+		if rec := r.recs[key(p.Canonical())]; rec != nil && rec.removeIn(from) {
 			changed = append(changed, rec)
 		}
 	}
@@ -285,29 +285,29 @@ func (s *Speaker) HandleUpdate(from wire.RouterID, u *wire.Update) {
 func (s *Speaker) Lookup(table wire.Table, a addr.Addr) (Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	best, ok := longestMatchLocked(s.tables[table], a, &clock{src: s.cfg.Clock})
+	p, best, ok := longestMatchLocked(s.tables[table], a, &clock{src: s.cfg.Clock})
 	if !ok {
 		return Entry{}, false
 	}
-	return s.entryOf(best), true
+	return s.entryOf(p, &best), true
 }
 
-// longestMatchLocked returns the selected route of the most specific
-// prefix of r covering a that is unexpired by clk: the one match behind
-// Lookup and LookupBackup. An expired more-specific falls through to the
-// route that covers it. Caller holds s.mu.
-func longestMatchLocked(r *rib, a addr.Addr, clk *clock) (selected, bool) {
+// longestMatchLocked returns the most specific prefix of r covering a
+// whose selected route is unexpired by clk, with that route: the one match
+// behind Lookup and LookupBackup. An expired more-specific falls through to
+// the route that covers it. Caller holds s.mu.
+func longestMatchLocked(r *rib, a addr.Addr, clk *clock) (addr.Prefix, selected, bool) {
 	for l := 32; l >= 0; {
-		sel, ok := r.covering(a, l)
+		p, sel, ok := r.covering(a, l)
 		if !ok {
 			break
 		}
-		if !clk.expired(sel.route.ExpireUnix) {
-			return sel, true
+		if !clk.expired(sel.expire) {
+			return p, sel, true
 		}
-		l = sel.route.Prefix.Len - 1
+		l = p.Len - 1
 	}
-	return selected{}, false
+	return addr.Prefix{}, selected{}, false
 }
 
 // LookupBackup is Lookup that also returns the runner-up candidate for the
@@ -320,27 +320,28 @@ func (s *Speaker) LookupBackup(table wire.Table, a addr.Addr) (best, backup Entr
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r, clk := s.tables[table], clock{src: s.cfg.Clock}
-	cur, ok := longestMatchLocked(r, a, &clk)
+	p, cur, ok := longestMatchLocked(r, a, &clk)
 	if !ok {
 		return Entry{}, Entry{}, false, false
 	}
-	second, hasBackup := decide(r.recs[cur.route.Prefix], &cur, &clk)
+	second, hasBackup := decide(r.recs[key(p)], &cur, &clk)
 	if hasBackup {
-		backup = s.entryOf(second)
+		backup = s.entryOf(p, &second)
 	}
-	return s.entryOf(cur), backup, true, hasBackup
+	return s.entryOf(p, &cur), backup, true, hasBackup
 }
 
 // LookupPrefix returns the best route for an exact prefix.
 func (s *Speaker) LookupPrefix(table wire.Table, p addr.Prefix) (Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sel, ok := s.tables[table].best[p.Canonical()]
+	p = p.Canonical()
+	sel, ok := s.tables[table].best[key(p)]
 	clk := clock{src: s.cfg.Clock}
-	if !ok || clk.expired(sel.route.ExpireUnix) {
+	if !ok || clk.expired(sel.expire) {
 		return Entry{}, false
 	}
-	return s.entryOf(sel), true
+	return s.entryOf(p, &sel), true
 }
 
 // Generation counts the changes to a table's selected routes. An answer
@@ -357,15 +358,16 @@ func (s *Speaker) Table(table wire.Table) []Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r, clk := s.tables[table], clock{src: s.cfg.Clock}
-	prefixes := r.sortedSelected()
-	out := make([]Entry, 0, len(prefixes))
-	for _, p := range prefixes {
-		sel := r.best[p]
-		if clk.expired(sel.route.ExpireUnix) {
+	keys := r.sortedSelected()
+	out := make([]Entry, 0, len(keys))
+	for _, k := range keys {
+		sel := r.best[k]
+		if clk.expired(sel.expire) {
 			continue
 		}
-		sel.route = sel.route.Clone()
-		out = append(out, s.entryOf(sel))
+		e := s.entryOf(prefixOf(k), &sel)
+		e.Route = e.Route.Clone()
+		out = append(out, e)
 	}
 	return out
 }
@@ -432,8 +434,9 @@ func (c *clock) expired(at uint64) bool {
 	return at != 0 && c.now >= at
 }
 
-func (s *Speaker) entryOf(sel selected) Entry {
-	e := Entry{Route: sel.route, NextHop: sel.from, Local: sel.local}
+// entryOf is sel, the selected route of prefix p, as lookups expose it.
+func (s *Speaker) entryOf(p addr.Prefix, sel *selected) Entry {
+	e := Entry{Route: sel.route(p), NextHop: sel.from, Local: sel.local}
 	if sel.local {
 		e.NextHop = s.cfg.Router
 	}
@@ -506,19 +509,20 @@ func (s *Speaker) reselectLocked(table wire.Table, changed []*record, ctx wire.T
 		}
 		rec.pass = s.pass
 		left := len(changed) - i // what this pass can still add to any one list
+		pk := key(rec.prefix)
 		newSel, hasNew := decide(rec, nil, &clk)
-		oldSel, hadOld := r.best[rec.prefix]
-		if hadOld && hasNew && oldSel.equal(newSel) {
+		oldSel, hadOld := r.best[pk]
+		if hadOld && hasNew && oldSel.equal(&newSel) {
 			continue
 		}
 		switch {
 		case hasNew:
-			r.best[rec.prefix] = newSel
+			r.best[pk] = newSel
 			if !hadOld {
 				r.lens[rec.prefix.Len]++
 			}
 		case hadOld:
-			delete(r.best, rec.prefix)
+			delete(r.best, pk)
 			r.lens[rec.prefix.Len]--
 		}
 		s.gens[table].Add(1)
@@ -529,7 +533,7 @@ func (s *Speaker) reselectLocked(table wire.Table, changed []*record, ctx wire.T
 		// Advertise or withdraw to each neighbor.
 		var ad advert
 		if hasNew {
-			ad = s.advertLocked(table, newSel, &clk)
+			ad = s.advertLocked(table, rec.prefix, newSel, &clk)
 		}
 		for k, n := range s.neighbors {
 			if hasNew {
@@ -552,7 +556,7 @@ func (s *Speaker) reselectLocked(table wire.Table, changed []*record, ctx wire.T
 			}
 		}
 		if rec.empty() {
-			delete(r.recs, rec.prefix)
+			delete(r.recs, pk)
 		}
 	}
 	return notes
@@ -603,7 +607,8 @@ func decide(rec *record, skip *selected, clk *clock) (selected, bool) {
 		return selected{}, false
 	}
 	if rec.local != nil && !clk.expired(rec.local.ExpireUnix) && !(skip != nil && skip.local) {
-		return selected{route: *rec.local, local: true}, true
+		l := rec.local
+		return selected{peerRoute{origin: l.Origin, expire: l.ExpireUnix, path: l.ASPath}, true}, true
 	}
 	best := -1
 	for i := range rec.in {
@@ -618,7 +623,7 @@ func decide(rec *record, skip *selected, clk *clock) (selected, bool) {
 	if best < 0 {
 		return selected{}, false
 	}
-	return selected{route: rec.in[best].route(rec.prefix), from: rec.in[best].from}, true
+	return selected{peerRoute: rec.in[best]}, true
 }
 
 // better is the route preference order among learned routes: the shorter
@@ -634,8 +639,9 @@ func (a *peerRoute) better(b *peerRoute) bool {
 // decision that do not depend on the neighbor, worked out at most once
 // however many neighbors are asked.
 type advert struct {
-	table wire.Table
-	sel   selected
+	table  wire.Table
+	prefix addr.Prefix
+	sel    selected
 	// dead: expired, goes to no one.
 	dead bool
 	// fromInternal: learned over the internal mesh, stays off it.
@@ -647,10 +653,10 @@ type advert struct {
 	path []wire.DomainID
 }
 
-// advertLocked starts the export decision for sel, judging expiry by clk.
-// Caller holds s.mu.
-func (s *Speaker) advertLocked(table wire.Table, sel selected, clk *clock) advert {
-	ad := advert{table: table, sel: sel, dead: clk.expired(sel.route.ExpireUnix)}
+// advertLocked starts the export decision for sel, the selected route of
+// prefix p, judging expiry by clk. Caller holds s.mu.
+func (s *Speaker) advertLocked(table wire.Table, p addr.Prefix, sel selected, clk *clock) advert {
+	ad := advert{table: table, prefix: p, sel: sel, dead: clk.expired(sel.expire)}
 	if !sel.local {
 		if i, ok := s.neighborIndexLocked(sel.from); ok {
 			ad.fromInternal = s.neighbors[i].Internal
@@ -678,18 +684,18 @@ func (s *Speaker) exportLocked(n Neighbor, ad *advert, clk *clock) (wire.Route, 
 		if ad.fromInternal {
 			return wire.Route{}, false
 		}
-		return ad.sel.route, true
+		return ad.sel.route(ad.prefix), true
 	}
 	// External export.
 	if s.cfg.AggregateCovered {
 		if !ad.coveredKnown {
-			ad.covered, ad.coveredKnown = s.coveredByOwnOriginationLocked(ad.table, ad.sel, clk), true
+			ad.covered, ad.coveredKnown = s.coveredByOwnOriginationLocked(ad.table, ad.prefix, clk), true
 		}
 		if ad.covered {
 			return wire.Route{}, false
 		}
 	}
-	rt := ad.sel.route
+	rt := ad.sel.route(ad.prefix)
 	if !s.cfg.Export(n, ad.table, rt) {
 		return wire.Route{}, false
 	}
@@ -706,48 +712,38 @@ func (s *Speaker) exportLocked(n Neighbor, ad *advert, clk *clock) (wire.Route, 
 
 // coveredByOwnOrigination reports whether a route originated by this
 // speaker's own domain (locally, or by another of the domain's border
-// routers and learned over the internal mesh) strictly covers sel's prefix
-// — in which case the paper's aggregation rule says not to advertise the
-// more-specific route externally (§4.3.2: "the border routers of the
-// parent domain need not propagate their children's group routes"). An
+// routers and learned over the internal mesh) strictly covers q — in which
+// case the paper's aggregation rule says not to advertise the more-specific
+// route externally (§4.3.2: "the border routers of the parent domain need
+// not propagate their children's group routes"). An
 // unexpired local origination is always its prefix's selected route, so
 // the selected routes are all there is to walk.
-func (s *Speaker) coveredByOwnOriginationLocked(table wire.Table, sel selected, clk *clock) bool {
-	r, q := s.tables[table], sel.route.Prefix
+func (s *Speaker) coveredByOwnOriginationLocked(table wire.Table, q addr.Prefix, clk *clock) bool {
+	r := s.tables[table]
 	for l := q.Len - 1; l >= 0; {
-		b, ok := r.covering(q.Base, l)
+		p, b, ok := r.covering(q.Base, l)
 		if !ok {
 			break
 		}
-		if (b.local || wire.DomainID(b.route.Origin) == s.cfg.Domain) && !clk.expired(b.route.ExpireUnix) {
+		if (b.local || b.origin == s.cfg.Domain) && !clk.expired(b.expire) {
 			return true
 		}
-		l = b.route.Prefix.Len - 1
+		l = p.Len - 1
 	}
 	return false
 }
 
-// selected is a best-route record.
+// selected is a prefix's selected route less the prefix, which is its
+// key's: the winning learned route, or the origination with from zero and
+// local set (route rebuilds the wire.Route).
 type selected struct {
-	route wire.Route
-	from  wire.RouterID // zero for local
+	peerRoute
 	local bool
 }
 
-func (a selected) equal(b selected) bool {
-	if a.local != b.local || a.from != b.from {
-		return false
-	}
-	if a.route.Prefix != b.route.Prefix || a.route.Origin != b.route.Origin ||
-		a.route.ExpireUnix != b.route.ExpireUnix || len(a.route.ASPath) != len(b.route.ASPath) {
-		return false
-	}
-	for i := range a.route.ASPath {
-		if a.route.ASPath[i] != b.route.ASPath[i] {
-			return false
-		}
-	}
-	return true
+func (a *selected) equal(b *selected) bool {
+	return a.local == b.local && a.from == b.from && a.origin == b.origin &&
+		a.expire == b.expire && slices.Equal(a.path, b.path)
 }
 
 // String aids debugging.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -14,29 +15,31 @@ import (
 
 // scanLongestMatch is the longest match as it was before the length index:
 // a scan of every selected route. Kept as the oracle.
-func scanLongestMatch(r *rib, a addr.Addr, clk *clock) (best selected, ok bool) {
-	for p, sel := range r.best {
-		if !p.Contains(a) || clk.expired(sel.route.ExpireUnix) {
+func scanLongestMatch(r *rib, a addr.Addr, clk *clock) (best addr.Prefix, sel selected, ok bool) {
+	for k, cand := range r.best {
+		p := prefixOf(k)
+		if !p.Contains(a) || clk.expired(cand.expire) {
 			continue
 		}
-		if !ok || p.Len > best.route.Prefix.Len {
-			best, ok = sel, true
+		if !ok || p.Len > best.Len {
+			best, sel, ok = p, cand, true
 		}
 	}
-	return best, ok
+	return best, sel, ok
 }
 
-// scanCovered is the §4.3.2 covering test as it was before the length
-// index. Kept as the oracle.
-func scanCovered(s *Speaker, r *rib, sel selected, clk *clock) bool {
-	for p, rec := range r.recs {
-		if rec.local != nil && p.Len < sel.route.Prefix.Len && p.ContainsPrefix(sel.route.Prefix) && !clk.expired(rec.local.ExpireUnix) {
+// scanCovered is the §4.3.2 covering test of prefix q as it was before the
+// length index. Kept as the oracle.
+func scanCovered(s *Speaker, r *rib, q addr.Prefix, clk *clock) bool {
+	for k, rec := range r.recs {
+		p := prefixOf(k)
+		if rec.local != nil && p.Len < q.Len && p.ContainsPrefix(q) && !clk.expired(rec.local.ExpireUnix) {
 			return true
 		}
 	}
-	for p, b := range r.best {
-		if wire.DomainID(b.route.Origin) == s.cfg.Domain &&
-			p.Len < sel.route.Prefix.Len && p.ContainsPrefix(sel.route.Prefix) && !clk.expired(b.route.ExpireUnix) {
+	for k, b := range r.best {
+		p := prefixOf(k)
+		if b.origin == s.cfg.Domain && p.Len < q.Len && p.ContainsPrefix(q) && !clk.expired(b.expire) {
 			return true
 		}
 	}
@@ -53,17 +56,18 @@ func checkMirror(t *testing.T, table wire.Table, r *rib) {
 
 // checkMirrorAt requires best, the only copy of each selection, to name a
 // route its record still holds, by value — the origination, or the in
-// entry of the peer it names under the record's prefix — and a record with
-// no best entry to hold no candidate unexpired by clk; recs holds no record
-// with nothing in it. Caller holds s.mu.
+// entry of the peer it names — under the record's own key, and a record
+// with no best entry to hold no candidate unexpired by clk; recs holds no
+// record with nothing in it. Caller holds s.mu.
 func checkMirrorAt(t *testing.T, table wire.Table, r *rib, clk *clock) {
 	t.Helper()
 	n := 0
-	for p, rec := range r.recs {
-		if rec.prefix != p || rec.empty() {
-			t.Fatalf("table %d: record %v filed under %v, empty = %v", table, rec.prefix, p, rec.empty())
+	for k, rec := range r.recs {
+		if p := prefixOf(k); rec.prefix != p || key(p) != k || rec.empty() {
+			t.Fatalf("table %d: record %v filed under %#x (%v), empty = %v", table, rec.prefix, k, p, rec.empty())
 		}
-		sel, ok := r.best[p]
+		p := rec.prefix
+		sel, ok := r.best[k]
 		if !ok {
 			if cand, ok := decide(rec, nil, clk); ok {
 				t.Fatalf("table %d: best has no %v, the record holds the unexpired %+v", table, p, cand)
@@ -74,11 +78,12 @@ func checkMirrorAt(t *testing.T, table wire.Table, r *rib, clk *clock) {
 		var held selected
 		switch {
 		case sel.local && rec.local != nil:
-			held = selected{route: *rec.local, local: true}
+			l := rec.local
+			held = selected{peerRoute{origin: l.Origin, expire: l.ExpireUnix, path: l.ASPath}, true}
 		case !sel.local:
 			for i := range rec.in {
 				if rec.in[i].from == sel.from {
-					held = selected{route: rec.in[i].route(p), from: sel.from}
+					held = selected{peerRoute: rec.in[i]}
 				}
 			}
 		}
@@ -102,8 +107,8 @@ func checkIndex(t *testing.T, s *Speaker, table wire.Table, probes []addr.Addr) 
 	r, clk := s.tables[table], clock{src: s.cfg.Clock}
 	checkMirrorAt(t, table, r, &clk)
 	var recount [33]uint32
-	for p := range r.best {
-		recount[p.Len]++
+	for k := range r.best {
+		recount[prefixOf(k).Len]++
 	}
 	if recount != r.lens {
 		t.Fatalf("table %d: lens = %v, recount of best = %v", table, r.lens, recount)
@@ -114,16 +119,17 @@ func checkIndex(t *testing.T, s *Speaker, table wire.Table, probes []addr.Addr) 
 	}
 	want := make([][2]answer, len(probes))
 	for i, a := range probes {
-		if cur, ok := scanLongestMatch(r, a, &clk); ok {
-			want[i][0] = answer{s.entryOf(cur), true}
-			if second, ok := decide(r.recs[cur.route.Prefix], &cur, &clk); ok {
-				want[i][1] = answer{s.entryOf(second), true}
+		if p, cur, ok := scanLongestMatch(r, a, &clk); ok {
+			want[i][0] = answer{s.entryOf(p, &cur), true}
+			if second, ok := decide(r.recs[key(p)], &cur, &clk); ok {
+				want[i][1] = answer{s.entryOf(p, &second), true}
 			}
 		}
 	}
-	for _, sel := range r.best {
-		if got, want := s.coveredByOwnOriginationLocked(table, sel, &clk), scanCovered(s, r, sel, &clk); got != want {
-			t.Fatalf("table %d: covered(%v) = %v, scan says %v", table, sel.route.Prefix, got, want)
+	for k := range r.best {
+		p := prefixOf(k)
+		if got, want := s.coveredByOwnOriginationLocked(table, p, &clk), scanCovered(s, r, p, &clk); got != want {
+			t.Fatalf("table %d: covered(%v) = %v, scan says %v", table, p, got, want)
 		}
 	}
 	s.mu.Unlock()
@@ -317,6 +323,46 @@ func TestLookupDoesNotAllocate(t *testing.T) {
 			}
 		}); got != 0 {
 			t.Errorf("%s: %v allocations per Lookup, want 0", name, got)
+		}
+	}
+}
+
+// TestKeyRoundTripsAndSortsAsCompare pins the word key both maps are keyed
+// by: it gives back its prefix at every length, keeps a base's lengths
+// apart, and sorts as addr.Compare does, so sortedSelected's plain sort
+// walks the prefixes in their order.
+func TestKeyRoundTripsAndSortsAsCompare(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for l := 0; l <= 32; l++ {
+		p := addr.Prefix{Base: addr.Addr(rng.Uint32()), Len: l}.Canonical()
+		if got := prefixOf(key(p)); got != p {
+			t.Fatalf("prefixOf(key(%v)) = %v", p, got)
+		}
+	}
+	for _, c := range [][2]string{{"0.0.0.0/0", "0.0.0.0/32"}, {"10.0.0.0/8", "10.0.0.0/16"}} {
+		if key(addr.MustParsePrefix(c[0])) == key(addr.MustParsePrefix(c[1])) {
+			t.Errorf("%s and %s share a key", c[0], c[1])
+		}
+	}
+	// Few bases, so that equal bases with different lengths are common.
+	bases := []addr.Addr{0, addr.MakeAddr(10, 0, 0, 0), addr.MakeAddr(224, 1, 2, 3), ^addr.Addr(0)}
+	prefixes := make([]addr.Prefix, 500)
+	for i := range prefixes {
+		base := bases[rng.Intn(len(bases))]
+		if rng.Intn(2) == 0 {
+			base = addr.Addr(rng.Uint32())
+		}
+		prefixes[i] = addr.Prefix{Base: base, Len: rng.Intn(33)}.Canonical()
+	}
+	keys := make([]uint64, len(prefixes))
+	for i, p := range prefixes {
+		keys[i] = key(p)
+	}
+	slices.Sort(keys)
+	slices.SortFunc(prefixes, addr.Compare)
+	for i, k := range keys {
+		if got := prefixOf(k); got != prefixes[i] {
+			t.Fatalf("sorted key %d is %v, addr.Compare puts %v there", i, got, prefixes[i])
 		}
 	}
 }

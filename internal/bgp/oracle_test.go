@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -29,8 +30,22 @@ type refSpeaker struct {
 type refRIB struct {
 	local  map[addr.Prefix]wire.Route
 	adjIn  map[addr.Prefix]map[wire.RouterID]wire.Route
-	best   map[addr.Prefix]selected
+	best   map[addr.Prefix]refSelected
 	adjOut map[wire.RouterID]map[addr.Prefix]bool
+}
+
+// refSelected is a best route as the old speaker kept it: the whole
+// wire.Route, prefix included.
+type refSelected struct {
+	route wire.Route
+	from  wire.RouterID // zero for local
+	local bool
+}
+
+func (a refSelected) equal(b refSelected) bool {
+	return a.local == b.local && a.from == b.from && a.route.Prefix == b.route.Prefix &&
+		a.route.Origin == b.route.Origin && a.route.ExpireUnix == b.route.ExpireUnix &&
+		slices.Equal(a.route.ASPath, b.route.ASPath)
 }
 
 type refTablePrefix struct {
@@ -46,7 +61,7 @@ func newRefSpeaker(cfg Config) *refSpeaker {
 		s.tables[t] = &refRIB{
 			local:  map[addr.Prefix]wire.Route{},
 			adjIn:  map[addr.Prefix]map[wire.RouterID]wire.Route{},
-			best:   map[addr.Prefix]selected{},
+			best:   map[addr.Prefix]refSelected{},
 			adjOut: map[wire.RouterID]map[addr.Prefix]bool{},
 		}
 	}
@@ -283,17 +298,17 @@ func (s *refSpeaker) reselect(changed []refTablePrefix, sorted bool) {
 	}
 }
 
-func (s *refSpeaker) decide(r *refRIB, p addr.Prefix) (selected, bool) {
+func (s *refSpeaker) decide(r *refRIB, p addr.Prefix) (refSelected, bool) {
 	if rt, ok := r.local[p]; ok && !s.expired(rt) {
-		return selected{route: rt, local: true}, true
+		return refSelected{route: rt, local: true}, true
 	}
-	var best selected
+	var best refSelected
 	found := false
 	for id, rt := range r.adjIn[p] {
 		if s.expired(rt) {
 			continue
 		}
-		cand := selected{route: rt, from: id}
+		cand := refSelected{route: rt, from: id}
 		if !found || len(cand.route.ASPath) < len(best.route.ASPath) ||
 			(len(cand.route.ASPath) == len(best.route.ASPath) && cand.from < best.from) {
 			best, found = cand, true
@@ -302,7 +317,7 @@ func (s *refSpeaker) decide(r *refRIB, p addr.Prefix) (selected, bool) {
 	return best, found
 }
 
-func (s *refSpeaker) exportable(n Neighbor, table wire.Table, sel selected) (wire.Route, bool) {
+func (s *refSpeaker) exportable(n Neighbor, table wire.Table, sel refSelected) (wire.Route, bool) {
 	if s.expired(sel.route) {
 		return wire.Route{}, false
 	}
@@ -330,7 +345,7 @@ func (s *refSpeaker) exportable(n Neighbor, table wire.Table, sel selected) (wir
 }
 
 // covered is the §4.3.2 test as two scans.
-func (s *refSpeaker) covered(table wire.Table, sel selected) bool {
+func (s *refSpeaker) covered(table wire.Table, sel refSelected) bool {
 	r, q := s.tables[table], sel.route.Prefix
 	for p, rt := range r.local {
 		if p.Len < q.Len && p.ContainsPrefix(q) && !s.expired(rt) {

@@ -28,7 +28,8 @@ type record struct {
 }
 
 // peerRoute is one Adj-RIB-In entry: a learned wire.Route less its
-// prefix, which is the record's (route rebuilds it).
+// prefix, which is the record's (route rebuilds it). A selected route is
+// one too, less the prefix its key holds.
 type peerRoute struct {
 	from   wire.RouterID
 	origin wire.DomainID
@@ -94,57 +95,68 @@ func (rec *record) empty() bool {
 }
 
 // rib holds one logical routing table: the per-prefix records the write
-// path works on, and the by-value read index Lookup probes.
+// path works on, and the by-value read index Lookup probes. Both maps are
+// keyed by the prefix as one word (key): a uint64 key takes Go's fast map
+// path, where a Prefix goes through a generated hash.
 type rib struct {
-	recs map[addr.Prefix]*record
+	recs map[uint64]*record
 	// best holds every record's selected route by value, its only copy, so
-	// a lookup costs one probe and no pointer chase. reselectLocked is its
-	// only writer.
-	best map[addr.Prefix]selected
+	// a lookup costs one probe and no pointer chase; the prefix is the key's.
+	// reselectLocked is its only writer.
+	best map[uint64]selected
 	// lens[l] counts the prefixes of length l in best.
 	lens [33]uint32
 }
 
 func newRIB() *rib {
 	return &rib{
-		recs: map[addr.Prefix]*record{},
-		best: map[addr.Prefix]selected{},
+		recs: map[uint64]*record{},
+		best: map[uint64]selected{},
 	}
 }
 
+// key packs a canonical prefix into one word, Base<<8 | Len. Keys sort in
+// addr.Compare's order: by base, then by length.
+func key(p addr.Prefix) uint64 { return uint64(p.Base)<<8 | uint64(p.Len) }
+
+// prefixOf unpacks a key.
+func prefixOf(k uint64) addr.Prefix { return addr.Prefix{Base: addr.Addr(k >> 8), Len: int(k & 0xff)} }
+
 // recordFor returns the record for p, creating it when absent.
 func (r *rib) recordFor(p addr.Prefix) *record {
-	rec := r.recs[p]
+	rec := r.recs[key(p)]
 	if rec == nil {
 		rec = &record{prefix: p}
-		r.recs[p] = rec
+		r.recs[key(p)] = rec
 	}
 	return rec
 }
 
-// covering returns the selected route of the longest prefix of best, no
-// longer than maxLen, that contains a — expired or not: the caller judges
+// covering returns the longest prefix of best, no longer than maxLen, that
+// contains a, with its selected route — expired or not: the caller judges
 // it and resumes below its length. It probes the populated lengths only
 // (one to three per table for MASC ranges and M-RIB prefixes).
-func (r *rib) covering(a addr.Addr, maxLen int) (selected, bool) {
+func (r *rib) covering(a addr.Addr, maxLen int) (addr.Prefix, selected, bool) {
 	for l := maxLen; l >= 0; l-- {
 		if r.lens[l] == 0 {
 			continue
 		}
-		if sel, ok := r.best[addr.Prefix{Base: a, Len: l}.Canonical()]; ok {
-			return sel, true
+		p := addr.Prefix{Base: a, Len: l}.Canonical()
+		if sel, ok := r.best[key(p)]; ok {
+			return p, sel, true
 		}
 	}
-	return selected{}, false
+	return addr.Prefix{}, selected{}, false
 }
 
-// sortedSelected returns the prefixes that have a selected route, in order.
-func (r *rib) sortedSelected() []addr.Prefix {
-	out := make([]addr.Prefix, 0, len(r.best))
-	for p := range r.best {
-		out = append(out, p)
+// sortedSelected returns the keys of the prefixes that have a selected
+// route, in order.
+func (r *rib) sortedSelected() []uint64 {
+	out := make([]uint64, 0, len(r.best))
+	for k := range r.best {
+		out = append(out, k)
 	}
-	slices.SortFunc(out, addr.Compare)
+	slices.Sort(out)
 	return out
 }
 

@@ -437,9 +437,12 @@ func TestSetupRouteItemBudget(t *testing.T) {
 // route by value in the read index. With the selection kept twice, in the
 // record and in the index, and every learned route carrying its own copy
 // of the record's prefix, a record took 160 bytes, a learned route 64 and
-// an entry about 697; kept once, they take 80, 40 and about 545 (549 under
-// -race). Putting the prefix back into the learned route alone reads about
-// 615.
+// an entry about 697; kept once, they take 80, 40 and about 543. Keying
+// both maps by one word instead of a Prefix, dropping the prefix from the
+// selection (64 bytes to 48) and building each domain's two rand sources
+// on first draw take an entry to about 433 (439 under -race). Undoing one
+// of the three reads 463 (Prefix keys), 449 (the selection's prefix) or
+// 495 (sources built up front): the budget sits between.
 //
 // The test measures in a process of its own: an earlier test's world can
 // outlive that test by a collection or two, and the heap it frees during
@@ -458,7 +461,7 @@ func TestRIBHeapBudget(t *testing.T) {
 	w := newASWorld(t, 80, 40, 1998, dataplane.SharedTreeName, nil)
 	grown := liveHeap() - before
 	entries := ribEntries(w.net)
-	const perEntry = 600
+	const perEntry = 445
 	if got := float64(grown) / float64(entries); got > perEntry {
 		t.Errorf("the built world holds %d live heap bytes for %d RIB entries (%.0f each), budget %d each",
 			grown, entries, got, perEntry)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"sync"
 	"time"
@@ -149,7 +150,7 @@ func (n *Network) AddDomain(cfg DomainConfig) (*Domain, error) {
 	d.masc = masc.NewNode(masc.NodeConfig{
 		Domain:     cfg.ID,
 		Clock:      n.cfg.Clock,
-		Rand:       rand.New(rand.NewSource(seedBase + 1)),
+		Rand:       rand.New(&lazySource{seed: seedBase + 1}),
 		WaitPeriod: n.cfg.MASCWait,
 		TopLevel:   cfg.TopLevel,
 		Obs:        n.cfg.Observer,
@@ -161,7 +162,7 @@ func (n *Network) AddDomain(cfg DomainConfig) (*Domain, error) {
 	})
 	mserver, err := maas.NewServer(maas.Config{
 		Clock: n.cfg.Clock,
-		Rand:  rand.New(rand.NewSource(seedBase + 2)),
+		Rand:  rand.New(&lazySource{seed: seedBase + 2}),
 		OnDemand: func(need uint64) {
 			d.masc.RequestSpace(need, masc.DefaultStrategy().ClaimLifetime)
 		},
@@ -172,7 +173,8 @@ func (n *Network) AddDomain(cfg DomainConfig) (*Domain, error) {
 	d.maas = mserver
 
 	// Originate the domain's unicast prefix so sources resolve.
-	if cfg.HostPrefix.Valid() && cfg.HostPrefix.Len > 0 {
+	hasHost := cfg.HostPrefix.Valid() && cfg.HostPrefix.Len > 0
+	if hasHost {
 		rt := wire.Route{Prefix: cfg.HostPrefix, Origin: cfg.ID}
 		d.routers[0].bgp.Originate(wire.TableUnicast, rt)
 		d.routers[0].bgp.Originate(wire.TableMRIB, rt)
@@ -180,9 +182,33 @@ func (n *Network) AddDomain(cfg DomainConfig) (*Domain, error) {
 
 	n.mu.Lock()
 	n.domains[cfg.ID] = d
+	if hasHost {
+		anchors := maps.Clone(*n.anchors.Load())
+		anchors[cfg.ID] = cfg.HostPrefix.Base
+		n.anchors.Store(&anchors)
+	}
 	n.mu.Unlock()
 	return d, nil
 }
+
+// lazySource is rand.NewSource(seed) built on its first draw: most domains
+// never claim or lease, and a built source holds 4.9 kB. It hands Int63,
+// Uint64 and Seed to the built source, so its stream is rand.NewSource's.
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+func (l *lazySource) built() rand.Source64 {
+	if l.src == nil {
+		l.src = rand.NewSource(l.seed).(rand.Source64)
+	}
+	return l.src
+}
+
+func (l *lazySource) Int63() int64    { return l.built().Int63() }
+func (l *lazySource) Uint64() uint64  { return l.built().Uint64() }
+func (l *lazySource) Seed(seed int64) { l.built().Seed(seed) }
 
 // MASC returns the domain's MASC node.
 func (d *Domain) MASC() *masc.Node { return d.masc }

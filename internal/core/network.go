@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mascbgmp/internal/addr"
@@ -127,6 +128,10 @@ type Network struct {
 	routers  map[wire.RouterID]*Router // guarded by mu
 	links    []link                    // guarded by mu
 	sessions []*session                // guarded by mu
+	// anchors maps each domain with a host prefix to its tunnel anchor
+	// (domainAddr). AddDomain replaces it whole under mu, so the send path
+	// reads it without a lock.
+	anchors atomic.Pointer[map[wire.DomainID]addr.Addr]
 
 	frameMu sync.Mutex
 	// frame is the encode buffer every function-call hop reuses.
@@ -193,6 +198,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 		routers: map[wire.RouterID]*Router{},
 		waiting: map[updateKey]*wire.Update{},
 	}
+	n.anchors.Store(&map[wire.DomainID]addr.Addr{})
 	if cfg.Faults != nil {
 		cfg.Faults.SetPeerHooks(n.onPeerCrash, n.onPeerRestart)
 	}
@@ -225,11 +231,8 @@ func (n *Network) Router(id wire.RouterID) *Router {
 // it to pick the next hop toward a bitstring member. Domains without a
 // host prefix are unreachable as overlay members.
 func (n *Network) domainAddr(id wire.DomainID) (addr.Addr, bool) {
-	d := n.Domain(id)
-	if d == nil || !d.hostPrefix.Valid() || d.hostPrefix.Len == 0 {
-		return 0, false
-	}
-	return d.hostPrefix.Base, true
+	a, ok := (*n.anchors.Load())[id]
+	return a, ok
 }
 
 // Domains returns all domains in ascending ID order.

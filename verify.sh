@@ -15,6 +15,9 @@ go vet ./...
 go test ./...
 go test -race ./...
 go test -run Determinism -count=2 ./...
+# Every benchmark once, so that one that panics or stops building fails
+# here and not on the next measurement (about a second of run time).
+go test -run '^$' -bench . -benchtime 1x ./...
 # benchmark/ is its own module importing internal/ directly: ./... above
 # never compiles it, so a change that may not edit it can still break it.
 # This is also what proves internal/migp/dvmrp, the shim that exists only
