@@ -25,7 +25,7 @@ type MIGP interface {
 	LeaveGroup(g addr.Addr)
 	// RelayToBorder carries a BGMP control or encapsulated data message
 	// through the domain to another of its border routers, setting up
-	// any transit state the interior protocol needs. A *wire.Data it is
+	// any transit state the interior protocol needs. The message it is
 	// handed is the caller's again when it returns (Config.SendPeer).
 	RelayToBorder(to wire.RouterID, msg wire.Message)
 	// Inject delivers a multicast packet into the domain at this border
@@ -62,11 +62,12 @@ type Config struct {
 	// Internal reports whether a router ID is a border router of this
 	// same domain.
 	Internal func(r wire.RouterID) bool
-	// SendPeer transmits a BGMP message to an external peer. A *wire.Data
-	// it is handed is the caller's again when it returns: the caller may
-	// reuse the packet for its next copy, so a SendPeer that keeps or
-	// defers one copies it first (core's faultSender does; its direct
-	// sender decodes its own copy and the TCP peer encodes before it
+	// SendPeer transmits a BGMP message to an external peer. The message it
+	// is handed is the caller's again when it returns: the caller reuses a
+	// packet for its next copy and a join or prune for its next message, so
+	// a SendPeer that keeps or defers one copies it first (core's
+	// faultSender does; its direct sender encodes it into the queue or
+	// decodes its own copy of a packet, and the TCP peer encodes before it
 	// returns). The same holds for MIGP's RelayToBorder and Inject.
 	SendPeer func(to wire.RouterID, msg wire.Message)
 	// MIGP is the interior component; required.
@@ -109,6 +110,12 @@ type Component struct {
 	orphans map[addr.Addr]*entry
 	// out buffers messages generated under the lock. guarded by mu
 	out []outItem
+	// joins and prunes are the free lists attachLocked and detachLocked
+	// take their messages from, and finishLocked gives them back to once
+	// sent: a message handed to SendPeer or the MIGP is the sender's again
+	// when that returns. Plain stacks, not a sync.Pool. guarded by mu
+	joins  []*wire.GroupJoin
+	prunes []*wire.GroupPrune
 	// evbuf collects events under the lock; they are emitted with the
 	// out-queue after release so observers may call back into the router.
 	// guarded by mu
@@ -200,6 +207,7 @@ func (c *Component) Reset() {
 	c.importedSG = map[sgKey]bool{}
 	c.orphans = map[addr.Addr]*entry{}
 	c.out, c.evbuf = nil, nil
+	c.joins, c.prunes = nil, nil
 	c.mu.Unlock()
 }
 
@@ -388,17 +396,60 @@ func (c *Component) pruneLocked(g addr.Addr, child Target) {
 func (c *Component) attachLocked(g addr.Addr, parent Target, root bool) {
 	if root {
 		c.out = append(c.out, outItem{group: g})
-	} else {
-		c.out = append(c.out, outItem{target: parent, msg: &wire.GroupJoin{Group: g}})
+		return
 	}
+	m := takeLocked(&c.joins)
+	m.Group = g
+	c.out = append(c.out, outItem{target: parent, msg: m})
 }
 
 // detachLocked undoes attachLocked for an entry going away or re-parenting.
 func (c *Component) detachLocked(g addr.Addr, parent Target, root bool) {
 	if root {
 		c.out = append(c.out, outItem{group: g, leave: true})
-	} else {
-		c.out = append(c.out, outItem{target: parent, msg: &wire.GroupPrune{Group: g}})
+		return
+	}
+	m := takeLocked(&c.prunes)
+	m.Group = g
+	c.out = append(c.out, outItem{target: parent, msg: m})
+}
+
+// takeLocked pops a cleared message off a free list, or makes one when it is
+// empty.
+func takeLocked[M any](free *[]*M) *M {
+	n := len(*free)
+	if n == 0 {
+		return new(M)
+	}
+	m := (*free)[n-1]
+	*free = (*free)[:n-1]
+	return m
+}
+
+// keptFree bounds each free list and the out array finishLocked keeps: a
+// repair that re-parents hundreds of trees at once does not hold their
+// messages for good.
+const keptFree = 16
+
+// giveLocked clears the joins and prunes of a sent batch and puts them back
+// on the free lists, and keeps the batch's array for the next one when out
+// holds none as large.
+func (c *Component) giveLocked(out []outItem) {
+	for _, it := range out {
+		switch m := it.msg.(type) {
+		case *wire.GroupJoin:
+			if *m = (wire.GroupJoin{}); len(c.joins) < keptFree {
+				c.joins = append(c.joins, m)
+			}
+		case *wire.GroupPrune:
+			if *m = (wire.GroupPrune{}); len(c.prunes) < keptFree {
+				c.prunes = append(c.prunes, m)
+			}
+		}
+	}
+	clear(out)
+	if cap(out) <= keptFree && cap(out) > cap(c.out) {
+		c.out = out[:0]
 	}
 }
 
@@ -463,10 +514,14 @@ func (c *Component) eventLocked(e obs.Event) {
 // what the operation queued, stamping the messages with the operation's
 // trace context, releases the lock the caller holds, and only then emits the
 // events and hands the messages over — observers and the MIGP may call back
-// into the router.
+// into the router, and an operation they start takes messages and an out
+// array of its own. Once every message is sent it gives them back.
 func (c *Component) finishLocked() {
 	out, evs := c.out, c.evbuf
-	c.out, c.evbuf = nil, nil
+	c.evbuf = nil
+	if len(out) > 0 {
+		c.out = nil // an operation the hand-over starts takes an array of its own
+	}
 	if !c.cur.Zero() {
 		for _, it := range out {
 			wire.Stamp(it.msg, c.cur) // a nil msg (interior membership) carries none
@@ -486,5 +541,10 @@ func (c *Component) finishLocked() {
 		default:
 			c.cfg.MIGP.JoinGroup(it.group)
 		}
+	}
+	if len(out) > 0 {
+		c.mu.Lock()
+		c.giveLocked(out)
+		c.mu.Unlock()
 	}
 }

@@ -33,7 +33,22 @@ func newFakeMIGP() *fakeMIGP { return &fakeMIGP{injectOK: true} }
 func (f *fakeMIGP) JoinGroup(g addr.Addr)  { f.joins = append(f.joins, g) }
 func (f *fakeMIGP) LeaveGroup(g addr.Addr) { f.leaves = append(f.leaves, g) }
 func (f *fakeMIGP) RelayToBorder(to wire.RouterID, m wire.Message) {
-	f.relays = append(f.relays, relayed{to, m})
+	f.relays = append(f.relays, relayed{to, kept(m)})
+}
+
+// kept returns the copy of a control message a recorder keeps: a join or
+// prune handed to SendPeer or RelayToBorder is the sender's again, and
+// reused, when the call returns. A packet is kept as it is, for tests that
+// check it went on unchanged by its identity; no packet here is reused.
+func kept(m wire.Message) wire.Message {
+	if _, ok := m.(*wire.Data); ok {
+		return m
+	}
+	cp, err := wire.Decode(wire.Encode(m))
+	if err != nil {
+		panic(err)
+	}
+	return cp
 }
 func (f *fakeMIGP) Inject(d *wire.Data) bool {
 	if !f.injectOK {
@@ -73,7 +88,7 @@ func newRig(router wire.RouterID, domain wire.DomainID, branches bool) *testRig 
 		},
 		Internal: func(id wire.RouterID) bool { return id >= 100 }, // convention: IDs >= 100 are internal
 		SendPeer: func(to wire.RouterID, m wire.Message) {
-			r.sent = append(r.sent, relayed{to, m})
+			r.sent = append(r.sent, relayed{to, kept(m)})
 		},
 		MIGP:                r.migp,
 		BuildSourceBranches: branches,

@@ -41,7 +41,7 @@ func TestOneNextHopRule(t *testing.T) {
 					return tc.ent, tc.ent, tc.ok, tc.ok
 				},
 				Internal: func(id wire.RouterID) bool { return id >= 100 },
-				SendPeer: func(to wire.RouterID, m wire.Message) { sent = append(sent, relayed{to, m}) },
+				SendPeer: func(to wire.RouterID, m wire.Message) { sent = append(sent, relayed{to, kept(m)}) },
 				MIGP:     migp,
 			})
 			if tc.ok {

@@ -56,8 +56,10 @@ type Config struct {
 	Clock simclock.Clock
 	// Send transmits an update to a configured neighbor. It is called
 	// without internal locks held and must not block indefinitely. The
-	// update's AS paths are shared with the RIB and with the updates to
-	// other neighbors: read-only.
+	// update is the speaker's again when Send returns: a Send that keeps or
+	// defers it copies it first. Its AS paths are shared with the RIB and
+	// with the updates to other neighbors, and are immutable: a copy may
+	// share them, and a receiver keeps them (HandleUpdate).
 	Send func(to wire.RouterID, u *wire.Update)
 	// Export filters external advertisements; nil means ExportAll.
 	Export ExportFilter
@@ -244,7 +246,10 @@ func (s *Speaker) WithdrawLocal(table wire.Table, p addr.Prefix) {
 // HandleUpdate processes an update received from peer `from`. Unknown
 // peers, unknown tables and looped routes are ignored. A traced update
 // (stamped by the sender's reselection) gets a per-hop child span, and any
-// updates this reselection propagates carry that span onward.
+// updates this reselection propagates carry that span onward. u is the
+// caller's again when HandleUpdate returns, and its lists may be decoded
+// over, but the routes' AS paths are kept as the RIB's own: they must not
+// be written to afterwards, by anyone (a decoder allocates each afresh).
 func (s *Speaker) HandleUpdate(from wire.RouterID, u *wire.Update) {
 	sp := s.cfg.Obs.Tracer().BeginChild(wire.ContextOf(u), obs.SpanBGPUpdate,
 		obs.Event{Domain: s.cfg.Domain, Router: s.cfg.Router, Peer: from, Table: u.Table})
@@ -270,7 +275,7 @@ func (s *Speaker) HandleUpdate(from wire.RouterID, u *wire.Update) {
 			continue
 		}
 		rec := r.recordFor(rt.Prefix)
-		rec.setIn(from, rt.Clone())
+		rec.setIn(from, rt)
 		changed = append(changed, rec)
 	}
 	notes := s.reselectLocked(u.Table, changed, sp.Context(), nil)

@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -449,6 +450,52 @@ func TestUpdateForUnknownTableIgnored(t *testing.T) {
 	}
 	if sent != 0 {
 		t.Errorf("%d updates sent on behalf of unknown tables", sent)
+	}
+}
+
+// TestHandleUpdateKeepsOnlyThePaths: an update handed to HandleUpdate is the
+// caller's again when it returns, and a caller that decodes the next update
+// into it writes over its lists. The speaker keeps the routes' AS paths,
+// which nobody writes to, and nothing else of the message: overwriting
+// every element of u.Routes and u.Withdrawn afterwards changes no table,
+// and the next full-table exchange announces what it did before.
+func TestHandleUpdateKeepsOnlyThePaths(t *testing.T) {
+	var sent []string
+	s := New(Config{Router: 1, Domain: 1, Send: func(to wire.RouterID, u *wire.Update) {
+		if to == 3 && u.Table == wire.TableGRIB {
+			sent = append(sent, string(wire.Encode(u)))
+		}
+	}})
+	s.AddNeighbor(Neighbor{Router: 2, Domain: 2})
+	s.AddNeighbor(Neighbor{Router: 3, Domain: 3})
+	gone := addr.MustParsePrefix("224.9.0.0/16")
+	s.HandleUpdate(2, &wire.Update{Table: wire.TableGRIB, Routes: []wire.Route{{Prefix: gone, ASPath: []wire.DomainID{2}, Origin: 2}}})
+	u := &wire.Update{Table: wire.TableGRIB, Withdrawn: []addr.Prefix{gone}}
+	for i := range 3 {
+		u.Routes = append(u.Routes, wire.Route{Prefix: addr.Prefix{Base: addr.MakeAddr(224, byte(i), 0, 0), Len: 16},
+			ASPath: []wire.DomainID{2, wire.DomainID(10 + i)}, Origin: wire.DomainID(10 + i)})
+	}
+	s.HandleUpdate(2, u)
+	before := s.Table(wire.TableGRIB)
+	if len(before) != 3 {
+		t.Fatalf("the G-RIB holds %d routes, want the 3 announced", len(before))
+	}
+	s.Sync(3)
+	synced := sent[len(sent)-1]
+	if m, err := wire.Decode([]byte(synced)); err != nil || len(m.(*wire.Update).Routes) != 3 {
+		t.Fatalf("a full-table exchange sends %x (%v), want the 3 routes", synced, err)
+	}
+
+	for i := range u.Routes {
+		u.Routes[i] = wire.Route{Prefix: gone, ASPath: []wire.DomainID{99}, Origin: 99, ExpireUnix: 1}
+	}
+	u.Withdrawn[0] = before[0].Route.Prefix
+	if after := s.Table(wire.TableGRIB); !reflect.DeepEqual(after, before) {
+		t.Errorf("after the caller reused its update the G-RIB reads\n%v\nwant\n%v", after, before)
+	}
+	s.Sync(3)
+	if again := sent[len(sent)-1]; again != synced {
+		t.Errorf("after the caller reused its update a full-table exchange sends\n%x\nwant\n%x", again, synced)
 	}
 }
 

@@ -235,20 +235,23 @@ func BenchmarkSendFanOut(b *testing.B) {
 //
 //	perHop × peering hops to the root + constant
 //
-// On the shared tree a hop costs 8: the (*,G) entry the join builds at the
-// next router, its child list, and for each of the GroupJoin and the
-// GroupPrune an output list, the message and its decoded copy. The
-// overlays keep no transit state, so a hop is the two decoded
-// MemberReports. All three rows are the measured floor: one more
-// allocation anywhere between the host and the root fails.
+// On the shared tree a hop costs 2: the (*,G) entry the join builds at the
+// next router and its child list. The GroupJoin and the GroupPrune come off
+// their sender's free list and wait in the network's queue as frames, each
+// decoded into the network's one message of its type, and the output list
+// is kept for the next operation. The overlays keep no transit state and
+// relay a MemberReport as received, so a hop costs nothing. All three rows
+// are the measured floor: one more allocation anywhere between the host and
+// the root fails. Decoding each queued frame into a fresh message costs a hop
+// 4 on the shared tree and 2 on the overlays, and fails.
 func TestJoinAllocBudget(t *testing.T) {
 	budgets := []struct {
 		backend          string
 		perHop, constant int
 	}{
-		{dataplane.SharedTreeName, 8, 2},
-		{dataplane.BIERName, 2, 4},
-		{dataplane.MapEncapName, 2, 4},
+		{dataplane.SharedTreeName, 2, 2},
+		{dataplane.BIERName, 0, 2},
+		{dataplane.MapEncapName, 0, 2},
 	}
 	for _, b := range budgets {
 		for _, transit := range []int{1, 4} {
@@ -369,15 +372,17 @@ func TestBIERFollowsUnicastAcrossFlap(t *testing.T) {
 //
 // where a route item is one route announced or withdrawn to one neighbour,
 // counted off the observer of an identical world. An item that is a route
-// costs its decoded AS path and the receiver's own copy of it; one that
+// costs its decoded AS path, which the receiver keeps as its own; one that
 // changes the receiver's best adds at most a record for a prefix not met
 // before and one domain-prepended path shared by every neighbour it goes
-// on to. The rest is per message, not per item — the update and its lists
-// on both sides of the wire, the receiver's batch, notes and output — and
-// its share falls as updates carry more routes: 5.5 per item in all here.
-// With a prefix's state in five maps and a Clone plus a prepending append
-// per route per neighbour the same flap cost 11.3 per item; one more
-// allocation per item fails.
+// on to. The rest is per message, not per item — the sender's update and
+// its lists (the receiver's are the network's one reused update), the
+// receiver's batch, notes and output — and its share falls as updates
+// carry more routes: 435 allocations for 110 items here, 3.95 each.
+// Decoding each queued update into a fresh one costs 514, which fails, and
+// cloning every path on receipt besides 594 (5.4 per item); with a
+// prefix's state in five maps and a Clone plus a prepending append per
+// route per neighbour the same flap cost 11.3 per item.
 func TestFlapAllocBudget(t *testing.T) {
 	const n, chord, link = 12, 4, 3
 	ob := obs.NewObserver()
@@ -394,7 +399,7 @@ func TestFlapAllocBudget(t *testing.T) {
 	net := ringNet(t, dataplane.SharedTreeName, n, chord, nil)
 	flap(t, net, link)
 	got := int(testing.AllocsPerRun(5, func() { flap(t, net, link) }))
-	const perItem, constant = 5, 150
+	const perItem, constant = 4, 50
 	if budget := perItem*items + constant; got > budget {
 		t.Errorf("%d allocations per flap of %d route items, budget %d×%d + %d = %d",
 			got, items, perItem, items, constant, budget)

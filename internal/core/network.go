@@ -41,15 +41,18 @@ type Config struct {
 	// border router.
 	SourceBranches bool
 	// Synchronous delivers inter-router messages in the calling goroutine,
-	// after an encode/decode round trip, so runs are deterministic. Data
-	// packets are delivered by nested call before Send returns; every other
-	// message waits in one FIFO per network (an update folded into one still
-	// waiting on its session and table), which the outermost call delivers
-	// until it is empty. So a router hears each peer in the order it sent,
-	// as over TCP, BGP converges breadth-first, and Link, Unlink, AddDomain,
-	// Join, Leave and a MASC origination return converged. Drive it from one
-	// goroutine at a time. Unset, every peering is a real loopback TCP
-	// connection with background transport goroutines, as in cmd/bgmpd.
+	// in the frames TCP would carry, so runs are deterministic. Data
+	// packets are encoded, decoded into a recycled packet and delivered by
+	// nested call before Send returns; every other message is encoded at
+	// Send into one FIFO of frames per network (an update folded into one
+	// still waiting on its session and table), which the outermost call
+	// delivers until it is empty, decoding each frame at delivery into the
+	// one message of its type the network reuses. So a router hears each
+	// peer in the order it sent, as over TCP, BGP converges breadth-first,
+	// and Link, Unlink, AddDomain, Join, Leave and a MASC origination return
+	// converged. Drive it from one goroutine at a time. Unset, every peering
+	// is a real loopback TCP connection with background transport
+	// goroutines, as in cmd/bgmpd.
 	Synchronous bool
 	// Observer receives protocol events and feeds the metrics registry:
 	// MASC claims and collisions, BGP route churn, BGMP joins/prunes and
@@ -134,22 +137,35 @@ type Network struct {
 	anchors atomic.Pointer[map[wire.DomainID]addr.Addr]
 
 	frameMu sync.Mutex
-	// frame is the encode buffer every function-call hop reuses.
-	// guarded by frameMu
+	// frame is the encode buffer a data packet's or a MASC message's round
+	// trip reuses. guarded by frameMu
 	frame []byte
 	// packets are the free lists of decoded data packets, [1] of those with
 	// a bitstring (so that decoding never drops its array): plain stacks, not
 	// a sync.Pool, which a collection empties — what a send allocates must
 	// not depend on the collector (DESIGN.md §17). guarded by frameMu
 	packets [2][]*wire.Data
-	// queue holds the control messages sent on a synchronous network and not
-	// yet delivered, oldest at queue[qhead]; the array is reused across
-	// drains, as frame is. guarded by frameMu
+	// arena holds the frames of the control messages sent on a synchronous
+	// network and not yet delivered, each the wire.AppendFrame bytes TCP
+	// carries; an offset into it counts from the first byte it ever held, and
+	// abase is the count of bytes slid off its front. guarded by frameMu
+	arena []byte
+	abase uint32 // guarded by frameMu
+	// queue holds one entry per queued message, oldest at queue[qhead]; the
+	// array is reused across drains. Entry number i sits at queue[i-qbase].
+	// guarded by frameMu
 	queue []queued
 	qhead int // guarded by frameMu
+	qbase int // guarded by frameMu
+	// folds are the frames of updates folded into one still waiting, chained
+	// from its entry (span.next); folds[0] is the chain's end. guarded by
+	// frameMu
+	folds []span
 	// waiting finds the queued update, if any, from one router to another
-	// for one table. guarded by frameMu
-	waiting map[updateKey]*wire.Update
+	// for one table, by its entry number. guarded by frameMu
+	waiting map[updateKey]int
+	// rx is what a drain decodes each frame into. guarded by frameMu
+	rx inbox
 	// draining is set while a drain runs or a converge call holds the
 	// queue. guarded by frameMu
 	draining bool
@@ -165,11 +181,54 @@ type updateKey struct {
 	table wire.Table
 }
 
-// queued is one control message on its way to its receiver.
+// span is one frame in Network.arena, [off, end), and the next update folded
+// into the same delivery (an index into Network.folds, 0 for none).
+type span struct {
+	off, end, next uint32
+}
+
+// queued is one control message on its way to its receiver: its type and,
+// for an update, its table, its frame, and the last update folded into it.
 type queued struct {
-	from wire.RouterID
-	to   *Router
-	msg  wire.Message
+	from  wire.RouterID
+	typ   wire.MsgType
+	table wire.Table
+	to    *Router
+	span
+	last uint32
+}
+
+// inbox is the one message of each type a drain decodes a frame into. Each is
+// its receiver's for the call it is handed to, and decoded over by the next
+// delivery: a handler that keeps anything but an update's AS paths copies it.
+// fold is the update a folded frame is decoded into.
+type inbox struct {
+	update, fold wire.Update
+	join         wire.GroupJoin
+	prune        wire.GroupPrune
+	sourceJoin   wire.SourceJoin
+	sourcePrune  wire.SourcePrune
+	report       wire.MemberReport
+}
+
+// of returns the inbox message of type t, one of the types a router sends
+// its peers other than data.
+func (in *inbox) of(t wire.MsgType) wire.Message {
+	switch t {
+	case wire.TypeUpdate:
+		return &in.update
+	case wire.TypeGroupJoin:
+		return &in.join
+	case wire.TypeGroupPrune:
+		return &in.prune
+	case wire.TypeSourceJoin:
+		return &in.sourceJoin
+	case wire.TypeSourcePrune:
+		return &in.sourcePrune
+	case wire.TypeMemberReport:
+		return &in.report
+	}
+	panic(fmt.Sprintf("core: no %v is sent to a peer", t))
 }
 
 type link struct {
@@ -196,7 +255,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 		tracker: &transport.Tracker{},
 		domains: map[wire.DomainID]*Domain{},
 		routers: map[wire.RouterID]*Router{},
-		waiting: map[updateKey]*wire.Update{},
+		waiting: map[updateKey]int{},
 	}
 	n.anchors.Store(&map[wire.DomainID]addr.Addr{})
 	if cfg.Faults != nil {
@@ -379,33 +438,76 @@ func (n *Network) roundTrip(msg wire.Message) (wire.Message, error) {
 	return wire.Decode(n.frame)
 }
 
-// deliver queues a decoded control message for its receiver and, unless a
-// drain is already running further up the stack, delivers the queue. An
-// update for a session and table that still has one waiting is folded into
-// that one (supersede), as by a speaker that rewrites its pending output to
-// a peer: the receiver learns where the sender's routes are now, once,
+// deliver queues a control message's frame for its receiver and, unless a
+// drain is already running further up the stack, delivers the queue; msg is
+// the caller's again when deliver returns. An update for a session and table
+// that still has one waiting is folded into that one (supersede) when the
+// waiting one is delivered, as by a speaker that rewrites its pending output
+// to a peer: the receiver learns where the sender's routes are now, once,
 // rather than every route the sender passed through on the way. Without
 // it, the withdrawal of a prefix that became unreachable hunts down every
 // alternative path, and breadth-first order makes that hunt hundreds of
 // times longer than nesting did (DESIGN.md §5).
 func (n *Network) deliver(from wire.RouterID, to *Router, msg wire.Message) {
 	n.frameMu.Lock()
+	off := n.abase + uint32(len(n.arena))
+	n.arena = wire.AppendFrame(n.arena, msg)
+	q := queued{from: from, typ: msg.Type(), to: to, span: span{off: off, end: n.abase + uint32(len(n.arena))}}
 	if u, ok := msg.(*wire.Update); ok {
+		q.table = u.Table
 		k := updateKey{from, to, u.Table}
-		if q := n.waiting[k]; q != nil {
-			supersede(q, u) // a waiting update means a drain is running
+		if at, ok := n.waiting[k]; ok {
+			n.foldLocked(&n.queue[at-n.qbase], q.span) // a waiting update means a drain is running
 			n.frameMu.Unlock()
 			return
 		}
-		n.waiting[k] = u
+		n.waiting[k] = n.qbase + len(n.queue)
 	}
-	n.queue = append(n.queue, queued{from, to, msg})
+	n.queue = append(n.queue, q)
 	if n.draining {
 		n.frameMu.Unlock()
 		return
 	}
 	n.draining = true
 	n.drainLocked()
+}
+
+// foldLocked chains the frame at s to the end of q's folds, so that it is
+// delivered in q's place.
+func (n *Network) foldLocked(q *queued, s span) {
+	if len(n.folds) == 0 {
+		n.folds = append(n.folds, span{}) // the chain's end
+	}
+	i := uint32(len(n.folds))
+	n.folds = append(n.folds, s)
+	if q.last == 0 {
+		q.next = i
+	} else {
+		n.folds[q.last].next = i
+	}
+	q.last = i
+}
+
+// frameLocked returns the bytes of the frame at s.
+func (n *Network) frameLocked(s span) []byte {
+	return n.arena[s.off-n.abase : s.end-n.abase]
+}
+
+// openLocked decodes q's frame into the inbox message of its type and
+// supersedes it by each update folded into it, in the order they were sent;
+// nil when the frame does not decode.
+func (n *Network) openLocked(q *queued) wire.Message {
+	msg := n.rx.of(q.typ)
+	if wire.DecodeInto(n.frameLocked(q.span), msg) != nil {
+		return nil
+	}
+	for i := q.next; i != 0; i = n.folds[i].next {
+		if wire.DecodeInto(n.frameLocked(n.folds[i]), &n.rx.fold) == nil {
+			supersede(&n.rx.update, &n.rx.fold)
+			clear(n.rx.fold.Routes) // its paths are the update's now
+		}
+	}
+	return msg
 }
 
 // supersede folds u into q, the update still waiting on the same session and
@@ -439,31 +541,73 @@ func (n *Network) converge(fn func()) {
 	}
 }
 
+// Past these, a drain that empties the queue drops the arena, the folds and
+// the inbox's route lists rather than keep them for the next one: a join's
+// drain stays well inside, a link coming up does not.
+const (
+	keptArena  = 4 << 10
+	keptFolds  = 64
+	keptRoutes = 64
+)
+
 // drainLocked, called with frameMu held and draining set, delivers the queue
 // in arrival order until it is empty, then clears draining and unlocks. So a
 // router hears each peer in the order it sent: delivered by nested call, a
-// prune overtook a join not yet handed over (TestFlapsKeepTreesValid).
+// prune overtook a join not yet handed over (TestFlapsKeepTreesValid). Each
+// frame is decoded as it leaves the queue, into the inbox.
 func (n *Network) drainLocked() {
 	for n.qhead < len(n.queue) {
 		q := n.queue[n.qhead]
-		if u, ok := q.msg.(*wire.Update); ok {
-			delete(n.waiting, updateKey{q.from, q.to, u.Table})
+		if q.typ == wire.TypeUpdate {
+			delete(n.waiting, updateKey{q.from, q.to, q.table})
 		}
+		msg := n.openLocked(&q)
 		n.queue[n.qhead] = queued{}
 		n.qhead++
 		if 2*n.qhead >= len(n.queue) {
-			// Slide what is left to the front: the array stays about twice
-			// the queue's longest, however many messages a drain delivers.
-			left := copy(n.queue, n.queue[n.qhead:])
-			clear(n.queue[left:])
-			n.queue, n.qhead = n.queue[:left], 0
+			n.slideLocked()
 		}
 		n.frameMu.Unlock()
-		q.to.dispatch(q.from, q.msg)
+		if msg != nil {
+			q.to.dispatch(q.from, msg)
+		}
 		n.frameMu.Lock()
+		if msg == &n.rx.update {
+			clear(n.rx.update.Routes) // the receiver keeps the AS paths; the inbox holds none
+		}
+	}
+	if cap(n.arena) > keptArena {
+		n.arena = nil
+	}
+	if cap(n.folds) > keptFolds {
+		n.folds = nil
+	}
+	for _, u := range []*wire.Update{&n.rx.update, &n.rx.fold} {
+		if cap(u.Routes) > keptRoutes || cap(u.Withdrawn) > keptRoutes {
+			u.Routes, u.Withdrawn = nil, nil
+		}
 	}
 	n.draining = false
 	n.frameMu.Unlock()
+}
+
+// slideLocked moves what is left of the queue to the front of its array, and
+// the frames it holds to the front of the arena: the array stays about twice
+// the queue's longest, however many messages a drain delivers, and the arena
+// about the bytes it holds. The head's frame is the arena's first live byte,
+// because an update folded into an entry is sent after that entry's frame.
+func (n *Network) slideLocked() {
+	left := copy(n.queue, n.queue[n.qhead:])
+	clear(n.queue[left:])
+	n.queue, n.qbase, n.qhead = n.queue[:left], n.qbase+n.qhead, 0
+	if left == 0 {
+		n.abase += uint32(len(n.arena))
+		n.arena, n.folds = n.arena[:0], n.folds[:0]
+		return
+	}
+	lo := n.queue[0].off - n.abase
+	n.arena = n.arena[:copy(n.arena, n.arena[lo:])]
+	n.abase += lo
 }
 
 // recycle frees a data packet roundTrip decoded, once its receiver has returned.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"strings"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"time"
 	"unsafe"
 
+	"mascbgmp/internal/addr"
 	"mascbgmp/internal/dataplane"
 	"mascbgmp/internal/faultinject"
 	"mascbgmp/internal/simclock"
@@ -107,6 +109,129 @@ func TestDeferredSendsOwnTheirPackets(t *testing.T) {
 		if st := plane.Stats(); st.Delayed == 0 || st.Reordered == 0 || st.Duplicated == 0 {
 			t.Errorf("%s: the plane delayed %d, reordered %d and duplicated %d packets; the test needs all three", backend, st.Delayed, st.Reordered, st.Duplicated)
 		}
+	}
+}
+
+// TestDeferredControlMessagesOwnTheirContent holds the ownership rule for
+// control messages: a join, a prune or a MemberReport handed to a sender is
+// the sender's again when Send returns, and BGMP's free lists and the
+// overlays' scratch write the next one into it. The fault plane delays
+// every control message and duplicates those on the far end's link, so the
+// joins of six groups from the chain's far end, and then their prunes, are
+// all parked in closures before the sim clock releases any. After the joins
+// each group must reach the far end once, and after the prunes no router on
+// the way may hold state for any of them, nor the root's overlay store
+// count the far end a member. Without faultSender's copy the parked
+// closures all read the cleared message that went back on the free list.
+func TestDeferredControlMessagesOwnTheirContent(t *testing.T) {
+	const transit = 2
+	for _, backend := range dataplane.Names() {
+		far, _ := chainNetFaults(t, backend, transit, 1, 0, true)
+		n, plane, clk := far.net, far.net.cfg.Faults, far.net.Clock().(*simclock.Sim)
+		root := n.Domain(wire.DomainID(transit + 2))
+		groups := make([]addr.Addr, 6)
+		for i := range groups {
+			lease, err := root.NewGroup(24 * time.Hour)
+			if err != nil {
+				t.Fatal(err)
+			}
+			groups[i] = lease.Addr
+		}
+		slow := faultinject.LinkFaults{Delay: 10 * time.Millisecond, Classes: faultinject.MaskControl}
+		twice := slow
+		twice.Dup = 1
+		plane.SetDefault(slow)
+		plane.SetLink(1, 2, twice)
+		release := func() {
+			for range 2 * (transit + 2) { // a parked message's successors are parked at every hop
+				clk.RunFor(time.Second)
+				plane.FlushHeld()
+			}
+		}
+
+		for _, g := range groups {
+			far.Join(g, 0)
+		}
+		release()
+		for _, g := range groups {
+			root.Send(g, root.HostAddr(0), "down", 0)
+			if got := len(far.Received()); got != 1 {
+				t.Errorf("%s: group %v reached the far end %d times after its join, want once", backend, g, got)
+			}
+			far.ClearReceived()
+		}
+
+		for _, g := range groups {
+			far.Leave(g, 0)
+		}
+		release()
+		for _, g := range groups {
+			for id := wire.DomainID(1); id <= root.ID; id++ {
+				if r := n.Domain(id).Routers()[0]; r.DataPlane().HasForwardingState(g) {
+					t.Errorf("%s: router %d holds state for group %v after its prune", backend, r.ID, g)
+				}
+			}
+			if slices.Contains(root.dpStore.Members(g), far.ID) {
+				t.Errorf("%s: the root's store counts domain %d a member of %v after its leave", backend, far.ID, g)
+			}
+		}
+		if st := plane.Stats(); st.Delayed == 0 || st.Duplicated == 0 {
+			t.Errorf("%s: the plane delayed %d and duplicated %d messages; the test needs both", backend, st.Delayed, st.Duplicated)
+		}
+	}
+}
+
+// recorder is a sender that keeps the frame of every message it is handed.
+type recorder struct{ frames *[]string }
+
+func (r recorder) Send(m wire.Message) error {
+	*r.frames = append(*r.frames, string(wire.Encode(m)))
+	return nil
+}
+
+func (recorder) Close() error { return nil }
+
+// TestFaultSenderDefersCopies: every type of peering message that the fault
+// plane delays and duplicates reaches the real sender twice, as it was when
+// faultSender.Send was called, although its sender decoded the next message
+// of the type into it — lists in place — as soon as Send returned, as the
+// network's inbox and BGMP's free lists do.
+func TestFaultSenderDefersCopies(t *testing.T) {
+	clk := simclock.NewSim(time.Date(1998, 9, 1, 0, 0, 0, 0, time.UTC))
+	plane, err := faultinject.New(faultinject.Config{Clock: clk, Rand: rand.New(rand.NewSource(7))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plane.SetDefault(faultinject.LinkFaults{Delay: time.Millisecond, Dup: 1})
+	var got []string
+	f := &faultSender{plane: plane, from: 1, to: 2, inner: recorder{&got}}
+	// Two messages of each type, with lists of one length.
+	messages := func(i byte) []wire.Message {
+		g, s := addr.MakeAddr(224, 1, i, 1), addr.MakeAddr(10, i, 0, 1)
+		p := addr.Prefix{Base: addr.MakeAddr(224, 1, i, 0), Len: 24}
+		u := &wire.Update{Table: wire.TableGRIB, Withdrawn: []addr.Prefix{p},
+			Routes: []wire.Route{{Prefix: p, ASPath: []wire.DomainID{wire.DomainID(i), 4}, Origin: 4}}}
+		join := &wire.GroupJoin{Group: g}
+		wire.Stamp(join, wire.TraceContext{Trace: uint64(i) + 1, Span: 1})
+		return []wire.Message{u, join, &wire.GroupPrune{Group: g}, &wire.SourceJoin{Group: g, Source: s},
+			&wire.SourcePrune{Group: g, Source: s}, &wire.MemberReport{Group: g, Domain: wire.DomainID(i)},
+			&wire.Data{Group: g, Source: s, TTL: 9, Bits: []uint64{uint64(i)}, Payload: []byte{'p', i}}}
+	}
+	sent, next := messages(1), messages(2)
+	var want []string
+	for i, m := range sent {
+		frame := string(wire.Encode(m))
+		want = append(want, frame, frame)
+		if err := f.Send(m); err != nil {
+			t.Fatal(err)
+		}
+		if err := wire.DecodeInto(wire.Encode(next[i]), m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clk.RunFor(time.Second)
+	if !slices.Equal(got, want) {
+		t.Errorf("the fault plane released\n%q\nwant every message twice, as sent:\n%q", got, want)
 	}
 }
 

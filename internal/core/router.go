@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"net"
-	"slices"
 	"sync"
 
 	"mascbgmp/internal/addr"
@@ -37,17 +36,19 @@ type Router struct {
 }
 
 // sender abstracts the delivery path to one peer: a transport.Peer in
-// asynchronous mode, a direct dispatch in synchronous mode. A *wire.Data is
-// the caller's again — a recycled packet, soon decoded over — when Send
-// returns: a sender that delivers later, or twice, copies first (faultSender).
+// asynchronous mode, a direct dispatch in synchronous mode. A message is the
+// caller's again when Send returns — a *wire.Data is a recycled packet, soon
+// decoded over, and the rest are reused by their senders too — so a sender
+// that delivers later, or twice, copies first (faultSender).
 type sender interface {
 	Send(msg wire.Message) error
 	Close() error
 }
 
-// directSender delivers in the caller's goroutine after an encode/decode
-// round trip (same bytes as the TCP path, no goroutines): a data packet by
-// nested call, to recycle it, and the rest through Network.deliver's queue.
+// directSender delivers in the caller's goroutine, in the bytes TCP carries
+// (no goroutines): a data packet after an encode/decode round trip by nested
+// call, to recycle it, and the rest as frames in Network.deliver's queue,
+// each decoded when it leaves.
 type directSender struct {
 	from wire.RouterID
 	to   *Router
@@ -55,16 +56,17 @@ type directSender struct {
 
 func (d directSender) Send(msg wire.Message) error {
 	n := d.to.domain.net
+	if _, ok := msg.(*wire.Data); !ok {
+		n.deliver(d.from, d.to, msg)
+		return nil
+	}
 	decoded, err := n.roundTrip(msg)
 	if err != nil {
 		return err
 	}
-	if m, ok := decoded.(*wire.Data); ok {
-		d.to.dispatch(d.from, m)
-		n.recycle(m)
-	} else {
-		n.deliver(d.from, d.to, decoded)
-	}
+	m := decoded.(*wire.Data)
+	d.to.dispatch(d.from, m)
+	n.recycle(m)
 	return nil
 }
 
@@ -83,14 +85,17 @@ type faultSender struct {
 
 func (f *faultSender) Send(msg wire.Message) error {
 	class := faultinject.Control
-	if d, ok := msg.(*wire.Data); ok {
+	if _, ok := msg.(*wire.Data); ok {
 		class = faultinject.Data
-		// The plane may run the closure after Send has returned, or twice.
-		cp := *d
-		cp.Bits, cp.Payload = slices.Clone(d.Bits), slices.Clone(d.Payload)
-		msg = &cp
 	}
-	f.plane.Deliver(f.from, f.to, class, func() { _ = f.inner.Send(msg) })
+	// The plane may run the closure after Send has returned, or twice: it
+	// holds the message's frame and hands on a copy of its own each time.
+	frame := wire.Encode(msg)
+	f.plane.Deliver(f.from, f.to, class, func() {
+		if m, err := wire.Decode(frame); err == nil {
+			_ = f.inner.Send(m)
+		}
+	})
 	return nil
 }
 

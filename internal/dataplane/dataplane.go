@@ -137,10 +137,11 @@ type Config struct {
 	UnicastGeneration func() uint64
 	// Internal reports whether a router ID is a border of this domain.
 	Internal func(r wire.RouterID) bool
-	// SendPeer transmits a message to an external peer. A *wire.Data it
-	// is handed is the caller's again when it returns: the overlays build
-	// their copies in scratch they reuse, so a SendPeer that keeps or
-	// defers a packet copies it first. The same holds for MIGP's
+	// SendPeer transmits a message to an external peer. The message it is
+	// handed is the caller's again when it returns: the overlays build their
+	// packet copies and their own MemberReports in scratch they reuse, and
+	// relay a report as they received it, so a SendPeer that keeps or
+	// defers a message copies it first. The same holds for MIGP's
 	// RelayToBorder and Inject.
 	SendPeer func(to wire.RouterID, msg wire.Message)
 	// MIGP is the interior component; required.

@@ -152,14 +152,19 @@ type hop struct {
 	msg wire.Message
 }
 
-// keep returns a copy of m the recorder may hold past the call. A packet
+// keep returns a copy of m the recorder may hold past the call. A message
 // handed to SendPeer, RelayToBorder or Inject is the caller's again when
-// the call returns (DESIGN.md §17), and the overlay reuses its memory, so
-// a stub that kept the pointer would read whatever came next.
+// the call returns (DESIGN.md §17), and the overlay reuses its memory for
+// packets and the MemberReports it originates, so a stub that kept the
+// pointer would read whatever came next.
 func keep(m wire.Message) wire.Message {
 	d, ok := m.(*wire.Data)
 	if !ok {
-		return m
+		cp, err := wire.Decode(wire.Encode(m))
+		if err != nil {
+			panic(err)
+		}
+		return cp
 	}
 	cp := *d
 	cp.Bits, cp.Payload = slices.Clone(d.Bits), slices.Clone(d.Payload)

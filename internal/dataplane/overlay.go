@@ -43,12 +43,16 @@ type overlay struct {
 	// its deepest nesting made. Not a sync.Pool: a collection would empty
 	// it, and what a send allocates would depend on when it last ran.
 	spare []*scratch // guarded by mu
+	// rep is the spare MemberReport a report this router originates is
+	// written into, taken for the send and put back after it, as a scratch
+	// is; nil while one is out. guarded by mu
+	rep *wire.MemberReport
 }
 
 // scratch is the room one call builds its packet copy in: the packet, and
 // the arrays of a bitstring and of forwardBits' next hops, each grown to the
 // largest it has held. Every copy dies with the call that made it: a
-// *wire.Data handed to SendPeer or the MIGP is the caller's again when that
+// message handed to SendPeer or the MIGP is the caller's again when that
 // returns (Config.SendPeer).
 type scratch struct {
 	d    wire.Data
@@ -147,9 +151,9 @@ func (o *overlay) LocalLeave(g addr.Addr) {
 
 // report applies one membership assertion/retraction of domain dom at this
 // router: recorded in the Store when this is a root-domain border, else sent
-// one hop toward the root, statelessly. m is the report as received, nil for
-// one originating here (built only if it has to travel). It returns false
-// when no G-RIB route exists yet.
+// one hop toward the root, statelessly. m is the report as received, relayed
+// as it is; nil for one originating here, written into the spare (o.rep) only
+// if it has to travel. It returns false when no G-RIB route exists yet.
 func (o *overlay) report(g addr.Addr, dom wire.DomainID, leave bool, m *wire.MemberReport) bool {
 	if o.mode == BIERName && dom > wire.MaxDataBit {
 		return true // no bitstring could carry it: refused, not parked
@@ -160,11 +164,20 @@ func (o *overlay) report(g addr.Addr, dom wire.DomainID, leave bool, m *wire.Mem
 	}
 	next, inRoot := o.eg.Resolve(ent)
 	switch {
-	case !inRoot:
-		if m == nil {
-			m = &wire.MemberReport{Group: g, Domain: dom, Leave: leave}
-		}
+	case !inRoot && m != nil:
 		o.eg.Send(next, m)
+	case !inRoot:
+		o.mu.Lock()
+		m, o.rep = o.rep, nil
+		o.mu.Unlock()
+		if m == nil {
+			m = new(wire.MemberReport)
+		}
+		*m = wire.MemberReport{Group: g, Domain: dom, Leave: leave}
+		o.eg.Send(next, m)
+		o.mu.Lock()
+		o.rep = m
+		o.mu.Unlock()
 	case leave:
 		o.cfg.Store.Remove(g, dom)
 	default:

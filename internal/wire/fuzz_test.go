@@ -11,14 +11,15 @@ import (
 
 // FuzzDecodeNext feeds arbitrary bytes to the frame decoder: it must never
 // panic, any frame it accepts must re-encode to the identical bytes
-// (round-trip stability), and the message must not alias the input. A Data
-// frame it accepts must also decode into a dirty, reused Data — a longer
-// payload, a bitstring, a tunnel and the encap mark left over — as the very
-// message a fresh Decode gives (nil against empty Bits included) and as free
-// of aliases. The seed corpus covers every message type, the two retired
-// type codes, an Update for a table that does not exist (the frame that used
-// to crash the receiving speaker), traced frames and Data bitstrings whole,
-// cut short and overstated.
+// (round-trip stability), and the message must not alias the input. Every
+// frame it accepts must also decode into a message of its type that a
+// different frame was decoded into first (dirty) as the very message a
+// fresh Decode gives — nil against empty lists included, no AS path, trace
+// context or payload left over — and as free of aliases. The seed corpus
+// covers every message type, the two retired type codes, an Update for a
+// table that does not exist (the frame that used to crash the receiving
+// speaker), traced frames and Data bitstrings whole, cut short and
+// overstated.
 func FuzzDecodeNext(f *testing.F) {
 	for _, msg := range allMessages() {
 		f.Add(Encode(msg))
@@ -52,20 +53,71 @@ func FuzzDecodeNext(f *testing.F) {
 		if !bytes.Equal(re, consumed) {
 			t.Fatalf("round trip mismatch:\n in  %x\n out %x", consumed, re)
 		}
-		if _, ok := msg.(*Data); ok {
-			frame := bytes.Clone(consumed)
-			dirty := &Data{Group: 1, Source: 2, TTL: 3, Encap: true, TunnelTo: 4,
-				Bits: []uint64{5, 6, 7, 8, 9}, Payload: bytes.Repeat([]byte{0xA5}, len(frame)+64)}
-			if err := DecodeInto(frame, dirty); err != nil {
-				t.Fatalf("Decode accepts %x, DecodeInto: %v", frame, err)
-			}
-			if !reflect.DeepEqual(dirty, msg) {
-				t.Fatalf("frame %x\n into a reused Data %#v\n fresh               %#v", frame, dirty, msg)
-			}
-			requireNoAlias(t, dirty, frame)
+		frame := bytes.Clone(consumed)
+		into := dirty(t, msg.Type(), len(frame))
+		if err := DecodeInto(frame, into); err != nil {
+			t.Fatalf("Decode accepts %x, DecodeInto: %v", frame, err)
 		}
+		if !reflect.DeepEqual(into, msg) {
+			t.Fatalf("frame %x\n into a reused %v %#v\n fresh %#v", frame, msg.Type(), into, msg)
+		}
+		requireNoAlias(t, into, frame)
 		requireNoAlias(t, msg, consumed)
 	})
+}
+
+// dirty returns a message of type typ that a frame unlike any seed's has been
+// decoded into: a trace context, more of every list than a seed holds, an AS
+// path on every route, every flag set, and for Data a tunnel, a bitstring
+// and a payload longer than size bytes.
+func dirty(t *testing.T, typ MsgType, size int) Message {
+	t.Helper()
+	g, s := addr.MakeAddr(232, 1, 2, 3), addr.MakeAddr(10, 7, 7, 7)
+	p := addr.MustParsePrefix("232.1.0.0/16")
+	var m Message
+	switch typ {
+	case TypeOpen:
+		m = &Open{Router: 0xdead, Domain: 0xbeef}
+	case TypeLiveness:
+		m = &LivenessCtl{Generation: 9, IntervalUS: 9, Multiplier: 9, Demand: true}
+	case TypeUpdate:
+		u := &Update{Table: TableMRIB}
+		for i := range 4 {
+			q := addr.Prefix{Base: addr.MakeAddr(10, byte(i), 0, 0), Len: 16}
+			u.Withdrawn = append(u.Withdrawn, q)
+			u.Routes = append(u.Routes, Route{Prefix: q, ASPath: []DomainID{7, 8, 9, DomainID(i)}, Origin: 7, ExpireUnix: 99})
+		}
+		m = u
+	case TypeClaim:
+		m = &Claim{Claimer: 9, ClaimID: 9, Prefix: p, LifeSecs: 9}
+	case TypeCollision:
+		m = &Collision{From: 9, Loser: 9, Prefix: p, Conflict: p, Reason: CollideOutsideParent}
+	case TypeRelease:
+		m = &Release{Claimer: 9, Prefix: p}
+	case TypeRangeAdvert:
+		m = &RangeAdvert{Owner: 9, Ranges: []RangeLife{{p, 9}, {p, 9}, {p, 9}}}
+	case TypeGroupJoin:
+		m = &GroupJoin{Group: g}
+	case TypeGroupPrune:
+		m = &GroupPrune{Group: g}
+	case TypeSourceJoin:
+		m = &SourceJoin{Group: g, Source: s}
+	case TypeSourcePrune:
+		m = &SourcePrune{Group: g, Source: s}
+	case TypeData:
+		m = &Data{Group: g, Source: s, TTL: 3, Encap: true, TunnelTo: s,
+			Bits: []uint64{5, 6, 7, 8, 9}, Payload: bytes.Repeat([]byte{0xA5}, size+64)}
+	case TypeMemberReport:
+		m = &MemberReport{Group: g, Domain: 9, Leave: true}
+	default:
+		t.Fatalf("no dirty message of type %v", typ)
+	}
+	Stamp(m, TraceContext{Trace: 0xA5, Span: 0x5A, Start: 1})
+	into := newMessage(typ)
+	if err := DecodeInto(Encode(m), into); err != nil {
+		t.Fatalf("dirty %v: %v", typ, err)
+	}
+	return into
 }
 
 // reframe sets a cut frame's length field to the payload bytes left, so the

@@ -193,39 +193,49 @@ const (
 	minRouteSize = prefixSize + 2 + 4 + 8
 )
 
-// DecodePayload implements Message. Every list is allocated once, at its
-// announced length, after that length has been checked against the bytes
-// left: a forged count cannot allocate more than the frame could hold.
+// DecodePayload implements Message. A list is decoded into the array m's
+// holds when that has room, and is otherwise allocated once, at its announced
+// length, after that length has been checked against the bytes left: a
+// forged count cannot allocate more than the frame could hold. An empty list
+// decodes as nil, as into a new Update. Every route's AS path is allocated
+// afresh, since a receiver may keep it (bgp.Speaker.HandleUpdate does).
 func (m *Update) DecodePayload(b []byte) error {
 	r := reader{b: b}
 	m.Table = Table(r.u8())
 	if r.err == nil && int(m.Table) >= NumTables {
 		return fmt.Errorf("wire: unknown table %d", uint8(m.Table))
 	}
-	m.Withdrawn = nil
-	if nw := r.count(prefixSize); nw > 0 {
-		m.Withdrawn = make([]addr.Prefix, nw)
-		for i := range m.Withdrawn {
-			m.Withdrawn[i] = r.prefix()
-		}
+	m.Withdrawn = resize(m.Withdrawn, r.count(prefixSize))
+	for i := range m.Withdrawn {
+		m.Withdrawn[i] = r.prefix()
 	}
-	m.Routes = nil
-	if nr := r.count(minRouteSize); nr > 0 {
-		m.Routes = make([]Route, nr)
-		for i := 0; i < nr && r.err == nil; i++ {
-			rt := &m.Routes[i]
-			rt.Prefix = r.prefix()
-			if np := r.count(hopSize); np > 0 {
-				rt.ASPath = make([]DomainID, np)
-				for j := range rt.ASPath {
-					rt.ASPath[j] = DomainID(r.u32())
-				}
+	m.Routes = resize(m.Routes, r.count(minRouteSize))
+	for i := 0; i < len(m.Routes) && r.err == nil; i++ {
+		rt := &m.Routes[i]
+		rt.Prefix = r.prefix()
+		rt.ASPath = nil
+		if np := r.count(hopSize); np > 0 {
+			rt.ASPath = make([]DomainID, np)
+			for j := range rt.ASPath {
+				rt.ASPath[j] = DomainID(r.u32())
 			}
-			rt.Origin = DomainID(r.u32())
-			rt.ExpireUnix = r.u64()
 		}
+		rt.Origin = DomainID(r.u32())
+		rt.ExpireUnix = r.u64()
 	}
 	return r.done()
+}
+
+// resize returns s at length n, in s's array when that has room; nil when n
+// is 0.
+func resize[T any](s []T, n int) []T {
+	switch {
+	case n == 0:
+		return nil
+	case cap(s) < n:
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // -------------------------------------------------------------------- MASC

@@ -117,7 +117,9 @@ func TestUpdateUnknownTableRejected(t *testing.T) {
 
 // The Update decoder allocates each list once at its announced length, so
 // a count the frame cannot back must fail before anything is allocated
-// for it — and an honest frame costs one allocation per list.
+// for it — and an honest frame costs one allocation per list and one per
+// route's path, into a new Update, and only the paths into one that has
+// held as many routes.
 func TestUpdateDecodeAllocatesAnnouncedSizesOnly(t *testing.T) {
 	forged := [][]byte{
 		{byte(TableGRIB), 0xff, 0xff},                       // 65535 withdrawals, none present
@@ -150,15 +152,27 @@ func TestUpdateDecodeAllocatesAnnouncedSizesOnly(t *testing.T) {
 	}
 	payload := honest.AppendPayload(nil)
 	var m Update
-	if got, want := testing.AllocsPerRun(10, func() {
-		if err := m.DecodePayload(payload); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name  string
+		fresh bool
+		want  int
+	}{
+		{"into a new Update", true, 2 + len(honest.Routes)}, // the two lists and one path per route
+		{"into a reused Update", false, len(honest.Routes)}, // the paths alone
+	} {
+		if got := testing.AllocsPerRun(10, func() {
+			if c.fresh {
+				m = Update{}
+			}
+			if err := m.DecodePayload(payload); err != nil {
+				t.Fatal(err)
+			}
+		}); got != float64(c.want) {
+			t.Errorf("honest update %s: %v allocations, want %v", c.name, got, c.want)
 		}
-	}), float64(2+len(honest.Routes)); got != want {
-		t.Errorf("honest update: %v allocations, want %v (the two lists and one path per route)", got, want)
-	}
-	if !reflect.DeepEqual(&m, honest) {
-		t.Errorf("honest update decoded to %#v", m)
+		if !reflect.DeepEqual(&m, honest) {
+			t.Errorf("honest update %s decoded to %#v", c.name, m)
+		}
 	}
 }
 
