@@ -63,7 +63,8 @@ func scenario(stdout, stderr io.Writer, wait time.Duration, branches, verbose, m
 			ob.Subscribe(func(e mascbgmp.Event) { fmt.Fprintln(stderr, e) })
 		}
 	}
-	net, err := mascbgmp.NewNetwork(mascbgmp.Config{
+	world := mascbgmp.PaperWorld()
+	net, err := world.Build(mascbgmp.Config{
 		Seed:           1998,
 		MASCWait:       wait,
 		SourceBranches: branches,
@@ -72,57 +73,11 @@ func scenario(stdout, stderr io.Writer, wait time.Duration, branches, verbose, m
 	if err != nil {
 		return err
 	}
-
-	type dom struct {
-		id      mascbgmp.DomainID
-		name    string
-		routers []mascbgmp.RouterID
-		top     bool
+	routers := 0
+	for _, d := range world.Domains {
+		routers += len(d.Routers)
 	}
-	doms := []dom{
-		{1, "A", []mascbgmp.RouterID{11, 12, 13, 14}, true},
-		{2, "B", []mascbgmp.RouterID{21, 22}, false},
-		{3, "C", []mascbgmp.RouterID{31, 32}, false},
-		{4, "D", []mascbgmp.RouterID{41}, true},
-		{5, "E", []mascbgmp.RouterID{51}, true},
-		{6, "F", []mascbgmp.RouterID{61, 62}, false},
-		{7, "G", []mascbgmp.RouterID{71, 72}, false},
-		{8, "H", []mascbgmp.RouterID{81}, false},
-	}
-	names := map[mascbgmp.DomainID]string{}
-	for _, d := range doms {
-		names[d.id] = d.name
-		if _, err := net.AddDomain(mascbgmp.DomainConfig{
-			ID:            d.id,
-			Routers:       d.routers,
-			InteriorNodes: len(d.routers) + 2,
-			Protocol:      mascbgmp.NewDVMRP(),
-			TopLevel:      d.top,
-			HostPrefix:    mascbgmp.MustParsePrefix(fmt.Sprintf("10.%d.0.0/16", d.id)),
-		}); err != nil {
-			return err
-		}
-	}
-	links := [][2]mascbgmp.RouterID{
-		{51, 11}, {31, 12}, {21, 13}, {41, 14},
-		{61, 22}, {71, 32}, {81, 72}, {62, 14},
-	}
-	for _, l := range links {
-		if err := net.Link(l[0], l[1]); err != nil {
-			return err
-		}
-	}
-	for _, s := range [][2]mascbgmp.DomainID{{1, 4}, {1, 5}, {4, 5}} {
-		if err := net.MASCPeerSiblings(s[0], s[1]); err != nil {
-			return err
-		}
-	}
-	for _, pc := range [][2]mascbgmp.DomainID{{1, 2}, {1, 3}, {2, 6}, {3, 7}, {7, 8}} {
-		if err := net.MASCPeerParentChild(pc[0], pc[1]); err != nil {
-			return err
-		}
-	}
-	fmt.Fprintf(stdout, "built 8 domains, %d TCP-linked border routers\n", 4+2+2+1+1+2+2+1)
+	fmt.Fprintf(stdout, "built %d domains, %d TCP-linked border routers\n", len(world.Domains), routers)
 
 	// MASC address allocation, level by level.
 	fmt.Fprintf(stdout, "MASC: A claims a /16 from 224/4 (waiting period %v)...\n", wait)
@@ -138,16 +93,16 @@ func scenario(stdout, stderr io.Writer, wait time.Duration, branches, verbose, m
 
 	for _, id := range []mascbgmp.DomainID{2, 3} {
 		if !net.Domain(id).MASC().RequestSpace(256, 24*time.Hour) {
-			return fmt.Errorf("%s's claim selection failed", names[id])
+			return fmt.Errorf("%s's claim selection failed", name(id))
 		}
 	}
 	time.Sleep(wait + 500*time.Millisecond)
 	for _, id := range []mascbgmp.DomainID{2, 3} {
 		hs := net.Domain(id).MASC().Holdings()
 		if len(hs) == 0 {
-			return fmt.Errorf("%s's claim never matured", names[id])
+			return fmt.Errorf("%s's claim never matured", name(id))
 		}
-		fmt.Fprintf(stdout, "MASC: %s won %v (inside A's range)\n", names[id], hs[0].Prefix)
+		fmt.Fprintf(stdout, "MASC: %s won %v (inside A's range)\n", name(id), hs[0].Prefix)
 	}
 	if err := net.Quiesce(3 * time.Second); err != nil {
 		return err
@@ -170,29 +125,29 @@ func scenario(stdout, stderr io.Writer, wait time.Duration, branches, verbose, m
 	fmt.Fprintln(stdout, "BGMP: members joined in B, C, D, F, H — bidirectional tree built")
 
 	if verbose {
-		for _, d := range doms {
-			for _, r := range net.Domain(d.id).Routers() {
+		for _, d := range net.Domains() {
+			for _, r := range d.Routers() {
 				parent, children, ok := r.BGMP().GroupEntry(lease.Addr)
 				if ok {
-					fmt.Fprintf(stdout, "  router %d (%s): (*,G) parent=%v children=%v\n", r.ID, d.name, parent, children)
+					fmt.Fprintf(stdout, "  router %d (%s): (*,G) parent=%v children=%v\n", r.ID, name(d.ID), parent, children)
 				}
 			}
 		}
 	}
 
 	send := func(from mascbgmp.DomainID, what string) error {
-		for _, d := range doms {
-			net.Domain(d.id).ClearReceived()
+		for _, d := range net.Domains() {
+			d.ClearReceived()
 		}
 		src := net.Domain(from).HostAddr(1)
 		net.Domain(from).Send(lease.Addr, src, what, 1)
 		if err := net.Quiesce(3 * time.Second); err != nil {
 			return fmt.Errorf("after %q: %w", what, err)
 		}
-		fmt.Fprintf(stdout, "data: host in %s sent %q → received in:", names[from], what)
-		for _, d := range doms {
-			if got := net.Domain(d.id).Received(); len(got) > 0 {
-				fmt.Fprintf(stdout, " %s(x%d)", d.name, len(got))
+		fmt.Fprintf(stdout, "data: host in %s sent %q → received in:", name(from), what)
+		for _, d := range net.Domains() {
+			if got := d.Received(); len(got) > 0 {
+				fmt.Fprintf(stdout, " %s(x%d)", name(d.ID), len(got))
 			}
 		}
 		fmt.Fprintln(stdout)
@@ -214,3 +169,6 @@ func scenario(stdout, stderr io.Writer, wait time.Duration, branches, verbose, m
 	fmt.Fprintln(stdout, "done")
 	return nil
 }
+
+// name is a PaperWorld domain's letter in the paper's figures: 1 is A.
+func name(id mascbgmp.DomainID) string { return string(rune('A' - 1 + id)) }

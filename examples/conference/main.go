@@ -26,7 +26,8 @@ import (
 
 func main() {
 	clk := mascbgmp.NewSimClock(time.Date(1998, 9, 1, 0, 0, 0, 0, time.UTC))
-	net, err := mascbgmp.NewNetwork(mascbgmp.Config{
+	// The paper's Fig 1/3 topology (domains A..H, F multihomed to B and A).
+	net, err := mascbgmp.PaperWorld().Build(mascbgmp.Config{
 		Clock:          clk,
 		Seed:           42,
 		Synchronous:    true,
@@ -34,48 +35,6 @@ func main() {
 	})
 	if err != nil {
 		panic(err)
-	}
-
-	// The paper's Fig 1/3 topology (domains A..H, F multihomed to B and A).
-	type dom struct {
-		id   mascbgmp.DomainID
-		name string
-		rs   []mascbgmp.RouterID
-		top  bool
-	}
-	doms := []dom{
-		{1, "A", []mascbgmp.RouterID{11, 12, 13, 14}, true},
-		{2, "B", []mascbgmp.RouterID{21, 22}, false},
-		{3, "C", []mascbgmp.RouterID{31, 32}, false},
-		{4, "D", []mascbgmp.RouterID{41}, true},
-		{5, "E", []mascbgmp.RouterID{51}, true},
-		{6, "F", []mascbgmp.RouterID{61, 62}, false},
-		{7, "G", []mascbgmp.RouterID{71, 72}, false},
-		{8, "H", []mascbgmp.RouterID{81}, false},
-	}
-	names := map[mascbgmp.DomainID]string{}
-	for _, d := range doms {
-		names[d.id] = d.name
-		if _, err := net.AddDomain(mascbgmp.DomainConfig{
-			ID: d.id, Routers: d.rs, InteriorNodes: len(d.rs) + 2,
-			Protocol: mascbgmp.NewDVMRP(), TopLevel: d.top,
-			HostPrefix: mascbgmp.MustParsePrefix(fmt.Sprintf("10.%d.0.0/16", d.id)),
-		}); err != nil {
-			log.Fatal(err)
-		}
-	}
-	for _, l := range [][2]mascbgmp.RouterID{
-		{51, 11}, {31, 12}, {21, 13}, {41, 14}, // E-A, C-A, B-A, D-A
-		{61, 22}, {71, 32}, {81, 72}, // F-B, G-C, H-G
-		{62, 14}, // the Fig 3(b) link: F2-A4
-	} {
-		must(net.Link(l[0], l[1]))
-	}
-	for _, s := range [][2]mascbgmp.DomainID{{1, 4}, {1, 5}, {4, 5}} {
-		must(net.MASCPeerSiblings(s[0], s[1]))
-	}
-	for _, pc := range [][2]mascbgmp.DomainID{{1, 2}, {1, 3}, {2, 6}, {3, 7}, {7, 8}} {
-		must(net.MASCPeerParentChild(pc[0], pc[1]))
 	}
 
 	// Address allocation: A from 224/4, then B (the conference organizer's
@@ -111,8 +70,8 @@ func main() {
 
 	// Steady state: every member gets exactly one copy per utterance.
 	clear := func() {
-		for _, d := range doms {
-			net.Domain(d.id).ClearReceived()
+		for _, d := range net.Domains() {
+			d.ClearReceived()
 		}
 	}
 	clear()
@@ -124,7 +83,7 @@ func main() {
 		if id == 4 {
 			continue
 		}
-		fmt.Printf("%s(x%d) ", names[id], len(net.Domain(id).Received()))
+		fmt.Printf("%c(x%d) ", 'A'-1+rune(id), len(net.Domain(id).Received()))
 	}
 	fmt.Println()
 
@@ -138,7 +97,7 @@ func main() {
 		if id == 8 {
 			continue
 		}
-		fmt.Printf("%s(x%d) ", names[id], len(net.Domain(id).Received()))
+		fmt.Printf("%c(x%d) ", 'A'-1+rune(id), len(net.Domain(id).Received()))
 	}
 	fmt.Println()
 
@@ -150,13 +109,7 @@ func main() {
 	net.Domain(5).Send(lease.Addr, net.Domain(5).HostAddr(1), "E: lurker question", 1)
 	fmt.Print("lurker E heard in:  ")
 	for _, id := range members {
-		fmt.Printf("%s(x%d) ", names[id], len(net.Domain(id).Received()))
+		fmt.Printf("%c(x%d) ", 'A'-1+rune(id), len(net.Domain(id).Received()))
 	}
 	fmt.Println()
-}
-
-func must(err error) {
-	if err != nil {
-		log.Fatal(err)
-	}
 }

@@ -42,29 +42,23 @@ func chainNetFaults(t testing.TB, backend string, transit, members, behind int, 
 			t.Fatal(err)
 		}
 	}
-	n, err := NewNetwork(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// source, transit..., root, members..., then hub, members behind it...
 	root, hub := transit+1, transit+2+members
 	total := hub
 	if behind > 0 {
 		total += 1 + behind
 	}
-	doms := make([]*Domain, total)
-	for i := range doms {
+	var w World
+	for i := 0; i < total; i++ {
 		id := wire.DomainID(i + 1)
-		doms[i], err = n.AddDomain(DomainConfig{
+		w.Domains = append(w.Domains, DomainConfig{
 			ID: id, Routers: []wire.RouterID{wire.RouterID(id)}, Protocol: migp.DVMRP(),
 			TopLevel:   i == root,
 			HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, byte(id), 0, 0), Len: 16},
 		})
-		if err != nil {
-			t.Fatal(err)
+		if i == 0 {
+			continue
 		}
-	}
-	for i := 1; i < total; i++ {
 		up := i - 1
 		switch {
 		case i > hub:
@@ -72,10 +66,13 @@ func chainNetFaults(t testing.TB, backend string, transit, members, behind int, 
 		case i > root:
 			up = root // member domains and the hub hang off the root
 		}
-		if err := n.Link(wire.RouterID(up+1), wire.RouterID(i+1)); err != nil {
-			t.Fatal(err)
-		}
+		w.Links = append(w.Links, [2]wire.RouterID{wire.RouterID(up + 1), wire.RouterID(i + 1)})
 	}
+	n, err := w.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doms := n.Domains()
 	if !doms[root].MASC().RequestSpace(256, 30*24*time.Hour) {
 		t.Fatal("root's claim selection failed")
 	}
@@ -280,35 +277,25 @@ func TestJoinAllocBudget(t *testing.T) {
 func ringNet(t testing.TB, backend string, n, chord int, ob *obs.Observer) *Network {
 	t.Helper()
 	clk := simclock.NewSim(time.Date(1998, 9, 1, 0, 0, 0, 0, time.UTC))
-	net, err := NewNetwork(Config{Clock: clk, Seed: 7, Synchronous: true, DataPlane: backend, Observer: ob})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var root *Domain
+	var w World
 	for i := 1; i <= n; i++ {
-		d, err := net.AddDomain(DomainConfig{
+		w.Domains = append(w.Domains, DomainConfig{
 			ID: wire.DomainID(i), Routers: []wire.RouterID{wire.RouterID(i)}, Protocol: migp.DVMRP(),
 			TopLevel:   i == 1,
 			HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, byte(i), 0, 0), Len: 16},
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 1 {
-			root = d
-		}
-	}
-	link := func(a, b int) {
-		if err := net.Link(wire.RouterID(a+1), wire.RouterID(b+1)); err != nil {
-			t.Fatal(err)
-		}
 	}
 	for i := 0; i < n; i++ {
-		link(i, (i+1)%n)
+		w.Links = append(w.Links, [2]wire.RouterID{wire.RouterID(i + 1), wire.RouterID((i+1)%n + 1)})
 	}
 	for i := 0; i < n; i += chord {
-		link(i, (i+n/3)%n)
+		w.Links = append(w.Links, [2]wire.RouterID{wire.RouterID(i + 1), wire.RouterID((i+n/3)%n + 1)})
 	}
+	net, err := w.Build(Config{Clock: clk, Seed: 7, Synchronous: true, DataPlane: backend, Observer: ob})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := net.Domain(1)
 	if !root.MASC().RequestSpace(256, 30*24*time.Hour) {
 		t.Fatal("root's claim selection failed")
 	}

@@ -8,7 +8,6 @@ import (
 	"mascbgmp/internal/addr"
 	"mascbgmp/internal/migp"
 	"mascbgmp/internal/obs"
-	"mascbgmp/internal/simclock"
 	"mascbgmp/internal/wire"
 )
 
@@ -82,60 +81,14 @@ func TestUnlinkNotLinked(t *testing.T) {
 	}
 }
 
-// TestQuiesceDrainsAsyncNetwork replays the async convergence scenario but
-// waits with Quiesce instead of sleep-polling, and checks the transport
-// counters recorded real wire traffic.
+// TestQuiesceDrainsAsyncNetwork sends on asyncNet but waits with Quiesce
+// instead of sleep-polling, and checks the transport counters recorded real
+// wire traffic.
 func TestQuiesceDrainsAsyncNetwork(t *testing.T) {
-	clk := simclock.NewSim(time.Date(1998, 9, 1, 0, 0, 0, 0, time.UTC))
 	ob := obs.NewObserver()
-	n, err := NewNetwork(Config{Clock: clk, Seed: 42, Observer: ob})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dc := range []struct {
-		id      wire.DomainID
-		routers []wire.RouterID
-		top     bool
-	}{
-		{1, []wire.RouterID{11, 12}, true},
-		{2, []wire.RouterID{21}, false},
-		{3, []wire.RouterID{31}, false},
-	} {
-		if _, err := n.AddDomain(DomainConfig{
-			ID: dc.id, Routers: dc.routers, Protocol: migp.DVMRP(), TopLevel: dc.top,
-			HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, byte(dc.id), 0, 0), Len: 16},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := n.Link(21, 11); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Link(31, 12); err != nil {
-		t.Fatal(err)
-	}
-	n.MASCPeerParentChild(1, 2)
-	n.MASCPeerParentChild(1, 3)
-
-	n.Domain(1).MASC().RequestSpace(1<<16, 60*24*time.Hour)
-	clk.RunFor(49 * time.Hour)
-	n.Domain(2).MASC().RequestSpace(256, 30*24*time.Hour)
-	clk.RunFor(49 * time.Hour)
-	if err := n.Quiesce(5 * time.Second); err != nil {
-		t.Fatalf("Quiesce after MASC: %v", err)
-	}
-
-	lease, err := n.Domain(2).NewGroup(24 * time.Hour)
-	if err != nil {
-		t.Fatalf("lease: %v", err)
-	}
-	n.Domain(3).Join(lease.Addr, 0)
-	if err := n.Quiesce(5 * time.Second); err != nil {
-		t.Fatalf("Quiesce after join: %v", err)
-	}
-
+	n, g := asyncNet(t, "", ob)
 	src := n.Domain(2).HostAddr(1)
-	n.Domain(2).Send(lease.Addr, src, "quiesce hello", 0)
+	n.Domain(2).Send(g, src, "quiesce hello", 0)
 	if err := n.Quiesce(5 * time.Second); err != nil {
 		t.Fatalf("Quiesce after send: %v", err)
 	}

@@ -170,10 +170,27 @@ func RunChaos(cfg ChaosConfig) ([]ChaosPoint, error) {
 	return out, nil
 }
 
-// chaosNet is the experiment's fixed topology: source domain 1 (routers
-// 11, 12), transit domain 2 (21, 22), receiver domain 3 (31), with the
-// direct link 12–31 and the redundant path 11–21, 22–31. Router 12 is the
-// crash victim; the transit path is what repair falls back on.
+// chaosWorld is the triangle the experiment and the failover tests run on,
+// three top-level DVMRP domains that are all MASC siblings:
+//
+//	R (root, routers 11 12) — T (transit, 21 22) — M (member, 31)
+//	 \__________________________________________/
+//	            direct link 12–31
+func chaosWorld() World {
+	w := World{
+		Links:    [][2]wire.RouterID{{11, 21}, {12, 31}, {22, 31}},
+		Siblings: [][2]wire.DomainID{{1, 2}, {1, 3}, {2, 3}},
+	}
+	for i, rs := range [][]wire.RouterID{{11, 12}, {21, 22}, {31}} {
+		id := wire.DomainID(i + 1)
+		w.Domains = append(w.Domains, DomainConfig{ID: id, Routers: rs, Protocol: migp.DVMRP(), TopLevel: true,
+			HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, byte(id), 0, 0), Len: 16}})
+	}
+	return w
+}
+
+// chaosNet is the experiment's network, chaosWorld: router 12 is the crash
+// victim; the transit path is what repair falls back on.
 type chaosNet struct {
 	n         *Network
 	clk       *simclock.Sim
@@ -193,7 +210,7 @@ func buildChaosNet(cfg ChaosConfig, pointSeed int64, ob *obs.Observer) (*chaosNe
 	if err != nil {
 		return nil, err
 	}
-	n, err := NewNetwork(Config{
+	n, err := chaosWorld().Build(Config{
 		Clock:       clk,
 		Seed:        cfg.Seed,
 		MASCWait:    chaosMASCWait,
@@ -206,28 +223,6 @@ func buildChaosNet(cfg ChaosConfig, pointSeed int64, ob *obs.Observer) (*chaosNe
 	})
 	if err != nil {
 		return nil, err
-	}
-	for _, dc := range []DomainConfig{
-		{ID: 1, Routers: []wire.RouterID{11, 12}, Protocol: migp.DVMRP(), TopLevel: true,
-			HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, 1, 0, 0), Len: 16}},
-		{ID: 2, Routers: []wire.RouterID{21, 22}, Protocol: migp.DVMRP(), TopLevel: true,
-			HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, 2, 0, 0), Len: 16}},
-		{ID: 3, Routers: []wire.RouterID{31}, Protocol: migp.DVMRP(), TopLevel: true,
-			HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, 3, 0, 0), Len: 16}},
-	} {
-		if _, err := n.AddDomain(dc); err != nil {
-			return nil, err
-		}
-	}
-	for _, l := range [][2]wire.RouterID{{11, 21}, {12, 31}, {22, 31}} {
-		if err := n.Link(l[0], l[1]); err != nil {
-			return nil, err
-		}
-	}
-	for _, p := range [][2]wire.DomainID{{1, 2}, {1, 3}, {2, 3}} {
-		if err := n.MASCPeerSiblings(p[0], p[1]); err != nil {
-			return nil, err
-		}
 	}
 	if !n.Domain(1).MASC().RequestSpace(1<<12, 90*24*time.Hour) {
 		return nil, fmt.Errorf("MASC claim selection failed")

@@ -48,26 +48,19 @@ const asWorldRoots = 4
 // forwarding backend. ob may be nil.
 func newASWorld(t testing.TB, n, extra int, seed int64, backend string, ob *obs.Observer) *asWorld {
 	t.Helper()
-	clk := simclock.NewSim(time.Date(1998, 9, 1, 0, 0, 0, 0, time.UTC))
-	net, err := NewNetwork(Config{Clock: clk, Seed: seed, Synchronous: true, DataPlane: backend, Observer: ob})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := &asWorld{net: net, graph: topology.ASGraph(n, extra, seed)}
+	w := &asWorld{graph: topology.ASGraph(n, extra, seed)}
 	r := rand.New(rand.NewSource(seed))
 	for _, v := range r.Perm(n)[:asWorldRoots] {
 		w.roots = append(w.roots, topology.DomainID(v))
 	}
-	doms := make([]*Domain, n)
-	for v := range doms {
+	var world World
+	for v := 0; v < n; v++ {
 		id := wire.DomainID(v + 1)
-		if doms[v], err = net.AddDomain(DomainConfig{
+		world.Domains = append(world.Domains, DomainConfig{
 			ID: id, Routers: []wire.RouterID{wire.RouterID(id)}, Protocol: migp.DVMRP(),
 			TopLevel:   slices.Contains(w.roots, topology.DomainID(v)),
 			HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, byte(id>>8), byte(id), 0), Len: 24},
-		}); err != nil {
-			t.Fatal(err)
-		}
+		})
 	}
 	for a := 0; a < n; a++ {
 		for _, e := range w.graph.Neighbors(topology.DomainID(a)) {
@@ -83,17 +76,20 @@ func newASWorld(t testing.TB, n, extra int, seed int64, backend string, ob *obs.
 		return w.links[i][1] < w.links[j][1]
 	})
 	for _, l := range w.links {
-		if err := net.Link(w.router(l[0]), w.router(l[1])); err != nil {
-			t.Fatal(err)
-		}
+		world.Links = append(world.Links, [2]wire.RouterID{w.router(l[0]), w.router(l[1])})
 	}
 	for i, a := range w.roots {
 		for _, b := range w.roots[i+1:] {
-			if err := net.MASCPeerSiblings(wire.DomainID(a+1), wire.DomainID(b+1)); err != nil {
-				t.Fatal(err)
-			}
+			world.Siblings = append(world.Siblings, [2]wire.DomainID{wire.DomainID(a + 1), wire.DomainID(b + 1)})
 		}
 	}
+	clk := simclock.NewSim(time.Date(1998, 9, 1, 0, 0, 0, 0, time.UTC))
+	net, err := world.Build(Config{Clock: clk, Seed: seed, Synchronous: true, DataPlane: backend, Observer: ob})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.net = net
+	doms := net.Domains()
 	for _, root := range w.roots {
 		if !doms[root].MASC().RequestSpace(256, 30*24*time.Hour) {
 			t.Fatalf("domain %d: no MASC claim could be selected", root+1)

@@ -14,19 +14,8 @@ import (
 	"mascbgmp/internal/wire"
 )
 
-// paperNet builds the internetwork of the paper's Figures 1 and 3:
-//
-//	Domain A (1): routers A1=11 A2=12 A3=13 A4=14 — backbone
-//	Domain B (2): B1=21 B2=22 — regional, customer of A, root for the demo group
-//	Domain C (3): C1=31 C2=32 — regional, customer of A
-//	Domain D (4): D1=41 — backbone
-//	Domain E (5): E1=51 — backbone
-//	Domain F (6): F1=61 F2=62 — customer of B
-//	Domain G (7): G1=71 G2=72 — customer of C
-//	Domain H (8): H1=81 — customer of G
-//
-// Links: E1–A1, C1–A2, B1–A3, D1–A4, F1–B2, G1–C2, H1–G2, plus the F2–A4
-// link of Fig 3(b) when withF2A4 is set.
+// paperNet builds PaperWorld on a synchronous network: Fig 1, plus the
+// F2–A4 link of Fig 3(b) when withF2A4 is set.
 func paperNet(t *testing.T, withF2A4, sourceBranches bool) (*Network, *simclock.Sim) {
 	return paperNetDP(t, withF2A4, sourceBranches, "", nil)
 }
@@ -42,8 +31,15 @@ func paperNetDP(t *testing.T, withF2A4, sourceBranches bool, dataPlane string, o
 // proto.
 func paperNetMIGP(t *testing.T, withF2A4, sourceBranches bool, dataPlane string, ob *obs.Observer, proto func() *migp.Protocol) (*Network, *simclock.Sim) {
 	t.Helper()
+	w := PaperWorld()
+	if !withF2A4 {
+		w.Links = w.Links[:len(w.Links)-1]
+	}
+	for i := range w.Domains {
+		w.Domains[i].Protocol = proto()
+	}
 	clk := simclock.NewSim(time.Date(1998, 9, 1, 0, 0, 0, 0, time.UTC))
-	n, err := NewNetwork(Config{
+	n, err := w.Build(Config{
 		Clock:          clk,
 		Seed:           42,
 		Synchronous:    true,
@@ -53,55 +49,6 @@ func paperNetMIGP(t *testing.T, withF2A4, sourceBranches bool, dataPlane string,
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	add := func(id wire.DomainID, routers []wire.RouterID, top bool) *Domain {
-		t.Helper()
-		d, err := n.AddDomain(DomainConfig{
-			ID:            id,
-			Routers:       routers,
-			InteriorNodes: len(routers) + 2,
-			Protocol:      proto(),
-			TopLevel:      top,
-			HostPrefix:    addr.Prefix{Base: addr.MakeAddr(10, byte(id), 0, 0), Len: 16},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
-	}
-	add(1, []wire.RouterID{11, 12, 13, 14}, true) // A
-	add(2, []wire.RouterID{21, 22}, false)        // B
-	add(3, []wire.RouterID{31, 32}, false)        // C
-	add(4, []wire.RouterID{41}, true)             // D
-	add(5, []wire.RouterID{51}, true)             // E
-	add(6, []wire.RouterID{61, 62}, false)        // F
-	add(7, []wire.RouterID{71, 72}, false)        // G
-	add(8, []wire.RouterID{81}, false)            // H
-
-	links := [][2]wire.RouterID{
-		{51, 11}, {31, 12}, {21, 13}, {41, 14}, // E1–A1, C1–A2, B1–A3, D1–A4
-		{61, 22}, {71, 32}, {81, 72}, // F1–B2, G1–C2, H1–G2
-	}
-	if withF2A4 {
-		links = append(links, [2]wire.RouterID{62, 14})
-	}
-	for _, l := range links {
-		if err := n.Link(l[0], l[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// MASC hierarchy: A, D, E top-level siblings; B, C under A; F under
-	// B; G under C; H under G.
-	for _, s := range [][2]wire.DomainID{{1, 4}, {1, 5}, {4, 5}} {
-		if err := n.MASCPeerSiblings(s[0], s[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, pc := range [][2]wire.DomainID{{1, 2}, {1, 3}, {2, 6}, {3, 7}, {7, 8}} {
-		if err := n.MASCPeerParentChild(pc[0], pc[1]); err != nil {
-			t.Fatal(err)
-		}
 	}
 	return n, clk
 }
@@ -475,57 +422,46 @@ func TestMIGPIndependenceMatrix(t *testing.T) {
 	}
 }
 
-// asyncNet builds three domains peered over loopback TCP with background
-// receive loops, on the named data plane: domain 1 (two border routers) is
-// the MASC parent of domains 2 and 3, domain 2 roots a group, and domain 3
-// has a member of it.
-func asyncNet(t *testing.T, backend string) (*Network, addr.Addr) {
+// starWorld is three DVMRP domains: domain 1 (border routers 11 and 12) is
+// top-level and the MASC parent of domains 2 (router 21, linked to 11) and
+// 3 (router 31, linked to 12).
+func starWorld() World {
+	w := World{
+		Links:    [][2]wire.RouterID{{21, 11}, {31, 12}},
+		Children: [][2]wire.DomainID{{1, 2}, {1, 3}},
+	}
+	for i, rs := range [][]wire.RouterID{{11, 12}, {21}, {31}} {
+		id := wire.DomainID(i + 1)
+		w.Domains = append(w.Domains, DomainConfig{ID: id, Routers: rs, Protocol: migp.DVMRP(), TopLevel: id == 1,
+			HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, byte(id), 0, 0), Len: 16}})
+	}
+	return w
+}
+
+// asyncNet builds starWorld peered over loopback TCP with background
+// receive loops, on the named data plane: domain 2 roots a group, and
+// domain 3 has a member of it. ob may be nil.
+func asyncNet(t *testing.T, backend string, ob *obs.Observer) (*Network, addr.Addr) {
 	t.Helper()
 	clk := simclock.NewSim(time.Date(1998, 9, 1, 0, 0, 0, 0, time.UTC))
-	n, err := NewNetwork(Config{Clock: clk, Seed: 42, Synchronous: false, DataPlane: backend})
+	n, err := starWorld().Build(Config{Clock: clk, Seed: 42, DataPlane: backend, Observer: ob})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dc := range []struct {
-		id      wire.DomainID
-		routers []wire.RouterID
-		top     bool
-	}{
-		{1, []wire.RouterID{11, 12}, true},
-		{2, []wire.RouterID{21}, false},
-		{3, []wire.RouterID{31}, false},
-	} {
-		if _, err := n.AddDomain(DomainConfig{
-			ID: dc.id, Routers: dc.routers, Protocol: migp.DVMRP(), TopLevel: dc.top,
-			HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, byte(dc.id), 0, 0), Len: 16},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := n.Link(21, 11); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Link(31, 12); err != nil {
-		t.Fatal(err)
-	}
-	n.MASCPeerParentChild(1, 2)
-	n.MASCPeerParentChild(1, 3)
-
 	n.Domain(1).MASC().RequestSpace(1<<16, 60*24*time.Hour)
 	clk.RunFor(49 * time.Hour)
 	n.Domain(2).MASC().RequestSpace(256, 30*24*time.Hour)
 	clk.RunFor(49 * time.Hour)
-	if err := n.Quiesce(time.Second); err != nil {
-		t.Fatal(err)
+	if err := n.Quiesce(5 * time.Second); err != nil {
+		t.Fatalf("Quiesce after MASC: %v", err)
 	}
-
 	lease, err := n.Domain(2).NewGroup(24 * time.Hour)
 	if err != nil {
 		t.Fatalf("lease: %v", err)
 	}
 	n.Domain(3).Join(lease.Addr, 0)
-	if err := n.Quiesce(time.Second); err != nil {
-		t.Fatal(err)
+	if err := n.Quiesce(5 * time.Second); err != nil {
+		t.Fatalf("Quiesce after join: %v", err)
 	}
 	return n, lease.Addr
 }
@@ -533,7 +469,7 @@ func asyncNet(t *testing.T, backend string) (*Network, addr.Addr) {
 func TestAsyncNetworkConverges(t *testing.T) {
 	// The paper's pipeline over loopback TCP with background receive
 	// loops: slower, nondeterministic ordering, same outcome.
-	n, g := asyncNet(t, dataplane.SharedTreeName)
+	n, g := asyncNet(t, dataplane.SharedTreeName, nil)
 	src := n.Domain(2).HostAddr(1)
 	n.Domain(2).Send(g, src, "async hello", 0)
 	deadline := time.Now().Add(5 * time.Second)

@@ -4,48 +4,21 @@ import (
 	"testing"
 	"time"
 
-	"mascbgmp/internal/addr"
 	"mascbgmp/internal/bgmp"
-	"mascbgmp/internal/migp"
 	"mascbgmp/internal/simclock"
 	"mascbgmp/internal/wire"
 )
 
-// failoverNet builds a triangle with a redundant path to the root domain:
-//
-//	R (root, routers 11 12) — T (transit, 21 22) — M (member, 31)
-//	 \__________________________________________/
-//	            direct link 12–31
-//
-// M's best path to R is the direct link; when it fails, BGP fails over to
-// the transit path and BGMP must re-attach the tree.
+// failoverNet builds chaosWorld on a synchronous network: M's best path to
+// R is the direct link 12–31, and when it fails, BGP fails over to the
+// transit path and BGMP must re-attach the tree.
 func failoverNet(t *testing.T) (*Network, *simclock.Sim) {
 	t.Helper()
 	clk := simclock.NewSim(time.Date(1998, 9, 1, 0, 0, 0, 0, time.UTC))
-	n, err := NewNetwork(Config{Clock: clk, Seed: 3, Synchronous: true})
+	n, err := chaosWorld().Build(Config{Clock: clk, Seed: 3, Synchronous: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dc := range []DomainConfig{
-		{ID: 1, Routers: []wire.RouterID{11, 12}, Protocol: migp.DVMRP(), TopLevel: true,
-			HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, 1, 0, 0), Len: 16}},
-		{ID: 2, Routers: []wire.RouterID{21, 22}, Protocol: migp.DVMRP(), TopLevel: true,
-			HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, 2, 0, 0), Len: 16}},
-		{ID: 3, Routers: []wire.RouterID{31}, Protocol: migp.DVMRP(), TopLevel: true,
-			HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, 3, 0, 0), Len: 16}},
-	} {
-		if _, err := n.AddDomain(dc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, l := range [][2]wire.RouterID{{11, 21}, {12, 31}, {22, 31}} {
-		if err := n.Link(l[0], l[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n.MASCPeerSiblings(1, 2)
-	n.MASCPeerSiblings(1, 3)
-	n.MASCPeerSiblings(2, 3)
 	// R claims space and roots a group.
 	if !n.Domain(1).MASC().RequestSpace(1<<12, 90*24*time.Hour) {
 		t.Fatal("claim failed")

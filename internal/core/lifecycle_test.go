@@ -58,32 +58,30 @@ func TestMixedMIGPsAcrossDomains(t *testing.T) {
 	// The architecture's MIGP independence (§3): C runs PIM-SM, F runs
 	// CBT, everyone else DVMRP — deliveries are unchanged.
 	clk := simclock.NewSim(time.Date(1998, 9, 1, 0, 0, 0, 0, time.UTC))
-	n, err := NewNetwork(Config{Clock: clk, Seed: 42, Synchronous: true})
+	w := World{
+		Links:    [][2]wire.RouterID{{21, 11}, {31, 12}, {61, 13}},
+		Children: [][2]wire.DomainID{{1, 2}, {1, 3}, {1, 6}},
+	}
+	for _, d := range []struct {
+		id      wire.DomainID
+		routers []wire.RouterID
+		proto   *migp.Protocol
+	}{
+		{1, []wire.RouterID{11, 12, 13}, migp.DVMRP()},
+		{2, []wire.RouterID{21}, migp.DVMRP()},
+		{3, []wire.RouterID{31}, migp.PIMSM(1)},
+		{6, []wire.RouterID{61}, migp.CBT()},
+	} {
+		w.Domains = append(w.Domains, DomainConfig{
+			ID: d.id, Routers: d.routers, InteriorNodes: len(d.routers) + 2,
+			TopLevel: d.id == 1, Protocol: d.proto,
+			HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, byte(d.id), 0, 0), Len: 16},
+		})
+	}
+	n, err := w.Build(Config{Clock: clk, Seed: 42, Synchronous: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	add := func(id wire.DomainID, routers []wire.RouterID, top bool, proto *migp.Protocol) {
-		t.Helper()
-		if _, err := n.AddDomain(DomainConfig{
-			ID: id, Routers: routers, InteriorNodes: len(routers) + 2,
-			TopLevel: top, Protocol: proto,
-			HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, byte(id), 0, 0), Len: 16},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	add(1, []wire.RouterID{11, 12, 13}, true, migp.DVMRP())
-	add(2, []wire.RouterID{21}, false, migp.DVMRP())
-	add(3, []wire.RouterID{31}, false, migp.PIMSM(1))
-	add(6, []wire.RouterID{61}, false, migp.CBT())
-	for _, l := range [][2]wire.RouterID{{21, 11}, {31, 12}, {61, 13}} {
-		if err := n.Link(l[0], l[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n.MASCPeerParentChild(1, 2)
-	n.MASCPeerParentChild(1, 3)
-	n.MASCPeerParentChild(1, 6)
 
 	n.Domain(1).MASC().RequestSpace(1<<16, 60*24*time.Hour)
 	clk.RunFor(49 * time.Hour)
@@ -194,33 +192,22 @@ func TestExportPolicyInsideNetwork(t *testing.T) {
 	// and 4 — the §4.2 policy through the assembled stack: 4's join for a
 	// group rooted in 3 finds no route, so no tree and no data.
 	clk := simclock.NewSim(time.Date(1998, 9, 1, 0, 0, 0, 0, time.UTC))
-	n, err := NewNetwork(Config{Clock: clk, Seed: 9, Synchronous: true})
+	policy := bgp.TableExportFilter(wire.TableGRIB, bgp.CustomerExportFilter(1, nil))
+	n, err := World{
+		Domains: []DomainConfig{
+			{ID: 1, Routers: []wire.RouterID{11, 12}, Protocol: migp.DVMRP(), TopLevel: true, Export: policy,
+				HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, 1, 0, 0), Len: 16}},
+			{ID: 3, Routers: []wire.RouterID{31}, Protocol: migp.DVMRP(), TopLevel: true,
+				HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, 3, 0, 0), Len: 16}},
+			{ID: 4, Routers: []wire.RouterID{41}, Protocol: migp.DVMRP(), TopLevel: true,
+				HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, 4, 0, 0), Len: 16}},
+		},
+		Links:    [][2]wire.RouterID{{11, 31}, {12, 41}},
+		Siblings: [][2]wire.DomainID{{1, 3}, {1, 4}, {3, 4}},
+	}.Build(Config{Clock: clk, Seed: 9, Synchronous: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	policy := bgp.TableExportFilter(wire.TableGRIB, bgp.CustomerExportFilter(1, nil))
-	mustAdd := func(dc DomainConfig) {
-		t.Helper()
-		if _, err := n.AddDomain(dc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustAdd(DomainConfig{ID: 1, Routers: []wire.RouterID{11, 12}, Protocol: migp.DVMRP(),
-		TopLevel: true, Export: policy,
-		HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, 1, 0, 0), Len: 16}})
-	mustAdd(DomainConfig{ID: 3, Routers: []wire.RouterID{31}, Protocol: migp.DVMRP(),
-		TopLevel: true, HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, 3, 0, 0), Len: 16}})
-	mustAdd(DomainConfig{ID: 4, Routers: []wire.RouterID{41}, Protocol: migp.DVMRP(),
-		TopLevel: true, HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, 4, 0, 0), Len: 16}})
-	if err := n.Link(11, 31); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Link(12, 41); err != nil {
-		t.Fatal(err)
-	}
-	n.MASCPeerSiblings(1, 3)
-	n.MASCPeerSiblings(1, 4)
-	n.MASCPeerSiblings(3, 4)
 
 	n.Domain(3).MASC().RequestSpace(1<<12, 60*24*time.Hour)
 	clk.RunFor(49 * time.Hour)

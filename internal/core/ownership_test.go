@@ -266,7 +266,7 @@ func TestDeliveriesShareTheSendersPayload(t *testing.T) {
 // each once, on every backend.
 func TestConcurrentSendsLogTheirOwnPayloads(t *testing.T) {
 	for _, backend := range dataplane.Names() {
-		n, g := asyncNet(t, backend)
+		n, g := asyncNet(t, backend, nil)
 		const perSender = 20
 		senders := []*Domain{n.Domain(1), n.Domain(2)}
 		sent := make([][]string, len(senders))

@@ -5,18 +5,15 @@ import (
 	"testing"
 	"time"
 
-	"mascbgmp/internal/addr"
 	"mascbgmp/internal/bgmp"
 	"mascbgmp/internal/faultinject"
-	"mascbgmp/internal/migp"
 	"mascbgmp/internal/obs"
 	"mascbgmp/internal/simclock"
-	"mascbgmp/internal/wire"
 )
 
 // faultNet is failoverNet with a fault plane and session supervision: the
-// triangle R(11,12)—T(21,22)—M(31) with the direct link 12–31, hold time
-// 30s (10s keepalives, a 15s first reconnect backoff).
+// chaosWorld triangle R(11,12)—T(21,22)—M(31) with the direct link 12–31,
+// hold time 30s (10s keepalives, a 15s first reconnect backoff).
 func faultNet(t *testing.T, seed int64) (*Network, *simclock.Sim, *faultinject.Plane, *obs.Observer) {
 	t.Helper()
 	return faultNetCfg(t, seed, nil)
@@ -47,30 +44,10 @@ func faultNetCfg(t *testing.T, seed int64, mutate func(*Config)) (*Network, *sim
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	n, err := NewNetwork(cfg)
+	n, err := chaosWorld().Build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dc := range []DomainConfig{
-		{ID: 1, Routers: []wire.RouterID{11, 12}, Protocol: migp.DVMRP(), TopLevel: true,
-			HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, 1, 0, 0), Len: 16}},
-		{ID: 2, Routers: []wire.RouterID{21, 22}, Protocol: migp.DVMRP(), TopLevel: true,
-			HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, 2, 0, 0), Len: 16}},
-		{ID: 3, Routers: []wire.RouterID{31}, Protocol: migp.DVMRP(), TopLevel: true,
-			HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, 3, 0, 0), Len: 16}},
-	} {
-		if _, err := n.AddDomain(dc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, l := range [][2]wire.RouterID{{11, 21}, {12, 31}, {22, 31}} {
-		if err := n.Link(l[0], l[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n.MASCPeerSiblings(1, 2)
-	n.MASCPeerSiblings(1, 3)
-	n.MASCPeerSiblings(2, 3)
 	if !n.Domain(1).MASC().RequestSpace(1<<12, 90*24*time.Hour) {
 		t.Fatal("claim failed")
 	}

@@ -66,6 +66,9 @@ type (
 	Config = core.Config
 	// DomainConfig describes a domain to add.
 	DomainConfig = core.DomainConfig
+	// World is an internetwork as a value — domains, links, MASC
+	// peerings; World.Build makes it on a new Network.
+	World = core.World
 	// ConfigError reports an invalid Config field combination from
 	// Config.Validate / NewNetwork.
 	ConfigError = core.ConfigError
@@ -74,6 +77,10 @@ type (
 // NewNetwork returns an empty network, or a *ConfigError when cfg fails
 // Config.Validate.
 func NewNetwork(cfg Config) (*Network, error) { return core.NewNetwork(cfg) }
+
+// PaperWorld returns the internetwork of the paper's Figures 1 and 3(b),
+// domains A..H as IDs 1..8, with the Fig 3(b) F2–A4 link last.
+func PaperWorld() World { return core.PaperWorld() }
 
 // ErrNotLinked is wrapped by Network.Unlink when no such peering exists.
 var ErrNotLinked = core.ErrNotLinked

@@ -8,40 +8,34 @@ import (
 	"mascbgmp"
 )
 
+// facadeWorld is three domains, each on a different interior protocol:
+// backbone 1 (routers 11 and 12) is the MASC parent of 2 (21, linked to 11)
+// and 3 (31, linked to 12).
+func facadeWorld() mascbgmp.World {
+	return mascbgmp.World{
+		Domains: []mascbgmp.DomainConfig{
+			{ID: 1, Routers: []mascbgmp.RouterID{11, 12}, Protocol: mascbgmp.NewDVMRP(),
+				TopLevel: true, HostPrefix: mascbgmp.MustParsePrefix("10.1.0.0/16")},
+			{ID: 2, Routers: []mascbgmp.RouterID{21}, Protocol: mascbgmp.NewPIMSM(1),
+				HostPrefix: mascbgmp.MustParsePrefix("10.2.0.0/16")},
+			{ID: 3, Routers: []mascbgmp.RouterID{31}, Protocol: mascbgmp.NewCBT(),
+				HostPrefix: mascbgmp.MustParsePrefix("10.3.0.0/16")},
+		},
+		Links:    [][2]mascbgmp.RouterID{{21, 11}, {31, 12}},
+		Children: [][2]mascbgmp.DomainID{{1, 2}, {1, 3}},
+	}
+}
+
 // TestFacadeEndToEnd drives the whole system through the public API only:
 // two domains, MASC allocation, a MAAS lease, a BGMP tree, one packet.
 func TestFacadeEndToEnd(t *testing.T) {
 	clk := mascbgmp.NewSimClock(time.Date(1998, 9, 1, 0, 0, 0, 0, time.UTC))
-	net, err := mascbgmp.NewNetwork(mascbgmp.Config{
+	net, err := facadeWorld().Build(mascbgmp.Config{
 		Clock:       clk,
 		Seed:        7,
 		Synchronous: true,
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dc := range []mascbgmp.DomainConfig{
-		{ID: 1, Routers: []mascbgmp.RouterID{11, 12}, Protocol: mascbgmp.NewDVMRP(),
-			TopLevel: true, HostPrefix: mascbgmp.MustParsePrefix("10.1.0.0/16")},
-		{ID: 2, Routers: []mascbgmp.RouterID{21}, Protocol: mascbgmp.NewPIMSM(1),
-			HostPrefix: mascbgmp.MustParsePrefix("10.2.0.0/16")},
-		{ID: 3, Routers: []mascbgmp.RouterID{31}, Protocol: mascbgmp.NewCBT(),
-			HostPrefix: mascbgmp.MustParsePrefix("10.3.0.0/16")},
-	} {
-		if _, err := net.AddDomain(dc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := net.Link(21, 11); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.Link(31, 12); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.MASCPeerParentChild(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.MASCPeerParentChild(1, 3); err != nil {
 		t.Fatal(err)
 	}
 
@@ -86,7 +80,7 @@ func TestFacadeObservability(t *testing.T) {
 			claims++
 		}
 	})
-	net, err := mascbgmp.NewNetwork(mascbgmp.Config{
+	net, err := facadeWorld().Build(mascbgmp.Config{
 		Clock:       clk,
 		Seed:        7,
 		Synchronous: true,
@@ -95,26 +89,6 @@ func TestFacadeObservability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dc := range []mascbgmp.DomainConfig{
-		{ID: 1, Routers: []mascbgmp.RouterID{11, 12}, Protocol: mascbgmp.NewDVMRP(),
-			TopLevel: true, HostPrefix: mascbgmp.MustParsePrefix("10.1.0.0/16")},
-		{ID: 2, Routers: []mascbgmp.RouterID{21}, Protocol: mascbgmp.NewPIMSM(1),
-			HostPrefix: mascbgmp.MustParsePrefix("10.2.0.0/16")},
-		{ID: 3, Routers: []mascbgmp.RouterID{31}, Protocol: mascbgmp.NewCBT(),
-			HostPrefix: mascbgmp.MustParsePrefix("10.3.0.0/16")},
-	} {
-		if _, err := net.AddDomain(dc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := net.Link(21, 11); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.Link(31, 12); err != nil {
-		t.Fatal(err)
-	}
-	net.MASCPeerParentChild(1, 2)
-	net.MASCPeerParentChild(1, 3)
 
 	net.Domain(1).MASC().RequestSpace(1<<16, 60*24*time.Hour)
 	clk.RunFor(49 * time.Hour)

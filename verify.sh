@@ -22,6 +22,9 @@ go test -run Determinism -count=2 ./...
 # Every benchmark once, so that one that panics or stops building fails
 # here and not on the next measurement (about a second of run time).
 go test -run '^$' -bench . -benchtime 1x ./...
+# go vet only compiles the examples; run each once, so that one that panics
+# or exits non-zero fails here (they are small, about a second each).
+for ex in examples/*/; do go run "./$ex" >/dev/null; done
 # benchmark/ is its own module importing internal/ directly: ./... above
 # never compiles it, so a change that may not edit it can still break it.
 # This is also what proves internal/migp/dvmrp, the shim that exists only
