@@ -116,6 +116,12 @@ type Component struct {
 	// when that returns. Plain stacks, not a sync.Pool. guarded by mu
 	joins  []*wire.GroupJoin
 	prunes []*wire.GroupPrune
+	// free holds the entries pruneLocked tore down, cleared but for their
+	// children arrays, for newEntryLocked to build the next ones from: churn
+	// builds and tears down an entry at every router a join crosses.
+	// giveEntryLocked bounds it by the (*,G) entries the router holds live.
+	// guarded by mu
+	free []*entry
 	// evbuf collects events under the lock; they are emitted with the
 	// out-queue after release so observers may call back into the router.
 	// guarded by mu
@@ -207,7 +213,7 @@ func (c *Component) Reset() {
 	c.importedSG = map[sgKey]bool{}
 	c.orphans = map[addr.Addr]*entry{}
 	c.out, c.evbuf = nil, nil
-	c.joins, c.prunes = nil, nil
+	c.joins, c.prunes, c.free = nil, nil, nil
 	c.mu.Unlock()
 }
 
@@ -322,13 +328,13 @@ func (c *Component) joinLocked(g addr.Addr, child Target) {
 			// propagates the moment a covering route (re)appears.
 			oe, had := c.orphans[g]
 			if !had {
-				oe = &entry{}
+				oe = c.newEntryLocked(upstream{})
 				c.orphans[g] = oe
 			}
 			oe.addChild(child)
 			return
 		}
-		e = &entry{upstream: up}
+		e = c.newEntryLocked(up)
 		c.groups[g] = e
 		c.attachLocked(g, up.parent, up.root)
 		grafted = up.root
@@ -365,6 +371,7 @@ func (c *Component) pruneLocked(g addr.Addr, child Target) {
 			oe.removeChild(child)
 			if len(oe.children) == 0 {
 				delete(c.orphans, g)
+				c.giveEntryLocked(oe)
 			}
 		}
 		return
@@ -379,6 +386,7 @@ func (c *Component) pruneLocked(g addr.Addr, child Target) {
 	for k, se := range c.srcs {
 		if k.group == g && se.sharedClone {
 			delete(c.srcs, k)
+			c.giveEntryLocked(se)
 		}
 	}
 	for k := range c.importedSG {
@@ -387,6 +395,27 @@ func (c *Component) pruneLocked(g addr.Addr, child Target) {
 		}
 	}
 	c.detachLocked(g, e.parent, e.root)
+	c.giveEntryLocked(e)
+}
+
+// newEntryLocked returns an entry leading to up with no children, off the
+// free list when it holds one.
+func (c *Component) newEntryLocked(up upstream) *entry {
+	e := takeLocked(&c.free)
+	e.upstream = up
+	return e
+}
+
+// giveEntryLocked puts an entry no map holds any longer on the free list,
+// cleared but for its children array, while the list is no longer than the
+// (*,G) entries the router still holds: a router that held n trees and lost
+// them all keeps n/2. The target list is dropped, not kept: handleData reads
+// it after unlocking.
+func (c *Component) giveEntryLocked(e *entry) {
+	if len(c.free) <= len(c.groups) {
+		*e = entry{children: e.children[:0]}
+		c.free = append(c.free, e)
+	}
 }
 
 // attachLocked queues the upstream half of a (*,G) entry coming up: in the
@@ -414,8 +443,8 @@ func (c *Component) detachLocked(g addr.Addr, parent Target, root bool) {
 	c.out = append(c.out, outItem{target: parent, msg: m})
 }
 
-// takeLocked pops a cleared message off a free list, or makes one when it is
-// empty.
+// takeLocked pops a cleared message or entry off a free list, or makes one
+// when it is empty.
 func takeLocked[M any](free *[]*M) *M {
 	n := len(*free)
 	if n == 0 {

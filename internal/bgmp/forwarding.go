@@ -34,7 +34,7 @@ func (c *Component) sourceJoinLocked(s, g addr.Addr, child Target) {
 	if ge, ok := c.groups[g]; ok {
 		// On the shared tree: (S,G) inherits the (*,G) targets, plus the
 		// new branch child. The join stops here.
-		e := ge.clone()
+		e := c.cloneLocked(ge)
 		e.addChild(child)
 		c.srcs[k] = e
 		return
@@ -43,12 +43,21 @@ func (c *Component) sourceJoinLocked(s, g addr.Addr, child Target) {
 	if !ok {
 		return
 	}
-	e := &entry{upstream: upstream{parent: parent, root: sourceLocal}}
+	e := c.newEntryLocked(upstream{parent: parent, root: sourceLocal})
 	e.addChild(child)
 	c.srcs[k] = e
 	if !sourceLocal {
 		c.out = append(c.out, outItem{target: parent, msg: &wire.SourceJoin{Group: g, Source: s}})
 	}
+}
+
+// cloneLocked copies e into (S,G) shared-tree state (used when source-
+// specific state is instantiated from the (*,G) entry, per §5.3).
+func (c *Component) cloneLocked(e *entry) *entry {
+	se := c.newEntryLocked(upstream{parent: e.parent, root: e.root})
+	se.children = append(se.children, e.children...)
+	se.sharedClone = true
+	return se
 }
 
 // sourcePruneLocked handles a source-specific prune from `child`: either
@@ -64,7 +73,7 @@ func (c *Component) sourcePruneLocked(s, g addr.Addr, child Target) {
 		if !okG {
 			return
 		}
-		e = ge.clone()
+		e = c.cloneLocked(ge)
 		c.srcs[k] = e
 	}
 	if child.MIGP {

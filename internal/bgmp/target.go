@@ -179,13 +179,6 @@ func (e *entry) targets() []Target {
 	return out
 }
 
-// clone copies the entry into (S,G) shared-tree state (used when source-
-// specific state is instantiated from the (*,G) entry, per §5.3).
-func (e *entry) clone() *entry {
-	return &entry{upstream: upstream{parent: e.parent, root: e.root},
-		children: slices.Clone(e.children), sharedClone: true}
-}
-
 // sgKey indexes (S,G) entries.
 type sgKey struct {
 	src   addr.Addr

@@ -227,43 +227,74 @@ func BenchmarkSendFanOut(b *testing.B) {
 	}
 }
 
-// TestJoinAllocBudget pins what one host Join and the Leave that undoes it
-// may allocate when the joining domain is the chain's far end, as
+// TestJoinAllocBudget pins that a host Join and the Leave that undoes it
+// allocate nothing, on every backend, from the chain's far end across 1 and
+// 4 transit domains: AllocsPerRun's warm-up pair fills the free lists, and
+// every later pair builds from them. On the shared tree the (*,G) entry a
+// join builds at each router, and its child list, is one the prune before
+// tore down (bgmp's Component.free); the far end's member set is the one
+// its last leave emptied (migp's Fabric keeps it). The GroupJoin and the
+// GroupPrune come off their sender's free list and wait in the network's
+// queue as frames, each decoded into the network's one message of its type.
+// The overlays keep no transit state and relay a MemberReport as received.
+// One allocation anywhere between the host and the root fails.
 //
-//	perHop × peering hops to the root + constant
-//
-// On the shared tree a hop costs 2: the (*,G) entry the join builds at the
-// next router and its child list. The GroupJoin and the GroupPrune come off
-// their sender's free list and wait in the network's queue as frames, each
-// decoded into the network's one message of its type, and the output list
-// is kept for the next operation. The overlays keep no transit state and
-// relay a MemberReport as received, so a hop costs nothing. All three rows
-// are the measured floor: one more allocation anywhere between the host and
-// the root fails. Decoding each queued frame into a fresh message costs a hop
-// 4 on the shared tree and 2 on the overlays, and fails.
+// The second half joins more groups at one router before any leaves than a
+// free list of fixed size would keep (churnGroups > 16): each router keeps
+// as many entries as it holds live, and the far end's routers hold
+// churnGroups standing trees beside the churned ones, as a benchmark round's
+// routers hold their set-up trees.
 func TestJoinAllocBudget(t *testing.T) {
-	budgets := []struct {
-		backend          string
-		perHop, constant int
-	}{
-		{dataplane.SharedTreeName, 2, 2},
-		{dataplane.BIERName, 0, 2},
-		{dataplane.MapEncapName, 0, 2},
-	}
-	for _, b := range budgets {
+	const churnGroups = 20
+	for _, backend := range dataplane.Names() {
 		for _, transit := range []int{1, 4} {
-			far, g := chainNet(t, b.backend, transit, 1, 0)
-			got := int(testing.AllocsPerRun(50, func() { far.Join(g, 0); far.Leave(g, 0) }))
+			far, g := chainNet(t, backend, transit, 1, 0)
+			if got := testing.AllocsPerRun(50, func() { far.Join(g, 0); far.Leave(g, 0) }); got != 0 {
+				t.Errorf("%s, %d hops to the root: %v allocations per join+leave, want 0", backend, transit+1, got)
+			}
 			far.Join(g, 0)
 			member := far.net.Domain(wire.DomainID(transit + 3))
 			member.Send(g, member.HostAddr(0), "x", 0)
 			if len(far.Received()) == 0 {
-				t.Fatalf("%s: a join from the far end receives nothing; the budget would be vacuous", b.backend)
+				t.Fatalf("%s: a join from the far end receives nothing; the budget would be vacuous", backend)
 			}
-			hops := transit + 1
-			if budget := b.perHop*hops + b.constant; got > budget {
-				t.Errorf("%s, %d hops to the root: %d allocations per join+leave, budget %d×%d + %d = %d",
-					b.backend, hops, got, b.perHop, hops, b.constant, budget)
+			far.Leave(g, 0)
+
+			// churnGroups groups standing at the far end, and as many more
+			// with a member behind the root that the far end joins and leaves.
+			root := far.net.Domain(wire.DomainID(transit + 2))
+			churn := make([]addr.Addr, churnGroups)
+			for i := 0; i < 2*churnGroups; i++ {
+				lease, err := root.NewGroup(24 * time.Hour)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i < churnGroups {
+					far.Join(lease.Addr, 0)
+				} else {
+					churn[i-churnGroups] = lease.Addr
+					member.Join(lease.Addr, 0)
+				}
+			}
+			bgmpState := func() int { n, _ := far.net.Router(1).BGMP().StateSize(); return n }
+			standing := bgmpState()
+			peak := 0
+			got := testing.AllocsPerRun(20, func() {
+				for _, g := range churn {
+					far.Join(g, 0)
+				}
+				peak = bgmpState()
+				for _, g := range churn {
+					far.Leave(g, 0)
+				}
+			})
+			if got != 0 {
+				t.Errorf("%s, %d hops to the root: %v allocations per %d joins and their leaves, want 0",
+					backend, transit+1, got, churnGroups)
+			}
+			if backend == dataplane.SharedTreeName && peak-standing != churnGroups {
+				t.Fatalf("%s: the far end's router holds %d entries with the churned groups joined and %d without, want %d more",
+					backend, peak, standing, churnGroups)
 			}
 		}
 	}

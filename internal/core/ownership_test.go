@@ -354,3 +354,70 @@ func TestTTLReach(t *testing.T) {
 		}
 	}
 }
+
+// TestRecycledStateSurvivesConcurrentChurn: on an asynchronous network, two
+// domains join and leave a second group over and over while its root domain
+// sends to it, so that (*,G) entries and member sets are torn down, kept and
+// rebuilt from the free lists while other goroutines forward through them.
+// Afterwards every router holds the state it held before, and the group
+// reaches a member that joins it exactly once, on every backend. Under -race
+// an entry or member set handed back while still in use is a report.
+func TestRecycledStateSurvivesConcurrentChurn(t *testing.T) {
+	for _, backend := range dataplane.Names() {
+		n, _ := asyncNet(t, backend, nil)
+		lease, err := n.Domain(2).NewGroup(24 * time.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := lease.Addr
+		state := func() (s []int) {
+			for _, d := range n.Domains() {
+				for _, r := range d.Routers() {
+					groups, sources := r.BGMP().StateSize()
+					s = append(s, groups, sources)
+				}
+			}
+			return s
+		}
+		before := state()
+		const cycles = 30
+		var wg sync.WaitGroup
+		for _, d := range []*Domain{n.Domain(1), n.Domain(3)} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range cycles {
+					d.Join(g, 0)
+					d.Leave(g, 0)
+				}
+			}()
+		}
+		root := n.Domain(2)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range cycles {
+				root.Send(g, root.HostAddr(1), "churn", 0)
+			}
+		}()
+		wg.Wait()
+		if err := n.Quiesce(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if after := state(); !slices.Equal(after, before) {
+			t.Fatalf("%s: routers' (*,G)/(S,G) counts %v after the churn, %v before", backend, after, before)
+		}
+		for _, d := range n.Domains() {
+			d.ClearReceived()
+		}
+		n.Domain(3).Join(g, 0)
+		if err := n.Quiesce(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		root.Send(g, root.HostAddr(1), "after", 0)
+		if err := n.Quiesce(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		requireCopies(t, backend, n.Domain(3), []string{"after"}, 1)
+	}
+}

@@ -94,6 +94,15 @@ type Fabric struct {
 	// members tracks interior host membership per group.
 	// guarded by mu
 	members map[addr.Addr]memberSet
+	// spare holds the counts arrays of groups whose last member left, for
+	// the next group's first member: churn joins and leaves groups at a
+	// domain over and over. It grows only while it is no longer than
+	// members, so a domain whose n groups all emptied keeps n/2.
+	// guarded by mu
+	spare [][]int
+	// ids holds every interior node's ID at its own index, never written
+	// after NewFabric: a first member's nodes is a one-element view of it.
+	ids []Node
 	// borderJoined tracks which border routers joined a group via BGMP.
 	// guarded by mu
 	borderJoined map[addr.Addr]map[wire.RouterID]bool
@@ -108,7 +117,9 @@ type Fabric struct {
 
 // memberSet is one group's interior membership: the member nodes ascending
 // and, beside them, the number of hosts joined at each. nodes is replaced,
-// never edited, when the set changes — deliver reads it after unlocking.
+// never edited, when the set changes — deliver reads it after unlocking. A
+// first member's nodes is a view of Fabric.ids capped at its one element,
+// so nothing can append into the array it shares.
 type memberSet struct {
 	nodes  []Node
 	counts []int
@@ -124,11 +135,16 @@ func (f *Fabric) Stats() DeliveryStats {
 // NewFabric returns an empty fabric; attach border routers with
 // AttachBorder. cfg.Graph must not change afterwards.
 func NewFabric(cfg FabricConfig) *Fabric {
+	ids := make([]Node, cfg.Graph.NumDomains())
+	for i := range ids {
+		ids[i] = Node(i)
+	}
 	return &Fabric{
 		cfg:          cfg,
 		strict:       cfg.Protocol.StrictRPF(),
 		comps:        map[wire.RouterID]Border{},
 		members:      map[addr.Addr]memberSet{},
+		ids:          ids,
 		borderJoined: map[addr.Addr]map[wire.RouterID]bool{},
 		paths:        NewPaths(cfg.Graph),
 	}
@@ -161,9 +177,17 @@ func (f *Fabric) HostJoin(g addr.Addr, at Node) {
 	f.mu.Lock()
 	ms := f.members[g]
 	i, found := slices.BinarySearch(ms.nodes, at)
-	if found {
+	switch {
+	case found:
 		ms.counts[i]++
-	} else {
+	case len(ms.nodes) == 0 && uint(at) < uint(len(f.ids)):
+		ms.nodes = f.ids[at : at+1 : at+1]
+		if n := len(f.spare); n > 0 {
+			ms.counts, f.spare = f.spare[n-1], f.spare[:n-1]
+		}
+		ms.counts = append(ms.counts, 1)
+		f.members[g] = ms
+	default:
 		nodes := make([]Node, 0, len(ms.nodes)+1)
 		ms.nodes = append(append(append(nodes, ms.nodes[:i]...), at), ms.nodes[i:]...)
 		ms.counts = slices.Insert(ms.counts, i, 1)
@@ -200,6 +224,9 @@ func (f *Fabric) HostLeave(g addr.Addr, at Node) {
 	empty := len(ms.nodes) == 0
 	if empty {
 		delete(f.members, g)
+		if len(f.spare) <= len(f.members) {
+			f.spare = append(f.spare, ms.counts)
+		}
 	}
 	var exit Border
 	if empty && f.cfg.BestExit != nil {

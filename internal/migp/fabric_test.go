@@ -1,6 +1,7 @@
 package migp_test
 
 import (
+	"slices"
 	"testing"
 
 	"mascbgmp/internal/addr"
@@ -188,4 +189,107 @@ func TestMemberNodesAndStats(t *testing.T) {
 func TestHostLeaveUnknownGroupHarmless(t *testing.T) {
 	rig := newFabricRig(t, migp.DVMRP(), 101)
 	rig.fab.HostLeave(fGroup, 1) // must not panic
+}
+
+// countingBorder counts the membership changes the fabric reports to one
+// border, passing them on.
+type countingBorder struct {
+	migp.Border
+	joins, leaves int
+}
+
+func (b *countingBorder) LocalJoin(g addr.Addr)  { b.joins++; b.Border.LocalJoin(g) }
+func (b *countingBorder) LocalLeave(g addr.Addr) { b.leaves++; b.Border.LocalLeave(g) }
+
+// TestRecycledMemberSetLooksNeverJoined: when a group's last interior
+// member leaves, HostLeave keeps the set's counts array for the next first
+// member, and a first member's nodes is a view of the fabric's node IDs. To
+// everything that reads it the emptied group looks as if no host had ever
+// joined — no member nodes, no host delivery, the same floods and counters
+// — and a rejoin, at another node and beside a second group's first member
+// on the recycled array, reports the first member to the best exit once, on
+// every protocol.
+func TestRecycledMemberSetLooksNeverJoined(t *testing.T) {
+	other := fGroup + 1
+	for _, name := range []string{"cbt", "dvmrp", "mospf", "pimdm", "pimsm"} {
+		type side struct {
+			rig   *fabricRig
+			proto *migp.Protocol
+			exit  *countingBorder
+		}
+		var fresh, emptied side
+		for _, s := range []*side{&fresh, &emptied} {
+			s.proto = allProtocols()[name]
+			s.rig = newFabricRig(t, s.proto, 101, 102)
+			s.rig.bestExit = 101
+			s.rig.gribs[fGroup] = bgp.Entry{Route: wire.Route{Origin: 9}, NextHop: 7}
+			s.rig.gribs[other] = s.rig.gribs[fGroup]
+			s.exit = &countingBorder{Border: s.rig.comps[101]}
+			s.rig.fab.SetComponent(101, s.exit)
+		}
+		f := emptied.rig.fab
+		f.HostJoin(fGroup, 1)
+		f.HostJoin(fGroup, 2)
+		f.HostJoin(fGroup, 2)
+		f.HostLeave(fGroup, 2)
+		f.HostLeave(fGroup, 1)
+		f.HostLeave(fGroup, 2)
+		if emptied.exit.joins != 1 || emptied.exit.leaves != 1 {
+			t.Fatalf("%s: best exit told of %d first members and %d last leaves, want 1 and 1",
+				name, emptied.exit.joins, emptied.exit.leaves)
+		}
+		emptied.exit.joins, emptied.exit.leaves = 0, 0
+
+		same := func(when string) {
+			t.Helper()
+			for _, s := range []side{fresh, emptied} {
+				s.rig.delivered = nil
+				s.rig.fab.SendFromHost(0, &wire.Data{Group: fGroup, Source: fSrc, TTL: 16})
+			}
+			if got, want := emptied.rig.fab.MemberNodes(fGroup), fresh.rig.fab.MemberNodes(fGroup); !slices.Equal(got, want) {
+				t.Errorf("%s, %s: member nodes %v, never-emptied group's %v", name, when, got, want)
+			}
+			if got, want := emptied.rig.delivered, fresh.rig.delivered; !slices.Equal(got, want) {
+				t.Errorf("%s, %s: delivered to %v, never-emptied group to %v", name, when, got, want)
+			}
+			if got, want := emptied.rig.fab.Stats(), fresh.rig.fab.Stats(); got != want {
+				t.Errorf("%s, %s: stats %+v, never-emptied group's %+v", name, when, got, want)
+			}
+			if got, want := emptied.proto.Floods(), fresh.proto.Floods(); got != want {
+				t.Errorf("%s, %s: %d floods, never-emptied group's %d", name, when, got, want)
+			}
+		}
+		same("emptied")
+		if n := len(emptied.rig.fab.MemberNodes(fGroup)); n != 0 || len(emptied.rig.delivered) != 0 {
+			t.Errorf("%s: an emptied group has %d member nodes and %d deliveries", name, n, len(emptied.rig.delivered))
+		}
+
+		// A rejoin at another node, and a second group's first member beside
+		// it: each takes a counts array the leaves kept, or a new one.
+		for _, s := range []side{fresh, emptied} {
+			s.rig.fab.HostJoin(fGroup, 2)
+			s.rig.fab.HostJoin(other, 1)
+			s.rig.fab.HostJoin(fGroup, 3)
+		}
+		if emptied.exit.joins != 2 {
+			t.Errorf("%s: the rejoin and the other group's join told the best exit %d times, want once each", name, emptied.exit.joins)
+		}
+		if got := emptied.rig.fab.MemberNodes(other); !slices.Equal(got, []migp.Node{1}) {
+			t.Errorf("%s: the other group's members %v, want [1]", name, got)
+		}
+		same("rejoined")
+		if !slices.Equal(emptied.rig.delivered, []migp.Node{2, 3}) {
+			t.Errorf("%s: a rejoined group delivered to %v, want [2 3]", name, emptied.rig.delivered)
+		}
+		for _, s := range []side{fresh, emptied} {
+			s.rig.fab.HostLeave(fGroup, 2)
+			s.rig.fab.HostLeave(other, 1)
+			s.rig.fab.HostLeave(fGroup, 3)
+		}
+		same("emptied again")
+		if n := len(emptied.rig.fab.MemberNodes(fGroup)); n != 0 || emptied.exit.leaves != 2 {
+			t.Errorf("%s: emptied again, the group has %d member nodes and the best exit was told of %d last leaves, want 0 and 2",
+				name, n, emptied.exit.leaves)
+		}
+	}
 }
