@@ -8,8 +8,9 @@
 //  3. a session in B leases a group address from B's MAAS, rooting the
 //     group's shared tree in B;
 //  4. members in C, D, F, and H join, building the bidirectional tree;
-//  5. hosts in D (member) and E (non-member sender) transmit, and the
-//     daemon reports which domains received each packet.
+//  5. hosts in D (member) and E (non-member sender) transmit: three
+//     packets each while source-specific branches settle, and then the
+//     packets the daemon reports, with the domains that received each.
 //
 // Every control and data message crosses a framed TCP connection between
 // router goroutines — the deployment shape of the architecture, shrunk
@@ -135,7 +136,7 @@ func scenario(stdout, stderr io.Writer, wait time.Duration, branches, verbose, m
 		}
 	}
 
-	send := func(from mascbgmp.DomainID, what string) error {
+	transmit := func(from mascbgmp.DomainID, what string) error {
 		for _, d := range net.Domains() {
 			d.ClearReceived()
 		}
@@ -143,6 +144,25 @@ func scenario(stdout, stderr io.Writer, wait time.Duration, branches, verbose, m
 		net.Domain(from).Send(lease.Addr, src, what, 1)
 		if err := net.Quiesce(3 * time.Second); err != nil {
 			return fmt.Errorf("after %q: %w", what, err)
+		}
+		return nil
+	}
+	// A sender's first packets reach the tree encapsulated while the
+	// source-specific branch they set off is built (§5.3), and while it
+	// switches over a member may get a copy twice (EXPERIMENTS.md, Known
+	// deviation 4): when it settles depends on TCP's timing. The packets
+	// below are reported from steady state, after three that are not.
+	for _, from := range []mascbgmp.DomainID{4, 5} {
+		for i := 0; i < 3; i++ {
+			if err := transmit(from, "branch set-up"); err != nil {
+				return err
+			}
+		}
+	}
+	fmt.Fprintln(stdout, "data: 3 unreported packets each from D and E while source-specific branches settle")
+	send := func(from mascbgmp.DomainID, what string) error {
+		if err := transmit(from, what); err != nil {
+			return err
 		}
 		fmt.Fprintf(stdout, "data: host in %s sent %q → received in:", name(from), what)
 		for _, d := range net.Domains() {
@@ -159,7 +179,7 @@ func scenario(stdout, stderr io.Writer, wait time.Duration, branches, verbose, m
 	if err := send(5, "hello from non-member sender E"); err != nil { // §3: senders need not be members
 		return err
 	}
-	if err := send(4, "second packet from D"); err != nil { // source-specific branch in steady state
+	if err := send(4, "second packet from D"); err != nil {
 		return err
 	}
 

@@ -24,7 +24,9 @@ func TestUnknownFlagExitsTwo(t *testing.T) {
 
 // TestScenarioDeliversTheSameTwice runs the Fig 1/3 scenario over loopback
 // TCP twice: each run ends "done", and both report the same domains
-// receiving each of the three packets.
+// receiving each of the three packets. The reported packets follow three
+// unreported ones from each sender, so they meet the tree in steady state:
+// one copy per member domain, F's switchover copy (Known deviation 4) gone.
 func TestScenarioDeliversTheSameTwice(t *testing.T) {
 	var runs [2][]string
 	for i := range runs {
@@ -39,6 +41,11 @@ func TestScenarioDeliversTheSameTwice(t *testing.T) {
 		}
 		if len(runs[i]) != 3 {
 			t.Fatalf("run %d: %d \"received in:\" lines, want 3:\n%s", i+1, len(runs[i]), out)
+		}
+		for _, line := range runs[i] {
+			if !strings.HasSuffix(line, "received in: B(x1) C(x1) D(x1) F(x1) H(x1)") {
+				t.Errorf("run %d: %q; want one copy in each member domain, B, C, D, F and H", i+1, line)
+			}
 		}
 	}
 	if !slices.Equal(runs[0], runs[1]) {

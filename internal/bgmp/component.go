@@ -90,8 +90,8 @@ type Component struct {
 	eg Egress
 
 	mu     sync.Mutex
-	groups map[addr.Addr]*entry // guarded by mu
-	srcs   map[sgKey]*entry     // guarded by mu
+	groups addr.Table[addr.Addr, *entry] // guarded by mu
+	srcs   map[sgKey]*entry              // guarded by mu
 	// encapFrom remembers, per (S,G), the internal border router that is
 	// encapsulating data to us, so we can source-prune it once the
 	// source-specific branch delivers. guarded by mu
@@ -107,21 +107,24 @@ type Component struct {
 	// RouteChanged can re-attach the tree without waiting for downstream
 	// routers to re-issue joins. Orphans hold no forwarding state.
 	// guarded by mu
-	orphans map[addr.Addr]*entry
+	orphans addr.Table[addr.Addr, *entry]
 	// out buffers messages generated under the lock. guarded by mu
 	out []outItem
 	// joins and prunes are the free lists attachLocked and detachLocked
 	// take their messages from, and finishLocked gives them back to once
 	// sent: a message handed to SendPeer or the MIGP is the sender's again
 	// when that returns. Plain stacks, not a sync.Pool. guarded by mu
-	joins  []*wire.GroupJoin
-	prunes []*wire.GroupPrune
-	// free holds the entries pruneLocked tore down, cleared but for their
-	// children arrays, for newEntryLocked to build the next ones from: churn
-	// builds and tears down an entry at every router a join crosses.
-	// giveEntryLocked bounds it by the (*,G) entries the router holds live.
+	joins  addr.FreeList[*wire.GroupJoin]
+	prunes addr.FreeList[*wire.GroupPrune]
+	// free holds the entries torn down, cleared, for newEntryLocked to build
+	// the next ones from: churn builds and tears down an entry at every
+	// router a join crosses. It keeps every one given back, so entries live
+	// and free together number the most the router ever held live at once.
 	// guarded by mu
-	free []*entry
+	free addr.FreeList[*entry]
+	// arrays are the free lists of children arrays, by size class: arrays[k]
+	// holds those of capacity 2<<k (fitChildrenLocked). guarded by mu
+	arrays []addr.FreeList[[]Target]
 	// evbuf collects events under the lock; they are emitted with the
 	// out-queue after release so observers may call back into the router.
 	// guarded by mu
@@ -166,7 +169,8 @@ func (c *Component) Router() wire.RouterID { return c.cfg.Router }
 func (c *Component) GroupEntry(g addr.Addr) (parent Target, children []Target, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.groups[g].listing()
+	e, _ := c.groups.Get(g)
+	return e.listing()
 }
 
 // SourceEntry exposes the (S,G) target list.
@@ -189,8 +193,7 @@ func (e *entry) listing() (parent Target, children []Target, ok bool) {
 func (c *Component) HasGroupState(g addr.Addr) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.groups[g]
-	return ok
+	return c.groups.Has(g)
 }
 
 // Orphaned reports whether g's tree interest is parked waiting for a
@@ -198,8 +201,7 @@ func (c *Component) HasGroupState(g addr.Addr) bool {
 func (c *Component) Orphaned(g addr.Addr) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.orphans[g]
-	return ok
+	return c.orphans.Has(g)
 }
 
 // Reset drops every piece of forwarding and bookkeeping state, modeling a
@@ -207,13 +209,13 @@ func (c *Component) Orphaned(g addr.Addr) bool {
 // relearns its trees from fresh joins and route updates.
 func (c *Component) Reset() {
 	c.mu.Lock()
-	c.groups = map[addr.Addr]*entry{}
+	c.groups, c.orphans = addr.Table[addr.Addr, *entry]{}, addr.Table[addr.Addr, *entry]{}
 	c.srcs = map[sgKey]*entry{}
 	c.encapFrom = map[sgKey]wire.RouterID{}
 	c.importedSG = map[sgKey]bool{}
-	c.orphans = map[addr.Addr]*entry{}
 	c.out, c.evbuf = nil, nil
-	c.joins, c.prunes, c.free = nil, nil, nil
+	c.joins, c.prunes = addr.FreeList[*wire.GroupJoin]{}, addr.FreeList[*wire.GroupPrune]{}
+	c.free, c.arrays = addr.FreeList[*entry]{}, nil
 	c.mu.Unlock()
 }
 
@@ -225,7 +227,7 @@ func (c *Component) HasForwardingState(g addr.Addr) bool { return c.HasGroupStat
 func (c *Component) StateSize() (groups, sources int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.groups), len(c.srcs)
+	return c.groups.Len(), len(c.srcs)
 }
 
 // ---------------------------------------------------------------- joining
@@ -316,7 +318,7 @@ func (c *Component) handle(src Target, msg wire.Message) {
 // the join toward the root domain) when absent.
 func (c *Component) joinLocked(g addr.Addr, child Target) {
 	c.eventLocked(obs.Event{Kind: obs.BGMPJoin, Group: g})
-	e, ok := c.groups[g]
+	e, ok := c.groups.Get(g)
 	// grafted marks the join terminating at this router — it met existing
 	// tree state or the root — which is when the branch is complete and the
 	// origin-to-graft latency is observable.
@@ -326,20 +328,20 @@ func (c *Component) joinLocked(g addr.Addr, child Target) {
 		if !ok2 {
 			// No G-RIB route: park the interest as an orphan so the join
 			// propagates the moment a covering route (re)appears.
-			oe, had := c.orphans[g]
+			oe, had := c.orphans.Get(g)
 			if !had {
 				oe = c.newEntryLocked(upstream{})
-				c.orphans[g] = oe
+				c.orphans.Set(g, oe)
 			}
-			oe.addChild(child)
+			c.addChildLocked(oe, child)
 			return
 		}
 		e = c.newEntryLocked(up)
-		c.groups[g] = e
+		c.groups.Set(g, e)
 		c.attachLocked(g, up.parent, up.root)
 		grafted = up.root
 	}
-	e.addChild(child)
+	c.addChildLocked(e, child)
 	if grafted {
 		c.observeGraftLocked()
 	}
@@ -363,24 +365,24 @@ func (c *Component) observeGraftLocked() {
 // (and propagating the prune) when the child list empties.
 func (c *Component) pruneLocked(g addr.Addr, child Target) {
 	c.eventLocked(obs.Event{Kind: obs.BGMPPrune, Group: g})
-	e, ok := c.groups[g]
+	e, ok := c.groups.Get(g)
 	if !ok {
 		// The group may be parked as an orphan (no route); retract the
 		// child's interest there so a later rejoin is accurate.
-		if oe, had := c.orphans[g]; had {
-			oe.removeChild(child)
+		if oe, had := c.orphans.Get(g); had {
+			c.removeChildLocked(oe, child)
 			if len(oe.children) == 0 {
-				delete(c.orphans, g)
+				c.orphans.Delete(g)
 				c.giveEntryLocked(oe)
 			}
 		}
 		return
 	}
-	e.removeChild(child)
+	c.removeChildLocked(e, child)
 	if len(e.children) > 0 {
 		return
 	}
-	delete(c.groups, g)
+	c.groups.Delete(g)
 	// Tear down dependent (S,G) state inherited from this entry; branch
 	// state stands on its own.
 	for k, se := range c.srcs {
@@ -398,26 +400,6 @@ func (c *Component) pruneLocked(g addr.Addr, child Target) {
 	c.giveEntryLocked(e)
 }
 
-// newEntryLocked returns an entry leading to up with no children, off the
-// free list when it holds one.
-func (c *Component) newEntryLocked(up upstream) *entry {
-	e := takeLocked(&c.free)
-	e.upstream = up
-	return e
-}
-
-// giveEntryLocked puts an entry no map holds any longer on the free list,
-// cleared but for its children array, while the list is no longer than the
-// (*,G) entries the router still holds: a router that held n trees and lost
-// them all keeps n/2. The target list is dropped, not kept: handleData reads
-// it after unlocking.
-func (c *Component) giveEntryLocked(e *entry) {
-	if len(c.free) <= len(c.groups) {
-		*e = entry{children: e.children[:0]}
-		c.free = append(c.free, e)
-	}
-}
-
 // attachLocked queues the upstream half of a (*,G) entry coming up: in the
 // root domain there is no BGP next hop and the router becomes an interior
 // member; elsewhere a GroupJoin goes to the parent (relayed through the MIGP
@@ -427,7 +409,7 @@ func (c *Component) attachLocked(g addr.Addr, parent Target, root bool) {
 		c.out = append(c.out, outItem{group: g})
 		return
 	}
-	m := takeLocked(&c.joins)
+	m := takePtr(&c.joins)
 	m.Group = g
 	c.out = append(c.out, outItem{target: parent, msg: m})
 }
@@ -438,46 +420,28 @@ func (c *Component) detachLocked(g addr.Addr, parent Target, root bool) {
 		c.out = append(c.out, outItem{group: g, leave: true})
 		return
 	}
-	m := takeLocked(&c.prunes)
+	m := takePtr(&c.prunes)
 	m.Group = g
 	c.out = append(c.out, outItem{target: parent, msg: m})
 }
 
-// takeLocked pops a cleared message or entry off a free list, or makes one
-// when it is empty.
-func takeLocked[M any](free *[]*M) *M {
-	n := len(*free)
-	if n == 0 {
-		return new(M)
-	}
-	m := (*free)[n-1]
-	*free = (*free)[:n-1]
-	return m
-}
-
-// keptFree bounds each free list and the out array finishLocked keeps: a
-// repair that re-parents hundreds of trees at once does not hold their
-// messages for good.
-const keptFree = 16
-
 // giveLocked clears the joins and prunes of a sent batch and puts them back
 // on the free lists, and keeps the batch's array for the next one when out
-// holds none as large.
+// holds none as large: an operation a hand-over set off took an array of its
+// own.
 func (c *Component) giveLocked(out []outItem) {
 	for _, it := range out {
 		switch m := it.msg.(type) {
 		case *wire.GroupJoin:
-			if *m = (wire.GroupJoin{}); len(c.joins) < keptFree {
-				c.joins = append(c.joins, m)
-			}
+			*m = wire.GroupJoin{}
+			c.joins.Give(m)
 		case *wire.GroupPrune:
-			if *m = (wire.GroupPrune{}); len(c.prunes) < keptFree {
-				c.prunes = append(c.prunes, m)
-			}
+			*m = wire.GroupPrune{}
+			c.prunes.Give(m)
 		}
 	}
 	clear(out)
-	if cap(out) <= keptFree && cap(out) > cap(c.out) {
+	if cap(out) > cap(c.out) {
 		c.out = out[:0]
 	}
 }
@@ -522,7 +486,7 @@ func (c *Component) lookupGroup(g addr.Addr) (up upstream, ok bool) {
 func (c *Component) BackupParent(g addr.Addr) (Target, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.groups[g]
+	e, ok := c.groups.Get(g)
 	if !ok || !e.hasBackup {
 		return Target{}, false
 	}

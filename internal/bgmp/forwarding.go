@@ -28,14 +28,14 @@ func (c *Component) sourceJoinLocked(s, g addr.Addr, child Target) {
 	c.eventLocked(obs.Event{Kind: obs.BGMPJoin, Group: g, Source: s})
 	k := sgKey{s, g}
 	if e, ok := c.srcs[k]; ok {
-		e.addChild(child)
+		c.addChildLocked(e, child)
 		return
 	}
-	if ge, ok := c.groups[g]; ok {
+	if ge, ok := c.groups.Get(g); ok {
 		// On the shared tree: (S,G) inherits the (*,G) targets, plus the
 		// new branch child. The join stops here.
 		e := c.cloneLocked(ge)
-		e.addChild(child)
+		c.addChildLocked(e, child)
 		c.srcs[k] = e
 		return
 	}
@@ -44,7 +44,7 @@ func (c *Component) sourceJoinLocked(s, g addr.Addr, child Target) {
 		return
 	}
 	e := c.newEntryLocked(upstream{parent: parent, root: sourceLocal})
-	e.addChild(child)
+	c.addChildLocked(e, child)
 	c.srcs[k] = e
 	if !sourceLocal {
 		c.out = append(c.out, outItem{target: parent, msg: &wire.SourceJoin{Group: g, Source: s}})
@@ -55,6 +55,7 @@ func (c *Component) sourceJoinLocked(s, g addr.Addr, child Target) {
 // specific state is instantiated from the (*,G) entry, per §5.3).
 func (c *Component) cloneLocked(e *entry) *entry {
 	se := c.newEntryLocked(upstream{parent: e.parent, root: e.root})
+	c.fitChildrenLocked(se, len(e.children))
 	se.children = append(se.children, e.children...)
 	se.sharedClone = true
 	return se
@@ -69,7 +70,7 @@ func (c *Component) sourcePruneLocked(s, g addr.Addr, child Target) {
 	k := sgKey{s, g}
 	e, ok := c.srcs[k]
 	if !ok {
-		ge, okG := c.groups[g]
+		ge, okG := c.groups.Get(g)
 		if !okG {
 			return
 		}
@@ -79,9 +80,9 @@ func (c *Component) sourcePruneLocked(s, g addr.Addr, child Target) {
 	if child.MIGP {
 		// The interior now receives S elsewhere (e.g. via a decapsulating
 		// border's branch): all interior-side interest in S goes.
-		e.removeMIGPChildren()
+		c.removeMIGPChildrenLocked(e)
 	} else {
-		e.removeChild(child)
+		c.removeChildLocked(e, child)
 	}
 	if len(e.children) > 0 {
 		return
@@ -98,8 +99,10 @@ func (c *Component) sourcePruneLocked(s, g addr.Addr, child Target) {
 		// A torn-down branch: propagate toward the source and forget.
 		c.out = append(c.out, outItem{target: e.parent, msg: &wire.SourcePrune{Group: g, Source: s}})
 		delete(c.srcs, k)
+		c.giveEntryLocked(e)
 	default:
 		delete(c.srcs, k)
+		c.giveEntryLocked(e)
 	}
 }
 
@@ -143,7 +146,7 @@ func (c *Component) handleData(from Target, d *wire.Data) {
 	if e != nil {
 		isSG = true
 	} else {
-		e = c.groups[d.Group]
+		e, _ = c.groups.Get(d.Group)
 	}
 	var encapFrom wire.RouterID
 	var hadEncap bool
@@ -239,7 +242,7 @@ func (c *Component) handleEncap(from wire.RouterID, d *wire.Data) {
 	c.eg.Inject(native)
 	k := sgKey{d.Source, d.Group}
 	c.mu.Lock()
-	e := c.groups[d.Group]
+	e, _ := c.groups.Get(d.Group)
 	var targets []Target
 	if e != nil {
 		targets = e.targets()

@@ -1,6 +1,7 @@
 package bgmp
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -61,7 +62,7 @@ func TestRecycledEntryCarriesNothing(t *testing.T) {
 	if rig.comp.HasGroupState(gA) {
 		t.Fatal("A's entry survived its last prune")
 	}
-	if n := len(rig.comp.free); n != 3 {
+	if n := rig.comp.free.Len(); n != 3 {
 		t.Fatalf("%d entries on the free list after A's teardown, want A's (*,G) and its two clones", n)
 	}
 
@@ -89,7 +90,7 @@ func TestRecycledEntryCarriesNothing(t *testing.T) {
 		!reflect.DeepEqual(children, []Target{PeerTarget(13)}) {
 		t.Fatalf("branch entry = %v %v ok=%v, want peer(4) [peer(13)]", parent, children, ok)
 	}
-	if n := len(rig.comp.free); n != 0 {
+	if n := rig.comp.free.Len(); n != 0 {
 		t.Fatalf("%d entries left on the free list; B, its clone and the branch should have taken all three", n)
 	}
 	rig.comp.HandlePeer(13, &wire.SourcePrune{Group: gC, Source: srcT})
@@ -98,30 +99,73 @@ func TestRecycledEntryCarriesNothing(t *testing.T) {
 	}
 
 	rig.comp.HandlePeer(12, &wire.GroupPrune{Group: gB})
-	if len(rig.comp.free) == 0 {
+	if rig.comp.free.Len() == 0 {
 		t.Fatal("B's teardown gave nothing back; Reset would be checked against an empty list")
 	}
 	rig.comp.Reset()
-	if n := len(rig.comp.free); n != 0 {
+	if n := rig.comp.free.Len(); n != 0 {
 		t.Fatalf("Reset left %d free entries", n)
 	}
 }
 
-// TestRecycledEntriesBoundedByLiveState tears down every one of a router's
-// trees: the free list is pushed only while it is no longer than the (*,G)
-// entries left, so a router that held n trees and lost them keeps half.
+// TestRecycledEntriesBoundedByLiveState grows and shrinks a router's trees
+// in waves — 40 joined, all pruned, 10 joined, 40 again, with children
+// coming and going on each — and checks the recycling bound after every
+// call: the entries live and free together never outnumber the most the
+// router held live at once, and no free list of children arrays holds more
+// arrays than were made for it. An entry made while the free list holds
+// one, or one given back twice, breaks the bound.
 func TestRecycledEntriesBoundedByLiveState(t *testing.T) {
 	const n = 40
 	rig := newRig(1, 5, false)
+	comp := rig.comp
 	for i := 0; i < n; i++ {
-		g := groupG + addr.Addr(i)
-		rig.groups[g] = bgp.Entry{Route: wire.Route{Origin: 9}, NextHop: 7}
-		rig.comp.HandlePeer(8, &wire.GroupJoin{Group: g})
+		rig.groups[groupG+addr.Addr(i)] = bgp.Entry{Route: wire.Route{Origin: 9}, NextHop: 7}
 	}
-	for i := 0; i < n; i++ {
-		rig.comp.HandlePeer(8, &wire.GroupPrune{Group: groupG + addr.Addr(i)})
+	peak := 0
+	check := func(when string) {
+		t.Helper()
+		live, _ := comp.StateSize()
+		peak = max(peak, live)
+		if free := comp.free.Len(); live+free > peak || comp.free.Made() != peak {
+			t.Fatalf("%s: %d entries live and %d free, %d made; the router held %d live at most",
+				when, live, free, comp.free.Made(), peak)
+		}
+		for k, l := range comp.arrays {
+			if l.Len() > l.Made() {
+				t.Fatalf("%s: %d free children arrays of capacity %d, and %d made", when, l.Len(), 2<<k, l.Made())
+			}
+		}
 	}
-	if groups, _ := rig.comp.StateSize(); groups != 0 || len(rig.comp.free) != n/2 {
-		t.Fatalf("%d entries live and %d free after every prune, want 0 and %d", groups, len(rig.comp.free), n/2)
+	join := func(i int, peer wire.RouterID) {
+		comp.HandlePeer(peer, &wire.GroupJoin{Group: groupG + addr.Addr(i)})
+		check(fmt.Sprintf("join %d from %d", i, peer))
+	}
+	prune := func(i int, peer wire.RouterID) {
+		comp.HandlePeer(peer, &wire.GroupPrune{Group: groupG + addr.Addr(i)})
+		check(fmt.Sprintf("prune %d from %d", i, peer))
+	}
+	for _, wave := range []int{n, n / 4, n} {
+		for i := 0; i < wave; i++ {
+			for p := 0; p <= i%5; p++ { // 1 to 5 children: arrays of every class to 8
+				join(i, wire.RouterID(8+p))
+			}
+		}
+		for i := 0; i < wave; i += 2 {
+			prune(i, 8) // children leave and come back
+			join(i, 20)
+		}
+		for i := 0; i < wave; i++ {
+			for p := 0; p <= i%5; p++ {
+				prune(i, wire.RouterID(8+p))
+			}
+			prune(i, 20)
+		}
+		if groups, _ := comp.StateSize(); groups != 0 || comp.free.Len() != peak {
+			t.Fatalf("after wave %d: %d entries live and %d free, want 0 and %d", wave, groups, comp.free.Len(), peak)
+		}
+	}
+	if peak != n {
+		t.Fatalf("the router held %d entries live at most, want %d", peak, n)
 	}
 }

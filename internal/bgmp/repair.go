@@ -21,16 +21,10 @@ import (
 // All repair paths iterate entry maps in sorted key order so that the
 // emitted messages and obs events are identical across same-seed runs.
 
-// sortedGroups returns the keys of m that within contains, in ascending
-// order: the groups are picked out first, so only they are sorted. A zero
-// within (/0) contains every group. Caller holds c.mu.
-func sortedGroups(m map[addr.Addr]*entry, within addr.Prefix) []addr.Addr {
-	var gs []addr.Addr
-	for g := range m {
-		if within.Contains(g) {
-			gs = append(gs, g)
-		}
-	}
+// sortedGroups returns the keys of t that within contains, in ascending
+// order. A zero within (/0) contains every group. Caller holds c.mu.
+func sortedGroups(t *addr.Table[addr.Addr, *entry], within addr.Prefix) []addr.Addr {
+	gs := slices.DeleteFunc(t.Keys(nil), func(g addr.Addr) bool { return !within.Contains(g) })
 	slices.Sort(gs)
 	return gs
 }
@@ -56,8 +50,9 @@ func sortedSGKeys(m map[sgKey]*entry) []sgKey {
 // from fresh prunes. Caller holds c.mu.
 func (c *Component) dropSharedClonesLocked(g addr.Addr) {
 	for _, k := range sortedSGKeys(c.srcs) {
-		if k.group == g && c.srcs[k].sharedClone {
+		if se := c.srcs[k]; k.group == g && se.sharedClone {
 			delete(c.srcs, k)
+			c.giveEntryLocked(se)
 		}
 	}
 }
@@ -87,18 +82,18 @@ func (c *Component) RouteChanged(prefix addr.Prefix, ctx wire.TraceContext) {
 		rejoined  bool
 	}
 	var changes []change
-	for _, g := range sortedGroups(c.groups, prefix) {
-		e := c.groups[g]
+	for _, g := range sortedGroups(&c.groups, prefix) {
+		e, _ := c.groups.Get(g)
 		up, ok := c.lookupGroup(g)
 		if !ok {
 			// No route at all anymore: tear the forwarding entry down but
 			// remember the children, so a returning route re-attaches the
 			// tree without waiting for downstream rejoins.
 			changes = append(changes, change{g: g, oldParent: e.parent, oldRoot: e.root, torn: true})
-			delete(c.groups, g)
+			c.groups.Delete(g)
 			c.dropSharedClonesLocked(g)
 			e.setUpstream(upstream{})
-			c.orphans[g] = e
+			c.orphans.Set(g, e)
 			continue
 		}
 		if up.parent.key() == e.parent.key() && up.root == e.root {
@@ -117,15 +112,15 @@ func (c *Component) RouteChanged(prefix addr.Prefix, ctx wire.TraceContext) {
 		c.dropSharedClonesLocked(g)
 	}
 	// Orphans covered by the changed prefix may have a route again.
-	for _, g := range sortedGroups(c.orphans, prefix) {
+	for _, g := range sortedGroups(&c.orphans, prefix) {
 		up, ok := c.lookupGroup(g)
 		if !ok {
 			continue
 		}
-		e := c.orphans[g]
-		delete(c.orphans, g)
+		e, _ := c.orphans.Get(g)
+		c.orphans.Delete(g)
 		e.setUpstream(up)
-		c.groups[g] = e
+		c.groups.Set(g, e)
 		changes = append(changes, change{g: g, newParent: up.parent, newRoot: up.root, rejoined: true})
 	}
 	for _, ch := range changes {
@@ -152,8 +147,8 @@ func (c *Component) PeerDown(peer wire.RouterID, ctx wire.TraceContext) {
 	t := PeerTarget(peer)
 	c.mu.Lock()
 	c.cur = sp.Context()
-	for _, g := range sortedGroups(c.groups, addr.Prefix{}) {
-		if c.groups[g].hasChild(t) {
+	for _, g := range sortedGroups(&c.groups, addr.Prefix{}) {
+		if e, _ := c.groups.Get(g); e.hasChild(t) {
 			c.pruneLocked(g, t)
 		}
 	}
@@ -161,8 +156,8 @@ func (c *Component) PeerDown(peer wire.RouterID, ctx wire.TraceContext) {
 	// switch to their backup target immediately, without re-querying the
 	// G-RIB — the withdrawal-driven RouteChanged later confirms the new
 	// parent (a no-op when it matches) and re-arms a fresh backup.
-	for _, g := range sortedGroups(c.groups, addr.Prefix{}) {
-		e := c.groups[g]
+	for _, g := range sortedGroups(&c.groups, addr.Prefix{}) {
+		e, _ := c.groups.Get(g)
 		if e.root || e.parent.key() != t {
 			continue
 		}
@@ -185,8 +180,8 @@ func (c *Component) PeerDown(peer wire.RouterID, ctx wire.TraceContext) {
 		}
 	}
 	// The dead peer's parked interest must not trigger a rejoin later.
-	for _, g := range sortedGroups(c.orphans, addr.Prefix{}) {
-		if c.orphans[g].hasChild(t) {
+	for _, g := range sortedGroups(&c.orphans, addr.Prefix{}) {
+		if e, _ := c.orphans.Get(g); e.hasChild(t) {
 			c.pruneLocked(g, t)
 		}
 	}

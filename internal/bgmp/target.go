@@ -77,14 +77,14 @@ func cmpTargets(a, b Target) int {
 // source-specific branch, the source): what one RIB answer resolves to.
 type upstream struct {
 	parent Target
-	// root marks a (*,G) entry in the group's root domain (no BGP next
-	// hop; the parent target is the MIGP component).
-	root bool
 	// backup is the precomputed fallback parent for a (*,G) entry — the
 	// runner-up G-RIB candidate, resolved from the lookup that resolved
 	// the parent — valid when hasBackup. PeerDown switches the parent to
 	// it without re-querying the G-RIB (1:1 protection).
-	backup    Target
+	backup Target
+	// root marks a (*,G) entry in the group's root domain (no BGP next
+	// hop; the parent target is the MIGP component).
+	root      bool
 	hasBackup bool
 }
 
@@ -95,32 +95,22 @@ type upstream struct {
 // view deduplicates MIGP-kind targets.
 type entry struct {
 	upstream
-	// children holds each child target once, in cmpTargets order.
-	children []Target
 	// sharedClone marks (S,G) state instantiated from the (*,G) entry —
 	// shared-tree prune state rather than a source-specific branch. When
 	// its child list empties it becomes a negative cache (drop S's
 	// packets here) instead of being torn down.
 	sharedClone bool
+	// children holds each child target once, in cmpTargets order: in one,
+	// the entry's own array, while there is one at most, and otherwise in
+	// an array of the Component's whose capacity is the next power of two
+	// (fitChildrenLocked).
+	children []Target
 	// targetCache is the memoized result of targets(), rebuilt lazily
 	// after any parent/child mutation. Entries see one mutation per
 	// join/prune but many forwarding lookups, so caching turns the
 	// per-packet merge into a slice read.
 	targetCache []Target
-}
-
-func (e *entry) addChild(t Target) {
-	if i, ok := slices.BinarySearchFunc(e.children, t, cmpTargets); !ok {
-		e.children = slices.Insert(e.children, i, t)
-		e.targetCache = nil
-	}
-}
-
-func (e *entry) removeChild(t Target) {
-	if i, ok := slices.BinarySearchFunc(e.children, t, cmpTargets); ok {
-		e.children = slices.Delete(e.children, i, i+1)
-		e.targetCache = nil
-	}
+	one         [1]Target
 }
 
 func (e *entry) hasChild(t Target) bool {
@@ -131,14 +121,6 @@ func (e *entry) hasChild(t Target) bool {
 // setUpstream reparents the entry (failover or G-RIB change).
 func (e *entry) setUpstream(u upstream) {
 	e.upstream = u
-	e.targetCache = nil
-}
-
-// removeMIGPChildren drops every interior-side child: a source-specific
-// prune from the domain interior means the interior as a whole gets S via
-// another border now.
-func (e *entry) removeMIGPChildren() {
-	e.children = slices.DeleteFunc(e.children, func(t Target) bool { return t.MIGP })
 	e.targetCache = nil
 }
 

@@ -35,7 +35,10 @@ func oracleTargets(parent Target, children map[Target]bool) []Target {
 // after every step what the map it replaced gave: the same child set, the
 // listing in router order with the interior first on a tie, and the same
 // forwarding list, parent merged in and interior targets folded into one.
+// The children sit in an array of their size class throughout: the entry's
+// own up to one child, else the next power of two.
 func TestSortedChildrenMatchMap(t *testing.T) {
+	var c Component
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		target := func() Target { // routers 1–5 as peers and siblings, and the interior
@@ -52,32 +55,36 @@ func TestSortedChildrenMatchMap(t *testing.T) {
 		for step := 0; step < 40; step++ {
 			switch op := rng.Intn(10); {
 			case op < 5:
-				c := target()
-				e.addChild(c)
-				want[c] = true
+				x := target()
+				c.addChildLocked(e, x)
+				want[x] = true
 			case op < 8:
-				c := target()
-				e.removeChild(c)
-				delete(want, c)
+				x := target()
+				c.removeChildLocked(e, x)
+				delete(want, x)
 			case op < 9:
-				e.removeMIGPChildren()
-				for c := range want {
-					if c.MIGP {
-						delete(want, c)
+				c.removeMIGPChildrenLocked(e)
+				for x := range want {
+					if x.MIGP {
+						delete(want, x)
 					}
 				}
 			default:
 				e.setUpstream(upstream{parent: target()})
 			}
-			for c := range want {
-				if !e.hasChild(c) {
-					t.Fatalf("seed %d step %d: child %v lost from %v", seed, step, c, e.children)
+			for x := range want {
+				if !e.hasChild(x) {
+					t.Fatalf("seed %d step %d: child %v lost from %v", seed, step, x, e.children)
 				}
+			}
+			if n := len(e.children); n > 0 && cap(e.children) != childClass(n) {
+				t.Fatalf("seed %d step %d: %d children in an array of capacity %d, want %d",
+					seed, step, n, cap(e.children), childClass(n))
 			}
 			_, listed, _ := e.listing()
 			sorted := make([]Target, 0, len(want))
-			for c := range want {
-				sorted = append(sorted, c)
+			for x := range want {
+				sorted = append(sorted, x)
 			}
 			sort.Slice(sorted, func(i, j int) bool {
 				if sorted[i].Router != sorted[j].Router {

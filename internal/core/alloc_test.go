@@ -300,6 +300,81 @@ func TestJoinAllocBudget(t *testing.T) {
 	}
 }
 
+// TestChurnReplayAllocatesNothing replays the real-stack benchmark's churn
+// on an asWorld of 60 domains, every one of its eight groups standing with
+// three members: a pass joins ten more domains to each group, in one
+// order, and then has them leave, in another. Replayed a second time, the
+// pass builds every entry, children array, member set, message and table
+// slot from what the first gave back, and allocates exactly nothing: on
+// every backend, and for each of five pass orders, because what it holds is
+// bounded by the most ever held live, and not by the order the state was
+// given back in or by a per-map hash seed. The churn leaves every router
+// holding what it held before. Before the state was recycled this way, the
+// second replay allocated tens of times on the shared tree: bounded free
+// lists, child arrays carried by the entry they served, and Go maps that
+// double under insert and delete churn.
+func TestChurnReplayAllocatesNothing(t *testing.T) {
+	const n, extra, orders = 60, 10, 5
+	type op struct {
+		d *Domain
+		g addr.Addr
+	}
+	for _, backend := range dataplane.Names() {
+		w := newASWorld(t, n, 40, 1998, backend, nil)
+		r := rand.New(rand.NewSource(1998))
+		var churn []op
+		for _, wg := range w.groups {
+			joiners := 0
+			for _, v := range r.Perm(n) {
+				id := wire.DomainID(v + 1)
+				if joiners < extra && !slices.Contains(wg.members, id) {
+					churn = append(churn, op{w.net.Domain(id), wg.addr})
+					joiners++
+				}
+			}
+		}
+		state := func() (s []int) {
+			for _, d := range w.net.Domains() {
+				for _, r := range d.Routers() {
+					groups, sources := r.BGMP().StateSize()
+					s = append(s, groups, sources)
+				}
+			}
+			return s
+		}
+		before := state()
+		for order := int64(1); order <= orders; order++ {
+			o := rand.New(rand.NewSource(order))
+			joins, leaves := slices.Clone(churn), slices.Clone(churn)
+			o.Shuffle(len(joins), func(i, j int) { joins[i], joins[j] = joins[j], joins[i] })
+			o.Shuffle(len(leaves), func(i, j int) { leaves[i], leaves[j] = leaves[j], leaves[i] })
+			grew, first := false, true
+			pass := func() {
+				for _, q := range joins {
+					q.d.Join(q.g, 0)
+				}
+				if first { // state() allocates: read it on the replay not counted
+					grew, first = !slices.Equal(state(), before), false
+				}
+				for _, q := range leaves {
+					q.d.Leave(q.g, 0)
+				}
+			}
+			pass()
+			if got := mallocs(pass); got != 0 {
+				t.Errorf("%s, order %d: the second replay of a pass of %d joins and their leaves allocated %d times, want 0",
+					backend, order, len(churn), got)
+			}
+			if backend == dataplane.SharedTreeName && !grew {
+				t.Fatalf("%s, order %d: the joins built no tree state; the replay would be vacuous", backend, order)
+			}
+			if after := state(); !slices.Equal(after, before) {
+				t.Fatalf("%s, order %d: routers' (*,G)/(S,G) counts %v after the pass, %v before", backend, order, after, before)
+			}
+		}
+	}
+}
+
 // ringNet builds n single-router domains on a synchronous network, linked
 // in a ring with a chord from every chord-th router to the one a third of
 // the way round, domain 1 holding a MASC range: every router ends up with

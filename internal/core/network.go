@@ -541,9 +541,11 @@ func (n *Network) converge(fn func()) {
 	}
 }
 
-// Past these, a drain that empties the queue drops the arena, the folds and
-// the inbox's route lists rather than keep them for the next one: a join's
-// drain stays well inside, a link coming up does not.
+// Past these, a drain that empties the queue drops the folds and the inbox's
+// route lists rather than keep them for the next one, and trades the arena
+// for one of keptArena bytes: a join's drain stays well inside, a link
+// coming up does not. The arena is traded, not dropped, so that the joins
+// after a flap do not grow a new one again from nothing.
 const (
 	keptArena  = 4 << 10
 	keptFolds  = 64
@@ -577,7 +579,7 @@ func (n *Network) drainLocked() {
 		}
 	}
 	if cap(n.arena) > keptArena {
-		n.arena = nil
+		n.arena = make([]byte, 0, keptArena)
 	}
 	if cap(n.folds) > keptFolds {
 		n.folds = nil

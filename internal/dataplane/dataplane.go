@@ -167,32 +167,36 @@ type Config struct {
 // domain share one Store.
 type Store struct {
 	mu      sync.Mutex
-	members map[addr.Addr]*memberSet // guarded by mu
+	members addr.Table[addr.Addr, *memberSet] // guarded by mu
+	// spare holds the sets of groups whose last member left, emptied, for
+	// the next group's first. guarded by mu
+	spare addr.FreeList[*memberSet]
 }
 
 // memberSet is one group's membership: a refcount per member domain, and
 // the domains ascending as Members last listed them — dropped, never edited,
 // by a change, so a list a reader holds stays as it was.
 type memberSet struct {
-	refs map[wire.DomainID]int
+	refs addr.Table[wire.DomainID, int]
 	list []wire.DomainID
 }
 
 // NewStore returns an empty membership store.
-func NewStore() *Store {
-	return &Store{members: map[addr.Addr]*memberSet{}}
-}
+func NewStore() *Store { return &Store{} }
 
 // Add records one membership assertion for (g, d).
 func (s *Store) Add(g addr.Addr, d wire.DomainID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := s.members[g]
-	if m == nil {
-		m = &memberSet{refs: make(map[wire.DomainID]int, 2)}
-		s.members[g] = m
+	m, ok := s.members.Get(g)
+	if !ok {
+		if m, ok = s.spare.Take(); !ok {
+			m = new(memberSet)
+		}
+		s.members.Set(g, m)
 	}
-	m.refs[d]++
+	n, _ := m.refs.Get(d)
+	m.refs.Set(d, n+1)
 	m.list = nil
 }
 
@@ -200,17 +204,19 @@ func (s *Store) Add(g addr.Addr, d wire.DomainID) {
 func (s *Store) Remove(g addr.Addr, d wire.DomainID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := s.members[g]
-	if m == nil {
+	m, ok := s.members.Get(g)
+	if !ok {
 		return
 	}
 	m.list = nil
-	m.refs[d]--
-	if m.refs[d] <= 0 {
-		delete(m.refs, d)
+	if n, _ := m.refs.Get(d); n > 1 {
+		m.refs.Set(d, n-1)
+	} else {
+		m.refs.Delete(d)
 	}
-	if len(m.refs) == 0 {
-		delete(s.members, g)
+	if m.refs.Len() == 0 {
+		s.members.Delete(g)
+		s.spare.Give(m)
 	}
 }
 
@@ -220,15 +226,12 @@ func (s *Store) Remove(g addr.Addr, d wire.DomainID) {
 func (s *Store) Members(g addr.Addr) []wire.DomainID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := s.members[g]
-	if m == nil {
+	m, ok := s.members.Get(g)
+	if !ok {
 		return nil
 	}
 	if m.list == nil {
-		m.list = make([]wire.DomainID, 0, len(m.refs))
-		for d := range m.refs {
-			m.list = append(m.list, d)
-		}
+		m.list = m.refs.Keys(make([]wire.DomainID, 0, m.refs.Len()))
 		slices.Sort(m.list)
 	}
 	return m.list
@@ -239,8 +242,9 @@ func (s *Store) Entries() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
-	for _, m := range s.members {
-		n += len(m.refs)
-	}
+	s.members.Range(func(_ addr.Addr, m *memberSet) bool {
+		n += m.refs.Len()
+		return true
+	})
 	return n
 }

@@ -93,13 +93,13 @@ type Fabric struct {
 	comps map[wire.RouterID]Border
 	// members tracks interior host membership per group.
 	// guarded by mu
-	members map[addr.Addr]memberSet
+	members addr.Table[addr.Addr, memberSet]
 	// spare holds the counts arrays of groups whose last member left, for
 	// the next group's first member: churn joins and leaves groups at a
-	// domain over and over. It grows only while it is no longer than
-	// members, so a domain whose n groups all emptied keeps n/2.
+	// domain over and over. It keeps every one, so the arrays held, in use
+	// and spare, number the most groups that had members at once.
 	// guarded by mu
-	spare [][]int
+	spare addr.FreeList[[]int]
 	// ids holds every interior node's ID at its own index, never written
 	// after NewFabric: a first member's nodes is a one-element view of it.
 	ids []Node
@@ -143,7 +143,6 @@ func NewFabric(cfg FabricConfig) *Fabric {
 		cfg:          cfg,
 		strict:       cfg.Protocol.StrictRPF(),
 		comps:        map[wire.RouterID]Border{},
-		members:      map[addr.Addr]memberSet{},
 		ids:          ids,
 		borderJoined: map[addr.Addr]map[wire.RouterID]bool{},
 		paths:        NewPaths(cfg.Graph),
@@ -175,23 +174,21 @@ func (f *Fabric) SetComponent(r wire.RouterID, c Border) {
 // DVMRP Domain Wide Report / PIM join toward the exit would (§5).
 func (f *Fabric) HostJoin(g addr.Addr, at Node) {
 	f.mu.Lock()
-	ms := f.members[g]
+	ms, _ := f.members.Get(g)
 	i, found := slices.BinarySearch(ms.nodes, at)
 	switch {
 	case found:
 		ms.counts[i]++
 	case len(ms.nodes) == 0 && uint(at) < uint(len(f.ids)):
 		ms.nodes = f.ids[at : at+1 : at+1]
-		if n := len(f.spare); n > 0 {
-			ms.counts, f.spare = f.spare[n-1], f.spare[:n-1]
-		}
+		ms.counts, _ = f.spare.Take() // none spare: append makes it
 		ms.counts = append(ms.counts, 1)
-		f.members[g] = ms
+		f.members.Set(g, ms)
 	default:
 		nodes := make([]Node, 0, len(ms.nodes)+1)
 		ms.nodes = append(append(append(nodes, ms.nodes[:i]...), at), ms.nodes[i:]...)
 		ms.counts = slices.Insert(ms.counts, i, 1)
-		f.members[g] = ms
+		f.members.Set(g, ms)
 	}
 	var exit Border
 	if first := !found && len(ms.nodes) == 1; first && f.cfg.BestExit != nil {
@@ -209,7 +206,7 @@ func (f *Fabric) HostJoin(g addr.Addr, at Node) {
 // LocalLeave at the best exit router.
 func (f *Fabric) HostLeave(g addr.Addr, at Node) {
 	f.mu.Lock()
-	ms := f.members[g]
+	ms, _ := f.members.Get(g)
 	i, found := slices.BinarySearch(ms.nodes, at)
 	if !found {
 		f.mu.Unlock()
@@ -219,14 +216,12 @@ func (f *Fabric) HostLeave(g addr.Addr, at Node) {
 		nodes := make([]Node, 0, len(ms.nodes)-1)
 		ms.nodes = append(append(nodes, ms.nodes[:i]...), ms.nodes[i+1:]...)
 		ms.counts = slices.Delete(ms.counts, i, i+1)
-		f.members[g] = ms
+		f.members.Set(g, ms)
 	}
 	empty := len(ms.nodes) == 0
 	if empty {
-		delete(f.members, g)
-		if len(f.spare) <= len(f.members) {
-			f.spare = append(f.spare, ms.counts)
-		}
+		f.members.Delete(g)
+		f.spare.Give(ms.counts)
 	}
 	var exit Border
 	if empty && f.cfg.BestExit != nil {
@@ -253,14 +248,16 @@ func (f *Fabric) SendFromHost(at Node, d *wire.Data) {
 func (f *Fabric) MemberNodes(g addr.Addr) []Node {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return slices.Clone(f.members[g].nodes)
+	ms, _ := f.members.Get(g)
+	return slices.Clone(ms.nodes)
 }
 
 // deliver distributes a packet within the domain from an entry node.
 // fromBorder is nonzero when the packet entered through that border router.
 func (f *Fabric) deliver(entry Node, fromBorder wire.RouterID, d *wire.Data) {
 	f.mu.Lock()
-	members := f.members[d.Group].nodes
+	ms, _ := f.members.Get(d.Group)
+	members := ms.nodes
 	if cap(f.hops) < len(members) {
 		f.hops = make([]int, len(members))
 	}

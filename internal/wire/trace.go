@@ -49,16 +49,45 @@ type Traceable interface {
 // without a TraceCarrier (keepalives, data packets, internal markers) are
 // left alone.
 func Stamp(msg Message, ctx TraceContext) {
-	if t, ok := msg.(Traceable); ok {
-		*t.TraceCtx() = ctx
+	if c := carrier(msg); c != nil {
+		c.ctx = ctx
 	}
 }
 
 // ContextOf returns msg's trace context, zero when the message carries
 // none.
 func ContextOf(msg Message) TraceContext {
-	if t, ok := msg.(Traceable); ok {
-		return *t.TraceCtx()
+	if c := carrier(msg); c != nil {
+		return c.ctx
 	}
 	return TraceContext{}
+}
+
+// carrier returns the TraceCarrier msg embeds, nil for a message without
+// one: every frame encoded or decoded asks. It switches on the concrete
+// types rather than asserting Traceable, because an assertion to an
+// interface goes through the runtime's per-site cache, which grows — an
+// allocation — at random calls until it has seen every type, and a join
+// would then allocate now and then. TestRegistryExhaustive holds the list
+// to the types that implement Traceable.
+func carrier(msg Message) *TraceCarrier {
+	switch m := msg.(type) {
+	case *Update:
+		return &m.TraceCarrier
+	case *Claim:
+		return &m.TraceCarrier
+	case *Collision:
+		return &m.TraceCarrier
+	case *GroupJoin:
+		return &m.TraceCarrier
+	case *GroupPrune:
+		return &m.TraceCarrier
+	case *SourceJoin:
+		return &m.TraceCarrier
+	case *SourcePrune:
+		return &m.TraceCarrier
+	case *MemberReport:
+		return &m.TraceCarrier
+	}
+	return nil
 }

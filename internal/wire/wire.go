@@ -208,7 +208,7 @@ func decodeNext(b []byte, msg Message) (Message, []byte, error) {
 		payload = payload[TraceBlockSize:]
 		// AppendFrame writes the block only for a message that carries a
 		// nonzero context; any other would not survive re-encoding.
-		if _, ok := msg.(Traceable); !ok || ctx.Zero() {
+		if carrier(msg) == nil || ctx.Zero() {
 			return nil, b, fmt.Errorf("%w: trace block with no context to carry", ErrBadVersion)
 		}
 	}

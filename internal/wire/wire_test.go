@@ -463,11 +463,12 @@ func TestMsgTypeStrings(t *testing.T) {
 	}
 }
 
-// TestRegistryExhaustive holds the three places a message type is
-// registered — the decoder switch, MsgType.String and allMessages — to one
-// another over every type byte, so a new message cannot decode without a
-// name, carry a name without decoding, re-encode under another type, or be
-// skipped by the round-trip, no-alias and fuzz-seed tests.
+// TestRegistryExhaustive holds the four places a message type is
+// registered — the decoder switch, MsgType.String, allMessages and, for one
+// that embeds a TraceCarrier, carrier's switch — to one another over every
+// type byte, so a new message cannot decode without a name, carry a name
+// without decoding, re-encode under another type, lose its trace context,
+// or be skipped by the round-trip, no-alias and fuzz-seed tests.
 func TestRegistryExhaustive(t *testing.T) {
 	sampled := map[MsgType]bool{}
 	for _, m := range allMessages() {
@@ -488,6 +489,9 @@ func TestRegistryExhaustive(t *testing.T) {
 		}
 		if !sampled[typ] {
 			t.Errorf("allMessages has no %s sample", typ)
+		}
+		if _, traceable := m.(Traceable); traceable != (carrier(m) != nil) {
+			t.Errorf("%s: Traceable %v, but carrier lists it %v", typ, traceable, carrier(m) != nil)
 		}
 	}
 }
