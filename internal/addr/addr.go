@@ -5,6 +5,11 @@
 // IPv4 multicast space 224.0.0.0/4. The package provides a compact Prefix
 // value type, containment/overlap tests, aggregation, splitting, and the
 // free-space searches the MASC claim algorithm (paper §4.3.3) is built on.
+//
+// It is also the home of the two small containers that the membership
+// paths of bgmp, migp and dataplane share, so that a join or leave repeated
+// at a steady size allocates nothing: Table, keyed by a 32-bit value, and
+// FreeList (DESIGN.md §17).
 package addr
 
 import (

@@ -4,20 +4,22 @@ import "slices"
 
 // FreeList is a free list of T, last in first out, for state that churn
 // builds and tears down over and over. It keeps everything given back, and
-// makes room for an item when the item is made rather than when it comes
-// back, so that Give never grows it: its array holds every item made, and
-// the count made is the most that were out at once. A round of churn that
-// repeats an earlier one therefore allocates nothing here. The zero value
-// is an empty list. A FreeList is not safe for concurrent use.
+// its array grows only at a new extreme of the items out at once: a new
+// high, when an item is made, or a new low once the list has been given
+// anything. Between the two it holds at most made − low items, where low is
+// the fewest that were out at once since its first Give, and it makes room
+// for them when an item is made rather than when one comes back. A round of
+// churn that repeats an earlier one therefore allocates nothing here, and
+// state built up and never torn down reserves nothing. The zero value is an
+// empty list. A FreeList is not safe for concurrent use.
 type FreeList[T any] struct {
 	items []T
-	made  int
+	made  int32 // items made for the list: the most out at once
+	low   int32 // the fewest out at once since the first Give
 }
 
 // Take pops an item. With none, ok is false: the caller makes one, and the
-// list has room for it from now on. Room is made only once the list has been
-// given something, so that state built up and never torn down reserves
-// nothing.
+// list has room for it from now on.
 func (l *FreeList[T]) Take() (x T, ok bool) {
 	if n := len(l.items); n > 0 {
 		x = l.items[n-1]
@@ -28,23 +30,18 @@ func (l *FreeList[T]) Take() (x T, ok bool) {
 	}
 	l.made++
 	if l.items != nil {
-		l.items = slices.Grow(l.items, l.made)
+		l.items = slices.Grow(l.items, int(l.made-l.low))
 	}
 	return x, false
 }
 
 // Give pushes x, which Take handed out or the caller made after Take said
-// none was left.
+// none was left. It grows the array only when fewer items are out than ever
+// since the first Give.
 func (l *FreeList[T]) Give(x T) {
 	if l.items == nil {
-		l.items = make([]T, 0, l.made)
+		l.low = l.made
 	}
 	l.items = append(l.items, x)
+	l.low = min(l.low, l.made-int32(len(l.items)))
 }
-
-// Len returns the number of items on the list.
-func (l *FreeList[T]) Len() int { return len(l.items) }
-
-// Made returns the number of items made for the list: the most that were
-// out at once, and the most it can hold unless one was given twice.
-func (l *FreeList[T]) Made() int { return l.made }

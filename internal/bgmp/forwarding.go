@@ -99,10 +99,8 @@ func (c *Component) sourcePruneLocked(s, g addr.Addr, child Target) {
 		// A torn-down branch: propagate toward the source and forget.
 		c.out = append(c.out, outItem{target: e.parent, msg: &wire.SourcePrune{Group: g, Source: s}})
 		delete(c.srcs, k)
-		c.giveEntryLocked(e)
 	default:
 		delete(c.srcs, k)
-		c.giveEntryLocked(e)
 	}
 }
 

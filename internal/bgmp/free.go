@@ -11,9 +11,10 @@ import (
 // prune that follows tears it down (§5.2), and hosts join and leave at will
 // (§3), so a Component keeps what churn gives back — entries, children
 // arrays, join and prune messages — for the next change to build from.
-// Its rule is a high-water mark: storage grows only when the state live at
-// once exceeds anything held before, so a round of churn that repeats an
-// earlier one allocates nothing (DESIGN.md §17).
+// Its rule is a pair of water marks: storage grows only when the state live
+// at once passes the most ever held or, for a free list's own array, drops
+// below the least held since the list was first given anything. So a round
+// of churn that repeats an earlier one allocates nothing (DESIGN.md §17).
 
 // takePtr pops a cleared *M off a free list, or makes one.
 func takePtr[M any](l *addr.FreeList[*M]) *M {

@@ -62,7 +62,7 @@ func TestRecycledEntryCarriesNothing(t *testing.T) {
 	if rig.comp.HasGroupState(gA) {
 		t.Fatal("A's entry survived its last prune")
 	}
-	if n := rig.comp.free.Len(); n != 3 {
+	if n := freeLen(&rig.comp.free); n != 3 {
 		t.Fatalf("%d entries on the free list after A's teardown, want A's (*,G) and its two clones", n)
 	}
 
@@ -90,7 +90,7 @@ func TestRecycledEntryCarriesNothing(t *testing.T) {
 		!reflect.DeepEqual(children, []Target{PeerTarget(13)}) {
 		t.Fatalf("branch entry = %v %v ok=%v, want peer(4) [peer(13)]", parent, children, ok)
 	}
-	if n := rig.comp.free.Len(); n != 0 {
+	if n := freeLen(&rig.comp.free); n != 0 {
 		t.Fatalf("%d entries left on the free list; B, its clone and the branch should have taken all three", n)
 	}
 	rig.comp.HandlePeer(13, &wire.SourcePrune{Group: gC, Source: srcT})
@@ -99,13 +99,23 @@ func TestRecycledEntryCarriesNothing(t *testing.T) {
 	}
 
 	rig.comp.HandlePeer(12, &wire.GroupPrune{Group: gB})
-	if rig.comp.free.Len() == 0 {
+	if freeLen(&rig.comp.free) == 0 {
 		t.Fatal("B's teardown gave nothing back; Reset would be checked against an empty list")
 	}
 	rig.comp.Reset()
-	if n := rig.comp.free.Len(); n != 0 {
+	if n := freeLen(&rig.comp.free); n != 0 {
 		t.Fatalf("Reset left %d free entries", n)
 	}
+}
+
+// freeLen and freeMade read how many items a free list holds and how many
+// were made for it. addr.FreeList exports neither: only these tests ask.
+func freeLen[T any](l *addr.FreeList[T]) int {
+	return reflect.ValueOf(l).Elem().FieldByName("items").Len()
+}
+
+func freeMade[T any](l *addr.FreeList[T]) int {
+	return int(reflect.ValueOf(l).Elem().FieldByName("made").Int())
 }
 
 // TestRecycledEntriesBoundedByLiveState grows and shrinks a router's trees
@@ -127,13 +137,13 @@ func TestRecycledEntriesBoundedByLiveState(t *testing.T) {
 		t.Helper()
 		live, _ := comp.StateSize()
 		peak = max(peak, live)
-		if free := comp.free.Len(); live+free > peak || comp.free.Made() != peak {
+		if free := freeLen(&comp.free); live+free > peak || freeMade(&comp.free) != peak {
 			t.Fatalf("%s: %d entries live and %d free, %d made; the router held %d live at most",
-				when, live, free, comp.free.Made(), peak)
+				when, live, free, freeMade(&comp.free), peak)
 		}
 		for k, l := range comp.arrays {
-			if l.Len() > l.Made() {
-				t.Fatalf("%s: %d free children arrays of capacity %d, and %d made", when, l.Len(), 2<<k, l.Made())
+			if freeLen(&l) > freeMade(&l) {
+				t.Fatalf("%s: %d free children arrays of capacity %d, and %d made", when, freeLen(&l), 2<<k, freeMade(&l))
 			}
 		}
 	}
@@ -161,8 +171,8 @@ func TestRecycledEntriesBoundedByLiveState(t *testing.T) {
 			}
 			prune(i, 20)
 		}
-		if groups, _ := comp.StateSize(); groups != 0 || comp.free.Len() != peak {
-			t.Fatalf("after wave %d: %d entries live and %d free, want 0 and %d", wave, groups, comp.free.Len(), peak)
+		if groups, _ := comp.StateSize(); groups != 0 || freeLen(&comp.free) != peak {
+			t.Fatalf("after wave %d: %d entries live and %d free, want 0 and %d", wave, groups, freeLen(&comp.free), peak)
 		}
 	}
 	if peak != n {

@@ -50,9 +50,8 @@ func sortedSGKeys(m map[sgKey]*entry) []sgKey {
 // from fresh prunes. Caller holds c.mu.
 func (c *Component) dropSharedClonesLocked(g addr.Addr) {
 	for _, k := range sortedSGKeys(c.srcs) {
-		if se := c.srcs[k]; k.group == g && se.sharedClone {
+		if k.group == g && c.srcs[k].sharedClone {
 			delete(c.srcs, k)
-			c.giveEntryLocked(se)
 		}
 	}
 }

@@ -168,9 +168,6 @@ type Config struct {
 type Store struct {
 	mu      sync.Mutex
 	members addr.Table[addr.Addr, *memberSet] // guarded by mu
-	// spare holds the sets of groups whose last member left, emptied, for
-	// the next group's first. guarded by mu
-	spare addr.FreeList[*memberSet]
 }
 
 // memberSet is one group's membership: a refcount per member domain, and
@@ -190,9 +187,7 @@ func (s *Store) Add(g addr.Addr, d wire.DomainID) {
 	defer s.mu.Unlock()
 	m, ok := s.members.Get(g)
 	if !ok {
-		if m, ok = s.spare.Take(); !ok {
-			m = new(memberSet)
-		}
+		m = new(memberSet)
 		s.members.Set(g, m)
 	}
 	n, _ := m.refs.Get(d)
@@ -216,7 +211,6 @@ func (s *Store) Remove(g addr.Addr, d wire.DomainID) {
 	}
 	if m.refs.Len() == 0 {
 		s.members.Delete(g)
-		s.spare.Give(m)
 	}
 }
 

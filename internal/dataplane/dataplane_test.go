@@ -125,21 +125,6 @@ func TestStoreRefcounts(t *testing.T) {
 	if s.Entries() != 1 {
 		t.Errorf("Entries = %d, want 1", s.Entries())
 	}
-	// Groups that empty and come back, with members that come and go, are
-	// built from what the last round gave back: a round allocates nothing.
-	churn := func() {
-		for i := addr.Addr(0); i < 4; i++ {
-			s.Add(g+10+i, 1)
-			s.Add(g+10+i, wire.DomainID(2+i))
-		}
-		for i := addr.Addr(0); i < 4; i++ {
-			s.Remove(g+10+i, wire.DomainID(2+i))
-			s.Remove(g+10+i, 1)
-		}
-	}
-	if n := testing.AllocsPerRun(10, churn); n != 0 || s.Entries() != 1 {
-		t.Errorf("a round of groups emptying and coming back allocates %v, and leaves %d entries; want 0 and 1", n, s.Entries())
-	}
 }
 
 func TestHeaderCostModel(t *testing.T) {
