@@ -56,8 +56,9 @@ type Config struct {
 	// re-querying the G-RIB; nil means no backups (repair then waits for
 	// the BGP withdrawal).
 	LookupGroupBackup func(g addr.Addr) (best, backup bgp.Entry, ok, hasBackup bool)
-	// LookupSource resolves a source address for RPF-style forwarding
-	// (the M-RIB view, falling back to unicast).
+	// LookupSource resolves a source address for RPF-style forwarding:
+	// the M-RIB where it holds a route, else unicast (core leaves the
+	// M-RIB empty unless a world makes it differ).
 	LookupSource func(s addr.Addr) (bgp.Entry, bool)
 	// Internal reports whether a router ID is a border router of this
 	// same domain.
@@ -507,8 +508,11 @@ func (c *Component) eventLocked(e obs.Event) {
 // what the operation queued, stamping the messages with the operation's
 // trace context, releases the lock the caller holds, and only then emits the
 // events and hands the messages over — observers and the MIGP may call back
-// into the router, and an operation they start takes messages and an out
-// array of its own. Once every message is sent it gives them back.
+// into the router, and an operation they start takes messages, an out array
+// and an event array of its own. Once every message is sent it gives them
+// back, and the event array too, unless an operation the emission started
+// gave back a larger one: with an observer, a join or prune then allocates
+// no event array at each router it crosses.
 func (c *Component) finishLocked() {
 	out, evs := c.out, c.evbuf
 	c.evbuf = nil
@@ -535,9 +539,12 @@ func (c *Component) finishLocked() {
 			c.cfg.MIGP.JoinGroup(it.group)
 		}
 	}
-	if len(out) > 0 {
+	if len(out) > 0 || len(evs) > 0 {
 		c.mu.Lock()
 		c.giveLocked(out)
+		if cap(evs) > cap(c.evbuf) {
+			c.evbuf = evs[:0]
+		}
 		c.mu.Unlock()
 	}
 }

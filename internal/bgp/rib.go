@@ -135,7 +135,7 @@ func (r *rib) recordFor(p addr.Prefix) *record {
 // covering returns the longest prefix of best, no longer than maxLen, that
 // contains a, with its selected route — expired or not: the caller judges
 // it and resumes below its length. It probes the populated lengths only
-// (one to three per table for MASC ranges and M-RIB prefixes).
+// (one to three per table for MASC ranges and host prefixes).
 func (r *rib) covering(a addr.Addr, maxLen int) (addr.Prefix, selected, bool) {
 	for l := maxLen; l >= 0; l-- {
 		if r.lens[l] == 0 {

@@ -27,15 +27,16 @@ import (
 // domain. It returns the source domain and the group.
 func chainNet(t testing.TB, backend string, transit, members, behind int) (*Domain, addr.Addr) {
 	t.Helper()
-	return chainNetFaults(t, backend, transit, members, behind, false)
+	return chainNetFaults(t, backend, transit, members, behind, false, nil)
 }
 
 // chainNetFaults is chainNet with, when faulty, every peering behind a fault
-// plane on the network's clock (Config.Faults), all links clean to begin with.
-func chainNetFaults(t testing.TB, backend string, transit, members, behind int, faulty bool) (*Domain, addr.Addr) {
+// plane on the network's clock (Config.Faults), all links clean to begin
+// with, and ob, when not nil, as the network's observer.
+func chainNetFaults(t testing.TB, backend string, transit, members, behind int, faulty bool, ob *obs.Observer) (*Domain, addr.Addr) {
 	t.Helper()
 	clk := simclock.NewSim(time.Date(1998, 9, 1, 0, 0, 0, 0, time.UTC))
-	cfg := Config{Clock: clk, Seed: 7, Synchronous: true, DataPlane: backend}
+	cfg := Config{Clock: clk, Seed: 7, Synchronous: true, DataPlane: backend, Observer: ob}
 	var err error
 	if faulty {
 		if cfg.Faults, err = faultinject.New(faultinject.Config{Clock: clk, Rand: rand.New(rand.NewSource(7))}); err != nil {
@@ -300,6 +301,31 @@ func TestJoinAllocBudget(t *testing.T) {
 	}
 }
 
+// TestObservedChurnRecyclesEventArrays is TestJoinAllocBudget's far-end
+// join and leave on a network with an Observer: each router the join or
+// prune crosses queues its events in an array under its lock, emits them
+// once the lock is released, and then takes the array back for its next
+// operation. So an observed join+leave allocates nothing either, on every
+// backend. When each operation dropped its array after emitting, a pair 5
+// hops from the root cost 12 allocations on the shared tree. The overlays
+// relay a MemberReport without an event, so for them the test holds only
+// that an observer adds nothing.
+func TestObservedChurnRecyclesEventArrays(t *testing.T) {
+	const transit = 4
+	for _, backend := range dataplane.Names() {
+		ob := obs.NewObserver()
+		far, g := chainNetFaults(t, backend, transit, 1, 0, false, ob)
+		before := ob.Snapshot()
+		got := testing.AllocsPerRun(50, func() { far.Join(g, 0); far.Leave(g, 0) })
+		if backend == dataplane.SharedTreeName && ob.Snapshot().Diff(before).Total(obs.BGMPJoin) == 0 {
+			t.Fatalf("%s: the observer saw no join; the budget would be vacuous", backend)
+		}
+		if got != 0 {
+			t.Errorf("%s, %d hops to the root, observed: %v allocations per join+leave, want 0", backend, transit+1, got)
+		}
+	}
+}
+
 // TestChurnReplayAllocatesNothing replays the real-stack benchmark's churn
 // on an asWorld of 60 domains, every one of its eight groups standing with
 // three members: a pass joins ten more domains to each group, in one
@@ -378,7 +404,7 @@ func TestChurnReplayAllocatesNothing(t *testing.T) {
 // ringNet builds n single-router domains on a synchronous network, linked
 // in a ring with a chord from every chord-th router to the one a third of
 // the way round, domain 1 holding a MASC range: every router ends up with
-// 2n+1 routes (a unicast and an M-RIB prefix per domain, one group range)
+// n+1 routes (a unicast prefix per domain, one group range)
 // and at least two ways to reach each. ob may be nil.
 func ringNet(t testing.TB, backend string, n, chord int, ob *obs.Observer) *Network {
 	t.Helper()
@@ -471,13 +497,16 @@ func TestBIERFollowsUnicastAcrossFlap(t *testing.T) {
 // on to. The rest is per message, not per item — the sender's update and
 // its lists (the receiver's are the network's one reused update), the
 // receiver's batch, notes and output — and its share falls as updates
-// carry more routes: 435 allocations for 110 items here, 3.95 each.
-// Decoding each queued update into a fresh one costs 514, which fails, and
-// cloning every path on receipt besides 594 (5.4 per item); with a
+// carry more routes: 571 allocations for 151 items here, 3.78 each.
+// Decoding each queued update into a fresh one costs 684, and cloning every
+// path on receipt 663: each fails, and both 776 (5.1 per item). With a
 // prefix's state in five maps and a Clone plus a prepending append per
-// route per neighbour the same flap cost 11.3 per item.
+// route per neighbour, a flap on a 12-router ring, whose routes then went
+// into the M-RIB as well, cost 11.3 per item. With unicast prefixes only,
+// that ring moves 56 items, too few for perItem to outweigh constant, and
+// a 16-router one 125, where a fresh decode stays inside the budget.
 func TestFlapAllocBudget(t *testing.T) {
-	const n, chord, link = 12, 4, 3
+	const n, chord, link = 18, 4, 3
 	ob := obs.NewObserver()
 	counted := ringNet(t, dataplane.SharedTreeName, n, chord, ob)
 	flap(t, counted, link) // the first flap settles map sizes; the second is counted
@@ -538,9 +567,13 @@ func TestSetupRouteItemBudget(t *testing.T) {
 // an entry about 697; kept once, they take 80, 40 and about 543. Keying
 // both maps by one word instead of a Prefix, dropping the prefix from the
 // selection (64 bytes to 48) and building each domain's two rand sources
-// on first draw take an entry to about 433 (439 under -race). Undoing one
-// of the three reads 463 (Prefix keys), 449 (the selection's prefix) or
-// 495 (sources built up front): the budget sits between.
+// on first draw took an entry to about 433. Originating each host prefix
+// into the unicast table only, not into the M-RIB as well, halves the
+// entries and not the per-domain state they share: 466 bytes each (472
+// under -race). Undoing one of the three reads 497 (Prefix keys), 483 (the
+// selection's prefix) or 587 (sources built up front): the budget sits
+// between. No world here is incongruent, so the built one must hold no
+// M-RIB entry: a copy of the unicast table there is what was halved away.
 //
 // The test measures in a process of its own: an earlier test's world can
 // outlive that test by a collection or two, and the heap it frees during
@@ -559,7 +592,14 @@ func TestRIBHeapBudget(t *testing.T) {
 	w := newASWorld(t, 80, 40, 1998, dataplane.SharedTreeName, nil)
 	grown := liveHeap() - before
 	entries := ribEntries(w.net)
-	const perEntry = 445
+	for _, d := range w.net.Domains() {
+		for _, r := range d.Routers() {
+			if m := r.bgp.Table(wire.TableMRIB); len(m) > 0 {
+				t.Fatalf("router %d holds %d M-RIB entries, the first %v; no world originates into the M-RIB", r.ID, len(m), m[0])
+			}
+		}
+	}
+	const perEntry = 478
 	if got := float64(grown) / float64(entries); got > perEntry {
 		t.Errorf("the built world holds %d live heap bytes for %d RIB entries (%.0f each), budget %d each",
 			grown, entries, got, perEntry)

@@ -33,7 +33,8 @@ type DomainConfig struct {
 	// TopLevel marks a backbone domain with no MASC parent.
 	TopLevel bool
 	// HostPrefix is the domain's unicast prefix (for source addresses),
-	// originated into the unicast table and the M-RIB. Optional.
+	// originated into the unicast table only: RPF reads the M-RIB, else
+	// unicast, and no world here is incongruent. Optional.
 	HostPrefix addr.Prefix
 	// Export is the domain's BGP export policy; nil exports everything.
 	Export bgp.ExportFilter
@@ -177,7 +178,6 @@ func (n *Network) AddDomain(cfg DomainConfig) (*Domain, error) {
 	if hasHost {
 		rt := wire.Route{Prefix: cfg.HostPrefix, Origin: cfg.ID}
 		d.routers[0].bgp.Originate(wire.TableUnicast, rt)
-		d.routers[0].bgp.Originate(wire.TableMRIB, rt)
 	}
 
 	n.mu.Lock()
@@ -245,8 +245,10 @@ func (d *Domain) onRangeLost(p addr.Prefix) {
 
 // bestExit returns the domain's best exit border router for an address:
 // the router whose table lookup resolves locally or to an external peer.
-// Group addresses consult the G-RIB; unicast sources the M-RIB then the
-// unicast table.
+// Group addresses consult the G-RIB; unicast sources the M-RIB, else the
+// unicast table (§2's RPF rule). Nothing originates into the M-RIB unless a
+// caller makes the multicast topology incongruent, so sources normally
+// resolve by unicast.
 func (d *Domain) bestExit(a addr.Addr) wire.RouterID {
 	if a.IsMulticast() {
 		return d.exitVia(wire.TableGRIB, a)

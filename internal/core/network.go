@@ -1,6 +1,7 @@
 // Package core assembles the complete MASC/BGMP system: multi-domain
-// networks of border routers running BGP-lite (with G-RIB and M-RIB
-// views), the MASC claim-collide protocol, MAAS address servers, BGMP
+// networks of border routers running BGP-lite (unicast and G-RIB tables,
+// and an M-RIB that RPF reads first but no world fills), the MASC
+// claim-collide protocol, MAAS address servers, BGMP
 // components, and an interior-protocol fabric per domain.
 //
 // It is the integration layer the examples, the bgmpd daemon, and the

@@ -75,7 +75,7 @@ func requireCopies(t *testing.T, where string, d *Domain, sent []string, copies 
 func TestDeferredSendsOwnTheirPackets(t *testing.T) {
 	const transit, members, behind = 2, 2, 2
 	for _, backend := range dataplane.Names() {
-		src, g := chainNetFaults(t, backend, transit, members, behind, true)
+		src, g := chainNetFaults(t, backend, transit, members, behind, true, nil)
 		n, plane, clk := src.net, src.net.cfg.Faults, src.net.Clock().(*simclock.Sim)
 		root, hub := wire.RouterID(transit+2), wire.RouterID(transit+3+members)
 		slow := faultinject.LinkFaults{Delay: 10 * time.Millisecond, Reorder: 0.4, Classes: faultinject.MaskData}
@@ -126,7 +126,7 @@ func TestDeferredSendsOwnTheirPackets(t *testing.T) {
 func TestDeferredControlMessagesOwnTheirContent(t *testing.T) {
 	const transit = 2
 	for _, backend := range dataplane.Names() {
-		far, _ := chainNetFaults(t, backend, transit, 1, 0, true)
+		far, _ := chainNetFaults(t, backend, transit, 1, 0, true, nil)
 		n, plane, clk := far.net, far.net.cfg.Faults, far.net.Clock().(*simclock.Sim)
 		root := n.Domain(wire.DomainID(transit + 2))
 		groups := make([]addr.Addr, 6)

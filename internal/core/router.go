@@ -140,12 +140,6 @@ func newRouter(n *Network, d *Domain, id wire.RouterID, at migp.Node, export bgp
 	lookupGroup := func(g addr.Addr) (bgp.Entry, bool) {
 		return r.bgp.Lookup(wire.TableGRIB, g)
 	}
-	lookupSource := func(s addr.Addr) (bgp.Entry, bool) {
-		if e, ok := r.bgp.Lookup(wire.TableMRIB, s); ok {
-			return e, true
-		}
-		return r.bgp.Lookup(wire.TableUnicast, s)
-	}
 	r.bgmp = bgmp.New(bgmp.Config{
 		Router:      id,
 		Domain:      d.ID,
@@ -153,7 +147,7 @@ func newRouter(n *Network, d *Domain, id wire.RouterID, at migp.Node, export bgp
 		LookupGroupBackup: func(g addr.Addr) (best, backup bgp.Entry, ok, hasBackup bool) {
 			return r.bgp.LookupBackup(wire.TableGRIB, g)
 		},
-		LookupSource:        lookupSource,
+		LookupSource:        r.lookupSource,
 		Internal:            r.isInternal,
 		SendPeer:            r.sendTo,
 		MIGP:                migpAdapter,
@@ -177,7 +171,7 @@ func newRouter(n *Network, d *Domain, id wire.RouterID, at migp.Node, export bgp
 			MIGP:              migpAdapter,
 			DomainAddr:        n.domainAddr,
 			SourceDomain: func(s addr.Addr) (wire.DomainID, bool) {
-				e, ok := lookupSource(s)
+				e, ok := r.lookupSource(s)
 				return e.Route.Origin, ok
 			},
 			Store: d.dpStore,
@@ -191,6 +185,17 @@ func newRouter(n *Network, d *Domain, id wire.RouterID, at migp.Node, export bgp
 	}
 	d.fabric.SetComponent(id, borderFront{r})
 	return r, nil
+}
+
+// lookupSource is the router's RPF view of a unicast source (§2): its M-RIB
+// route, else its unicast route. No world originates into the M-RIB, so
+// every source resolves through the unicast table; a multicast topology
+// incongruent with unicast is an M-RIB origination away, with no code.
+func (r *Router) lookupSource(s addr.Addr) (bgp.Entry, bool) {
+	if e, ok := r.bgp.Lookup(wire.TableMRIB, s); ok {
+		return e, true
+	}
+	return r.bgp.Lookup(wire.TableUnicast, s)
 }
 
 // borderFront adapts the router's forwarding backend to migp.Border: the

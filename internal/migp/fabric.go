@@ -32,7 +32,8 @@ type FabricConfig struct {
 	// Protocol supplies the interior delivery mechanics.
 	Protocol *Protocol
 	// BestExit returns the domain's best exit border router for an
-	// address (a G-RIB lookup for groups, M-RIB/unicast for sources);
+	// address (a G-RIB lookup for groups; for sources the M-RIB, else
+	// unicast, which answers unless a world fills the M-RIB);
 	// zero when unknown. Interior joins are reported to the group's best
 	// exit router — the Domain Wide Report role in DVMRP (§5).
 	//
@@ -359,9 +360,9 @@ func (b *borderAdapter) RelayToBorder(to wire.RouterID, msg wire.Message) {
 }
 
 // Inject implements bgmp.MIGP: deliver a packet entering at this border,
-// enforcing the protocol's RPF discipline. The M-RIB lookup behind it is
-// made only when the fabric has a second border the packet could have been
-// expected at.
+// enforcing the protocol's RPF discipline. The RPF lookup behind it (M-RIB,
+// else unicast) is made only when the fabric has a second border the packet
+// could have been expected at.
 func (b *borderAdapter) Inject(d *wire.Data) bool {
 	f := b.fabric
 	if f.strict && f.multiBorder.Load() {

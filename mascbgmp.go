@@ -12,7 +12,9 @@
 //     domain whose MASC allocation covers the group address — with
 //     optional source-specific branches.
 //   - BGP-lite distributes the MASC allocations as group routes (the
-//     G-RIB) and provides the M-RIB for incongruent multicast topologies.
+//     G-RIB) and the domains' host prefixes as unicast routes. RPF reads
+//     the M-RIB first and falls back to unicast; the M-RIB is left empty
+//     because no world here has an incongruent multicast topology.
 //   - MAAS servers lease individual group addresses to applications.
 //   - MIGPs (DVMRP, PIM-SM, PIM-DM, CBT, MOSPF) run inside each domain.
 //   - Pluggable data planes let the same control plane forward through
