@@ -31,7 +31,7 @@
 // three consecutive missed intervals, and stable sessions quiesce into
 // demand mode (probing once a second) until a miss re-arms fast probing.
 // Hold timers keep running as the fallback. Paired with BGMP's
-// precomputed backup parents, detection — not repair — is the only
+// failover to the G-RIB's runner-up, detection — not repair — is the only
 // latency left, so time-to-reroute drops by an order of magnitude; the
 // recovery probes step at 250ms instead of 5s so that resolves.
 //

@@ -51,10 +51,10 @@ type Config struct {
 	// LookupGroupBackup is LookupGroup that also returns the runner-up
 	// G-RIB candidate for the prefix it matched — the route the decision
 	// process would pick if the best's peer vanished — valid when
-	// hasBackup. A (*,G) entry takes its parent and its precomputed backup
-	// parent from one call, so PeerDown can switch a tree over without
-	// re-querying the G-RIB; nil means no backups (repair then waits for
-	// the BGP withdrawal).
+	// hasBackup. PeerDown asks it when a (*,G) parent's session dies, while
+	// the dead peer's routes are still in the G-RIB, and switches the tree
+	// to the runner-up at once; nil means no failover (repair then waits
+	// for the BGP withdrawal).
 	LookupGroupBackup func(g addr.Addr) (best, backup bgp.Entry, ok, hasBackup bool)
 	// LookupSource resolves a source address for RPF-style forwarding:
 	// the M-RIB where it holds a route, else unicast (core leaves the
@@ -150,12 +150,6 @@ type outItem struct {
 
 // New returns a Component.
 func New(cfg Config) *Component {
-	if lookup := cfg.LookupGroup; cfg.LookupGroupBackup == nil { // no backups: the parent alone
-		cfg.LookupGroupBackup = func(g addr.Addr) (best, backup bgp.Entry, ok, hasBackup bool) {
-			best, ok = lookup(g)
-			return best, backup, ok, false
-		}
-	}
 	c := &Component{cfg: cfg, eg: Egress{Router: cfg.Router, Domain: cfg.Domain,
 		Internal: cfg.Internal, SendPeer: cfg.SendPeer, MIGP: cfg.MIGP, Obs: cfg.Obs}}
 	c.Reset() // a new speaker starts as a restarted one does: empty
@@ -448,10 +442,10 @@ func (c *Component) giveLocked(out []outItem) {
 }
 
 // resolve looks a up in one RIB view and maps the entry through the
-// egress's next-hop rule. The (S,G) parent (LookupSource) and the off-tree
-// data path (LookupGroup) answer through here, as lookupGroup's (*,G)
-// parent and backup answer through the same Egress.Resolve. ok is false
-// when the view is disabled or holds no covering route.
+// egress's next-hop rule. The (*,G) parent (lookupGroup), the (S,G) parent
+// (LookupSource) and the off-tree data path (LookupGroup) answer through
+// here, and backupLocked's runner-up through the same Egress.Resolve. ok is
+// false when the view is disabled or holds no covering route.
 func (c *Component) resolve(lookup func(addr.Addr) (bgp.Entry, bool), a addr.Addr) (next Target, here, ok bool) {
 	if lookup == nil {
 		return Target{}, false, false
@@ -464,34 +458,39 @@ func (c *Component) resolve(lookup func(addr.Addr) (bgp.Entry, bool), a addr.Add
 	return next, here, true
 }
 
-// lookupGroup asks the G-RIB about g once and maps both answers through
-// the egress's next-hop rule: the (*,G) parent and its precomputed backup,
-// so a backup is sound by construction — it is resolved by the rule, and
-// from the lookup, that resolved the parent. ok is false when no covering
-// route exists.
+// lookupGroup resolves g's (*,G) parent in the G-RIB; ok is false when no
+// covering route exists.
 func (c *Component) lookupGroup(g addr.Addr) (up upstream, ok bool) {
-	best, backup, ok, hasBackup := c.cfg.LookupGroupBackup(g)
-	if !ok {
-		return upstream{}, false
-	}
-	up.parent, up.root = c.eg.Resolve(best)
-	if hasBackup {
-		up.backup, _ = c.eg.Resolve(backup)
-		up.hasBackup = true
-	}
-	return up, true
+	up.parent, up.root, ok = c.resolve(c.cfg.LookupGroup, g)
+	return up, ok
 }
 
-// BackupParent exposes g's precomputed fallback parent; ok is false when
-// none is armed.
+// backupLocked is where g's (*,G) entry would fail over to now: the G-RIB's
+// runner-up for the prefix its best route matched, mapped through the
+// egress's next-hop rule as the parent is. ok is false when failover is off
+// (no LookupGroupBackup) or the G-RIB holds no runner-up. Caller holds c.mu.
+func (c *Component) backupLocked(g addr.Addr) (Target, bool) {
+	if c.cfg.LookupGroupBackup == nil {
+		return Target{}, false
+	}
+	_, backup, ok, hasBackup := c.cfg.LookupGroupBackup(g)
+	if !ok || !hasBackup {
+		return Target{}, false
+	}
+	next, _ := c.eg.Resolve(backup)
+	return next, true
+}
+
+// BackupParent reports where g's (*,G) entry would fail over to if its
+// parent's session died now; ok is false when the router holds no entry for
+// g or the G-RIB no runner-up.
 func (c *Component) BackupParent(g addr.Addr) (Target, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.groups.Get(g)
-	if !ok || !e.hasBackup {
+	if !c.groups.Has(g) {
 		return Target{}, false
 	}
-	return e.backup, true
+	return c.backupLocked(g)
 }
 
 // event queues an observability event for post-unlock emission, filling in

@@ -8,7 +8,7 @@ import (
 	"mascbgmp/internal/wire"
 )
 
-// TestOneNextHopRule pins that the (*,G) parent, its precomputed backup, the
+// TestOneNextHopRule pins that the (*,G) parent, its backup parent, the
 // (S,G) parent and the off-tree data path all answer through Egress.Resolve:
 // each RIB view is scripted with the same entry and must produce the same
 // target. Router 1 of domain 5; routers >= 100 are sibling borders.
@@ -55,9 +55,8 @@ func TestOneNextHopRule(t *testing.T) {
 						i, next, here, ok, tc.want, tc.here, tc.ok)
 				}
 			}
-			if up, ok := c.lookupGroup(groupG); up.parent != tc.want || up.root != tc.here || ok != tc.ok ||
-				up.hasBackup != tc.ok || (ok && up.backup != tc.want) {
-				t.Errorf("lookupGroup = %+v ok=%v, want parent and backup %v here=%v ok=%v", up, ok, tc.want, tc.here, tc.ok)
+			if up, ok := c.lookupGroup(groupG); up.parent != tc.want || up.root != tc.here || ok != tc.ok {
+				t.Errorf("lookupGroup = %+v ok=%v, want parent %v here=%v ok=%v", up, ok, tc.want, tc.here, tc.ok)
 			}
 
 			// The same answers, seen through the component's own state.

@@ -11,7 +11,7 @@ import (
 )
 
 // TestRecycledEntryCarriesNothing tears down group A's (*,G) entry while it
-// has children, an armed backup parent, two shared-clone (S,G) entries and
+// has children, a runner-up in its G-RIB, two shared-clone (S,G) entries and
 // built target lists, and then builds group B's entry, B's shared clone and
 // an (S,G) branch at the same router from the free list they went to. B's
 // listing, backup and first sends are B's alone, and the branch that takes a

@@ -96,10 +96,7 @@ func (c *Component) RouteChanged(prefix addr.Prefix, ctx wire.TraceContext) {
 			continue
 		}
 		if up.parent.key() == e.parent.key() && up.root == e.root {
-			// Path unchanged; the runner-up candidate set may still have
-			// rotated, so refresh the precomputed backup incrementally.
-			e.backup, e.hasBackup = up.backup, up.hasBackup
-			continue
+			continue // path unchanged
 		}
 		changes = append(changes, change{
 			g: g, oldParent: e.parent, oldRoot: e.root,
@@ -151,23 +148,24 @@ func (c *Component) PeerDown(peer wire.RouterID, ctx wire.TraceContext) {
 			c.pruneLocked(g, t)
 		}
 	}
-	// Precomputed 1:1 protection: surviving entries whose parent died
-	// switch to their backup target immediately, without re-querying the
-	// G-RIB — the withdrawal-driven RouteChanged later confirms the new
-	// parent (a no-op when it matches) and re-arms a fresh backup.
+	// 1:1 protection: surviving entries whose parent died switch to the
+	// G-RIB's runner-up at once. The dead peer's routes are still in the
+	// G-RIB here (Router.dropPeer withdraws them next), so the runner-up is
+	// the route the G-RIB selects once they go, and the withdrawal-driven
+	// RouteChanged finds the new parent already in place.
 	for _, g := range sortedGroups(&c.groups, addr.Prefix{}) {
 		e, _ := c.groups.Get(g)
 		if e.root || e.parent.key() != t {
 			continue
 		}
-		if !e.hasBackup || e.backup.key() == t {
-			// No precomputed alternative: the entry waits for RouteChanged
-			// to re-resolve (or orphan) it.
+		bk, ok := c.backupLocked(g)
+		if !ok || bk.key() == t {
+			// No alternative: the entry waits for RouteChanged to
+			// re-resolve (or orphan) it.
 			continue
 		}
 		// A runner-up route that ends at this domain makes the entry root:
-		// the interior supplies the tree. The backup is spent.
-		bk := e.backup
+		// the interior supplies the tree.
 		e.setUpstream(upstream{parent: bk, root: bk == MIGPTarget})
 		c.dropSharedClonesLocked(g)
 		c.eventLocked(obs.Event{Kind: obs.BGMPFailover, Group: g, Peer: peer})

@@ -75,17 +75,13 @@ func cmpTargets(a, b Target) int {
 
 // upstream is where an entry leads toward the root domain (or, for a
 // source-specific branch, the source): what one RIB answer resolves to.
+// It holds no backup parent: PeerDown reads that from the G-RIB when the
+// parent's session dies (backupLocked), so it cannot go stale.
 type upstream struct {
 	parent Target
-	// backup is the precomputed fallback parent for a (*,G) entry — the
-	// runner-up G-RIB candidate, resolved from the lookup that resolved
-	// the parent — valid when hasBackup. PeerDown switches the parent to
-	// it without re-querying the G-RIB (1:1 protection).
-	backup Target
 	// root marks a (*,G) entry in the group's root domain (no BGP next
 	// hop; the parent target is the MIGP component).
-	root      bool
-	hasBackup bool
+	root bool
 }
 
 // entry is shared bookkeeping for (*,G) and (S,G) state: an upstream and

@@ -487,44 +487,89 @@ func TestBIERFollowsUnicastAcrossFlap(t *testing.T) {
 // TestFlapAllocBudget pins what a link going down and coming back may
 // allocate across the whole stack, as
 //
-//	perItem × route items + constant
+//	perUpdate × updates + perItem × route items
 //
-// where a route item is one route announced or withdrawn to one neighbour,
-// counted off the observer of an identical world. An item that is a route
-// costs its decoded AS path, which the receiver keeps as its own; one that
-// changes the receiver's best adds at most a record for a prefix not met
-// before and one domain-prepended path shared by every neighbour it goes
-// on to. The rest is per message, not per item — the sender's update and
-// its lists (the receiver's are the network's one reused update), the
-// receiver's batch, notes and output — and its share falls as updates
-// carry more routes: 571 allocations for 151 items here, 3.78 each.
-// Decoding each queued update into a fresh one costs 684, and cloning every
-// path on receipt 663: each fails, and both 776 (5.1 per item). With a
-// prefix's state in five maps and a Clone plus a prepending append per
-// route per neighbour, a flap on a 12-router ring, whose routes then went
-// into the M-RIB as well, cost 11.3 per item. With unicast prefixes only,
-// that ring moves 56 items, too few for perItem to outweigh constant, and
-// a 16-router one 125, where a fresh decode stays inside the budget.
+// where an update is one BGP UPDATE a speaker sends and a route item one
+// route announced or withdrawn to one neighbour, both counted off the
+// observer of an identical world (updateCounter). Per update come the
+// sender's update and its lists (the receiver's are the network's one
+// reused update), the receiver's batch, notes and output. An item that is
+// a route costs its decoded AS path, which the receiver keeps as its own;
+// one that changes the receiver's best adds at most a record for a prefix
+// not met before and one domain-prepended path shared by every neighbour
+// it goes on to. BGMP's joins and prunes come off free lists and get no
+// term. A member in domain 4 hangs a tree on the flapped link on the 16-
+// and 18-router rings, so the flap runs a failover and its repair as well.
+// The rings read 338, 457 and 581 allocations against budgets of 350, 474
+// and 606. Decoding each delivered message into a fresh one instead of the
+// network's inbox reads 402, 549 and 707 and fails on each; the budget
+// that this one replaced, 4 × items + 50, passed that on 14 and 16 routers,
+// its slack growing with the ring. With a prefix's state in five maps and a
+// Clone plus a prepending append per route per neighbour, a flap on a
+// 12-router ring, whose routes then went into the M-RIB as well, cost 11.3
+// allocations per item.
 func TestFlapAllocBudget(t *testing.T) {
-	const n, chord, link = 18, 4, 3
-	ob := obs.NewObserver()
-	counted := ringNet(t, dataplane.SharedTreeName, n, chord, ob)
-	flap(t, counted, link) // the first flap settles map sizes; the second is counted
-	before := ob.Snapshot()
-	flap(t, counted, link)
-	d := ob.Snapshot().Diff(before)
-	items := int(d.Total(obs.BGPAnnounce) + d.Total(obs.BGPWithdraw))
-	if items < 5*n {
-		t.Fatalf("a flap moved %d route items on a %d-router ring; the budget would be vacuous", items, n)
-	}
+	const chord, link, perUpdate, perItem = 4, 3, 4, 2
+	failovers := uint64(0)
+	for _, n := range []int{14, 16, 18} {
+		t.Run(fmt.Sprintf("%d-routers", n), func(t *testing.T) {
+			ring := func(ob *obs.Observer) *Network {
+				net := ringNet(t, dataplane.SharedTreeName, n, chord, ob)
+				lease, err := net.Domain(1).NewGroup(24 * time.Hour)
+				if err != nil {
+					t.Fatal(err)
+				}
+				net.Domain(4).Join(lease.Addr, 0)
+				flap(t, net, link) // the first flap settles map sizes; later ones are counted
+				return net
+			}
+			ob := obs.NewObserver()
+			counted := ring(ob)
+			updates := countUpdates(ob)
+			before := ob.Snapshot()
+			flap(t, counted, link)
+			d := ob.Snapshot().Diff(before)
+			items := int(d.Total(obs.BGPAnnounce) + d.Total(obs.BGPWithdraw))
+			failovers += d.Total(obs.BGMPFailover)
+			msgs := updates()
+			if items < 5*n {
+				t.Fatalf("a flap moved %d route items on a %d-router ring; the budget would be vacuous", items, n)
+			}
 
-	net := ringNet(t, dataplane.SharedTreeName, n, chord, nil)
-	flap(t, net, link)
-	got := int(testing.AllocsPerRun(5, func() { flap(t, net, link) }))
-	const perItem, constant = 4, 50
-	if budget := perItem*items + constant; got > budget {
-		t.Errorf("%d allocations per flap of %d route items, budget %d×%d + %d = %d",
-			got, items, perItem, items, constant, budget)
+			net := ring(nil)
+			got := int(testing.AllocsPerRun(5, func() { flap(t, net, link) }))
+			if budget := perUpdate*msgs + perItem*items; got > budget {
+				t.Errorf("%d allocations per flap of %d updates and %d route items, budget %d×%d + %d×%d = %d",
+					got, msgs, items, perUpdate, msgs, perItem, items, budget)
+			}
+		})
+	}
+	if failovers == 0 {
+		t.Error("no flap failed a tree over; the failover path went unmeasured")
+	}
+}
+
+// countUpdates starts counting the BGP updates sent on ob's network and
+// returns the count so far, stopping it. bgp.Speaker emits, for each update
+// it sends, one bgp.announce per route and then one bgp.withdraw per
+// withdrawn prefix, back to back; the reselection that sent it emits its
+// bgp.best_change events before the speaker's next sends. So an update is a
+// run of those events of one router, peer and table that no other event
+// breaks and in which no announce follows a withdraw.
+func countUpdates(ob *obs.Observer) func() int {
+	n, last := 0, obs.Event{}
+	stop := ob.Subscribe(func(e obs.Event) {
+		if e.Kind == obs.BGPAnnounce || e.Kind == obs.BGPWithdraw {
+			same := e.Router == last.Router && e.Peer == last.Peer && e.Table == last.Table
+			if !same || !(last.Kind == e.Kind || last.Kind == obs.BGPAnnounce) {
+				n++
+			}
+		}
+		last = e
+	})
+	return func() int {
+		stop()
+		return n
 	}
 }
 

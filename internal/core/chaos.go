@@ -147,7 +147,11 @@ func RunChaos(cfg ChaosConfig) ([]ChaosPoint, error) {
 		// failed point dumps them with the error.
 		fr := obs.NewFlightRecorder(64)
 		pointObs.Subscribe(fr.Record)
-		pt, err := runChaosPoint(cfg, int64(i), loss, pointObs)
+		cn, err := buildChaosNet(cfg, int64(i), pointObs)
+		var pt ChaosPoint
+		if err == nil {
+			pt, err = cn.run(cfg, loss, pointObs)
+		}
 		if err != nil {
 			return ChaosPoint{}, fmt.Errorf("chaos: loss %.2f: %w\nflight recorder:\n%s", loss, err, fr.Dump())
 		}
@@ -282,11 +286,9 @@ func (cn *chaosNet) directPath() bool {
 	return true
 }
 
-func runChaosPoint(cfg ChaosConfig, pointSeed int64, loss float64, ob *obs.Observer) (ChaosPoint, error) {
-	cn, err := buildChaosNet(cfg, pointSeed, ob)
-	if err != nil {
-		return ChaosPoint{}, err
-	}
+// run is one RunChaos point on cn, built for it with observer ob: lossy
+// steady state, the crash and the restart.
+func (cn *chaosNet) run(cfg ChaosConfig, loss float64, ob *obs.Observer) (ChaosPoint, error) {
 	pt := ChaosPoint{Loss: loss}
 	downs0 := ob.Snapshot().Total(obs.SessionDown)
 	ups0 := ob.Snapshot().Total(obs.SessionUp)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -112,6 +113,33 @@ func TestChaosStatelessBackendsRecover(t *testing.T) {
 		// transit route without waiting for any remote hold timer.
 		if pt.Reroute < 0 || pt.Reroute > cfg.HoldTime+2*time.Minute {
 			t.Errorf("backend %s: Reroute = %v, want within hold+2m", backend, pt.Reroute)
+		}
+	}
+}
+
+// TestChaosPointsEndValid runs every point of DefaultChaosConfig's sweep on
+// each backend, as RunChaos builds and runs it, and holds the network the
+// point ends with to violations. Chaos is what reaches PeerDown through
+// crashes and hold timers, so this is where the checker's §12 clause reads
+// backups after sessions died and came back.
+func TestChaosPointsEndValid(t *testing.T) {
+	for _, backend := range dataplane.Names() {
+		cfg := DefaultChaosConfig()
+		cfg.DataPlane = backend
+		for i, loss := range cfg.LossRates {
+			ob := obs.NewObserver()
+			cn, err := buildChaosNet(cfg, int64(i), ob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pt, err := cn.run(cfg, loss, ob)
+			if err != nil {
+				t.Fatalf("%s, loss %.2f: %v", backend, loss, err)
+			}
+			if !pt.Recovered {
+				t.Errorf("%s, loss %.2f: the point did not recover", backend, loss)
+			}
+			noViolations(t, fmt.Sprintf("%s, loss %.2f", backend, loss), violations(cn.n, nil, cn.groups))
 		}
 	}
 }

@@ -5,10 +5,13 @@ import (
 	"testing"
 	"time"
 
+	"mascbgmp/internal/addr"
 	"mascbgmp/internal/bgmp"
 	"mascbgmp/internal/faultinject"
+	"mascbgmp/internal/migp"
 	"mascbgmp/internal/obs"
 	"mascbgmp/internal/simclock"
+	"mascbgmp/internal/wire"
 )
 
 // faultNet is failoverNet with a fault plane and session supervision: the
@@ -348,10 +351,10 @@ func TestAsymmetricKeepaliveLossConvergesBothEnds(t *testing.T) {
 }
 
 // TestLivenessCrashFailsOverToBackupParent is the end-to-end fast-reroute
-// path: with the liveness detector armed and BGMP's precomputed backup
-// parents in place, a silent crash of the direct border router reroutes
-// the tree onto transit within seconds — detection is the only latency,
-// repair is a single precomputed switchover (bgmp.failover).
+// path: with the liveness detector armed, a silent crash of the direct
+// border router reroutes the tree onto transit within seconds — detection
+// is the only latency, repair is one switchover to the G-RIB's runner-up
+// (bgmp.failover).
 func TestLivenessCrashFailsOverToBackupParent(t *testing.T) {
 	n, clk, plane, ob := faultNetCfg(t, 9, func(c *Config) { c.Liveness = true })
 	lease, err := n.Domain(1).NewGroup(24 * time.Hour)
@@ -363,7 +366,7 @@ func TestLivenessCrashFailsOverToBackupParent(t *testing.T) {
 		t.Fatalf("pre-crash parent = %v, want 12", parent)
 	}
 	if backup, ok := n.Router(31).BGMP().BackupParent(lease.Addr); !ok || backup != bgmp.PeerTarget(22) {
-		t.Fatalf("precomputed backup = %v ok=%v, want transit peer 22", backup, ok)
+		t.Fatalf("backup parent = %v ok=%v, want transit peer 22", backup, ok)
 	}
 
 	plane.CrashPeerFor(12, 10*time.Minute)
@@ -377,7 +380,7 @@ func TestLivenessCrashFailsOverToBackupParent(t *testing.T) {
 		t.Fatal("detection did not reach the session supervisor")
 	}
 	if s.Total(obs.BGMPFailover) == 0 {
-		t.Fatal("no precomputed failover happened")
+		t.Fatal("no failover happened")
 	}
 	if parent, _, ok := n.Router(31).BGMP().GroupEntry(lease.Addr); !ok || parent != bgmp.PeerTarget(22) {
 		t.Fatalf("post-crash parent = %v ok=%v, want transit peer 22", parent, ok)
@@ -387,6 +390,60 @@ func TestLivenessCrashFailsOverToBackupParent(t *testing.T) {
 	if len(n.Domain(3).Received()) != 1 {
 		t.Fatal("delivery failed after fast reroute")
 	}
+}
+
+// TestFailoverThroughASibling fails a tree over to a sibling border router.
+// Domain 4's borders 11 and 12 reach root domain 1 over equally long paths,
+// through domains 2 and 3, so each selects its own external route and holds
+// the other's, learned over the interior, as its G-RIB runner-up: the
+// border that holds the (*,G) entry has the interior toward its sibling as
+// its backup parent. Unlinking that border's peering must switch the entry
+// to it at once, and the withdrawal's repair must leave it there.
+func TestFailoverThroughASibling(t *testing.T) {
+	clk := simclock.NewSim(time.Date(1998, 9, 1, 0, 0, 0, 0, time.UTC))
+	w := World{Links: [][2]wire.RouterID{{1, 2}, {1, 3}, {2, 11}, {3, 12}}}
+	for i, rs := range [][]wire.RouterID{{1}, {2}, {3}, {11, 12}} {
+		id := wire.DomainID(i + 1)
+		w.Domains = append(w.Domains, DomainConfig{ID: id, Routers: rs, Protocol: migp.DVMRP(), TopLevel: id == 1,
+			HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, byte(id), 0, 0), Len: 16}})
+	}
+	ob := obs.NewObserver()
+	n, err := w.Build(Config{Clock: clk, Seed: 5, Synchronous: true, Observer: ob})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !n.Domain(1).MASC().RequestSpace(256, 30*24*time.Hour) {
+		t.Fatal("claim failed")
+	}
+	clk.RunFor(49 * time.Hour)
+	lease, err := n.Domain(1).NewGroup(24 * time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := lease.Addr
+	n.Domain(4).Join(g, 0)
+	at, sibling, peer := wire.RouterID(11), wire.RouterID(12), wire.RouterID(2)
+	if !n.Router(at).BGMP().HasGroupState(g) {
+		at, sibling, peer = sibling, at, 3
+	}
+	if backup, ok := n.Router(at).BGMP().BackupParent(g); !ok || backup != bgmp.MIGPToward(sibling) {
+		t.Fatalf("router %d's backup parent = %v ok=%v, want the interior toward %d", at, backup, ok, sibling)
+	}
+	noViolations(t, "after set-up", violations(n, nil, []addr.Addr{g}))
+
+	before := ob.Snapshot()
+	if err := n.Unlink(at, peer); err != nil {
+		t.Fatal(err)
+	}
+	d := ob.Snapshot().Diff(before)
+	if d.Get(obs.BGMPFailover, 4, at) != 1 || d.Get(obs.BGMPRepair, 4, at) != 0 {
+		t.Fatalf("router %d: %d failovers and %d repairs, want the one failover alone",
+			at, d.Get(obs.BGMPFailover, 4, at), d.Get(obs.BGMPRepair, 4, at))
+	}
+	if parent, _, _ := n.Router(at).BGMP().GroupEntry(g); parent != bgmp.MIGPToward(sibling) {
+		t.Fatalf("router %d's parent = %v after the unlink, want the interior toward %d", at, parent, sibling)
+	}
+	noViolations(t, "after the unlink", violations(n, nil, []addr.Addr{g}))
 }
 
 func TestSessionRecoveryDeterminism(t *testing.T) {

@@ -80,8 +80,8 @@ const (
 	LivenessDemand // a stable session quiesced into demand mode
 	LivenessResume // a missed probe pulled a session out of demand mode
 
-	// BGMPFailover marks a (*,G) parent switched to its precomputed backup
-	// target on peer death, without re-querying the G-RIB.
+	// BGMPFailover marks a (*,G) parent switched to the G-RIB's runner-up
+	// on peer death, before BGP withdraws the dead peer's routes.
 	BGMPFailover
 
 	kindCount // sentinel; keep last
