@@ -130,6 +130,12 @@ type Component struct {
 	// out-queue after release so observers may call back into the router.
 	// guarded by mu
 	evbuf []obs.Event
+	// groupKeys, sgKeys and changes are repair's scratch, reused by every
+	// pass: the sorted keys it walks while it edits the tables, and
+	// RouteChanged's parent changes. guarded by mu
+	groupKeys []addr.Addr
+	sgKeys    []sgKey
+	changes   []reparent
 	// cur is the causal trace context of the operation currently mutating
 	// state under mu. finishLocked stamps it onto every buffered out message
 	// and clears it, so propagated joins/prunes carry their cause

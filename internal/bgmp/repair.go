@@ -1,8 +1,8 @@
 package bgmp
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"mascbgmp/internal/addr"
 	"mascbgmp/internal/obs"
@@ -21,27 +21,27 @@ import (
 // All repair paths iterate entry maps in sorted key order so that the
 // emitted messages and obs events are identical across same-seed runs.
 
-// sortedGroups returns the keys of t that within contains, in ascending
-// order. A zero within (/0) contains every group. Caller holds c.mu.
-func sortedGroups(t *addr.Table[addr.Addr, *entry], within addr.Prefix) []addr.Addr {
-	gs := slices.DeleteFunc(t.Keys(nil), func(g addr.Addr) bool { return !within.Contains(g) })
+// sortedGroupsLocked returns the keys of t that within contains, in
+// ascending order, in c.groupKeys: valid until the next call. A zero within
+// (/0) contains every group. Caller holds c.mu.
+func (c *Component) sortedGroupsLocked(t *addr.Table[addr.Addr, *entry], within addr.Prefix) []addr.Addr {
+	gs := slices.DeleteFunc(t.Keys(c.groupKeys[:0]), func(g addr.Addr) bool { return !within.Contains(g) })
 	slices.Sort(gs)
+	c.groupKeys = gs
 	return gs
 }
 
-// sortedSGKeys returns m's keys ordered by (group, source). Caller holds
-// c.mu.
-func sortedSGKeys(m map[sgKey]*entry) []sgKey {
-	ks := make([]sgKey, 0, len(m))
-	for k := range m {
+// sortedSGKeysLocked returns c.srcs's keys ordered by (group, source), in
+// c.sgKeys: valid until the next call. Caller holds c.mu.
+func (c *Component) sortedSGKeysLocked() []sgKey {
+	ks := c.sgKeys[:0]
+	for k := range c.srcs {
 		ks = append(ks, k)
 	}
-	sort.Slice(ks, func(i, j int) bool {
-		if ks[i].group != ks[j].group {
-			return ks[i].group < ks[j].group
-		}
-		return ks[i].src < ks[j].src
+	slices.SortFunc(ks, func(a, b sgKey) int {
+		return cmp.Or(cmp.Compare(a.group, b.group), cmp.Compare(a.src, b.src))
 	})
+	c.sgKeys = ks
 	return ks
 }
 
@@ -49,11 +49,24 @@ func sortedSGKeys(m map[sgKey]*entry) []sgKey {
 // inherited the (*,G) entry's now-stale target list and is rebuilt lazily
 // from fresh prunes. Caller holds c.mu.
 func (c *Component) dropSharedClonesLocked(g addr.Addr) {
-	for _, k := range sortedSGKeys(c.srcs) {
-		if k.group == g && c.srcs[k].sharedClone {
+	for k, e := range c.srcs {
+		if k.group == g && e.sharedClone {
 			delete(c.srcs, k)
 		}
 	}
+}
+
+// reparent is one (*,G) entry's parent change in a RouteChanged pass: the
+// parent it is pruned from and the one it joins through, once the pass has
+// decided every entry.
+type reparent struct {
+	g         addr.Addr
+	oldParent Target
+	oldRoot   bool
+	newParent Target
+	newRoot   bool
+	torn      bool
+	rejoined  bool
 }
 
 // RouteChanged re-resolves the parent target of every (*,G) entry covered
@@ -71,24 +84,15 @@ func (c *Component) RouteChanged(prefix addr.Prefix, ctx wire.TraceContext) {
 	defer sp.End()
 	c.mu.Lock()
 	c.cur = sp.Context()
-	type change struct {
-		g         addr.Addr
-		oldParent Target
-		oldRoot   bool
-		newParent Target
-		newRoot   bool
-		torn      bool
-		rejoined  bool
-	}
-	var changes []change
-	for _, g := range sortedGroups(&c.groups, prefix) {
+	changes := c.changes[:0]
+	for _, g := range c.sortedGroupsLocked(&c.groups, prefix) {
 		e, _ := c.groups.Get(g)
 		up, ok := c.lookupGroup(g)
 		if !ok {
 			// No route at all anymore: tear the forwarding entry down but
 			// remember the children, so a returning route re-attaches the
 			// tree without waiting for downstream rejoins.
-			changes = append(changes, change{g: g, oldParent: e.parent, oldRoot: e.root, torn: true})
+			changes = append(changes, reparent{g: g, oldParent: e.parent, oldRoot: e.root, torn: true})
 			c.groups.Delete(g)
 			c.dropSharedClonesLocked(g)
 			e.setUpstream(upstream{})
@@ -98,7 +102,7 @@ func (c *Component) RouteChanged(prefix addr.Prefix, ctx wire.TraceContext) {
 		if up.parent.key() == e.parent.key() && up.root == e.root {
 			continue // path unchanged
 		}
-		changes = append(changes, change{
+		changes = append(changes, reparent{
 			g: g, oldParent: e.parent, oldRoot: e.root,
 			newParent: up.parent, newRoot: up.root,
 		})
@@ -108,7 +112,7 @@ func (c *Component) RouteChanged(prefix addr.Prefix, ctx wire.TraceContext) {
 		c.dropSharedClonesLocked(g)
 	}
 	// Orphans covered by the changed prefix may have a route again.
-	for _, g := range sortedGroups(&c.orphans, prefix) {
+	for _, g := range c.sortedGroupsLocked(&c.orphans, prefix) {
 		up, ok := c.lookupGroup(g)
 		if !ok {
 			continue
@@ -117,7 +121,7 @@ func (c *Component) RouteChanged(prefix addr.Prefix, ctx wire.TraceContext) {
 		c.orphans.Delete(g)
 		e.setUpstream(up)
 		c.groups.Set(g, e)
-		changes = append(changes, change{g: g, newParent: up.parent, newRoot: up.root, rejoined: true})
+		changes = append(changes, reparent{g: g, newParent: up.parent, newRoot: up.root, rejoined: true})
 	}
 	for _, ch := range changes {
 		c.eventLocked(obs.Event{Kind: obs.BGMPRepair, Group: ch.g, Prefix: prefix})
@@ -128,6 +132,7 @@ func (c *Component) RouteChanged(prefix addr.Prefix, ctx wire.TraceContext) {
 			c.attachLocked(ch.g, ch.newParent, ch.newRoot)
 		}
 	}
+	c.changes = changes
 	c.finishLocked()
 }
 
@@ -143,7 +148,7 @@ func (c *Component) PeerDown(peer wire.RouterID, ctx wire.TraceContext) {
 	t := PeerTarget(peer)
 	c.mu.Lock()
 	c.cur = sp.Context()
-	for _, g := range sortedGroups(&c.groups, addr.Prefix{}) {
+	for _, g := range c.sortedGroupsLocked(&c.groups, addr.Prefix{}) {
 		if e, _ := c.groups.Get(g); e.hasChild(t) {
 			c.pruneLocked(g, t)
 		}
@@ -153,7 +158,7 @@ func (c *Component) PeerDown(peer wire.RouterID, ctx wire.TraceContext) {
 	// G-RIB here (Router.dropPeer withdraws them next), so the runner-up is
 	// the route the G-RIB selects once they go, and the withdrawal-driven
 	// RouteChanged finds the new parent already in place.
-	for _, g := range sortedGroups(&c.groups, addr.Prefix{}) {
+	for _, g := range c.sortedGroupsLocked(&c.groups, addr.Prefix{}) {
 		e, _ := c.groups.Get(g)
 		if e.root || e.parent.key() != t {
 			continue
@@ -171,13 +176,13 @@ func (c *Component) PeerDown(peer wire.RouterID, ctx wire.TraceContext) {
 		c.eventLocked(obs.Event{Kind: obs.BGMPFailover, Group: g, Peer: peer})
 		c.attachLocked(g, bk, e.root)
 	}
-	for _, k := range sortedSGKeys(c.srcs) {
+	for _, k := range c.sortedSGKeysLocked() {
 		if c.srcs[k].hasChild(t) {
 			c.sourcePruneLocked(k.src, k.group, t)
 		}
 	}
 	// The dead peer's parked interest must not trigger a rejoin later.
-	for _, g := range sortedGroups(&c.orphans, addr.Prefix{}) {
+	for _, g := range c.sortedGroupsLocked(&c.orphans, addr.Prefix{}) {
 		if e, _ := c.orphans.Get(g); e.hasChild(t) {
 			c.pruneLocked(g, t)
 		}

@@ -103,8 +103,13 @@ type Speaker struct {
 	pass      uint64                         // guarded by mu; the current reselection pass
 	pend      [][wire.NumTables]*wire.Update // guarded by mu; updates a pass has built, by neighbor index
 	npend     int                            // guarded by mu; non-nil cells of pend
+	// saved holds the selected routes the writes since the last reselection
+	// replaced or removed, each named by its record's pickSaved, until
+	// reselectLocked decides the record again and empties it.
+	saved []selected // guarded by mu
 	// gens counts, per table, the changes reselectLocked (its only writer,
-	// under mu) makes to the table's best; Generation reads it without mu.
+	// under mu) makes to the table's selected routes; Generation reads it
+	// without mu.
 	gens [wire.NumTables]atomic.Uint64
 }
 
@@ -162,13 +167,13 @@ func (s *Speaker) Sync(to wire.RouterID) {
 	var out []outUpdate
 	for t, r := range s.tables {
 		table := wire.Table(t)
-		keys := r.sortedSelected()
-		routes := make([]wire.Route, 0, len(keys))
-		for _, k := range keys {
-			ad := s.advertLocked(table, prefixOf(k), r.best[k], &clk)
+		recs := r.sortedSelected()
+		routes := make([]wire.Route, 0, len(recs))
+		for _, rec := range recs {
+			ad := s.advertLocked(table, rec.prefix(), rec.chosen(rec.sel, s.saved), &clk)
 			if rt, ok := s.exportLocked(n, &ad, &clk); ok {
 				routes = append(routes, rt)
-				r.recs[k].advertise(n.Router)
+				rec.advertise(n.Router)
 			}
 		}
 		if len(routes) > 0 {
@@ -195,7 +200,7 @@ func (s *Speaker) RemoveNeighbor(id wire.RouterID, ctx wire.TraceContext) {
 		var changed []*record
 		for _, rec := range r.recs {
 			rec.unadvertise(id)
-			if rec.removeIn(id) {
+			if rec.removeIn(id, &s.saved) {
 				changed = append(changed, rec)
 			}
 		}
@@ -221,6 +226,7 @@ func (s *Speaker) Originate(table wire.Table, rt wire.Route) {
 	rt.Prefix = rt.Prefix.Canonical()
 	s.mu.Lock()
 	rec := s.tables[table].recordFor(rt.Prefix)
+	rec.saveIfSelected(pick{kind: pickLocal}, &s.saved)
 	rec.local = &rt
 	notes := s.reselectLocked(table, []*record{rec}, wire.TraceContext{}, nil)
 	out := s.flushLocked()
@@ -235,6 +241,7 @@ func (s *Speaker) WithdrawLocal(table wire.Table, p addr.Prefix) {
 	// A prefix never heard of still gets its record, for the length of the
 	// pass: the reselection reports it lost, as it always has.
 	rec := s.tables[table].recordFor(p.Canonical())
+	rec.saveIfSelected(pick{kind: pickLocal}, &s.saved)
 	rec.local = nil
 	notes := s.reselectLocked(table, []*record{rec}, wire.TraceContext{}, nil)
 	out := s.flushLocked()
@@ -262,7 +269,7 @@ func (s *Speaker) HandleUpdate(from wire.RouterID, u *wire.Update) {
 	r, clk := s.tables[u.Table], clock{src: s.cfg.Clock}
 	changed := make([]*record, 0, len(u.Withdrawn)+len(u.Routes))
 	for _, p := range u.Withdrawn {
-		if rec := r.recs[key(p.Canonical())]; rec != nil && rec.removeIn(from) {
+		if rec := r.recs[key(p.Canonical())]; rec != nil && rec.removeIn(from, &s.saved) {
 			changed = append(changed, rec)
 		}
 	}
@@ -275,7 +282,7 @@ func (s *Speaker) HandleUpdate(from wire.RouterID, u *wire.Update) {
 			continue
 		}
 		rec := r.recordFor(rt.Prefix)
-		rec.setIn(from, rt)
+		rec.setIn(from, rt, &s.saved)
 		changed = append(changed, rec)
 	}
 	notes := s.reselectLocked(u.Table, changed, sp.Context(), nil)
@@ -290,48 +297,50 @@ func (s *Speaker) HandleUpdate(from wire.RouterID, u *wire.Update) {
 func (s *Speaker) Lookup(table wire.Table, a addr.Addr) (Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	p, best, ok := longestMatchLocked(s.tables[table], a, &clock{src: s.cfg.Clock})
+	rec, best, ok := s.longestMatchLocked(s.tables[table], a, &clock{src: s.cfg.Clock})
 	if !ok {
 		return Entry{}, false
 	}
-	return s.entryOf(p, &best), true
+	return s.entryOf(rec.prefix(), &best), true
 }
 
-// longestMatchLocked returns the most specific prefix of r covering a
-// whose selected route is unexpired by clk, with that route: the one match
-// behind Lookup and LookupBackup. An expired more-specific falls through to
-// the route that covers it. Caller holds s.mu.
-func longestMatchLocked(r *rib, a addr.Addr, clk *clock) (addr.Prefix, selected, bool) {
+// longestMatchLocked returns the record of the most specific prefix of r
+// covering a whose selected route is unexpired by clk, with that route:
+// the one match behind Lookup and LookupBackup. An expired more-specific
+// falls through to the route that covers it. Caller holds s.mu.
+func (s *Speaker) longestMatchLocked(r *rib, a addr.Addr, clk *clock) (*record, selected, bool) {
 	for l := 32; l >= 0; {
-		p, sel, ok := r.covering(a, l)
+		rec, sel, ok := r.covering(a, l, s.saved)
 		if !ok {
 			break
 		}
 		if !clk.expired(sel.expire) {
-			return p, sel, true
+			return rec, sel, true
 		}
-		l = p.Len - 1
+		l = rec.prefix().Len - 1
 	}
-	return addr.Prefix{}, selected{}, false
+	return nil, selected{}, false
 }
 
 // LookupBackup is Lookup that also returns the runner-up candidate for the
 // prefix it matched — what the decision process would select if the best's
-// source vanished — under the same lock, match and clock reading. BGMP arms
-// a backup parent from it beside each (*,G) parent. ok is false when no
-// covering unexpired route exists, hasBackup when the best has no
+// source vanished — under the same lock, match and clock reading. BGMP asks
+// it for a failover parent when a (*,G) parent's session dies. ok is false
+// when no covering unexpired route exists, hasBackup when the best has no
 // independent alternative.
 func (s *Speaker) LookupBackup(table wire.Table, a addr.Addr) (best, backup Entry, ok, hasBackup bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r, clk := s.tables[table], clock{src: s.cfg.Clock}
-	p, cur, ok := longestMatchLocked(r, a, &clk)
+	rec, cur, ok := s.longestMatchLocked(r, a, &clk)
 	if !ok {
 		return Entry{}, Entry{}, false, false
 	}
-	second, hasBackup := decide(r.recs[key(p)], &cur, &clk)
-	if hasBackup {
-		backup = s.entryOf(p, &second)
+	p := rec.prefix()
+	second := decide(rec, &cur, &clk)
+	if hasBackup = second.kind != pickNone; hasBackup {
+		sel := rec.chosen(second, nil)
+		backup = s.entryOf(p, &sel)
 	}
 	return s.entryOf(p, &cur), backup, true, hasBackup
 }
@@ -341,9 +350,12 @@ func (s *Speaker) LookupPrefix(table wire.Table, p addr.Prefix) (Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p = p.Canonical()
-	sel, ok := s.tables[table].best[key(p)]
-	clk := clock{src: s.cfg.Clock}
-	if !ok || clk.expired(sel.expire) {
+	rec := s.tables[table].recs[key(p)]
+	if rec == nil || rec.sel.kind == pickNone {
+		return Entry{}, false
+	}
+	sel, clk := rec.chosen(rec.sel, s.saved), clock{src: s.cfg.Clock}
+	if clk.expired(sel.expire) {
 		return Entry{}, false
 	}
 	return s.entryOf(p, &sel), true
@@ -363,14 +375,14 @@ func (s *Speaker) Table(table wire.Table) []Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r, clk := s.tables[table], clock{src: s.cfg.Clock}
-	keys := r.sortedSelected()
-	out := make([]Entry, 0, len(keys))
-	for _, k := range keys {
-		sel := r.best[k]
+	recs := r.sortedSelected()
+	out := make([]Entry, 0, len(recs))
+	for _, rec := range recs {
+		sel := rec.chosen(rec.sel, s.saved)
 		if clk.expired(sel.expire) {
 			continue
 		}
-		e := s.entryOf(prefixOf(k), &sel)
+		e := s.entryOf(rec.prefix(), &sel)
 		e.Route = e.Route.Clone()
 		out = append(out, e)
 	}
@@ -386,7 +398,7 @@ func (s *Speaker) Sweep() {
 	for t, r := range s.tables {
 		var changed []*record
 		for _, rec := range r.recs {
-			if dropExpiredLocked(rec, &clk) {
+			if dropExpiredLocked(rec, &clk, &s.saved) {
 				changed = append(changed, rec)
 			}
 		}
@@ -400,18 +412,26 @@ func (s *Speaker) Sweep() {
 }
 
 // dropExpiredLocked removes rec's routes expired by clk, origination and
-// learned, and reports whether it removed any. Caller holds s.mu.
-func dropExpiredLocked(rec *record, clk *clock) bool {
+// learned, and reports whether it removed any. The selected route is saved
+// to saved if it goes, and followed if it moves. Caller holds s.mu.
+func dropExpiredLocked(rec *record, clk *clock, saved *[]selected) bool {
 	dropped := false
 	if rec.local != nil && clk.expired(rec.local.ExpireUnix) {
+		rec.saveIfSelected(pick{kind: pickLocal}, saved)
 		rec.local = nil
 		dropped = true
 	}
 	kept := rec.in[:0]
-	for _, pr := range rec.in {
-		if !clk.expired(pr.expire) {
-			kept = append(kept, pr)
+	for i, pr := range rec.in {
+		at := pick{int32(i), pickIn}
+		if clk.expired(pr.expire) {
+			rec.saveIfSelected(at, saved)
+			continue
 		}
+		if rec.sel == at {
+			rec.sel.idx = int32(len(kept))
+		}
+		kept = append(kept, pr)
 	}
 	if len(kept) != len(rec.in) {
 		clear(rec.in[len(kept):])
@@ -501,7 +521,8 @@ func (s *Speaker) notify(notes []note) {
 // once per table, ascending. Updates and the best-change notes, appended to
 // notes, are stamped with ctx so downstream speakers and tree repair
 // inherit the cause. A record left with nothing in it is dropped from the
-// table. Caller holds s.mu.
+// table, and s.saved is emptied: every record a write saved a route of is
+// among changed. Caller holds s.mu.
 func (s *Speaker) reselectLocked(table wire.Table, changed []*record, ctx wire.TraceContext, notes []note) []note {
 	if len(s.pend) != len(s.neighbors) {
 		s.pend = make([][wire.NumTables]*wire.Update, len(s.neighbors))
@@ -514,31 +535,34 @@ func (s *Speaker) reselectLocked(table wire.Table, changed []*record, ctx wire.T
 		}
 		rec.pass = s.pass
 		left := len(changed) - i // what this pass can still add to any one list
-		pk := key(rec.prefix)
-		newSel, hasNew := decide(rec, nil, &clk)
-		oldSel, hadOld := r.best[pk]
+		p, hadOld := rec.prefix(), rec.sel.kind != pickNone
+		var oldSel, newSel selected
+		if hadOld {
+			oldSel = rec.chosen(rec.sel, s.saved)
+		}
+		rec.sel = decide(rec, nil, &clk)
+		hasNew := rec.sel.kind != pickNone
+		if hasNew {
+			newSel = rec.chosen(rec.sel, nil)
+		}
 		if hadOld && hasNew && oldSel.equal(&newSel) {
 			continue
 		}
 		switch {
-		case hasNew:
-			r.best[pk] = newSel
-			if !hadOld {
-				r.lens[rec.prefix.Len]++
-			}
-		case hadOld:
-			delete(r.best, pk)
-			r.lens[rec.prefix.Len]--
+		case hasNew && !hadOld:
+			r.lens[p.Len]++
+		case hadOld && !hasNew:
+			r.lens[p.Len]--
 		}
 		s.gens[table].Add(1)
 		if notes == nil {
 			notes = make([]note, 0, left)
 		}
-		notes = append(notes, note{table, rec.prefix, !hasNew, ctx})
+		notes = append(notes, note{table, p, !hasNew, ctx})
 		// Advertise or withdraw to each neighbor.
 		var ad advert
 		if hasNew {
-			ad = s.advertLocked(table, rec.prefix, newSel, &clk)
+			ad = s.advertLocked(table, p, newSel, &clk)
 		}
 		for k, n := range s.neighbors {
 			if hasNew {
@@ -557,13 +581,15 @@ func (s *Speaker) reselectLocked(table wire.Table, changed []*record, ctx wire.T
 				if u.Withdrawn == nil {
 					u.Withdrawn = make([]addr.Prefix, 0, left)
 				}
-				u.Withdrawn = append(u.Withdrawn, rec.prefix)
+				u.Withdrawn = append(u.Withdrawn, p)
 			}
 		}
 		if rec.empty() {
-			delete(r.recs, pk)
+			delete(r.recs, rec.key)
 		}
 	}
+	clear(s.saved)
+	s.saved = s.saved[:0]
 	return notes
 }
 
@@ -606,14 +632,11 @@ func (s *Speaker) flushLocked() []outUpdate {
 // skip when non-nil — passing the current best yields the runner-up. The
 // minimum is taken in one pass in slice order: better is a total order
 // whose last key, from, is unique per entry, so the result does not depend
-// on the order of rec.in. A nil record has no candidates.
-func decide(rec *record, skip *selected, clk *clock) (selected, bool) {
-	if rec == nil {
-		return selected{}, false
-	}
+// on the order of rec.in. The winner is returned as a pick, pickNone when
+// there is none.
+func decide(rec *record, skip *selected, clk *clock) pick {
 	if rec.local != nil && !clk.expired(rec.local.ExpireUnix) && !(skip != nil && skip.local) {
-		l := rec.local
-		return selected{peerRoute{origin: l.Origin, expire: l.ExpireUnix, path: l.ASPath}, true}, true
+		return pick{kind: pickLocal}
 	}
 	best := -1
 	for i := range rec.in {
@@ -626,9 +649,9 @@ func decide(rec *record, skip *selected, clk *clock) (selected, bool) {
 		}
 	}
 	if best < 0 {
-		return selected{}, false
+		return pick{}
 	}
-	return selected{peerRoute: rec.in[best]}, true
+	return pick{int32(best), pickIn}
 }
 
 // better is the route preference order among learned routes: the shorter
@@ -726,21 +749,22 @@ func (s *Speaker) exportLocked(n Neighbor, ad *advert, clk *clock) (wire.Route, 
 func (s *Speaker) coveredByOwnOriginationLocked(table wire.Table, q addr.Prefix, clk *clock) bool {
 	r := s.tables[table]
 	for l := q.Len - 1; l >= 0; {
-		p, b, ok := r.covering(q.Base, l)
+		rec, b, ok := r.covering(q.Base, l, s.saved)
 		if !ok {
 			break
 		}
 		if (b.local || b.origin == s.cfg.Domain) && !clk.expired(b.expire) {
 			return true
 		}
-		l = p.Len - 1
+		l = rec.prefix().Len - 1
 	}
 	return false
 }
 
-// selected is a prefix's selected route less the prefix, which is its
-// key's: the winning learned route, or the origination with from zero and
-// local set (route rebuilds the wire.Route).
+// selected is a prefix's selected route read out of its record
+// (record.chosen), less the prefix, which is the record's key: the winning
+// learned route, or the origination with from zero and local set (route
+// rebuilds the wire.Route). It is stored only as a saved copy.
 type selected struct {
 	peerRoute
 	local bool

@@ -14,32 +14,36 @@ import (
 )
 
 // scanLongestMatch is the longest match as it was before the length index:
-// a scan of every selected route. Kept as the oracle.
-func scanLongestMatch(r *rib, a addr.Addr, clk *clock) (best addr.Prefix, sel selected, ok bool) {
-	for k, cand := range r.best {
-		p := prefixOf(k)
-		if !p.Contains(a) || clk.expired(cand.expire) {
+// a scan of every record's selected route. Kept as the oracle.
+func scanLongestMatch(r *rib, a addr.Addr, clk *clock) (best *record, sel selected, ok bool) {
+	for _, rec := range r.recs {
+		p := rec.prefix()
+		if rec.sel.kind == pickNone || !p.Contains(a) {
 			continue
 		}
-		if !ok || p.Len > best.Len {
-			best, sel, ok = p, cand, true
+		if cand := rec.chosen(rec.sel, nil); !clk.expired(cand.expire) && (!ok || p.Len > best.prefix().Len) {
+			best, sel, ok = rec, cand, true
 		}
 	}
 	return best, sel, ok
 }
 
 // scanCovered is the §4.3.2 covering test of prefix q as it was before the
-// length index. Kept as the oracle.
+// length index: a scan of the originations and of the selected routes.
+// Kept as the oracle.
 func scanCovered(s *Speaker, r *rib, q addr.Prefix, clk *clock) bool {
-	for k, rec := range r.recs {
-		p := prefixOf(k)
-		if rec.local != nil && p.Len < q.Len && p.ContainsPrefix(q) && !clk.expired(rec.local.ExpireUnix) {
+	for _, rec := range r.recs {
+		p := rec.prefix()
+		if p.Len >= q.Len || !p.ContainsPrefix(q) {
+			continue
+		}
+		if rec.local != nil && !clk.expired(rec.local.ExpireUnix) {
 			return true
 		}
-	}
-	for k, b := range r.best {
-		p := prefixOf(k)
-		if b.origin == s.cfg.Domain && p.Len < q.Len && p.ContainsPrefix(q) && !clk.expired(b.expire) {
+		if rec.sel.kind == pickNone {
+			continue
+		}
+		if b := rec.chosen(rec.sel, nil); b.origin == s.cfg.Domain && !clk.expired(b.expire) {
 			return true
 		}
 	}
@@ -47,71 +51,76 @@ func scanCovered(s *Speaker, r *rib, q addr.Prefix, clk *clock) bool {
 }
 
 // checkMirror is checkMirrorAt at the end of time, for callers without the
-// speaker's clock: every lifetime has run out, so a record without a best
-// entry must hold no candidate that has none.
+// speaker's clock.
 func checkMirror(t *testing.T, table wire.Table, r *rib) {
 	t.Helper()
 	checkMirrorAt(t, table, r, &clock{now: math.MaxUint64})
 }
 
-// checkMirrorAt requires best, the only copy of each selection, to name a
-// route its record still holds, by value — the origination, or the in
-// entry of the peer it names — under the record's own key, and a record
-// with no best entry to hold no candidate unexpired by clk; recs holds no
-// record with nothing in it. Caller holds s.mu.
+// checkMirrorAt requires, at quiescence, every record to be filed under its
+// own key, to hold something, and to name as its selection what decide
+// returns for it at some moment no later than clk's: the reselection that
+// last visited it ran then, and lifetimes that have run out since leave the
+// selection standing until the next one. The moments worth trying are the
+// start of time and each candidate's expiry, between which decide cannot
+// change its answer. No selection may be a saved copy. Caller holds s.mu.
 func checkMirrorAt(t *testing.T, table wire.Table, r *rib, clk *clock) {
 	t.Helper()
-	n := 0
-	for k, rec := range r.recs {
-		if p := prefixOf(k); rec.prefix != p || key(p) != k || rec.empty() {
-			t.Fatalf("table %d: record %v filed under %#x (%v), empty = %v", table, rec.prefix, k, p, rec.empty())
-		}
-		p := rec.prefix
-		sel, ok := r.best[k]
-		if !ok {
-			if cand, ok := decide(rec, nil, clk); ok {
-				t.Fatalf("table %d: best has no %v, the record holds the unexpired %+v", table, p, cand)
-			}
-			continue
-		}
-		n++
-		var held selected
-		switch {
-		case sel.local && rec.local != nil:
-			l := rec.local
-			held = selected{peerRoute{origin: l.Origin, expire: l.ExpireUnix, path: l.ASPath}, true}
-		case !sel.local:
-			for i := range rec.in {
-				if rec.in[i].from == sel.from {
-					held = selected{peerRoute: rec.in[i]}
-				}
-			}
-		}
-		if !reflect.DeepEqual(sel, held) {
-			t.Fatalf("table %d: best[%v] = %+v, the record holds %+v from that source", table, p, sel, held)
-		}
+	now := clk.now
+	if now == 0 {
+		now = uint64(clk.src.Now().Unix())
 	}
-	if n != len(r.best) {
-		t.Fatalf("table %d: best holds %d routes, %d of them under a record", table, len(r.best), n)
+	for k, rec := range r.recs {
+		if rec.key != k || rec.empty() {
+			t.Fatalf("table %d: record %v filed under %v, empty = %v", table, rec.prefix(), prefixOf(k), rec.empty())
+		}
+		if rec.sel.kind == pickSaved {
+			t.Fatalf("table %d: %v's selection %+v is a saved copy at quiescence", table, rec.prefix(), rec.sel)
+		}
+		moments := []uint64{1}
+		if rec.local != nil && rec.local.ExpireUnix != 0 && rec.local.ExpireUnix <= now {
+			moments = append(moments, rec.local.ExpireUnix)
+		}
+		for _, pr := range rec.in {
+			if pr.expire != 0 && pr.expire <= now {
+				moments = append(moments, pr.expire)
+			}
+		}
+		decided := false
+		for _, at := range moments {
+			if decide(rec, nil, &clock{now: at}) == rec.sel {
+				decided = true
+				break
+			}
+		}
+		if !decided {
+			t.Fatalf("table %d: %v selects %+v, which decide returns at none of %v (now %d): local %+v, in %+v",
+				table, rec.prefix(), rec.sel, moments, now, rec.local, rec.in)
+		}
 	}
 }
 
 // checkIndex compares every reader of the read index with its oracle on
-// one table: the mirror with the records, the counts with a recount of
-// best, Lookup and both answers of one LookupBackup on the probe addresses
-// (the scan's match, and decide over it with its source skipped), the
-// covering test on every selected route.
+// one table: each record's selection with decide, the counts with a
+// recount of the records that have one, Lookup and both answers of one
+// LookupBackup on the probe addresses (the scan's match, and decide over it
+// with its source skipped), the covering test on every selected route.
 func checkIndex(t *testing.T, s *Speaker, table wire.Table, probes []addr.Addr) {
 	t.Helper()
 	s.mu.Lock()
 	r, clk := s.tables[table], clock{src: s.cfg.Clock}
 	checkMirrorAt(t, table, r, &clk)
+	if len(s.saved) != 0 {
+		t.Fatalf("table %d: %d saved copies outlive the reselection", table, len(s.saved))
+	}
 	var recount [33]uint32
-	for k := range r.best {
-		recount[prefixOf(k).Len]++
+	for _, rec := range r.recs {
+		if rec.sel.kind != pickNone {
+			recount[rec.prefix().Len]++
+		}
 	}
 	if recount != r.lens {
-		t.Fatalf("table %d: lens = %v, recount of best = %v", table, r.lens, recount)
+		t.Fatalf("table %d: lens = %v, recount of the selections = %v", table, r.lens, recount)
 	}
 	type answer struct {
 		e  Entry
@@ -119,15 +128,19 @@ func checkIndex(t *testing.T, s *Speaker, table wire.Table, probes []addr.Addr) 
 	}
 	want := make([][2]answer, len(probes))
 	for i, a := range probes {
-		if p, cur, ok := scanLongestMatch(r, a, &clk); ok {
-			want[i][0] = answer{s.entryOf(p, &cur), true}
-			if second, ok := decide(r.recs[key(p)], &cur, &clk); ok {
-				want[i][1] = answer{s.entryOf(p, &second), true}
+		if rec, cur, ok := scanLongestMatch(r, a, &clk); ok {
+			want[i][0] = answer{s.entryOf(rec.prefix(), &cur), true}
+			if second := decide(rec, &cur, &clk); second.kind != pickNone {
+				sel := rec.chosen(second, nil)
+				want[i][1] = answer{s.entryOf(rec.prefix(), &sel), true}
 			}
 		}
 	}
-	for k := range r.best {
-		p := prefixOf(k)
+	for _, rec := range r.recs {
+		if rec.sel.kind == pickNone {
+			continue
+		}
+		p := rec.prefix()
 		if got, want := s.coveredByOwnOriginationLocked(table, p, &clk), scanCovered(s, r, p, &clk); got != want {
 			t.Fatalf("table %d: covered(%v) = %v, scan says %v", table, p, got, want)
 		}
@@ -150,7 +163,7 @@ func checkIndex(t *testing.T, s *Speaker, table wire.Table, probes []addr.Addr) 
 
 // TestLengthIndexMatchesScan drives every writer of the records with random
 // nested prefixes of mixed lengths and lifetimes and checks, after every
-// step, that best mirrors the records' selections and that the indexed
+// step, that each record selects what decide does and that the indexed
 // readers answer as the scans did.
 func TestLengthIndexMatchesScan(t *testing.T) {
 	start := time.Unix(1_000_000, 0)
@@ -236,7 +249,7 @@ func TestLongestMatchFallsThroughExpired(t *testing.T) {
 		want string
 	}{
 		{1000, in24, "224.1.2.0/24"},
-		{1100, in24, "224.1.0.0/16"}, // the /24 expired, still in best
+		{1100, in24, "224.1.0.0/16"}, // the /24 expired, still selected
 		{1100, in8, "224.0.0.0/8"},
 		{1200, in8, "0.0.0.0/0"},
 		{1200, addr.MakeAddr(10, 0, 0, 1), "0.0.0.0/0"},
@@ -249,8 +262,8 @@ func TestLongestMatchFallsThroughExpired(t *testing.T) {
 			t.Errorf("t=%d Lookup(%v) = %s ok=%v, want %q", c.at, c.a, got, ok, c.want)
 		}
 	}
-	if n := len(s.tables[wire.TableGRIB].best); n != 4 {
-		t.Fatalf("best holds %d routes; the test needs the expired ones still in it", n)
+	if n := len(s.tables[wire.TableGRIB].sortedSelected()); n != 4 {
+		t.Fatalf("%d prefixes have a selected route; the test needs the expired ones still selected", n)
 	}
 }
 
@@ -364,5 +377,81 @@ func TestKeyRoundTripsAndSortsAsCompare(t *testing.T) {
 		if got := prefixOf(k); got != prefixes[i] {
 			t.Fatalf("sorted key %d is %v, addr.Compare puts %v there", i, got, prefixes[i])
 		}
+	}
+}
+
+// TestRewrittenSelectionComparesWithTheSavedCopy pins the reselection's
+// "changed" test across writes that overwrite the selected route before
+// the pass decides it. One UPDATE rewrites the selected peer's route and
+// restores it: the pass must compare with the route as selected before the
+// UPDATE, not with the rewrite in between. A second UPDATE withdraws the
+// route and announces it again unchanged: the withdrawal moves the other
+// peer's route into the dropped one's place, so without the saved copy the
+// selection reads the other peer's route as the prior decision. Neither
+// UPDATE changes anything, so neither may raise a note or send an UPDATE.
+func TestRewrittenSelectionComparesWithTheSavedCopy(t *testing.T) {
+	var log []emission
+	s := New(recordInto(&log, simclock.NewSim(time.Unix(1000, 0)), nil))
+	s.AddNeighbor(Neighbor{Router: 2, Domain: 2})
+	s.AddNeighbor(Neighbor{Router: 3, Domain: 3})
+	p := addr.MustParsePrefix("224.1.0.0/16")
+	route := func(path ...wire.DomainID) wire.Route {
+		return wire.Route{Prefix: p, ASPath: path, Origin: 9}
+	}
+	s.HandleUpdate(2, &wire.Update{Table: wire.TableGRIB, Routes: []wire.Route{route(2, 9)}})
+	s.HandleUpdate(3, &wire.Update{Table: wire.TableGRIB, Routes: []wire.Route{route(3, 4, 9)}})
+	if e, ok := s.LookupPrefix(wire.TableGRIB, p); !ok || e.NextHop != 2 {
+		t.Fatalf("set-up selects %v ok=%v, want peer 2's shorter path", e, ok)
+	}
+	for _, u := range []*wire.Update{
+		{Table: wire.TableGRIB, Routes: []wire.Route{route(2, 5, 6, 7, 9), route(2, 9)}},
+		{Table: wire.TableGRIB, Withdrawn: []addr.Prefix{p}, Routes: []wire.Route{route(2, 9)}},
+	} {
+		log = log[:0]
+		s.HandleUpdate(2, u)
+		if len(log) != 0 {
+			t.Errorf("HandleUpdate(2, %+v) left the selection as it was and emitted %+v", u, log)
+		}
+		s.mu.Lock()
+		checkMirror(t, wire.TableGRIB, s.tables[wire.TableGRIB])
+		s.mu.Unlock()
+	}
+}
+
+// TestCoveringTestSeesThePriorDecision pins what the §4.3.2 test reads in
+// the middle of a pass: a covering record the UPDATE has written but the
+// pass has not decided yet answers with its selection from before the
+// UPDATE, as the five-map speaker's best map did. One UPDATE from an
+// internal peer announces a /16 and then changes the origin of the /8 that
+// covers it, from the own domain to another: the /16 is decided first and
+// is judged covered by an own-domain route, so only the /8 goes out to the
+// external peers. Read through the rewritten record, the /16 would go out
+// as well.
+func TestCoveringTestSeesThePriorDecision(t *testing.T) {
+	var log []emission
+	s := New(recordInto(&log, simclock.NewSim(time.Unix(1000, 0)), nil))
+	s.AddNeighbor(Neighbor{Router: 2, Domain: 2})
+	s.AddNeighbor(Neighbor{Router: 3, Domain: 3})
+	s.AddNeighbor(Neighbor{Router: 4, Domain: 1, Internal: true})
+	wide, narrow := addr.MustParsePrefix("224.0.0.0/8"), addr.MustParsePrefix("224.1.0.0/16")
+	// A sibling border's own origination of the /8, relayed over the mesh.
+	s.HandleUpdate(4, &wire.Update{Table: wire.TableGRIB, Routes: []wire.Route{{Prefix: wide, Origin: 1}}})
+	log = log[:0]
+	s.HandleUpdate(4, &wire.Update{Table: wire.TableGRIB, Routes: []wire.Route{
+		{Prefix: narrow, ASPath: []wire.DomainID{6}, Origin: 6},
+		{Prefix: wide, ASPath: []wire.DomainID{6}, Origin: 6},
+	}})
+	var sent []emission
+	for _, e := range log {
+		if !e.note {
+			sent = append(sent, e)
+		}
+	}
+	want := []emission{
+		{to: 2, table: wire.TableGRIB, routes: []wire.Route{{Prefix: wide, ASPath: []wire.DomainID{1, 6}, Origin: 6}}},
+		{to: 3, table: wire.TableGRIB, routes: []wire.Route{{Prefix: wide, ASPath: []wire.DomainID{1, 6}, Origin: 6}}},
+	}
+	if !reflect.DeepEqual(sent, want) {
+		t.Errorf("sent %+v, want the /8 alone to each external peer: %+v", sent, want)
 	}
 }

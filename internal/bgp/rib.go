@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"cmp"
 	"slices"
 
 	"mascbgmp/internal/addr"
@@ -8,12 +9,13 @@ import (
 )
 
 // record is everything one table knows about one prefix: Adj-RIB-In and
-// Adj-RIB-Out as views of one object, whose Loc-RIB entry, the selected
-// route, is kept once, in rib.best. The write path reaches it with one
-// probe of rib.recs and hands the pointer on; a record with nothing left
-// in it is dropped by reselectLocked.
+// Adj-RIB-Out as views of one object, and the Loc-RIB entry, the selected
+// route, as a pick of one of its own candidates. The write path reaches it
+// with one probe of rib.recs and hands the pointer on; a record with
+// nothing left in it is dropped by reselectLocked.
 type record struct {
-	prefix addr.Prefix
+	// key is the record's prefix as one word (key, prefixOf).
+	key uint64
 	// local is this speaker's own origination, nil when there is none.
 	local *wire.Route
 	// in holds the routes learned from peers, at most one per peer, in no
@@ -25,6 +27,50 @@ type record struct {
 	// pass is the reselection pass that last visited the record: a prefix
 	// named twice in one batch is decided once.
 	pass uint64
+	// sel names the selected route, as the last reselection decided it.
+	sel pick
+}
+
+// A pick names a record's selected route without copying it: the
+// origination, one in entry, or, from a write that replaced or removed
+// that entry or origination until the reselection that decides the record
+// again, the copy of it the write saved (Speaker.saved).
+type pick struct {
+	idx  int32 // into in (pickIn) or Speaker.saved (pickSaved)
+	kind uint8
+}
+
+const (
+	pickNone  uint8 = iota // no selected route
+	pickLocal              // the origination
+	pickIn                 // in[idx]
+	pickSaved              // Speaker.saved[idx]
+)
+
+func (rec *record) prefix() addr.Prefix { return prefixOf(rec.key) }
+
+// chosen is the route pk names, reading a saved copy from saved; pk is not
+// pickNone.
+func (rec *record) chosen(pk pick, saved []selected) selected {
+	switch pk.kind {
+	case pickLocal:
+		l := rec.local
+		return selected{peerRoute{origin: l.Origin, expire: l.ExpireUnix, path: l.ASPath}, true}
+	case pickIn:
+		return selected{peerRoute: rec.in[pk.idx]}
+	}
+	return saved[pk.idx]
+}
+
+// saveIfSelected saves the selected route to saved when it is the one pk
+// names, which a write is about to replace or remove: the reselection that
+// follows compares against it, and a covering test made before it decides
+// the record reads it.
+func (rec *record) saveIfSelected(pk pick, saved *[]selected) {
+	if rec.sel == pk {
+		*saved = append(*saved, rec.chosen(pk, nil))
+		rec.sel = pick{idx: int32(len(*saved) - 1), kind: pickSaved}
+	}
 }
 
 // peerRoute is one Adj-RIB-In entry: a learned wire.Route less its
@@ -42,11 +88,13 @@ func (pr *peerRoute) route(p addr.Prefix) wire.Route {
 	return wire.Route{Prefix: p, ASPath: pr.path, Origin: pr.origin, ExpireUnix: pr.expire}
 }
 
-// setIn stores peer from's route for the prefix, replacing its earlier one.
-func (rec *record) setIn(from wire.RouterID, rt wire.Route) {
+// setIn stores peer from's route for the prefix, replacing its earlier one
+// (saved to saved first if it is the selected route).
+func (rec *record) setIn(from wire.RouterID, rt wire.Route, saved *[]selected) {
 	pr := peerRoute{from, rt.Origin, rt.ExpireUnix, rt.ASPath}
 	for i := range rec.in {
 		if rec.in[i].from == from {
+			rec.saveIfSelected(pick{int32(i), pickIn}, saved)
 			rec.in[i] = pr
 			return
 		}
@@ -54,11 +102,17 @@ func (rec *record) setIn(from wire.RouterID, rt wire.Route) {
 	rec.in = append(rec.in, pr)
 }
 
-// removeIn drops peer from's route and reports whether there was one.
-func (rec *record) removeIn(from wire.RouterID) bool {
+// removeIn drops peer from's route and reports whether there was one. The
+// selected route is saved to saved first if it is the one dropped, and
+// followed if it is the last entry, which takes the dropped one's place.
+func (rec *record) removeIn(from wire.RouterID, saved *[]selected) bool {
 	for i := range rec.in {
 		if rec.in[i].from == from {
 			last := len(rec.in) - 1
+			rec.saveIfSelected(pick{int32(i), pickIn}, saved)
+			if rec.sel == (pick{int32(last), pickIn}) {
+				rec.sel.idx = int32(i)
+			}
 			rec.in[i] = rec.in[last]
 			rec.in[last] = peerRoute{}
 			rec.in = rec.in[:last]
@@ -94,26 +148,17 @@ func (rec *record) empty() bool {
 	return rec.local == nil && len(rec.in) == 0 && len(rec.out) == 0
 }
 
-// rib holds one logical routing table: the per-prefix records the write
-// path works on, and the by-value read index Lookup probes. Both maps are
-// keyed by the prefix as one word (key): a uint64 key takes Go's fast map
-// path, where a Prefix goes through a generated hash.
+// rib holds one logical routing table: one record per prefix, keyed by the
+// prefix as one word (key): a uint64 key takes Go's fast map path, where a
+// Prefix goes through a generated hash. Lookup probes the same map.
 type rib struct {
 	recs map[uint64]*record
-	// best holds every record's selected route by value, its only copy, so
-	// a lookup costs one probe and no pointer chase; the prefix is the key's.
-	// reselectLocked is its only writer.
-	best map[uint64]selected
-	// lens[l] counts the prefixes of length l in best.
+	// lens[l] counts the records of prefix length l that have a selected
+	// route.
 	lens [33]uint32
 }
 
-func newRIB() *rib {
-	return &rib{
-		recs: map[uint64]*record{},
-		best: map[uint64]selected{},
-	}
-}
+func newRIB() *rib { return &rib{recs: map[uint64]*record{}} }
 
 // key packs a canonical prefix into one word, Base<<8 | Len. Keys sort in
 // addr.Compare's order: by base, then by length.
@@ -126,42 +171,45 @@ func prefixOf(k uint64) addr.Prefix { return addr.Prefix{Base: addr.Addr(k >> 8)
 func (r *rib) recordFor(p addr.Prefix) *record {
 	rec := r.recs[key(p)]
 	if rec == nil {
-		rec = &record{prefix: p}
+		rec = &record{key: key(p)}
 		r.recs[key(p)] = rec
 	}
 	return rec
 }
 
-// covering returns the longest prefix of best, no longer than maxLen, that
-// contains a, with its selected route — expired or not: the caller judges
-// it and resumes below its length. It probes the populated lengths only
-// (one to three per table for MASC ranges and host prefixes).
-func (r *rib) covering(a addr.Addr, maxLen int) (addr.Prefix, selected, bool) {
+// covering returns the record of the longest prefix, no longer than
+// maxLen, that contains a and has a selected route, with that route read
+// through saved — expired or not: the caller judges it and resumes below
+// its length. It probes the populated lengths only (one to three per table
+// for MASC ranges and host prefixes).
+func (r *rib) covering(a addr.Addr, maxLen int, saved []selected) (*record, selected, bool) {
 	for l := maxLen; l >= 0; l-- {
 		if r.lens[l] == 0 {
 			continue
 		}
-		p := addr.Prefix{Base: a, Len: l}.Canonical()
-		if sel, ok := r.best[key(p)]; ok {
-			return p, sel, true
+		rec := r.recs[key(addr.Prefix{Base: a, Len: l}.Canonical())]
+		if rec != nil && rec.sel.kind != pickNone {
+			return rec, rec.chosen(rec.sel, saved), true
 		}
 	}
-	return addr.Prefix{}, selected{}, false
+	return nil, selected{}, false
 }
 
-// sortedSelected returns the keys of the prefixes that have a selected
-// route, in order.
-func (r *rib) sortedSelected() []uint64 {
-	out := make([]uint64, 0, len(r.best))
-	for k := range r.best {
-		out = append(out, k)
+// sortedSelected returns the records that have a selected route, in
+// prefix order.
+func (r *rib) sortedSelected() []*record {
+	out := make([]*record, 0, len(r.recs))
+	for _, rec := range r.recs {
+		if rec.sel.kind != pickNone {
+			out = append(out, rec)
+		}
 	}
-	slices.Sort(out)
+	sortRecords(out)
 	return out
 }
 
 // sortRecords orders re-selection work by prefix so that update and
 // notification order never depends on map iteration.
 func sortRecords(recs []*record) {
-	slices.SortFunc(recs, func(a, b *record) int { return addr.Compare(a.prefix, b.prefix) })
+	slices.SortFunc(recs, func(a, b *record) int { return cmp.Compare(a.key, b.key) })
 }

@@ -500,11 +500,17 @@ func TestBIERFollowsUnicastAcrossFlap(t *testing.T) {
 // it goes on to. BGMP's joins and prunes come off free lists and get no
 // term. A member in domain 4 hangs a tree on the flapped link on the 16-
 // and 18-router rings, so the flap runs a failover and its repair as well.
-// The rings read 338, 457 and 581 allocations against budgets of 350, 474
-// and 606. Decoding each delivered message into a fresh one instead of the
-// network's inbox reads 402, 549 and 707 and fails on each; the budget
-// that this one replaced, 4 × items + 50, passed that on 14 and 16 routers,
-// its slack growing with the ring. With a prefix's state in five maps and a
+// The tree gets no term either: the ring with the member must allocate no
+// more than the same ring without it. Repair sorts its keys in scratch
+// kept on the component and a border's interior join reuses a list, so
+// both rings read 334, 443 and 569 allocations against budgets of 350, 474
+// and 606. Sorting with sort.Slice, a fresh key slice per repair pass or a
+// map per joined group each put the member's ring 2 to 4 above the bare
+// one. Decoding each delivered message that has nothing folded into it
+// into a fresh one instead of the network's inbox reads 396, 531 and 687
+// and fails on each; the budget that this one replaced, 4 × items + 50,
+// passed a fresh decode on 14 and 16 routers, its slack growing with the
+// ring. With a prefix's state in five maps and a
 // Clone plus a prepending append per route per neighbour, a flap on a
 // 12-router ring, whose routes then went into the M-RIB as well, cost 11.3
 // allocations per item.
@@ -513,18 +519,20 @@ func TestFlapAllocBudget(t *testing.T) {
 	failovers := uint64(0)
 	for _, n := range []int{14, 16, 18} {
 		t.Run(fmt.Sprintf("%d-routers", n), func(t *testing.T) {
-			ring := func(ob *obs.Observer) *Network {
+			ring := func(ob *obs.Observer, member bool) *Network {
 				net := ringNet(t, dataplane.SharedTreeName, n, chord, ob)
-				lease, err := net.Domain(1).NewGroup(24 * time.Hour)
-				if err != nil {
-					t.Fatal(err)
+				if member {
+					lease, err := net.Domain(1).NewGroup(24 * time.Hour)
+					if err != nil {
+						t.Fatal(err)
+					}
+					net.Domain(4).Join(lease.Addr, 0)
 				}
-				net.Domain(4).Join(lease.Addr, 0)
 				flap(t, net, link) // the first flap settles map sizes; later ones are counted
 				return net
 			}
 			ob := obs.NewObserver()
-			counted := ring(ob)
+			counted := ring(ob, true)
 			updates := countUpdates(ob)
 			before := ob.Snapshot()
 			flap(t, counted, link)
@@ -536,11 +544,15 @@ func TestFlapAllocBudget(t *testing.T) {
 				t.Fatalf("a flap moved %d route items on a %d-router ring; the budget would be vacuous", items, n)
 			}
 
-			net := ring(nil)
+			net, bare := ring(nil, true), ring(nil, false)
 			got := int(testing.AllocsPerRun(5, func() { flap(t, net, link) }))
 			if budget := perUpdate*msgs + perItem*items; got > budget {
 				t.Errorf("%d allocations per flap of %d updates and %d route items, budget %d×%d + %d×%d = %d",
 					got, msgs, items, perUpdate, msgs, perItem, items, budget)
+			}
+			if alone := int(testing.AllocsPerRun(5, func() { flap(t, bare, link) })); got > alone {
+				t.Errorf("%d allocations per flap with a member's tree on the link, %d without: repairing the tree allocated",
+					got, alone)
 			}
 		})
 	}
@@ -605,20 +617,22 @@ func TestSetupRouteItemBudget(t *testing.T) {
 // TestRIBHeapBudget bounds the live heap TestSetupRouteItemBudget's asWorld
 // holds once built, per RIB entry. Nearly all of it is BGP state, which
 // grows about as the square of the domains: one record per prefix per
-// table per router, the routes learned from each peer, and the selected
-// route by value in the read index. With the selection kept twice, in the
-// record and in the index, and every learned route carrying its own copy
-// of the record's prefix, a record took 160 bytes, a learned route 64 and
-// an entry about 697; kept once, they take 80, 40 and about 543. Keying
-// both maps by one word instead of a Prefix, dropping the prefix from the
-// selection (64 bytes to 48) and building each domain's two rand sources
-// on first draw took an entry to about 433. Originating each host prefix
-// into the unicast table only, not into the M-RIB as well, halves the
-// entries and not the per-domain state they share: 466 bytes each (472
-// under -race). Undoing one of the three reads 497 (Prefix keys), 483 (the
-// selection's prefix) or 587 (sources built up front): the budget sits
-// between. No world here is incongruent, so the built one must hold no
-// M-RIB entry: a copy of the unicast table there is what was halved away.
+// table per router and the routes learned from each peer. With the
+// selection kept twice, in the record and in a read index, and every
+// learned route carrying its own copy of the record's prefix, a record took
+// 160 bytes, a learned route 64 and an entry about 697; kept once, they
+// take 80, 40 and about 543. Keying the maps by one word instead of a
+// Prefix, dropping the prefix from the selection (64 bytes to 48) and
+// building each domain's two rand sources on first draw took an entry to
+// about 433. Originating each host prefix into the unicast table only, not
+// into the M-RIB as well, halves the entries and not the per-domain state
+// they share: 466 bytes each. Naming the selection inside its record (an
+// 8-byte pick in place of the 16-byte prefix, which the record keeps as
+// its key) instead of copying it by value into a second map takes an
+// entry to 362 (369 under -race). Putting the by-value map back beside
+// the picks reads 468: the budget sits between. No world here is
+// incongruent, so the built one must hold no M-RIB entry: a copy of the
+// unicast table there is what was halved away.
 //
 // The test measures in a process of its own: an earlier test's world can
 // outlive that test by a collection or two, and the heap it frees during
@@ -644,7 +658,7 @@ func TestRIBHeapBudget(t *testing.T) {
 			}
 		}
 	}
-	const perEntry = 478
+	const perEntry = 375
 	if got := float64(grown) / float64(entries); got > perEntry {
 		t.Errorf("the built world holds %d live heap bytes for %d RIB entries (%.0f each), budget %d each",
 			grown, entries, got, perEntry)

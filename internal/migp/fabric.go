@@ -104,9 +104,11 @@ type Fabric struct {
 	// ids holds every interior node's ID at its own index, never written
 	// after NewFabric: a first member's nodes is a one-element view of it.
 	ids []Node
-	// borderJoined tracks which border routers joined a group via BGMP.
-	// guarded by mu
-	borderJoined map[addr.Addr]map[wire.RouterID]bool
+	// borderJoined lists, per group, the border routers that joined it via
+	// BGMP; a list emptied goes to joinedSpare for the next group's first
+	// join. guarded by mu
+	borderJoined map[addr.Addr][]wire.RouterID
+	joinedSpare  addr.FreeList[[]wire.RouterID] // guarded by mu
 	// paths serves the interior protocol's distance rows. guarded by mu
 	paths *Paths
 	// hops is the per-packet scratch Protocol.Deliver fills. guarded by mu
@@ -145,7 +147,7 @@ func NewFabric(cfg FabricConfig) *Fabric {
 		strict:       cfg.Protocol.StrictRPF(),
 		comps:        map[wire.RouterID]Border{},
 		ids:          ids,
-		borderJoined: map[addr.Addr]map[wire.RouterID]bool{},
+		borderJoined: map[addr.Addr][]wire.RouterID{},
 		paths:        NewPaths(cfg.Graph),
 	}
 }
@@ -300,7 +302,7 @@ func (f *Fabric) deliver(entry Node, fromBorder wire.RouterID, d *wire.Data) {
 			continue
 		}
 		comp := f.comps[r]
-		if comp != nil && (fromBorder == 0 || joined[r] || comp.HasForwardingState(d.Group)) {
+		if comp != nil && (fromBorder == 0 || slices.Contains(joined, r) || comp.HasForwardingState(d.Group)) {
 			handoffs = append(handoffs, comp)
 		}
 	}
@@ -327,12 +329,12 @@ type borderAdapter struct {
 func (b *borderAdapter) JoinGroup(g addr.Addr) {
 	f := b.fabric
 	f.mu.Lock()
-	m := f.borderJoined[g]
-	if m == nil {
-		m = make(map[wire.RouterID]bool, 2)
-		f.borderJoined[g] = m
+	if ids := f.borderJoined[g]; !slices.Contains(ids, b.router) {
+		if ids == nil {
+			ids, _ = f.joinedSpare.Take() // none spare: append makes it
+		}
+		f.borderJoined[g] = append(ids, b.router)
 	}
-	m[b.router] = true
 	f.mu.Unlock()
 }
 
@@ -340,9 +342,14 @@ func (b *borderAdapter) JoinGroup(g addr.Addr) {
 func (b *borderAdapter) LeaveGroup(g addr.Addr) {
 	f := b.fabric
 	f.mu.Lock()
-	delete(f.borderJoined[g], b.router)
-	if len(f.borderJoined[g]) == 0 {
-		delete(f.borderJoined, g)
+	ids := f.borderJoined[g]
+	if i := slices.Index(ids, b.router); i >= 0 {
+		if ids = slices.Delete(ids, i, i+1); len(ids) > 0 {
+			f.borderJoined[g] = ids
+		} else {
+			delete(f.borderJoined, g)
+			f.joinedSpare.Give(ids)
+		}
 	}
 	f.mu.Unlock()
 }
