@@ -519,11 +519,14 @@ func (c *Component) eventLocked(e obs.Event) {
 // gave back a larger one: with an observer, a join or prune then allocates
 // no event array at each router it crosses.
 func (c *Component) finishLocked() {
-	out, evs := c.out, c.evbuf
-	c.evbuf = nil
-	if len(out) > 0 {
-		c.out = nil // an operation the hand-over starts takes an array of its own
+	// An empty c.out stays put: given back, it would be c.out again while
+	// another goroutine's batch, queued into it meanwhile, is being sent.
+	var out []outItem
+	if len(c.out) > 0 {
+		out, c.out = c.out, nil // an operation the hand-over starts takes an array of its own
 	}
+	evs := c.evbuf
+	c.evbuf = nil
 	if !c.cur.Zero() {
 		for _, it := range out {
 			wire.Stamp(it.msg, c.cur) // a nil msg (interior membership) carries none

@@ -290,6 +290,19 @@ func TestOffTreeDataFromPeerForwardsTowardRoot(t *testing.T) {
 	}
 }
 
+// TestOffTreeDataFromTheParentDropped: a packet from the peer this router's
+// way to the root leads through, at a router with no state for the group,
+// came down a branch the router has left while its prune was in flight. The
+// peer served its other targets already, so nothing goes back to it.
+func TestOffTreeDataFromTheParentDropped(t *testing.T) {
+	rig := newRig(1, 5, false)
+	rig.groups[groupG] = bgp.Entry{Route: wire.Route{Origin: 9}, NextHop: 7}
+	rig.comp.Deliver(PeerTarget(7), data(16))
+	if len(rig.sent) != 0 || len(rig.migp.injected) != 0 {
+		t.Fatalf("sent = %v and %d injected, want the packet dropped", rig.sent, len(rig.migp.injected))
+	}
+}
+
 func TestOffTreeInteriorDataOnlyBestExitForwards(t *testing.T) {
 	// Best exit (external next hop): forward.
 	rig := newRig(1, 5, false)

@@ -157,15 +157,15 @@ func (c *Component) handleData(from Target, d *wire.Data) {
 		}
 	}
 	// The bidirectional rule: every target of the entry except the one the
-	// packet came from. targets is the entry's cached list, replaced and
-	// never edited on a join or prune, so it is read here without a copy.
-	var targets []Target
+	// packet came from, listed into storage of this call's own.
+	var buf [fanOutStack]Target
+	var targets, spill []Target
 	fk, fanOut := from.key(), 0
 	if e != nil && !(isSG && e.sharedClone && len(e.children) == 0) {
 		// An empty shared-clone (S,G) entry is a negative cache: S's
 		// packets stop here (every downstream pruned; the upstream was
 		// pruned too).
-		targets = e.targets()
+		targets, spill = c.fanOutLocked(e, buf[:])
 		fanOut = len(targets)
 		if slices.Contains(targets, fk) {
 			fanOut--
@@ -189,6 +189,32 @@ func (c *Component) handleData(from Target, d *wire.Data) {
 			c.forwardTo(t, d)
 		}
 	}
+	c.giveSpill(spill)
+}
+
+// fanOutStack is the most targets a forwarder lists on its own stack: more
+// than any router of the benchmark's worlds has (33).
+const fanOutStack = 64
+
+// fanOutLocked lists e's targets, for sending to after unlocking, into buf
+// or, when they do not fit, into an array off the free lists that it also
+// returns as spill, for giveSpill to put back after the sends.
+func (c *Component) fanOutLocked(e *entry, buf []Target) (targets, spill []Target) {
+	if n := len(e.children) + 1; n > cap(buf) { // the most appendTargets lists
+		spill = c.takeArrayLocked(childClass(n))
+		buf = spill
+	}
+	return e.appendTargets(buf[:0]), spill
+}
+
+// giveSpill puts back an array fanOutLocked spilled into, on a fresh free
+// list after a Reset in between; nil is a no-op.
+func (c *Component) giveSpill(spill []Target) {
+	if spill != nil {
+		c.mu.Lock()
+		c.arraysLocked(cap(spill)).Give(spill[:0])
+		c.mu.Unlock()
+	}
 }
 
 // forwardOffTree implements the no-state rule: keep the packet moving
@@ -198,11 +224,10 @@ func (c *Component) forwardOffTree(from Target, d *wire.Data) {
 	if !ok {
 		return // no root domain known: drop
 	}
-	if from.key() == MIGPTarget && next.MIGP {
-		// Interior-origin data (or data transiting the domain) at a router
-		// that is not its best exit — this is the root domain, or the route
-		// leaves through a sibling border. Only the best exit pushes it
-		// onward, so the domain emits a single copy.
+	if next.key() == from.key() {
+		// Never back where it came from: interior data at a router that is
+		// not its best exit (the domain emits one copy), or a peer's packet
+		// down a branch this router has left, its prune still in flight.
 		return
 	}
 	// To the next peer; or, for a peer's packet whose way on is interior,
@@ -241,9 +266,10 @@ func (c *Component) handleEncap(from wire.RouterID, d *wire.Data) {
 	k := sgKey{d.Source, d.Group}
 	c.mu.Lock()
 	e, _ := c.groups.Get(d.Group)
-	var targets []Target
+	var buf [fanOutStack]Target
+	var targets, spill []Target
 	if e != nil {
-		targets = e.targets()
+		targets, spill = c.fanOutLocked(e, buf[:])
 	}
 	_, have := c.srcs[k]
 	branch := c.cfg.BuildSourceBranches && !have
@@ -261,6 +287,7 @@ func (c *Component) handleEncap(from wire.RouterID, d *wire.Data) {
 			c.eg.ToPeer(t.Router, native)
 		}
 	}
+	c.giveSpill(spill)
 	if branch {
 		c.RequestSourceBranch(d.Source, d.Group)
 	}

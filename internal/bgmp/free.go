@@ -46,29 +46,38 @@ func (c *Component) fitChildrenLocked(e *entry, n int) {
 	if cap(e.children) == want {
 		return
 	}
-	var to []Target
-	if want == 1 {
-		to = e.one[:0]
-	} else {
-		k := bits.Len(uint(want)) - 2 // class 2 is arrays[0]
-		if k >= len(c.arrays) {
-			c.arrays = append(c.arrays, make([]addr.FreeList[[]Target], k+1-len(c.arrays))...)
-		}
-		var ok bool
-		if to, ok = c.arrays[k].Take(); !ok {
-			to = make([]Target, 0, want)
-		}
+	to := e.one[:0]
+	if want > 1 {
+		to = c.takeArrayLocked(want)
 	}
 	to = append(to, e.children...)
 	c.giveChildrenLocked(e)
 	e.children = to
 }
 
+// takeArrayLocked returns an empty array of capacity class, a power of two
+// from 2, off its class's free list, or makes one.
+func (c *Component) takeArrayLocked(class int) []Target {
+	if a, ok := c.arraysLocked(class).Take(); ok {
+		return a
+	}
+	return make([]Target, 0, class)
+}
+
+// arraysLocked returns the free list of the arrays of capacity class.
+func (c *Component) arraysLocked(class int) *addr.FreeList[[]Target] {
+	k := bits.Len(uint(class)) - 2 // class 2 is arrays[0]
+	if k >= len(c.arrays) {
+		c.arrays = append(c.arrays, make([]addr.FreeList[[]Target], k+1-len(c.arrays))...)
+	}
+	return &c.arrays[k]
+}
+
 // giveChildrenLocked puts e's children array, unless it is the entry's own,
 // back on its class's free list.
 func (c *Component) giveChildrenLocked(e *entry) {
-	if a := e.children; cap(a) > 1 {
-		c.arrays[bits.Len(uint(cap(a)))-2].Give(a[:0])
+	if cap(e.children) > 1 {
+		c.arraysLocked(cap(e.children)).Give(e.children[:0])
 	}
 	e.children = nil
 }
@@ -81,7 +90,6 @@ func (c *Component) addChildLocked(e *entry, t Target) {
 	}
 	c.fitChildrenLocked(e, len(e.children)+1)
 	e.children = slices.Insert(e.children, i, t) // within the array's room
-	e.targetCache = nil
 }
 
 // removeChildLocked removes t from e's children.
@@ -89,7 +97,6 @@ func (c *Component) removeChildLocked(e *entry, t Target) {
 	if i, ok := slices.BinarySearchFunc(e.children, t, cmpTargets); ok {
 		e.children = slices.Delete(e.children, i, i+1)
 		c.fitChildrenLocked(e, len(e.children))
-		e.targetCache = nil
 	}
 }
 
@@ -99,7 +106,6 @@ func (c *Component) removeChildLocked(e *entry, t Target) {
 func (c *Component) removeMIGPChildrenLocked(e *entry) {
 	e.children = slices.DeleteFunc(e.children, func(t Target) bool { return t.MIGP })
 	c.fitChildrenLocked(e, len(e.children))
-	e.targetCache = nil
 }
 
 // newEntryLocked returns an entry leading to up with no children, off the
@@ -111,8 +117,7 @@ func (c *Component) newEntryLocked(up upstream) *entry {
 }
 
 // giveEntryLocked puts an entry no table holds any longer on the free list,
-// cleared, and its children array on its class's. The target list is
-// dropped, not kept: handleData reads it after unlocking.
+// cleared, and its children array on its class's.
 func (c *Component) giveEntryLocked(e *entry) {
 	c.giveChildrenLocked(e)
 	*e = entry{}

@@ -7,6 +7,7 @@ import (
 
 	"mascbgmp/internal/addr"
 	"mascbgmp/internal/bgp"
+	"mascbgmp/internal/obs"
 	"mascbgmp/internal/wire"
 )
 
@@ -177,5 +178,65 @@ func TestRecycledEntriesBoundedByLiveState(t *testing.T) {
 	}
 	if peak != n {
 		t.Fatalf("the router held %d entries live at most, want %d", peak, n)
+	}
+}
+
+// TestEventOnlyBatchLeavesTheOutArrayAlone runs, with an observer, an
+// operation that queues events but no message (a second child joining a
+// standing entry), and while it emits them starts a join on another
+// goroutine that sends its GroupJoin and holds it out. An operation that
+// takes no message must leave the out array to the operations that do: had
+// the first made the array the sender still iterates its own again, a third
+// join would queue into it, and the sender would hand back what it found
+// there in place of its message. Every join must come back to the free
+// list, once.
+func TestEventOnlyBatchLeavesTheOutArrayAlone(t *testing.T) {
+	gA, gB, gC := groupG, groupG+1, groupG+2
+	rig := newRig(1, 5, false)
+	for _, g := range []addr.Addr{gA, gB, gC} {
+		rig.groups[g] = bgp.Entry{Route: wire.Route{Origin: 9}, NextHop: 7}
+	}
+	rig.comp.LocalJoin(gA) // A's entry stands; its join is back on the free list
+	sending, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	send := rig.comp.cfg.SendPeer
+	rig.comp.eg.SendPeer = func(to wire.RouterID, m wire.Message) {
+		send(to, m)
+		if j, ok := m.(*wire.GroupJoin); ok && j.Group == gB {
+			close(sending)
+			<-release
+		}
+	}
+	ob := obs.NewObserver()
+	ob.Subscribe(func(e obs.Event) {
+		if e.Kind == obs.BGMPJoin && e.Group == gA {
+			go func() {
+				rig.comp.LocalJoin(gB)
+				close(done)
+			}()
+			<-sending
+		}
+	})
+	rig.comp.cfg.Obs = ob
+	rig.comp.HandlePeer(8, &wire.GroupJoin{Group: gA}) // events only, while B's join is out
+	rig.comp.cfg.Obs = nil
+	rig.comp.LocalJoin(gC)
+	close(release)
+	<-done
+
+	rig.comp.mu.Lock()
+	defer rig.comp.mu.Unlock()
+	if n, made := freeLen(&rig.comp.joins), freeMade(&rig.comp.joins); n != made {
+		t.Fatalf("%d joins on the free list of the %d made: a batch's join never came back", n, made)
+	}
+	seen := map[*wire.GroupJoin]bool{}
+	for {
+		j, ok := rig.comp.joins.Take()
+		if !ok {
+			break
+		}
+		if seen[j] {
+			t.Fatal("one join is on the free list twice")
+		}
+		seen[j] = true
 	}
 }

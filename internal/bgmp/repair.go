@@ -95,7 +95,7 @@ func (c *Component) RouteChanged(prefix addr.Prefix, ctx wire.TraceContext) {
 			changes = append(changes, reparent{g: g, oldParent: e.parent, oldRoot: e.root, torn: true})
 			c.groups.Delete(g)
 			c.dropSharedClonesLocked(g)
-			e.setUpstream(upstream{})
+			e.upstream = upstream{}
 			c.orphans.Set(g, e)
 			continue
 		}
@@ -106,7 +106,7 @@ func (c *Component) RouteChanged(prefix addr.Prefix, ctx wire.TraceContext) {
 			g: g, oldParent: e.parent, oldRoot: e.root,
 			newParent: up.parent, newRoot: up.root,
 		})
-		e.setUpstream(up)
+		e.upstream = up
 		// Dependent shared-clone (S,G) state inherited the old parent;
 		// rebuild it lazily (drop it — prunes re-establish if needed).
 		c.dropSharedClonesLocked(g)
@@ -119,7 +119,7 @@ func (c *Component) RouteChanged(prefix addr.Prefix, ctx wire.TraceContext) {
 		}
 		e, _ := c.orphans.Get(g)
 		c.orphans.Delete(g)
-		e.setUpstream(up)
+		e.upstream = up
 		c.groups.Set(g, e)
 		changes = append(changes, reparent{g: g, newParent: up.parent, newRoot: up.root, rejoined: true})
 	}
@@ -171,7 +171,7 @@ func (c *Component) PeerDown(peer wire.RouterID, ctx wire.TraceContext) {
 		}
 		// A runner-up route that ends at this domain makes the entry root:
 		// the interior supplies the tree.
-		e.setUpstream(upstream{parent: bk, root: bk == MIGPTarget})
+		e.upstream = upstream{parent: bk, root: bk == MIGPTarget}
 		c.dropSharedClonesLocked(g)
 		c.eventLocked(obs.Event{Kind: obs.BGMPFailover, Group: g, Peer: peer})
 		c.attachLocked(g, bk, e.root)

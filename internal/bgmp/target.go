@@ -101,12 +101,7 @@ type entry struct {
 	// an array of the Component's whose capacity is the next power of two
 	// (fitChildrenLocked).
 	children []Target
-	// targetCache is the memoized result of targets(), rebuilt lazily
-	// after any parent/child mutation. Entries see one mutation per
-	// join/prune but many forwarding lookups, so caching turns the
-	// per-packet merge into a slice read.
-	targetCache []Target
-	one         [1]Target
+	one      [1]Target
 }
 
 func (e *entry) hasChild(t Target) bool {
@@ -114,47 +109,34 @@ func (e *entry) hasChild(t Target) bool {
 	return ok
 }
 
-// setUpstream reparents the entry (failover or G-RIB change).
-func (e *entry) setUpstream(u upstream) {
-	e.upstream = u
-	e.targetCache = nil
-}
-
-// targets returns the deduplicated full target list (parent + children):
-// the interior first when the parent or any child is on it, then the peers
-// in router order. One pass over the sorted children merges the parent in
-// among the peers. Callers must not mutate the returned slice: it is the
-// shared cache.
-func (e *entry) targets() []Target {
-	if e.targetCache != nil {
-		return e.targetCache
-	}
-	out := make([]Target, 1, len(e.children)+2) // out[0] is held for the interior
+// appendTargets appends the deduplicated full target list (parent +
+// children) to dst and returns it: the interior first when the parent or
+// any child is on it, then the peers in router order, the parent merged in
+// among them in one pass over the sorted children. A caller forwards to the
+// list after unlocking, so it lists into storage of its own while it holds
+// the lock (Component.fanOutLocked): nothing reads an entry outside it.
+func (e *entry) appendTargets(dst []Target) []Target {
 	p := e.parent.key()
-	interior, merged := p.MIGP, p.MIGP
+	if p.MIGP || slices.ContainsFunc(e.children, func(t Target) bool { return t.MIGP }) {
+		dst = append(dst, MIGPTarget)
+	}
+	merged := p.MIGP
 	for _, c := range e.children {
 		switch {
 		case c.MIGP:
-			interior = true
 			continue
 		case merged:
 		case p.Router < c.Router:
-			out, merged = append(out, p), true
+			dst, merged = append(dst, p), true
 		case p == c:
 			merged = true
 		}
-		out = append(out, c)
+		dst = append(dst, c)
 	}
 	if !merged {
-		out = append(out, p)
+		dst = append(dst, p)
 	}
-	if interior {
-		out[0] = MIGPTarget
-	} else {
-		out = out[1:]
-	}
-	e.targetCache = out
-	return out
+	return dst
 }
 
 // sgKey indexes (S,G) entries.

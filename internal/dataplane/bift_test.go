@@ -138,7 +138,7 @@ func oracleDeliverTunnel(o *overlay, d *wire.Data) {
 // oracleRootReplicate is map-and-encap's rootReplicate as it was: an anchor
 // address from DomainAddr and a tunnel from oracleDeliverTunnel per member.
 func oracleRootReplicate(o *overlay, d *wire.Data, injectLocally bool) {
-	members := o.cfg.Store.Members(d.Group)
+	members := o.cfg.Store.AppendMembers(nil, d.Group)
 	srcDom, haveSrcDom := o.cfg.SourceDomain(d.Source)
 	if !haveSrcDom {
 		srcDom = o.cfg.Domain
@@ -417,7 +417,7 @@ func tunnelPacket(rng *rand.Rand, got, want *overlay, every bool) (string, uint8
 		got.rootReplicate(d, injectHere)
 		oracleRootReplicate(want, d, injectHere)
 		if !every {
-			return fmt.Sprintf("fan-out of %v to %v", d.Source, st.Members(d.Group)), d.TTL, nil
+			return fmt.Sprintf("fan-out of %v to %v", d.Source, st.AppendMembers(nil, d.Group)), d.TTL, nil
 		}
 	}
 	for m := wire.DomainID(1); m <= biftDomains+8; m++ {

@@ -171,8 +171,9 @@ type Store struct {
 }
 
 // memberSet is one group's membership: a refcount per member domain, and
-// the domains ascending as Members last listed them — dropped, never edited,
-// by a change, so a list a reader holds stays as it was.
+// the domains ascending, emptied by a change (its array kept) and rebuilt by
+// the next AppendMembers, which copies it out under the store's lock. A set
+// with no member is deleted, so an empty list is always a stale one.
 type memberSet struct {
 	refs addr.Table[wire.DomainID, int]
 	list []wire.DomainID
@@ -192,7 +193,7 @@ func (s *Store) Add(g addr.Addr, d wire.DomainID) {
 	}
 	n, _ := m.refs.Get(d)
 	m.refs.Set(d, n+1)
-	m.list = nil
+	m.list = m.list[:0]
 }
 
 // Remove retracts one membership assertion for (g, d).
@@ -203,7 +204,7 @@ func (s *Store) Remove(g addr.Addr, d wire.DomainID) {
 	if !ok {
 		return
 	}
-	m.list = nil
+	m.list = m.list[:0]
 	if n, _ := m.refs.Get(d); n > 1 {
 		m.refs.Set(d, n-1)
 	} else {
@@ -214,21 +215,21 @@ func (s *Store) Remove(g addr.Addr, d wire.DomainID) {
 	}
 }
 
-// Members returns g's member domains in ascending order: the store's own
-// list, read-only, built by the first call after a change and handed to
-// every call until the next.
-func (s *Store) Members(g addr.Addr) []wire.DomainID {
+// AppendMembers appends g's member domains, ascending, to dst and returns
+// it: a copy of the store's list, so a caller that reuses dst allocates
+// nothing, after a change included.
+func (s *Store) AppendMembers(dst []wire.DomainID, g addr.Addr) []wire.DomainID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m, ok := s.members.Get(g)
 	if !ok {
-		return nil
+		return dst
 	}
-	if m.list == nil {
-		m.list = m.refs.Keys(make([]wire.DomainID, 0, m.refs.Len()))
+	if len(m.list) == 0 {
+		m.list = m.refs.Keys(m.list)
 		slices.Sort(m.list)
 	}
-	return m.list
+	return append(dst, m.list...)
 }
 
 // Entries counts (group, member-domain) records across all groups.

@@ -88,6 +88,10 @@ func TestBitstringHelpers(t *testing.T) {
 	}
 }
 
+// TestStoreRefcounts checks the store's refcounts and AppendMembers' copy:
+// ascending, appended after what dst holds, the caller's to keep however
+// the membership changes after, and free to take into a reused dst, the
+// first call after a change (which rebuilds the sorted list) included.
 func TestStoreRefcounts(t *testing.T) {
 	g := addr.MakeAddr(224, 1, 0, 1)
 	g2 := addr.MakeAddr(224, 1, 0, 2)
@@ -96,30 +100,47 @@ func TestStoreRefcounts(t *testing.T) {
 	s.Add(g, 3)
 	s.Add(g, 5)
 	s.Add(g2, 7)
-	if got, want := s.Members(g), []wire.DomainID{3, 5}; !reflect.DeepEqual(got, want) {
-		t.Errorf("Members = %v, want %v", got, want)
+	if got, want := s.AppendMembers([]wire.DomainID{9}, g), []wire.DomainID{9, 3, 5}; !reflect.DeepEqual(got, want) {
+		t.Errorf("AppendMembers after [9] = %v, want %v", got, want)
 	}
 	if s.Entries() != 3 {
 		t.Errorf("Entries = %d, want 3", s.Entries())
 	}
 	s.Remove(g, 5)
-	if got, want := s.Members(g), []wire.DomainID{3, 5}; !reflect.DeepEqual(got, want) {
+	if got, want := s.AppendMembers(nil, g), []wire.DomainID{3, 5}; !reflect.DeepEqual(got, want) {
 		t.Errorf("refcounted Remove dropped the member early: %v, want %v", got, want)
 	}
-	// The list is built once per change, and a list handed out never moves.
-	held := s.Members(g)
-	if n := testing.AllocsPerRun(10, func() { s.Members(g) }); n != 0 {
-		t.Errorf("Members allocates %v per call with no change between", n)
-	}
+	// A copy is the caller's: the store's own list is rebuilt in place.
+	held := s.AppendMembers(nil, g)
 	s.Add(g, 4)
-	if got, want := s.Members(g), []wire.DomainID{3, 4, 5}; !reflect.DeepEqual(got, want) || !reflect.DeepEqual(held, []wire.DomainID{3, 5}) {
-		t.Errorf("after Add: Members = %v, want %v; the list held from before = %v, want [3 5]", got, want, held)
+	if got, want := s.AppendMembers(nil, g), []wire.DomainID{3, 4, 5}; !reflect.DeepEqual(got, want) || !reflect.DeepEqual(held, []wire.DomainID{3, 5}) {
+		t.Errorf("after Add: AppendMembers = %v, want %v; the copy taken before = %v, want [3 5]", got, want, held)
 	}
 	s.Remove(g, 4)
+	if got, want := s.AppendMembers(nil, g), []wire.DomainID{3, 5}; !reflect.DeepEqual(got, want) || !reflect.DeepEqual(held, []wire.DomainID{3, 5}) {
+		t.Errorf("after Remove: AppendMembers = %v, want %v; the copy taken before = %v, want [3 5]", got, want, held)
+	}
+	dst := make([]wire.DomainID, 0, 4)
+	churn := func() {
+		s.Remove(g, 3)
+		dst = s.AppendMembers(dst[:0], g)
+		s.Add(g, 3)
+		dst = s.AppendMembers(dst[:0], g)
+	}
+	churn() // the store's list reaches its peak
+	if n := testing.AllocsPerRun(20, churn); n != 0 {
+		t.Errorf("a change and AppendMembers into a reused dst allocate %v per round", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { dst = s.AppendMembers(dst[:0], g) }); n != 0 {
+		t.Errorf("AppendMembers into a reused dst allocates %v per call with no change between", n)
+	}
+	if want := []wire.DomainID{3, 5}; !reflect.DeepEqual(dst, want) {
+		t.Errorf("after the rounds: AppendMembers = %v, want %v", dst, want)
+	}
 	s.Remove(g, 5)
 	s.Remove(g, 3)
-	if got := s.Members(g); len(got) != 0 {
-		t.Errorf("Members after removal = %v, want empty", got)
+	if got := s.AppendMembers(nil, g); len(got) != 0 {
+		t.Errorf("AppendMembers after removal = %v, want empty", got)
 	}
 	s.Remove(g, 99) // unknown member: no-op
 	if s.Entries() != 1 {
@@ -319,7 +340,7 @@ func TestOverlayRootTest(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newOverlayRig(tc.ent, tc.routed)
 			r.b.LocalJoin(group)
-			if got := len(r.store.Members(group)) == 1; got != tc.wantStored {
+			if got := len(r.store.AppendMembers(nil, group)) == 1; got != tc.wantStored {
 				t.Errorf("stored = %v, want %v", got, tc.wantStored)
 			}
 			if got := len(r.sent) == 1 && r.sent[0].to == tc.wantPeer; got != (tc.wantPeer != 0) || len(r.sent) > 1 {

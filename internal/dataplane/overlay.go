@@ -50,14 +50,15 @@ type overlay struct {
 }
 
 // scratch is the room one call builds its packet copy in: the packet, and
-// the arrays of a bitstring and of forwardBits' next hops, each grown to the
-// largest it has held. Every copy dies with the call that made it: a
-// message handed to SendPeer or the MIGP is the caller's again when that
-// returns (Config.SendPeer).
+// the arrays of a bitstring, of forwardBits' next hops and of a group's
+// members, each grown to the largest it has held. Every copy dies with the
+// call that made it: a message handed to SendPeer or the MIGP is the
+// caller's again when that returns (Config.SendPeer).
 type scratch struct {
 	d    wire.Data
 	bits []uint64
 	tos  []bgmp.Target
+	mem  []wire.DomainID
 }
 
 // fwdEntry is the way a copy toward an anchor address leaves this router and
@@ -370,7 +371,11 @@ func (o *overlay) deliverTunnel(d *wire.Data) {
 // controls whether a local membership is served here (false when the
 // packet originated in this domain and the interior already has it).
 func (o *overlay) rootReplicate(d *wire.Data, injectLocally bool) {
-	members := o.cfg.Store.Members(d.Group)
+	// One scratch serves every copy: each is sent before the next is written.
+	s := o.take()
+	defer o.give(s)
+	members := o.cfg.Store.AppendMembers(s.mem[:0], d.Group)
+	s.mem = members
 	// The source's own domain delivered natively: like this one, no copy.
 	srcDom, haveSrcDom := o.cfg.SourceDomain(d.Source)
 	if !haveSrcDom {
@@ -381,9 +386,6 @@ func (o *overlay) rootReplicate(d *wire.Data, injectLocally bool) {
 	if _, local := slices.BinarySearch(members, o.cfg.Domain); local && injectLocally {
 		o.injectLocal(d)
 	}
-	// One scratch serves every copy: each is sent before the next is written.
-	s := o.take()
-	defer o.give(s)
 	if o.mode == BIERName {
 		if s.bits = makeBits(s.bits, members, o.cfg.Domain, srcDom); len(s.bits) > 0 {
 			s.d = *d
