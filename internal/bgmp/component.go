@@ -102,6 +102,11 @@ type Component struct {
 	// be re-exported up the shared tree (they would loop B2↔F1 in the
 	// paper's Fig 3(b) topology). guarded by mu
 	importedSG map[sgKey]bool
+	// spare is the packet a §5.3 relay is built in, the encapsulated copy
+	// forwardTo sends or the native one handleEncap injects: taken for the
+	// call and put back after it, as the overlays' scratch is; nil while one
+	// is out. A router that never relays holds none. guarded by mu
+	spare *wire.Data
 	// orphans parks (*,G) entries whose G-RIB route vanished (or never
 	// existed at join time). The child list is kept so that when a
 	// covering route reappears — a session recovered, BGP resynced —
@@ -161,9 +166,6 @@ func New(cfg Config) *Component {
 	c.Reset() // a new speaker starts as a restarted one does: empty
 	return c
 }
-
-// Router returns the component's router ID.
-func (c *Component) Router() wire.RouterID { return c.cfg.Router }
 
 // GroupEntry exposes the (*,G) target list for inspection: parent first,
 // then children. ok is false when the router has no state for g.

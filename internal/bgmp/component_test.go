@@ -18,7 +18,7 @@ var (
 type fakeMIGP struct {
 	joins, leaves []addr.Addr
 	relays        []relayed
-	injected      []*wire.Data
+	injected      []wire.Data // copies: a packet is the sender's again, and reused, when Inject returns
 	injectOK      bool
 	expectedEntry wire.RouterID
 }
@@ -36,14 +36,11 @@ func (f *fakeMIGP) RelayToBorder(to wire.RouterID, m wire.Message) {
 	f.relays = append(f.relays, relayed{to, kept(m)})
 }
 
-// kept returns the copy of a control message a recorder keeps: a join or
-// prune handed to SendPeer or RelayToBorder is the sender's again, and
-// reused, when the call returns. A packet is kept as it is, for tests that
-// check it went on unchanged by its identity; no packet here is reused.
+// kept returns the copy of a message a recorder keeps: a join, a prune or a
+// packet handed to SendPeer or RelayToBorder is the sender's again, and may
+// be reused, when the call returns (a §5.3 relay, and handleEncap's native
+// copy sent on to its (*,G) peers, are recycled spares).
 func kept(m wire.Message) wire.Message {
-	if _, ok := m.(*wire.Data); ok {
-		return m
-	}
 	cp, err := wire.Decode(wire.Encode(m))
 	if err != nil {
 		panic(err)
@@ -54,7 +51,7 @@ func (f *fakeMIGP) Inject(d *wire.Data) bool {
 	if !f.injectOK {
 		return false
 	}
-	f.injected = append(f.injected, d)
+	f.injected = append(f.injected, *d)
 	return true
 }
 func (f *fakeMIGP) ExpectedEntry(addr.Addr) wire.RouterID { return f.expectedEntry }
@@ -67,6 +64,11 @@ type testRig struct {
 	sent   []relayed // to external peers
 	groups map[addr.Addr]bgp.Entry
 	srcs   map[addr.Addr]bgp.Entry
+	// samePackets records a packet sent to a peer as it is, not a copy,
+	// for a test that checks by identity that it went on unchanged or
+	// counts what a send allocates. Only for sends that are no relay:
+	// handleEncap sends its peers a recycled spare.
+	samePackets bool
 }
 
 func newRig(router wire.RouterID, domain wire.DomainID, branches bool) *testRig {
@@ -88,7 +90,10 @@ func newRig(router wire.RouterID, domain wire.DomainID, branches bool) *testRig 
 		},
 		Internal: func(id wire.RouterID) bool { return id >= 100 }, // convention: IDs >= 100 are internal
 		SendPeer: func(to wire.RouterID, m wire.Message) {
-			r.sent = append(r.sent, relayed{to, kept(m)})
+			if _, ok := m.(*wire.Data); !ok || !r.samePackets {
+				m = kept(m)
+			}
+			r.sent = append(r.sent, relayed{to, m})
 		},
 		MIGP:                r.migp,
 		BuildSourceBranches: branches,
@@ -231,6 +236,7 @@ func TestBidirectionalForwarding(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rig := newRig(1, 5, false)
+			rig.samePackets = true
 			buildTree(rig)
 			in := data(16)
 			rig.comp.Deliver(tc.from, in)
@@ -488,6 +494,69 @@ func TestRPFFailureEncapsulates(t *testing.T) {
 	if !found {
 		t.Fatalf("expected encapsulated relay to 103, got %v", rig.migp.relays)
 	}
+}
+
+// TestDecapsulatedRelayReachesTreePeers: F2 of Fig 3(b) decapsulates a
+// §5.3 relay from F1 (103), injects it, and sends it on to the peers it
+// holds on the shared tree itself. Each copy is the native packet, its
+// fields intact, although the router builds it in a spare it reuses.
+func TestDecapsulatedRelayReachesTreePeers(t *testing.T) {
+	rig := newRig(1, 5, false)
+	buildTree(rig)
+	rig.comp.Deliver(MIGPToward(103), &wire.Data{Group: groupG, Source: sourceS, TTL: 16, Payload: []byte("x"), Encap: true})
+	want := wire.Data{Group: groupG, Source: sourceS, TTL: 16, Payload: []byte("x")}
+	if len(rig.migp.injected) != 1 || !reflect.DeepEqual(rig.migp.injected[0], want) {
+		t.Fatalf("injected %v, want the native packet %v once", rig.migp.injected, want)
+	}
+	var peers []wire.RouterID
+	for _, s := range rig.sent {
+		d, ok := s.msg.(*wire.Data)
+		if !ok {
+			continue
+		}
+		peers = append(peers, s.to)
+		if !reflect.DeepEqual(*d, want) {
+			t.Errorf("peer %d was sent %+v, want %+v", s.to, *d, want)
+		}
+	}
+	if !reflect.DeepEqual(peers, []wire.RouterID{7, 8}) {
+		t.Errorf("decapsulated packet went to peers %v, want [7 8]", peers)
+	}
+}
+
+// TestOffTreeEncapsulationLeavesLaterTreeCopiesAlone: a router with no
+// state for the group encapsulates a peer's packet to the border the
+// interior expects its source at (103), on its way toward the root. A peer
+// child then joins, and an interior copy of the same flow must reach it.
+// Only an on-tree encapsulator marks the flow as its own reflux: off the
+// tree, forwardOffTree already keeps an interior copy from going back, and
+// a mark made there outlived the state it was made without, so the router
+// dropped every interior copy of the flow once it joined the tree.
+func TestOffTreeEncapsulationLeavesLaterTreeCopiesAlone(t *testing.T) {
+	rig := newRig(1, 5, false)
+	rig.groups[groupG] = bgp.Entry{Route: wire.Route{Origin: 9}, NextHop: 103}
+	rig.migp.injectOK = false
+	rig.migp.expectedEntry = 103
+	rig.comp.Deliver(PeerTarget(3), data(16))
+	if len(rig.migp.relays) != 1 || rig.migp.relays[0].to != 103 {
+		t.Fatalf("off-tree relays = %v, want the packet encapsulated to 103", rig.migp.relays)
+	}
+	if d, ok := rig.migp.relays[0].msg.(*wire.Data); !ok || !d.Encap {
+		t.Fatalf("relayed %v, want an encapsulated packet", rig.migp.relays[0].msg)
+	}
+
+	rig.comp.HandlePeer(8, &wire.GroupJoin{Group: groupG})
+	if parent, _, ok := rig.comp.GroupEntry(groupG); !ok || parent != MIGPToward(103) {
+		t.Fatalf("after peer 8's join: parent = %v ok=%v, want the interior toward 103", parent, ok)
+	}
+	rig.sent = nil
+	rig.comp.Deliver(MIGPTarget, data(16))
+	for _, s := range rig.sent {
+		if d, ok := s.msg.(*wire.Data); ok && s.to == 8 && d.Source == sourceS {
+			return
+		}
+	}
+	t.Fatalf("an interior copy of the flow reached no peer child; sent %v", rig.sent)
 }
 
 func TestEncapReceiverBuildsBranchAndPrunesEncapsulator(t *testing.T) {

@@ -88,12 +88,13 @@ func (e *Egress) Inject(d *wire.Data) (expected wire.RouterID) {
 }
 
 // Encap unicast-encapsulates d through the interior to sibling border `to`,
-// the second half of a refused Inject.
+// the second half of a refused Inject. d is the caller's own copy, built in
+// storage it recycles: Encap marks it encapsulated, dropping any backend
+// header, and relays it.
 func (e *Egress) Encap(to wire.RouterID, d *wire.Data) {
-	enc := *d
-	enc.Bits, enc.TunnelTo, enc.Encap = nil, 0, true
+	d.Bits, d.TunnelTo, d.Encap = nil, 0, true
 	e.emit(obs.DataEncap, to, d)
-	e.MIGP.RelayToBorder(to, &enc)
+	e.MIGP.RelayToBorder(to, d)
 }
 
 func (e *Egress) emit(kind obs.Kind, peer wire.RouterID, d *wire.Data) {

@@ -245,14 +245,44 @@ func (c *Component) forwardTo(t Target, d *wire.Data) {
 		c.eg.ToPeer(t.Router, d)
 		return
 	}
-	if exp := c.eg.Inject(d); exp != 0 {
-		// Marked before the relay leaves: the reflux of the encapsulated
-		// flow can reach handleData during that call.
-		c.mu.Lock()
-		c.importedSG[sgKey{d.Source, d.Group}] = true
-		c.mu.Unlock()
-		c.eg.Encap(exp, d)
+	exp := c.eg.Inject(d)
+	if exp == 0 {
+		return
 	}
+	// Marked before the relay leaves: the reflux of the encapsulated flow
+	// can reach handleData during that call. Only a router on the group's
+	// tree marks it: off the tree, forwardOffTree never sends an interior
+	// copy back into the interior, and a mark made there would outlive the
+	// state it was made without and drop the flow once the router joins.
+	c.mu.Lock()
+	if c.groups.Has(d.Group) {
+		c.importedSG[sgKey{d.Source, d.Group}] = true
+	}
+	enc := c.takePacketLocked()
+	c.mu.Unlock()
+	*enc = *d
+	c.eg.Encap(exp, enc)
+	c.givePacket(enc)
+}
+
+// takePacketLocked takes the spare packet a §5.3 relay is built in, or
+// makes one when it is out.
+func (c *Component) takePacketLocked() *wire.Data {
+	d := c.spare
+	c.spare = nil
+	if d == nil {
+		d = new(wire.Data)
+	}
+	return d
+}
+
+// givePacket puts d back as the spare, cleared so that it holds no one's
+// payload.
+func (c *Component) givePacket(d *wire.Data) {
+	*d = wire.Data{}
+	c.mu.Lock()
+	c.spare = d
+	c.mu.Unlock()
 }
 
 // handleEncap processes an encapsulated packet relayed from another border
@@ -261,7 +291,10 @@ func (c *Component) forwardTo(t Target, d *wire.Data) {
 // and optionally start a source-specific branch so future packets arrive
 // natively.
 func (c *Component) handleEncap(from wire.RouterID, d *wire.Data) {
-	native := &wire.Data{Group: d.Group, Source: d.Source, TTL: d.TTL, Payload: d.Payload}
+	c.mu.Lock()
+	native := c.takePacketLocked()
+	c.mu.Unlock()
+	*native = wire.Data{Group: d.Group, Source: d.Source, TTL: d.TTL, Payload: d.Payload}
 	c.eg.Inject(native)
 	k := sgKey{d.Source, d.Group}
 	c.mu.Lock()
@@ -288,6 +321,7 @@ func (c *Component) handleEncap(from wire.RouterID, d *wire.Data) {
 		}
 	}
 	c.giveSpill(spill)
+	c.givePacket(native)
 	if branch {
 		c.RequestSourceBranch(d.Source, d.Group)
 	}

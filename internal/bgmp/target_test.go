@@ -116,6 +116,7 @@ func TestSortedChildrenMatchMap(t *testing.T) {
 func TestWideFanOutSpillsWithoutAllocating(t *testing.T) {
 	const parent, first, last = 7, 10, 79 // peer routers; 70 children
 	rig := newRig(1, 5, false)
+	rig.samePackets = true
 	rig.groups[groupG] = bgp.Entry{Route: wire.Route{Origin: 9}, NextHop: parent}
 	rig.comp.LocalJoin(groupG)
 	for r := wire.RouterID(first); r <= last; r++ {

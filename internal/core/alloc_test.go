@@ -14,82 +14,9 @@ import (
 	"mascbgmp/internal/addr"
 	"mascbgmp/internal/bgmp"
 	"mascbgmp/internal/dataplane"
-	"mascbgmp/internal/faultinject"
-	"mascbgmp/internal/migp"
 	"mascbgmp/internal/obs"
-	"mascbgmp/internal/simclock"
 	"mascbgmp/internal/wire"
 )
-
-// chainNet builds source → transit×k → root → m member domains out of
-// single-router domains on a synchronous network, plus, when behind > 0, a
-// memberless hub domain off the root with behind more member domains off
-// it. One group is rooted at the root domain with a member in every member
-// domain. It returns the source domain and the group.
-func chainNet(t testing.TB, backend string, transit, members, behind int) (*Domain, addr.Addr) {
-	t.Helper()
-	return chainNetFaults(t, backend, transit, members, behind, false, nil)
-}
-
-// chainNetFaults is chainNet with, when faulty, every peering behind a fault
-// plane on the network's clock (Config.Faults), all links clean to begin
-// with, and ob, when not nil, as the network's observer.
-func chainNetFaults(t testing.TB, backend string, transit, members, behind int, faulty bool, ob *obs.Observer) (*Domain, addr.Addr) {
-	t.Helper()
-	clk := simclock.NewSim(time.Date(1998, 9, 1, 0, 0, 0, 0, time.UTC))
-	cfg := Config{Clock: clk, Seed: 7, Synchronous: true, DataPlane: backend, Observer: ob}
-	var err error
-	if faulty {
-		if cfg.Faults, err = faultinject.New(faultinject.Config{Clock: clk, Rand: rand.New(rand.NewSource(7))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// source, transit..., root, members..., then hub, members behind it...
-	root, hub := transit+1, transit+2+members
-	total := hub
-	if behind > 0 {
-		total += 1 + behind
-	}
-	var w World
-	for i := 0; i < total; i++ {
-		id := wire.DomainID(i + 1)
-		w.Domains = append(w.Domains, DomainConfig{
-			ID: id, Routers: []wire.RouterID{wire.RouterID(id)}, Protocol: migp.DVMRP(),
-			TopLevel:   i == root,
-			HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, byte(id), 0, 0), Len: 16},
-		})
-		if i == 0 {
-			continue
-		}
-		up := i - 1
-		switch {
-		case i > hub:
-			up = hub
-		case i > root:
-			up = root // member domains and the hub hang off the root
-		}
-		w.Links = append(w.Links, [2]wire.RouterID{wire.RouterID(up + 1), wire.RouterID(i + 1)})
-	}
-	n, err := w.Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doms := n.Domains()
-	if !doms[root].MASC().RequestSpace(256, 30*24*time.Hour) {
-		t.Fatal("root's claim selection failed")
-	}
-	clk.RunFor(49 * time.Hour)
-	lease, err := doms[root].NewGroup(24 * time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range doms[root+1:] {
-		if root+1+i != hub {
-			d.Join(lease.Addr, 0)
-		}
-	}
-	return doms[0], lease.Addr
-}
 
 // TestSendAllocBudget pins what one multicast send allocates, exactly, as
 //
@@ -126,7 +53,7 @@ func TestSendAllocBudget(t *testing.T) {
 		// transit domains, members off the root, members behind the hub
 		for _, shape := range [][3]int{{1, 1, 0}, {4, 5, 0}, {2, 2, 3}, {6, 1, 4}} {
 			transit, members, behind := shape[0], shape[1], shape[2]
-			src, g := chainNet(t, b.backend, transit, members, behind)
+			src, g := chainNet(t, transit, members, behind, netOpts{backend: b.backend})
 			root := wire.RouterID(transit + 2)
 			src.net.Router(root).dispatch(root+1, &wire.MemberReport{Group: g, Domain: 0xFFFFFFFF})
 			from := src.HostAddr(0)
@@ -154,6 +81,25 @@ func TestSendAllocBudget(t *testing.T) {
 			noViolations(t, fmt.Sprintf("%s, shape %v, after the sends", b.backend, shape), violations(src.net, nil, []addr.Addr{g}))
 		}
 	}
+
+	// Fig 3(b) with source branches off: F1 holds F on B's shared tree, and
+	// F's interior expects D's packets at F2, so F1 encapsulates every one
+	// of them to F2, which decapsulates it (§5.3). Each border builds its
+	// copy in its recycled spare packet, so the relay costs nothing: a fresh
+	// encapsulated copy at F1 and a fresh native one at F2 read 2 more.
+	ob := obs.NewObserver()
+	n, clk := paperNetDP(t, true, false, dataplane.SharedTreeName, ob)
+	g := establishGroup(t, n, clk)
+	src := n.Domain(4)
+	before := ob.Snapshot()
+	got := int(testing.AllocsPerRun(50, func() { src.Send(g, src.HostAddr(1), "sixteen byte load", 0) }))
+	if ob.Snapshot().Diff(before).Total(obs.DataEncap) == 0 {
+		t.Fatal("Fig 3(b): no send from D was encapsulated; the row would be vacuous")
+	}
+	if want := budgets[0].constant; got != want {
+		t.Errorf("Fig 3(b), encapsulating F1 to F2: %d allocations per send, want %d as on the plain rows", got, want)
+	}
+	assertExactlyOnce(t, n, g, paperMembers, src.ID)
 }
 
 // TestSendAfterChurnAllocBudget pins that a change to a tree or its
@@ -189,7 +135,7 @@ func TestSendAfterChurnAllocBudget(t *testing.T) {
 	for _, backend := range dataplane.Names() {
 		t.Run(backend, func(t *testing.T) {
 			for _, transit := range []int{1, 4} {
-				src, g := chainNet(t, backend, transit, 3, 0)
+				src, g := chainNet(t, transit, 3, 0, netOpts{backend: backend})
 				churn := func() { src.Join(g, 0); src.Leave(g, 0) }
 				churn()
 				sends(t, src.net, src, g, "")
@@ -200,7 +146,7 @@ func TestSendAfterChurnAllocBudget(t *testing.T) {
 			}
 
 			const n, chord, a, b = 14, 4, 4, 5 // member domain 4's branch leaves on link 4–5
-			net := ringNet(t, backend, n, chord, nil)
+			net := ringNet(t, n, chord, netOpts{backend: backend})
 			lease, err := net.Domain(1).NewGroup(24 * time.Hour)
 			if err != nil {
 				t.Fatal(err)
@@ -263,7 +209,7 @@ func BenchmarkSendFanOut(b *testing.B) {
 	for _, backend := range dataplane.Names() {
 		for _, size := range []int{64, 1400} {
 			b.Run(fmt.Sprintf("%s/%dB", backend, size), func(b *testing.B) {
-				src, g := chainNet(b, backend, 2, 30, 0)
+				src, g := chainNet(b, 2, 30, 0, netOpts{backend: backend})
 				from, payload := src.HostAddr(0), strings.Repeat("x", size)
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -303,7 +249,7 @@ func TestJoinAllocBudget(t *testing.T) {
 	const churnGroups = 20
 	for _, backend := range dataplane.Names() {
 		for _, transit := range []int{1, 4} {
-			far, g := chainNet(t, backend, transit, 1, 0)
+			far, g := chainNet(t, transit, 1, 0, netOpts{backend: backend})
 			if got := testing.AllocsPerRun(50, func() { far.Join(g, 0); far.Leave(g, 0) }); got != 0 {
 				t.Errorf("%s, %d hops to the root: %v allocations per join+leave, want 0", backend, transit+1, got)
 			}
@@ -368,7 +314,7 @@ func TestObservedChurnRecyclesEventArrays(t *testing.T) {
 	const transit = 4
 	for _, backend := range dataplane.Names() {
 		ob := obs.NewObserver()
-		far, g := chainNetFaults(t, backend, transit, 1, 0, false, ob)
+		far, g := chainNet(t, transit, 1, 0, netOpts{backend: backend, ob: ob})
 		before := ob.Snapshot()
 		got := testing.AllocsPerRun(50, func() { far.Join(g, 0); far.Leave(g, 0) })
 		if backend == dataplane.SharedTreeName && ob.Snapshot().Diff(before).Total(obs.BGMPJoin) == 0 {
@@ -455,43 +401,6 @@ func TestChurnReplayAllocatesNothing(t *testing.T) {
 	}
 }
 
-// ringNet builds n single-router domains on a synchronous network, linked
-// in a ring with a chord from every chord-th router to the one a third of
-// the way round, domain 1 holding a MASC range: every router ends up with
-// n+1 routes (a unicast prefix per domain, one group range)
-// and at least two ways to reach each. ob may be nil.
-func ringNet(t testing.TB, backend string, n, chord int, ob *obs.Observer) *Network {
-	t.Helper()
-	clk := simclock.NewSim(time.Date(1998, 9, 1, 0, 0, 0, 0, time.UTC))
-	var w World
-	for i := 1; i <= n; i++ {
-		w.Domains = append(w.Domains, DomainConfig{
-			ID: wire.DomainID(i), Routers: []wire.RouterID{wire.RouterID(i)}, Protocol: migp.DVMRP(),
-			TopLevel:   i == 1,
-			HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, byte(i), 0, 0), Len: 16},
-		})
-	}
-	for i := 0; i < n; i++ {
-		w.Links = append(w.Links, [2]wire.RouterID{wire.RouterID(i + 1), wire.RouterID((i+1)%n + 1)})
-	}
-	for i := 0; i < n; i += chord {
-		w.Links = append(w.Links, [2]wire.RouterID{wire.RouterID(i + 1), wire.RouterID((i+n/3)%n + 1)})
-	}
-	net, err := w.Build(Config{Clock: clk, Seed: 7, Synchronous: true, DataPlane: backend, Observer: ob})
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := net.Domain(1)
-	if !root.MASC().RequestSpace(256, 30*24*time.Hour) {
-		t.Fatal("root's claim selection failed")
-	}
-	clk.RunFor(49 * time.Hour)
-	if len(root.MASC().Holdings()) == 0 {
-		t.Fatal("root won no range")
-	}
-	return net
-}
-
 // flap takes the ring link between routers a and a+1 down and up again.
 func flap(t testing.TB, net *Network, a int) {
 	if err := net.Unlink(wire.RouterID(a), wire.RouterID(a+1)); err != nil {
@@ -513,7 +422,7 @@ func TestBIERFollowsUnicastAcrossFlap(t *testing.T) {
 	const n, chord = 12, 4 // chords 1–5, 5–9, 9–1; domain 1 is the root
 	members := []wire.DomainID{3, 5, 6, 8, 11}
 	for _, backend := range dataplane.Names() {
-		net := ringNet(t, backend, n, chord, nil)
+		net := ringNet(t, n, chord, netOpts{backend: backend})
 		lease, err := net.Domain(1).NewGroup(24 * time.Hour)
 		if err != nil {
 			t.Fatal(err)
@@ -574,7 +483,7 @@ func TestFlapAllocBudget(t *testing.T) {
 	for _, n := range []int{14, 16, 18} {
 		t.Run(fmt.Sprintf("%d-routers", n), func(t *testing.T) {
 			ring := func(ob *obs.Observer, member bool) *Network {
-				net := ringNet(t, dataplane.SharedTreeName, n, chord, ob)
+				net := ringNet(t, n, chord, netOpts{backend: dataplane.SharedTreeName, ob: ob})
 				if member {
 					lease, err := net.Domain(1).NewGroup(24 * time.Hour)
 					if err != nil {
@@ -744,7 +653,7 @@ func ribEntries(net *Network) int {
 // down and coming back: two session teardowns, the withdrawals and path
 // hunting they set off, two full-table Syncs and the reconvergence.
 func BenchmarkLinkFlap(b *testing.B) {
-	net := ringNet(b, dataplane.SharedTreeName, 48, 6, nil)
+	net := ringNet(b, 48, 6, netOpts{backend: dataplane.SharedTreeName})
 	flap(b, net, 5)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -8,114 +8,13 @@ import (
 	"testing"
 	"time"
 
-	"mascbgmp/internal/addr"
 	"mascbgmp/internal/bgp"
 	"mascbgmp/internal/dataplane"
-	"mascbgmp/internal/migp"
 	"mascbgmp/internal/obs"
 	"mascbgmp/internal/simclock"
 	"mascbgmp/internal/topology"
 	"mascbgmp/internal/wire"
 )
-
-// asWorld is a synchronous network built over a topology.ASGraph the way the
-// real-stack benchmark builds its worlds: graph domain v is domain v+1 with
-// one border router, v+1, exporting everything.
-type asWorld struct {
-	net   *Network
-	graph *topology.Graph
-	roots []topology.DomainID
-	// links are the graph's links, a < b, ascending.
-	links [][2]topology.DomainID
-	// groups are the groups the roots leased, in lease order.
-	groups []worldGroup
-}
-
-// worldGroup is one group of an asWorld: its address, the graph domain
-// that leased it, and its member domains, one member host each.
-type worldGroup struct {
-	addr    addr.Addr
-	root    topology.DomainID
-	members []wire.DomainID
-}
-
-// asWorldRoots is how many top-level domains claim MASC space in an asWorld.
-const asWorldRoots = 4
-
-// newASWorld builds an asWorld of n domains and extra peering links: every
-// domain originates a /24 host prefix, the links come up one at a time, the
-// roots (MASC siblings) claim a range each and wait it out, and then each
-// root has two groups with three member domains apiece, on the named
-// forwarding backend. ob may be nil.
-func newASWorld(t testing.TB, n, extra int, seed int64, backend string, ob *obs.Observer) *asWorld {
-	t.Helper()
-	w := &asWorld{graph: topology.ASGraph(n, extra, seed)}
-	r := rand.New(rand.NewSource(seed))
-	for _, v := range r.Perm(n)[:asWorldRoots] {
-		w.roots = append(w.roots, topology.DomainID(v))
-	}
-	var world World
-	for v := 0; v < n; v++ {
-		id := wire.DomainID(v + 1)
-		world.Domains = append(world.Domains, DomainConfig{
-			ID: id, Routers: []wire.RouterID{wire.RouterID(id)}, Protocol: migp.DVMRP(),
-			TopLevel:   slices.Contains(w.roots, topology.DomainID(v)),
-			HostPrefix: addr.Prefix{Base: addr.MakeAddr(10, byte(id>>8), byte(id), 0), Len: 24},
-		})
-	}
-	for a := 0; a < n; a++ {
-		for _, e := range w.graph.Neighbors(topology.DomainID(a)) {
-			if int(e.To) > a {
-				w.links = append(w.links, [2]topology.DomainID{topology.DomainID(a), e.To})
-			}
-		}
-	}
-	sort.Slice(w.links, func(i, j int) bool {
-		if w.links[i][0] != w.links[j][0] {
-			return w.links[i][0] < w.links[j][0]
-		}
-		return w.links[i][1] < w.links[j][1]
-	})
-	for _, l := range w.links {
-		world.Links = append(world.Links, [2]wire.RouterID{w.router(l[0]), w.router(l[1])})
-	}
-	for i, a := range w.roots {
-		for _, b := range w.roots[i+1:] {
-			world.Siblings = append(world.Siblings, [2]wire.DomainID{wire.DomainID(a + 1), wire.DomainID(b + 1)})
-		}
-	}
-	clk := simclock.NewSim(time.Date(1998, 9, 1, 0, 0, 0, 0, time.UTC))
-	net, err := world.Build(Config{Clock: clk, Seed: seed, Synchronous: true, DataPlane: backend, Observer: ob})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.net = net
-	doms := net.Domains()
-	for _, root := range w.roots {
-		if !doms[root].MASC().RequestSpace(256, 30*24*time.Hour) {
-			t.Fatalf("domain %d: no MASC claim could be selected", root+1)
-		}
-	}
-	clk.RunFor(49 * time.Hour)
-	for _, root := range w.roots {
-		for g := 0; g < 2; g++ {
-			lease, err := doms[root].NewGroup(24 * time.Hour)
-			if err != nil {
-				t.Fatalf("domain %d: %v", root+1, err)
-			}
-			wg := worldGroup{addr: lease.Addr, root: root}
-			for _, m := range r.Perm(n)[:3] {
-				doms[m].Join(lease.Addr, 0)
-				wg.members = append(wg.members, doms[m].ID)
-			}
-			w.groups = append(w.groups, wg)
-		}
-	}
-	noViolations(t, "after set-up", violations(net, w.graph, w.addrs()))
-	return w
-}
-
-func (w *asWorld) router(v topology.DomainID) wire.RouterID { return wire.RouterID(v + 1) }
 
 // ribViolations compares every router's unicast RIB and its RPF view (M-RIB,
 // else unicast: Router.lookupSource) with the one state BGP can converge to

@@ -57,24 +57,8 @@ func paperNetMIGP(t *testing.T, withF2A4, sourceBranches bool, dataPlane string,
 // claim sub-ranges, then F, G, H. Each level needs a waiting period.
 func allocateSpaces(t *testing.T, n *Network, clk *simclock.Sim) {
 	t.Helper()
-	if !n.Domain(1).MASC().RequestSpace(1<<16, 60*24*time.Hour) {
-		t.Fatal("A's claim selection failed")
-	}
-	clk.RunFor(49 * time.Hour)
-	if len(n.Domain(1).MASC().Holdings()) != 1 {
-		t.Fatal("A did not win its top-level range")
-	}
-	for _, d := range []wire.DomainID{2, 3} {
-		if !n.Domain(d).MASC().RequestSpace(256, 30*24*time.Hour) {
-			t.Fatalf("domain %d claim selection failed", d)
-		}
-	}
-	clk.RunFor(49 * time.Hour)
-	for _, d := range []wire.DomainID{2, 3} {
-		if len(n.Domain(d).MASC().Holdings()) != 1 {
-			t.Fatalf("domain %d did not win a range", d)
-		}
-	}
+	claimSpace(t, clk, 1<<16, 60*24*time.Hour, n.Domain(1))
+	claimSpace(t, clk, 256, 30*24*time.Hour, n.Domain(2), n.Domain(3))
 	noViolations(t, "MASC ranges after the waits", violations(n, nil, nil))
 }
 
@@ -448,10 +432,8 @@ func asyncNet(t *testing.T, backend string, ob *obs.Observer) (*Network, addr.Ad
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.Domain(1).MASC().RequestSpace(1<<16, 60*24*time.Hour)
-	clk.RunFor(49 * time.Hour)
-	n.Domain(2).MASC().RequestSpace(256, 30*24*time.Hour)
-	clk.RunFor(49 * time.Hour)
+	claimSpace(t, clk, 1<<16, 60*24*time.Hour, n.Domain(1))
+	claimSpace(t, clk, 256, 30*24*time.Hour, n.Domain(2))
 	if err := n.Quiesce(5 * time.Second); err != nil {
 		t.Fatalf("Quiesce after MASC: %v", err)
 	}

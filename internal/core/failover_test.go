@@ -19,11 +19,7 @@ func failoverNet(t *testing.T) (*Network, *simclock.Sim) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// R claims space and roots a group.
-	if !n.Domain(1).MASC().RequestSpace(1<<12, 90*24*time.Hour) {
-		t.Fatal("claim failed")
-	}
-	clk.RunFor(49 * time.Hour)
+	claimSpace(t, clk, 1<<12, 90*24*time.Hour, n.Domain(1)) // R's range, for the groups it roots
 	return n, clk
 }
 

@@ -83,10 +83,8 @@ func TestMixedMIGPsAcrossDomains(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	n.Domain(1).MASC().RequestSpace(1<<16, 60*24*time.Hour)
-	clk.RunFor(49 * time.Hour)
-	n.Domain(2).MASC().RequestSpace(256, 30*24*time.Hour)
-	clk.RunFor(49 * time.Hour)
+	claimSpace(t, clk, 1<<16, 60*24*time.Hour, n.Domain(1))
+	claimSpace(t, clk, 256, 30*24*time.Hour, n.Domain(2))
 	lease, err := n.Domain(2).NewGroup(24 * time.Hour)
 	if err != nil {
 		t.Fatal(err)
@@ -209,8 +207,7 @@ func TestExportPolicyInsideNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	n.Domain(3).MASC().RequestSpace(1<<12, 60*24*time.Hour)
-	clk.RunFor(49 * time.Hour)
+	claimSpace(t, clk, 1<<12, 60*24*time.Hour, n.Domain(3))
 	lease, err := n.Domain(3).NewGroup(24 * time.Hour)
 	if err != nil {
 		t.Fatal(err)

@@ -75,7 +75,7 @@ func requireCopies(t *testing.T, where string, d *Domain, sent []string, copies 
 func TestDeferredSendsOwnTheirPackets(t *testing.T) {
 	const transit, members, behind = 2, 2, 2
 	for _, backend := range dataplane.Names() {
-		src, g := chainNetFaults(t, backend, transit, members, behind, true, nil)
+		src, g := chainNet(t, transit, members, behind, netOpts{backend: backend, faults: true})
 		n, plane, clk := src.net, src.net.cfg.Faults, src.net.Clock().(*simclock.Sim)
 		root, hub := wire.RouterID(transit+2), wire.RouterID(transit+3+members)
 		slow := faultinject.LinkFaults{Delay: 10 * time.Millisecond, Reorder: 0.4, Classes: faultinject.MaskData}
@@ -126,7 +126,7 @@ func TestDeferredSendsOwnTheirPackets(t *testing.T) {
 func TestDeferredControlMessagesOwnTheirContent(t *testing.T) {
 	const transit = 2
 	for _, backend := range dataplane.Names() {
-		far, _ := chainNetFaults(t, backend, transit, 1, 0, true, nil)
+		far, _ := chainNet(t, transit, 1, 0, netOpts{backend: backend, faults: true})
 		n, plane, clk := far.net, far.net.cfg.Faults, far.net.Clock().(*simclock.Sim)
 		root := n.Domain(wire.DomainID(transit + 2))
 		groups := make([]addr.Addr, 6)
@@ -239,7 +239,7 @@ func TestFaultSenderDefersCopies(t *testing.T) {
 // member's Delivery of one send holds the very string passed to Domain.Send,
 // not a copy of its bytes, whichever of two payloads of one length is sent.
 func TestDeliveriesShareTheSendersPayload(t *testing.T) {
-	src, g := chainNet(t, dataplane.SharedTreeName, 2, 5, 3)
+	src, g := chainNet(t, 2, 5, 3, netOpts{backend: dataplane.SharedTreeName})
 	for _, payload := range []string{strings.Repeat("a", 100), strings.Repeat("b", 100)} {
 		src.Send(g, src.HostAddr(0), payload, 0)
 		shared := 0
@@ -335,7 +335,7 @@ func TestRelayedPacketsStayWhole(t *testing.T) {
 func TestTTLReach(t *testing.T) {
 	const transit, members, behind = 2, 2, 2
 	for _, backend := range dataplane.Names() {
-		src, g := chainNet(t, backend, transit, members, behind)
+		src, g := chainNet(t, transit, members, behind, netOpts{backend: backend})
 		root, hub := wire.DomainID(transit+2), wire.DomainID(transit+3+members)
 		for k := 0; k <= 8; k++ {
 			src.Fabric().SendFromHost(0, &wire.Data{Group: g, Source: src.HostAddr(0), TTL: uint8(k), Payload: []byte("reach")})

@@ -51,10 +51,7 @@ func faultNetCfg(t *testing.T, seed int64, mutate func(*Config)) (*Network, *sim
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !n.Domain(1).MASC().RequestSpace(1<<12, 90*24*time.Hour) {
-		t.Fatal("claim failed")
-	}
-	clk.RunFor(49 * time.Hour)
+	claimSpace(t, clk, 1<<12, 90*24*time.Hour, n.Domain(1))
 	return n, clk, plane, ob
 }
 
@@ -412,10 +409,7 @@ func TestFailoverThroughASibling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !n.Domain(1).MASC().RequestSpace(256, 30*24*time.Hour) {
-		t.Fatal("claim failed")
-	}
-	clk.RunFor(49 * time.Hour)
+	claimSpace(t, clk, 256, 30*24*time.Hour, n.Domain(1))
 	lease, err := n.Domain(1).NewGroup(24 * time.Hour)
 	if err != nil {
 		t.Fatal(err)

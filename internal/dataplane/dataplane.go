@@ -72,8 +72,6 @@ func BIERHeaderBytes(words int) int { return BIERFixedHeaderBytes + 8*words }
 // r. Implementations must be safe for concurrent use and deterministic:
 // fan-out order may not depend on map iteration.
 type Backend interface {
-	// Name returns the backend's registered name.
-	Name() string
 	// Deliver forwards one multicast packet that arrived from src. d is valid
 	// until it returns (the next packet is decoded over it): copy what is kept.
 	Deliver(src bgmp.Target, d *wire.Data)

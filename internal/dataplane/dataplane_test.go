@@ -205,8 +205,9 @@ func (m *stubMIGP) Inject(d *wire.Data) bool {
 }
 func (m *stubMIGP) ExpectedEntry(addr.Addr) wire.RouterID { return m.expected }
 
-// overlayRig is a map-and-encap overlay at router 1 of domain 5 with every
-// RIB view answering ent; routers >= 100 are sibling borders.
+// overlayRig is an overlay, map-and-encap unless made by newOverlayRigOf,
+// at router 1 of domain 5 with every RIB view answering ent; routers >= 100
+// are sibling borders.
 type overlayRig struct {
 	b      Backend
 	migp   *stubMIGP
@@ -218,11 +219,16 @@ type overlayRig struct {
 }
 
 func newOverlayRig(ent bgp.Entry, routed bool) *overlayRig {
+	return newOverlayRigOf(NewMapEncap, ent, routed)
+}
+
+// newOverlayRigOf is newOverlayRig with the backend made by newBackend.
+func newOverlayRigOf(newBackend func(Config) Backend, ent bgp.Entry, routed bool) *overlayRig {
 	r := &overlayRig{migp: &stubMIGP{injectOK: true}, store: NewStore(), ent: ent, routed: routed}
 	ob := obs.NewObserver()
 	ob.Subscribe(func(e obs.Event) { r.events = append(r.events, e) })
 	lookup := func(addr.Addr) (bgp.Entry, bool) { return r.ent, r.routed }
-	r.b = NewMapEncap(Config{
+	r.b = newBackend(Config{
 		Router: 1, Domain: 5,
 		LookupGroup: lookup, LookupUnicast: lookup,
 		Internal:     func(id wire.RouterID) bool { return id >= 100 },
@@ -359,6 +365,39 @@ func TestOverlayRootTest(t *testing.T) {
 				t.Errorf("after the route appeared sent = %v, want the parked report to peer 7", r.sent)
 			}
 		})
+	}
+}
+
+// TestLeaveCancelsParkedJoin: a local join made before any G-RIB route
+// exists is parked, and a leave before the route appears cancels it. Once a
+// route appears, toward the root or ending at this domain, RouteChanged
+// must send no MemberReport and the Store must hold nothing, on both
+// overlays.
+func TestLeaveCancelsParkedJoin(t *testing.T) {
+	group := addr.MakeAddr(224, 1, 0, 1)
+	for _, mode := range []struct {
+		name string
+		new  func(Config) Backend
+	}{{BIERName, NewBIER}, {MapEncapName, NewMapEncap}} {
+		for _, route := range []struct {
+			where string
+			ent   bgp.Entry
+		}{
+			{"toward the root", bgp.Entry{Route: wire.Route{Origin: 9}, NextHop: 7}},
+			{"at the root", bgp.Entry{Route: wire.Route{Origin: 5}, Local: true}},
+		} {
+			r := newOverlayRigOf(mode.new, bgp.Entry{}, false)
+			r.b.LocalJoin(group)
+			r.b.LocalLeave(group)
+			r.ent, r.routed = route.ent, true
+			r.b.RouteChanged(addr.Prefix{Base: group, Len: 32}, wire.TraceContext{})
+			if len(r.sent)+len(r.migp.relays) != 0 {
+				t.Errorf("%s, route %s: sent %v and relayed %v for a join its leave cancelled", mode.name, route.where, r.sent, r.migp.relays)
+			}
+			if n := r.store.Entries(); n != 0 {
+				t.Errorf("%s, route %s: the Store holds %d entries for a join its leave cancelled", mode.name, route.where, n)
+			}
+		}
 	}
 }
 

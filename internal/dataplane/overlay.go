@@ -82,8 +82,6 @@ func newOverlay(cfg Config, mode string) *overlay {
 			SendPeer: cfg.SendPeer, MIGP: cfg.MIGP, Obs: cfg.Obs}}
 }
 
-func (o *overlay) Name() string { return o.mode }
-
 // HasForwardingState reports false always: holding no per-group forwarding
 // entries is the point of these backends. (Root-domain overlay membership
 // lives in the Store, not in the routers.)
@@ -538,7 +536,7 @@ func (o *overlay) tunnelLocked(ta addr.Addr, gen uint64) (e fwdEntry, ok bool) {
 // injectLocal delivers d, stripped of its backend header, to the domain
 // interior, falling back to the §5.3 border-to-border encapsulation when
 // interior RPF rejects this entry point. The stripped copy is a scratch, so
-// Egress.Inject never copies an overlay packet.
+// neither Egress.Inject nor Egress.Encap copies an overlay packet.
 func (o *overlay) injectLocal(d *wire.Data) {
 	s := o.take()
 	s.d = wire.Data{Group: d.Group, Source: d.Source, TTL: d.TTL, Payload: d.Payload}

@@ -17,8 +17,6 @@ type sharedTree struct {
 // branches); the backend only fronts the data path and lifecycle hooks.
 func NewSharedTree(c *bgmp.Component) Backend { return &sharedTree{c: c} }
 
-func (s *sharedTree) Name() string { return SharedTreeName }
-
 func (s *sharedTree) Deliver(src bgmp.Target, d *wire.Data) { s.c.Deliver(src, d) }
 
 // HandleControl is a no-op: shared-tree control traffic (GroupJoin et al.)

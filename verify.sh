@@ -15,10 +15,11 @@ go vet ./...
 go test ./...
 go test -race ./...
 # The message-ownership, scratch re-entry and state-recycling tests again,
-# five times under the race detector, with the churn tables and the churn
-# replay: a message, entry or member set reused while someone still holds
-# it shows only under some interleavings, and one pass sees one.
-go test -race -count=5 -run 'Own|Share|Whole|Defer|Reentry|Recycl|Table|ChurnReplay' ./internal/addr ./internal/core ./internal/dataplane ./internal/bgmp ./internal/migp
+# five times under the race detector, with the churn tables, the churn
+# replay and the send budget (whose Fig 3(b) row builds each §5.3 relay in
+# a recycled packet): a message, entry or member set reused while someone
+# still holds it shows only under some interleavings, and one pass sees one.
+go test -race -count=5 -run 'Own|Share|Whole|Defer|Reentry|Recycl|Table|ChurnReplay|SendAllocBudget' ./internal/addr ./internal/core ./internal/dataplane ./internal/bgmp ./internal/migp
 go test -run Determinism -count=2 ./...
 # Every benchmark once, so that one that panics or stops building fails
 # here and not on the next measurement (about a second of run time).
